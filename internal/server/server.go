@@ -368,20 +368,28 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
+// frameBufs recycles response frame buffers across responses and
+// connections, so a steady stream of wide results does not allocate a
+// frame each; what is idle goes back to the garbage collector.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // writeResponse encodes resp and writes it as one frame under the
-// connection's write deadline. A response that cannot be encoded
-// (unmarshalable values, frame too large) becomes an error response;
+// connection's write deadline. A response that cannot be encoded (its
+// body would exceed wire.MaxFrame) becomes a structured error response;
 // only real I/O failures — which tear down the connection — return an
 // error. The conn.drop fault tap simulates a server dying mid-frame:
 // half the frame, then the connection closes under the client.
 func (s *Server) writeResponse(conn net.Conn, resp *wire.Response) error {
-	frame, err := wire.Encode(resp)
+	buf := frameBufs.Get().(*[]byte)
+	defer frameBufs.Put(buf)
+	frame, err := wire.AppendFrame((*buf)[:0], resp)
 	if err != nil {
-		frame, err = wire.Encode(wire.ErrorResponse(fmt.Errorf("cannot encode response: %v", err)))
+		frame, err = wire.AppendFrame(frame, wire.ErrorResponse(err))
 		if err != nil {
 			return err
 		}
 	}
+	*buf = frame
 	if d := s.idleTimeout; d > 0 {
 		conn.SetWriteDeadline(time.Now().Add(d)) //nolint:errcheck
 	}

@@ -2,7 +2,9 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"perm"
+	"perm/internal/wire"
 	"perm/permclient"
 )
 
@@ -111,22 +114,58 @@ func TestExecAndErrors(t *testing.T) {
 	}
 }
 
-// TestUnencodableResultKeepsConnection: a result encoding/json cannot
-// marshal (here +Inf from a double overflow) must come back as an error
-// response, not kill the connection and its session.
-func TestUnencodableResultKeepsConnection(t *testing.T) {
+// TestNonFiniteFloatsOverWire: a double overflow yields +Inf, which the
+// frame carries as its IEEE bits and the client renders as embedded does.
+func TestNonFiniteFloatsOverWire(t *testing.T) {
 	db := perm.NewDatabase()
 	db.MustExec(`CREATE TABLE d (x double); INSERT INTO d VALUES (1e308)`)
 	c := dial(t, startServer(t, db, 2))
 
-	if _, err := c.Query(`SELECT x * 10 FROM d`); err == nil ||
-		!strings.Contains(err.Error(), "cannot encode response") {
-		t.Fatalf("want encode error, got %v", err)
+	const q = `SELECT x * 10, -x * 10 FROM d`
+	want, err := db.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsInf(got.Rows[0][0].Float(), 1) || !math.IsInf(got.Rows[0][1].Float(), -1) {
+		t.Fatalf("want +Inf and -Inf, got %v", got.Rows[0])
+	}
+	if got.String() != want.String() {
+		t.Fatalf("remote renders\n%s\nembedded renders\n%s", got, want)
+	}
+}
+
+// TestUnencodableResultKeepsConnection: a result that does not fit one
+// frame (here 65 rows sharing one 1 MiB string, against wire.MaxFrame of
+// 64 MiB) must come back as a structured, non-retryable error response,
+// not kill the connection and its session.
+func TestUnencodableResultKeepsConnection(t *testing.T) {
+	db := perm.NewDatabase()
+	db.MustExec(`CREATE TABLE big (s text); CREATE TABLE n (i int)`)
+	db.MustExec(`INSERT INTO big VALUES ('` + strings.Repeat("x", 1<<20) + `')`)
+	for i := 0; i < 65; i++ {
+		db.MustExec(fmt.Sprintf(`INSERT INTO n VALUES (%d)`, i))
+	}
+	c := dial(t, startServer(t, db, 2))
+
+	_, err := c.Query(`SELECT s FROM big, n`)
+	var se *permclient.Error
+	if !errors.As(err, &se) || se.Code != wire.CodeTooLarge || se.Retryable() {
+		t.Fatalf("want a non-retryable %s error, got %v", wire.CodeTooLarge, err)
+	}
+	// The message names the size and the limit.
+	for _, part := range []string{"65 rows", " bytes", fmt.Sprint(wire.MaxFrame)} {
+		if !strings.Contains(se.Msg, part) {
+			t.Fatalf("error %q does not name %q", se.Msg, part)
+		}
 	}
 	if err := c.Ping(); err != nil {
 		t.Fatalf("connection unusable after encode failure: %v", err)
 	}
-	if res, err := c.Query(`SELECT count(*) FROM d`); err != nil || res.Rows[0][0].Int() != 1 {
+	if res, err := c.Query(`SELECT count(*) FROM n`); err != nil || res.Rows[0][0].Int() != 65 {
 		t.Fatalf("session dead after encode failure: %v %v", res, err)
 	}
 }

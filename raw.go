@@ -7,15 +7,26 @@ import "perm/internal/types"
 // results without loss; they are module-internal plumbing (the types
 // live under internal/) and not part of the stable embedded API.
 
+// Both directions copy the values into one slab sliced into rows: two
+// allocations per result, however many rows it has.
+
+func cells[T any](rows [][]T) int {
+	n := 0
+	for _, row := range rows {
+		n += len(row)
+	}
+	return n
+}
+
 // RawRows returns the result tuples as engine values.
 func (r *Result) RawRows() [][]types.Value {
+	slab := make([]types.Value, cells(r.Rows))
 	out := make([][]types.Value, len(r.Rows))
 	for i, row := range r.Rows {
-		vr := make([]types.Value, len(row))
+		out[i], slab = slab[:len(row):len(row)], slab[len(row):]
 		for j, v := range row {
-			vr[j] = v.v
+			out[i][j] = v.v
 		}
-		out[i] = vr
 	}
 	return out
 }
@@ -26,13 +37,13 @@ func NewRawResult(cols []string, prov []bool, rows [][]types.Value) *Result {
 	if prov == nil {
 		prov = make([]bool, len(cols))
 	}
+	slab := make([]Value, cells(rows))
 	res := &Result{Columns: cols, ProvColumns: prov, Rows: make([][]Value, len(rows))}
 	for i, row := range rows {
-		vr := make([]Value, len(row))
+		res.Rows[i], slab = slab[:len(row):len(row)], slab[len(row):]
 		for j, v := range row {
-			vr[j] = Value{v: v}
+			res.Rows[i][j] = Value{v: v}
 		}
-		res.Rows[i] = vr
 	}
 	return res
 }
