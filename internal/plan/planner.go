@@ -17,6 +17,7 @@ import (
 	"perm/internal/mem"
 	"perm/internal/obs"
 	"perm/internal/spill"
+	"perm/internal/storage"
 	"perm/internal/types"
 	"perm/internal/vector"
 	"perm/internal/vexec"
@@ -30,6 +31,34 @@ type Planner struct {
 	spillDir    string
 	parallelism int
 	activity    *obs.ActiveQuery
+
+	// colSnaps holds the columnar snapshot each table was first scanned
+	// from in the statement being planned. Every further scan of the table
+	// — a self-join, the two sides of a provenance join-back, the replicas
+	// of a parallel segment — reads the same one, so a statement that
+	// counts a table and lists its rows cannot see an INSERT land in
+	// between.
+	colSnaps map[*storage.Heap]colSnapshot
+}
+
+type colSnapshot struct {
+	cols []*vector.Vec
+	n    int
+	ok   bool
+}
+
+// snapshotColumns is Heap.SnapshotColumns, taken once per table and
+// statement.
+func (p *Planner) snapshotColumns(h *storage.Heap, kinds []types.Kind) ([]*vector.Vec, int, bool) {
+	if s, seen := p.colSnaps[h]; seen {
+		return s.cols, s.n, s.ok
+	}
+	cols, n, ok := h.SnapshotColumns(kinds)
+	if p.colSnaps == nil {
+		p.colSnaps = make(map[*storage.Heap]colSnapshot)
+	}
+	p.colSnaps[h] = colSnapshot{cols, n, ok}
+	return cols, n, ok
 }
 
 // New returns a planner with the vectorized lowering path enabled.
@@ -72,6 +101,7 @@ func (p *Planner) spillRes(op string) spill.Resources {
 
 // Plan lowers a query tree to an executable node.
 func (p *Planner) Plan(q *algebra.Query) (exec.Node, error) {
+	p.colSnaps = nil
 	pl, err := p.planQuery(q)
 	if err != nil {
 		return nil, err
@@ -1533,7 +1563,7 @@ func (p *Planner) planRTE(rt int, rte *algebra.RTE) (*planned, error) {
 			return infos
 		}
 		if p.vectorized {
-			if cols, n, ok := t.Heap.SnapshotColumns(kinds); ok {
+			if cols, n, ok := p.snapshotColumns(t.Heap, kinds); ok {
 				heap := t.Heap
 				scan := vexec.NewColScan(cols, n)
 				scan.Table = rte.RelName

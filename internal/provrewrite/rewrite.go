@@ -296,8 +296,16 @@ func (r *Rewriter) rewriteASPJ(q *algebra.Query) (*algebra.Query, error) {
 	if cond == nil {
 		cond = &algebra.Const{Val: types.NewBool(true)}
 	}
+	// R5 is a left outer join. With a GROUP BY every group of Qagg has a
+	// tuple behind it in d+, so the inner join says the same and plans
+	// better; without one, Qagg yields its single row over an empty input
+	// too, and that row must survive with NULL provenance.
+	kind := algebra.JoinInner
+	if len(groupBy) == 0 {
+		kind = algebra.JoinLeft
+	}
 	top.From = []algebra.FromItem{&algebra.FromJoin{
-		Kind:  algebra.JoinInner,
+		Kind:  kind,
 		Left:  &algebra.FromRef{RT: 0},
 		Right: &algebra.FromRef{RT: 1},
 		Cond:  cond,

@@ -111,6 +111,16 @@ func TestASPJRewriteShape(t *testing.T) {
 	}
 }
 
+// TestASPJRewriteWithoutGroupBy: the one row of an ungrouped aggregation
+// exists over an empty input too, so R5's join must be the outer join.
+func TestASPJRewriteWithoutGroupBy(t *testing.T) {
+	q := rewriteSQL(t, testCatalog(t), "SELECT PROVENANCE count(*) FROM r")
+	join, ok := q.From[0].(*algebra.FromJoin)
+	if !ok || join.Kind != algebra.JoinLeft {
+		t.Fatalf("top join = %#v, want a left outer join", q.From[0])
+	}
+}
+
 func TestSetOpRewriteShape(t *testing.T) {
 	cat := testCatalog(t)
 	q := rewriteSQL(t, cat, "SELECT PROVENANCE a FROM r UNION SELECT a FROM s")

@@ -16,11 +16,13 @@ package spill
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"perm/internal/fault"
 	"perm/internal/mem"
@@ -185,19 +187,25 @@ func (t *tempFile) close() error {
 //
 // A Run is a sequence of batches. Each batch is encoded as:
 //
+//	u32 size of what follows
 //	u32 rows, u16 cols
 //	per column: u8 kind, u8 hasNulls,
 //	            [hasNulls: ceil(rows/64) × u64 null words]
 //	            payload (int/date: rows×i64, float: rows×f64,
-//	                     bool: rows bytes, string: per row u32 len + bytes)
+//	                     bool: rows bytes,
+//	                     string: rows × u32 length, then all the bytes)
+//
+// The size prefix lets the reader fetch a batch with one read into a
+// buffer it keeps across batches, and check every length against the
+// bytes actually there before it allocates for them.
 
 // Run is one spill run of encoded column batches: written sequentially,
 // finished, then read back sequentially exactly once.
 type Run struct {
-	t     *tempFile
-	rows  int64
-	buf   []byte
-	kinds []types.Kind
+	t    *tempFile
+	rows int64
+	buf  []byte // one encoded batch: the write side's, then the read side's
+	read int64  // bytes consumed by ReadCols
 }
 
 // NewRun creates a run file under dir.
@@ -215,12 +223,11 @@ func (r *Run) Rows() int64 { return r.rows }
 // Bytes returns the encoded size written so far.
 func (r *Run) Bytes() int64 { return r.t.bytes }
 
-func (r *Run) u32(v uint32) {
-	r.buf = binary.LittleEndian.AppendUint32(r.buf, v)
-}
-
-func (r *Run) u64(v uint64) {
-	r.buf = binary.LittleEndian.AppendUint64(r.buf, v)
+// grow extends the encode buffer by n bytes and returns the new region.
+func (r *Run) grow(n int) []byte {
+	at := len(r.buf)
+	r.buf = slices.Grow(r.buf, n)[:at+n]
+	return r.buf[at:]
 }
 
 // WriteCols appends one batch of n dense rows (no selection vectors; the
@@ -232,133 +239,173 @@ func (r *Run) WriteCols(cols []*vector.Vec, n int) error {
 	}
 	r.rows += int64(n)
 	r.buf = r.buf[:0]
-	r.u32(uint32(n))
-	r.buf = binary.LittleEndian.AppendUint16(r.buf, uint16(len(cols)))
+	hdr := r.grow(10)
+	binary.LittleEndian.PutUint32(hdr[4:], uint32(n))
+	binary.LittleEndian.PutUint16(hdr[8:], uint16(len(cols)))
 	words := (n + 63) / 64
 	for _, c := range cols {
-		r.buf = append(r.buf, byte(c.Kind))
 		hasNulls := c.Nulls.AnySet(n)
 		if hasNulls {
-			r.buf = append(r.buf, 1)
+			r.buf = append(r.buf, byte(c.Kind), 1)
+			dst := r.grow(8 * words)
 			for w := 0; w < words; w++ {
+				var word uint64 // a bitmap may stop short of n rows
 				if w < len(c.Nulls) {
-					r.u64(c.Nulls[w])
-				} else {
-					r.u64(0)
+					word = c.Nulls[w]
 				}
+				binary.LittleEndian.PutUint64(dst[8*w:], word)
 			}
 		} else {
-			r.buf = append(r.buf, 0)
+			r.buf = append(r.buf, byte(c.Kind), 0)
 		}
 		switch c.Kind {
 		case types.KindBool:
-			for i := 0; i < n; i++ {
-				if c.B[i] {
-					r.buf = append(r.buf, 1)
-				} else {
-					r.buf = append(r.buf, 0)
+			dst := r.grow(n)
+			for i, b := range c.B[:n] {
+				dst[i] = 0
+				if b {
+					dst[i] = 1
 				}
 			}
 		case types.KindInt, types.KindDate:
-			for i := 0; i < n; i++ {
-				r.u64(uint64(c.I[i]))
+			dst := r.grow(8 * n)
+			for i, x := range c.I[:n] {
+				binary.LittleEndian.PutUint64(dst[8*i:], uint64(x))
 			}
 		case types.KindFloat:
-			for i := 0; i < n; i++ {
-				r.u64(math64(c.F[i]))
+			dst := r.grow(8 * n)
+			for i, x := range c.F[:n] {
+				binary.LittleEndian.PutUint64(dst[8*i:], math64(x))
 			}
 		case types.KindString:
-			for i := 0; i < n; i++ {
-				r.u32(uint32(len(c.S[i])))
-				r.buf = append(r.buf, c.S[i]...)
+			dst := r.grow(4 * n)
+			for i, s := range c.S[:n] {
+				binary.LittleEndian.PutUint32(dst[4*i:], uint32(len(s)))
+			}
+			for _, s := range c.S[:n] {
+				r.buf = append(r.buf, s...)
 			}
 		default:
 			return fmt.Errorf("spill: unsupported column kind %v", c.Kind)
 		}
 	}
+	if len(r.buf)-4 > math.MaxUint32 {
+		return fmt.Errorf("spill: batch of %d bytes exceeds the frame size", len(r.buf)-4)
+	}
+	binary.LittleEndian.PutUint32(r.buf, uint32(len(r.buf)-4))
 	return r.t.write(r.buf)
 }
 
 // Finish flushes the run and prepares it for reading.
 func (r *Run) Finish() error { return r.t.finish() }
 
+var errCorrupt = errors.New("spill: corrupt run")
+
 // ReadCols reads the next batch; it returns (nil, 0, nil) at the end of
 // the run. Returned vectors are freshly allocated and owned by the
-// caller.
+// caller; the strings of one column share one allocation.
 func (r *Run) ReadCols() ([]*vector.Vec, int, error) {
 	if err := fault.Failure(fault.PointSpillRead); err != nil {
 		return nil, 0, fmt.Errorf("spill: read: %w", err)
 	}
-	var hdr [6]byte
-	if _, err := io.ReadFull(r.t.r, hdr[:4]); err != nil {
+	var pre [4]byte
+	if _, err := io.ReadFull(r.t.r, pre[:]); err != nil {
 		if err == io.EOF {
 			return nil, 0, nil
 		}
 		return nil, 0, err
 	}
-	if _, err := io.ReadFull(r.t.r, hdr[4:6]); err != nil {
+	size := int64(binary.LittleEndian.Uint32(pre[:]))
+	r.read += 4
+	if size < 6 || size > r.t.bytes-r.read {
+		return nil, 0, errCorrupt
+	}
+	r.buf = slices.Grow(r.buf[:0], int(size))[:size]
+	if _, err := io.ReadFull(r.t.r, r.buf); err != nil {
 		return nil, 0, err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:4]))
-	ncols := int(binary.LittleEndian.Uint16(hdr[4:6]))
+	r.read += size
+	return decodeCols(r.buf)
+}
+
+// decodeCols decodes one batch (without its size prefix). Every length
+// the bytes declare is checked against the bytes left before anything is
+// allocated for it, so a corrupt batch costs at most a fixed multiple of
+// its own size.
+func decodeCols(p []byte) ([]*vector.Vec, int, error) {
+	n := int(binary.LittleEndian.Uint32(p))
+	ncols := int(binary.LittleEndian.Uint16(p[4:]))
+	p = p[6:]
+	// A column takes two header bytes and at least one payload byte a row.
+	if n <= 0 || 2*ncols > len(p) || (ncols > 0 && n > len(p)) {
+		return nil, 0, errCorrupt
+	}
 	words := (n + 63) / 64
 	cols := make([]*vector.Vec, ncols)
-	var kb [8]byte
-	for c := 0; c < ncols; c++ {
-		if _, err := io.ReadFull(r.t.r, kb[:2]); err != nil {
-			return nil, 0, err
+	for c := range cols {
+		if len(p) < 2 {
+			return nil, 0, errCorrupt
 		}
-		kind := types.Kind(kb[0])
+		kind, hasNulls := types.Kind(p[0]), p[1] != 0
+		p = p[2:]
+		width := 8
+		switch kind {
+		case types.KindBool:
+			width = 1
+		case types.KindString:
+			width = 4
+		case types.KindInt, types.KindDate, types.KindFloat:
+		default:
+			return nil, 0, fmt.Errorf("%w (kind %d)", errCorrupt, kind)
+		}
+		need := width * n
+		if hasNulls {
+			need += 8 * words
+		}
+		if need > len(p) {
+			return nil, 0, errCorrupt
+		}
 		v := vector.NewVec(kind, n)
-		if kb[1] != 0 {
-			for w := 0; w < words; w++ {
-				if _, err := io.ReadFull(r.t.r, kb[:8]); err != nil {
-					return nil, 0, err
-				}
-				if w < len(v.Nulls) {
-					v.Nulls[w] = binary.LittleEndian.Uint64(kb[:8])
-				}
+		if hasNulls {
+			for w := range v.Nulls {
+				v.Nulls[w] = binary.LittleEndian.Uint64(p[8*w:])
 			}
+			p = p[8*words:]
 		}
 		switch kind {
 		case types.KindBool:
-			for i := 0; i < n; i++ {
-				b, err := r.t.r.ReadByte()
-				if err != nil {
-					return nil, 0, err
-				}
-				v.B[i] = b != 0
+			for i := range v.B {
+				v.B[i] = p[i] != 0
 			}
 		case types.KindInt, types.KindDate:
-			for i := 0; i < n; i++ {
-				if _, err := io.ReadFull(r.t.r, kb[:8]); err != nil {
-					return nil, 0, err
-				}
-				v.I[i] = int64(binary.LittleEndian.Uint64(kb[:8]))
+			for i := range v.I {
+				v.I[i] = int64(binary.LittleEndian.Uint64(p[8*i:]))
 			}
 		case types.KindFloat:
-			for i := 0; i < n; i++ {
-				if _, err := io.ReadFull(r.t.r, kb[:8]); err != nil {
-					return nil, 0, err
-				}
-				v.F[i] = unmath64(binary.LittleEndian.Uint64(kb[:8]))
+			for i := range v.F {
+				v.F[i] = unmath64(binary.LittleEndian.Uint64(p[8*i:]))
 			}
 		case types.KindString:
+			lens := p[:4*n]
+			total := 0
 			for i := 0; i < n; i++ {
-				if _, err := io.ReadFull(r.t.r, kb[:4]); err != nil {
-					return nil, 0, err
+				total += int(binary.LittleEndian.Uint32(lens[4*i:]))
+				if total > len(p)-4*n {
+					return nil, 0, errCorrupt
 				}
-				ln := int(binary.LittleEndian.Uint32(kb[:4]))
-				sb := make([]byte, ln)
-				if _, err := io.ReadFull(r.t.r, sb); err != nil {
-					return nil, 0, err
-				}
-				v.S[i] = string(sb)
 			}
-		default:
-			return nil, 0, fmt.Errorf("spill: corrupt run (kind %d)", kb[0])
+			all := string(p[4*n : 4*n+total])
+			for i := range v.S {
+				ln := int(binary.LittleEndian.Uint32(lens[4*i:]))
+				v.S[i], all = all[:ln], all[ln:]
+			}
+			p = p[total:]
 		}
+		p = p[width*n:]
 		cols[c] = v
+	}
+	if len(p) != 0 {
+		return nil, 0, errCorrupt
 	}
 	return cols, n, nil
 }

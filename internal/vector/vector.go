@@ -1,9 +1,18 @@
 // Package vector defines the columnar data representation of the Perm
 // engine's vectorized execution path (package vexec): typed column
-// vectors with null bitmaps, and fixed-capacity row batches with
-// selection vectors. Converting a heap of boxed types.Value rows into
-// this layout once per snapshot lets the batch operators run tight,
-// monomorphic loops over unboxed Go slices.
+// vectors with null bitmaps, fixed-capacity row batches with selection
+// vectors, and Table, the one append-only store every materializing
+// operator (sort, top-N, DISTINCT, set operations, join build sides,
+// group keys) collects its rows in. Converting a heap of boxed
+// types.Value rows into this layout once per snapshot lets the batch
+// operators run tight, monomorphic loops over unboxed Go slices.
+//
+// A row is copied twice on its way through a materializing operator:
+// once in (Table.Append compacts the live lanes of a batch into the
+// table's current chunk; a filled chunk is never touched again) and once
+// out (Table.GatherCol assembles an output batch by row id). The result
+// boundary boxes column at a time (Vec.BoxStrided) into one slab of
+// values per batch.
 package vector
 
 import (
@@ -47,6 +56,32 @@ func (b Bitmap) AnySet(n int) bool {
 	}
 	if rest := n & 63; rest > 0 && full < len(b) {
 		if b[full]&(1<<uint(rest)-1) != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// AnyInRange reports whether any bit in [lo, hi) is set. It reads only
+// the words the range touches, so a run of a few rows costs one load.
+func (b Bitmap) AnyInRange(lo, hi int) bool {
+	if limit := len(b) << 6; hi > limit {
+		hi = limit
+	}
+	if lo >= hi {
+		return false
+	}
+	first, last := lo>>6, (hi-1)>>6
+	head := ^uint64(0) << (uint(lo) & 63)
+	tail := ^uint64(0) >> (63 - uint(hi-1)&63)
+	if first == last {
+		return b[first]&head&tail != 0
+	}
+	if b[first]&head != 0 || b[last]&tail != 0 {
+		return true
+	}
+	for _, w := range b[first+1 : last] {
+		if w != 0 {
 			return true
 		}
 	}
@@ -99,6 +134,38 @@ func NewVec(k types.Kind, n int) *Vec {
 	return v
 }
 
+// NewVecCap returns an empty vector of kind k that can take capRows rows
+// through AppendFrom before its storage has to grow: the write buffers
+// of the spill paths and the chunks of a Table are sized once this way.
+func NewVecCap(k types.Kind, capRows int) *Vec {
+	v := NewVec(k, capRows)
+	v.Resize(0)
+	return v
+}
+
+// Resize sets the vector's length to n rows within the capacity it was
+// created with, keeping its storage. Null bits are left as they are: a
+// buffer that is emptied and refilled clears them with ClearNulls.
+func (v *Vec) Resize(n int) {
+	switch v.Kind {
+	case types.KindBool:
+		v.B = v.B[:n]
+	case types.KindInt, types.KindDate:
+		v.I = v.I[:n]
+	case types.KindFloat:
+		v.F = v.F[:n]
+	case types.KindString:
+		v.S = v.S[:n]
+	}
+}
+
+// ClearNulls marks every row non-NULL.
+func (v *Vec) ClearNulls() {
+	for w := range v.Nulls {
+		v.Nulls[w] = 0
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Batch-buffer pool
 //
@@ -143,9 +210,7 @@ func NewBatchVec(k types.Kind, n int) *Vec {
 		v = NewVec(k, BatchSize)
 	}
 	v.Kind = k // int and date share a pool
-	for w := range v.Nulls {
-		v.Nulls[w] = 0
-	}
+	v.ClearNulls()
 	switch cls {
 	case 0:
 		v.B = v.B[:n]
@@ -256,9 +321,77 @@ func (v *Vec) Value(i int) types.Value {
 	}
 }
 
+// BoxStrided boxes n rows of the vector — those listed in sel, or rows
+// 0..n-1 when sel is nil — into dst[0], dst[stride], dst[2*stride], ...:
+// one column of a row-major slab of values. It is the bulk form of Value
+// for the result boundary: the kind is examined once per column, not
+// once per value. The slab must be freshly allocated: only the kind and
+// the one payload field of each value are stored, the rest is taken to be
+// zero already (storing all six words again costs 7 % of a wide result).
+func (v *Vec) BoxStrided(dst []types.Value, stride int, sel []int, n int) {
+	nulls := v.Nulls.AnySet(v.Len())
+	null := types.NewNull(v.Kind)
+	o := 0
+	switch v.Kind {
+	case types.KindBool:
+		for r := 0; r < n; r, o = r+1, o+stride {
+			i := r
+			if sel != nil {
+				i = sel[r]
+			}
+			if nulls && v.Nulls.Get(i) {
+				dst[o] = null
+			} else {
+				dst[o].K, dst[o].B = types.KindBool, v.B[i]
+			}
+		}
+	case types.KindInt, types.KindDate:
+		for r := 0; r < n; r, o = r+1, o+stride {
+			i := r
+			if sel != nil {
+				i = sel[r]
+			}
+			if nulls && v.Nulls.Get(i) {
+				dst[o] = null
+			} else {
+				dst[o].K, dst[o].I = v.Kind, v.I[i]
+			}
+		}
+	case types.KindFloat:
+		for r := 0; r < n; r, o = r+1, o+stride {
+			i := r
+			if sel != nil {
+				i = sel[r]
+			}
+			if nulls && v.Nulls.Get(i) {
+				dst[o] = null
+			} else {
+				dst[o].K, dst[o].F = types.KindFloat, v.F[i]
+			}
+		}
+	case types.KindString:
+		for r := 0; r < n; r, o = r+1, o+stride {
+			i := r
+			if sel != nil {
+				i = sel[r]
+			}
+			if nulls && v.Nulls.Get(i) {
+				dst[o] = null
+			} else {
+				dst[o].K, dst[o].S = types.KindString, v.S[i]
+			}
+		}
+	default:
+		for r := 0; r < n; r, o = r+1, o+stride {
+			dst[o] = null
+		}
+	}
+}
+
 // AppendFrom appends row i of src (which must have the same kind) to the
-// end of the vector, growing it by one row. Use NewVec(kind, 0) to start
-// an appendable vector.
+// end of the vector, growing it by one row. It is the record-at-a-time
+// append of the bounded spill write buffers (NewVecCap) and of
+// Table.AppendLane; neither outgrows the capacity it was created with.
 func (v *Vec) AppendFrom(src *Vec, i int) {
 	n := v.Len()
 	switch v.Kind {
@@ -279,90 +412,89 @@ func (v *Vec) AppendFrom(src *Vec, i int) {
 	}
 }
 
-// AppendLanes appends the src rows listed in lanes to the end of the
-// vector (kinds must match). It is the bulk form of AppendFrom used by
-// materializing operators (sort, set ops, hash-join build) to compact
-// live batch lanes into growable accumulator columns: the payload
-// extends in one monomorphic loop and the null bitmap is only walked
-// when the source window actually carries NULLs.
-func (v *Vec) AppendLanes(src *Vec, lanes []int) {
-	n := v.Len()
+// contiguous reports whether an increasing lane list is one unbroken run
+// (a batch without a selection vector, or a selection that kept a
+// prefix), which copies as a block.
+func contiguous(lanes []int) bool {
+	return lanes[len(lanes)-1]-lanes[0] == len(lanes)-1
+}
+
+// CopyLanes copies the src rows listed in lanes (increasing) into this
+// vector starting at position at, which must leave room for len(lanes)
+// rows whose null bits are still clear. Kinds must match. The payload
+// moves in one monomorphic loop — a block copy when the lanes are one
+// unbroken run — and the null bitmap is only walked when the source rows
+// actually carry NULLs.
+func (v *Vec) CopyLanes(at int, src *Vec, lanes []int) {
+	if len(lanes) == 0 {
+		return
+	}
+	if contiguous(lanes) {
+		v.CopyRange(at, src, lanes[0], lanes[0]+len(lanes))
+		return
+	}
 	switch v.Kind {
 	case types.KindBool:
-		for _, i := range lanes {
-			v.B = append(v.B, src.B[i])
+		dst := v.B[at : at+len(lanes)]
+		for o, i := range lanes {
+			dst[o] = src.B[i]
 		}
 	case types.KindInt, types.KindDate:
-		for _, i := range lanes {
-			v.I = append(v.I, src.I[i])
+		dst := v.I[at : at+len(lanes)]
+		for o, i := range lanes {
+			dst[o] = src.I[i]
 		}
 	case types.KindFloat:
-		for _, i := range lanes {
-			v.F = append(v.F, src.F[i])
+		dst := v.F[at : at+len(lanes)]
+		for o, i := range lanes {
+			dst[o] = src.F[i]
 		}
 	case types.KindString:
-		for _, i := range lanes {
-			v.S = append(v.S, src.S[i])
+		dst := v.S[at : at+len(lanes)]
+		for o, i := range lanes {
+			dst[o] = src.S[i]
 		}
 	}
-	for need := (n + len(lanes) + 63) >> 6; len(v.Nulls) < need; {
-		v.Nulls = append(v.Nulls, 0)
-	}
-	// AnySet masks bits beyond the window length, so shared trailing
-	// words of a parent vector cannot defeat the null-free fast path.
-	if src.Nulls.AnySet(src.Len()) {
+	if src.Nulls.AnyInRange(lanes[0], lanes[len(lanes)-1]+1) {
 		for o, i := range lanes {
 			if src.Nulls.Get(i) {
-				v.Nulls.Set(n + o)
+				v.Nulls.Set(at + o)
 			}
 		}
 	}
 }
 
-// CopyLanes copies the src rows listed in lanes into this vector
-// starting at position at (which must leave room for len(lanes) rows).
-// Kinds must match.
-func (v *Vec) CopyLanes(at int, src *Vec, lanes []int) {
+// CopyRange copies src rows [lo, hi) into this vector starting at
+// position at, under the same conditions as CopyLanes: the run copy of
+// the k-way merges and of batches without a selection vector.
+func (v *Vec) CopyRange(at int, src *Vec, lo, hi int) {
 	switch v.Kind {
 	case types.KindBool:
-		for o, i := range lanes {
-			v.B[at+o] = src.B[i]
-		}
+		copy(v.B[at:at+hi-lo], src.B[lo:hi])
 	case types.KindInt, types.KindDate:
-		for o, i := range lanes {
-			v.I[at+o] = src.I[i]
-		}
+		copy(v.I[at:at+hi-lo], src.I[lo:hi])
 	case types.KindFloat:
-		for o, i := range lanes {
-			v.F[at+o] = src.F[i]
-		}
+		copy(v.F[at:at+hi-lo], src.F[lo:hi])
 	case types.KindString:
-		for o, i := range lanes {
-			v.S[at+o] = src.S[i]
-		}
+		copy(v.S[at:at+hi-lo], src.S[lo:hi])
 	}
-	for o, i := range lanes {
-		if src.Nulls.Get(i) {
-			v.Nulls.Set(at + o)
+	if src.Nulls.AnyInRange(lo, hi) {
+		for i := lo; i < hi; i++ {
+			if src.Nulls.Get(i) {
+				v.Nulls.Set(at + i - lo)
+			}
 		}
 	}
 }
 
-// Gather copies the src rows at the given indices into a fresh vector
-// of kind k (src's kind, or a compatible one for all-NULL gathers). A
-// negative index produces a NULL row (outer-join null extension).
-func Gather(src *Vec, idx []int32, k types.Kind) *Vec {
-	return gatherInto(NewVec(k, len(idx)), src, idx, k)
-}
-
-// GatherBatch is Gather drawing its output from the batch-buffer pool
-// (len(idx) ≤ BatchSize); the caller owns the result and may Free it
-// once the emitted batch has been abandoned by its consumer.
+// GatherBatch copies the src rows at the given indices (len(idx) ≤
+// BatchSize) into a vector of kind k (src's kind, or a compatible one for
+// all-NULL gathers) drawn from the batch-buffer pool. A negative index
+// produces a NULL row (outer-join null extension). The caller owns the
+// result and may Free it once the emitted batch has been abandoned by its
+// consumer.
 func GatherBatch(src *Vec, idx []int32, k types.Kind) *Vec {
-	return gatherInto(NewBatchVec(k, len(idx)), src, idx, k)
-}
-
-func gatherInto(out *Vec, src *Vec, idx []int32, k types.Kind) *Vec {
+	out := NewBatchVec(k, len(idx))
 	for o, i := range idx {
 		if i < 0 || src.Nulls.Get(int(i)) {
 			out.Nulls.Set(o)

@@ -7,7 +7,7 @@
 package vexec
 
 import (
-	"sort"
+	"slices"
 
 	"perm/internal/exec"
 	"perm/internal/spill"
@@ -53,50 +53,46 @@ func colKinds(cols []*vector.Vec) []types.Kind {
 	return kinds
 }
 
-// sortedOrder computes the stable sort permutation of n accumulated rows
+// sortedOrder computes the stable sort permutation of a table's rows
 // under the sort keys (the in-memory VecSort comparator, shared with the
 // run writer).
-func sortedOrder(cols []*vector.Vec, n int, keys []exec.SortKey, classes []cmpClass) []int32 {
-	order := make([]int32, n)
+func sortedOrder(t *vector.Table, keys []exec.SortKey, classes []cmpClass) []int32 {
+	order := make([]int32, t.Len())
 	for i := range order {
 		order[i] = int32(i)
 	}
-	if n == 0 {
-		return order
-	}
-	sort.SliceStable(order, func(x, y int) bool {
-		i, j := int(order[x]), int(order[y])
-		for k, key := range keys {
-			col := cols[key.Pos]
-			c := compareSortLanes(classes[k], col, i, col, j)
-			if c == 0 {
-				continue
-			}
-			if key.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
+	slices.SortStableFunc(order, func(i, j int32) int {
+		return compareTableRows(t, int(i), int(j), keys, classes)
 	})
 	return order
 }
 
-// writeOrdered writes the accumulated rows to a fresh run in the given
+// gatherScratch returns one unpooled batch-sized vector per kind, the
+// reusable staging columns of a run writer: GatherCol refills them and
+// WriteCols serializes them before the next refill.
+func gatherScratch(kinds []types.Kind) []*vector.Vec {
+	cols := make([]*vector.Vec, len(kinds))
+	for c, k := range kinds {
+		cols[c] = vector.NewVec(k, vector.BatchSize)
+	}
+	return cols
+}
+
+// writeOrdered writes a table's rows to a fresh run in the given
 // permutation order, in batch-sized chunks.
-func writeOrdered(res spill.Resources, cols []*vector.Vec, order []int32) (*spill.Run, error) {
+func writeOrdered(res spill.Resources, t *vector.Table, order []int32) (*spill.Run, error) {
 	run, err := spill.NewRun(res.Dir)
 	if err != nil {
 		return nil, err
 	}
-	chunk := make([]*vector.Vec, len(cols))
+	chunk := gatherScratch(t.Kinds())
 	for lo := 0; lo < len(order); lo += vector.BatchSize {
 		hi := lo + vector.BatchSize
 		if hi > len(order) {
 			hi = len(order)
 		}
-		for c, col := range cols {
-			chunk[c] = vector.Gather(col, order[lo:hi], col.Kind)
+		for c := range chunk {
+			t.GatherCol(c, order[lo:hi], chunk[c])
 		}
 		if err := run.WriteCols(chunk, hi-lo); err != nil {
 			run.Close() //nolint:errcheck — unwinding after a failed write
@@ -151,6 +147,7 @@ type runMerger struct {
 	classes []cmpClass
 	kinds   []types.Kind
 	heap    []int // heap of cursor indices, least row on top
+	out     mergeOut
 }
 
 func newRunMerger(runs []*spill.Run, keys []exec.SortKey, classes []cmpClass, kinds []types.Kind) (*runMerger, error) {
@@ -173,47 +170,99 @@ func newRunMerger(runs []*spill.Run, keys []exec.SortKey, classes []cmpClass, ki
 // less orders cursor a's current row before cursor b's.
 func (m *runMerger) less(a, b int) bool {
 	ca, cb := m.cursors[a], m.cursors[b]
-	for k, key := range m.keys {
-		c := compareSortLanes(m.classes[k], ca.cols[key.Pos], ca.pos, cb.cols[key.Pos], cb.pos)
-		if c == 0 {
-			continue
-		}
-		if key.Desc {
-			return c > 0
-		}
+	if c := compareSortRows(ca.cols, ca.pos, cb.cols, cb.pos, m.keys, m.classes); c != 0 {
 		return c < 0
 	}
 	return a < b // stability: the earlier input segment wins ties
 }
 
-// next emits up to BatchSize merged rows, nil at end of stream.
+// next emits up to BatchSize merged rows, nil at end of stream. Rows
+// leave a cursor in runs: while the cursor on top of the heap stays on
+// top after advancing, its rows are consecutive in the output, and the
+// whole run is copied column by column in one go.
 func (m *runMerger) next() (*vector.Batch, error) {
 	if len(m.heap) == 0 {
 		return nil, nil
 	}
-	out := make([]*vector.Vec, len(m.kinds))
-	for c, k := range m.kinds {
-		out[c] = vector.NewVec(k, 0)
-	}
-	rows := 0
-	for rows < vector.BatchSize && len(m.heap) > 0 {
+	m.out.begin(m.kinds)
+	for m.out.rows < vector.BatchSize && len(m.heap) > 0 {
 		ci := m.heap[0]
 		cur := m.cursors[ci]
-		for c := range out {
-			out[c].AppendFrom(cur.cols[c], cur.pos)
+		lo := cur.pos
+		for {
+			cur.pos++
+			if cur.pos >= cur.n || m.out.rows+cur.pos-lo >= vector.BatchSize {
+				break
+			}
+			spill.DownHeap(m.heap, 0, m.less)
+			if m.heap[0] != ci {
+				break
+			}
 		}
-		rows++
-		ok, err := cur.advance()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			m.heap[0] = m.heap[len(m.heap)-1]
-			m.heap = m.heap[:len(m.heap)-1]
+		m.out.copyRun(cur.cols, lo, cur.pos)
+		if cur.pos >= cur.n {
+			// Still on top: the inner loop stops before it re-sifts.
+			ok, err := cur.load()
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				m.heap[0] = m.heap[len(m.heap)-1]
+				m.heap = m.heap[:len(m.heap)-1]
+			}
 		}
 		spill.DownHeap(m.heap, 0, m.less)
 	}
-	return &vector.Batch{N: rows, Cols: out}, nil
+	return m.out.batch(), nil
+}
+
+// close recycles the last output batch. Nil-safe.
+func (m *runMerger) close() {
+	if m != nil {
+		m.out.free()
+	}
+}
+
+// mergeOut is the output side of the k-way merges: batch-sized pooled
+// vectors filled by position, recycled when the next batch begins (the
+// consumer abandoned the previous one by asking for more).
+type mergeOut struct {
+	cols []*vector.Vec
+	rows int
+}
+
+func (o *mergeOut) begin(kinds []types.Kind) {
+	o.free()
+	for _, k := range kinds {
+		o.cols = append(o.cols, vector.NewBatchVec(k, vector.BatchSize))
+	}
+	o.rows = 0
+}
+
+// copyRun appends source rows [lo, hi) of the leading len(o.cols) columns.
+func (o *mergeOut) copyRun(src []*vector.Vec, lo, hi int) {
+	for c, v := range o.cols {
+		v.CopyRange(o.rows, src[c], lo, hi)
+	}
+	o.rows += hi - lo
+}
+
+// batch cuts the filled prefix; nil when nothing was copied.
+func (o *mergeOut) batch() *vector.Batch {
+	if o.rows == 0 {
+		return nil
+	}
+	for _, v := range o.cols {
+		v.Resize(o.rows)
+	}
+	return &vector.Batch{N: o.rows, Cols: o.cols}
+}
+
+func (o *mergeOut) free() {
+	for _, v := range o.cols {
+		v.Free()
+	}
+	o.cols = o.cols[:0]
 }
 
 // mergePass merges the given runs into one new run (an intermediate pass
@@ -223,6 +272,7 @@ func mergePass(res spill.Resources, runs []*spill.Run, keys []exec.SortKey, clas
 	if err != nil {
 		return nil, err
 	}
+	defer m.close()
 	out, err := spill.NewRun(res.Dir)
 	if err != nil {
 		return nil, err

@@ -27,7 +27,7 @@ type NLJoin struct {
 	LeftKinds   []types.Kind
 	RightKinds  []types.Kind
 
-	build colAccumulator
+	build vector.Table
 
 	curBatch *vector.Batch
 	lanes    []int // live lanes of curBatch
@@ -48,7 +48,7 @@ func NewNLJoin(left, right Node, cond *Expr, jt JoinType, leftKinds, rightKinds 
 }
 
 func (j *NLJoin) Open() error {
-	j.build = colAccumulator{}
+	j.build = vector.Table{}
 	if err := j.Right.Open(); err != nil {
 		return err
 	}
@@ -61,18 +61,10 @@ func (j *NLJoin) Open() error {
 		if b == nil {
 			break
 		}
-		j.build.appendLanes(b, resolveSel(b, b.Sel))
+		j.build.Append(b.Cols, resolveSel(b, b.Sel))
 	}
 	if err := j.Right.Close(); err != nil {
 		return err
-	}
-	// An empty build side still needs typed columns for gather/null
-	// extension.
-	if j.build.cols == nil {
-		j.build.cols = make([]*vector.Vec, len(j.RightKinds))
-		for i, k := range j.RightKinds {
-			j.build.cols[i] = vector.NewVec(k, 0)
-		}
 	}
 	j.curBatch = nil
 	j.flushed = true
@@ -128,7 +120,7 @@ func (j *NLJoin) Next() (*vector.Batch, error) {
 // pairs are exhausted (left join). Returns nil when the probe batch is
 // fully consumed.
 func (j *NLJoin) pairChunk() (*vector.Batch, error) {
-	n := j.build.n
+	n := j.build.Len()
 	for j.li < len(j.lanes) {
 		// Collect up to BatchSize candidate pairs.
 		j.pairL, j.pairR = j.pairL[:0], j.pairR[:0]
@@ -246,7 +238,8 @@ func (j *NLJoin) gatherPairs(pairL, pairR []int32) *vector.Batch {
 	}
 	off := len(j.LeftKinds)
 	for c, k := range j.RightKinds {
-		cols[off+c] = vector.GatherBatch(j.build.cols[c], pairR, k)
+		cols[off+c] = vector.NewBatchVec(k, len(pairR))
+		j.build.GatherCol(c, pairR, cols[off+c])
 	}
 	j.emitOwned = append(j.emitOwned, cols...)
 	return &vector.Batch{N: len(pairL), Cols: cols}
@@ -258,7 +251,7 @@ func (j *NLJoin) Close() error {
 		v.Free()
 	}
 	j.emitOwned = j.emitOwned[:0]
-	j.build = colAccumulator{}
+	j.build = vector.Table{}
 	j.curBatch = nil
 	return err
 }

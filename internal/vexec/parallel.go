@@ -163,15 +163,14 @@ func (t *MorselTap) Close() error { return t.Input.Close() }
 func (t *MorselTap) Base() int64 { return t.base }
 
 // copyBatch materializes the live lanes of a batch into fresh unpooled
-// vectors, detaching it from the producer's recyclable buffers so it can
-// cross the Exchange channel.
+// vectors of exactly that many rows, detaching it from the producer's
+// recyclable buffers so it can cross the Exchange channel.
 func copyBatch(b *vector.Batch) *vector.Batch {
 	lanes := resolveSel(b, b.Sel)
 	cols := make([]*vector.Vec, len(b.Cols))
 	for j, c := range b.Cols {
-		nc := vector.NewVec(c.Kind, 0)
-		nc.AppendLanes(c, lanes)
-		cols[j] = nc
+		cols[j] = vector.NewVec(c.Kind, len(lanes))
+		cols[j].CopyLanes(0, c, lanes)
 	}
 	return &vector.Batch{N: len(lanes), Cols: cols}
 }
@@ -456,8 +455,8 @@ func (pa *ParallelAgg) Open() error {
 		resultKinds[ai] = h0.Aggs[ai].ResultKind
 	}
 	outs, err := processGroupPartitionSets(h0.Spill, sets, h0.groupKinds, h0, func(res spill.Resources,
-		acc *colAccumulator, seqs []int64, order []int32) (*spill.Run, error) {
-		if acc.n == 0 {
+		acc *vector.Table, seqs []int64, order []int32) (*spill.Run, error) {
+		if acc.Len() == 0 {
 			return nil, nil
 		}
 		extraKinds := append(append([]types.Kind{}, resultKinds...), types.KindInt)
@@ -503,6 +502,7 @@ func (pa *ParallelAgg) Close() error {
 			first = err
 		}
 	}
+	pa.merger.close()
 	pa.merger = nil
 	closeRuns(pa.outRuns)
 	pa.outRuns = nil
@@ -532,6 +532,7 @@ type ParallelSort struct {
 	heads   []*vector.Batch
 	pos     []int
 	heap    []int
+	out     mergeOut
 }
 
 // NewParallelSort wires the worker sorts (morsel tap + hidden seq
@@ -583,37 +584,37 @@ func (s *ParallelSort) Open() error {
 func (s *ParallelSort) less(a, b int) bool {
 	ba, bb := s.heads[a], s.heads[b]
 	ia, ib := s.pos[a], s.pos[b]
-	for k, key := range s.Keys {
-		c := compareSortLanes(s.classes[k], ba.Cols[key.Pos], ia, bb.Cols[key.Pos], ib)
-		if c == 0 {
-			continue
-		}
-		if key.Desc {
-			return c > 0
-		}
+	if c := compareSortRows(ba.Cols, ia, bb.Cols, ib, s.Keys, s.classes); c != 0 {
 		return c < 0
 	}
 	return ba.Cols[s.width].I[ia] < bb.Cols[s.width].I[ib]
 }
 
+// Next merges like runMerger.next: a worker that stays on top of the heap
+// after advancing contributes a run of consecutive output rows (a morsel's
+// worth within one key group), copied column by column in one go.
 func (s *ParallelSort) Next() (*vector.Batch, error) {
 	if len(s.heap) == 0 {
 		return nil, nil
 	}
-	out := make([]*vector.Vec, s.width)
-	for c, k := range s.kinds {
-		out[c] = vector.NewVec(k, 0)
-	}
-	rows := 0
-	for rows < vector.BatchSize && len(s.heap) > 0 {
+	s.out.begin(s.kinds)
+	for s.out.rows < vector.BatchSize && len(s.heap) > 0 {
 		wi := s.heap[0]
 		b := s.heads[wi]
-		for c := 0; c < s.width; c++ {
-			out[c].AppendFrom(b.Cols[c], s.pos[wi])
+		lo := s.pos[wi]
+		for {
+			s.pos[wi]++
+			if s.pos[wi] >= b.N || s.out.rows+s.pos[wi]-lo >= vector.BatchSize {
+				break
+			}
+			spill.DownHeap(s.heap, 0, s.less)
+			if s.heap[0] != wi {
+				break
+			}
 		}
-		rows++
-		s.pos[wi]++
+		s.out.copyRun(b.Cols, lo, s.pos[wi])
 		if s.pos[wi] >= b.N {
+			// Still on top: the inner loop stops before it re-sifts.
 			nb, err := s.Workers[wi].Next()
 			if err != nil {
 				return nil, err
@@ -626,13 +627,11 @@ func (s *ParallelSort) Next() (*vector.Batch, error) {
 		}
 		spill.DownHeap(s.heap, 0, s.less)
 	}
-	if rows == 0 {
-		return nil, nil
-	}
-	return &vector.Batch{N: rows, Cols: out}, nil
+	return s.out.batch(), nil
 }
 
 func (s *ParallelSort) Close() error {
+	s.out.free()
 	var first error
 	for _, w := range s.Workers {
 		if err := w.Close(); err != nil && first == nil {

@@ -57,16 +57,21 @@ func NewRuntimeFilter(nullSafe bool) *RuntimeFilter {
 	return &RuntimeFilter{NullSafe: nullSafe}
 }
 
-// PublishFrom summarizes the n build-key lanes and marks the filter
-// ready. An empty build publishes an empty Bloom filter, which rejects
-// everything — correct, since an inner join with an empty build side
-// emits nothing. Publication happens exactly once: after the first
+// PublishFrom summarizes the build-key lanes — one key column of kind
+// kind, handed over as the chunks of the join's build table — and marks
+// the filter ready. An empty build publishes an empty Bloom filter, which
+// rejects everything — correct, since an inner join with an empty build
+// side emits nothing. Publication happens exactly once: after the first
 // builder claims the filter, later calls return without touching it.
-func (rf *RuntimeFilter) PublishFrom(keys *vector.Vec, n int) {
+func (rf *RuntimeFilter) PublishFrom(kind types.Kind, chunks []*vector.Vec) {
 	if !rf.claimed.CompareAndSwap(false, true) {
 		return
 	}
-	rf.buildKind = keys.Kind
+	rf.buildKind = kind
+	n := 0
+	for _, keys := range chunks {
+		n += keys.Len()
+	}
 	bits := 64
 	for bits < 8*n && bits < bloomMaxBits {
 		bits <<= 1
@@ -76,49 +81,51 @@ func (rf *RuntimeFilter) PublishFrom(keys *vector.Vec, n int) {
 	rf.hasNull = false
 	rf.hasRange = false
 	first := true
-	for i := 0; i < n; i++ {
-		if keys.Nulls.Get(i) {
-			rf.hasNull = true
-			continue
-		}
-		h := mix64(hashLane(fnvOffset64, keys, i))
-		rf.setBit(h & rf.mask)
-		rf.setBit((h >> 32) & rf.mask)
-		switch keys.Kind {
-		case types.KindInt, types.KindDate:
-			v := keys.I[i]
-			if first || v < rf.minI {
-				rf.minI = v
+	for _, keys := range chunks {
+		for i, n := 0, keys.Len(); i < n; i++ {
+			if keys.Nulls.Get(i) {
+				rf.hasNull = true
+				continue
 			}
-			if first || v > rf.maxI {
-				rf.maxI = v
+			h := mix64(hashLane(fnvOffset64, keys, i))
+			rf.setBit(h & rf.mask)
+			rf.setBit((h >> 32) & rf.mask)
+			switch keys.Kind {
+			case types.KindInt, types.KindDate:
+				v := keys.I[i]
+				if first || v < rf.minI {
+					rf.minI = v
+				}
+				if first || v > rf.maxI {
+					rf.maxI = v
+				}
+				f := float64(v)
+				if first || f < rf.minF {
+					rf.minF = f
+				}
+				if first || f > rf.maxF {
+					rf.maxF = f
+				}
+				first, rf.hasRange = false, true
+			case types.KindFloat:
+				f := keys.F[i]
+				if first || f < rf.minF {
+					rf.minF = f
+				}
+				if first || f > rf.maxF {
+					rf.maxF = f
+				}
+				first, rf.hasRange = false, true
+			case types.KindString:
+				s := keys.S[i]
+				if first || s < rf.minS {
+					rf.minS = s
+				}
+				if first || s > rf.maxS {
+					rf.maxS = s
+				}
+				first, rf.hasRange = false, true
 			}
-			f := float64(v)
-			if first || f < rf.minF {
-				rf.minF = f
-			}
-			if first || f > rf.maxF {
-				rf.maxF = f
-			}
-			first, rf.hasRange = false, true
-		case types.KindFloat:
-			f := keys.F[i]
-			if first || f < rf.minF {
-				rf.minF = f
-			}
-			if first || f > rf.maxF {
-				rf.maxF = f
-			}
-			first, rf.hasRange = false, true
-		case types.KindString:
-			s := keys.S[i]
-			if first || s < rf.minS {
-				rf.minS = s
-			}
-			if first || s > rf.maxS {
-				rf.maxS = s
-			}
-			first, rf.hasRange = false, true
 		}
 	}
 	rf.ready.Store(true)

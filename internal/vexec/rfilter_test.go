@@ -41,7 +41,7 @@ func TestRuntimeFilterPublishOnce(t *testing.T) {
 		go func(g int) {
 			defer done.Done()
 			start.Wait()
-			rf.PublishFrom(keys[g], 100)
+			rf.PublishFrom(types.KindInt, []*vector.Vec{keys[g]})
 		}(g)
 		// Concurrent probe-side readers: poll Ready, and once it flips,
 		// the summary must already be complete enough to admit safely.
@@ -72,7 +72,7 @@ func TestRuntimeFilterPublishOnce(t *testing.T) {
 		}
 	}
 	// A late publish is a no-op: the summary stays the winner's.
-	rf.PublishFrom(workerKeys(publishers+1), 100)
+	rf.PublishFrom(types.KindInt, []*vector.Vec{workerKeys(publishers + 1)})
 	if rf.minI != int64(winner*1000) || rf.maxI != int64(winner*1000+99) {
 		t.Fatal("late PublishFrom overwrote the published summary")
 	}
@@ -83,7 +83,7 @@ func TestRuntimeFilterPublishOnce(t *testing.T) {
 // empty build side.
 func TestRuntimeFilterEmptyBuild(t *testing.T) {
 	rf := NewRuntimeFilter(false)
-	rf.PublishFrom(vector.NewVec(types.KindInt, 0), 0)
+	rf.PublishFrom(types.KindInt, nil)
 	if !rf.Ready() {
 		t.Fatal("empty publish must still mark the filter ready")
 	}

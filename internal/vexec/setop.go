@@ -32,7 +32,7 @@ type VecSetOp struct {
 	phase int // 0 = left, 1 = right, 2 = done
 
 	// Materialized state (everything else).
-	acc    colAccumulator
+	acc    vector.Table
 	table  map[uint64][]int32
 	nL, mR []int64
 	emit   emitter
@@ -118,7 +118,7 @@ func (s *VecSetOp) spillGroups() error {
 	if err := flushGroupRecords(s.ps, &s.acc, s.seqs, s); err != nil {
 		return err
 	}
-	s.acc = colAccumulator{}
+	s.acc = vector.Table{}
 	s.table = make(map[uint64][]int32)
 	s.seqs = s.seqs[:0]
 	s.nL, s.mR = s.nL[:0], s.mR[:0]
@@ -132,7 +132,7 @@ func (s *VecSetOp) Open() (err error) {
 		s.phase = 0
 		return s.Left.Open()
 	}
-	s.acc = colAccumulator{}
+	s.acc = vector.Table{}
 	s.table = make(map[uint64][]int32)
 	s.nL, s.mR = s.nL[:0], s.mR[:0]
 	s.seqs = s.seqs[:0]
@@ -147,7 +147,7 @@ func (s *VecSetOp) Open() (err error) {
 			s.ps.abandon()
 			closeRuns(s.outRuns)
 			s.outRuns = nil
-			s.acc = colAccumulator{}
+			s.acc = vector.Table{}
 			s.Spill.Res.ReleaseAll()
 		}
 	}()
@@ -175,12 +175,12 @@ func (s *VecSetOp) Open() (err error) {
 	if s.ps == nil {
 		// Emit multiplicities per distinct row, in first-appearance order.
 		var order []int32
-		for e := 0; e < s.acc.n; e++ {
+		for e := 0; e < s.acc.Len(); e++ {
 			for i := int64(0); i < s.countFor(e); i++ {
 				order = append(order, int32(e))
 			}
 		}
-		s.emit.reset(s.acc.cols, order)
+		s.emit.reset(&s.acc, order)
 		return nil
 	}
 	if s.pending > 0 {
@@ -196,7 +196,7 @@ func (s *VecSetOp) Open() (err error) {
 		return err
 	}
 	s.outRuns, err = processGroupPartitions(s.Spill, runs, s.kinds, s, func(res spill.Resources,
-		acc *colAccumulator, seqs []int64, order []int32) (*spill.Run, error) {
+		acc *vector.Table, seqs []int64, order []int32) (*spill.Run, error) {
 		kept := order[:0]
 		for _, g := range order {
 			if s.countFor(int(g)) > 0 {
@@ -231,7 +231,6 @@ func (s *VecSetOp) drain(in Node, left bool) error {
 		if b == nil {
 			return nil
 		}
-		s.acc.initFrom(b)
 		if s.kinds == nil {
 			s.kinds = colKinds(b.Cols)
 		}
@@ -241,15 +240,15 @@ func (s *VecSetOp) drain(in Node, left bool) error {
 			h := hashLanes(b.Cols, i)
 			e := int32(-1)
 			for _, gi := range s.table[h] {
-				if rowsEqual(b.Cols, i, s.acc.cols, int(gi)) {
+				if cols, lane := s.acc.At(int(gi)); rowsEqual(b.Cols, i, cols, lane) {
 					e = gi
 					break
 				}
 			}
 			if e < 0 {
-				e = int32(s.acc.n)
+				e = int32(s.acc.Len())
 				s.table[h] = append(s.table[h], e)
-				s.acc.appendLane(b, i)
+				s.acc.AppendLane(b.Cols, i)
 				s.newGroup()
 				s.seqs = append(s.seqs, seq)
 				if budgeted {
@@ -271,9 +270,9 @@ func (s *VecSetOp) drain(in Node, left bool) error {
 			}
 			if e < 0 {
 				// The group was flushed mid-insert: restart it.
-				e = int32(s.acc.n)
+				e = int32(s.acc.Len())
 				s.table[h] = append(s.table[h], e)
-				s.acc.appendLane(b, i)
+				s.acc.AppendLane(b.Cols, i)
 				s.newGroup()
 				s.seqs = append(s.seqs, seq)
 			}
@@ -330,8 +329,9 @@ func (s *VecSetOp) Next() (*vector.Batch, error) {
 
 func (s *VecSetOp) Close() error {
 	s.emit.close()
-	s.acc = colAccumulator{}
+	s.acc = vector.Table{}
 	s.table = nil
+	s.merger.close()
 	s.merger = nil
 	s.ps.abandon()
 	closeRuns(s.outRuns)

@@ -5,6 +5,7 @@
 package vexec
 
 import (
+	"slices"
 	"sort"
 
 	"perm/internal/exec"
@@ -14,61 +15,22 @@ import (
 	"perm/internal/vector"
 )
 
-// colAccumulator collects live batch lanes into growable, unpooled
-// columns (the materialization side of sort/top-N/set operations).
-type colAccumulator struct {
-	cols []*vector.Vec
-	n    int
-}
-
-// initFrom sizes the accumulator after the first batch's column kinds.
-func (a *colAccumulator) initFrom(b *vector.Batch) {
-	if a.cols != nil {
-		return
-	}
-	a.cols = make([]*vector.Vec, len(b.Cols))
-	for j, c := range b.Cols {
-		a.cols[j] = vector.NewVec(c.Kind, 0)
-	}
-}
-
-// appendLanes copies the given live lanes of the batch.
-func (a *colAccumulator) appendLanes(b *vector.Batch, lanes []int) {
-	a.initFrom(b)
-	for j, c := range b.Cols {
-		a.cols[j].AppendLanes(c, lanes)
-	}
-	a.n += len(lanes)
-}
-
-// appendLane copies one live lane of the batch.
-func (a *colAccumulator) appendLane(b *vector.Batch, lane int) {
-	a.initFrom(b)
-	for j, c := range b.Cols {
-		a.cols[j].AppendFrom(c, lane)
-	}
-	a.n++
-}
-
-// emitter streams gathered windows of an accumulator in batch-sized
-// chunks, recycling the gather buffers between chunks.
+// emitter streams the rows of a table in a given row-id order as
+// batch-sized gathers, recycling the gather buffers between batches.
 type emitter struct {
-	cols  []*vector.Vec
+	t     *vector.Table
 	order []int32
 	pos   int
-	owned []*vector.Vec
 	buf   []*vector.Vec
 }
 
-func (e *emitter) reset(cols []*vector.Vec, order []int32) {
-	e.cols, e.order, e.pos = cols, order, 0
+func (e *emitter) reset(t *vector.Table, order []int32) {
+	e.close()
+	e.t, e.order, e.pos = t, order, 0
 }
 
 func (e *emitter) next() *vector.Batch {
-	for _, v := range e.owned {
-		v.Free()
-	}
-	e.owned = e.owned[:0]
+	e.close()
 	if e.pos >= len(e.order) {
 		return nil
 	}
@@ -76,23 +38,30 @@ func (e *emitter) next() *vector.Batch {
 	if hi > len(e.order) {
 		hi = len(e.order)
 	}
-	chunk := e.order[e.pos:hi]
+	ids := e.order[e.pos:hi]
 	e.pos = hi
-	if e.buf == nil {
-		e.buf = make([]*vector.Vec, len(e.cols))
-	}
-	for j, c := range e.cols {
-		e.buf[j] = vector.GatherBatch(c, chunk, c.Kind)
-	}
-	e.owned = append(e.owned[:0], e.buf...)
-	return &vector.Batch{N: len(chunk), Cols: e.buf}
+	e.buf = gatherBatch(e.t, ids, e.buf[:0])
+	return &vector.Batch{N: len(ids), Cols: e.buf}
 }
 
+// close returns the buffers of the last batch to the pool; the consumer
+// abandoned that batch when it asked for the next.
 func (e *emitter) close() {
-	for _, v := range e.owned {
+	for _, v := range e.buf {
 		v.Free()
 	}
-	e.owned = e.owned[:0]
+	e.buf = e.buf[:0]
+}
+
+// gatherBatch appends to cols one pooled vector per table column holding
+// the rows with the given ids (at most BatchSize).
+func gatherBatch(t *vector.Table, ids []int32, cols []*vector.Vec) []*vector.Vec {
+	for c, k := range t.Kinds() {
+		v := vector.NewBatchVec(k, len(ids))
+		t.GatherCol(c, ids, v)
+		cols = append(cols, v)
+	}
+	return cols
 }
 
 // ---------------------------------------------------------------------------
@@ -118,12 +87,13 @@ type VecSort struct {
 	// worker streams on (keys, ordinal) and strips the ordinal.
 	Tap *MorselTap
 
-	acc      colAccumulator
+	acc      vector.Table
 	emit     emitter
 	accBytes int64
 	kinds    []types.Kind
 	classes  []cmpClass
 	sortKeys []exec.SortKey
+	tapCols  []*vector.Vec // batch columns plus the ordinal column (Tap mode)
 	runs     []*spill.Run
 	merger   *runMerger
 }
@@ -139,23 +109,23 @@ func (s *VecSort) Spilled() bool { return len(s.runs) > 0 }
 // flushRun sorts the accumulated segment and writes it out as one run,
 // releasing the segment's memory.
 func (s *VecSort) flushRun() error {
-	if s.acc.n == 0 {
+	if s.acc.Len() == 0 {
 		return nil
 	}
-	order := sortedOrder(s.acc.cols, s.acc.n, s.sortKeys, s.classes)
-	run, err := writeOrdered(s.Spill, s.acc.cols, order)
+	order := sortedOrder(&s.acc, s.sortKeys, s.classes)
+	run, err := writeOrdered(s.Spill, &s.acc, order)
 	if err != nil {
 		return err
 	}
 	s.runs = append(s.runs, run)
-	s.acc = colAccumulator{}
+	s.acc = vector.Table{}
 	s.Spill.Res.Release(s.accBytes)
 	s.accBytes = 0
 	return nil
 }
 
 func (s *VecSort) Open() (err error) {
-	s.acc = colAccumulator{}
+	s.acc = vector.Table{}
 	s.accBytes = 0
 	s.merger = nil
 	s.sortKeys = s.Keys
@@ -169,7 +139,7 @@ func (s *VecSort) Open() (err error) {
 		if err != nil {
 			closeRuns(s.runs)
 			s.runs = nil
-			s.acc = colAccumulator{}
+			s.acc = vector.Table{}
 			s.accBytes = 0
 			s.Spill.Res.ReleaseAll()
 		}
@@ -213,24 +183,28 @@ func (s *VecSort) Open() (err error) {
 			}
 			s.accBytes += delta
 		}
-		s.acc.appendLanes(b, lanes)
+		cols := b.Cols
 		if s.Tap != nil {
-			if len(s.acc.cols) == len(b.Cols) {
-				s.acc.cols = append(s.acc.cols, vector.NewVec(types.KindInt, 0))
-			}
-			seqCol := s.acc.cols[len(s.acc.cols)-1]
+			// The ordinal rides along as one more batch column, so the
+			// table copies it with the rest.
+			ord := vector.NewBatchVec(types.KindInt, b.N)
 			base := s.Tap.Base()
-			for k := range lanes {
-				appendI(seqCol, base+int64(k))
+			for k, lane := range lanes {
+				ord.I[lane] = base + int64(k)
 			}
+			s.tapCols = append(append(s.tapCols[:0], b.Cols...), ord)
+			cols = s.tapCols
+		}
+		s.acc.Append(cols, lanes)
+		if s.Tap != nil {
+			cols[len(cols)-1].Free()
 		}
 	}
 	if err := s.Input.Close(); err != nil {
 		return err
 	}
 	if len(s.runs) == 0 {
-		order := sortedOrder(s.acc.cols, s.acc.n, s.sortKeys, s.classes)
-		s.emit.reset(s.acc.cols, order)
+		s.emit.reset(&s.acc, sortedOrder(&s.acc, s.sortKeys, s.classes))
 		return nil
 	}
 	// External path: spill the tail segment too, reduce to the merge
@@ -255,7 +229,8 @@ func (s *VecSort) Next() (*vector.Batch, error) {
 
 func (s *VecSort) Close() error {
 	s.emit.close()
-	s.acc = colAccumulator{}
+	s.acc = vector.Table{}
+	s.merger.close()
 	s.merger = nil
 	closeRuns(s.runs)
 	s.runs = nil
@@ -279,7 +254,7 @@ type VecTopN struct {
 	Count  int64 // ≥ 0
 	Offset int64
 
-	acc     colAccumulator
+	acc     vector.Table
 	classes []cmpClass
 	heap    []int32 // max-heap over accumulated rows ("worst" on top)
 	emit    emitter
@@ -293,15 +268,7 @@ func NewVecTopN(input Node, keys []exec.SortKey, count, offset int64) *VecTopN {
 // rowLess orders accumulated rows i and j by the sort keys, breaking
 // ties by insertion index (stability).
 func (t *VecTopN) rowLess(i, j int32) bool {
-	for k, key := range t.Keys {
-		col := t.acc.cols[key.Pos]
-		c := compareSortLanes(t.classes[k], col, int(i), col, int(j))
-		if c == 0 {
-			continue
-		}
-		if key.Desc {
-			return c > 0
-		}
+	if c := compareTableRows(&t.acc, int(i), int(j), t.Keys, t.classes); c != 0 {
 		return c < 0
 	}
 	return i < j
@@ -311,19 +278,9 @@ func (t *VecTopN) rowLess(i, j int32) bool {
 // current heap maximum (an incoming row never displaces an equal-keyed
 // earlier row: ties keep the earlier arrival, like a stable sort).
 func (t *VecTopN) laneBeatsWorst(b *vector.Batch, i int) bool {
-	worst := int(t.heap[0])
-	for k, key := range t.Keys {
-		col := b.Cols[key.Pos]
-		c := compareSortLanes(t.classes[k], col, i, t.acc.cols[key.Pos], worst)
-		if c == 0 {
-			continue
-		}
-		if key.Desc {
-			return c > 0
-		}
-		return c < 0
-	}
-	return false // equal keys: the earlier row wins
+	worst, wi := t.acc.At(int(t.heap[0]))
+	// Equal keys: the earlier row wins.
+	return compareSortRows(b.Cols, i, worst, wi, t.Keys, t.classes) < 0
 }
 
 func (t *VecTopN) siftDown(at int) {
@@ -357,7 +314,7 @@ func (t *VecTopN) siftUp(at int) {
 }
 
 func (t *VecTopN) Open() error {
-	t.acc = colAccumulator{}
+	t.acc = vector.Table{}
 	t.heap = t.heap[:0]
 	k := t.Offset + t.Count
 	if err := t.Input.Open(); err != nil {
@@ -380,22 +337,22 @@ func (t *VecTopN) Open() error {
 		}
 		for _, i := range resolveSel(b, b.Sel) {
 			if int64(len(t.heap)) < k {
-				t.acc.appendLane(b, i)
-				t.heap = append(t.heap, int32(t.acc.n-1))
+				t.acc.AppendLane(b.Cols, i)
+				t.heap = append(t.heap, int32(t.acc.Len()-1))
 				t.siftUp(len(t.heap) - 1)
 				continue
 			}
 			if !t.laneBeatsWorst(b, i) {
 				continue
 			}
-			t.acc.appendLane(b, i)
-			t.heap[0] = int32(t.acc.n - 1)
+			t.acc.AppendLane(b.Cols, i)
+			t.heap[0] = int32(t.acc.Len() - 1)
 			t.siftDown(0)
 		}
 		// Displaced rows stay in the accumulator until compaction; keep
 		// its footprint bounded by ~2k rows (plus batch slack) so an
 		// adversarial input order cannot materialize the whole stream.
-		if int64(t.acc.n) > 2*k+vector.BatchSize {
+		if int64(t.acc.Len()) > 2*k+vector.BatchSize {
 			t.compact()
 		}
 	}
@@ -409,7 +366,7 @@ func (t *VecTopN) Open() error {
 	} else {
 		order = nil
 	}
-	t.emit.reset(t.acc.cols, order)
+	t.emit.reset(&t.acc, order)
 	return nil
 }
 
@@ -420,26 +377,25 @@ func (t *VecTopN) Open() error {
 // survives the relabeling untouched.
 func (t *VecTopN) compact() {
 	live := append([]int32(nil), t.heap...)
-	sort.Slice(live, func(i, j int) bool { return live[i] < live[j] })
+	slices.Sort(live)
 	remap := make(map[int32]int32, len(live))
-	cols := make([]*vector.Vec, len(t.acc.cols))
-	for c, col := range t.acc.cols {
-		cols[c] = vector.Gather(col, live, col.Kind)
-	}
+	var kept vector.Table
+	kept.Init(t.acc.Kinds(), len(live))
 	for newIdx, oldIdx := range live {
+		kept.AppendLane(t.acc.At(int(oldIdx)))
 		remap[oldIdx] = int32(newIdx)
 	}
 	for i, h := range t.heap {
 		t.heap[i] = remap[h]
 	}
-	t.acc = colAccumulator{cols: cols, n: len(live)}
+	t.acc = kept
 }
 
 func (t *VecTopN) Next() (*vector.Batch, error) { return t.emit.next(), nil }
 
 func (t *VecTopN) Close() error {
 	t.emit.close()
-	t.acc = colAccumulator{}
+	t.acc = vector.Table{}
 	t.heap = t.heap[:0]
 	return nil
 }
@@ -519,7 +475,7 @@ type VecDistinct struct {
 	Input Node
 	Spill spill.Resources
 
-	acc    colAccumulator
+	acc    vector.Table
 	table  map[uint64][]int32
 	selBuf []int
 
@@ -564,7 +520,7 @@ func (d *VecDistinct) spillGroups() error {
 	if err := flushGroupRecords(d.ps, &d.acc, d.seqs, d); err != nil {
 		return err
 	}
-	d.acc = colAccumulator{}
+	d.acc = vector.Table{}
 	d.table = make(map[uint64][]int32)
 	d.seqs = d.seqs[:0]
 	d.emitted = d.emitted[:0]
@@ -578,12 +534,12 @@ func (d *VecDistinct) spillGroups() error {
 func (d *VecDistinct) insert(b *vector.Batch, i int) bool {
 	h := hashLanes(b.Cols, i)
 	for _, gi := range d.table[h] {
-		if rowsEqual(b.Cols, i, d.acc.cols, int(gi)) {
+		if cols, lane := d.acc.At(int(gi)); rowsEqual(b.Cols, i, cols, lane) {
 			return false
 		}
 	}
-	d.table[h] = append(d.table[h], int32(d.acc.n))
-	d.acc.appendLane(b, i)
+	d.table[h] = append(d.table[h], int32(d.acc.Len()))
+	d.acc.AppendLane(b.Cols, i)
 	return true
 }
 
@@ -608,7 +564,7 @@ func (d *VecDistinct) account(b *vector.Batch, i int) (bool, error) {
 }
 
 func (d *VecDistinct) Open() error {
-	d.acc = colAccumulator{}
+	d.acc = vector.Table{}
 	d.table = make(map[uint64][]int32)
 	if d.selBuf == nil {
 		d.selBuf = make([]int, 0, vector.BatchSize)
@@ -636,7 +592,6 @@ func (d *VecDistinct) Next() (*vector.Batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		d.acc.initFrom(b)
 		if d.kinds == nil {
 			d.kinds = colKinds(b.Cols)
 		}
@@ -728,7 +683,7 @@ func (d *VecDistinct) finishTail() (*vector.Batch, error) {
 		return nil, err
 	}
 	d.outRuns, err = processGroupPartitions(d.Spill, runs, d.kinds, d, func(res spill.Resources,
-		acc *colAccumulator, seqs []int64, order []int32) (*spill.Run, error) {
+		acc *vector.Table, seqs []int64, order []int32) (*spill.Run, error) {
 		kept := order[:0]
 		for _, g := range order {
 			if !d.emitted[g] {
@@ -754,8 +709,9 @@ func (d *VecDistinct) finishTail() (*vector.Batch, error) {
 }
 
 func (d *VecDistinct) Close() error {
-	d.acc = colAccumulator{}
+	d.acc = vector.Table{}
 	d.table = nil
+	d.merger.close()
 	d.merger = nil
 	d.tail = false
 	// The spill work happens in Next, so an error there relies on this

@@ -65,7 +65,9 @@ func partitionOf(h uint64, seed uint64) int {
 }
 
 // appendI/appendF/appendB/appendS grow a vector by one non-NULL value,
-// extending the null bitmap like AppendFrom does.
+// extending the null bitmap like AppendFrom does. Their targets are
+// record buffers created with room for a batch (newRecordBuf), so the
+// appends stay within capacity.
 func appendI(v *vector.Vec, x int64) {
 	n := len(v.I)
 	v.I = append(v.I, x)
@@ -133,13 +135,26 @@ func newPartitionSet(res spill.Resources, kinds []types.Kind, seed uint64) *part
 	return &partitionSet{res: res, kinds: kinds, seed: seed}
 }
 
+// newRecordBuf returns empty record columns with room for one batch.
+func newRecordBuf(kinds []types.Kind) []*vector.Vec {
+	cols := make([]*vector.Vec, len(kinds))
+	for c, k := range kinds {
+		cols[c] = vector.NewVecCap(k, vector.BatchSize)
+	}
+	return cols
+}
+
+// resetRecordBuf empties record columns whose rows have been written out.
+func resetRecordBuf(cols []*vector.Vec) {
+	for _, v := range cols {
+		v.Resize(0)
+		v.ClearNulls()
+	}
+}
+
 func (ps *partitionSet) buf(p int) []*vector.Vec {
 	if ps.bufs[p] == nil {
-		cols := make([]*vector.Vec, len(ps.kinds))
-		for c, k := range ps.kinds {
-			cols[c] = vector.NewVec(k, 0)
-		}
-		ps.bufs[p] = cols
+		ps.bufs[p] = newRecordBuf(ps.kinds)
 	}
 	return ps.bufs[p]
 }
@@ -158,9 +173,7 @@ func (ps *partitionSet) flush(p int) error {
 	if err := ps.runs[p].WriteCols(ps.bufs[p], ps.bufN[p]); err != nil {
 		return err
 	}
-	for c, k := range ps.kinds {
-		ps.bufs[p][c] = vector.NewVec(k, 0)
-	}
+	resetRecordBuf(ps.bufs[p])
 	ps.bufN[p] = 0
 	return nil
 }
@@ -277,6 +290,7 @@ type seqMerger struct {
 	kinds   []types.Kind
 	heap    []int
 	rem     int64 // remaining repeats of the current head record
+	out     mergeOut
 	// bandShift > 0 keeps every emitted batch within one seq>>bandShift
 	// band and records the band in lastBand, so a morsel-spine operator
 	// draining this merger remains a valid TagSource (see parallel.go).
@@ -337,26 +351,19 @@ func (m *seqMerger) next() (*vector.Batch, error) {
 	if len(m.heap) == 0 {
 		return nil, nil
 	}
-	out := make([]*vector.Vec, m.width)
-	for c, k := range m.kinds {
-		out[c] = vector.NewVec(k, 0)
-	}
-	rows := 0
-	for rows < vector.BatchSize && len(m.heap) > 0 {
+	m.out.begin(m.kinds)
+	for m.out.rows < vector.BatchSize && len(m.heap) > 0 {
 		if m.bandShift > 0 {
 			band := m.seqAt(m.heap[0]) >> m.bandShift
-			if rows == 0 {
+			if m.out.rows == 0 {
 				m.lastBand = band
 			} else if band != m.lastBand {
 				break // next record starts a new morsel band
 			}
 		}
 		cur := m.cursors[m.heap[0]]
-		for m.rem > 0 && rows < vector.BatchSize {
-			for c := 0; c < m.width; c++ {
-				out[c].AppendFrom(cur.cols[c], cur.pos)
-			}
-			rows++
+		for m.rem > 0 && m.out.rows < vector.BatchSize {
+			m.out.copyRun(cur.cols, cur.pos, cur.pos+1)
 			m.rem--
 		}
 		if m.rem > 0 {
@@ -373,10 +380,14 @@ func (m *seqMerger) next() (*vector.Batch, error) {
 		spill.DownHeap(m.heap, 0, m.less)
 		m.primeRem()
 	}
-	if rows == 0 {
-		return nil, nil
+	return m.out.batch(), nil
+}
+
+// close recycles the last output batch. Nil-safe.
+func (m *seqMerger) close() {
+	if m != nil {
+		m.out.free()
 	}
-	return &vector.Batch{N: rows, Cols: out}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -401,7 +412,7 @@ type groupStater interface {
 
 // groupFinalizer writes one partition's finished groups (in the given
 // first-appearance order) as an output run ending in the seq column.
-type groupFinalizer func(res spill.Resources, acc *colAccumulator, seqs []int64, order []int32) (*spill.Run, error)
+type groupFinalizer func(res spill.Resources, acc *vector.Table, seqs []int64, order []int32) (*spill.Run, error)
 
 // recordKinds assembles the record layout: data columns, state columns,
 // then the sequence column.
@@ -412,13 +423,13 @@ func recordKinds(dataKinds []types.Kind, st groupStater) []types.Kind {
 
 // flushGroupRecords writes every live group as a partial record into the
 // partition set.
-func flushGroupRecords(ps *partitionSet, acc *colAccumulator, seqs []int64, st groupStater) error {
-	dataWidth := len(acc.cols)
-	for g := 0; g < acc.n; g++ {
-		h := hashLanes(acc.cols, g)
-		err := ps.addFunc(h, func(dst []*vector.Vec) {
+func flushGroupRecords(ps *partitionSet, acc *vector.Table, seqs []int64, st groupStater) error {
+	for g := 0; g < acc.Len(); g++ {
+		cols, lane := acc.At(g)
+		dataWidth := len(cols)
+		err := ps.addFunc(hashLanes(cols, lane), func(dst []*vector.Vec) {
 			for c := 0; c < dataWidth; c++ {
-				dst[c].AppendFrom(acc.cols[c], g)
+				dst[c].AppendFrom(cols[c], lane)
 			}
 			st.appendState(g, dst[dataWidth:len(dst)-1])
 			appendI(dst[len(dst)-1], seqs[g])
@@ -508,7 +519,7 @@ func processOneGroupPartition(res spill.Resources, item groupWorkItem, dataKinds
 	st groupStater, finalize groupFinalizer) (children []*spill.Run, out *spill.Run, err error) {
 	defer closeRuns(item.runs) // temp storage, already unlinked
 	dataWidth := len(dataKinds)
-	acc := &colAccumulator{}
+	acc := &vector.Table{}
 	var seqs []int64
 	table := make(map[uint64][]int32)
 	st.reset()
@@ -562,15 +573,15 @@ func processOneGroupPartition(res spill.Resources, item groupWorkItem, dataKinds
 				h := hashLanes(dataCols, i)
 				g := int32(-1)
 				for _, gi := range table[h] {
-					if rowsEqual(dataCols, i, acc.cols, int(gi)) {
+					if cols, lane := acc.At(int(gi)); rowsEqual(dataCols, i, cols, lane) {
 						g = gi
 						break
 					}
 				}
 				if g < 0 {
-					g = int32(acc.n)
+					g = int32(acc.Len())
 					table[h] = append(table[h], g)
-					acc.appendLane(&vector.Batch{N: n, Cols: dataCols}, i)
+					acc.AppendLane(dataCols, i)
 					st.newGroup()
 					seqs = append(seqs, seqCol.I[i])
 				} else if s := seqCol.I[i]; s < seqs[g] {
@@ -580,7 +591,7 @@ func processOneGroupPartition(res spill.Resources, item groupWorkItem, dataKinds
 			}
 		}
 	}
-	out, err = finalize(res, acc, seqs, seqOrder(seqs, acc.n))
+	out, err = finalize(res, acc, seqs, seqOrder(seqs, acc.Len()))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -611,26 +622,24 @@ func repartitionRecords(ps *partitionSet, run *spill.Run, cols []*vector.Vec, n,
 // plus extra columns supplied by emit) as one seq-terminated output run.
 // emit appends the extra column values for one group; the seq column is
 // written by the caller through it.
-func writeGroupRun(res spill.Resources, acc *colAccumulator, order []int32,
+func writeGroupRun(res spill.Resources, acc *vector.Table, order []int32,
 	extraKinds []types.Kind, emit func(g int32, extra []*vector.Vec)) (*spill.Run, error) {
 	run, err := spill.NewRun(res.Dir)
 	if err != nil {
 		return nil, err
 	}
-	width := len(acc.cols)
+	width := len(acc.Kinds())
+	out := append(gatherScratch(acc.Kinds()), newRecordBuf(extraKinds)...)
 	for lo := 0; lo < len(order); lo += vector.BatchSize {
 		hi := lo + vector.BatchSize
 		if hi > len(order) {
 			hi = len(order)
 		}
 		chunk := order[lo:hi]
-		out := make([]*vector.Vec, width+len(extraKinds))
-		for c, col := range acc.cols {
-			out[c] = vector.Gather(col, chunk, col.Kind)
+		for c := 0; c < width; c++ {
+			acc.GatherCol(c, chunk, out[c])
 		}
-		for c, k := range extraKinds {
-			out[width+c] = vector.NewVec(k, 0)
-		}
+		resetRecordBuf(out[width:])
 		for _, g := range chunk {
 			emit(g, out[width:])
 		}

@@ -65,20 +65,10 @@ func (j *HashJoin) startGrace(hashes []uint64) (*graceJoin, error) {
 	g.probeKinds = append(append([]types.Kind{}, j.LeftKinds...), exprKinds(j.LeftKeys)...)
 	g.probeKinds = append(g.probeKinds, types.KindInt)
 	g.buildPS = newPartitionSet(j.Spill, g.buildKinds, 0)
-	nb := len(hashes)
-	for r := 0; r < nb; r++ {
-		h := hashes[r]
-		rr := r
-		err := g.buildPS.addFunc(h, func(dst []*vector.Vec) {
-			for c := range j.buildCols {
-				dst[c].AppendFrom(j.buildCols[c], rr)
-			}
-			off := len(j.buildCols)
-			for k := range j.buildKeys {
-				dst[off+k].AppendFrom(j.buildKeys[k], rr)
-			}
-		})
-		if err != nil {
+	for r, h := range hashes {
+		// A build row is already a build record: columns, then keys.
+		cols, lane := j.build.At(r)
+		if err := g.buildPS.addRecord(cols, lane, h); err != nil {
 			g.buildPS.abandon()
 			return nil, err
 		}
@@ -237,7 +227,7 @@ func (g *graceJoin) processPartition(item joinWorkItem) (children []joinWorkItem
 	nKeys := len(j.RightKeys)
 
 	// Load the build partition, repartitioning on budget pressure.
-	acc := &colAccumulator{}
+	acc := &vector.Table{}
 	var itemBytes int64
 	defer func() { g.res.Res.Release(itemBytes) }()
 	if item.build != nil {
@@ -261,21 +251,16 @@ func (g *graceJoin) processPartition(item joinWorkItem) (children []joinWorkItem
 				g.res.Res.Force(delta) // depth exhausted: complete over budget
 			}
 			itemBytes += delta
-			acc.appendLanes(&vector.Batch{N: n, Cols: cols}, identitySel[:n])
+			acc.Append(cols, identitySel[:n])
 		}
-	}
-	buildData := make([]*vector.Vec, nBuildCols)
-	buildKeys := make([]*vector.Vec, nKeys)
-	if acc.n > 0 {
-		copy(buildData, acc.cols[:nBuildCols])
-		copy(buildKeys, acc.cols[nBuildCols:])
 	}
 	// Chain the partition's build rows in reverse so probing visits them
 	// in build-input order, exactly like the in-memory join.
-	heads := make(map[uint64]int32, acc.n)
-	next := make([]int32, acc.n)
-	for r := acc.n - 1; r >= 0; r-- {
-		h := hashLanes(buildKeys, r)
+	heads := make(map[uint64]int32, acc.Len())
+	next := make([]int32, acc.Len())
+	for r := acc.Len() - 1; r >= 0; r-- {
+		row, lane := acc.At(r)
+		h := hashLanes(row[nBuildCols:], lane)
 		if head, ok := heads[h]; ok {
 			next[r] = head
 		} else {
@@ -308,11 +293,12 @@ func (g *graceJoin) processPartition(item joinWorkItem) (children []joinWorkItem
 				}
 			}
 			matched := false
-			if !nullKey && !j.neverMatch && acc.n > 0 {
+			if !nullKey && !j.neverMatch && acc.Len() > 0 {
 				h := hashLanes(probeKeys, i)
 				for bi := heads[h]; bi >= 0; bi = next[bi] {
-					if storedKeysMatch(j.NullSafe, probeKeys, i, buildKeys, int(bi)) {
-						if err := w.pair(probeData, i, buildData, int(bi), seqCol.I[i]); err != nil {
+					row, lane := acc.At(int(bi))
+					if storedKeysMatch(j.NullSafe, probeKeys, i, row[nBuildCols:], lane) {
+						if err := w.pair(probeData, i, row[:nBuildCols], lane, seqCol.I[i]); err != nil {
 							w.abandon()
 							return nil, nil, err
 						}
@@ -338,12 +324,13 @@ func (g *graceJoin) processPartition(item joinWorkItem) (children []joinWorkItem
 // repartition pushes a skewed partition one level down: the build rows
 // loaded so far plus the rest of the build run, and the whole probe run,
 // are rerouted under a reseeded hash.
-func (g *graceJoin) repartition(item joinWorkItem, acc *colAccumulator, cols []*vector.Vec, n int) ([]joinWorkItem, error) {
+func (g *graceJoin) repartition(item joinWorkItem, acc *vector.Table, cols []*vector.Vec, n int) ([]joinWorkItem, error) {
 	j := g.j
 	nBuildCols := len(j.RightKinds)
 	childBuild := newPartitionSet(g.res, g.buildKinds, item.seed+1)
-	for r := 0; r < acc.n; r++ {
-		if err := childBuild.addRecord(acc.cols, r, hashLanes(acc.cols[nBuildCols:], r)); err != nil {
+	for r := 0; r < acc.Len(); r++ {
+		row, lane := acc.At(r)
+		if err := childBuild.addRecord(row, lane, hashLanes(row[nBuildCols:], lane)); err != nil {
 			childBuild.abandon()
 			return nil, err
 		}
@@ -453,9 +440,10 @@ func newPairWriter(res spill.Resources, leftKinds, rightKinds []types.Kind) *pai
 }
 
 func (w *pairWriter) resetBuf() {
-	w.cols = make([]*vector.Vec, len(w.kinds))
-	for c, k := range w.kinds {
-		w.cols[c] = vector.NewVec(k, 0)
+	if w.cols == nil {
+		w.cols = newRecordBuf(w.kinds)
+	} else {
+		resetRecordBuf(w.cols)
 	}
 	w.n = 0
 }

@@ -399,8 +399,8 @@ type HashJoin struct {
 	// probe side.
 	TagSrc TagSource
 
-	buildCols  []*vector.Vec
-	buildKeys  []*vector.Vec
+	build      vector.Table     // build rows: the right columns, then the evaluated keys
+	buildRow   []*vector.Vec    // scratch: one batch's columns plus keys
 	heads      map[uint64]int32 // key hash → first build row of the chain
 	next       []int32          // per-build-row chain link (-1 ends a chain)
 	neverMatch bool
@@ -471,14 +471,7 @@ func (j *HashJoin) Open() (err error) {
 			j.Spill.Res.ReleaseAll()
 		}
 	}()
-	j.buildCols = make([]*vector.Vec, len(j.RightKinds))
-	for c, k := range j.RightKinds {
-		j.buildCols[c] = vector.NewVec(k, 0)
-	}
-	j.buildKeys = make([]*vector.Vec, len(j.RightKeys))
-	for k, ke := range j.RightKeys {
-		j.buildKeys[k] = vector.NewVec(ke.Kind(), 0)
-	}
+	j.build = vector.Table{}
 	var hashes []uint64
 	var lanes []int
 	budgeted := j.Spill.Enabled()
@@ -528,7 +521,7 @@ func (j *HashJoin) Open() (err error) {
 					return gerr
 				}
 				j.grace = g
-				j.buildCols, j.buildKeys, hashes = nil, nil, nil
+				j.build, hashes = vector.Table{}, nil
 				j.Spill.Res.Release(j.buildBytes)
 				j.buildBytes = 0
 			} else {
@@ -544,12 +537,8 @@ func (j *HashJoin) Open() (err error) {
 					}
 				}
 			} else {
-				for c, col := range b.Cols {
-					j.buildCols[c].AppendLanes(col, lanes)
-				}
-				for k, kv := range keys {
-					j.buildKeys[k].AppendLanes(kv, lanes)
-				}
+				j.buildRow = append(append(j.buildRow[:0], b.Cols...), keys...)
+				j.build.Append(j.buildRow, lanes)
 				for _, i := range lanes {
 					hashes = append(hashes, hashLanes(keys, i))
 				}
@@ -598,7 +587,11 @@ func (j *HashJoin) Open() (err error) {
 	// from their very first batch.
 	for k, rf := range j.Publish {
 		if rf != nil {
-			rf.PublishFrom(j.buildKeys[k], total)
+			keys := make([]*vector.Vec, len(j.build.Chunks()))
+			for ch, row := range j.build.Chunks() {
+				keys[ch] = row[len(j.RightKinds)+k]
+			}
+			rf.PublishFrom(j.RightKeys[k].Kind(), keys)
 		}
 	}
 	j.curBatch = nil
@@ -612,9 +605,11 @@ func (j *HashJoin) Open() (err error) {
 }
 
 // keysMatch compares probe lane pi against build row bi.
-func (j *HashJoin) keysMatch(probe []*vector.Vec, pi int, bi int) bool {
+func (j *HashJoin) keysMatch(probe []*vector.Vec, pi int, build int) bool {
+	row, bi := j.build.At(build)
+	buildKeys := row[len(j.RightKinds):]
 	for k := range probe {
-		pv, bv := probe[k], j.buildKeys[k]
+		pv, bv := probe[k], buildKeys[k]
 		pn, bn := pv.Nulls.Get(pi), bv.Nulls.Get(bi)
 		if j.NullSafe[k] {
 			if pn || bn {
@@ -741,7 +736,8 @@ func (j *HashJoin) emit() *vector.Batch {
 	}
 	off := len(j.LeftKinds)
 	for c, k := range j.RightKinds {
-		cols[off+c] = vector.GatherBatch(j.buildCols[c], chunkR, k)
+		cols[off+c] = vector.NewBatchVec(k, n)
+		j.build.GatherCol(c, chunkR, cols[off+c])
 	}
 	j.emitOwned = append(j.emitOwned, cols...)
 	return &vector.Batch{N: n, Cols: cols}
@@ -757,7 +753,7 @@ func (j *HashJoin) Close() error {
 		v.Free()
 	}
 	j.emitOwned = j.emitOwned[:0]
-	j.buildCols, j.buildKeys, j.heads, j.next = nil, nil, nil, nil
+	j.build, j.heads, j.next = vector.Table{}, nil, nil
 	j.curBatch = nil
 	if j.grace != nil {
 		j.grace.cleanup()
@@ -803,11 +799,13 @@ type HashAgg struct {
 	partial  bool
 	partRuns [spillPartitions]*spill.Run
 
-	groupCols []*vector.Vec
+	groups    vector.Table // group key values, one row per group
 	numGroups int
 	table     map[uint64][]int32
 	accs      []aggAcc
-	resVecs   []*vector.Vec
+	resVecs   []*vector.Vec // finalized aggregates, in emission order
+	emit      emitter       // group columns, in emission order
+	outCols   []*vector.Vec
 	outPos    int
 
 	groupKinds []types.Kind
@@ -868,13 +866,10 @@ func (h *HashAgg) spillGroups() error {
 	if h.ps == nil {
 		h.ps = newPartitionSet(h.Spill, recordKinds(h.groupKinds, h), 0)
 	}
-	acc := &colAccumulator{cols: h.groupCols, n: h.numGroups}
-	if err := flushGroupRecords(h.ps, acc, h.seqs, h); err != nil {
+	if err := flushGroupRecords(h.ps, &h.groups, h.seqs, h); err != nil {
 		return err
 	}
-	for g, ge := range h.Groups {
-		h.groupCols[g] = vector.NewVec(ge.Kind(), 0)
-	}
+	h.groups = vector.Table{}
 	h.table = make(map[uint64][]int32)
 	h.numGroups = 0
 	h.seqs = h.seqs[:0]
@@ -889,9 +884,7 @@ func (h *HashAgg) insertGroup(keys []*vector.Vec, i int, hv uint64, seq int64) i
 	g := h.numGroups
 	h.numGroups++
 	h.table[hv] = append(h.table[hv], int32(g))
-	for k, kv := range keys {
-		h.groupCols[k].AppendFrom(kv, i)
-	}
+	h.groups.AppendLane(keys, i)
 	h.newGroup()
 	h.seqs = append(h.seqs, seq)
 	return g
@@ -1115,12 +1108,8 @@ func (h *HashAgg) Open() (err error) {
 			h.Spill.Res.ReleaseAll()
 		}
 	}()
-	h.groupCols = make([]*vector.Vec, len(h.Groups))
-	h.groupKinds = make([]types.Kind, len(h.Groups))
-	for g, ge := range h.Groups {
-		h.groupCols[g] = vector.NewVec(ge.Kind(), 0)
-		h.groupKinds[g] = ge.Kind()
-	}
+	h.groups = vector.Table{}
+	h.groupKinds = exprKinds(h.Groups)
 	h.table = make(map[uint64][]int32)
 	h.numGroups = 0
 	h.seqs = h.seqs[:0]
@@ -1242,8 +1231,8 @@ func (h *HashAgg) Open() (err error) {
 			resultKinds[ai] = h.Aggs[ai].ResultKind
 		}
 		h.outRuns, err = processGroupPartitions(h.Spill, runs, h.groupKinds, h, func(res spill.Resources,
-			acc *colAccumulator, seqs []int64, order []int32) (*spill.Run, error) {
-			if acc.n == 0 {
+			acc *vector.Table, seqs []int64, order []int32) (*spill.Run, error) {
+			if acc.Len() == 0 {
 				return nil, nil
 			}
 			extraKinds := append(append([]types.Kind{}, resultKinds...), types.KindInt)
@@ -1265,9 +1254,8 @@ func (h *HashAgg) Open() (err error) {
 	return nil
 }
 
-// finishInMem finalizes the in-memory result columns (and the default
-// row of a global aggregate over empty input); output windows slice
-// them.
+// finishInMem finalizes the in-memory result (and the default row of a
+// global aggregate over empty input), emitting groups in insertion order.
 func (h *HashAgg) finishInMem() {
 	if h.numGroups == 0 && len(h.Groups) == 0 {
 		h.numGroups = 1
@@ -1275,14 +1263,26 @@ func (h *HashAgg) finishInMem() {
 			h.accs[ai].addGroup()
 		}
 	}
+	order := make([]int32, h.numGroups)
+	for g := range order {
+		order[g] = int32(g)
+	}
+	h.finishOrdered(order)
+}
+
+// finishOrdered finalizes every aggregate into a result vector laid out
+// in the given group order and points the emitter at the group columns in
+// the same order; Next pairs gathered group columns with result windows.
+func (h *HashAgg) finishOrdered(order []int32) {
 	h.resVecs = make([]*vector.Vec, len(h.Aggs))
 	for ai := range h.accs {
-		out := vector.NewVec(h.Aggs[ai].ResultKind, h.numGroups)
-		for g := 0; g < h.numGroups; g++ {
-			out.Set(g, h.accs[ai].finalize(g))
+		out := vector.NewVec(h.Aggs[ai].ResultKind, len(order))
+		for i, g := range order {
+			out.Set(i, h.accs[ai].finalize(int(g)))
 		}
 		h.resVecs[ai] = out
 	}
+	h.emit.reset(&h.groups, order)
 	h.outPos = 0
 }
 
@@ -1346,7 +1346,7 @@ func (h *HashAgg) absorb(w *HashAgg) {
 	kinds := w.stateKinds()
 	state := make([]*vector.Vec, len(kinds))
 	for i, k := range kinds {
-		state[i] = vector.NewVec(k, 0)
+		state[i] = vector.NewVecCap(k, w.numGroups)
 	}
 	for g := 0; g < w.numGroups; g++ {
 		w.appendState(g, state)
@@ -1354,24 +1354,18 @@ func (h *HashAgg) absorb(w *HashAgg) {
 	stateBytes := int64(len(h.Aggs))*96 + groupOverheadBytes
 	var grown int64
 	for g := 0; g < w.numGroups; g++ {
-		hv := hashLanes(w.groupCols, g)
+		keys, lane := w.groups.At(g)
+		hv := hashLanes(keys, lane)
 		target := -1
 		for _, gi := range h.table[hv] {
-			if rowsEqual(w.groupCols, g, h.groupCols, int(gi)) {
+			if h.groupMatches(keys, lane, int(gi)) {
 				target = int(gi)
 				break
 			}
 		}
 		if target < 0 {
-			target = h.numGroups
-			h.numGroups++
-			h.table[hv] = append(h.table[hv], int32(target))
-			for c := range h.groupCols {
-				h.groupCols[c].AppendFrom(w.groupCols[c], g)
-			}
-			h.newGroup()
-			h.seqs = append(h.seqs, w.seqs[g])
-			grown += laneBytes(w.groupCols, g) + stateBytes
+			target = h.insertGroup(keys, lane, hv, w.seqs[g])
+			grown += laneBytes(keys, lane) + stateBytes
 		} else if w.seqs[g] < h.seqs[target] {
 			h.seqs[target] = w.seqs[g]
 		}
@@ -1392,61 +1386,35 @@ func (h *HashAgg) finishInMemOrdered() {
 		h.finishInMem() // empty grouped agg, or a global agg's default row
 		return
 	}
-	order := seqOrder(h.seqs, h.numGroups)
-	cols := make([]*vector.Vec, len(h.groupCols))
-	for c := range h.groupCols {
-		nc := vector.NewVec(h.groupKinds[c], 0)
-		for _, g := range order {
-			nc.AppendFrom(h.groupCols[c], int(g))
-		}
-		cols[c] = nc
-	}
-	h.groupCols = cols
-	h.resVecs = make([]*vector.Vec, len(h.Aggs))
-	for ai := range h.accs {
-		out := vector.NewVec(h.Aggs[ai].ResultKind, h.numGroups)
-		for i, g := range order {
-			out.Set(i, h.accs[ai].finalize(int(g)))
-		}
-		h.resVecs[ai] = out
-	}
-	h.outPos = 0
+	h.finishOrdered(seqOrder(h.seqs, h.numGroups))
 }
 
 func (h *HashAgg) groupMatches(keys []*vector.Vec, i int, g int) bool {
-	for k := range keys {
-		if !lanesEqualNullSafe(keys[k], i, h.groupCols[k], g) {
-			return false
-		}
-	}
-	return true
+	stored, lane := h.groups.At(g)
+	return rowsEqual(keys, i, stored, lane)
 }
 
 func (h *HashAgg) Next() (*vector.Batch, error) {
 	if h.merger != nil {
 		return h.merger.next()
 	}
-	if h.outPos >= h.numGroups {
+	b := h.emit.next()
+	if b == nil {
 		return nil, nil
 	}
-	hi := h.outPos + vector.BatchSize
-	if hi > h.numGroups {
-		hi = h.numGroups
-	}
-	cols := make([]*vector.Vec, 0, len(h.groupCols)+len(h.resVecs))
-	for _, gc := range h.groupCols {
-		cols = append(cols, gc.Window(h.outPos, hi))
-	}
+	h.outCols = append(h.outCols[:0], b.Cols...)
 	for _, rv := range h.resVecs {
-		cols = append(cols, rv.Window(h.outPos, hi))
+		h.outCols = append(h.outCols, rv.Window(h.outPos, h.outPos+b.N))
 	}
-	b := &vector.Batch{N: hi - h.outPos, Cols: cols}
-	h.outPos = hi
+	h.outPos += b.N
+	b.Cols = h.outCols
 	return b, nil
 }
 
 func (h *HashAgg) Close() error {
-	h.groupCols, h.resVecs, h.accs, h.table = nil, nil, nil, nil
+	h.emit.close()
+	h.groups, h.resVecs, h.accs, h.table = vector.Table{}, nil, nil, nil
+	h.merger.close()
 	h.merger = nil
 	h.ps.abandon()
 	closeRuns(h.outRuns)
@@ -1517,6 +1485,30 @@ func sortKeyClasses(keys []exec.SortKey, cols []*vector.Vec) []cmpClass {
 		classes[i] = classify(cols[k.Pos].Kind, cols[k.Pos].Kind)
 	}
 	return classes
+}
+
+// compareSortRows orders row li of columns l against row ri of columns r
+// under the sort keys: negative when the left row sorts first, 0 on a
+// tie over every key.
+func compareSortRows(l []*vector.Vec, li int, r []*vector.Vec, ri int, keys []exec.SortKey, classes []cmpClass) int {
+	for k, key := range keys {
+		c := compareSortLanes(classes[k], l[key.Pos], li, r[key.Pos], ri)
+		if c == 0 {
+			continue
+		}
+		if key.Desc {
+			return -c
+		}
+		return c
+	}
+	return 0
+}
+
+// compareTableRows is compareSortRows over two rows of one table.
+func compareTableRows(t *vector.Table, i, j int, keys []exec.SortKey, classes []cmpClass) int {
+	l, li := t.At(i)
+	r, ri := t.At(j)
+	return compareSortRows(l, li, r, ri, keys, classes)
 }
 
 // compareSortLanes orders lane li of l against lane ri of r under one

@@ -256,7 +256,7 @@ func TestRuntimeFilterPrunesScan(t *testing.T) {
 
 	rf := vexec.NewRuntimeFilter(false)
 	scan.AddRuntimeFilter(rf, 0)
-	rf.PublishFrom(build, 3)
+	rf.PublishFrom(types.KindInt, []*vector.Vec{build})
 
 	got := drainRows(t, scan)
 	if len(got) > 64 {
@@ -282,7 +282,7 @@ func TestRuntimeFilterPrunesScan(t *testing.T) {
 	scan2 := scanOf(t, kinds, rows)
 	rf2 := vexec.NewRuntimeFilter(true)
 	scan2.AddRuntimeFilter(rf2, 0)
-	rf2.PublishFrom(nb, 2)
+	rf2.PublishFrom(types.KindInt, []*vector.Vec{nb})
 	sawNull := false
 	for _, r := range drainRows(t, scan2) {
 		if r[0].Null {
@@ -297,7 +297,7 @@ func TestRuntimeFilterPrunesScan(t *testing.T) {
 	scan3 := scanOf(t, kinds, rows)
 	rf3 := vexec.NewRuntimeFilter(false)
 	scan3.AddRuntimeFilter(rf3, 0)
-	rf3.PublishFrom(vector.NewVec(types.KindInt, 0), 0)
+	rf3.PublishFrom(types.KindInt, nil)
 	if got := drainRows(t, scan3); len(got) != 0 {
 		t.Fatalf("empty build must reject all lanes, admitted %d", len(got))
 	}

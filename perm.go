@@ -621,14 +621,7 @@ func (db *Database) executeCompiled(q *algebra.Query, into string, qr *queryRun)
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = make([][]Value, len(rows))
-	for i, r := range rows {
-		vr := make([]Value, len(r))
-		for j, v := range r {
-			vr[j] = Value{v: v}
-		}
-		res.Rows[i] = vr
-	}
+	res.Rows = boxRows(nil, rows)
 	if into != "" {
 		if err := db.materialize(into, schema, rows); err != nil {
 			return nil, err
@@ -671,9 +664,9 @@ func collectRows(n exec.Node, aq *obs.ActiveQuery) ([]types.Row, error) {
 }
 
 // collectBatchValues drains a vectorized plan into result rows, boxing
-// each live lane once. Per batch it feeds emitted-row progress and a
-// cancellation check to the active-query record (one atomic add and one
-// atomic load per batch).
+// each batch into one slab of values. Per batch it feeds emitted-row
+// progress and a cancellation check to the active-query record (one
+// atomic add and one atomic load per batch).
 func collectBatchValues(in vexec.Node, aq *obs.ActiveQuery) ([][]Value, error) {
 	if err := in.Open(); err != nil {
 		return nil, err
@@ -693,24 +686,8 @@ func collectBatchValues(in vexec.Node, aq *obs.ActiveQuery) ([][]Value, error) {
 				return nil, err
 			}
 		}
-		before := len(out)
-		emit := func(lane int) {
-			vr := make([]Value, len(b.Cols))
-			for j, c := range b.Cols {
-				vr[j] = Value{v: c.Value(lane)}
-			}
-			out = append(out, vr)
-		}
-		if b.Sel != nil {
-			for _, lane := range b.Sel {
-				emit(lane)
-			}
-		} else {
-			for lane := 0; lane < b.N; lane++ {
-				emit(lane)
-			}
-		}
-		aq.AddRows(int64(len(out) - before))
+		out = boxBatch(out, b)
+		aq.AddRows(int64(b.Live()))
 	}
 }
 

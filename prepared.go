@@ -7,6 +7,8 @@ import (
 	"perm/internal/algebra"
 	"perm/internal/exec"
 	"perm/internal/sql"
+	"perm/internal/types"
+	"perm/internal/vexec"
 )
 
 // Prepared is a prepared SELECT statement: the statement is parsed and
@@ -117,18 +119,26 @@ func (p *Prepared) Start() (*Cursor, error) {
 	for _, pc := range q.ProvCols {
 		prov[pc.Col] = true
 	}
-	return &Cursor{node: node, cols: schema.Names(), prov: prov}, nil
+	c := &Cursor{node: node, cols: schema.Names(), prov: prov}
+	// A fully vectorized plan ends in a batch→row adapter: read the
+	// batches underneath it, like Query does.
+	if rs, ok := node.(*vexec.RowSource); ok {
+		c.batches = rs.Input
+	}
+	return c, nil
 }
 
 // Cursor is an open portal: an executing plan from which rows are pulled
 // in batches. A Cursor is single-consumer (it holds volcano iterator
 // state) and must be Closed when done.
 type Cursor struct {
-	node   exec.Node
-	cols   []string
-	prov   []bool
-	done   bool
-	closed bool
+	node    exec.Node
+	batches vexec.Node // non-nil: the vectorized plan under node
+	pending [][]Value  // boxed rows of the last batch not yet fetched
+	cols    []string
+	prov    []bool
+	done    bool
+	closed  bool
 }
 
 // Columns returns the output column names.
@@ -141,25 +151,54 @@ func (c *Cursor) ProvColumns() []bool { return c.prov }
 // an empty slice once the cursor is exhausted.
 func (c *Cursor) Fetch(max int) ([][]Value, error) {
 	var out [][]Value
-	if c.closed || c.done {
+	if c.closed {
 		return out, nil
 	}
+	if c.batches == nil {
+		return c.fetchRows(max)
+	}
 	for max <= 0 || len(out) < max {
-		r, err := c.node.Next()
-		if err != nil {
-			return out, err
+		if len(c.pending) == 0 {
+			if c.done {
+				break
+			}
+			b, err := c.batches.Next()
+			if err != nil {
+				return out, err
+			}
+			if b == nil {
+				c.done = true
+				break
+			}
+			c.pending = boxBatch(nil, b)
+		}
+		take := len(c.pending)
+		if max > 0 && take > max-len(out) {
+			take = max - len(out)
+		}
+		out = append(out, c.pending[:take]...)
+		c.pending = c.pending[take:]
+	}
+	return out, nil
+}
+
+// fetchRows is Fetch over a row plan: the rows pulled by one call are
+// copied into one slab.
+func (c *Cursor) fetchRows(max int) ([][]Value, error) {
+	var rows []types.Row
+	var err error
+	for !c.done && (max <= 0 || len(rows) < max) {
+		var r types.Row
+		if r, err = c.node.Next(); err != nil {
+			break
 		}
 		if r == nil {
 			c.done = true
 			break
 		}
-		vr := make([]Value, len(r))
-		for j, v := range r {
-			vr[j] = Value{v: v}
-		}
-		out = append(out, vr)
+		rows = append(rows, r)
 	}
-	return out, nil
+	return boxRows(nil, rows), err
 }
 
 // Close releases the cursor's plan. It is idempotent.

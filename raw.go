@@ -1,32 +1,39 @@
 package perm
 
-import "perm/internal/types"
+import (
+	"slices"
+	"unsafe"
 
-// Raw-value bridging for the permd wire protocol. These helpers expose
-// the engine's internal typed values so the server and client can ship
-// results without loss; they are module-internal plumbing (the types
-// live under internal/) and not part of the stable embedded API.
+	"perm/internal/types"
+	"perm/internal/vector"
+)
 
-// Both directions copy the values into one slab sliced into rows: two
-// allocations per result, however many rows it has.
+// Raw-value bridging for the permd wire protocol and the result
+// boundary. These helpers expose the engine's internal typed values so
+// the server and client can ship results without loss; they are
+// module-internal plumbing (the types live under internal/) and not part
+// of the stable embedded API.
 
-func cells[T any](rows [][]T) int {
-	n := 0
-	for _, row := range rows {
-		n += len(row)
-	}
-	return n
+// A Value is a types.Value under a public name, so a row of one is a row
+// of the other. Either array length goes negative, and the build breaks,
+// should the two ever differ in size.
+var (
+	_ [unsafe.Sizeof(Value{}) - unsafe.Sizeof(types.Value{})]struct{}
+	_ [unsafe.Sizeof(types.Value{}) - unsafe.Sizeof(Value{})]struct{}
+)
+
+// rawRow views a result row as engine values, sharing its storage.
+func rawRow(row []Value) []types.Value {
+	return unsafe.Slice((*types.Value)(unsafe.Pointer(unsafe.SliceData(row))), len(row))
 }
 
-// RawRows returns the result tuples as engine values.
+// RawRows returns the result tuples as engine values. The rows share the
+// result's storage: a wide result is held once, not twice, while the
+// server encodes it.
 func (r *Result) RawRows() [][]types.Value {
-	slab := make([]types.Value, cells(r.Rows))
 	out := make([][]types.Value, len(r.Rows))
 	for i, row := range r.Rows {
-		out[i], slab = slab[:len(row):len(row)], slab[len(row):]
-		for j, v := range row {
-			out[i][j] = v.v
-		}
+		out[i] = rawRow(row)
 	}
 	return out
 }
@@ -37,13 +44,39 @@ func NewRawResult(cols []string, prov []bool, rows [][]types.Value) *Result {
 	if prov == nil {
 		prov = make([]bool, len(cols))
 	}
-	slab := make([]Value, cells(rows))
-	res := &Result{Columns: cols, ProvColumns: prov, Rows: make([][]Value, len(rows))}
-	for i, row := range rows {
-		res.Rows[i], slab = slab[:len(row):len(row)], slab[len(row):]
-		for j, v := range row {
-			res.Rows[i][j] = Value{v: v}
-		}
+	return &Result{Columns: cols, ProvColumns: prov, Rows: boxRows(nil, rows)}
+}
+
+// boxRows appends a copy of engine rows to out: the values go into one
+// slab, however many rows there are, so the result never aliases rows the
+// engine still owns (a scan hands out its table's own row slices).
+func boxRows[R ~[]types.Value](out [][]Value, rows []R) [][]Value {
+	cells := 0
+	for _, row := range rows {
+		cells += len(row)
 	}
-	return res
+	slab := make([]Value, cells)
+	out = slices.Grow(out, len(rows))
+	for _, row := range rows {
+		copy(rawRow(slab), row)
+		out, slab = append(out, slab[:len(row):len(row)]), slab[len(row):]
+	}
+	return out
+}
+
+// boxBatch appends the live rows of a batch to out. Values are boxed
+// column at a time (the kind is examined once per column) into one slab
+// per batch. Every row is capped at its own length, so appending to one
+// reallocates it and cannot run into its neighbour.
+func boxBatch(out [][]Value, b *vector.Batch) [][]Value {
+	n, width := b.Live(), len(b.Cols)
+	slab := make([]Value, n*width)
+	raw := rawRow(slab)
+	for j, c := range b.Cols {
+		c.BoxStrided(raw[j:], width, b.Sel, n)
+	}
+	for i := 0; i < n; i++ {
+		out = append(out, slab[i*width:(i+1)*width:(i+1)*width])
+	}
+	return out
 }

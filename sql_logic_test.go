@@ -155,6 +155,12 @@ func TestAggregation(t *testing.T) {
 			want: []string{"0|NULL|NULL"}},
 		{name: "empty-grouped", query: "SELECT x, count(*) FROM empty_t GROUP BY x",
 			want: []string{}},
+		{name: "empty-global-provenance", query: "SELECT PROVENANCE count(*), sum(x) FROM empty_t",
+			want: []string{"0|NULL|NULL|NULL"}}, // q's one row, NULL provenance (R5's outer join)
+		{name: "empty-global-provenance-filtered", query: "SELECT PROVENANCE count(*) FROM nums WHERE n > 100",
+			want: []string{"0|NULL|NULL"}},
+		{name: "empty-grouped-provenance", query: "SELECT PROVENANCE x, count(*) FROM empty_t GROUP BY x",
+			want: []string{}},
 		{name: "null-group", query: "SELECT n, count(*) FROM nums GROUP BY n",
 			want: []string{"1|1", "2|1", "3|1", "4|1", "NULL|1"}},
 		{name: "count-distinct", query: "SELECT count(DISTINCT a) FROM pairs",

@@ -86,12 +86,6 @@ func TestTPCHQueriesProvenance(t *testing.T) {
 			for _, row := range provRes.Rows {
 				provSet[fingerprint(row, origWidth)] = true
 			}
-			// Aggregations over empty input are the single sanctioned
-			// exception (Fig. 11 footnote): q yields one all-null row, q+
-			// yields none.
-			if len(provRes.Rows) == 0 && len(normRes.Rows) == 1 && allNull(normRes.Rows[0]) {
-				return
-			}
 			for fp := range normSet {
 				if !provSet[fp] {
 					t.Errorf("original tuple %q missing from provenance result", fp)
@@ -112,15 +106,6 @@ func fingerprint(row []perm.Value, width int) string {
 		s += row[i].String() + "|"
 	}
 	return s
-}
-
-func allNull(row []perm.Value) bool {
-	for _, v := range row {
-		if !v.IsNull() {
-			return false
-		}
-	}
-	return true
 }
 
 // TestTPCHGeneratorDeterminism checks that the generator is reproducible
