@@ -327,6 +327,14 @@ func compileCase(n *algebra.CaseExpr, b Binder) (Func, error) {
 		elseF = f
 	}
 	typ := n.Typ
+	// A CASE has one result kind: an int arm under a float CASE yields a
+	// float, like the vectorized kernel's widening scatter.
+	widen := func(v types.Value, err error) (types.Value, error) {
+		if err == nil && typ == types.KindFloat && v.K == types.KindInt && !v.Null {
+			return types.NewFloat(float64(v.I)), nil
+		}
+		return v, err
+	}
 	return func(ctx *Ctx) (types.Value, error) {
 		for _, a := range arms {
 			cv, err := a.cond(ctx)
@@ -334,11 +342,11 @@ func compileCase(n *algebra.CaseExpr, b Binder) (Func, error) {
 				return types.NullValue, err
 			}
 			if cv.IsTrue() {
-				return a.res(ctx)
+				return widen(a.res(ctx))
 			}
 		}
 		if elseF != nil {
-			return elseF(ctx)
+			return widen(elseF(ctx))
 		}
 		return types.NewNull(typ), nil
 	}, nil

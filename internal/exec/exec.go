@@ -7,6 +7,7 @@ package exec
 
 import (
 	"sort"
+	"unsafe"
 
 	"perm/internal/eval"
 	"perm/internal/obs"
@@ -721,7 +722,7 @@ const sortGrowQuantum = 16 << 10
 
 // rowBytes estimates the heap footprint of one boxed row.
 func rowBytes(r types.Row) int64 {
-	n := int64(24 + 48*len(r))
+	n := int64(24) + int64(unsafe.Sizeof(types.Value{}))*int64(len(r))
 	for _, v := range r {
 		n += int64(len(v.S))
 	}

@@ -62,13 +62,16 @@ func (k Kind) Numeric() bool { return k == KindInt || k == KindFloat }
 // A Value is a tagged union: Kind selects which of the payload fields is
 // meaningful. Null is represented separately so that every kind has a
 // typed NULL (needed e.g. for outer-join padding).
+//
+// K, Null and B share the first word, which keeps a Value at five words
+// (40 bytes): a wide provenance result is a slab of millions of them.
 type Value struct {
 	K    Kind
 	Null bool
+	B    bool    // KindBool
 	I    int64   // KindInt, KindDate (days), KindInterval (months<<32|days, see below)
 	F    float64 // KindFloat
 	S    string  // KindString
-	B    bool    // KindBool
 }
 
 // NewNull returns a typed NULL of kind k.

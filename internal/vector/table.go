@@ -25,6 +25,7 @@ const TableChunk = 1 << tableShift
 // use.
 type Table struct {
 	kinds  []types.Kind
+	nulls  []bool   // per column: some appended row may be NULL
 	chunks [][]*Vec // chunks[ch][col]; a vector's length is the chunk's fill
 	first  int      // rows the first chunk is first allocated for
 	room   int      // unfilled rows of the last chunk
@@ -46,6 +47,7 @@ func (t *Table) Init(kinds []types.Kind, rows int) {
 		rows = TableChunk
 	}
 	t.kinds, t.first = kinds, rows
+	t.nulls = make([]bool, len(kinds))
 }
 
 // initFrom is Init with the kinds of a batch's columns.
@@ -129,6 +131,11 @@ func (t *Table) Append(cols []*Vec, lanes []int) {
 		return
 	}
 	t.initFrom(cols, len(lanes))
+	for c, v := range cols {
+		if !t.nulls[c] && v.Nulls.AnyInRange(lanes[0], lanes[len(lanes)-1]+1) {
+			t.nulls[c] = true
+		}
+	}
 	for len(lanes) > 0 {
 		chunk := t.tail(len(lanes))
 		take := len(lanes)
@@ -159,6 +166,9 @@ func (t *Table) AppendLane(cols []*Vec, lane int) {
 	}
 	for c, dst := range t.tail(1) {
 		dst.AppendFrom(cols[c], lane)
+		if cols[c].Nulls.Get(lane) {
+			t.nulls[c] = true
+		}
 	}
 	t.room--
 	t.n++
@@ -173,63 +183,60 @@ func (t *Table) At(id int) ([]*Vec, int) {
 
 // GatherCol copies column c of the rows with the given ids into out[0:],
 // which must hold at least len(ids) rows; it defines their null bits. A
-// negative id produces a NULL row (outer-join null extension).
+// negative id produces a NULL row (outer-join null extension). The payload
+// moves in one loop per kind; the null bits are visited only when the
+// column holds NULLs or an id is negative.
 func (t *Table) GatherCol(c int, ids []int32, out *Vec) {
 	for w := range out.Nulls[:(len(ids)+63)>>6] {
 		out.Nulls[w] = 0
 	}
+	var negative bool
 	switch out.Kind {
 	case types.KindBool:
-		for o, id := range ids {
-			if id < 0 {
-				out.Nulls.Set(o)
-				continue
-			}
-			cols, i := t.At(int(id))
-			if src := cols[c]; src.Nulls.Get(i) {
-				out.Nulls.Set(o)
-			} else {
-				out.B[o] = src.B[i]
-			}
-		}
+		negative = gatherChunks(t.chunks, c, ids, out.B, func(v *Vec) []bool { return v.B })
 	case types.KindInt, types.KindDate:
-		for o, id := range ids {
-			if id < 0 {
-				out.Nulls.Set(o)
-				continue
-			}
-			cols, i := t.At(int(id))
-			if src := cols[c]; src.Nulls.Get(i) {
-				out.Nulls.Set(o)
-			} else {
-				out.I[o] = src.I[i]
-			}
-		}
+		negative = gatherChunks(t.chunks, c, ids, out.I, func(v *Vec) []int64 { return v.I })
 	case types.KindFloat:
-		for o, id := range ids {
-			if id < 0 {
-				out.Nulls.Set(o)
-				continue
-			}
-			cols, i := t.At(int(id))
-			if src := cols[c]; src.Nulls.Get(i) {
-				out.Nulls.Set(o)
-			} else {
-				out.F[o] = src.F[i]
-			}
-		}
+		negative = gatherChunks(t.chunks, c, ids, out.F, func(v *Vec) []float64 { return v.F })
 	case types.KindString:
-		for o, id := range ids {
-			if id < 0 {
-				out.Nulls.Set(o)
-				continue
-			}
-			cols, i := t.At(int(id))
-			if src := cols[c]; src.Nulls.Get(i) {
-				out.Nulls.Set(o)
-			} else {
-				out.S[o] = src.S[i]
-			}
+		negative = gatherChunks(t.chunks, c, ids, out.S, func(v *Vec) []string { return v.S })
+	}
+	if !negative && (len(ids) == 0 || !t.nulls[c]) {
+		return
+	}
+	for o, id := range ids {
+		if id < 0 || t.chunks[id>>tableShift][c].Nulls.Get(int(id)&(TableChunk-1)) {
+			out.Nulls.Set(o)
 		}
 	}
+}
+
+// gatherChunks copies the payload of column c at the given row ids to
+// out, skipping negative ids, and reports whether it met one. The chunks'
+// payload slices are looked up once, not per row.
+func gatherChunks[T any](chunks [][]*Vec, c int, ids []int32, out []T, payload func(*Vec) []T) (negative bool) {
+	var few [16][]T
+	srcs := few[:0]
+	for _, ch := range chunks {
+		srcs = append(srcs, payload(ch[c]))
+	}
+	if len(srcs) == 1 {
+		src := srcs[0]
+		for o, id := range ids {
+			if id < 0 {
+				negative = true
+				continue
+			}
+			out[o] = src[id]
+		}
+		return negative
+	}
+	for o, id := range ids {
+		if id < 0 {
+			negative = true
+			continue
+		}
+		out[o] = srcs[id>>tableShift][id&(TableChunk-1)]
+	}
+	return negative
 }

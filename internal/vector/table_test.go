@@ -252,3 +252,46 @@ func TestCopyRangeAndLanes(t *testing.T) {
 		}
 	}
 }
+
+// TestGatherColTracksNulls: GatherCol skips the null bitmaps of a column
+// that never took a NULL, so the table has to notice the first one however
+// it arrives — in a later batch, through Append or AppendLane — and a
+// negative id must null-extend even in a NULL-free column.
+func TestGatherColTracksNulls(t *testing.T) {
+	for _, byLane := range []bool{false, true} {
+		var tab Table
+		clean, late := NewVec(types.KindInt, 300), NewVec(types.KindString, 300)
+		for i := 0; i < 300; i++ {
+			clean.I[i], late.S[i] = int64(i), fmt.Sprint(i)
+		}
+		late.SetNull(250)
+		lanes := make([]int, 100)
+		for lo := 0; lo < 300; lo += 100 {
+			for i := range lanes {
+				lanes[i] = lo + i
+			}
+			if byLane {
+				for _, i := range lanes {
+					tab.AppendLane([]*Vec{clean, late}, i)
+				}
+			} else {
+				tab.Append([]*Vec{clean, late}, lanes)
+			}
+		}
+		ids := []int32{299, 250, -1, 0}
+		for c, src := range []*Vec{clean, late} {
+			out := NewBatchVec(src.Kind, len(ids))
+			out.SetNull(3)
+			tab.GatherCol(c, ids, out)
+			for o, id := range ids {
+				want := types.NewNull(src.Kind)
+				if id >= 0 {
+					want = src.Value(int(id))
+				}
+				if got := out.Value(o); !sameValue(got, want) {
+					t.Fatalf("byLane=%v col %d id %d: got %+v, want %+v", byLane, c, id, got, want)
+				}
+			}
+		}
+	}
+}

@@ -26,6 +26,20 @@ import (
 // boundaries.
 const BatchSize = 1024
 
+// identityLanes is the shared all-rows selection 0..BatchSize-1.
+var identityLanes = func() []int {
+	lanes := make([]int, BatchSize)
+	for i := range lanes {
+		lanes[i] = i
+	}
+	return lanes
+}()
+
+// Lanes returns the selection 0..n-1 (n ≤ BatchSize) as an explicit lane
+// list: what a nil selection vector stands for. The list is shared and
+// read-only.
+func Lanes(n int) []int { return identityLanes[:n] }
+
 // Bitmap is a bit-per-row mask (1 = set). Bit i of word i/64 is row i.
 type Bitmap []uint64
 
@@ -327,7 +341,7 @@ func (v *Vec) Value(i int) types.Value {
 // for the result boundary: the kind is examined once per column, not
 // once per value. The slab must be freshly allocated: only the kind and
 // the one payload field of each value are stored, the rest is taken to be
-// zero already (storing all six words again costs 7 % of a wide result).
+// zero already (storing all five words again costs 7 % of a wide result).
 func (v *Vec) BoxStrided(dst []types.Value, stride int, sel []int, n int) {
 	nulls := v.Nulls.AnySet(v.Len())
 	null := types.NewNull(v.Kind)
@@ -495,23 +509,34 @@ func (v *Vec) CopyRange(at int, src *Vec, lo, hi int) {
 // consumer.
 func GatherBatch(src *Vec, idx []int32, k types.Kind) *Vec {
 	out := NewBatchVec(k, len(idx))
+	switch k {
+	case types.KindBool:
+		gather(out.B, src.B, idx)
+	case types.KindInt, types.KindDate:
+		gather(out.I, src.I, idx)
+	case types.KindFloat:
+		gather(out.F, src.F, idx)
+	case types.KindString:
+		gather(out.S, src.S, idx)
+	}
+	// The null bitmap is walked only when the source rows carry NULLs.
+	srcNulls := src.Nulls.AnySet(src.Len())
 	for o, i := range idx {
-		if i < 0 || src.Nulls.Get(int(i)) {
+		if i < 0 || (srcNulls && src.Nulls.Get(int(i))) {
 			out.Nulls.Set(o)
-			continue
-		}
-		switch k {
-		case types.KindBool:
-			out.B[o] = src.B[i]
-		case types.KindInt, types.KindDate:
-			out.I[o] = src.I[i]
-		case types.KindFloat:
-			out.F[o] = src.F[i]
-		case types.KindString:
-			out.S[o] = src.S[i]
 		}
 	}
 	return out
+}
+
+// gather copies src[idx[o]] to dst[o]; negative indices leave dst[o] as it
+// is (the caller marks those rows NULL).
+func gather[T any](dst, src []T, idx []int32) {
+	for o, i := range idx {
+		if i >= 0 {
+			dst[o] = src[i]
+		}
+	}
 }
 
 // Window returns a view of rows [lo, hi) sharing the vector's backing

@@ -36,7 +36,6 @@ type NLJoin struct {
 	flushed  bool // null-extension for curBatch emitted
 
 	pairL, pairR []int32
-	selBuf       []int
 	emitOwned    []*vector.Vec
 	emitBuf      []*vector.Vec
 	aq           *obs.ActiveQuery
@@ -142,21 +141,10 @@ func (j *NLJoin) pairChunk() (*vector.Batch, error) {
 		}
 		out := j.gatherPairs(j.pairL, j.pairR)
 		if j.Cond != nil {
-			pv, err := j.Cond.fn(out, nil)
+			sel, err := j.Cond.selectTrue(out, identitySel[:out.N])
 			if err != nil {
 				return nil, err
 			}
-			if j.selBuf == nil {
-				j.selBuf = make([]int, 0, vector.BatchSize)
-			}
-			sel := j.selBuf[:0]
-			for i := 0; i < out.N; i++ {
-				if !pv.Nulls.Get(i) && pv.B[i] {
-					sel = append(sel, i)
-				}
-			}
-			j.Cond.FreeResult(pv)
-			j.selBuf = sel
 			if j.Type == LeftJoin {
 				// Map surviving pairs back to their probe lanes. The
 				// chunk covers a contiguous run of (lane, build) pairs;

@@ -1,7 +1,7 @@
 // Runtime join filters: when a vectorized hash join finishes its build
 // side, it publishes a compact summary of the build keys — a min/max
-// range plus a small Bloom filter — that probe-side scans apply as an
-// extra selection pass. Probe tuples whose key cannot possibly match any
+// range (numeric and date keys) plus a small Bloom filter — that
+// probe-side scans apply as an extra selection pass. Probe tuples whose key cannot possibly match any
 // build row are pruned before they flow through the (potentially deep)
 // probe-side pipeline; the payoff is largest on provenance-rewritten
 // joins whose build side is the small rewritten subquery.
@@ -45,10 +45,9 @@ type RuntimeFilter struct {
 	hasRange   bool
 	minI, maxI int64
 	minF, maxF float64
-	minS, maxS string
 
 	bloom []uint64
-	mask  uint64
+	mask  uint64 // word-index mask: len(bloom)-1
 }
 
 // NewRuntimeFilter returns an unready filter for a key with the given
@@ -77,58 +76,69 @@ func (rf *RuntimeFilter) PublishFrom(kind types.Kind, chunks []*vector.Vec) {
 		bits <<= 1
 	}
 	rf.bloom = make([]uint64, bits/64)
-	rf.mask = uint64(bits - 1)
+	rf.mask = uint64(bits/64 - 1)
 	rf.hasNull = false
 	rf.hasRange = false
-	first := true
+	var kh keyHasher
+	var col [1]*vector.Vec
 	for _, keys := range chunks {
-		for i, n := 0, keys.Len(); i < n; i++ {
-			if keys.Nulls.Get(i) {
-				rf.hasNull = true
+		col[0] = keys
+		for lo, n := 0, keys.Len(); lo < n; lo += vector.BatchSize {
+			hi := min(lo+vector.BatchSize, n)
+			hs := kh.rowRange(col[:], lo, hi)
+			if !keys.Nulls.AnyInRange(lo, hi) {
+				for _, h := range hs {
+					rf.setBits(h)
+				}
+				rf.widen(keys, lo, hi)
 				continue
 			}
-			h := mix64(hashLane(fnvOffset64, keys, i))
-			rf.setBit(h & rf.mask)
-			rf.setBit((h >> 32) & rf.mask)
-			switch keys.Kind {
-			case types.KindInt, types.KindDate:
-				v := keys.I[i]
-				if first || v < rf.minI {
-					rf.minI = v
+			for k, h := range hs {
+				if keys.Nulls.Get(lo + k) {
+					rf.hasNull = true
+					continue
 				}
-				if first || v > rf.maxI {
-					rf.maxI = v
-				}
-				f := float64(v)
-				if first || f < rf.minF {
-					rf.minF = f
-				}
-				if first || f > rf.maxF {
-					rf.maxF = f
-				}
-				first, rf.hasRange = false, true
-			case types.KindFloat:
-				f := keys.F[i]
-				if first || f < rf.minF {
-					rf.minF = f
-				}
-				if first || f > rf.maxF {
-					rf.maxF = f
-				}
-				first, rf.hasRange = false, true
-			case types.KindString:
-				s := keys.S[i]
-				if first || s < rf.minS {
-					rf.minS = s
-				}
-				if first || s > rf.maxS {
-					rf.maxS = s
-				}
-				first, rf.hasRange = false, true
+				rf.setBits(h)
+				rf.widen(keys, lo+k, lo+k+1)
 			}
 		}
 	}
 	rf.ready.Store(true)
+}
+
+// widen grows the min/max range over rows lo..hi-1 (all non-NULL) of a
+// build-key column, one typed loop per kind.
+func (rf *RuntimeFilter) widen(keys *vector.Vec, lo, hi int) {
+	first := !rf.hasRange
+	switch keys.Kind {
+	case types.KindInt, types.KindDate:
+		for _, v := range keys.I[lo:hi] {
+			if first || v < rf.minI {
+				rf.minI = v
+			}
+			if first || v > rf.maxI {
+				rf.maxI = v
+			}
+			first = false
+		}
+		// Float probe columns test against the same bounds.
+		rf.minF, rf.maxF = float64(rf.minI), float64(rf.maxI)
+	case types.KindFloat:
+		for _, f := range keys.F[lo:hi] {
+			if first || f < rf.minF {
+				rf.minF = f
+			}
+			if first || f > rf.maxF {
+				rf.maxF = f
+			}
+			first = false
+		}
+	default:
+		// Strings keep no range: two string comparisons per probe lane cost
+		// more than the hash and Bloom test that follow them anyway.
+		return
+	}
+	rf.hasRange = true
 }
 
 // Ready reports whether the summary has been published. The atomic load
@@ -136,47 +146,73 @@ func (rf *RuntimeFilter) PublishFrom(kind types.Kind, chunks []*vector.Vec) {
 // observes every summary field written before it.
 func (rf *RuntimeFilter) Ready() bool { return rf.ready.Load() }
 
-func (rf *RuntimeFilter) setBit(b uint64) { rf.bloom[b>>6] |= 1 << (b & 63) }
-func (rf *RuntimeFilter) testBit(b uint64) bool {
-	return rf.bloom[b>>6]&(1<<(b&63)) != 0
+// bloomWord locates the two Bloom bits of a key hash: both sit in one
+// 64-bit word of the filter (a blocked Bloom filter), so a test is one
+// load. The row hash's halves are correlated for float64-boxed integers
+// (their mantissa tails are zero), so the positions come from its
+// finalized form.
+func (rf *RuntimeFilter) bloomWord(h uint64) (word, bits uint64) {
+	h = mix64(h)
+	return (h >> 12) & rf.mask, 1<<(h&63) | 1<<((h>>6)&63)
 }
 
-// mix64 is the murmur3 finalizer. The raw FNV lane hash keeps the low
-// bits of float64-boxed integers constant (their mantissa tails are
-// zero), which would make low-bit Bloom probes value-independent;
-// finalizing spreads every input bit over the whole word.
-func mix64(h uint64) uint64 {
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
+func (rf *RuntimeFilter) setBits(h uint64) {
+	w, bits := rf.bloomWord(h)
+	rf.bloom[w] |= bits
 }
 
-// admit reports whether probe lane i of col can possibly match a build
-// row. It is conservative in exactly one direction: it may admit lanes
-// that do not match, never the reverse.
-func (rf *RuntimeFilter) admit(col *vector.Vec, i int) bool {
-	if col.Nulls.Get(i) {
-		return rf.NullSafe && rf.hasNull
+func (rf *RuntimeFilter) testBits(h uint64) bool {
+	w, bits := rf.bloomWord(h)
+	return rf.bloom[w]&bits == bits
+}
+
+// rfScratch is the per-scan scratch of admit.
+type rfScratch struct {
+	hasher       keyHasher
+	col          [1]*vector.Vec
+	nulls, union []int
+}
+
+// admit narrows lanes (increasing) to the probe lanes of col that can
+// possibly match a build row, writing into out, which may share lanes'
+// storage. It is conservative in exactly one direction: it may admit lanes
+// that do not match, never the reverse. Three passes, each a typed loop:
+// the min/max range, the column hash (the kernel the joins hash their
+// keys with), the Bloom test.
+func (rf *RuntimeFilter) admit(col *vector.Vec, lanes, out []int, sc *rfScratch) []int {
+	if len(lanes) == 0 {
+		return lanes
+	}
+	var nullLanes []int
+	if col.Nulls.AnyInRange(lanes[0], lanes[len(lanes)-1]+1) {
+		if rf.NullSafe && rf.hasNull {
+			nullLanes = selNulls(col.Nulls, true, lanes, selScratch(&sc.nulls, len(lanes)))
+		}
+		lanes = selNulls(col.Nulls, false, lanes, out)
 	}
 	if rf.hasRange {
 		switch classify(col.Kind, rf.buildKind) {
 		case classInt:
-			if v := col.I[i]; v < rf.minI || v > rf.maxI {
-				return false
-			}
+			lanes = selRange(col.I, rf.minI, rf.maxI, true, true, lanes, out)
 		case classFloat:
-			if f := numAt(col, i); f < rf.minF || f > rf.maxF {
-				return false
-			}
-		case classString:
-			if s := col.S[i]; s < rf.minS || s > rf.maxS {
-				return false
-			}
+			f, tmp := floatLanes(col, lanes, col.Len())
+			lanes = selRange(f, rf.minF, rf.maxF, true, true, lanes, out)
+			tmp.Free()
 		}
 	}
-	h := mix64(hashLane(fnvOffset64, col, i))
-	return rf.testBit(h&rf.mask) && rf.testBit((h>>32)&rf.mask)
+	sc.col[0] = col
+	hs := sc.hasher.rows(sc.col[:], lanes)
+	out = out[:len(lanes)]
+	k := 0
+	for idx, i := range lanes {
+		out[k] = i
+		if rf.testBits(hs[idx]) {
+			k++
+		}
+	}
+	out = out[:k]
+	if len(nullLanes) > 0 {
+		return selUnion(out, nullLanes, selScratch(&sc.union, len(out)+len(nullLanes)))
+	}
+	return out
 }

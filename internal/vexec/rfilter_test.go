@@ -19,6 +19,12 @@ func workerKeys(g int) *vector.Vec {
 	return v
 }
 
+// admitted runs the batch admit over every row of col.
+func admitted(rf *RuntimeFilter, col *vector.Vec) []int {
+	lanes := identitySel[:col.Len()]
+	return rf.admit(col, lanes, make([]int, 0, len(lanes)), new(rfScratch))
+}
+
 // TestRuntimeFilterPublishOnce races N builders on one shared filter —
 // the replicated-pipeline shape, where every worker's hash join finishes
 // its build side and tries to publish. Exactly one publication must win,
@@ -50,7 +56,7 @@ func TestRuntimeFilterPublishOnce(t *testing.T) {
 			start.Wait()
 			for !rf.Ready() {
 			}
-			rf.admit(keys[g], 0)
+			admitted(rf, keys[g])
 		}(g)
 	}
 	start.Done()
@@ -66,10 +72,8 @@ func TestRuntimeFilterPublishOnce(t *testing.T) {
 	if rf.minI != int64(winner*1000) || rf.maxI != int64(winner*1000+99) {
 		t.Fatalf("torn summary: range %d..%d is not worker %d's key set", rf.minI, rf.maxI, winner)
 	}
-	for i := 0; i < 100; i++ {
-		if !rf.admit(keys[winner], i) {
-			t.Fatalf("winning worker %d key %d not admitted", winner, keys[winner].I[i])
-		}
+	if got := admitted(rf, keys[winner]); len(got) != 100 {
+		t.Fatalf("winning worker %d: %d of 100 keys admitted", winner, len(got))
 	}
 	// A late publish is a no-op: the summary stays the winner's.
 	rf.PublishFrom(types.KindInt, []*vector.Vec{workerKeys(publishers + 1)})
@@ -87,10 +91,7 @@ func TestRuntimeFilterEmptyBuild(t *testing.T) {
 	if !rf.Ready() {
 		t.Fatal("empty publish must still mark the filter ready")
 	}
-	probe := workerKeys(0)
-	for i := 0; i < 100; i++ {
-		if rf.admit(probe, i) {
-			t.Fatalf("empty build admitted key %d", probe.I[i])
-		}
+	if got := admitted(rf, workerKeys(0)); len(got) != 0 {
+		t.Fatalf("empty build admitted lanes %v", got)
 	}
 }

@@ -32,8 +32,8 @@ type VecSetOp struct {
 	phase int // 0 = left, 1 = right, 2 = done
 
 	// Materialized state (everything else).
-	acc    vector.Table
-	table  map[uint64][]int32
+	acc    rowSet
+	hasher keyHasher
 	nL, mR []int64
 	emit   emitter
 
@@ -118,8 +118,7 @@ func (s *VecSetOp) spillGroups() error {
 	if err := flushGroupRecords(s.ps, &s.acc, s.seqs, s); err != nil {
 		return err
 	}
-	s.acc = vector.Table{}
-	s.table = make(map[uint64][]int32)
+	s.acc.reset()
 	s.seqs = s.seqs[:0]
 	s.nL, s.mR = s.nL[:0], s.mR[:0]
 	s.Spill.Res.Release(s.accBytes)
@@ -132,8 +131,7 @@ func (s *VecSetOp) Open() (err error) {
 		s.phase = 0
 		return s.Left.Open()
 	}
-	s.acc = vector.Table{}
-	s.table = make(map[uint64][]int32)
+	s.acc.reset()
 	s.nL, s.mR = s.nL[:0], s.mR[:0]
 	s.seqs = s.seqs[:0]
 	s.seqCtr, s.pending, s.accBytes = 0, 0, 0
@@ -147,7 +145,7 @@ func (s *VecSetOp) Open() (err error) {
 			s.ps.abandon()
 			closeRuns(s.outRuns)
 			s.outRuns = nil
-			s.acc = vector.Table{}
+			s.acc = rowSet{}
 			s.Spill.Res.ReleaseAll()
 		}
 	}()
@@ -175,12 +173,12 @@ func (s *VecSetOp) Open() (err error) {
 	if s.ps == nil {
 		// Emit multiplicities per distinct row, in first-appearance order.
 		var order []int32
-		for e := 0; e < s.acc.Len(); e++ {
+		for e := 0; e < s.acc.rows.Len(); e++ {
 			for i := int64(0); i < s.countFor(e); i++ {
 				order = append(order, int32(e))
 			}
 		}
-		s.emit.reset(&s.acc, order)
+		s.emit.reset(&s.acc.rows, order)
 		return nil
 	}
 	if s.pending > 0 {
@@ -219,6 +217,14 @@ func (s *VecSetOp) Open() (err error) {
 	return err
 }
 
+// startGroup adds lane i of b (key hash h) as a new distinct row with zero
+// counts, first seen at seq.
+func (s *VecSetOp) startGroup(b *vector.Batch, i int, h uint64, seq int64) int32 {
+	s.newGroup()
+	s.seqs = append(s.seqs, seq)
+	return s.acc.insert(b.Cols, i, h)
+}
+
 // drain folds one input into the distinct-row table with per-side
 // multiplicities, spilling partial records under budget pressure.
 func (s *VecSetOp) drain(in Node, left bool) error {
@@ -234,23 +240,15 @@ func (s *VecSetOp) drain(in Node, left bool) error {
 		if s.kinds == nil {
 			s.kinds = colKinds(b.Cols)
 		}
-		for _, i := range resolveSel(b, b.Sel) {
+		lanes := resolveSel(b, b.Sel)
+		hs := s.hasher.rows(b.Cols, lanes)
+		for idx, i := range lanes {
 			seq := s.seqCtr
 			s.seqCtr++
-			h := hashLanes(b.Cols, i)
-			e := int32(-1)
-			for _, gi := range s.table[h] {
-				if cols, lane := s.acc.At(int(gi)); rowsEqual(b.Cols, i, cols, lane) {
-					e = gi
-					break
-				}
-			}
+			h := hs[idx]
+			e := s.acc.find(b.Cols, i, h)
 			if e < 0 {
-				e = int32(s.acc.Len())
-				s.table[h] = append(s.table[h], e)
-				s.acc.AppendLane(b.Cols, i)
-				s.newGroup()
-				s.seqs = append(s.seqs, seq)
+				e = s.startGroup(b, i, h, seq)
 				if budgeted {
 					s.pending += laneBytes(b.Cols, i) + groupOverheadBytes
 					if s.pending >= growQuantum {
@@ -260,21 +258,13 @@ func (s *VecSetOp) drain(in Node, left bool) error {
 							}
 							s.Spill.Res.Force(s.pending)
 							// The row just counted was flushed with the
-							// rest; recreate its group below.
-							e = -1
+							// rest; restart its group.
+							e = s.startGroup(b, i, h, seq)
 						}
 						s.accBytes += s.pending
 						s.pending = 0
 					}
 				}
-			}
-			if e < 0 {
-				// The group was flushed mid-insert: restart it.
-				e = int32(s.acc.Len())
-				s.table[h] = append(s.table[h], e)
-				s.acc.AppendLane(b.Cols, i)
-				s.newGroup()
-				s.seqs = append(s.seqs, seq)
 			}
 			if left {
 				s.nL[e]++
@@ -329,8 +319,7 @@ func (s *VecSetOp) Next() (*vector.Batch, error) {
 
 func (s *VecSetOp) Close() error {
 	s.emit.close()
-	s.acc = vector.Table{}
-	s.table = nil
+	s.acc = rowSet{}
 	s.merger.close()
 	s.merger = nil
 	s.ps.abandon()

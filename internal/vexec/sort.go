@@ -475,8 +475,8 @@ type VecDistinct struct {
 	Input Node
 	Spill spill.Resources
 
-	acc    vector.Table
-	table  map[uint64][]int32
+	acc    rowSet
+	hasher keyHasher
 	selBuf []int
 
 	// Budget-driven spill state.
@@ -520,8 +520,7 @@ func (d *VecDistinct) spillGroups() error {
 	if err := flushGroupRecords(d.ps, &d.acc, d.seqs, d); err != nil {
 		return err
 	}
-	d.acc = vector.Table{}
-	d.table = make(map[uint64][]int32)
+	d.acc.reset()
 	d.seqs = d.seqs[:0]
 	d.emitted = d.emitted[:0]
 	d.Spill.Res.Release(d.accBytes)
@@ -529,17 +528,13 @@ func (d *VecDistinct) spillGroups() error {
 	return nil
 }
 
-// insert adds lane i of b to the seen-set; it reports whether the row is
-// new (a first occurrence) relative to the current table epoch.
-func (d *VecDistinct) insert(b *vector.Batch, i int) bool {
-	h := hashLanes(b.Cols, i)
-	for _, gi := range d.table[h] {
-		if cols, lane := d.acc.At(int(gi)); rowsEqual(b.Cols, i, cols, lane) {
-			return false
-		}
+// insert adds lane i of b (key hash h) to the seen-set; it reports whether
+// the row is new (a first occurrence) relative to the current table epoch.
+func (d *VecDistinct) insert(b *vector.Batch, i int, h uint64) bool {
+	if d.acc.find(b.Cols, i, h) >= 0 {
+		return false
 	}
-	d.table[h] = append(d.table[h], int32(d.acc.Len()))
-	d.acc.AppendLane(b.Cols, i)
+	d.acc.insert(b.Cols, i, h)
 	return true
 }
 
@@ -564,8 +559,7 @@ func (d *VecDistinct) account(b *vector.Batch, i int) (bool, error) {
 }
 
 func (d *VecDistinct) Open() error {
-	d.acc = vector.Table{}
-	d.table = make(map[uint64][]int32)
+	d.acc.reset()
 	if d.selBuf == nil {
 		d.selBuf = make([]int, 0, vector.BatchSize)
 	}
@@ -597,11 +591,12 @@ func (d *VecDistinct) Next() (*vector.Batch, error) {
 		}
 		out := d.selBuf[:0]
 		lanes := resolveSel(b, b.Sel)
+		hs := d.hasher.rows(b.Cols, lanes)
 		for idx := 0; idx < len(lanes); idx++ {
 			i := lanes[idx]
 			seq := d.seqCtr
 			d.seqCtr++
-			if !d.insert(b, i) {
+			if !d.insert(b, i, hs[idx]) {
 				continue
 			}
 			out = append(out, i)
@@ -620,10 +615,10 @@ func (d *VecDistinct) Next() (*vector.Batch, error) {
 				// emitted so far was flushed flagged emitted=true, so the
 				// final merge will not repeat it.
 				d.tail = true
-				for _, i2 := range lanes[idx+1:] {
+				for idx2, i2 := range lanes[idx+1:] {
 					seq2 := d.seqCtr
 					d.seqCtr++
-					if !d.insert(b, i2) {
+					if !d.insert(b, i2, hs[idx+1+idx2]) {
 						continue
 					}
 					d.seqs = append(d.seqs, seq2)
@@ -657,10 +652,12 @@ func (d *VecDistinct) finishTail() (*vector.Batch, error) {
 		if b == nil {
 			break
 		}
-		for _, i := range resolveSel(b, b.Sel) {
+		lanes := resolveSel(b, b.Sel)
+		hs := d.hasher.rows(b.Cols, lanes)
+		for idx, i := range lanes {
 			seq := d.seqCtr
 			d.seqCtr++
-			if !d.insert(b, i) {
+			if !d.insert(b, i, hs[idx]) {
 				continue
 			}
 			d.seqs = append(d.seqs, seq)
@@ -709,8 +706,7 @@ func (d *VecDistinct) finishTail() (*vector.Batch, error) {
 }
 
 func (d *VecDistinct) Close() error {
-	d.acc = vector.Table{}
-	d.table = nil
+	d.acc = rowSet{}
 	d.merger.close()
 	d.merger = nil
 	d.tail = false
@@ -721,15 +717,4 @@ func (d *VecDistinct) Close() error {
 	d.outRuns = nil
 	d.Spill.Res.ReleaseAll()
 	return d.Input.Close()
-}
-
-// rowsEqual compares lane i of batch columns a against stored row j of
-// columns b, null-safe, across all columns.
-func rowsEqual(a []*vector.Vec, i int, b []*vector.Vec, j int) bool {
-	for c := range a {
-		if !lanesEqualNullSafe(a[c], i, b[c], j) {
-			return false
-		}
-	}
-	return true
 }

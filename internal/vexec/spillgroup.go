@@ -423,11 +423,11 @@ func recordKinds(dataKinds []types.Kind, st groupStater) []types.Kind {
 
 // flushGroupRecords writes every live group as a partial record into the
 // partition set.
-func flushGroupRecords(ps *partitionSet, acc *vector.Table, seqs []int64, st groupStater) error {
-	for g := 0; g < acc.Len(); g++ {
-		cols, lane := acc.At(g)
+func flushGroupRecords(ps *partitionSet, set *rowSet, seqs []int64, st groupStater) error {
+	for g, h := range set.hashes {
+		cols, lane := set.rows.At(g)
 		dataWidth := len(cols)
-		err := ps.addFunc(hashLanes(cols, lane), func(dst []*vector.Vec) {
+		err := ps.addFunc(h, func(dst []*vector.Vec) {
 			for c := 0; c < dataWidth; c++ {
 				dst[c].AppendFrom(cols[c], lane)
 			}
@@ -519,9 +519,10 @@ func processOneGroupPartition(res spill.Resources, item groupWorkItem, dataKinds
 	st groupStater, finalize groupFinalizer) (children []*spill.Run, out *spill.Run, err error) {
 	defer closeRuns(item.runs) // temp storage, already unlinked
 	dataWidth := len(dataKinds)
-	acc := &vector.Table{}
+	var acc rowSet
+	var hasher keyHasher
 	var seqs []int64
-	table := make(map[uint64][]int32)
+	acc.reset()
 	st.reset()
 	var itemBytes int64
 	defer func() { res.Res.Release(itemBytes) }()
@@ -541,16 +542,16 @@ func processOneGroupPartition(res spill.Resources, item groupWorkItem, dataKinds
 				// partial groups) plus the rest of this run and every
 				// still-unread run one level down under a reseeded hash.
 				ps := newPartitionSet(res, recordKinds(dataKinds, st), item.seed+1)
-				if err := flushGroupRecords(ps, acc, seqs, st); err != nil {
+				if err := flushGroupRecords(ps, &acc, seqs, st); err != nil {
 					ps.abandon()
 					return nil, nil, err
 				}
-				if err := repartitionRecords(ps, run, cols, n, dataWidth); err != nil {
+				if err := repartitionRecords(ps, &hasher, run, cols, n, dataWidth); err != nil {
 					ps.abandon()
 					return nil, nil, err
 				}
 				for _, rest := range item.runs[ri+1:] {
-					if err := repartitionRecords(ps, rest, nil, 0, dataWidth); err != nil {
+					if err := repartitionRecords(ps, &hasher, rest, nil, 0, dataWidth); err != nil {
 						ps.abandon()
 						return nil, nil, err
 					}
@@ -569,19 +570,11 @@ func processOneGroupPartition(res spill.Resources, item groupWorkItem, dataKinds
 			dataCols := cols[:dataWidth]
 			stateCols := cols[dataWidth : len(cols)-1]
 			seqCol := cols[len(cols)-1]
+			hs := hasher.rowRange(dataCols, 0, n)
 			for i := 0; i < n; i++ {
-				h := hashLanes(dataCols, i)
-				g := int32(-1)
-				for _, gi := range table[h] {
-					if cols, lane := acc.At(int(gi)); rowsEqual(dataCols, i, cols, lane) {
-						g = gi
-						break
-					}
-				}
+				g := acc.find(dataCols, i, hs[i])
 				if g < 0 {
-					g = int32(acc.Len())
-					table[h] = append(table[h], g)
-					acc.AppendLane(dataCols, i)
+					g = acc.insert(dataCols, i, hs[i])
 					st.newGroup()
 					seqs = append(seqs, seqCol.I[i])
 				} else if s := seqCol.I[i]; s < seqs[g] {
@@ -591,7 +584,7 @@ func processOneGroupPartition(res spill.Resources, item groupWorkItem, dataKinds
 			}
 		}
 	}
-	out, err = finalize(res, acc, seqs, seqOrder(seqs, acc.Len()))
+	out, err = finalize(res, &acc.rows, seqs, seqOrder(seqs, acc.rows.Len()))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -600,11 +593,14 @@ func processOneGroupPartition(res spill.Resources, item groupWorkItem, dataKinds
 
 // repartitionRecords routes the current batch and the rest of the run
 // into the child partition set, hashing each record's data columns.
-func repartitionRecords(ps *partitionSet, run *spill.Run, cols []*vector.Vec, n, dataWidth int) error {
+func repartitionRecords(ps *partitionSet, hasher *keyHasher, run *spill.Run, cols []*vector.Vec, n, dataWidth int) error {
 	for {
-		for i := 0; i < n; i++ {
-			if err := ps.addRecord(cols, i, hashLanes(cols[:dataWidth], i)); err != nil {
-				return err
+		if n > 0 {
+			hs := hasher.rowRange(cols[:dataWidth], 0, n)
+			for i := 0; i < n; i++ {
+				if err := ps.addRecord(cols, i, hs[i]); err != nil {
+					return err
+				}
 			}
 		}
 		var err error

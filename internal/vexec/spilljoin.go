@@ -85,10 +85,10 @@ func exprKinds(es []*Expr) []types.Kind {
 	return kinds
 }
 
-// addBuild routes one build lane (batch columns plus evaluated keys)
-// into its partition.
-func (g *graceJoin) addBuild(cols []*vector.Vec, keys []*vector.Vec, lane int) error {
-	return g.buildPS.addFunc(hashLanes(keys, lane), func(dst []*vector.Vec) {
+// addBuild routes one build lane (batch columns plus evaluated keys, key
+// hash h) into its partition.
+func (g *graceJoin) addBuild(cols []*vector.Vec, keys []*vector.Vec, lane int, h uint64) error {
+	return g.buildPS.addFunc(h, func(dst []*vector.Vec) {
 		for c := range cols {
 			dst[c].AppendFrom(cols[c], lane)
 		}
@@ -113,13 +113,9 @@ func (g *graceJoin) runProbe() error {
 		if b == nil {
 			break
 		}
-		keys := make([]*vector.Vec, len(j.LeftKeys))
-		for k, ke := range j.LeftKeys {
-			kv, err := ke.fn(b, b.Sel)
-			if err != nil {
-				return err
-			}
-			keys[k] = kv
+		keys, err := j.evalKeys(j.LeftKeys, b)
+		if err != nil {
+			return err
 		}
 		// On a morsel-driven spine the sequence tags must stay globally
 		// comparable across workers: band<<seqShift | row-within-band,
@@ -129,7 +125,9 @@ func (g *graceJoin) runProbe() error {
 				g.curBand, g.bandCtr = band, 0
 			}
 		}
-		for _, i := range resolveSel(b, b.Sel) {
+		lanes := resolveSel(b, b.Sel)
+		hs := j.hasher.rows(keys, lanes)
+		for idx, i := range lanes {
 			var seq int64
 			if j.TagSrc != nil {
 				seq = g.curBand<<seqShift | g.bandCtr
@@ -138,18 +136,11 @@ func (g *graceJoin) runProbe() error {
 				seq = g.seqCtr
 				g.seqCtr++
 			}
-			nullKey := false
-			for k := range keys {
-				if !j.NullSafe[k] && keys[k].Nulls.Get(i) {
-					nullKey = true
-					break
-				}
-			}
-			if nullKey && j.Type == InnerJoin {
+			if j.Type == InnerJoin && hasNullKey(j.NullSafe, keys, i) {
 				continue // matches nothing, emits nothing
 			}
 			lane := i
-			err := g.probePS.addFunc(hashLanes(keys, i), func(dst []*vector.Vec) {
+			err := g.probePS.addFunc(hs[idx], func(dst []*vector.Vec) {
 				for c := range b.Cols {
 					dst[c].AppendFrom(b.Cols[c], lane)
 				}
@@ -163,9 +154,7 @@ func (g *graceJoin) runProbe() error {
 				return err
 			}
 		}
-		for k, kv := range keys {
-			j.LeftKeys[k].FreeResult(kv)
-		}
+		j.freeKeys(j.LeftKeys, keys)
 	}
 
 	buildRuns, err := g.buildPS.finishAll()
@@ -254,19 +243,11 @@ func (g *graceJoin) processPartition(item joinWorkItem) (children []joinWorkItem
 			acc.Append(cols, identitySel[:n])
 		}
 	}
-	// Chain the partition's build rows in reverse so probing visits them
+	// Index the partition's build rows by key hash; probing visits a chain
 	// in build-input order, exactly like the in-memory join.
-	heads := make(map[uint64]int32, acc.Len())
-	next := make([]int32, acc.Len())
-	for r := acc.Len() - 1; r >= 0; r-- {
-		row, lane := acc.At(r)
-		h := hashLanes(row[nBuildCols:], lane)
-		if head, ok := heads[h]; ok {
-			next[r] = head
-		} else {
-			next[r] = -1
-		}
-		heads[h] = int32(r)
+	var index hashIndex
+	if acc.Len() > 0 {
+		index.build(j.hasher.tableHashes(acc, nBuildCols, nBuildCols+nKeys))
 	}
 
 	// Stream the probe partition against the table, emitting seq-tagged
@@ -284,18 +265,11 @@ func (g *graceJoin) processPartition(item joinWorkItem) (children []joinWorkItem
 		probeData := cols[:len(j.LeftKinds)]
 		probeKeys := cols[len(j.LeftKinds) : len(j.LeftKinds)+nKeys]
 		seqCol := cols[len(cols)-1]
+		hs := j.hasher.rowRange(probeKeys, 0, n)
 		for i := 0; i < n; i++ {
-			nullKey := false
-			for k := range probeKeys {
-				if !j.NullSafe[k] && probeKeys[k].Nulls.Get(i) {
-					nullKey = true
-					break
-				}
-			}
 			matched := false
-			if !nullKey && !j.neverMatch && acc.Len() > 0 {
-				h := hashLanes(probeKeys, i)
-				for bi := heads[h]; bi >= 0; bi = next[bi] {
+			if !j.neverMatch && !hasNullKey(j.NullSafe, probeKeys, i) {
+				for bi := index.head(hs[i]); bi >= 0; bi = index.next[bi] {
 					row, lane := acc.At(int(bi))
 					if storedKeysMatch(j.NullSafe, probeKeys, i, row[nBuildCols:], lane) {
 						if err := w.pair(probeData, i, row[:nBuildCols], lane, seqCol.I[i]); err != nil {
@@ -327,17 +301,21 @@ func (g *graceJoin) processPartition(item joinWorkItem) (children []joinWorkItem
 func (g *graceJoin) repartition(item joinWorkItem, acc *vector.Table, cols []*vector.Vec, n int) ([]joinWorkItem, error) {
 	j := g.j
 	nBuildCols := len(j.RightKinds)
+	nKeys := len(j.LeftKeys)
 	childBuild := newPartitionSet(g.res, g.buildKinds, item.seed+1)
-	for r := 0; r < acc.Len(); r++ {
-		row, lane := acc.At(r)
-		if err := childBuild.addRecord(row, lane, hashLanes(row[nBuildCols:], lane)); err != nil {
-			childBuild.abandon()
-			return nil, err
+	if acc.Len() > 0 {
+		for r, h := range j.hasher.tableHashes(acc, nBuildCols, nBuildCols+nKeys) {
+			row, lane := acc.At(r)
+			if err := childBuild.addRecord(row, lane, h); err != nil {
+				childBuild.abandon()
+				return nil, err
+			}
 		}
 	}
 	for {
+		hs := j.hasher.rowRange(cols[nBuildCols:], 0, n)
 		for i := 0; i < n; i++ {
-			if err := childBuild.addRecord(cols, i, hashLanes(cols[nBuildCols:len(cols)], i)); err != nil {
+			if err := childBuild.addRecord(cols, i, hs[i]); err != nil {
 				childBuild.abandon()
 				return nil, err
 			}
@@ -354,7 +332,6 @@ func (g *graceJoin) repartition(item joinWorkItem, acc *vector.Table, cols []*ve
 	}
 	childProbe := newPartitionSet(g.res, g.probeKinds, item.seed+1)
 	nProbeCols := len(j.LeftKinds)
-	nKeys := len(j.LeftKeys)
 	for {
 		pcols, pn, err := item.probe.ReadCols()
 		if err != nil {
@@ -365,8 +342,9 @@ func (g *graceJoin) repartition(item joinWorkItem, acc *vector.Table, cols []*ve
 		if pn == 0 {
 			break
 		}
+		hs := j.hasher.rowRange(pcols[nProbeCols:nProbeCols+nKeys], 0, pn)
 		for i := 0; i < pn; i++ {
-			if err := childProbe.addRecord(pcols, i, hashLanes(pcols[nProbeCols:nProbeCols+nKeys], i)); err != nil {
+			if err := childProbe.addRecord(pcols, i, hs[i]); err != nil {
 				childBuild.abandon()
 				childProbe.abandon()
 				return nil, err
@@ -397,8 +375,19 @@ func (g *graceJoin) repartition(item joinWorkItem, acc *vector.Table, cols []*ve
 	return children, nil
 }
 
-// storedKeysMatch compares a probe record's key lanes against a build
-// record's under per-key null-safety (the spilled twin of keysMatch).
+// hasNullKey reports whether lane i is NULL in a plain '=' key: such a row
+// matches nothing.
+func hasNullKey(nullSafe []bool, keys []*vector.Vec, i int) bool {
+	for k, kv := range keys {
+		if !nullSafe[k] && kv.Nulls.Get(i) {
+			return true
+		}
+	}
+	return false
+}
+
+// storedKeysMatch compares a probe row's key lanes against a build row's
+// under per-key null-safety.
 func storedKeysMatch(nullSafe []bool, pk []*vector.Vec, pi int, bk []*vector.Vec, bi int) bool {
 	for k := range pk {
 		pn, bn := pk[k].Nulls.Get(pi), bk[k].Nulls.Get(bi)

@@ -84,6 +84,7 @@ type ColScan struct {
 	morselsTaken int
 
 	rfs     []rfBinding
+	rfWork  rfScratch
 	winCols []*vector.Vec
 	winVecs []vector.Vec
 	selBuf  []int
@@ -189,31 +190,23 @@ func (s *ColScan) Next() (*vector.Batch, error) {
 		if !s.anyReadyFilter() {
 			return b, nil
 		}
-		if s.selBuf == nil {
-			s.selBuf = make([]int, 0, vector.BatchSize)
-		}
-		sel := s.selBuf[:0]
-	lanes:
-		for i := 0; i < b.N; i++ {
-			for bi := range s.rfs {
-				bind := &s.rfs[bi]
-				if bind.dead || !bind.rf.Ready() {
-					continue
-				}
-				bind.tested++
-				if !bind.rf.admit(b.Cols[bind.col], i) {
-					continue lanes
-				}
-				bind.admitted++
-			}
-			sel = append(sel, i)
-		}
-		s.selBuf = sel
+		// Every ready binding narrows the window's lanes in turn (a lane one
+		// filter rejected is never tested by the next); readiness and
+		// retirement are decided per window, not per lane.
+		sel := identitySel[:b.N]
 		for bi := range s.rfs {
 			bind := &s.rfs[bi]
-			if !bind.dead && bind.tested >= rfMinTested &&
-				float64(bind.admitted) > rfKeepFrac*float64(bind.tested) {
+			if bind.dead || !bind.rf.Ready() {
+				continue
+			}
+			bind.tested += len(sel)
+			sel = bind.rf.admit(b.Cols[bind.col], sel, selScratch(&s.selBuf, b.N), &s.rfWork)
+			bind.admitted += len(sel)
+			if bind.tested >= rfMinTested && float64(bind.admitted) > rfKeepFrac*float64(bind.tested) {
 				bind.dead = true
+			}
+			if len(sel) == 0 {
+				break
 			}
 		}
 		if len(sel) == 0 {
@@ -244,9 +237,8 @@ func (s *ColScan) Close() error { return nil }
 // predicate is TRUE; batches with no surviving rows are skipped.
 type Filter struct {
 	obs.Card
-	Input  Node
-	Pred   *Expr
-	selBuf []int
+	Input Node
+	Pred  *Expr
 }
 
 // NewFilter returns a vectorized filter. Pred must have kind bool.
@@ -254,12 +246,7 @@ func NewFilter(input Node, pred *Expr) *Filter {
 	return &Filter{Input: input, Pred: pred}
 }
 
-func (f *Filter) Open() error {
-	if f.selBuf == nil {
-		f.selBuf = make([]int, 0, vector.BatchSize)
-	}
-	return f.Input.Open()
-}
+func (f *Filter) Open() error { return f.Input.Open() }
 
 func (f *Filter) Next() (*vector.Batch, error) {
 	for {
@@ -267,27 +254,13 @@ func (f *Filter) Next() (*vector.Batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		pv, err := f.Pred.fn(b, b.Sel)
+		out, err := f.Pred.selectTrue(b, b.Sel)
 		if err != nil {
 			return nil, err
 		}
-		sel := resolveSel(b, b.Sel)
-		out := f.selBuf[:0]
-		if !pv.Nulls.AnySet(b.N) {
-			for _, i := range sel {
-				if pv.B[i] {
-					out = append(out, i)
-				}
-			}
-		} else {
-			for _, i := range sel {
-				if !pv.Nulls.Get(i) && pv.B[i] {
-					out = append(out, i)
-				}
-			}
+		if out == nil {
+			return b, nil // no selection came in and every row passed
 		}
-		f.Pred.FreeResult(pv)
-		f.selBuf = out
 		if len(out) == 0 {
 			continue
 		}
@@ -331,7 +304,7 @@ func (p *Project) Next() (*vector.Batch, error) {
 	}
 	cols := p.colsBuf
 	for j, e := range p.Exprs {
-		v, err := e.fn(b, b.Sel)
+		v, err := e.eval(b, b.Sel)
 		if err != nil {
 			return nil, err
 		}
@@ -399,10 +372,12 @@ type HashJoin struct {
 	// probe side.
 	TagSrc TagSource
 
-	build      vector.Table     // build rows: the right columns, then the evaluated keys
-	buildRow   []*vector.Vec    // scratch: one batch's columns plus keys
-	heads      map[uint64]int32 // key hash → first build row of the chain
-	next       []int32          // per-build-row chain link (-1 ends a chain)
+	build      vector.Table  // build rows: the right columns, then the evaluated keys
+	buildRow   []*vector.Vec // scratch: one batch's columns plus keys
+	index      hashIndex     // key hash → chain of build rows, in input order
+	hasher     keyHasher
+	keyBuf     []*vector.Vec // scratch: one batch's evaluated keys
+	laneBuf    []int
 	neverMatch bool
 
 	curBatch   *vector.Batch
@@ -473,7 +448,6 @@ func (j *HashJoin) Open() (err error) {
 	}()
 	j.build = vector.Table{}
 	var hashes []uint64
-	var lanes []int
 	budgeted := j.Spill.Enabled()
 	for {
 		b, err := j.Right.Next()
@@ -484,29 +458,12 @@ func (j *HashJoin) Open() (err error) {
 		if b == nil {
 			break
 		}
-		keys := make([]*vector.Vec, len(j.RightKeys))
-		for k, ke := range j.RightKeys {
-			kv, err := ke.fn(b, b.Sel)
-			if err != nil {
-				j.Right.Close() //nolint:errcheck — unwinding after a failed build
-				return err
-			}
-			keys[k] = kv
+		keys, err := j.evalKeys(j.RightKeys, b)
+		if err != nil {
+			j.Right.Close() //nolint:errcheck — unwinding after a failed build
+			return err
 		}
-		sel := resolveSel(b, b.Sel)
-		lanes = lanes[:0]
-		for _, i := range sel {
-			keep := true
-			for k := range keys {
-				if !j.NullSafe[k] && keys[k].Nulls.Get(i) {
-					keep = false
-					break
-				}
-			}
-			if keep {
-				lanes = append(lanes, i)
-			}
-		}
+		lanes := j.matchableLanes(keys, b)
 		if budgeted && len(lanes) > 0 && j.grace == nil {
 			delta := batchBytes(b.Cols, lanes) + batchBytes(keys, lanes)
 			if !j.Spill.Res.Grow(delta) {
@@ -529,9 +486,10 @@ func (j *HashJoin) Open() (err error) {
 			}
 		}
 		if len(lanes) > 0 {
+			hs := j.hasher.rows(keys, lanes)
 			if j.grace != nil {
-				for _, i := range lanes {
-					if err := j.grace.addBuild(b.Cols, keys, i); err != nil {
+				for idx, i := range lanes {
+					if err := j.grace.addBuild(b.Cols, keys, i, hs[idx]); err != nil {
 						j.Right.Close() //nolint:errcheck
 						return err
 					}
@@ -539,14 +497,10 @@ func (j *HashJoin) Open() (err error) {
 			} else {
 				j.buildRow = append(append(j.buildRow[:0], b.Cols...), keys...)
 				j.build.Append(j.buildRow, lanes)
-				for _, i := range lanes {
-					hashes = append(hashes, hashLanes(keys, i))
-				}
+				hashes = append(hashes, hs...)
 			}
 		}
-		for k, kv := range keys {
-			j.RightKeys[k].FreeResult(kv)
-		}
+		j.freeKeys(j.RightKeys, keys)
 	}
 	if err := j.Right.Close(); err != nil {
 		return err
@@ -568,20 +522,9 @@ func (j *HashJoin) Open() (err error) {
 		return cerr
 	}
 
-	// Assemble the chained hash table. Chains are threaded in reverse so
-	// probing visits build rows in input order, like the row engine's
-	// bucket order.
-	total := len(hashes)
-	j.heads = make(map[uint64]int32, total)
-	j.next = make([]int32, total)
-	for r := total - 1; r >= 0; r-- {
-		if head, ok := j.heads[hashes[r]]; ok {
-			j.next[r] = head
-		} else {
-			j.next[r] = -1
-		}
-		j.heads[hashes[r]] = int32(r)
-	}
+	// Index the build rows by key hash; chains run in build-input order,
+	// like the row engine's bucket order.
+	j.index.build(hashes)
 	// Publish runtime filters now that the build side is complete; the
 	// probe subtree opens after this, so its scans observe ready filters
 	// from their very first batch.
@@ -604,28 +547,45 @@ func (j *HashJoin) Open() (err error) {
 	return nil
 }
 
+// evalKeys evaluates one side's key expressions over a batch into the
+// join's key scratch (freed by freeKeys).
+func (j *HashJoin) evalKeys(exprs []*Expr, b *vector.Batch) ([]*vector.Vec, error) {
+	keys := j.keyBuf[:0]
+	for _, ke := range exprs {
+		kv, err := ke.eval(b, b.Sel)
+		if err != nil {
+			j.keyBuf = keys
+			j.freeKeys(exprs, keys)
+			return nil, err
+		}
+		keys = append(keys, kv)
+	}
+	j.keyBuf = keys
+	return keys, nil
+}
+
+func (j *HashJoin) freeKeys(exprs []*Expr, keys []*vector.Vec) {
+	for k, kv := range keys {
+		exprs[k].FreeResult(kv)
+	}
+}
+
+// matchableLanes returns the batch's live lanes whose plain '=' keys are
+// all non-NULL (a NULL there matches nothing); null-safe keys keep theirs.
+func (j *HashJoin) matchableLanes(keys []*vector.Vec, b *vector.Batch) []int {
+	lanes := resolveSel(b, b.Sel)
+	for k, kv := range keys {
+		if !j.NullSafe[k] && kv.Nulls.AnySet(b.N) {
+			lanes = selNulls(kv.Nulls, false, lanes, selScratch(&j.laneBuf, len(lanes)))
+		}
+	}
+	return lanes
+}
+
 // keysMatch compares probe lane pi against build row bi.
 func (j *HashJoin) keysMatch(probe []*vector.Vec, pi int, build int) bool {
 	row, bi := j.build.At(build)
-	buildKeys := row[len(j.RightKinds):]
-	for k := range probe {
-		pv, bv := probe[k], buildKeys[k]
-		pn, bn := pv.Nulls.Get(pi), bv.Nulls.Get(bi)
-		if j.NullSafe[k] {
-			if pn || bn {
-				if pn && bn {
-					continue
-				}
-				return false
-			}
-		} else if pn || bn {
-			return false
-		}
-		if !lanesEqualNullSafe(pv, pi, bv, bi) {
-			return false
-		}
-	}
-	return true
+	return storedKeysMatch(j.NullSafe, probe, pi, row[len(j.RightKinds):], bi)
 }
 
 // Spilled reports whether the join went Grace (spilled partitions).
@@ -669,35 +629,35 @@ func (j *HashJoin) Next() (*vector.Batch, error) {
 		if b == nil {
 			return nil, nil
 		}
-		keys := make([]*vector.Vec, len(j.LeftKeys))
-		for k, ke := range j.LeftKeys {
-			kv, err := ke.fn(b, b.Sel)
-			if err != nil {
-				return nil, err
-			}
-			keys[k] = kv
+		keys, err := j.evalKeys(j.LeftKeys, b)
+		if err != nil {
+			return nil, err
 		}
 		j.outL, j.outR = j.outL[:0], j.outR[:0]
 		j.outPos = 0
-		for _, i := range resolveSel(b, b.Sel) {
-			matched := false
-			nullKey := false
-			for k := range keys {
-				if !j.NullSafe[k] && keys[k].Nulls.Get(i) {
-					nullKey = true
-					break
+		// Only the matchable lanes are probed; on a left join the others
+		// (a NULL in a plain '=' key) still null-extend, in lane order.
+		all := resolveSel(b, b.Sel)
+		var lanes []int
+		if !j.neverMatch {
+			lanes = j.matchableLanes(keys, b)
+		}
+		hs := j.hasher.rows(keys, lanes)
+		skipped := 0 // index into all of the next lane not yet accounted for
+		for idx, i := range lanes {
+			if j.Type == LeftJoin {
+				for ; all[skipped] != i; skipped++ {
+					j.outL = append(j.outL, int32(all[skipped]))
+					j.outR = append(j.outR, -1)
 				}
+				skipped++
 			}
-			if !nullKey && !j.neverMatch {
-				h := hashLanes(keys, i)
-				if head, ok := j.heads[h]; ok {
-					for bi := head; bi >= 0; bi = j.next[bi] {
-						if j.keysMatch(keys, i, int(bi)) {
-							j.outL = append(j.outL, int32(i))
-							j.outR = append(j.outR, bi)
-							matched = true
-						}
-					}
+			matched := false
+			for bi := j.index.head(hs[idx]); bi >= 0; bi = j.index.next[bi] {
+				if j.keysMatch(keys, i, int(bi)) {
+					j.outL = append(j.outL, int32(i))
+					j.outR = append(j.outR, bi)
+					matched = true
 				}
 			}
 			if !matched && j.Type == LeftJoin {
@@ -705,9 +665,13 @@ func (j *HashJoin) Next() (*vector.Batch, error) {
 				j.outR = append(j.outR, -1)
 			}
 		}
-		for k, kv := range keys {
-			j.LeftKeys[k].FreeResult(kv)
+		if j.Type == LeftJoin {
+			for _, i := range all[skipped:] {
+				j.outL = append(j.outL, int32(i))
+				j.outR = append(j.outR, -1)
+			}
 		}
+		j.freeKeys(j.LeftKeys, keys)
 		j.curBatch = b
 	}
 }
@@ -753,7 +717,7 @@ func (j *HashJoin) Close() error {
 		v.Free()
 	}
 	j.emitOwned = j.emitOwned[:0]
-	j.build, j.heads, j.next = vector.Table{}, nil, nil
+	j.build, j.index = vector.Table{}, hashIndex{}
 	j.curBatch = nil
 	if j.grace != nil {
 		j.grace.cleanup()
@@ -799,10 +763,13 @@ type HashAgg struct {
 	partial  bool
 	partRuns [spillPartitions]*spill.Run
 
-	groups    vector.Table // group key values, one row per group
+	groups    rowSet // group key values, one row per group
 	numGroups int
-	table     map[uint64][]int32
 	accs      []aggAcc
+	hasher    keyHasher
+	scratch   aggScratch
+	keyBuf    []*vector.Vec // per batch: evaluated group keys, then aggregate arguments
+	gidBuf    []int32       // per batch: the group id of every live lane
 	resVecs   []*vector.Vec // finalized aggregates, in emission order
 	emit      emitter       // group columns, in emission order
 	outCols   []*vector.Vec
@@ -869,8 +836,7 @@ func (h *HashAgg) spillGroups() error {
 	if err := flushGroupRecords(h.ps, &h.groups, h.seqs, h); err != nil {
 		return err
 	}
-	h.groups = vector.Table{}
-	h.table = make(map[uint64][]int32)
+	h.groups.reset()
 	h.numGroups = 0
 	h.seqs = h.seqs[:0]
 	h.reset()
@@ -881,214 +847,11 @@ func (h *HashAgg) spillGroups() error {
 
 // insertGroup starts group state for lane i of the key vectors.
 func (h *HashAgg) insertGroup(keys []*vector.Vec, i int, hv uint64, seq int64) int {
-	g := h.numGroups
+	g := int(h.groups.insert(keys, i, hv))
 	h.numGroups++
-	h.table[hv] = append(h.table[hv], int32(g))
-	h.groups.AppendLane(keys, i)
 	h.newGroup()
 	h.seqs = append(h.seqs, seq)
 	return g
-}
-
-// aggAcc holds the per-group accumulator state of one aggregate in
-// struct-of-arrays form.
-type aggAcc struct {
-	spec    AggSpec
-	argKind types.Kind
-	count   []int64
-	sumI    []int64
-	sumF    []float64
-	sawAny  []bool
-	mmSet   []bool
-	mI      []int64 // min/max payload for int/date/bool args
-	mF      []float64
-	mS      []string
-}
-
-func (a *aggAcc) addGroup() {
-	a.count = append(a.count, 0)
-	a.sumI = append(a.sumI, 0)
-	a.sumF = append(a.sumF, 0)
-	a.sawAny = append(a.sawAny, false)
-	a.mmSet = append(a.mmSet, false)
-	a.mI = append(a.mI, 0)
-	a.mF = append(a.mF, 0)
-	a.mS = append(a.mS, "")
-}
-
-// accumulate folds lane i of arg into group g, mirroring the row
-// engine's accumulate.
-func (a *aggAcc) accumulate(g int, arg *vector.Vec, i int) {
-	if a.spec.Star {
-		a.count[g]++
-		return
-	}
-	if arg.Nulls.Get(i) {
-		return
-	}
-	a.sawAny[g] = true
-	switch a.spec.Fn {
-	case algebra.AggCount:
-		a.count[g]++
-	case algebra.AggSum, algebra.AggAvg:
-		a.count[g]++
-		if a.argKind == types.KindInt {
-			a.sumI[g] += arg.I[i]
-			a.sumF[g] += float64(arg.I[i])
-		} else {
-			a.sumF[g] += arg.F[i]
-		}
-	case algebra.AggMin:
-		if !a.mmSet[g] || a.laneLess(arg, i, g) {
-			a.store(g, arg, i)
-		}
-	case algebra.AggMax:
-		if !a.mmSet[g] || a.laneGreater(arg, i, g) {
-			a.store(g, arg, i)
-		}
-	}
-}
-
-func (a *aggAcc) laneLess(arg *vector.Vec, i, g int) bool {
-	switch a.argKind {
-	case types.KindInt, types.KindDate:
-		return arg.I[i] < a.mI[g]
-	case types.KindFloat:
-		return arg.F[i] < a.mF[g]
-	case types.KindString:
-		return arg.S[i] < a.mS[g]
-	default: // bool: false < true
-		return !arg.B[i] && a.mI[g] != 0
-	}
-}
-
-func (a *aggAcc) laneGreater(arg *vector.Vec, i, g int) bool {
-	switch a.argKind {
-	case types.KindInt, types.KindDate:
-		return arg.I[i] > a.mI[g]
-	case types.KindFloat:
-		return arg.F[i] > a.mF[g]
-	case types.KindString:
-		return arg.S[i] > a.mS[g]
-	default:
-		return arg.B[i] && a.mI[g] == 0
-	}
-}
-
-func (a *aggAcc) store(g int, arg *vector.Vec, i int) {
-	a.mmSet[g] = true
-	switch a.argKind {
-	case types.KindInt, types.KindDate:
-		a.mI[g] = arg.I[i]
-	case types.KindFloat:
-		a.mF[g] = arg.F[i]
-	case types.KindString:
-		a.mS[g] = arg.S[i]
-	case types.KindBool:
-		if arg.B[i] {
-			a.mI[g] = 1
-		} else {
-			a.mI[g] = 0
-		}
-	}
-}
-
-// aggStateWidth is the number of serialized state columns per aggregate
-// in a spilled partial-group record.
-const aggStateWidth = 8
-
-// aggStateKinds is the record layout of one aggregate's accumulator
-// state: count, sumI, sumF, sawAny, mmSet, mI, mF, mS.
-func aggStateKinds() []types.Kind {
-	return []types.Kind{
-		types.KindInt, types.KindInt, types.KindFloat,
-		types.KindBool, types.KindBool,
-		types.KindInt, types.KindFloat, types.KindString,
-	}
-}
-
-// appendState serializes group g's accumulator, one value per state
-// column.
-func (a *aggAcc) appendState(g int, dst []*vector.Vec) {
-	appendI(dst[0], a.count[g])
-	appendI(dst[1], a.sumI[g])
-	appendF(dst[2], a.sumF[g])
-	appendB(dst[3], a.sawAny[g])
-	appendB(dst[4], a.mmSet[g])
-	appendI(dst[5], a.mI[g])
-	appendF(dst[6], a.mF[g])
-	appendS(dst[7], a.mS[g])
-}
-
-// mergeState folds a serialized partial state into group g. All merges
-// are associative, so partials from any number of flush epochs combine
-// into exactly the state a single-pass aggregation would have built.
-func (a *aggAcc) mergeState(g int, st []*vector.Vec, lane int) {
-	a.count[g] += st[0].I[lane]
-	a.sumI[g] += st[1].I[lane]
-	a.sumF[g] += st[2].F[lane]
-	a.sawAny[g] = a.sawAny[g] || st[3].B[lane]
-	if !st[4].B[lane] {
-		return
-	}
-	mI, mF, mS := st[5].I[lane], st[6].F[lane], st[7].S[lane]
-	if !a.mmSet[g] {
-		a.mmSet[g] = true
-		a.mI[g], a.mF[g], a.mS[g] = mI, mF, mS
-		return
-	}
-	min := a.spec.Fn == algebra.AggMin
-	var better bool
-	switch a.argKind {
-	case types.KindFloat:
-		better = (min && mF < a.mF[g]) || (!min && mF > a.mF[g])
-	case types.KindString:
-		better = (min && mS < a.mS[g]) || (!min && mS > a.mS[g])
-	default: // int, date, and bool (stored in mI)
-		better = (min && mI < a.mI[g]) || (!min && mI > a.mI[g])
-	}
-	if better {
-		a.mI[g], a.mF[g], a.mS[g] = mI, mF, mS
-	}
-}
-
-// finalize boxes group g's result, mirroring the row engine's finalize.
-func (a *aggAcc) finalize(g int) types.Value {
-	switch a.spec.Fn {
-	case algebra.AggCount:
-		return types.NewInt(a.count[g])
-	case algebra.AggSum:
-		if !a.sawAny[g] {
-			return types.NewNull(a.spec.ResultKind)
-		}
-		if a.spec.ResultKind == types.KindInt {
-			return types.NewInt(a.sumI[g])
-		}
-		return types.NewFloat(a.sumF[g])
-	case algebra.AggAvg:
-		if !a.sawAny[g] || a.count[g] == 0 {
-			return types.NewNull(types.KindFloat)
-		}
-		return types.NewFloat(a.sumF[g] / float64(a.count[g]))
-	case algebra.AggMin, algebra.AggMax:
-		if !a.sawAny[g] {
-			return types.NewNull(a.spec.ResultKind)
-		}
-		switch a.argKind {
-		case types.KindInt:
-			return types.NewInt(a.mI[g])
-		case types.KindDate:
-			return types.NewDate(a.mI[g])
-		case types.KindFloat:
-			return types.NewFloat(a.mF[g])
-		case types.KindString:
-			return types.NewString(a.mS[g])
-		default:
-			return types.NewBool(a.mI[g] != 0)
-		}
-	default:
-		return types.NullValue
-	}
 }
 
 func (h *HashAgg) Open() (err error) {
@@ -1108,9 +871,8 @@ func (h *HashAgg) Open() (err error) {
 			h.Spill.Res.ReleaseAll()
 		}
 	}()
-	h.groups = vector.Table{}
+	h.groups.reset()
 	h.groupKinds = exprKinds(h.Groups)
-	h.table = make(map[uint64][]int32)
 	h.numGroups = 0
 	h.seqs = h.seqs[:0]
 	h.seqCtr, h.pending, h.accBytes = 0, 0, 0
@@ -1136,24 +898,34 @@ func (h *HashAgg) Open() (err error) {
 		if b == nil {
 			break
 		}
-		keys := make([]*vector.Vec, len(h.Groups))
-		for g, ge := range h.Groups {
-			kv, err := ge.fn(b, b.Sel)
+		// One batch: evaluate keys and arguments, hash the keys column at a
+		// time, resolve every live lane to its group id, then run each
+		// aggregate's typed loop over the (lane, group) pairs.
+		vecs := h.keyBuf[:0]
+		for _, ge := range h.Groups {
+			kv, err := ge.eval(b, b.Sel)
 			if err != nil {
 				return err
 			}
-			keys[g] = kv
+			vecs = append(vecs, kv)
 		}
-		args := make([]*vector.Vec, len(h.Aggs))
-		for ai, spec := range h.Aggs {
+		for _, spec := range h.Aggs {
+			var av *vector.Vec
 			if spec.Arg != nil {
-				av, err := spec.Arg.fn(b, b.Sel)
-				if err != nil {
+				if av, err = spec.Arg.eval(b, b.Sel); err != nil {
 					return err
 				}
-				args[ai] = av
 			}
+			vecs = append(vecs, av)
 		}
+		h.keyBuf = vecs
+		keys, args := vecs[:len(h.Groups)], vecs[len(h.Groups):]
+		lanes := resolveSel(b, b.Sel)
+		hs := h.hasher.rows(keys, lanes)
+		if cap(h.gidBuf) < len(lanes) {
+			h.gidBuf = make([]int32, max(len(lanes), vector.BatchSize))
+		}
+		gids := h.gidBuf[:len(lanes)]
 		// Sequence numbers: the local counter in serial mode, the morsel
 		// tap's global input ordinals in parallel partial mode (so group
 		// order merges correctly across workers).
@@ -1161,24 +933,21 @@ func (h *HashAgg) Open() (err error) {
 		if h.Tap != nil {
 			base = h.Tap.Base()
 		}
-		var off int64
-		for _, i := range resolveSel(b, b.Sel) {
-			hv := hashLanes(keys, i)
-			seq := base + off
-			off++
-			g := -1
-			for _, gi := range h.table[hv] {
-				if h.groupMatches(keys, i, int(gi)) {
-					g = int(gi)
-					break
-				}
-			}
+		folded := 0 // pairs before this position are already accumulated
+		for idx, i := range lanes {
+			hv := hs[idx]
+			g := int(h.groups.find(keys, i, hv))
 			if g < 0 {
+				seq := base + int64(idx)
 				g = h.insertGroup(keys, i, hv, seq)
 				if budgeted {
 					h.pending += laneBytes(keys, i) + stateBytes
 					if h.pending >= growQuantum {
 						if !h.Spill.Res.Grow(h.pending) {
+							// The groups are about to be flushed: fold in the
+							// lanes resolved against them first.
+							h.accumulate(args, lanes[folded:idx], gids[folded:idx])
+							folded = idx
 							if err := h.spillGroups(); err != nil {
 								return err
 							}
@@ -1192,12 +961,11 @@ func (h *HashAgg) Open() (err error) {
 					}
 				}
 			}
-			for ai := range h.accs {
-				h.accs[ai].accumulate(g, args[ai], i)
-			}
+			gids[idx] = int32(g)
 		}
+		h.accumulate(args, lanes[folded:], gids[folded:])
 		if h.Tap == nil {
-			h.seqCtr = base + off
+			h.seqCtr = base + int64(len(lanes))
 		}
 		for g, kv := range keys {
 			h.Groups[g].FreeResult(kv)
@@ -1254,6 +1022,14 @@ func (h *HashAgg) Open() (err error) {
 	return nil
 }
 
+// accumulate folds a run of resolved (lane, group) pairs into every
+// aggregate.
+func (h *HashAgg) accumulate(args []*vector.Vec, lanes []int, gids []int32) {
+	for ai := range h.accs {
+		h.accs[ai].accumulate(args[ai], lanes, gids, &h.scratch)
+	}
+}
+
 // finishInMem finalizes the in-memory result (and the default row of a
 // global aggregate over empty input), emitting groups in insertion order.
 func (h *HashAgg) finishInMem() {
@@ -1282,7 +1058,7 @@ func (h *HashAgg) finishOrdered(order []int32) {
 		}
 		h.resVecs[ai] = out
 	}
-	h.emit.reset(&h.groups, order)
+	h.emit.reset(&h.groups.rows, order)
 	h.outPos = 0
 }
 
@@ -1354,15 +1130,9 @@ func (h *HashAgg) absorb(w *HashAgg) {
 	stateBytes := int64(len(h.Aggs))*96 + groupOverheadBytes
 	var grown int64
 	for g := 0; g < w.numGroups; g++ {
-		keys, lane := w.groups.At(g)
-		hv := hashLanes(keys, lane)
-		target := -1
-		for _, gi := range h.table[hv] {
-			if h.groupMatches(keys, lane, int(gi)) {
-				target = int(gi)
-				break
-			}
-		}
+		keys, lane := w.groups.rows.At(g)
+		hv := w.groups.hashes[g]
+		target := int(h.groups.find(keys, lane, hv))
 		if target < 0 {
 			target = h.insertGroup(keys, lane, hv, w.seqs[g])
 			grown += laneBytes(keys, lane) + stateBytes
@@ -1389,11 +1159,6 @@ func (h *HashAgg) finishInMemOrdered() {
 	h.finishOrdered(seqOrder(h.seqs, h.numGroups))
 }
 
-func (h *HashAgg) groupMatches(keys []*vector.Vec, i int, g int) bool {
-	stored, lane := h.groups.At(g)
-	return rowsEqual(keys, i, stored, lane)
-}
-
 func (h *HashAgg) Next() (*vector.Batch, error) {
 	if h.merger != nil {
 		return h.merger.next()
@@ -1413,7 +1178,7 @@ func (h *HashAgg) Next() (*vector.Batch, error) {
 
 func (h *HashAgg) Close() error {
 	h.emit.close()
-	h.groups, h.resVecs, h.accs, h.table = vector.Table{}, nil, nil, nil
+	h.groups, h.resVecs, h.accs = rowSet{}, nil, nil
 	h.merger.close()
 	h.merger = nil
 	h.ps.abandon()

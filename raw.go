@@ -72,11 +72,24 @@ func boxBatch(out [][]Value, b *vector.Batch) [][]Value {
 	n, width := b.Live(), len(b.Cols)
 	slab := make([]Value, n*width)
 	raw := rawRow(slab)
-	for j, c := range b.Cols {
-		c.BoxStrided(raw[j:], width, b.Sel, n)
+	sel := b.Sel
+	if sel == nil {
+		sel = vector.Lanes(n)
+	}
+	for lo := 0; lo < n; lo += boxBlock {
+		hi := min(lo+boxBlock, n)
+		for j, c := range b.Cols {
+			c.BoxStrided(raw[lo*width+j:], width, sel[lo:hi], hi-lo)
+		}
 	}
 	for i := 0; i < n; i++ {
 		out = append(out, slab[i*width:(i+1)*width:(i+1)*width])
 	}
 	return out
 }
+
+// boxBlock is how many rows of a batch are boxed before moving on: every
+// column writes into the same rows of the slab, and a block of rows of a
+// wide provenance result still fits the cache where a whole batch's
+// megabyte does not.
+const boxBlock = 64

@@ -99,6 +99,20 @@ func TestSelectBasics(t *testing.T) {
 			want: []string{"lo", "lo", "hi", "hi"}},
 		{name: "case-operand", query: "SELECT CASE n WHEN 1 THEN 'a' WHEN 2 THEN 'b' END FROM nums WHERE n <= 3",
 			want: []string{"a", "b", "NULL"}},
+		{name: "case-null-condition", query: "SELECT CASE WHEN n < 3 THEN 'lo' WHEN n >= 3 THEN 'hi' ELSE 'unknown' END FROM nums",
+			want: []string{"lo", "lo", "hi", "hi", "unknown"}},
+		{name: "case-nested", query: "SELECT CASE WHEN n < 3 THEN CASE WHEN n = 1 THEN 'one' ELSE 'two' END ELSE label END FROM nums",
+			want: []string{"one", "two", "three", "NULL", "nil"}},
+		{name: "case-mixed-kinds", query: "SELECT CASE WHEN n > 2 THEN n * 0.5 ELSE 0 END FROM nums WHERE n IS NOT NULL",
+			want: []string{"0", "0", "1.5", "2"}},
+		{name: "case-guards-division", query: "SELECT CASE WHEN n - 2 <> 0 THEN 10 / (n - 2) ELSE -1 END FROM nums WHERE n IS NOT NULL",
+			want: []string{"-10", "-1", "10", "5"}},
+		{name: "case-in-filter", query: "SELECT n FROM nums WHERE CASE WHEN label IS NULL THEN n > 3 ELSE n < 2 END",
+			want: []string{"1", "4"}},
+		{name: "case-in-aggregate", query: "SELECT sum(CASE WHEN b > 15 THEN 1 ELSE 0 END), sum(CASE WHEN a = 2 THEN b * 1.5 ELSE 0 END), count(CASE WHEN a = 2 THEN b END) FROM pairs",
+			want: []string{"3|61.5|2"}},
+		{name: "case-in-group-by", query: "SELECT CASE WHEN a < 2 THEN 'small' ELSE 'big' END, count(*), min(CASE WHEN b > 20 THEN b END) FROM pairs GROUP BY CASE WHEN a < 2 THEN 'small' ELSE 'big' END",
+			want: []string{"small|1|NULL", "big|3|21"}},
 		{name: "cast", query: "SELECT CAST(n AS text) FROM nums WHERE n = 1",
 			want: []string{"1"}},
 		{name: "coalesce", query: "SELECT coalesce(n, 0) FROM nums",

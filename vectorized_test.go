@@ -31,7 +31,7 @@ const vecFixture = transparencyFixture + `
 // logicCorpus mirrors the SQL-logic test corpus (sql_logic_test.go):
 // every query shape the row engine is pinned on, re-run here with
 // vectorization on vs off. Shapes the vectorized engine cannot lower
-// (CASE, casts, functions, sublinks, set ops, sorts, outer joins...)
+// (casts, functions, quantified sublinks, right/full outer joins...)
 // exercise the per-subtree fallback path.
 var logicCorpus = []string{
 	// Selection, projection, scalar expressions.
@@ -51,6 +51,16 @@ var logicCorpus = []string{
 	`SELECT label FROM nums WHERE label LIKE 't%'`,
 	`SELECT label FROM nums WHERE label LIKE '_n_'`,
 	`SELECT CASE WHEN n < 3 THEN 'lo' ELSE 'hi' END FROM nums WHERE n IS NOT NULL`,
+	`SELECT CASE WHEN n < 3 THEN 'lo' WHEN n >= 3 THEN 'hi' ELSE 'unknown' END FROM nums`,
+	`SELECT CASE WHEN n < 3 THEN CASE WHEN n = 1 THEN 'one' ELSE 'two' END ELSE label END FROM nums`,
+	`SELECT CASE WHEN n > 2 THEN n * 0.5 ELSE 0 END FROM nums WHERE n IS NOT NULL`,
+	`SELECT CASE WHEN n - 2 <> 0 THEN 10 / (n - 2) ELSE -1 END FROM nums WHERE n IS NOT NULL`,
+	`SELECT n FROM nums WHERE CASE WHEN label IS NULL THEN n > 3 ELSE n < 2 END`,
+	`SELECT CASE WHEN n IS NULL THEN NULL ELSE n END, CASE n WHEN 1 THEN 'a' WHEN 2 THEN 'b' END FROM nums`,
+	`SELECT sum(CASE WHEN b > 15 THEN 1 ELSE 0 END), sum(CASE WHEN a = 2 THEN b * 1.5 ELSE 0 END), count(CASE WHEN a = 2 THEN b END) FROM pairs`,
+	`SELECT CASE WHEN a < 2 THEN 'small' ELSE 'big' END, count(*), min(CASE WHEN b > 20 THEN b END) FROM pairs GROUP BY CASE WHEN a < 2 THEN 'small' ELSE 'big' END`,
+	`SELECT PROVENANCE sum(CASE WHEN a > 1 THEN a * 2.5 ELSE 0 END) FROM r`,
+	`SELECT PROVENANCE b, max(CASE WHEN a > 1 THEN a END) FROM r GROUP BY b`,
 	`SELECT CAST(n AS text) FROM nums WHERE n = 1`,
 	`SELECT coalesce(n, 0) FROM nums`,
 	`SELECT upper(label), length(label), substring(label, 1, 2) FROM nums WHERE n = 3`,
@@ -338,14 +348,29 @@ func TestVectorizedGoldenExplain(t *testing.T) {
 		{
 			name: "mixed-unsupported-expression",
 			db:   on,
-			// The CASE projection is not vectorizable: a row Project
+			// The cast projection is not vectorizable: a row Project
 			// consumes the vectorized filter through the adapter.
-			query: `SELECT CASE WHEN n < 3 THEN 'lo' ELSE 'hi' END FROM nums WHERE n > 0`,
+			query: `SELECT CAST(n AS text) FROM nums WHERE n > 0`,
 			want: strings.Join([]string{
 				"Project (1 cols)",
 				"  BatchToRow",
 				"    VecFilter",
 				"      VecScan (5 rows)",
+				"",
+			}, "\n"),
+		},
+		{
+			name: "case-stays-vectorized",
+			db:   on,
+			// CASE has a batch kernel: the projection and the aggregate
+			// over it stay on the vectorized engine.
+			query: `SELECT sum(CASE WHEN n < 3 THEN n ELSE 0 END) FROM nums WHERE n > 0`,
+			want: strings.Join([]string{
+				"BatchToRow",
+				"  VecProject (1 cols)",
+				"    VecHashAggregate (0 groups, 1 aggs)",
+				"      VecFilter",
+				"        VecScan (5 rows)",
 				"",
 			}, "\n"),
 		},
