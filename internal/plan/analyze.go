@@ -29,68 +29,16 @@ import (
 // in place (children are rewrapped); plan trees are per-execution, so
 // nothing shared is touched.
 func Instrument(n exec.Node) exec.Node {
-	return instrumentNode(n)
-}
-
-func instrumentNode(n exec.Node) exec.Node {
-	switch x := n.(type) {
-	case *exec.Scan:
-	case *exec.Filter:
-		x.Input = instrumentNode(x.Input)
-	case *exec.Project:
-		x.Input = instrumentNode(x.Input)
-	case *exec.NestedLoopJoin:
-		x.Left = instrumentNode(x.Left)
-		x.Right = instrumentNode(x.Right)
-	case *exec.HashJoin:
-		x.Left = instrumentNode(x.Left)
-		x.Right = instrumentNode(x.Right)
-	case *exec.HashAgg:
-		x.Input = instrumentNode(x.Input)
-	case *exec.Sort:
-		x.Input = instrumentNode(x.Input)
-	case *exec.Limit:
-		x.Input = instrumentNode(x.Input)
-	case *exec.Distinct:
-		x.Input = instrumentNode(x.Input)
-	case *exec.SetOp:
-		x.Left = instrumentNode(x.Left)
-		x.Right = instrumentNode(x.Right)
-	case *vexec.RowSource:
-		x.Input = instrumentVNode(x.Input)
-	}
+	d := describe(n)
+	d.each(func(k *exec.Node) { *k = Instrument(*k) }, func(k *vexec.Node) { *k = instrumentV(*k) })
 	return exec.NewProbe(n)
 }
 
-func instrumentVNode(n vexec.Node) vexec.Node {
-	switch x := n.(type) {
-	case *vexec.ColScan:
-	case *vexec.Filter:
-		x.Input = instrumentVNode(x.Input)
-	case *vexec.Project:
-		x.Input = instrumentVNode(x.Input)
-	case *vexec.HashJoin:
-		x.Left = instrumentVNode(x.Left)
-		x.Right = instrumentVNode(x.Right)
-	case *vexec.NLJoin:
-		x.Left = instrumentVNode(x.Left)
-		x.Right = instrumentVNode(x.Right)
-	case *vexec.HashAgg:
-		x.Input = instrumentVNode(x.Input)
-	case *vexec.VecSort:
-		x.Input = instrumentVNode(x.Input)
-	case *vexec.VecTopN:
-		x.Input = instrumentVNode(x.Input)
-	case *vexec.VecLimit:
-		x.Input = instrumentVNode(x.Input)
-	case *vexec.VecDistinct:
-		x.Input = instrumentVNode(x.Input)
-	case *vexec.VecSetOp:
-		x.Left = instrumentVNode(x.Left)
-		x.Right = instrumentVNode(x.Right)
-	case *vexec.Exchange, *vexec.ParallelAgg, *vexec.ParallelSort:
-		// Probed as a unit; worker subtrees run concurrently and must not
-		// share a coordinator-side collector.
+func instrumentV(n vexec.Node) vexec.Node {
+	// A parallel operator is probed as a unit: its worker subtrees run
+	// concurrently and must not share a coordinator-side collector.
+	if d := describeV(n); !d.workers {
+		d.each(nil, func(k *vexec.Node) { *k = instrumentV(*k) })
 	}
 	return vexec.NewProbe(n)
 }
@@ -101,7 +49,7 @@ func instrumentVNode(n vexec.Node) vexec.Node {
 // bytes) so operators need not sum the per-operator rows by hand.
 func ExplainAnalyzed(n exec.Node, total time.Duration, peakMem, spilled int64) string {
 	var sb []byte
-	analyzeNode(n, 0, &sb)
+	walk(n, 0, func(d op) { sb = d.appendLine(sb, d.annot()) })
 	sb = append(sb, fmt.Sprintf("Execution time: %s (peak memory %dB, spilled %dB)\n",
 		fmtDur(total.Nanoseconds()), peakMem, spilled)...)
 	return string(sb)
@@ -114,312 +62,25 @@ func ExplainAnalyzed(n exec.Node, total time.Duration, peakMem, spilled int64) s
 // only.
 func OperatorSpans(n exec.Node) []obs.Span {
 	var spans []obs.Span
-	opSpans(n, 1, &spans)
+	walk(n, 1, func(d op) {
+		if st := d.stats; st != nil {
+			spans = append(spans, obs.Span{Name: d.name, Depth: d.depth, DurNS: st.TotalNS(), Rows: st.Rows})
+		}
+	})
 	return spans
 }
 
-func opSpans(n exec.Node, depth int, out *[]obs.Span) {
-	var st *obs.OpStats
-	if p, ok := n.(*exec.Probe); ok {
-		st, n = p.Stats, p.Input
-	}
-	if st != nil {
-		*out = append(*out, obs.Span{Name: opName(n), Depth: depth, DurNS: st.TotalNS(), Rows: st.Rows})
-	}
-	switch x := n.(type) {
-	case *exec.Filter:
-		opSpans(x.Input, depth+1, out)
-	case *exec.Project:
-		opSpans(x.Input, depth+1, out)
-	case *exec.NestedLoopJoin:
-		opSpans(x.Left, depth+1, out)
-		opSpans(x.Right, depth+1, out)
-	case *exec.HashJoin:
-		opSpans(x.Left, depth+1, out)
-		opSpans(x.Right, depth+1, out)
-	case *exec.HashAgg:
-		opSpans(x.Input, depth+1, out)
-	case *exec.Sort:
-		opSpans(x.Input, depth+1, out)
-	case *exec.Limit:
-		opSpans(x.Input, depth+1, out)
-	case *exec.Distinct:
-		opSpans(x.Input, depth+1, out)
-	case *exec.SetOp:
-		opSpans(x.Left, depth+1, out)
-		opSpans(x.Right, depth+1, out)
-	case *vexec.RowSource:
-		opSpansV(x.Input, depth+1, out)
-	}
-}
-
-func opSpansV(n vexec.Node, depth int, out *[]obs.Span) {
-	if t, ok := n.(*vexec.MorselTap); ok {
-		opSpansV(t.Input, depth, out)
-		return
-	}
-	var st *obs.OpStats
-	if p, ok := n.(*vexec.Probe); ok {
-		st, n = p.Stats, p.Input
-	}
-	if st != nil {
-		*out = append(*out, obs.Span{Name: opName(n), Depth: depth, DurNS: st.TotalNS(), Rows: st.Rows})
-	}
-	switch x := n.(type) {
-	case *vexec.Filter:
-		opSpansV(x.Input, depth+1, out)
-	case *vexec.Project:
-		opSpansV(x.Input, depth+1, out)
-	case *vexec.HashJoin:
-		opSpansV(x.Left, depth+1, out)
-		opSpansV(x.Right, depth+1, out)
-	case *vexec.NLJoin:
-		opSpansV(x.Left, depth+1, out)
-		opSpansV(x.Right, depth+1, out)
-	case *vexec.HashAgg:
-		opSpansV(x.Input, depth+1, out)
-	case *vexec.VecSort:
-		opSpansV(x.Input, depth+1, out)
-	case *vexec.VecTopN:
-		opSpansV(x.Input, depth+1, out)
-	case *vexec.VecLimit:
-		opSpansV(x.Input, depth+1, out)
-	case *vexec.VecDistinct:
-		opSpansV(x.Input, depth+1, out)
-	case *vexec.VecSetOp:
-		opSpansV(x.Left, depth+1, out)
-		opSpansV(x.Right, depth+1, out)
-	case *vexec.Exchange:
-		opSpansV(x.Workers[0].Input, depth+1, out)
-	case *vexec.ParallelAgg:
-		opSpansV(x.Workers[0].Input, depth+1, out)
-	case *vexec.ParallelSort:
-		opSpansV(x.Workers[0].Input, depth+1, out)
-	}
-}
-
-// opName returns the operator's EXPLAIN label stem for trace spans.
-func opName(n interface{}) string {
-	switch n.(type) {
-	case *exec.Scan:
-		return "Scan"
-	case *exec.Filter:
-		return "Filter"
-	case *exec.Project:
-		return "Project"
-	case *exec.NestedLoopJoin:
-		return "NestedLoopJoin"
-	case *exec.HashJoin:
-		return "HashJoin"
-	case *exec.HashAgg:
-		return "HashAggregate"
-	case *exec.Sort:
-		return "Sort"
-	case *exec.Limit:
-		return "Limit"
-	case *exec.Distinct:
-		return "Distinct"
-	case *exec.SetOp:
-		return "SetOp"
-	case *vexec.RowSource:
-		return "BatchToRow"
-	case *vexec.ColScan:
-		return "VecScan"
-	case *vexec.Filter:
-		return "VecFilter"
-	case *vexec.Project:
-		return "VecProject"
-	case *vexec.HashJoin:
-		return "VecHashJoin"
-	case *vexec.NLJoin:
-		return "VecNestedLoopJoin"
-	case *vexec.HashAgg:
-		return "VecHashAggregate"
-	case *vexec.VecSort:
-		return "VecSort"
-	case *vexec.VecTopN:
-		return "VecTopN"
-	case *vexec.VecLimit:
-		return "VecLimit"
-	case *vexec.VecDistinct:
-		return "VecDistinct"
-	case *vexec.VecSetOp:
-		return "VecSetOp"
-	case *vexec.Exchange:
-		return "Exchange"
-	case *vexec.ParallelAgg:
-		return "ParallelAgg"
-	case *vexec.ParallelSort:
-		return "ParallelSort"
-	default:
-		return fmt.Sprintf("%T", n)
-	}
-}
-
-func analyzeNode(n exec.Node, depth int, out *[]byte) {
-	var st *obs.OpStats
-	if p, ok := n.(*exec.Probe); ok {
-		st, n = p.Stats, p.Input
-	}
-	est := estOf(n)
-	line := func(label string, extra ...string) {
-		*out = append(*out, indent(depth)...)
-		*out = append(*out, label...)
-		*out = append(*out, annot(st, false, est, extra)...)
-		*out = append(*out, '\n')
-	}
-	switch x := n.(type) {
-	case *exec.Scan:
-		line(fmt.Sprintf("Scan (%d rows)", len(x.Rows)))
-	case *exec.Filter:
-		line("Filter")
-		analyzeNode(x.Input, depth+1, out)
-	case *exec.Project:
-		line(fmt.Sprintf("Project (%d cols)", len(x.Exprs)))
-		analyzeNode(x.Input, depth+1, out)
-	case *exec.NestedLoopJoin:
-		line(fmt.Sprintf("NestedLoopJoin (%s)", joinName(x.Type)))
-		analyzeNode(x.Left, depth+1, out)
-		analyzeNode(x.Right, depth+1, out)
-	case *exec.HashJoin:
-		line(fmt.Sprintf("HashJoin (%s, %d keys)", joinName(x.Type), len(x.LeftKeys)))
-		analyzeNode(x.Left, depth+1, out)
-		analyzeNode(x.Right, depth+1, out)
-	case *exec.HashAgg:
-		line(fmt.Sprintf("HashAggregate (%d groups, %d aggs)", len(x.Groups), len(x.Aggs)))
-		analyzeNode(x.Input, depth+1, out)
-	case *exec.Sort:
-		line(fmt.Sprintf("Sort (%d keys%s)", len(x.Keys), spillTag(x.Spill)), resAnnot(x.Spill)...)
-		analyzeNode(x.Input, depth+1, out)
-	case *exec.Limit:
-		line("Limit")
-		analyzeNode(x.Input, depth+1, out)
-	case *exec.Distinct:
-		line("Distinct")
-		analyzeNode(x.Input, depth+1, out)
-	case *exec.SetOp:
-		line(fmt.Sprintf("SetOp (%s, all=%v)", setOpName(x.Kind), x.All))
-		analyzeNode(x.Left, depth+1, out)
-		analyzeNode(x.Right, depth+1, out)
-	case *vexec.RowSource:
-		line("BatchToRow")
-		analyzeVNode(x.Input, depth+1, out)
-	default:
-		line(fmt.Sprintf("%T", n))
-	}
-}
-
-func analyzeVNode(n vexec.Node, depth int, out *[]byte) {
-	if t, ok := n.(*vexec.MorselTap); ok {
-		analyzeVNode(t.Input, depth, out)
-		return
-	}
-	var st *obs.OpStats
-	if p, ok := n.(*vexec.Probe); ok {
-		st, n = p.Stats, p.Input
-	}
-	est := estOf(n)
-	line := func(label string, extra ...string) {
-		*out = append(*out, indent(depth)...)
-		*out = append(*out, label...)
-		*out = append(*out, annot(st, true, est, extra)...)
-		*out = append(*out, '\n')
-	}
-	switch x := n.(type) {
-	case *vexec.ColScan:
-		label := fmt.Sprintf("VecScan (%d rows)", x.NumRows)
-		if x.HasRuntimeFilters() {
-			label = fmt.Sprintf("VecScan (%d rows, RuntimeFilter)", x.NumRows)
-		}
-		line(label, scanAnnot(x)...)
-	case *vexec.Filter:
-		line("VecFilter")
-		analyzeVNode(x.Input, depth+1, out)
-	case *vexec.Project:
-		line(fmt.Sprintf("VecProject (%d cols)", len(x.Exprs)))
-		analyzeVNode(x.Input, depth+1, out)
-	case *vexec.HashJoin:
-		rf := ""
-		if x.PublishesFilters() {
-			rf = ", RuntimeFilter"
-		}
-		line(fmt.Sprintf("VecHashJoin (%s, %d keys%s%s)", vecJoinName(x.Type), len(x.LeftKeys), rf, spillTag(x.Spill)),
-			resAnnot(x.Spill)...)
-		analyzeVNode(x.Left, depth+1, out)
-		analyzeVNode(x.Right, depth+1, out)
-	case *vexec.NLJoin:
-		line(fmt.Sprintf("VecNestedLoopJoin (%s)", vecJoinName(x.Type)))
-		analyzeVNode(x.Left, depth+1, out)
-		analyzeVNode(x.Right, depth+1, out)
-	case *vexec.HashAgg:
-		line(fmt.Sprintf("VecHashAggregate (%d groups, %d aggs%s)", len(x.Groups), len(x.Aggs), spillTag(x.Spill)),
-			resAnnot(x.Spill)...)
-		analyzeVNode(x.Input, depth+1, out)
-	case *vexec.VecSort:
-		line(fmt.Sprintf("VecSort (%d keys%s)", len(x.Keys), spillTag(x.Spill)), resAnnot(x.Spill)...)
-		analyzeVNode(x.Input, depth+1, out)
-	case *vexec.VecTopN:
-		line(fmt.Sprintf("VecTopN (%d keys, keep %d)", len(x.Keys), x.Offset+x.Count))
-		analyzeVNode(x.Input, depth+1, out)
-	case *vexec.VecLimit:
-		line("VecLimit")
-		analyzeVNode(x.Input, depth+1, out)
-	case *vexec.VecDistinct:
-		if tag := spillTag(x.Spill); tag != "" {
-			line(fmt.Sprintf("VecDistinct (%s)", tag[2:]), resAnnot(x.Spill)...)
-		} else {
-			line("VecDistinct")
-		}
-		analyzeVNode(x.Input, depth+1, out)
-	case *vexec.VecSetOp:
-		line(fmt.Sprintf("VecSetOp (%s, all=%v%s)", setOpName(x.Kind), x.All, spillTag(x.Spill)),
-			resAnnot(x.Spill)...)
-		analyzeVNode(x.Left, depth+1, out)
-		analyzeVNode(x.Right, depth+1, out)
-	case *vexec.Exchange:
-		drivers := make([]*vexec.ColScan, len(x.Workers))
-		for i, w := range x.Workers {
-			drivers[i] = spineDriver(w.Input)
-		}
-		line(fmt.Sprintf("Exchange (workers=%d)", len(x.Workers)), workerAnnot(drivers, nil)...)
-		analyzeVNode(x.Workers[0].Input, depth+1, out)
-	case *vexec.ParallelAgg:
-		h := x.Workers[0]
-		drivers := make([]*vexec.ColScan, len(x.Workers))
-		res := make([]spill.Resources, len(x.Workers))
-		for i, w := range x.Workers {
-			drivers[i] = spineDriver(w.Input)
-			res[i] = w.Spill
-		}
-		line(fmt.Sprintf("VecHashAggregate (%d groups, %d aggs%s, workers=%d)",
-			len(h.Groups), len(h.Aggs), spillTag(h.Spill), len(x.Workers)), workerAnnot(drivers, res)...)
-		analyzeVNode(h.Input, depth+1, out)
-	case *vexec.ParallelSort:
-		w0 := x.Workers[0]
-		drivers := make([]*vexec.ColScan, len(x.Workers))
-		res := make([]spill.Resources, len(x.Workers))
-		for i, w := range x.Workers {
-			drivers[i] = spineDriver(w.Input)
-			res[i] = w.Spill
-		}
-		line(fmt.Sprintf("VecSort (%d keys%s, workers=%d)",
-			len(w0.Keys), spillTag(w0.Spill), len(x.Workers)), workerAnnot(drivers, res)...)
-		analyzeVNode(w0.Input, depth+1, out)
-	default:
-		line(fmt.Sprintf("%T", n))
-	}
-}
-
-// annot renders the shared probe annotation: wall time, emitted rows,
-// and (vectorized) batches, then the planner's cardinality estimate next
-// to the observed actual and their q-error, plus any operator-specific
-// extras. Nodes without a probe (worker replica subtrees) still show
-// their estimate and extras.
-func annot(st *obs.OpStats, vec bool, est float64, extra []string) string {
+// annot renders the operator's EXPLAIN ANALYZE annotation: wall time,
+// emitted rows, and (vectorized) batches, then the planner's cardinality
+// estimate next to the observed actual and their q-error, plus the
+// operator's own extras. Nodes without a probe (worker replica subtrees)
+// still show their estimate and extras.
+func (d *op) annot() string {
 	var parts []string
+	st, est := d.stats, estOf(d.node)
 	if st != nil {
 		parts = append(parts, "time="+fmtDur(st.TotalNS()), fmt.Sprintf("rows=%d", st.Rows))
-		if vec {
+		if d.vec {
 			parts = append(parts, fmt.Sprintf("batches=%d", st.Batches))
 		}
 	}
@@ -430,7 +91,9 @@ func annot(st *obs.OpStats, vec bool, est float64, extra []string) string {
 				fmt.Sprintf("qerr=%.2f", obs.QError(est, st.Rows)))
 		}
 	}
-	parts = append(parts, extra...)
+	if d.extra != nil {
+		parts = append(parts, d.extra()...)
+	}
 	if len(parts) == 0 {
 		return ""
 	}
@@ -463,16 +126,12 @@ func estOf(n interface{}) float64 {
 // resAnnot renders a spill-capable operator's memory annotation from its
 // reservation: peak bytes held, and spill events/bytes when it spilled.
 func resAnnot(res spill.Resources) []string {
-	r := res.Res
-	if r == nil {
-		return nil
-	}
 	var parts []string
-	if p := r.Peak(); p > 0 {
+	if p := res.Res.Peak(); p > 0 {
 		parts = append(parts, fmt.Sprintf("mem=%dB", p))
 	}
-	if e := r.SpillEvents(); e > 0 {
-		parts = append(parts, fmt.Sprintf("spills=%d spilled=%dB", e, r.SpillBytes()))
+	if e := res.Res.SpillEvents(); e > 0 {
+		parts = append(parts, fmt.Sprintf("spills=%d spilled=%dB", e, res.Res.SpillBytes()))
 	}
 	return parts
 }
@@ -493,31 +152,22 @@ func scanAnnot(s *vexec.ColScan) []string {
 
 // workerAnnot renders a parallel operator's per-worker morsel counts and
 // aggregated worker spill counters (read after the operator's barrier).
-func workerAnnot(drivers []*vexec.ColScan, res []spill.Resources) []string {
-	counts := make([]int, len(drivers))
-	for i, d := range drivers {
-		if d != nil {
+func workerAnnot(n int, worker func(i int) (vexec.Node, spill.Resources)) []string {
+	counts := make([]int, n)
+	var events, bytes int64
+	for i := range counts {
+		in, res := worker(i)
+		if d := spineDriver(in); d != nil {
 			counts[i] = d.MorselsTaken()
 		}
+		events += res.Res.SpillEvents()
+		bytes += res.Res.SpillBytes()
 	}
 	parts := []string{fmt.Sprintf("morsels/worker=%v", counts)}
-	var events, bytes int64
-	for _, rs := range res {
-		events += rs.Res.SpillEvents()
-		bytes += rs.Res.SpillBytes()
-	}
 	if events > 0 {
 		parts = append(parts, fmt.Sprintf("spills=%d spilled=%dB", events, bytes))
 	}
 	return parts
-}
-
-func indent(depth int) []byte {
-	b := make([]byte, depth*2)
-	for i := range b {
-		b[i] = ' '
-	}
-	return b
 }
 
 // fmtDur renders nanoseconds rounded to the microsecond (exact below

@@ -6,7 +6,6 @@ package plan
 import (
 	"perm/internal/exec"
 	"perm/internal/obs"
-	"perm/internal/vexec"
 )
 
 // OperatorEstimates harvests, after execution, one (operator label,
@@ -17,119 +16,53 @@ import (
 // enclosing parallel operator is probed as a unit and reports for them.
 func OperatorEstimates(n exec.Node) []obs.OpEst {
 	var out []obs.OpEst
-	opEsts(n, &out)
+	walk(n, 0, func(d op) {
+		if d.stats == nil {
+			return
+		}
+		if est := estOf(d.node); est > 0 {
+			out = append(out, obs.OpEst{Op: d.name, EstRows: est, ActRows: d.stats.Rows})
+		}
+	})
 	return out
 }
 
-func harvestOp(n interface{}, st *obs.OpStats, out *[]obs.OpEst) {
-	if st == nil {
-		return
-	}
-	if est := estOf(n); est > 0 {
-		*out = append(*out, obs.OpEst{Op: opName(n), EstRows: est, ActRows: st.Rows})
-	}
-}
-
-func opEsts(n exec.Node, out *[]obs.OpEst) {
-	var st *obs.OpStats
-	if p, ok := n.(*exec.Probe); ok {
-		st, n = p.Stats, p.Input
-	}
-	harvestOp(n, st, out)
-	switch x := n.(type) {
-	case *exec.Filter:
-		opEsts(x.Input, out)
-	case *exec.Project:
-		opEsts(x.Input, out)
-	case *exec.NestedLoopJoin:
-		opEsts(x.Left, out)
-		opEsts(x.Right, out)
-	case *exec.HashJoin:
-		opEsts(x.Left, out)
-		opEsts(x.Right, out)
-	case *exec.HashAgg:
-		opEsts(x.Input, out)
-	case *exec.Sort:
-		opEsts(x.Input, out)
-	case *exec.Limit:
-		opEsts(x.Input, out)
-	case *exec.Distinct:
-		opEsts(x.Input, out)
-	case *exec.SetOp:
-		opEsts(x.Left, out)
-		opEsts(x.Right, out)
-	case *vexec.RowSource:
-		opEstsV(x.Input, out)
-	}
-}
-
-func opEstsV(n vexec.Node, out *[]obs.OpEst) {
-	if t, ok := n.(*vexec.MorselTap); ok {
-		opEstsV(t.Input, out)
-		return
-	}
-	var st *obs.OpStats
-	if p, ok := n.(*vexec.Probe); ok {
-		st, n = p.Stats, p.Input
-	}
-	harvestOp(n, st, out)
-	switch x := n.(type) {
-	case *vexec.Filter:
-		opEstsV(x.Input, out)
-	case *vexec.Project:
-		opEstsV(x.Input, out)
-	case *vexec.HashJoin:
-		opEstsV(x.Left, out)
-		opEstsV(x.Right, out)
-	case *vexec.NLJoin:
-		opEstsV(x.Left, out)
-		opEstsV(x.Right, out)
-	case *vexec.HashAgg:
-		opEstsV(x.Input, out)
-	case *vexec.VecSort:
-		opEstsV(x.Input, out)
-	case *vexec.VecTopN:
-		opEstsV(x.Input, out)
-	case *vexec.VecLimit:
-		opEstsV(x.Input, out)
-	case *vexec.VecDistinct:
-		opEstsV(x.Input, out)
-	case *vexec.VecSetOp:
-		opEstsV(x.Left, out)
-		opEstsV(x.Right, out)
-	}
-}
-
 // Hash returns a structural fingerprint of a physical plan: FNV-64a over
-// the EXPLAIN rendering with every digit run collapsed to one mask byte,
-// then over the plan's scan relation names in traversal order. Masking
+// its EXPLAIN lines with every digit run collapsed to one mask byte, each
+// scan's line followed by the name of the relation it reads. Masking
 // digits keeps the hash stable across pure cardinality drift — scan row
 // counts change with every DML, and a LIMIT constant is a literal, not a
 // shape — while anything structural (operator choice, join order, build
 // side, vectorized vs row placement, spill mode, runtime-filter wiring,
 // parallel operators) changes the rendered text and therefore the hash.
-// Scan names are folded in separately because EXPLAIN renders scans
-// anonymously: a build-side swap between two equally-shaped scans moves
-// which relation sits where, which only the names can distinguish.
-// Computed on fresh compiles only, so the cache-hit hot path never
-// renders a plan.
+// Scan names are folded in because EXPLAIN renders scans anonymously: a
+// build-side swap between two equally-shaped scans moves which relation
+// sits where, which only the names can distinguish. Computed on fresh
+// compiles only, so the cache-hit hot path never renders a plan.
 func Hash(n exec.Node) uint64 {
-	s := Explain(n)
 	h := fnvOffset64
-	inDigits := false
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c >= '0' && c <= '9' {
-			if !inDigits {
-				h = fnvByte(h, '#')
-				inDigits = true
+	var line []byte
+	walk(n, 0, func(d op) {
+		line = d.appendLine(line[:0], "")
+		inDigits := false
+		for _, c := range line {
+			if c >= '0' && c <= '9' {
+				if !inDigits {
+					h = fnvByte(h, '#')
+					inDigits = true
+				}
+				continue
 			}
-			continue
+			inDigits = false
+			h = fnvByte(h, c)
 		}
-		inDigits = false
-		h = fnvByte(h, c)
-	}
-	hashScans(n, &h)
+		if d.table != "" {
+			h = fnvByte(h, 0)
+			for i := 0; i < len(d.table); i++ {
+				h = fnvByte(h, d.table[i])
+			}
+		}
+	})
 	return h
 }
 
@@ -142,89 +75,4 @@ func fnvByte(h uint64, c byte) uint64 {
 	h ^= uint64(c)
 	h *= fnvPrime64
 	return h
-}
-
-func hashName(h *uint64, name string) {
-	*h = fnvByte(*h, 0)
-	for i := 0; i < len(name); i++ {
-		*h = fnvByte(*h, name[i])
-	}
-}
-
-// hashScans folds every scan's relation name into the hash, in the same
-// deterministic traversal order EXPLAIN uses. Parallel operators fold
-// their first worker replica: replication is validated to be
-// shape-identical, so one replica carries the full structure.
-func hashScans(n exec.Node, h *uint64) {
-	switch x := n.(type) {
-	case *exec.Scan:
-		hashName(h, x.Table)
-	case *exec.Filter:
-		hashScans(x.Input, h)
-	case *exec.Project:
-		hashScans(x.Input, h)
-	case *exec.NestedLoopJoin:
-		hashScans(x.Left, h)
-		hashScans(x.Right, h)
-	case *exec.HashJoin:
-		hashScans(x.Left, h)
-		hashScans(x.Right, h)
-	case *exec.HashAgg:
-		hashScans(x.Input, h)
-	case *exec.Sort:
-		hashScans(x.Input, h)
-	case *exec.Limit:
-		hashScans(x.Input, h)
-	case *exec.Distinct:
-		hashScans(x.Input, h)
-	case *exec.SetOp:
-		hashScans(x.Left, h)
-		hashScans(x.Right, h)
-	case *vexec.RowSource:
-		hashScansV(x.Input, h)
-	}
-}
-
-func hashScansV(n vexec.Node, h *uint64) {
-	switch x := n.(type) {
-	case *vexec.ColScan:
-		hashName(h, x.Table)
-	case *vexec.MorselTap:
-		hashScansV(x.Input, h)
-	case *vexec.Filter:
-		hashScansV(x.Input, h)
-	case *vexec.Project:
-		hashScansV(x.Input, h)
-	case *vexec.HashJoin:
-		hashScansV(x.Left, h)
-		hashScansV(x.Right, h)
-	case *vexec.NLJoin:
-		hashScansV(x.Left, h)
-		hashScansV(x.Right, h)
-	case *vexec.HashAgg:
-		hashScansV(x.Input, h)
-	case *vexec.VecSort:
-		hashScansV(x.Input, h)
-	case *vexec.VecTopN:
-		hashScansV(x.Input, h)
-	case *vexec.VecLimit:
-		hashScansV(x.Input, h)
-	case *vexec.VecDistinct:
-		hashScansV(x.Input, h)
-	case *vexec.VecSetOp:
-		hashScansV(x.Left, h)
-		hashScansV(x.Right, h)
-	case *vexec.Exchange:
-		if len(x.Workers) > 0 {
-			hashScansV(x.Workers[0], h)
-		}
-	case *vexec.ParallelAgg:
-		if len(x.Workers) > 0 {
-			hashScansV(x.Workers[0], h)
-		}
-	case *vexec.ParallelSort:
-		if len(x.Workers) > 0 {
-			hashScansV(x.Workers[0], h)
-		}
-	}
 }

@@ -123,7 +123,7 @@ func (p *Planner) parallelize(q *algebra.Query, pl *planned) {
 		}
 		return
 	}
-	setWrapperChild(nthWrapperChild(pl.vnode, depth-1), pn)
+	*wrapperSlot(nthWrapperChild(pl.vnode, depth-1)) = pn
 }
 
 // findSite walks down through order-restoring wrappers to the highest
@@ -131,49 +131,24 @@ func (p *Planner) parallelize(q *algebra.Query, pl *planned) {
 // position can be replayed in a replica plan.
 func findSite(n vexec.Node, depth int) (vexec.Node, siteKind, int) {
 	switch x := n.(type) {
-	case *vexec.ColScan:
-		if eligibleSpine(n) {
-			return n, siteExchange, depth
-		}
-		return nil, siteNone, 0
-	case *vexec.Filter:
-		if eligibleSpine(n) {
-			return n, siteExchange, depth
-		}
-		return findSite(x.Input, depth+1)
-	case *vexec.Project:
-		if eligibleSpine(n) {
-			return n, siteExchange, depth
-		}
-		return findSite(x.Input, depth+1)
-	case *vexec.HashJoin:
-		if eligibleSpine(n) {
-			return n, siteExchange, depth
-		}
-		return findSite(x.Left, depth+1)
-	case *vexec.NLJoin:
-		if eligibleSpine(n) {
-			return n, siteExchange, depth
-		}
-		return findSite(x.Left, depth+1)
 	case *vexec.HashAgg:
 		if aggsMergeExact(x.Aggs) && eligibleSpine(x.Input) {
 			return n, siteAgg, depth
 		}
-		return findSite(x.Input, depth+1)
 	case *vexec.VecSort:
 		if eligibleSpine(x.Input) {
 			return n, siteSort, depth
 		}
-		return findSite(x.Input, depth+1)
-	case *vexec.VecTopN:
-		return findSite(x.Input, depth+1)
-	case *vexec.VecLimit:
-		return findSite(x.Input, depth+1)
-	case *vexec.VecDistinct:
-		return findSite(x.Input, depth+1)
-	case *vexec.VecSetOp:
-		return findSite(x.Left, depth+1)
+	case *vexec.VecTopN, *vexec.VecLimit, *vexec.VecDistinct, *vexec.VecSetOp:
+		// Never a site themselves: look below.
+	default:
+		// Scans, filters, projections and joins: the spine itself.
+		if eligibleSpine(n) {
+			return n, siteExchange, depth
+		}
+	}
+	if slot := wrapperSlot(n); slot != nil {
+		return findSite(*slot, depth+1)
 	}
 	return nil, siteNone, 0
 }
@@ -271,67 +246,30 @@ func aggsMergeExact(aggs []vexec.AggSpec) bool {
 // the trees guarantees the same node types appear at every hop.
 func nthWrapperChild(n vexec.Node, depth int) vexec.Node {
 	for ; depth > 0 && n != nil; depth-- {
-		n = wrapperChild(n)
+		slot := wrapperSlot(n)
+		if slot == nil {
+			return nil
+		}
+		n = *slot
 	}
 	return n
 }
 
-func wrapperChild(n vexec.Node) vexec.Node {
-	switch x := n.(type) {
-	case *vexec.VecTopN:
-		return x.Input
-	case *vexec.VecLimit:
-		return x.Input
-	case *vexec.VecDistinct:
-		return x.Input
-	case *vexec.VecSetOp:
-		return x.Left
-	case *vexec.HashAgg:
-		return x.Input
-	case *vexec.VecSort:
-		return x.Input
-	case *vexec.Filter:
-		return x.Input
-	case *vexec.Project:
-		return x.Input
-	case *vexec.HashJoin:
-		return x.Left
-	case *vexec.NLJoin:
-		return x.Left
+// wrapperSlot returns the child slot findSite descends through: an
+// operator's first (for joins and set operations, left) input. Scans and
+// parallel operators have none.
+func wrapperSlot(n vexec.Node) *vexec.Node {
+	if d := describeV(n); !d.workers {
+		return d.vkids[0]
 	}
 	return nil
-}
-
-func setWrapperChild(n, child vexec.Node) {
-	switch x := n.(type) {
-	case *vexec.VecTopN:
-		x.Input = child
-	case *vexec.VecLimit:
-		x.Input = child
-	case *vexec.VecDistinct:
-		x.Input = child
-	case *vexec.VecSetOp:
-		x.Left = child
-	case *vexec.HashAgg:
-		x.Input = child
-	case *vexec.VecSort:
-		x.Input = child
-	case *vexec.Filter:
-		x.Input = child
-	case *vexec.Project:
-		x.Input = child
-	case *vexec.HashJoin:
-		x.Left = child
-	case *vexec.NLJoin:
-		x.Left = child
-	}
 }
 
 // vnodeShape renders a vectorized tree to its EXPLAIN string, the
 // structural fingerprint replicas are validated against.
 func vnodeShape(n vexec.Node) string {
 	var sb []byte
-	explainVNode(n, 0, &sb)
+	walkV(n, 0, func(d op) { sb = d.appendLine(sb, "") })
 	return string(sb)
 }
 

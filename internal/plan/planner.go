@@ -2195,184 +2195,3 @@ func cmpSatisfies(c int, op string) bool {
 		return false
 	}
 }
-
-// Explain renders a plan tree as an indented string (EXPLAIN output).
-func Explain(n exec.Node) string {
-	var sb []byte
-	explainNode(n, 0, &sb)
-	return string(sb)
-}
-
-func explainNode(n exec.Node, depth int, out *[]byte) {
-	indent := make([]byte, depth*2)
-	for i := range indent {
-		indent[i] = ' '
-	}
-	*out = append(*out, indent...)
-	switch x := n.(type) {
-	case *exec.Scan:
-		*out = append(*out, fmt.Sprintf("Scan (%d rows)\n", len(x.Rows))...)
-	case *exec.Filter:
-		*out = append(*out, "Filter\n"...)
-		explainNode(x.Input, depth+1, out)
-	case *exec.Project:
-		*out = append(*out, fmt.Sprintf("Project (%d cols)\n", len(x.Exprs))...)
-		explainNode(x.Input, depth+1, out)
-	case *exec.NestedLoopJoin:
-		*out = append(*out, fmt.Sprintf("NestedLoopJoin (%s)\n", joinName(x.Type))...)
-		explainNode(x.Left, depth+1, out)
-		explainNode(x.Right, depth+1, out)
-	case *exec.HashJoin:
-		*out = append(*out, fmt.Sprintf("HashJoin (%s, %d keys)\n", joinName(x.Type), len(x.LeftKeys))...)
-		explainNode(x.Left, depth+1, out)
-		explainNode(x.Right, depth+1, out)
-	case *exec.HashAgg:
-		*out = append(*out, fmt.Sprintf("HashAggregate (%d groups, %d aggs)\n", len(x.Groups), len(x.Aggs))...)
-		explainNode(x.Input, depth+1, out)
-	case *exec.Sort:
-		*out = append(*out, fmt.Sprintf("Sort (%d keys%s)\n", len(x.Keys), spillTag(x.Spill))...)
-		explainNode(x.Input, depth+1, out)
-	case *exec.Limit:
-		*out = append(*out, "Limit\n"...)
-		explainNode(x.Input, depth+1, out)
-	case *exec.Distinct:
-		*out = append(*out, "Distinct\n"...)
-		explainNode(x.Input, depth+1, out)
-	case *exec.SetOp:
-		*out = append(*out, fmt.Sprintf("SetOp (%s, all=%v)\n", setOpName(x.Kind), x.All)...)
-		explainNode(x.Left, depth+1, out)
-		explainNode(x.Right, depth+1, out)
-	case *vexec.RowSource:
-		*out = append(*out, "BatchToRow\n"...)
-		explainVNode(x.Input, depth+1, out)
-	default:
-		*out = append(*out, fmt.Sprintf("%T\n", n)...)
-	}
-}
-
-// explainVNode renders a vectorized subtree (below a BatchToRow adapter).
-func explainVNode(n vexec.Node, depth int, out *[]byte) {
-	if t, ok := n.(*vexec.MorselTap); ok {
-		// Transparent plumbing: render the worker subtree it wraps.
-		explainVNode(t.Input, depth, out)
-		return
-	}
-	indent := make([]byte, depth*2)
-	for i := range indent {
-		indent[i] = ' '
-	}
-	*out = append(*out, indent...)
-	switch x := n.(type) {
-	case *vexec.ColScan:
-		if x.HasRuntimeFilters() {
-			*out = append(*out, fmt.Sprintf("VecScan (%d rows, RuntimeFilter)\n", x.NumRows)...)
-		} else {
-			*out = append(*out, fmt.Sprintf("VecScan (%d rows)\n", x.NumRows)...)
-		}
-	case *vexec.Filter:
-		*out = append(*out, "VecFilter\n"...)
-		explainVNode(x.Input, depth+1, out)
-	case *vexec.Project:
-		*out = append(*out, fmt.Sprintf("VecProject (%d cols)\n", len(x.Exprs))...)
-		explainVNode(x.Input, depth+1, out)
-	case *vexec.HashJoin:
-		if x.PublishesFilters() {
-			*out = append(*out, fmt.Sprintf("VecHashJoin (%s, %d keys, RuntimeFilter%s)\n", vecJoinName(x.Type), len(x.LeftKeys), spillTag(x.Spill))...)
-		} else {
-			*out = append(*out, fmt.Sprintf("VecHashJoin (%s, %d keys%s)\n", vecJoinName(x.Type), len(x.LeftKeys), spillTag(x.Spill))...)
-		}
-		explainVNode(x.Left, depth+1, out)
-		explainVNode(x.Right, depth+1, out)
-	case *vexec.NLJoin:
-		*out = append(*out, fmt.Sprintf("VecNestedLoopJoin (%s)\n", vecJoinName(x.Type))...)
-		explainVNode(x.Left, depth+1, out)
-		explainVNode(x.Right, depth+1, out)
-	case *vexec.HashAgg:
-		*out = append(*out, fmt.Sprintf("VecHashAggregate (%d groups, %d aggs%s)\n", len(x.Groups), len(x.Aggs), spillTag(x.Spill))...)
-		explainVNode(x.Input, depth+1, out)
-	case *vexec.VecSort:
-		*out = append(*out, fmt.Sprintf("VecSort (%d keys%s)\n", len(x.Keys), spillTag(x.Spill))...)
-		explainVNode(x.Input, depth+1, out)
-	case *vexec.VecTopN:
-		*out = append(*out, fmt.Sprintf("VecTopN (%d keys, keep %d)\n", len(x.Keys), x.Offset+x.Count)...)
-		explainVNode(x.Input, depth+1, out)
-	case *vexec.VecLimit:
-		*out = append(*out, "VecLimit\n"...)
-		explainVNode(x.Input, depth+1, out)
-	case *vexec.VecDistinct:
-		if tag := spillTag(x.Spill); tag != "" {
-			*out = append(*out, fmt.Sprintf("VecDistinct (%s)\n", tag[2:])...)
-		} else {
-			*out = append(*out, "VecDistinct\n"...)
-		}
-		explainVNode(x.Input, depth+1, out)
-	case *vexec.VecSetOp:
-		*out = append(*out, fmt.Sprintf("VecSetOp (%s, all=%v%s)\n", setOpName(x.Kind), x.All, spillTag(x.Spill))...)
-		explainVNode(x.Left, depth+1, out)
-		explainVNode(x.Right, depth+1, out)
-	case *vexec.Exchange:
-		*out = append(*out, fmt.Sprintf("Exchange (workers=%d)\n", len(x.Workers))...)
-		explainVNode(x.Workers[0], depth+1, out)
-	case *vexec.ParallelAgg:
-		h := x.Workers[0]
-		*out = append(*out, fmt.Sprintf("VecHashAggregate (%d groups, %d aggs%s, workers=%d)\n",
-			len(h.Groups), len(h.Aggs), spillTag(h.Spill), len(x.Workers))...)
-		explainVNode(h.Input, depth+1, out)
-	case *vexec.ParallelSort:
-		w := x.Workers[0]
-		*out = append(*out, fmt.Sprintf("VecSort (%d keys%s, workers=%d)\n",
-			len(w.Keys), spillTag(w.Spill), len(x.Workers))...)
-		explainVNode(w.Input, depth+1, out)
-	default:
-		*out = append(*out, fmt.Sprintf("%T\n", n)...)
-	}
-}
-
-// spillTag renders the EXPLAIN annotation of a spill-capable operator:
-// ", spill=on" when a memory budget can force it to disk, empty
-// otherwise.
-func spillTag(res spill.Resources) string {
-	if res.Enabled() {
-		return ", spill=on"
-	}
-	return ""
-}
-
-func vecJoinName(t vexec.JoinType) string {
-	switch t {
-	case vexec.InnerJoin:
-		return "inner"
-	case vexec.LeftJoin:
-		return "left"
-	default:
-		return "?"
-	}
-}
-
-func joinName(t exec.JoinType) string {
-	switch t {
-	case exec.InnerJoin:
-		return "inner"
-	case exec.LeftJoin:
-		return "left"
-	case exec.RightJoin:
-		return "right"
-	case exec.FullJoin:
-		return "full"
-	default:
-		return "?"
-	}
-}
-
-func setOpName(k exec.SetOpKind) string {
-	switch k {
-	case exec.Union:
-		return "union"
-	case exec.Intersect:
-		return "intersect"
-	case exec.Except:
-		return "except"
-	default:
-		return "?"
-	}
-}

@@ -11,7 +11,7 @@
 //	PREPARE <name> AS <select>       compile once, execute by name
 //	EXECUTE <name>                   run a prepared statement
 //	DEALLOCATE [PREPARE] <name>      drop a prepared statement
-//	SET <option> = on|off            session options (see SetOption)
+//	SET <option> = <value>           session options (see SetOption); booleans take on|off
 //	SET memory_limit = <size>        per-session memory budget (spill past it)
 //	SET parallelism = <n>            intra-query worker count (0 = all cores)
 //	SET trace_sample = <n>           trace every Nth query (off = none)
@@ -237,96 +237,20 @@ func (s *Session) Close() {
 	s.prepared = make(map[string]*perm.Prepared)
 }
 
-// SetOption changes one session option. Boolean options (value on/off,
-// true/false, 1/0): flatten_setops, disable_optimizer,
-// disable_vectorized, disable_query_cache. memory_limit takes a byte
-// size ("64MiB", "4000000") bounding this session's materializing
-// operators — exhausted budgets spill to disk; "off"/"unlimited" lifts
-// the session limit and "0" restores the limit the server configured
-// this session with. parallelism takes the intra-query worker count (0
-// defers to the server's configuration, 1 or "off" forces serial
-// plans). statement_timeout takes a per-statement deadline — a plain
-// integer is milliseconds (PostgreSQL convention), otherwise a Go
-// duration like "1.5s"; "off" disables the deadline and "0" restores
-// the timeout the server configured this session with. Prepared
-// statements are re-prepared under the new options so EXECUTE always
-// honours the session's current settings.
-func (s *Session) SetOption(name, value string) error {
-	// The whole read-modify-commit runs under the session lock (Prepare
-	// only touches shared engine state, never the session, so holding mu
-	// across it is safe): concurrent SetOption calls serialize instead of
-	// losing updates, and no Prepare can interleave between the option
-	// snapshot and the commit.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	opts := s.db.Opts()
-	switch strings.ToLower(strings.TrimSpace(name)) {
-	case "parallelism":
-		v := strings.ToLower(strings.TrimSpace(value))
-		if v == "off" || v == "serial" {
-			opts.Parallelism = -1
-		} else {
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				return fmt.Errorf("parallelism must be a non-negative worker count or off, got %q", value)
-			}
-			if n == 0 {
-				// 0 restores the worker count the server configured this
-				// session with (which may itself defer to PERM_PARALLELISM
-				// or GOMAXPROCS).
-				n = s.baseParallelism
-			}
-			opts.Parallelism = n
-		}
-		return s.commitOptions(opts)
-	case "trace_sample":
-		v := strings.ToLower(strings.TrimSpace(value))
-		if v == "off" {
-			opts.TraceSample = -1
-		} else {
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				return fmt.Errorf("trace_sample must be a non-negative sampling rate or off, got %q", value)
-			}
-			if n == 0 {
-				// 0 restores the rate the server configured this session
-				// with (which may itself defer to PERM_TRACE_SAMPLE).
-				n = s.baseTraceSample
-			}
-			opts.TraceSample = n
-		}
-		return s.commitOptions(opts)
-	case "statement_timeout":
-		v := strings.ToLower(strings.TrimSpace(value))
-		if v == "off" {
-			opts.StatementTimeout = -1
-			return s.commitOptions(opts)
-		}
-		var d time.Duration
-		if ms, err := strconv.Atoi(v); err == nil {
-			// A bare integer is milliseconds, like PostgreSQL's
-			// statement_timeout.
-			if ms < 0 {
-				return fmt.Errorf("statement_timeout must be a non-negative duration or off, got %q", value)
-			}
-			d = time.Duration(ms) * time.Millisecond
-		} else {
-			pd, err := time.ParseDuration(v)
-			if err != nil || pd < 0 {
-				return fmt.Errorf("statement_timeout must be milliseconds, a duration like 500ms, or off, got %q", value)
-			}
-			d = pd
-		}
-		if d == 0 {
-			// 0 restores the timeout the server configured this session
-			// with (which may itself defer to PERM_STATEMENT_TIMEOUT).
-			d = s.baseStatementTimeout
-		}
-		opts.StatementTimeout = d
-		return s.commitOptions(opts)
-	}
-	if strings.EqualFold(strings.TrimSpace(name), "memory_limit") {
-		n, err := mem.ParseSize(value)
+// settable is every session option SET accepts, with the function that
+// applies a value to an option set. SetOption dispatches on this table
+// and names it in its unknown-option error, so the two cannot disagree.
+// value arrives trimmed and lower-cased.
+var settable = []struct {
+	name string
+	set  func(s *Session, opts *perm.Options, value string) error
+}{
+	{"flatten_setops", boolOption(func(o *perm.Options) *bool { return &o.FlattenSetOps })},
+	{"disable_optimizer", boolOption(func(o *perm.Options) *bool { return &o.DisableOptimizer })},
+	{"disable_vectorized", boolOption(func(o *perm.Options) *bool { return &o.DisableVectorized })},
+	{"disable_query_cache", boolOption(func(o *perm.Options) *bool { return &o.DisableQueryCache })},
+	{"memory_limit", func(s *Session, opts *perm.Options, v string) error {
+		n, err := mem.ParseSize(v)
 		if err != nil {
 			return err
 		}
@@ -336,25 +260,120 @@ func (s *Session) SetOption(name, value string) error {
 			n = s.baseMemLimit
 		}
 		opts.MemoryLimit = n
-	} else {
-		on, err := parseBool(value)
+		return nil
+	}},
+	{"parallelism", func(s *Session, opts *perm.Options, v string) error {
+		if v == "serial" {
+			v = "off"
+		}
+		// 0 restores the worker count the server configured this session
+		// with (which may itself defer to PERM_PARALLELISM or GOMAXPROCS).
+		n, err := countOrOff(v, s.baseParallelism)
+		if err != nil {
+			return fmt.Errorf("parallelism must be a non-negative worker count or off, got %q", v)
+		}
+		opts.Parallelism = n
+		return nil
+	}},
+	{"trace_sample", func(s *Session, opts *perm.Options, v string) error {
+		// 0 restores the rate the server configured this session with
+		// (which may itself defer to PERM_TRACE_SAMPLE).
+		n, err := countOrOff(v, s.baseTraceSample)
+		if err != nil {
+			return fmt.Errorf("trace_sample must be a non-negative sampling rate or off, got %q", v)
+		}
+		opts.TraceSample = n
+		return nil
+	}},
+	{"statement_timeout", func(s *Session, opts *perm.Options, v string) error {
+		var d time.Duration
+		if v == "off" {
+			d = -1
+		} else if ms, err := strconv.Atoi(v); err == nil {
+			// A bare integer is milliseconds, like PostgreSQL's
+			// statement_timeout.
+			if ms < 0 {
+				return fmt.Errorf("statement_timeout must be a non-negative duration or off, got %q", v)
+			}
+			d = time.Duration(ms) * time.Millisecond
+		} else if d, err = time.ParseDuration(v); err != nil || d < 0 {
+			return fmt.Errorf("statement_timeout must be milliseconds, a duration like 500ms, or off, got %q", v)
+		}
+		if d == 0 {
+			// 0 restores the timeout the server configured this session
+			// with (which may itself defer to PERM_STATEMENT_TIMEOUT).
+			d = s.baseStatementTimeout
+		}
+		opts.StatementTimeout = d
+		return nil
+	}},
+}
+
+func boolOption(field func(*perm.Options) *bool) func(*Session, *perm.Options, string) error {
+	return func(_ *Session, opts *perm.Options, v string) error {
+		on, err := parseBool(v)
 		if err != nil {
 			return err
 		}
-		switch strings.ToLower(name) {
-		case "flatten_setops":
-			opts.FlattenSetOps = on
-		case "disable_optimizer":
-			opts.DisableOptimizer = on
-		case "disable_vectorized":
-			opts.DisableVectorized = on
-		case "disable_query_cache":
-			opts.DisableQueryCache = on
-		default:
-			return fmt.Errorf("unknown option %q (have flatten_setops, disable_optimizer, disable_vectorized, disable_query_cache, memory_limit, parallelism, trace_sample)", name)
+		*field(opts) = on
+		return nil
+	}
+}
+
+// countOrOff parses a non-negative count: "off" is -1 (the Options
+// convention for explicitly off) and 0 is base, the server's setting.
+func countOrOff(v string, base int) (int, error) {
+	if v == "off" {
+		return -1, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("not a non-negative count: %q", v)
+	}
+	if n == 0 {
+		n = base
+	}
+	return n, nil
+}
+
+// SetOption changes one session option. Boolean options (value on/off,
+// true/false, 1/0): flatten_setops, disable_optimizer,
+// disable_vectorized, disable_query_cache. memory_limit takes a byte
+// size ("64MiB", "4000000") bounding this session's materializing
+// operators — exhausted budgets spill to disk; "off"/"unlimited" lifts
+// the session limit and "0" restores the limit the server configured
+// this session with. parallelism takes the intra-query worker count (0
+// defers to the server's configuration, 1 or "off" forces serial
+// plans). trace_sample takes N to trace every Nth statement ("off"
+// none, 0 the server's rate). statement_timeout takes a per-statement
+// deadline — a plain integer is milliseconds (PostgreSQL convention),
+// otherwise a Go duration like "1.5s"; "off" disables the deadline and
+// "0" restores the timeout the server configured this session with.
+// Prepared statements are re-prepared under the new options so EXECUTE
+// always honours the session's current settings.
+func (s *Session) SetOption(name, value string) error {
+	// The whole read-modify-commit runs under the session lock (Prepare
+	// only touches shared engine state, never the session, so holding mu
+	// across it is safe): concurrent SetOption calls serialize instead of
+	// losing updates, and no Prepare can interleave between the option
+	// snapshot and the commit.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	key := strings.ToLower(strings.TrimSpace(name))
+	for _, o := range settable {
+		if o.name == key {
+			opts := s.db.Opts()
+			if err := o.set(s, &opts, strings.ToLower(strings.TrimSpace(value))); err != nil {
+				return err
+			}
+			return s.commitOptions(opts)
 		}
 	}
-	return s.commitOptions(opts)
+	names := make([]string, len(settable))
+	for i, o := range settable {
+		names[i] = o.name
+	}
+	return fmt.Errorf("unknown option %q (have %s)", name, strings.Join(names, ", "))
 }
 
 // commitOptions switches the session to a new option set. Everything
@@ -442,7 +461,7 @@ func (s *Session) Run(text string) (*Outcome, error) {
 	case "SET":
 		name, value, ok := splitSet(rest)
 		if !ok {
-			return nil, fmt.Errorf("usage: SET <option> = on|off")
+			return nil, fmt.Errorf("usage: SET <option> = <value>")
 		}
 		if err := s.SetOption(name, value); err != nil {
 			return nil, err

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"perm"
 )
@@ -141,6 +142,37 @@ func TestSetOption(t *testing.T) {
 	}
 	if err := s.SetOption("disable_optimizer", "maybe"); err == nil {
 		t.Fatal("bad boolean must fail")
+	}
+}
+
+// TestSetMessagesNameEveryOption: the unknown-option error lists every
+// name SET accepts — each listed name really is settable — and the usage
+// text does not claim options are on/off only.
+func TestSetMessagesNameEveryOption(t *testing.T) {
+	s := New(testDB(t))
+	err := s.SetOption("nonsense", "on")
+	if err == nil {
+		t.Fatal("unknown option must fail")
+	}
+	accepted := map[string]string{
+		"flatten_setops": "on", "disable_optimizer": "off", "disable_vectorized": "on",
+		"disable_query_cache": "off", "memory_limit": "64MiB", "parallelism": "2",
+		"trace_sample": "off", "statement_timeout": "1500",
+	}
+	for name, value := range accepted {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-option error omits %s: %v", name, err)
+		}
+		if serr := s.SetOption(name, value); serr != nil {
+			t.Errorf("SET %s = %s: %v", name, value, serr)
+		}
+	}
+	if got := s.DB().Opts().StatementTimeout; got != 1500*time.Millisecond {
+		t.Errorf("statement_timeout = %v, want 1.5s", got)
+	}
+	_, err = s.Run(`SET parallelism`)
+	if err == nil || !strings.Contains(err.Error(), "usage: SET") || strings.Contains(err.Error(), "on|off") {
+		t.Errorf("malformed SET: usage = %v, want one that admits valued options", err)
 	}
 }
 

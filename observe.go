@@ -20,9 +20,8 @@ import (
 // to what Query returns, probes forward rows untouched — together with
 // the annotated plan report.
 //
-// Compilation goes through the shared compiled-query cache exactly like
-// Query; only execution differs (the generic row collector is used so
-// the probe on the plan root observes every row).
+// Compilation goes through the shared compiled-query cache and execution
+// through the same drain exactly like Query; only the probes differ.
 func (db *Database) QueryAnalyzed(text string) (*Result, string, error) {
 	stmt, err := sql.Parse(text)
 	if err != nil {
@@ -46,10 +45,12 @@ func (db *Database) ExplainAnalyzeSQL(text string) (string, error) {
 	return report, err
 }
 
-// analyzeSelect compiles (through the cache when cacheText is non-empty),
-// plans, instruments and executes a SELECT, returning the boxed result
-// and the annotated plan. fpText is the statement text fingerprinted in
-// the report footer.
+// analyzeSelect compiles (through the cache when cacheText is non-empty)
+// and runs a SELECT probed, returning the result and the annotated plan.
+// fpText is the statement text fingerprinted in the report footer: plan
+// health is keyed on the bare statement, not the session's
+// EXPLAIN ANALYZE-prefixed text, so estimates and flips join against
+// perm_stat_statements rows for the plain statement.
 func (db *Database) analyzeSelect(sel *sql.SelectStmt, cacheText, fpText string, qr *queryRun) (*Result, string, error) {
 	var q *algebra.Query
 	var ok bool
@@ -63,59 +64,24 @@ func (db *Database) analyzeSelect(sel *sql.SelectStmt, cacheText, fpText string,
 			return nil, "", err
 		}
 	}
-	qr.phase(obs.PhasePlan)
-	planner := db.planner()
-	if qr != nil {
-		planner.SetActivity(qr.aq)
-	}
-	node, err := planner.Plan(q)
-	if err != nil {
-		return nil, "", err
-	}
-	// Key plan health on the bare statement, not the session's
-	// EXPLAIN ANALYZE-prefixed text, so estimates and flips join
-	// against perm_stat_statements rows for the plain statement.
-	norm := qcache.Normalize(fpText)
-	fp := qcache.FingerprintNormalized(norm)
-	db.notePlanHashAs(qr, fp, norm, node)
-	// Instrument after planning (and after parallelize): plan validation
-	// never sees a probe, and worker subtrees stay unwrapped.
-	node = plan.Instrument(node)
-	schema := q.Schema()
-	res := &Result{
-		Columns:     schema.Names(),
-		ProvColumns: make([]bool, len(schema)),
-	}
-	for _, pc := range q.ProvCols {
-		res.ProvColumns[pc.Col] = true
-	}
-	qr.phase(obs.PhaseExecute)
+	key := &stmtKey{norm: qcache.Normalize(fpText)}
+	key.fp = qcache.FingerprintNormalized(key.norm)
 	pre := db.budget.Stats()
-	start := time.Now()
-	rows, err := collectRows(node, qr.activeQuery())
-	total := time.Since(start)
+	r, err := db.openSelect(q, qr, key)
 	if err != nil {
 		return nil, "", err
 	}
-	if qr != nil && qr.trace != nil {
-		for _, sp := range plan.OperatorSpans(node) {
-			qr.trace.Add(sp)
-		}
+	res, err := r.drain()
+	if err != nil {
+		return nil, "", err
 	}
+	total := time.Since(r.start)
 	if qr != nil {
-		db.eng.ests.Observe(fp, norm, plan.OperatorEstimates(node))
+		db.eng.ests.Observe(key.fp, key.norm, plan.OperatorEstimates(r.root))
 	}
 	post := db.budget.Stats()
-	res.Rows = make([][]Value, len(rows))
-	for i, r := range rows {
-		vr := make([]Value, len(r))
-		for j, v := range r {
-			vr[j] = Value{v: v}
-		}
-		res.Rows[i] = vr
-	}
-	report := plan.ExplainAnalyzed(node, total, post.Peak, post.BytesSpilled-pre.BytesSpilled) +
-		"Fingerprint: " + fp + "\n"
+	report := plan.ExplainAnalyzed(r.root, total, post.Peak, post.BytesSpilled-pre.BytesSpilled) +
+		"Fingerprint: " + key.fp + "\n"
 	return res, report, nil
 }
 
@@ -137,22 +103,18 @@ func (db *Database) TopMisestimates(n int) []obs.EstRecord {
 // hashed (qr.fresh): a cache hit replays an artifact whose plan the
 // store already saw, so the hot path never renders a plan. A flip —
 // the same fingerprint compiling to a structurally different plan —
-// bumps perm_plan_flips_total and lands in the engine event log.
-func (db *Database) notePlanHash(qr *queryRun, node exec.Node) {
-	if qr == nil {
-		return
-	}
-	db.notePlanHashAs(qr, qr.aq.Fingerprint, qr.norm, node)
-}
-
-// notePlanHashAs is notePlanHash with an explicit fingerprint and
-// normalized text — analyzeSelect records under the bare statement's
-// identity even when the session ran it as EXPLAIN ANALYZE.
-func (db *Database) notePlanHashAs(qr *queryRun, fp, norm string, node exec.Node) {
+// bumps perm_plan_flips_total and lands in the engine event log. An
+// analyzed statement records under the bare statement's identity even
+// when the session ran it as EXPLAIN ANALYZE.
+func (db *Database) notePlanHash(qr *queryRun, analyzed *stmtKey, node exec.Node) {
 	if qr == nil || !qr.fresh {
 		return
 	}
 	qr.fresh = false
+	fp, norm := qr.aq.Fingerprint, qr.norm
+	if analyzed != nil {
+		fp, norm = analyzed.fp, analyzed.norm
+	}
 	h := plan.Hash(node)
 	old, flipped := db.eng.plans.ObservePlan(fp, norm, h, int64(db.cat.Version()), db.optsKey)
 	if flipped {

@@ -340,3 +340,88 @@ func TestQueryCached(t *testing.T) {
 		t.Fatal("stale artifact still reported as cached after DML")
 	}
 }
+
+// TestOneDrainEveryEntryPoint: Query, a traced Query, QueryAnalyzed,
+// Prepared.Run and a fully fetched Cursor run the same plan through the
+// same drain — byte-identical rows for Q1, Q3, Q10 and their q+ — and
+// the traced and the analyzed run read batches under the root adapter
+// like the plain one: the adapter reports exactly what the probe on its
+// input measured, which a row-at-a-time drain through its own probe
+// never would.
+func TestOneDrainEveryEntryPoint(t *testing.T) {
+	// Unbudgeted whatever the environment says: under injected memory
+	// denials a join may go Grace in one run and not in the next, and q+
+	// rows that tie on the ORDER BY key then come out in another order.
+	db := perm.NewDatabaseWithOptions(perm.Options{TraceSample: -1, MemoryLimit: -1})
+	tpch.MustLoad(db, 0.002, 42)
+	traced := db.WithOptions(perm.Options{TraceSample: 1, MemoryLimit: -1})
+	rng := tpch.NewRand(7)
+	for _, n := range []int{1, 3, 10} {
+		q := tpch.MustQGen(n, rng)
+		for _, text := range []string{q.Text, q.Provenance().Text} {
+			plain := db.MustQuery(text)
+			check := func(how string, res *perm.Result, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s of %q: %v", how, text, err)
+				}
+				if got, want := res.String(), plain.String(); got != want {
+					t.Fatalf("%s of %q differs from Query:\n%s\nvs\n%s", how, text, got, want)
+				}
+			}
+
+			res, err := traced.Query(text)
+			check("traced Query", res, err)
+			id := traced.LastQueryInfo().ID
+			spans := db.MustQuery(fmt.Sprintf(
+				`SELECT span, depth, duration_ms, rows_emitted FROM perm_traces WHERE query_id = '%s' AND depth >= 1`, id)).Rows
+			if len(spans) < 2 || spans[0][0].String() != "BatchToRow" || spans[1][1].Int() != 2 {
+				t.Fatalf("traced %q: operator spans start %v, want the root adapter and its input", text, spans)
+			}
+			if spans[0][2].Float() != spans[1][2].Float() || spans[0][3].Int() != int64(len(plain.Rows)) {
+				t.Errorf("traced %q: root adapter span (%v ms, %v rows) is not its input's (%v ms) over %d rows: drained row by row?",
+					text, spans[0][2], spans[0][3], spans[1][2], len(plain.Rows))
+			}
+
+			res, report, err := db.QueryAnalyzed(text)
+			check("QueryAnalyzed", res, err)
+			lines := strings.SplitN(report, "\n", 3)
+			var rootTime, inTime string
+			var inRows, inBatches int
+			if _, err := fmt.Sscanf(lines[0], "BatchToRow (actual time=%s", &rootTime); err != nil {
+				t.Fatalf("analyzed %q: root line %q", text, lines[0])
+			}
+			annot := lines[1][strings.Index(lines[1], "(actual"):]
+			if _, err := fmt.Sscanf(annot, "(actual time=%s rows=%d batches=%d", &inTime, &inRows, &inBatches); err != nil {
+				t.Fatalf("analyzed %q: input line %q: %v", text, lines[1], err)
+			}
+			if rootTime != inTime || inRows != len(plain.Rows) || (inBatches == 0 && inRows > 0) {
+				t.Errorf("analyzed %q: root adapter time=%s over input time=%s rows=%d batches=%d (%d result rows): drained row by row?",
+					text, rootTime, inTime, inRows, inBatches, len(plain.Rows))
+			}
+
+			p, err := db.Prepare(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err = p.Run()
+			check("Prepared.Run", res, err)
+			cur, err := p.Start()
+			if err != nil {
+				t.Fatal(err)
+			}
+			fetched := &perm.Result{Columns: cur.Columns(), ProvColumns: cur.ProvColumns()}
+			for {
+				rows, err := cur.Fetch(1000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rows) == 0 {
+					break
+				}
+				fetched.Rows = append(fetched.Rows, rows...)
+			}
+			check("Cursor", fetched, cur.Close())
+		}
+	}
+}

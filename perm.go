@@ -72,16 +72,21 @@ type Database struct {
 	budget *mem.Budget
 	// eng is the shared introspection core (query IDs, tracer, active
 	// queries, statement statistics); sessionID identifies this handle in
-	// perm_stat_activity, traceEvery is the resolved sampling rate, and
-	// lastQ records the most recent statement for log correlation.
-	eng        *engineCore
-	sessionID  int64
-	traceEvery int
-	// stmtTimeout is the resolved statement timeout (0 = none); every
-	// statement this handle begins arms a deadline that triggers the
-	// cooperative cancellation path.
+	// perm_stat_activity and lastQ records the most recent statement for
+	// log correlation.
+	eng       *engineCore
+	sessionID int64
+	lastQ     atomic.Pointer[QueryInfo]
+	// The settings that may defer to a PERM_* environment variable,
+	// resolved once when the handle is made: the trace sampling rate, the
+	// statement timeout (0 = none; every statement this handle begins arms
+	// a deadline that triggers the cooperative cancellation path), the
+	// intra-query worker count and the spill directory. The memory limit
+	// is resolved into budget.
+	traceEvery  int
 	stmtTimeout time.Duration
-	lastQ       atomic.Pointer[QueryInfo]
+	parallelism int
+	spillDir    string
 }
 
 // Options configure a Database.
@@ -228,20 +233,13 @@ func NewDatabase() *Database { return NewDatabaseWithOptions(Options{}) }
 
 // NewDatabaseWithOptions returns an empty database.
 func NewDatabaseWithOptions(opts Options) *Database {
-	gov := mem.NewGovernor(0)
-	eng := newEngineCore()
-	db := &Database{
-		cat:         catalog.New(),
-		opts:        opts,
-		cache:       qcache.New(opts.QueryCacheSize),
-		optsKey:     optionsFingerprint(opts),
-		gov:         gov,
-		budget:      gov.Session(effectiveMemoryLimit(opts)),
-		eng:         eng,
-		sessionID:   eng.sessionSeq.Add(1),
-		traceEvery:  effectiveTraceSample(opts),
-		stmtTimeout: effectiveStatementTimeout(opts),
+	shared := &Database{
+		cat:   catalog.New(),
+		cache: qcache.New(opts.QueryCacheSize),
+		gov:   mem.NewGovernor(0),
+		eng:   newEngineCore(),
 	}
+	db := shared.WithOptions(opts)
 	registerSystemViews(db)
 	return db
 }
@@ -270,6 +268,8 @@ func (db *Database) WithOptionsSameSession(opts Options) *Database {
 	return d
 }
 
+// withOptions is the one place options (and the PERM_* variables they
+// defer to) are resolved; statements read the handle's fields only.
 func (db *Database) withOptions(opts Options) *Database {
 	return &Database{
 		cat:         db.cat,
@@ -281,6 +281,8 @@ func (db *Database) withOptions(opts Options) *Database {
 		eng:         db.eng,
 		traceEvery:  effectiveTraceSample(opts),
 		stmtTimeout: effectiveStatementTimeout(opts),
+		parallelism: effectiveParallelism(opts),
+		spillDir:    spill.ResolveDir(opts.SpillDir),
 	}
 }
 
@@ -512,7 +514,7 @@ func (db *Database) Query(text string) (*Result, error) {
 
 func (db *Database) query(text string, qr *queryRun) (*Result, error) {
 	if q, ok := db.cacheGet(text); ok {
-		return db.executeCompiled(q, "", qr)
+		return db.execute(q, qr)
 	}
 	qr.phase(obs.PhaseParse)
 	stmt, err := sql.Parse(text)
@@ -524,7 +526,7 @@ func (db *Database) query(text string, qr *queryRun) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return db.executeCompiled(q, "", qr)
+		return db.execute(q, qr)
 	}
 	_, res, err := db.run(stmt, text, qr)
 	if err != nil {
@@ -570,125 +572,142 @@ func (db *Database) compileSelect(sel *sql.SelectStmt, text string, qr *queryRun
 	return q, nil
 }
 
-// executeCompiled plans and runs a compiled query tree. The artifact is
-// shared read-only: all per-execution state (the physical plan, its data
-// snapshots and iterator state) is private to this call.
-func (db *Database) executeCompiled(q *algebra.Query, into string, qr *queryRun) (*Result, error) {
+// selectRun is an open SELECT: the one path a compiled statement takes
+// from plan to rows, whoever runs it — Query and Exec drain it at once,
+// a Cursor steps it as rows are fetched, EXPLAIN ANALYZE drains it probed
+// and renders what the probes saw. The compiled artifact is shared
+// read-only; all per-execution state (the physical plan, its data
+// snapshots and iterator state) lives here.
+type selectRun struct {
+	qr  *queryRun
+	res *Result // columns now, rows as drain collects them
+	// root is the plan root; batches is the batch plan under it when the
+	// plan is vectorized to the root, which then is a single batch→row
+	// adapter: result values box straight out of the column vectors
+	// instead of through intermediate rows.
+	root    exec.Node
+	batches vexec.Node
+	trace   *obs.Trace // non-nil: close harvests the probes into it
+	start   time.Time
+	rows    []types.Row // step's scratch on the row engine
+}
+
+// stmtKey identifies a statement in the plan-health stores.
+type stmtKey struct{ fp, norm string }
+
+// openSelect plans a compiled query tree, instruments the plan when the
+// statement is sampled for tracing or analyzed (a non-nil key: the
+// identity EXPLAIN ANALYZE reports plan health under), and opens it.
+func (db *Database) openSelect(q *algebra.Query, qr *queryRun, analyzed *stmtKey) (*selectRun, error) {
 	qr.phase(obs.PhasePlan)
-	planner := db.planner()
-	if qr != nil {
-		planner.SetActivity(qr.aq)
-	}
-	node, err := planner.Plan(q)
+	root, err := db.planner().SetActivity(qr.activeQuery()).Plan(q)
 	if err != nil {
 		return nil, err
 	}
-	db.notePlanHash(qr, node)
+	db.notePlanHash(qr, analyzed, root)
 	schema := q.Schema()
-	res := &Result{
-		Columns:     schema.Names(),
-		ProvColumns: make([]bool, len(schema)),
+	r := &selectRun{
+		qr:   qr,
+		res:  &Result{Columns: schema.Names(), ProvColumns: make([]bool, len(schema))},
+		root: root,
 	}
 	for _, pc := range q.ProvCols {
-		res.ProvColumns[pc.Col] = true
+		r.res.ProvColumns[pc.Col] = true
+	}
+	if qr != nil {
+		r.trace = qr.trace
+	}
+	rs, vectorized := root.(*vexec.RowSource)
+	if analyzed != nil || r.trace != nil {
+		// Every operator gets an EXPLAIN ANALYZE probe (they forward batches
+		// and rows by pointer, so execution stays byte-identical) except a
+		// root adapter, which reports from the probe on its input: traced
+		// and analyzed statements run the very loop plain ones do.
+		// Instrumenting after planning (and after parallelize) means plan
+		// validation never sees a probe and worker subtrees stay unwrapped.
+		if probed := plan.Instrument(root); !vectorized {
+			r.root = probed
+		}
+	}
+	if vectorized {
+		r.batches = rs.Input
 	}
 	qr.phase(obs.PhaseExecute)
-	// A sampled query gets per-operator child spans: instrument the tree
-	// with the EXPLAIN ANALYZE probes (which forward batches and rows by
-	// pointer, so execution stays byte-identical) and harvest their
-	// measurements into the trace afterwards.
-	traced := qr != nil && qr.trace != nil
-	if traced {
-		node = plan.Instrument(node)
-	}
-	aq := qr.activeQuery()
-	// A fully vectorized plan ends in a single batch→row adapter; read
-	// the batches underneath it directly so result values box straight
-	// out of the column vectors instead of through intermediate rows.
-	if rs, ok := node.(*vexec.RowSource); ok && into == "" {
-		res.Rows, err = collectBatchValues(rs.Input, aq)
-		if err != nil {
-			return nil, err
-		}
-		return res, nil
-	}
-	rows, err := collectRows(node, aq)
-	if traced && err == nil {
-		for _, sp := range plan.OperatorSpans(node) {
-			qr.trace.Add(sp)
-		}
-	}
-	if err != nil {
+	r.start = time.Now()
+	if err := r.root.Open(); err != nil {
 		return nil, err
 	}
-	res.Rows = boxRows(nil, rows)
-	if into != "" {
-		if err := db.materialize(into, schema, rows); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
+	return r, nil
 }
 
-// collectRows drains a row plan like exec.Collect, additionally feeding
-// emitted-row progress and cancellation checks to the active-query
-// record at batch-sized strides.
-func collectRows(n exec.Node, aq *obs.ActiveQuery) ([]types.Row, error) {
-	if aq == nil {
-		return exec.Collect(n)
-	}
-	if err := n.Open(); err != nil {
-		return nil, err
-	}
-	defer n.Close()
-	var rows []types.Row
-	pending := int64(0)
-	for {
-		r, err := n.Next()
-		if err != nil {
-			return nil, err
-		}
-		if r == nil {
-			aq.AddRows(pending)
-			return rows, nil
-		}
-		rows = append(rows, r)
-		if pending++; pending == 1024 {
-			aq.AddRows(pending)
-			pending = 0
-			if err := aq.CancelErr(); err != nil {
-				return nil, err
-			}
-		}
-	}
-}
+// rowStride is how many rows step pulls from a row-engine plan at a time.
+const rowStride = 1024
 
-// collectBatchValues drains a vectorized plan into result rows, boxing
-// each batch into one slab of values. Per batch it feeds emitted-row
-// progress and a cancellation check to the active-query record (one
-// atomic add and one atomic load per batch).
-func collectBatchValues(in vexec.Node, aq *obs.ActiveQuery) ([][]Value, error) {
-	if err := in.Open(); err != nil {
-		return nil, err
-	}
-	defer in.Close()
-	var out [][]Value
-	for {
-		b, err := in.Next()
-		if err != nil {
-			return nil, err
+// step boxes the plan's next batch (on the row engine, its next rowStride
+// rows) onto out; more is false once the plan is exhausted. Per batch it
+// feeds emitted-row progress and a cancellation check to the active-query
+// record (one atomic add and one atomic load).
+func (r *selectRun) step(out [][]Value) (_ [][]Value, more bool, err error) {
+	aq := r.qr.activeQuery()
+	if r.batches != nil {
+		b, err := r.batches.Next()
+		if err != nil || b == nil {
+			return out, false, err
 		}
-		if b == nil {
-			return out, nil
-		}
-		if aq != nil {
-			if err := aq.CancelErr(); err != nil {
-				return nil, err
-			}
+		if err := aq.CancelErr(); err != nil {
+			return out, false, err
 		}
 		out = boxBatch(out, b)
 		aq.AddRows(int64(b.Live()))
+		return out, true, nil
 	}
+	r.rows = r.rows[:0]
+	for len(r.rows) < rowStride {
+		row, err := r.root.Next()
+		if err != nil {
+			return out, false, err
+		}
+		if row == nil {
+			break
+		}
+		r.rows = append(r.rows, row)
+	}
+	out = boxRows(out, r.rows)
+	aq.AddRows(int64(len(r.rows)))
+	return out, len(r.rows) == rowStride, aq.CancelErr()
+}
+
+// close releases the plan. After a complete run (err == nil) of a traced
+// statement it first harvests the probes into per-operator child spans.
+func (r *selectRun) close(err error) error {
+	if err == nil && r.trace != nil {
+		for _, sp := range plan.OperatorSpans(r.root) {
+			r.trace.Add(sp)
+		}
+	}
+	return r.root.Close()
+}
+
+// drain steps the plan to the end and returns the result.
+func (r *selectRun) drain() (*Result, error) {
+	for more := true; more; {
+		var err error
+		if r.res.Rows, more, err = r.step(r.res.Rows); err != nil {
+			_ = r.close(err) // the step's error is the one to report
+			return nil, err
+		}
+	}
+	_ = r.close(nil) // every row is out: nothing a failing Close could take back
+	return r.res, nil
+}
+
+// execute plans and runs a compiled query tree to the end.
+func (db *Database) execute(q *algebra.Query, qr *queryRun) (*Result, error) {
+	r, err := db.openSelect(q, qr, nil)
+	if err != nil {
+		return nil, err
+	}
+	return r.drain()
 }
 
 // MustQuery is Query that panics on error.
@@ -743,8 +762,8 @@ func (db *Database) ExplainSQL(text string) (string, error) {
 func (db *Database) planner() *plan.Planner {
 	return plan.New(db.cat).
 		SetVectorized(!db.opts.DisableVectorized).
-		SetResources(db.budget, spill.ResolveDir(db.opts.SpillDir)).
-		SetParallelism(effectiveParallelism(db.opts))
+		SetResources(db.budget, db.spillDir).
+		SetParallelism(db.parallelism)
 }
 
 // envParWarn makes sure a malformed PERM_PARALLELISM is reported exactly
@@ -846,36 +865,6 @@ func (s catalogStats) TableRows(name string) (float64, bool) {
 	return t.Stats().Rows, true
 }
 
-// CompileOnly parses and analyzes a query without the provenance rewrite
-// (used by the compilation-overhead benchmark, Fig. 9).
-func (db *Database) CompileOnly(text string) error {
-	stmt, err := sql.Parse(text)
-	if err != nil {
-		return err
-	}
-	sel, ok := stmt.(*sql.SelectStmt)
-	if !ok {
-		return fmt.Errorf("not a SELECT statement")
-	}
-	_, err = db.analyzer().AnalyzeSelect(sel)
-	return err
-}
-
-// CompileWithRewrite parses, analyzes and provenance-rewrites a query
-// without executing it (Fig. 9's provenance-enabled compilation path).
-func (db *Database) CompileWithRewrite(text string) error {
-	stmt, err := sql.Parse(text)
-	if err != nil {
-		return err
-	}
-	sel, ok := stmt.(*sql.SelectStmt)
-	if !ok {
-		return fmt.Errorf("not a SELECT statement")
-	}
-	_, err = db.analyzeAndRewrite(sel)
-	return err
-}
-
 // run executes one parsed statement. It returns rows-affected (DML) and a
 // result (queries).
 func (db *Database) run(stmt sql.Statement, text string, qr *queryRun) (int, *Result, error) {
@@ -957,11 +946,18 @@ func (db *Database) runSelect(sel *sql.SelectStmt, qr *queryRun) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	return db.executeCompiled(q, into, qr)
+	res, err := db.execute(q, qr)
+	if err == nil && into != "" {
+		err = db.materialize(into, q.Schema(), res.Rows)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // materialize stores a result as a new base table (SELECT ... INTO).
-func (db *Database) materialize(name string, schema algebra.Schema, rows []types.Row) error {
+func (db *Database) materialize(name string, schema algebra.Schema, rows [][]Value) error {
 	cols := make([]catalog.Column, len(schema))
 	seen := make(map[string]int)
 	for i, c := range schema {
@@ -981,7 +977,7 @@ func (db *Database) materialize(name string, schema algebra.Schema, rows []types
 		return err
 	}
 	for _, r := range rows {
-		if err := t.Heap.Insert(r.Clone()); err != nil {
+		if err := t.Heap.Insert(types.Row(rawRow(r)).Clone()); err != nil {
 			return err
 		}
 	}

@@ -5,10 +5,7 @@ import (
 	"sync"
 
 	"perm/internal/algebra"
-	"perm/internal/exec"
 	"perm/internal/sql"
-	"perm/internal/types"
-	"perm/internal/vexec"
 )
 
 // Prepared is a prepared SELECT statement: the statement is parsed and
@@ -93,7 +90,7 @@ func (p *Prepared) Run() (*Result, error) {
 		return nil, err
 	}
 	qr := p.db.beginQuery(p.text)
-	res, err := p.db.executeCompiled(q, "", qr)
+	res, err := p.db.execute(q, qr)
 	qr.finish(err)
 	return res, err
 }
@@ -107,38 +104,30 @@ func (p *Prepared) Start() (*Cursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	node, err := p.db.planner().Plan(q)
+	qr := p.db.beginQuery(p.text)
+	run, err := p.db.openSelect(q, qr, nil)
 	if err != nil {
+		qr.finish(err)
 		return nil, err
 	}
-	if err := node.Open(); err != nil {
-		return nil, err
-	}
-	schema := q.Schema()
-	prov := make([]bool, len(schema))
-	for _, pc := range q.ProvCols {
-		prov[pc.Col] = true
-	}
-	c := &Cursor{node: node, cols: schema.Names(), prov: prov}
-	// A fully vectorized plan ends in a batch→row adapter: read the
-	// batches underneath it, like Query does.
-	if rs, ok := node.(*vexec.RowSource); ok {
-		c.batches = rs.Input
-	}
-	return c, nil
+	return &Cursor{run: run, cols: run.res.Columns, prov: run.res.ProvColumns}, nil
 }
 
 // Cursor is an open portal: an executing plan from which rows are pulled
 // in batches. A Cursor is single-consumer (it holds volcano iterator
 // state) and must be Closed when done.
+//
+// An open cursor is a running statement, from Start until its last row
+// is fetched, a Fetch fails, or Close: it has a query ID, shows in
+// perm_stat_activity, counts once in perm_stat_statements, and CANCEL
+// makes its next Fetch fail with the structured cancellation error. An
+// armed statement_timeout covers that whole span, the time the consumer
+// spends between fetches included.
 type Cursor struct {
-	node    exec.Node
-	batches vexec.Node // non-nil: the vectorized plan under node
+	run     *selectRun // nil once the statement has ended
 	pending [][]Value  // boxed rows of the last batch not yet fetched
 	cols    []string
 	prov    []bool
-	done    bool
-	closed  bool
 }
 
 // Columns returns the output column names.
@@ -151,26 +140,20 @@ func (c *Cursor) ProvColumns() []bool { return c.prov }
 // an empty slice once the cursor is exhausted.
 func (c *Cursor) Fetch(max int) ([][]Value, error) {
 	var out [][]Value
-	if c.closed {
-		return out, nil
-	}
-	if c.batches == nil {
-		return c.fetchRows(max)
-	}
 	for max <= 0 || len(out) < max {
 		if len(c.pending) == 0 {
-			if c.done {
+			if c.run == nil {
 				break
 			}
-			b, err := c.batches.Next()
+			var more bool
+			var err error
+			c.pending, more, err = c.run.step(nil)
+			if err != nil || !more {
+				_ = c.end(err) // a step error, if any, is the one to report
+			}
 			if err != nil {
 				return out, err
 			}
-			if b == nil {
-				c.done = true
-				break
-			}
-			c.pending = boxBatch(nil, b)
 		}
 		take := len(c.pending)
 		if max > 0 && take > max-len(out) {
@@ -182,30 +165,22 @@ func (c *Cursor) Fetch(max int) ([][]Value, error) {
 	return out, nil
 }
 
-// fetchRows is Fetch over a row plan: the rows pulled by one call are
-// copied into one slab.
-func (c *Cursor) fetchRows(max int) ([][]Value, error) {
-	var rows []types.Row
-	var err error
-	for !c.done && (max <= 0 || len(rows) < max) {
-		var r types.Row
-		if r, err = c.node.Next(); err != nil {
-			break
-		}
-		if r == nil {
-			c.done = true
-			break
-		}
-		rows = append(rows, r)
-	}
-	return boxRows(nil, rows), err
-}
-
-// Close releases the cursor's plan. It is idempotent.
-func (c *Cursor) Close() error {
-	if c.closed {
+// end finishes the cursor's statement, once: the plan is closed and the
+// statement leaves perm_stat_activity for perm_stat_statements.
+func (c *Cursor) end(err error) error {
+	if c.run == nil {
 		return nil
 	}
-	c.closed = true
-	return c.node.Close()
+	run := c.run
+	c.run = nil
+	cerr := run.close(err)
+	run.qr.finish(err)
+	return cerr
+}
+
+// Close releases the cursor's plan and drops rows not yet fetched. It is
+// idempotent.
+func (c *Cursor) Close() error {
+	c.pending = nil
+	return c.end(nil)
 }

@@ -12,8 +12,10 @@ import (
 	"perm"
 	"perm/internal/fault"
 	"perm/internal/obs"
+	"perm/internal/qcache"
 	"perm/internal/session"
 	"perm/internal/spill"
+	"perm/internal/tpch"
 )
 
 // leakCheck snapshots the goroutine count and fails the test if more
@@ -378,4 +380,166 @@ func TestRobustnessMetricsExposed(t *testing.T) {
 			t.Errorf("perm_metrics rows for %s = %s, want 1", name, got)
 		}
 	}
+}
+
+// cursorQueryID finds the open statement running text in
+// perm_stat_activity ("" when there is none).
+func cursorQueryID(t *testing.T, observer *perm.Database, text string) string {
+	t.Helper()
+	res, err := observer.Query(`SELECT query_id, query FROM perm_stat_activity`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range res.Rows {
+		if row[1].String() == text {
+			return row[0].String()
+		}
+	}
+	return ""
+}
+
+// statementCalls returns (calls, errors) of text in perm_stat_statements.
+func statementCalls(t *testing.T, observer *perm.Database, text string) (calls, errs int64) {
+	t.Helper()
+	res, err := observer.Query(`SELECT fingerprint, calls, errors FROM perm_stat_statements`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range res.Rows {
+		if row[0].String() == qcache.Fingerprint(text) {
+			return row[1].Int(), row[2].Int()
+		}
+	}
+	return 0, 0
+}
+
+// TestCursorIsAStatement: an open cursor is a running statement from
+// Start to exhaustion, failure or Close — registered in
+// perm_stat_activity under a query ID, cancellable, covered by the
+// statement timeout, counted once in perm_stat_statements — and leaves
+// neither reservations nor goroutines behind, in serial, parallel and
+// spilling plans.
+func TestCursorIsAStatement(t *testing.T) {
+	// lineitem × lineitem at SF 0.002: 1.4e8 pairs, far more than a
+	// Fetch completes before the cancel or the deadline is observed.
+	const join = `select a.l_orderkey, b.l_orderkey from lineitem a, lineitem b where a.l_quantity + b.l_quantity > 1`
+	base := perm.NewDatabaseWithOptions(perm.Options{Parallelism: -1, SpillDir: t.TempDir()})
+	tpch.MustLoad(base, 0.002, 42)
+	observer := base.WithOptions(base.Opts())
+	with := func(change func(*perm.Options)) *perm.Database {
+		o := base.Opts()
+		change(&o)
+		return base.WithOptions(o)
+	}
+	idle := func(t *testing.T, db *perm.Database) {
+		t.Helper()
+		if id := cursorQueryID(t, observer, join); id != "" {
+			t.Errorf("statement %s still in perm_stat_activity", id)
+		}
+		if inUse := db.SessionQueryStats().MemoryInUse; inUse != 0 {
+			t.Errorf("reserved memory after the cursor ended = %d, want 0", inUse)
+		}
+	}
+
+	for _, cfg := range []struct {
+		name string
+		db   *perm.Database
+	}{
+		{"serial", base},
+		{"parallel", with(func(o *perm.Options) { o.Parallelism = 4 })},
+		{"spilling", with(func(o *perm.Options) { o.MemoryLimit = 64 << 10 })},
+	} {
+		t.Run("cancel/"+cfg.name, func(t *testing.T) {
+			leakCheck(t)
+			p, err := cfg.db.Prepare(join)
+			if err != nil {
+				t.Fatal(err)
+			}
+			calls0, errs0 := statementCalls(t, observer, join)
+			cur, err := p.Start()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cur.Close()
+			if rows, err := cur.Fetch(10); err != nil || len(rows) != 10 {
+				t.Fatalf("Fetch(10) = %d rows, %v", len(rows), err)
+			}
+			id := cursorQueryID(t, observer, join)
+			if id == "" {
+				t.Fatal("open cursor is absent from perm_stat_activity")
+			}
+			if err := observer.Cancel(id); err != nil {
+				t.Fatalf("Cancel(%s): %v", id, err)
+			}
+			_, err = cur.Fetch(0)
+			var qe *obs.QueryError
+			if !errors.As(err, &qe) || qe.Code != obs.CodeCancelled || qe.QueryID != id {
+				t.Fatalf("Fetch after CANCEL %s: %v, want the structured cancelled error", id, err)
+			}
+			if rows, err := cur.Fetch(0); err != nil || len(rows) != 0 {
+				t.Fatalf("Fetch after the cursor failed = %d rows, %v; want none", len(rows), err)
+			}
+			for i := 0; i < 2; i++ {
+				if err := cur.Close(); err != nil {
+					t.Fatalf("Close #%d: %v", i+1, err)
+				}
+			}
+			idle(t, cfg.db)
+			calls, errs := statementCalls(t, observer, join)
+			if calls-calls0 != 1 || errs-errs0 != 1 {
+				t.Errorf("perm_stat_statements moved by %d calls, %d errors; want 1, 1 (finish exactly once)",
+					calls-calls0, errs-errs0)
+			}
+		})
+	}
+
+	t.Run("exhausted", func(t *testing.T) {
+		const q = `select n_name from nation order by n_name`
+		p, err := base.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, err := p.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cursorQueryID(t, observer, q) == "" {
+			t.Fatal("open cursor is absent from perm_stat_activity")
+		}
+		if rows, err := cur.Fetch(0); err != nil || len(rows) != 25 {
+			t.Fatalf("Fetch(0) = %d rows, %v; want 25", len(rows), err)
+		}
+		if id := cursorQueryID(t, observer, q); id != "" {
+			t.Errorf("exhausted cursor %s still in perm_stat_activity", id)
+		}
+		if err := cur.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if calls, errs := statementCalls(t, observer, q); calls != 1 || errs != 0 {
+			t.Errorf("perm_stat_statements: %d calls, %d errors; want 1, 0", calls, errs)
+		}
+	})
+
+	t.Run("timeout", func(t *testing.T) {
+		leakCheck(t)
+		db := with(func(o *perm.Options) { o.StatementTimeout = 200 * time.Millisecond })
+		p, err := db.Prepare(join)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, err := p.Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cur.Close()
+		// The deadline runs from Start, through the time the consumer
+		// takes between fetches.
+		time.Sleep(300 * time.Millisecond)
+		_, err = cur.Fetch(0)
+		var qe *obs.QueryError
+		if !errors.As(err, &qe) || qe.Code != obs.CodeTimeout {
+			t.Fatalf("Fetch past the statement timeout: %v, want the structured timeout error", err)
+		}
+		idle(t, db)
+	})
 }
