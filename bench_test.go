@@ -167,6 +167,13 @@ const (
 	allocBudgetPerParallelDrain = 480
 )
 
+// allocBudgetPerCompile bounds the allocations of compiling and planning
+// one q+ of the two shapes that are most of synth_compile's time: what was
+// measured (setop10 9,980, agg10 7,836) plus 20 %. With relation sets as a
+// map per call and an optimizer pass per nesting level they cost 15,268
+// and 23,930.
+var allocBudgetPerCompile = map[string]float64{"setop": 11976, "agg": 9403}
+
 // BenchmarkAllocBudget asserts that the batch-buffer pool keeps a
 // vectorized pipeline's steady-state allocation rate flat, serial and
 // behind an exchange, so a regression in the recycling protocol fails
@@ -223,4 +230,20 @@ func BenchmarkAllocBudget(b *testing.B) {
 	}
 	exchange := vexec.NewExchange(replicas, drivers, srcs, vexec.NewMorsels(n))
 	b.Run("parallel-exchange", guard(exchange, allocBudgetPerParallelDrain))
+
+	// A plan-cache miss: what Prepare does to a statement text, then Plan.
+	cat := compileCatalog(b, 0.0002)
+	for shape, budget := range allocBudgetPerCompile {
+		text := compileShape(shape, 10, 40)
+		b.Run("compile/"+shape+"10", func(b *testing.B) {
+			allocs := testing.AllocsPerRun(5, func() { compileAndPlan(b, cat, text) })
+			b.ReportMetric(allocs, "allocs/compile")
+			if allocs > budget {
+				b.Fatalf("compile + plan allocated %.0f times (budget %.0f): per-call relation sets or per-pass optimizer work are back", allocs, budget)
+			}
+			for i := 0; i < b.N; i++ {
+				compileAndPlan(b, cat, text)
+			}
+		})
+	}
 }

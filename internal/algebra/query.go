@@ -676,14 +676,14 @@ func AndAll(es []Expr) Expr {
 }
 
 // VarsUsed collects the distinct RT indices referenced by the expression.
-func VarsUsed(e Expr) map[int]bool {
-	m := make(map[int]bool)
+func VarsUsed(e Expr) Bits {
+	var s Bits
 	WalkExpr(e, func(x Expr) {
 		if v, ok := x.(*Var); ok {
-			m[v.RT] = true
+			s.Add(v.RT)
 		}
 	})
-	return m
+	return s
 }
 
 // CopyQuery deep-copies a query node, including range-table subqueries.

@@ -61,22 +61,15 @@ func SubstituteVars(e Expr, repl func(*Var) Expr) Expr {
 }
 
 // ColumnUses records which columns of each range-table entry the query's
-// own expressions reference, keyed by range-table index. Sentinel indices
-// (output and flat references, RT < 0) are excluded.
-func (q *Query) ColumnUses() map[int]map[int]bool {
-	uses := make(map[int]map[int]bool)
+// own expressions reference, indexed by range-table position. Sentinel
+// indices (output and flat references, RT < 0) are excluded.
+func (q *Query) ColumnUses() []Bits {
+	uses := make([]Bits, len(q.RangeTable))
 	q.VisitExprs(func(e Expr) {
 		WalkExpr(e, func(x Expr) {
-			v, ok := x.(*Var)
-			if !ok || v.RT < 0 {
-				return
+			if v, ok := x.(*Var); ok && v.RT >= 0 && v.RT < len(uses) {
+				uses[v.RT].Add(v.Col)
 			}
-			m := uses[v.RT]
-			if m == nil {
-				m = make(map[int]bool)
-				uses[v.RT] = m
-			}
-			m[v.Col] = true
 		})
 	})
 	return uses
@@ -84,10 +77,10 @@ func (q *Query) ColumnUses() map[int]map[int]bool {
 
 // FromRTs collects into out the range-table indices referenced by the
 // from-item tree.
-func FromRTs(fi FromItem, out map[int]bool) {
+func FromRTs(fi FromItem, out *Bits) {
 	switch n := fi.(type) {
 	case *FromRef:
-		out[n.RT] = true
+		out.Add(n.RT)
 	case *FromJoin:
 		FromRTs(n.Left, out)
 		FromRTs(n.Right, out)

@@ -28,6 +28,12 @@ type Analyzer struct {
 	// provenance attributes are resolvable by name in enclosing queries
 	// (the analyzer changes §IV-B describes).
 	RewriteOpts provrewrite.Options
+
+	// lifted holds the leaf statements whose PROVENANCE keyword a
+	// set-operation statement now under analysis has taken for itself. The
+	// parse tree is not the analyzer's to change: a view's definition is
+	// analysed again at every use.
+	lifted map[*sql.SelectStmt]bool
 }
 
 // New returns an analyzer over the given catalog.
@@ -112,8 +118,12 @@ func (a *Analyzer) analyzeSetOp(stmt *sql.SelectStmt, outer *scope) (*algebra.Qu
 	// marks the whole set-operation statement for rewriting, as in the
 	// PostgreSQL prototype where the flag sits on the statement's query
 	// node (§IV-B3).
-	if lm := leftmostLeafStmt(stmt); lm != nil && lm.Provenance {
-		lm.Provenance = false
+	if lm := leftmostLeafStmt(stmt); lm != nil && lm.Provenance && !a.lifted[lm] {
+		if a.lifted == nil {
+			a.lifted = make(map[*sql.SelectStmt]bool)
+		}
+		a.lifted[lm] = true
+		defer delete(a.lifted, lm)
 		q.ProvenanceRequested = true
 	}
 	// The top-level operation is split manually (its ORDER BY/LIMIT belong
@@ -275,7 +285,7 @@ func firstLeaf(item algebra.SetOpItem) *algebra.SetOpLeaf {
 func (a *Analyzer) analyzePlain(stmt *sql.SelectStmt, outer *scope) (*algebra.Query, error) {
 	q := &algebra.Query{
 		Distinct:            stmt.Distinct,
-		ProvenanceRequested: stmt.Provenance,
+		ProvenanceRequested: stmt.Provenance && !a.lifted[stmt],
 	}
 	sc := &scope{outer: outer}
 

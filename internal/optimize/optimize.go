@@ -5,7 +5,9 @@
 // rewrite rules deliberately produce — the paper (§VI) relies on the
 // PostgreSQL optimizer to flatten exactly these shapes before execution.
 //
-// Rules, applied to a fixpoint:
+// One bottom-up worklist drives the rules to a fixpoint: subqueries first,
+// and a node again only when it, one of its subqueries or a subquery's
+// estimate changed, so the work is proportional to the tree. Rules:
 //
 //   - Subquery unnesting: a range-table subquery that is a plain
 //     select-project-join block is merged into its parent by substituting
@@ -36,10 +38,6 @@ import (
 // that reference a query's own output columns (ORDER BY positions).
 const outputRT = -1
 
-// maxPasses bounds the fixpoint iteration; each rule strictly shrinks the
-// tree, so real queries converge in a handful of passes.
-const maxPasses = 32
-
 // Stats provides optional base-table cardinalities for the join-tree
 // canonicalization. When present, the implicit join list of every plain
 // block is ordered by estimated cardinality (smallest first) instead of
@@ -60,67 +58,105 @@ func QueryWithStats(q *algebra.Query, st Stats) *algebra.Query {
 	if q == nil {
 		return nil
 	}
-	for pass := 0; pass < maxPasses; pass++ {
-		var changed bool
-		q, changed = optimizeNode(q, st)
-		if !changed {
-			break
-		}
+	o := &optimizer{st: st, visited: make(map[*algebra.Query]openWork), cards: make(map[*algebra.Query]float64)}
+	for open := true; open; {
+		q, _, open = o.visit(q)
 	}
 	return q
 }
 
-// optimizeNode runs one bottom-up pass over the node: children first,
-// then the local rules. It returns the possibly replaced node.
-func optimizeNode(q *algebra.Query, st Stats) (*algebra.Query, bool) {
-	changed := false
+// optimizer is one run over one tree, in rounds of bottom-up walks.
+type optimizer struct {
+	st Stats
+	// visited holds the nodes whose rules last ran without effect and have
+	// seen nothing new since, with what is still open below them. A node
+	// not in it is due: never visited, changed by its own rules, or reached
+	// into by a rule of its parent (pushdown, pruning, collapse).
+	visited map[*algebra.Query]openWork
+	// cards memoizes queryCard; an entry goes when its node is reached
+	// into and is refreshed by a visit that may have moved it.
+	cards map[*algebra.Query]float64
+}
+
+// openWork says where under a node rules still have to run; sublink
+// subqueries apart, since finding them means walking the expressions.
+type openWork struct{ subqueries, sublinks bool }
+
+// visit runs one round over q's subtree: subqueries first, then q's rules
+// if q is due or a subquery changed. It returns the possibly replaced node,
+// whether the parent's rules have news to look at, and whether the subtree
+// needs another round.
+func (o *optimizer) visit(q *algebra.Query) (_ *algebra.Query, changed, open bool) {
+	was, clean := o.visited[q]
+	if clean && !was.subqueries && !was.sublinks {
+		return q, false, false
+	}
+	var below openWork
+	sub := func(slot **algebra.Query, stillOpen *bool) {
+		var c, op bool
+		*slot, c, op = o.visit(*slot)
+		changed, *stillOpen = changed || c, *stillOpen || op
+	}
 	for _, rte := range q.RangeTable {
-		if rte.Subquery == nil {
-			continue
+		if rte.Subquery != nil && (!clean || was.subqueries) {
+			sub(&rte.Subquery, &below.subqueries)
 		}
-		sub, c := optimizeNode(rte.Subquery, st)
-		rte.Subquery = sub
-		changed = changed || c
 	}
-	q.VisitExprs(func(e algebra.Expr) {
-		algebra.WalkExpr(e, func(x algebra.Expr) {
-			if sl, ok := x.(*algebra.SubLink); ok && sl.Query != nil {
-				sub, c := optimizeNode(sl.Query, st)
-				sl.Query = sub
-				changed = changed || c
-			}
+	if !clean || was.sublinks {
+		q.VisitExprs(func(e algebra.Expr) {
+			algebra.WalkExpr(e, func(x algebra.Expr) {
+				if sl, ok := x.(*algebra.SubLink); ok && sl.Query != nil {
+					sub(&sl.Query, &below.sublinks)
+				}
+			})
 		})
-	})
+	}
+	open = below.subqueries || below.sublinks
+	o.visited[q] = below
 	if q.IsSetOp() {
-		// Set-operation nodes are pure scaffolding over their branch
-		// entries; the rules below only apply to plain nodes.
-		return q, changed
+		// Pure scaffolding over its branches: no rules of its own, and a
+		// parent's pushdown looks through it to them.
+		delete(o.cards, q)
+		return q, changed, open
 	}
-	if flattenInnerJoins(q) {
-		changed = true
+	if clean && !changed {
+		return q, false, open
 	}
-	for unnestOne(q) {
-		changed = true
-	}
-	if removeDeadRTEs(q) {
-		changed = true
-	}
-	if pushDownPredicates(q) {
-		changed = true
-	}
-	if pruneSubqueryColumns(q) {
-		changed = true
-	}
-	if dropRedundantDistinct(q) {
-		changed = true
-	}
-	if orderJoinList(q, st) {
-		changed = true
+	if changed = o.rules(q); changed {
+		delete(o.visited, q)
+		open = true
 	}
 	if merged, ok := collapseIdentity(q); ok {
-		return merged, true
+		delete(o.visited, merged)
+		return merged, true, true
 	}
-	return q, changed
+	if o.st != nil {
+		// Of changes further down the parent's join-list order only has
+		// to hear if they moved this node's estimate.
+		old, had := o.cards[q]
+		delete(o.cards, q)
+		changed = changed || !had || o.queryCard(q) != old
+	}
+	return q, changed, open
+}
+
+// reachInto notes that a rule of the parent changed the node.
+func (o *optimizer) reachInto(q *algebra.Query) {
+	delete(o.visited, q)
+	delete(o.cards, q)
+}
+
+// rules runs the local rules once over a plain node; true if any of them
+// changed it or reached into a subquery.
+func (o *optimizer) rules(q *algebra.Query) bool {
+	changed := flattenInnerJoins(q)
+	for unnestAll(q) {
+		changed = true
+	}
+	changed = o.pushDownPredicates(q) || changed
+	changed = o.pruneNode(q) || changed
+	changed = dropRedundantDistinct(q) || changed
+	return o.orderJoinList(q) || changed
 }
 
 // ---------------------------------------------------------------------------
@@ -132,13 +168,13 @@ func optimizeNode(q *algebra.Query, st Stats) (*algebra.Query, bool) {
 // reorder is semantics-preserving; it canonicalizes the order the
 // planner's greedy join ordering starts from, so equally-costed plans no
 // longer depend on how the rewriter happened to nest its shells.
-func orderJoinList(q *algebra.Query, st Stats) bool {
-	if st == nil || len(q.From) < 2 {
+func (o *optimizer) orderJoinList(q *algebra.Query) bool {
+	if o.st == nil || len(q.From) < 2 {
 		return false
 	}
 	cards := make(map[algebra.FromItem]float64, len(q.From))
 	for _, fi := range q.From {
-		cards[fi] = fromItemCard(fi, q, st)
+		cards[fi] = o.fromItemCard(fi, q)
 	}
 	sorted := true
 	for i := 1; i < len(q.From); i++ {
@@ -159,26 +195,26 @@ func orderJoinList(q *algebra.Query, st Stats) bool {
 // fromItemCard estimates the cardinality of one FROM item. Join trees
 // (outer joins, whose shape is load-bearing) estimate as the product of
 // their sides.
-func fromItemCard(fi algebra.FromItem, q *algebra.Query, st Stats) float64 {
+func (o *optimizer) fromItemCard(fi algebra.FromItem, q *algebra.Query) float64 {
 	switch n := fi.(type) {
 	case *algebra.FromRef:
 		if n.RT < len(q.RangeTable) {
-			return rteCard(q.RangeTable[n.RT], st)
+			return o.rteCard(q.RangeTable[n.RT])
 		}
 	case *algebra.FromJoin:
-		return fromItemCard(n.Left, q, st) * fromItemCard(n.Right, q, st)
+		return o.fromItemCard(n.Left, q) * o.fromItemCard(n.Right, q)
 	}
 	return 1000
 }
 
-func rteCard(rte *algebra.RTE, st Stats) float64 {
+func (o *optimizer) rteCard(rte *algebra.RTE) float64 {
 	switch rte.Kind {
 	case algebra.RTERelation:
-		if rows, ok := st.TableRows(rte.RelName); ok {
+		if rows, ok := o.st.TableRows(rte.RelName); ok {
 			return rows + 1
 		}
 	case algebra.RTESubquery:
-		return queryCard(rte.Subquery, st)
+		return o.queryCard(rte.Subquery)
 	case algebra.RTEValues:
 		return float64(len(rte.Rows)) + 1
 	}
@@ -189,20 +225,29 @@ func rteCard(rte *algebra.RTE, st Stats) float64 {
 // of its FROM items, damped per WHERE conjunct, collapsed by
 // aggregation, capped by LIMIT. The planner re-estimates precisely; this
 // only has to rank siblings.
-func queryCard(q *algebra.Query, st Stats) float64 {
+func (o *optimizer) queryCard(q *algebra.Query) float64 {
 	if q == nil {
 		return 1000
 	}
+	card, ok := o.cards[q]
+	if !ok {
+		card = o.estimate(q)
+		o.cards[q] = card
+	}
+	return card
+}
+
+func (o *optimizer) estimate(q *algebra.Query) float64 {
 	if q.IsSetOp() {
 		total := 0.0
 		for _, rte := range q.RangeTable {
-			total += queryCard(rte.Subquery, st)
+			total += o.queryCard(rte.Subquery)
 		}
 		return total
 	}
 	card := 1.0
 	for _, fi := range q.From {
-		card *= fromItemCard(fi, q, st)
+		card *= o.fromItemCard(fi, q)
 	}
 	for range algebra.Conjuncts(q.Where) {
 		card *= 0.5
@@ -329,10 +374,20 @@ func allVarTargets(q *algebra.Query) bool {
 	return true
 }
 
-// unnestOne merges the first eligible subquery entry into q and reports
-// whether it did. Merging renumbers entries, so the caller restarts the
-// scan after every merge.
-func unnestOne(q *algebra.Query) bool {
+// unnestAll merges every eligible subquery entry of q's range table as it
+// stands into q, in range-table order, and reports whether it merged any
+// (the entries a merge appends are the next call's to look at). A child's
+// entries join q's range table, q's references to its outputs become its
+// target expressions — one rewrite of q's expressions for all children —
+// its FROM clause takes the place of the subquery reference, and its WHERE
+// clause conjoins into q's (on the nullable side of an outer join, into
+// that join's condition).
+func unnestAll(q *algebra.Query) bool {
+	type merge struct {
+		rt, base int
+		site     *refSite
+	}
+	var merges []merge
 	for rt, rte := range q.RangeTable {
 		if rte.Kind != algebra.RTESubquery || !isSimpleSPJ(rte.Subquery) {
 			continue
@@ -345,102 +400,99 @@ func unnestOne(q *algebra.Query) bool {
 			(site.gate.Kind == algebra.JoinFull || !allVarTargets(rte.Subquery)) {
 			continue
 		}
-		mergeSubquery(q, rt, site)
-		return true
+		merges = append(merges, merge{rt: rt, site: site})
 	}
-	return false
-}
+	if len(merges) == 0 {
+		return false
+	}
 
-// mergeSubquery splices the child block at range-table index rt into q:
-// the child's entries join q's range table, parent references to the
-// child's outputs are replaced by the child's target expressions, the
-// child's FROM clause takes the place of the subquery reference, and the
-// child's WHERE clause conjoins into q's WHERE (or, on the nullable side
-// of an outer join, into that join's condition).
-func mergeSubquery(q *algebra.Query, rt int, site *refSite) {
-	child := q.RangeTable[rt].Subquery
-	base := len(q.RangeTable)
-
-	seen := make(map[string]bool, base)
-	for i, r := range q.RangeTable {
-		if i != rt {
-			seen[r.Alias] = true
+	// A child's entries keep their aliases unless one is taken by an entry
+	// already there — other than the child's own, which is going away.
+	seen := make(map[string]bool, len(q.RangeTable))
+	for _, r := range q.RangeTable {
+		seen[r.Alias] = true
+	}
+	base := make([]int, len(q.RangeTable)) // of a merged entry: where its child's entries start
+	for i := range merges {
+		m := &merges[i]
+		own := q.RangeTable[m.rt]
+		m.base = len(q.RangeTable)
+		delete(seen, own.Alias)
+		for _, r := range own.Subquery.RangeTable {
+			r.Alias = uniqueAlias(r.Alias, seen)
+			q.RangeTable = append(q.RangeTable, r)
 		}
-	}
-	for _, r := range child.RangeTable {
-		r.Alias = uniqueAlias(r.Alias, seen)
-		q.RangeTable = append(q.RangeTable, r)
-	}
-
-	shift := func(e algebra.Expr) algebra.Expr {
-		return algebra.SubstituteVars(e, func(v *algebra.Var) algebra.Expr {
-			if v.RT < 0 {
-				return nil
-			}
-			c := *v
-			c.RT += base
-			return &c
-		})
-	}
-
-	targets := make([]algebra.Expr, len(child.TargetList))
-	for i, te := range child.TargetList {
-		targets[i] = shift(te.Expr)
+		seen[own.Alias] = true
+		base[m.rt] = m.base
 	}
 	q.MapOwnExprs(func(x algebra.Expr) algebra.Expr {
-		if v, ok := x.(*algebra.Var); ok && v.RT == rt {
-			return algebra.CopyExpr(targets[v.Col])
+		if v, ok := x.(*algebra.Var); ok && v.RT >= 0 && v.RT < len(base) && base[v.RT] > 0 {
+			return shiftVars(q.RangeTable[v.RT].Subquery.TargetList[v.Col].Expr, base[v.RT])
 		}
 		return x
 	})
 
-	shifted := make([]algebra.FromItem, len(child.From))
-	for i, fi := range child.From {
-		shifted[i] = shiftFromItem(fi, base, shift)
-	}
-	spliced := false
-	for i, fi := range q.From {
-		// A direct member of the implicit join list splices in as more
-		// list members, keeping the planner free to greedy-order them.
-		if r, ok := fi.(*algebra.FromRef); ok && r.RT == rt {
-			q.From = append(q.From[:i], append(shifted, q.From[i+1:]...)...)
-			spliced = true
-			break
+	for _, m := range merges {
+		child := q.RangeTable[m.rt].Subquery
+		shifted := make([]algebra.FromItem, len(child.From))
+		for i, fi := range child.From {
+			shifted[i] = shiftFromItem(fi, m.base)
+		}
+		spliced := false
+		for i, fi := range q.From {
+			// A direct member of the implicit join list splices in as more
+			// list members, keeping the planner free to greedy-order them.
+			if r, ok := fi.(*algebra.FromRef); ok && r.RT == m.rt {
+				q.From = append(q.From[:i], append(shifted, q.From[i+1:]...)...)
+				spliced = true
+				break
+			}
+		}
+		if !spliced {
+			// Inside a join tree the child must stay a single unit; fold its
+			// items into a cross-join chain at the reference's position.
+			childFrom := shifted[0]
+			for _, sh := range shifted[1:] {
+				childFrom = &algebra.FromJoin{Kind: algebra.JoinCross, Left: childFrom, Right: sh}
+			}
+			algebra.ReplaceFromRef(q.From, m.rt, childFrom)
+		}
+		if child.Where != nil {
+			where := shiftVars(child.Where, m.base)
+			if m.site.crossings == 1 {
+				m.site.gate.Cond = algebra.AndAll([]algebra.Expr{m.site.gate.Cond, where})
+			} else {
+				q.Where = algebra.AndAll([]algebra.Expr{q.Where, where})
+			}
 		}
 	}
-	if !spliced {
-		// Inside a join tree the child must stay a single unit; fold its
-		// items into a cross-join chain at the reference's position.
-		childFrom := shifted[0]
-		for _, sh := range shifted[1:] {
-			childFrom = &algebra.FromJoin{Kind: algebra.JoinCross, Left: childFrom, Right: sh}
-		}
-		algebra.ReplaceFromRef(q.From, rt, childFrom)
-	}
-
-	if child.Where != nil {
-		where := shift(child.Where)
-		if site.crossings == 1 {
-			site.gate.Cond = algebra.AndAll([]algebra.Expr{site.gate.Cond, where})
-		} else {
-			q.Where = algebra.AndAll([]algebra.Expr{q.Where, where})
-		}
-	}
-	// The merged entry is now unreferenced; removeDeadRTEs reclaims it.
+	// The merged entries are now unreferenced; pruneNode reclaims them.
+	return true
 }
 
-func shiftFromItem(fi algebra.FromItem, base int, shift func(algebra.Expr) algebra.Expr) algebra.FromItem {
+// shiftVars copies the expression with every range-table reference moved
+// up by base: a merged child's expression in its parent's numbering.
+func shiftVars(e algebra.Expr, base int) algebra.Expr {
+	return algebra.MapExpr(e, func(x algebra.Expr) algebra.Expr {
+		if v, ok := x.(*algebra.Var); ok && v.RT >= 0 {
+			v.RT += base
+		}
+		return x
+	})
+}
+
+func shiftFromItem(fi algebra.FromItem, base int) algebra.FromItem {
 	switch n := fi.(type) {
 	case *algebra.FromRef:
 		return &algebra.FromRef{RT: n.RT + base}
 	case *algebra.FromJoin:
 		out := &algebra.FromJoin{
 			Kind:  n.Kind,
-			Left:  shiftFromItem(n.Left, base, shift),
-			Right: shiftFromItem(n.Right, base, shift),
+			Left:  shiftFromItem(n.Left, base),
+			Right: shiftFromItem(n.Right, base),
 		}
 		if n.Cond != nil {
-			out.Cond = shift(n.Cond)
+			out.Cond = shiftVars(n.Cond, base)
 		}
 		return out
 	default:
@@ -457,45 +509,6 @@ func uniqueAlias(alias string, seen map[string]bool) string {
 	return out
 }
 
-// removeDeadRTEs drops range-table entries no longer referenced by the
-// FROM forest or any expression, renumbering the survivors.
-func removeDeadRTEs(q *algebra.Query) bool {
-	if q.IsSetOp() {
-		return false
-	}
-	live := make(map[int]bool, len(q.RangeTable))
-	for _, fi := range q.From {
-		algebra.FromRTs(fi, live)
-	}
-	for rt := range q.ColumnUses() {
-		live[rt] = true
-	}
-	if len(live) == len(q.RangeTable) {
-		return false
-	}
-	remap := make([]int, len(q.RangeTable))
-	var kept []*algebra.RTE
-	for i, rte := range q.RangeTable {
-		if live[i] {
-			remap[i] = len(kept)
-			kept = append(kept, rte)
-		} else {
-			remap[i] = -1
-		}
-	}
-	q.RangeTable = kept
-	q.MapOwnExprs(func(x algebra.Expr) algebra.Expr {
-		if v, ok := x.(*algebra.Var); ok && v.RT >= 0 {
-			c := *v
-			c.RT = remap[v.RT]
-			return &c
-		}
-		return x
-	})
-	algebra.RenumberFrom(q.From, remap)
-	return true
-}
-
 // ---------------------------------------------------------------------------
 // Predicate pushdown
 
@@ -504,7 +517,7 @@ func removeDeadRTEs(q *algebra.Query) bool {
 // nullable side of an outer join are excluded (the filter must see the
 // null-extended rows), as are conjuncts with sublinks (kept above joins
 // so subplans are evaluated as rarely as possible).
-func pushDownPredicates(q *algebra.Query) bool {
+func (o *optimizer) pushDownPredicates(q *algebra.Query) bool {
 	if q.Where == nil {
 		return false
 	}
@@ -512,7 +525,7 @@ func pushDownPredicates(q *algebra.Query) bool {
 	var kept []algebra.Expr
 	for _, c := range algebra.Conjuncts(q.Where) {
 		rt, ok := soleRT(c)
-		if !ok || rt >= len(q.RangeTable) || algebra.ContainsSubLink(c) {
+		if !ok || rt >= len(q.RangeTable) {
 			kept = append(kept, c)
 			continue
 		}
@@ -522,11 +535,11 @@ func pushDownPredicates(q *algebra.Query) bool {
 			continue
 		}
 		site := locateRef(q.From, rt)
-		if site == nil || site.crossings != 0 || !pushInto(rte.Subquery, c, rt, true) {
+		if site == nil || site.crossings != 0 || !o.pushInto(rte.Subquery, c, rt, true) {
 			kept = append(kept, c)
 			continue
 		}
-		pushInto(rte.Subquery, c, rt, false)
+		o.pushInto(rte.Subquery, c, rt, false)
 		changed = true
 	}
 	if changed {
@@ -535,20 +548,22 @@ func pushDownPredicates(q *algebra.Query) bool {
 	return changed
 }
 
-// soleRT returns the single non-negative range-table index referenced by
-// the expression, if there is exactly one.
+// soleRT returns the single range-table index the expression references,
+// if it references exactly one entry of the node and holds no sublink.
 func soleRT(e algebra.Expr) (int, bool) {
-	rts := algebra.VarsUsed(e)
-	if len(rts) != 1 {
-		return 0, false
-	}
-	for rt := range rts {
-		if rt < 0 {
-			return 0, false
+	rt, sole := -1, true
+	algebra.WalkExpr(e, func(x algebra.Expr) {
+		switch n := x.(type) {
+		case *algebra.Var:
+			if rt < 0 {
+				rt = n.RT
+			}
+			sole = sole && n.RT == rt
+		case *algebra.SubLink:
+			sole = false
 		}
-		return rt, true
-	}
-	return 0, false
+	})
+	return rt, sole && rt >= 0
 }
 
 // pushInto pushes a parent predicate over entry rt into the child's WHERE
@@ -557,19 +572,20 @@ func soleRT(e algebra.Expr) (int, bool) {
 // aggregated children accept only predicates over projected grouping
 // expressions. With dryRun the eligibility check runs without mutating,
 // which the all-branches-or-nothing set-operation case needs.
-func pushInto(child *algebra.Query, pred algebra.Expr, rt int, dryRun bool) bool {
+func (o *optimizer) pushInto(child *algebra.Query, pred algebra.Expr, rt int, dryRun bool) bool {
 	if child == nil || child.Limit != nil || child.Offset != nil {
 		return false
 	}
 	if child.IsSetOp() {
 		for _, rte := range child.RangeTable {
-			if rte.Kind != algebra.RTESubquery || !pushInto(rte.Subquery, pred, rt, true) {
+			if rte.Kind != algebra.RTESubquery || !o.pushInto(rte.Subquery, pred, rt, true) {
 				return false
 			}
 		}
 		if !dryRun {
+			o.reachInto(child)
 			for _, rte := range child.RangeTable {
-				pushInto(rte.Subquery, pred, rt, false)
+				o.pushInto(rte.Subquery, pred, rt, false)
 			}
 		}
 		return true
@@ -593,6 +609,7 @@ func pushInto(child *algebra.Query, pred algebra.Expr, rt int, dryRun bool) bool
 	if dryRun {
 		return true
 	}
+	o.reachInto(child)
 	mapped := algebra.SubstituteVars(pred, func(v *algebra.Var) algebra.Expr {
 		if v.RT != rt {
 			return nil
@@ -615,76 +632,108 @@ func exprInList(e algebra.Expr, list []algebra.Expr) bool {
 // ---------------------------------------------------------------------------
 // Projection pruning
 
-// pruneSubqueryColumns trims target-list entries of subquery entries that
-// the parent never references. DISTINCT and set-operation children are
-// exempt (dropping a column there changes row multiplicities); the root's
-// own target list is never touched since pruning is always parent-driven.
-func pruneSubqueryColumns(q *algebra.Query) bool {
+// pruneNode drops the range-table entries of q that neither the FROM
+// forest nor any expression references any longer, and trims the
+// target-list entries of q's subqueries that q never reads: one
+// column-use index of q's expressions serves both, and one rewrite
+// renumbers q's references for both. DISTINCT and set-operation children
+// keep their columns (dropping one changes row multiplicities); the root's
+// target list is never touched since pruning is always parent-driven.
+func (o *optimizer) pruneNode(q *algebra.Query) bool {
 	uses := q.ColumnUses()
+	var inFrom algebra.Bits
+	for _, fi := range q.From {
+		algebra.FromRTs(fi, &inFrom)
+	}
+	// Old position to new (-1: dropped); new position to its column remap.
+	newRT := make([]int, len(q.RangeTable))
+	newCol := make([][]int, 0, len(q.RangeTable))
+	var kept []*algebra.RTE
 	changed := false
 	for rt, rte := range q.RangeTable {
-		if rte.Kind != algebra.RTESubquery {
+		if !inFrom.Has(rt) && uses[rt].Empty() {
+			newRT[rt] = -1
+			changed = true
 			continue
 		}
-		child := rte.Subquery
-		if child == nil || child.IsSetOp() || child.Distinct {
-			continue
+		newRT[rt] = len(kept)
+		kept = append(kept, rte)
+		remap := pruneColumns(rte, uses[rt])
+		newCol = append(newCol, remap)
+		if remap != nil {
+			o.reachInto(rte.Subquery)
+			changed = true
 		}
-		used := make(map[int]bool, len(uses[rt]))
-		for col := range uses[rt] {
-			used[col] = true
-		}
-		// ORDER BY entries naming output positions pin those columns.
-		for _, si := range child.OrderBy {
-			if v, ok := si.Expr.(*algebra.Var); ok && v.RT == outputRT {
-				used[v.Col] = true
-			}
-		}
-		if len(used) == 0 {
-			used[0] = true // keep one column: the entry still drives cardinality
-		}
-		if len(used) >= len(child.TargetList) {
-			continue
-		}
-		remap := make([]int, len(child.TargetList))
-		var newTL []algebra.TargetEntry
-		for i, te := range child.TargetList {
-			if used[i] {
-				remap[i] = len(newTL)
-				newTL = append(newTL, te)
-			} else {
-				remap[i] = -1
-			}
-		}
-		child.TargetList = newTL
-		for i := range child.OrderBy {
-			if v, ok := child.OrderBy[i].Expr.(*algebra.Var); ok && v.RT == outputRT {
-				nv := *v
-				nv.Col = remap[v.Col]
-				child.OrderBy[i].Expr = &nv
-			}
-		}
-		child.ProvCols = remapProvCols(child.ProvCols, remap)
-		rte.ProvCols = remapProvCols(rte.ProvCols, remap)
-		rte.Cols = child.Schema()
-		q.MapOwnExprs(func(x algebra.Expr) algebra.Expr {
-			if v, ok := x.(*algebra.Var); ok && v.RT == rt {
-				c := *v
-				c.Col = remap[v.Col]
-				return &c
-			}
-			return x
-		})
-		changed = true
 	}
-	return changed
+	if !changed {
+		return false
+	}
+	if len(kept) < len(q.RangeTable) {
+		q.RangeTable = kept
+		algebra.RenumberFrom(q.From, newRT)
+	}
+	q.MapOwnExprs(func(x algebra.Expr) algebra.Expr {
+		if v, ok := x.(*algebra.Var); ok && v.RT >= 0 {
+			v.RT = newRT[v.RT]
+			if remap := newCol[v.RT]; remap != nil {
+				v.Col = remap[v.Col]
+			}
+		}
+		return x
+	})
+	return true
 }
 
+// pruneColumns trims a subquery entry's target list to the columns in used
+// and returns the old-to-new column remap, nil when every column stays.
+func pruneColumns(rte *algebra.RTE, used algebra.Bits) []int {
+	child := rte.Subquery
+	if rte.Kind != algebra.RTESubquery || child == nil || child.IsSetOp() || child.Distinct {
+		return nil
+	}
+	// ORDER BY entries naming output positions pin those columns.
+	for _, si := range child.OrderBy {
+		if v, ok := si.Expr.(*algebra.Var); ok && v.RT == outputRT {
+			used = used.Union(algebra.BitsOf(v.Col))
+		}
+	}
+	if used.Empty() {
+		used = algebra.BitsOf(0) // keep one column: the entry still drives cardinality
+	}
+	if used.Len() >= len(child.TargetList) {
+		return nil
+	}
+	remap := make([]int, len(child.TargetList))
+	var newTL []algebra.TargetEntry
+	for i, te := range child.TargetList {
+		if used.Has(i) {
+			remap[i] = len(newTL)
+			newTL = append(newTL, te)
+		} else {
+			remap[i] = -1
+		}
+	}
+	child.TargetList = newTL
+	for i := range child.OrderBy {
+		if v, ok := child.OrderBy[i].Expr.(*algebra.Var); ok && v.RT == outputRT {
+			nv := *v
+			nv.Col = remap[v.Col]
+			child.OrderBy[i].Expr = &nv
+		}
+	}
+	child.ProvCols = remapProvCols(child.ProvCols, remap)
+	rte.ProvCols = remapProvCols(rte.ProvCols, remap)
+	rte.Cols = child.Schema()
+	return remap
+}
+
+// remapProvCols returns the provenance columns that survive the remap, in
+// a slice of their own: a subquery and its entry may share the list.
 func remapProvCols(pcs []algebra.ProvCol, remap []int) []algebra.ProvCol {
 	if pcs == nil {
 		return nil
 	}
-	out := pcs[:0]
+	out := make([]algebra.ProvCol, 0, len(pcs))
 	for _, pc := range pcs {
 		if pc.Col < len(remap) && remap[pc.Col] >= 0 {
 			out = append(out, algebra.ProvCol{Col: remap[pc.Col], Name: pc.Name})

@@ -7,9 +7,12 @@ import (
 	"perm/internal/algebra"
 	"perm/internal/analyze"
 	"perm/internal/catalog"
+	"perm/internal/deparse"
 	"perm/internal/optimize"
 	"perm/internal/provrewrite"
 	"perm/internal/sql"
+	"perm/internal/synth"
+	"perm/internal/tpch"
 	"perm/internal/types"
 )
 
@@ -28,6 +31,12 @@ func testCatalog(t *testing.T) *catalog.Catalog {
 	mk("s",
 		catalog.Column{Name: "a", Type: types.KindInt},
 		catalog.Column{Name: "c", Type: types.KindInt})
+	// What the synth generators read of TPC-H's part.
+	mk("part",
+		catalog.Column{Name: "p_partkey", Type: types.KindInt},
+		catalog.Column{Name: "p_name", Type: types.KindString},
+		catalog.Column{Name: "p_brand", Type: types.KindString},
+		catalog.Column{Name: "p_retailprice", Type: types.KindFloat})
 	return cat
 }
 
@@ -254,19 +263,79 @@ func TestAliasesStayUniqueAfterMerge(t *testing.T) {
 	}
 }
 
+// TestOptimizeIsIdempotent: the rules run to a fixpoint, however deep the
+// tree nests — optimizing an optimized tree changes nothing. The Fig.
+// 12-14 shapes at 40 and 60 levels are the ones a bounded number of
+// whole-tree passes stops short on.
 func TestOptimizeIsIdempotent(t *testing.T) {
 	cat := testCatalog(t)
-	for _, src := range []string{
+	sources := []string{
 		`SELECT t1.a FROM (SELECT a, b FROM r WHERE a > 0) AS t1`,
 		`SELECT PROVENANCE b, count(*) FROM r GROUP BY b`,
 		`SELECT a FROM r UNION SELECT a FROM s`,
+	}
+	for _, shape := range []string{
+		synth.AggChainQuery(40, 200),
+		synth.AggChainQuery(60, 200),
+		synth.SetOpQuery(tpch.NewRand(1), 40, 200),
+		synth.SPJQuery(tpch.NewRand(2), 40, 200),
 	} {
+		sources = append(sources, shape, strings.Replace(shape, "SELECT", "SELECT PROVENANCE", 1))
+	}
+	for _, src := range sources {
 		q := compile(t, cat, src)
-		before := subqueryCount(q)
+		before, sql := subqueryCount(q), deparse.Query(q)
 		q2 := optimize.Query(q)
 		if got := subqueryCount(q2); got != before {
-			t.Errorf("%s: second optimize changed the tree (%d -> %d subqueries)",
+			t.Errorf("%.60s: second optimize changed the tree (%d -> %d subqueries)",
 				src, before, got)
 		}
+		if again := deparse.Query(q2); again != sql {
+			t.Errorf("%.60s: second optimize changed the tree (%d -> %d bytes of SQL)",
+				src, len(sql), len(again))
+		}
+	}
+}
+
+// TestPruneRemapsSharedProvCols: the rewriter hands a subquery's
+// provenance list to the entry that holds it (one slice, two owners), so
+// pruning must remap each into a slice of its own. Compacting in place
+// remaps the entry's list a second time through the already remapped
+// backing array and loses prov_c here.
+func TestPruneRemapsSharedProvCols(t *testing.T) {
+	col := func(rt, i int, name string) *algebra.Var {
+		return &algebra.Var{RT: rt, Col: i, Name: name, Typ: types.KindInt}
+	}
+	provCols := []algebra.ProvCol{{Col: 0, Name: "prov_a"}, {Col: 2, Name: "prov_c"}}
+	base := &algebra.RTE{Kind: algebra.RTERelation, Alias: "t", RelName: "t", Cols: algebra.Schema{
+		{Name: "a", Type: types.KindInt}, {Name: "b", Type: types.KindInt}, {Name: "c", Type: types.KindInt}}}
+	child := &algebra.Query{
+		TargetList: []algebra.TargetEntry{
+			{Expr: col(0, 0, "a"), Name: "a"}, {Expr: col(0, 1, "b"), Name: "b"}, {Expr: col(0, 2, "c"), Name: "c"}},
+		RangeTable: []*algebra.RTE{base},
+		From:       []algebra.FromItem{&algebra.FromRef{RT: 0}},
+		Limit:      &algebra.Const{Val: types.NewInt(5)}, // keeps the block from being merged away
+		ProvCols:   provCols,
+	}
+	entry := &algebra.RTE{Kind: algebra.RTESubquery, Alias: "x", Subquery: child, Cols: child.Schema(), ProvCols: provCols}
+	parent := &algebra.Query{
+		TargetList: []algebra.TargetEntry{
+			{Expr: col(0, 0, "a"), Name: "a"}, {Expr: col(0, 2, "c"), Name: "c"}, {Expr: &algebra.Const{Val: types.NewInt(1)}, Name: "one"}},
+		RangeTable: []*algebra.RTE{entry},
+		From:       []algebra.FromItem{&algebra.FromRef{RT: 0}},
+	}
+	optimize.Query(parent)
+
+	want := []algebra.ProvCol{{Col: 0, Name: "prov_a"}, {Col: 1, Name: "prov_c"}}
+	if len(child.TargetList) != 2 {
+		t.Fatalf("child kept %d columns, want 2", len(child.TargetList))
+	}
+	for name, got := range map[string][]algebra.ProvCol{"subquery": child.ProvCols, "entry": entry.ProvCols} {
+		if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+			t.Errorf("%s ProvCols = %v, want %v", name, got, want)
+		}
+	}
+	if provCols[0] != (algebra.ProvCol{Col: 0, Name: "prov_a"}) || provCols[1] != (algebra.ProvCol{Col: 2, Name: "prov_c"}) {
+		t.Errorf("the list handed in was rewritten in place: %v", provCols)
 	}
 }

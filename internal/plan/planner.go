@@ -135,7 +135,7 @@ type planned struct {
 	// to kinds (nil = nothing known). See colInfo.
 	cols []colInfo
 	// rts is the set of range-table entries contained in this fragment.
-	rts map[int]bool
+	rts algebra.Bits
 	est float64
 }
 
@@ -610,7 +610,6 @@ func (p *Planner) planFrom(q *algebra.Query) (*planned, error) {
 		pl := &planned{
 			node:   exec.NewScan([]types.Row{{}}),
 			layout: map[int]int{},
-			rts:    map[int]bool{},
 			est:    1,
 		}
 		setEstNode(pl.node, pl.est)
@@ -624,7 +623,7 @@ func (p *Planner) planFrom(q *algebra.Query) (*planned, error) {
 	// deeply in the join tree as their references allow (scans and inner
 	// joins; only preserved sides of outer joins). Leftovers are
 	// distributed over the top-level items below.
-	pool := &conjPool{conjs: algebra.Conjuncts(hoistCommonOrConjuncts(q.Where))}
+	pool := &conjPool{conjs: analyseConjuncts(hoistCommonOrConjuncts(q.Where))}
 	items := make([]*planned, 0, len(q.From))
 	for _, fi := range q.From {
 		pl, err := p.planFromItem(fi, q, pool)
@@ -636,12 +635,11 @@ func (p *Planner) planFrom(q *algebra.Query) (*planned, error) {
 	conjuncts := pool.conjs
 
 	// Push single-fragment conjuncts down as filters.
-	var remaining []algebra.Expr
+	var remaining []*conjunct
 	for _, c := range conjuncts {
-		used := algebra.VarsUsed(c)
 		target := -1
 		for i, it := range items {
-			if subset(used, it.rts) {
+			if c.rts.SubsetOf(it.rts) {
 				target = i
 				break
 			}
@@ -649,7 +647,7 @@ func (p *Planner) planFrom(q *algebra.Query) (*planned, error) {
 		// Conjuncts with sublinks are kept above joins unless trivially
 		// local, to keep subplan evaluation count low.
 		if target >= 0 {
-			if err := p.attachFilter(items[target], c); err != nil {
+			if err := p.attachFilter(items[target], c.expr); err != nil {
 				return nil, err
 			}
 			continue
@@ -661,55 +659,73 @@ func (p *Planner) planFrom(q *algebra.Query) (*planned, error) {
 	// estimated output, preferring equi-connected pairs over cross
 	// products. With column statistics the estimate is
 	// |L|·|R| / max(NDV) per join key; without, it falls back to the
-	// max-side heuristic.
-	for len(items) > 1 {
+	// max-side heuristic. A pair's verdict holds until one of its fragments
+	// is joined away (the conjuncts a join consumes connect no other pair),
+	// so a round only prices the pairs of the fragment the last one made;
+	// a nil slot marks a joined-away fragment, keeping tie-breaking order.
+	type pairEst struct {
+		known, connected bool
+		cost             float64
+	}
+	n := len(items)
+	pairs := make([]pairEst, n*n)
+	var aKeys, bKeys []algebra.Expr // scratch of the pair under consideration
+	result := items[0]
+	for live := n; live > 1; live-- {
 		bestI, bestJ := -1, -1
 		bestConnected := false
 		var bestCost float64
-		for i := 0; i < len(items); i++ {
-			for j := i + 1; j < len(items); j++ {
-				connected := hasEquiConjunct(remaining, items[i], items[j])
-				cost := items[i].est * items[j].est
-				if connected {
-					cost = p.equiJoinEstimate(items[i], items[j], remaining)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				if items[i] == nil || items[j] == nil {
+					continue
+				}
+				pe := &pairs[i*n+j]
+				if !pe.known {
+					aKeys, bKeys = equiKeys(remaining, items[i], items[j], aKeys[:0], bKeys[:0])
+					*pe = pairEst{known: true, connected: len(aKeys) > 0, cost: items[i].est * items[j].est}
+					if pe.connected {
+						pe.cost = p.hashJoinEstimate(items[i], items[j], aKeys, bKeys)
+					}
 				}
 				better := false
 				switch {
 				case bestI < 0:
 					better = true
-				case connected && !bestConnected:
+				case pe.connected && !bestConnected:
 					better = true
-				case connected == bestConnected && cost < bestCost:
+				case pe.connected == bestConnected && pe.cost < bestCost:
 					better = true
 				}
 				if better {
-					bestI, bestJ, bestConnected, bestCost = i, j, connected, cost
+					bestI, bestJ, bestConnected, bestCost = i, j, pe.connected, pe.cost
 				}
 			}
 		}
 		left, right := items[bestI], items[bestJ]
 		// Gather all conjuncts answerable by this pair.
-		combinedRTs := unionSets(left.rts, right.rts)
-		var usable, rest []algebra.Expr
+		combinedRTs := left.rts.Union(right.rts)
+		var usable, rest []*conjunct
 		for _, c := range remaining {
-			if subset(algebra.VarsUsed(c), combinedRTs) && !algebra.ContainsSubLink(c) {
+			if c.rts.SubsetOf(combinedRTs) && !c.sublink {
 				usable = append(usable, c)
 			} else {
 				rest = append(rest, c)
 			}
 		}
-		joined, err := p.buildJoin(left, right, algebra.JoinInner, algebra.AndAll(usable))
+		joined, err := p.buildJoin(left, right, algebra.JoinInner, usable)
 		if err != nil {
 			return nil, err
 		}
 		remaining = rest
-		items = append(items[:bestJ], items[bestJ+1:]...)
-		items[bestI] = joined
+		items[bestI], items[bestJ], result = joined, nil, joined
+		for k := 0; k < n; k++ {
+			pairs[bestI*n+k].known, pairs[k*n+bestI].known = false, false
+		}
 	}
 
-	result := items[0]
 	if len(remaining) > 0 {
-		if err := p.attachFilter(result, algebra.AndAll(remaining)); err != nil {
+		if err := p.attachFilter(result, conjExpr(remaining)); err != nil {
 			return nil, err
 		}
 	}
@@ -824,41 +840,70 @@ func maxf(a, b float64) float64 {
 	return b
 }
 
-func subset(vars map[int]bool, rts map[int]bool) bool {
-	for rt := range vars {
-		if !rts[rt] {
-			return false
-		}
-	}
-	return true
+// conjunct is one WHERE or ON conjunct with what planning asks of it,
+// worked out once when it enters a pool: the entries it references,
+// whether it holds a sublink, and — for an equality — its two sides with
+// the entries each references. Pushdown, join ordering and hash-key
+// extraction read this record instead of walking the expression.
+type conjunct struct {
+	expr    algebra.Expr
+	rts     algebra.Bits
+	sublink bool
+
+	equi, nullSafe bool // l = r, or l IS NOT DISTINCT FROM r
+	l, r           algebra.Expr
+	lrts, rrts     algebra.Bits
 }
 
-func unionSets(a, b map[int]bool) map[int]bool {
-	out := make(map[int]bool, len(a)+len(b))
-	for k := range a {
-		out[k] = true
-	}
-	for k := range b {
-		out[k] = true
+// analyseConjuncts splits a condition into its conjunct records.
+func analyseConjuncts(cond algebra.Expr) []*conjunct {
+	exprs := algebra.Conjuncts(cond)
+	out := make([]*conjunct, len(exprs))
+	for i, e := range exprs {
+		c := &conjunct{expr: e, sublink: algebra.ContainsSubLink(e)}
+		if c.l, c.r, c.nullSafe, c.equi = equiSides(e); c.equi {
+			c.lrts, c.rrts = algebra.VarsUsed(c.l), algebra.VarsUsed(c.r)
+			c.rts = c.lrts.Union(c.rrts)
+		} else {
+			c.rts = algebra.VarsUsed(e)
+		}
+		out[i] = c
 	}
 	return out
 }
 
-// hasEquiConjunct reports whether any conjunct equi-connects the two
-// fragments.
-func hasEquiConjunct(conjuncts []algebra.Expr, a, b *planned) bool {
+// conjExpr is the condition the conjuncts make together (nil for none).
+func conjExpr(cs []*conjunct) algebra.Expr {
+	exprs := make([]algebra.Expr, len(cs))
+	for i, c := range cs {
+		exprs[i] = c.expr
+	}
+	return algebra.AndAll(exprs)
+}
+
+// joins reports whether the conjunct is an equality with one side over
+// each of the two entry sets, and whether its left side is the one over b.
+func (c *conjunct) joins(a, b algebra.Bits) (ok, swapped bool) {
+	if !c.equi || c.lrts.Empty() || c.rrts.Empty() {
+		return false, false
+	}
+	if c.lrts.SubsetOf(a) && c.rrts.SubsetOf(b) {
+		return true, false
+	}
+	return c.lrts.SubsetOf(b) && c.rrts.SubsetOf(a), true
+}
+
+// equiKeys appends the key pairs of every conjunct that equi-connects the
+// two fragments (the greedy ordering's connectivity test and cost input).
+func equiKeys(conjuncts []*conjunct, a, b *planned, aKeys, bKeys []algebra.Expr) (_, _ []algebra.Expr) {
 	for _, c := range conjuncts {
-		if l, r, _, ok := equiSides(c); ok {
-			lu, ru := algebra.VarsUsed(l), algebra.VarsUsed(r)
-			if len(lu) == 0 || len(ru) == 0 {
-				continue
-			}
-			if (subset(lu, a.rts) && subset(ru, b.rts)) || (subset(lu, b.rts) && subset(ru, a.rts)) {
-				return true
-			}
+		if ok, swapped := c.joins(a.rts, b.rts); ok && swapped {
+			aKeys, bKeys = append(aKeys, c.r), append(bKeys, c.l)
+		} else if ok {
+			aKeys, bKeys = append(aKeys, c.l), append(bKeys, c.r)
 		}
 	}
-	return false
+	return aKeys, bKeys
 }
 
 // equiSides decomposes an equality conjunct into its two sides. It
@@ -883,14 +928,14 @@ func equiSides(c algebra.Expr) (left, right algebra.Expr, nullSafe, ok bool) {
 // joins the smaller estimated side becomes the build (right) input — on
 // provenance-rewritten queries this keeps the blown-up side streaming
 // through the probe instead of being materialized in the hash table.
-func (p *Planner) buildJoin(left, right *planned, kind algebra.JoinKind, cond algebra.Expr) (*planned, error) {
+func (p *Planner) buildJoin(left, right *planned, kind algebra.JoinKind, conds []*conjunct) (*planned, error) {
 	if (kind == algebra.JoinInner || kind == algebra.JoinCross) && right.est > left.est {
 		left, right = right, left
 	}
 	combined := &planned{
 		layout: make(map[int]int, len(left.layout)+len(right.layout)),
 		kinds:  append(append([]types.Kind{}, left.kinds...), right.kinds...),
-		rts:    unionSets(left.rts, right.rts),
+		rts:    left.rts.Union(right.rts),
 	}
 	for rt, off := range left.layout {
 		combined.layout[rt] = off
@@ -932,24 +977,18 @@ func (p *Planner) buildJoin(left, right *planned, kind algebra.JoinKind, cond al
 	var leftKeyExprs, rightKeyExprs []algebra.Expr
 	var nullSafe []bool
 	var residual []algebra.Expr
-	for _, c := range algebra.Conjuncts(cond) {
-		l, r, ns, ok := equiSides(c)
-		if ok {
-			lu, ru := algebra.VarsUsed(l), algebra.VarsUsed(r)
-			switch {
-			case subset(lu, left.rts) && subset(ru, right.rts) && len(lu) > 0 && len(ru) > 0:
-				leftKeyExprs = append(leftKeyExprs, l)
-				rightKeyExprs = append(rightKeyExprs, r)
-				nullSafe = append(nullSafe, ns)
-				continue
-			case subset(ru, left.rts) && subset(lu, right.rts) && len(lu) > 0 && len(ru) > 0:
-				leftKeyExprs = append(leftKeyExprs, r)
-				rightKeyExprs = append(rightKeyExprs, l)
-				nullSafe = append(nullSafe, ns)
-				continue
-			}
+	for _, c := range conds {
+		ok, swapped := c.joins(left.rts, right.rts)
+		switch {
+		case !ok:
+			residual = append(residual, c.expr)
+			continue
+		case swapped:
+			leftKeyExprs, rightKeyExprs = append(leftKeyExprs, c.r), append(rightKeyExprs, c.l)
+		default:
+			leftKeyExprs, rightKeyExprs = append(leftKeyExprs, c.l), append(rightKeyExprs, c.r)
 		}
-		residual = append(residual, c)
+		nullSafe = append(nullSafe, c.nullSafe)
 	}
 
 	combinedBinder := &rowBinder{p: p, layout: combined.layout}
@@ -997,6 +1036,7 @@ func (p *Planner) buildJoin(left, right *planned, kind algebra.JoinKind, cond al
 	// and left joins (the condition takes part in the match decision, so
 	// arbitrary residuals are fine) and assembles pair batches by gather
 	// instead of boxing one row per pair.
+	cond := conjExpr(conds)
 	if p.vectorized && left.vnode != nil && right.vnode != nil &&
 		(jt == exec.InnerJoin || jt == exec.LeftJoin) {
 		var vcond *vexec.Expr
@@ -1061,29 +1101,6 @@ func (p *Planner) hashJoinEstimate(left, right *planned, leftKeys, rightKeys []a
 		return maxf(left.est, right.est)
 	}
 	return maxf(left.est*right.est*sel, 1)
-}
-
-// equiJoinEstimate estimates the join size of two fragments connected by
-// the equi-conjuncts found in the pool (greedy-ordering cost).
-func (p *Planner) equiJoinEstimate(a, b *planned, conjuncts []algebra.Expr) float64 {
-	var aKeys, bKeys []algebra.Expr
-	for _, c := range conjuncts {
-		l, r, _, ok := equiSides(c)
-		if !ok {
-			continue
-		}
-		lu, ru := algebra.VarsUsed(l), algebra.VarsUsed(r)
-		if len(lu) == 0 || len(ru) == 0 {
-			continue
-		}
-		switch {
-		case subset(lu, a.rts) && subset(ru, b.rts):
-			aKeys, bKeys = append(aKeys, l), append(bKeys, r)
-		case subset(lu, b.rts) && subset(ru, a.rts):
-			aKeys, bKeys = append(aKeys, r), append(bKeys, l)
-		}
-	}
-	return p.hashJoinEstimate(a, b, aKeys, bKeys)
 }
 
 // colStatsFor resolves an expression to the statistics of the fragment
@@ -1340,16 +1357,15 @@ func shiftedLayout(layout map[int]int, base int) map[int]int {
 // conjPool holds the WHERE conjuncts still looking for the deepest plan
 // position that can answer them.
 type conjPool struct {
-	conjs []algebra.Expr
+	conjs []*conjunct
 }
 
 // take removes and returns the sublink-free conjuncts fully answerable by
 // the given range-table entry set.
-func (cp *conjPool) take(rts map[int]bool) []algebra.Expr {
-	var taken, rest []algebra.Expr
+func (cp *conjPool) take(rts algebra.Bits) []*conjunct {
+	var taken, rest []*conjunct
 	for _, c := range cp.conjs {
-		used := algebra.VarsUsed(c)
-		if len(used) > 0 && subset(used, rts) && !algebra.ContainsSubLink(c) {
+		if !c.rts.Empty() && c.rts.SubsetOf(rts) && !c.sublink {
 			taken = append(taken, c)
 		} else {
 			rest = append(rest, c)
@@ -1370,11 +1386,10 @@ func (cp *conjPool) take(rts map[int]bool) []algebra.Expr {
 // magnitude. Quantified (ANY/ALL) sublinks compare against every
 // subquery row per input row, so they stay high where the input is
 // smallest.
-func (cp *conjPool) takeSublinks(rts map[int]bool) []algebra.Expr {
-	var taken, rest []algebra.Expr
+func (cp *conjPool) takeSublinks(rts algebra.Bits) []*conjunct {
+	var taken, rest []*conjunct
 	for _, c := range cp.conjs {
-		used := algebra.VarsUsed(c)
-		if len(used) > 0 && subset(used, rts) && algebra.ContainsSubLink(c) && onlyCheapSublinks(c) {
+		if !c.rts.Empty() && c.rts.SubsetOf(rts) && c.sublink && onlyCheapSublinks(c.expr) {
 			taken = append(taken, c)
 		} else {
 			rest = append(rest, c)
@@ -1408,7 +1423,7 @@ func (p *Planner) planFromItem(fi algebra.FromItem, q *algebra.Query, pool *conj
 			return nil, err
 		}
 		if taken := pool.take(pl.rts); len(taken) > 0 {
-			if err := p.attachFilter(pl, algebra.AndAll(taken)); err != nil {
+			if err := p.attachFilter(pl, conjExpr(taken)); err != nil {
 				return nil, err
 			}
 		}
@@ -1416,7 +1431,7 @@ func (p *Planner) planFromItem(fi algebra.FromItem, q *algebra.Query, pool *conj
 		// the way down too: the subplan materializes once regardless of
 		// placement, and filtering here prunes every join above.
 		if taken := pool.takeSublinks(pl.rts); len(taken) > 0 {
-			if err := p.attachFilter(pl, algebra.AndAll(taken)); err != nil {
+			if err := p.attachFilter(pl, conjExpr(taken)); err != nil {
 				return nil, err
 			}
 		}
@@ -1442,12 +1457,12 @@ func (p *Planner) planFromItem(fi algebra.FromItem, q *algebra.Query, pool *conj
 //     condition. WHERE-pool conjuncts are only offered to preserved sides.
 func (p *Planner) planJoinItem(n *algebra.FromJoin, q *algebra.Query, pool *conjPool) (*planned, error) {
 	if n.Kind == algebra.JoinInner || n.Kind == algebra.JoinCross {
-		var keep []algebra.Expr
-		for _, c := range algebra.Conjuncts(n.Cond) {
+		var keep []*conjunct
+		for _, c := range analyseConjuncts(n.Cond) {
 			// Variable-free conjuncts stay here: pushdown cannot place
 			// them, and a pool leftover would be silently dropped when
 			// this join sits under a FULL JOIN's throwaway pools.
-			if algebra.ContainsSubLink(c) || len(algebra.VarsUsed(c)) == 0 {
+			if c.sublink || c.rts.Empty() {
 				keep = append(keep, c)
 			} else {
 				pool.conjs = append(pool.conjs, c)
@@ -1461,8 +1476,8 @@ func (p *Planner) planJoinItem(n *algebra.FromJoin, q *algebra.Query, pool *conj
 		if err != nil {
 			return nil, err
 		}
-		taken := pool.take(unionSets(left.rts, right.rts))
-		joined, err := p.buildJoin(left, right, n.Kind, algebra.AndAll(append(keep, taken...)))
+		taken := pool.take(left.rts.Union(right.rts))
+		joined, err := p.buildJoin(left, right, n.Kind, append(keep, taken...))
 		if err != nil {
 			return nil, err
 		}
@@ -1470,7 +1485,7 @@ func (p *Planner) planJoinItem(n *algebra.FromJoin, q *algebra.Query, pool *conj
 		// at the top of the whole FROM clause, below any enclosing outer
 		// joins.
 		if taken := pool.takeSublinks(joined.rts); len(taken) > 0 {
-			if err := p.attachFilter(joined, algebra.AndAll(taken)); err != nil {
+			if err := p.attachFilter(joined, conjExpr(taken)); err != nil {
 				return nil, err
 			}
 		}
@@ -1485,20 +1500,19 @@ func (p *Planner) planJoinItem(n *algebra.FromJoin, q *algebra.Query, pool *conj
 		nullable = n.Left
 	}
 	nullPool := &conjPool{}
-	var keep []algebra.Expr
+	var keep []*conjunct
 	if nullable != nil {
-		nullableRTs := make(map[int]bool)
-		algebra.FromRTs(nullable, nullableRTs)
-		for _, c := range algebra.Conjuncts(n.Cond) {
-			used := algebra.VarsUsed(c)
-			if len(used) > 0 && subset(used, nullableRTs) && !algebra.ContainsSubLink(c) {
+		var nullableRTs algebra.Bits
+		algebra.FromRTs(nullable, &nullableRTs)
+		for _, c := range analyseConjuncts(n.Cond) {
+			if !c.rts.Empty() && c.rts.SubsetOf(nullableRTs) && !c.sublink {
 				nullPool.conjs = append(nullPool.conjs, c)
 			} else {
 				keep = append(keep, c)
 			}
 		}
 	} else {
-		keep = algebra.Conjuncts(n.Cond)
+		keep = analyseConjuncts(n.Cond)
 	}
 	leftPool, rightPool := pool, nullPool
 	switch n.Kind {
@@ -1522,13 +1536,13 @@ func (p *Planner) planJoinItem(n *algebra.FromJoin, q *algebra.Query, pool *conj
 	switch n.Kind {
 	case algebra.JoinLeft:
 		if taken := pool.takeSublinks(left.rts); len(taken) > 0 {
-			if err := p.attachFilter(left, algebra.AndAll(taken)); err != nil {
+			if err := p.attachFilter(left, conjExpr(taken)); err != nil {
 				return nil, err
 			}
 		}
 	case algebra.JoinRight:
 		if taken := pool.takeSublinks(right.rts); len(taken) > 0 {
-			if err := p.attachFilter(right, algebra.AndAll(taken)); err != nil {
+			if err := p.attachFilter(right, conjExpr(taken)); err != nil {
 				return nil, err
 			}
 		}
@@ -1536,7 +1550,7 @@ func (p *Planner) planJoinItem(n *algebra.FromJoin, q *algebra.Query, pool *conj
 	// Conjuncts the nullable side could not absorb return to the condition.
 	keep = append(keep, nullPool.conjs...)
 	nullPool.conjs = nil
-	return p.buildJoin(left, right, n.Kind, algebra.AndAll(keep))
+	return p.buildJoin(left, right, n.Kind, keep)
 }
 
 func (p *Planner) planRTE(rt int, rte *algebra.RTE) (*planned, error) {
@@ -1578,7 +1592,7 @@ func (p *Planner) planRTE(rt int, rte *algebra.RTE) (*planned, error) {
 					layout: map[int]int{rt: 0},
 					kinds:  kinds,
 					cols:   infos,
-					rts:    map[int]bool{rt: true},
+					rts:    algebra.BitsOf(rt),
 					est:    float64(n) + 1,
 					rowScan: func() exec.Node {
 						rs := exec.NewScan(heap.Snapshot())
@@ -1601,7 +1615,7 @@ func (p *Planner) planRTE(rt int, rte *algebra.RTE) (*planned, error) {
 			layout: map[int]int{rt: 0},
 			kinds:  kinds,
 			cols:   mkCols(),
-			rts:    map[int]bool{rt: true},
+			rts:    algebra.BitsOf(rt),
 			est:    float64(len(rows)) + 1,
 		}
 		setEstNode(pl.node, pl.est)
@@ -1624,7 +1638,7 @@ func (p *Planner) planRTE(rt int, rte *algebra.RTE) (*planned, error) {
 			layout: map[int]int{rt: 0},
 			kinds:  rte.Cols.Kinds(),
 			cols:   infos,
-			rts:    map[int]bool{rt: true},
+			rts:    algebra.BitsOf(rt),
 			est:    sub.est,
 		}, nil
 	case algebra.RTEValues:
@@ -1650,7 +1664,7 @@ func (p *Planner) planRTE(rt int, rte *algebra.RTE) (*planned, error) {
 			node:   exec.NewScan(rows),
 			layout: map[int]int{rt: 0},
 			kinds:  rte.Cols.Kinds(),
-			rts:    map[int]bool{rt: true},
+			rts:    algebra.BitsOf(rt),
 			est:    float64(len(rows)) + 1,
 		}
 		setEstNode(pl.node, pl.est)
@@ -1670,7 +1684,7 @@ func (p *Planner) planVirtual(rt int, rte *algebra.RTE, v *catalog.VirtualTable)
 	pl := &planned{
 		layout: map[int]int{rt: 0},
 		kinds:  kinds,
-		rts:    map[int]bool{rt: true},
+		rts:    algebra.BitsOf(rt),
 		est:    float64(len(rows)) + 1,
 	}
 	if p.vectorized {
