@@ -8,6 +8,7 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"perm/internal/types"
@@ -224,6 +225,110 @@ type Query struct {
 	// that are provenance attributes, with their names (the P-list of the
 	// paper's Fig. 3/7).
 	ProvCols []ProvCol
+
+	// JoinBack, set by the rewriter on the node rule R5 builds, names the
+	// pair that node joins.
+	JoinBack *JoinBack
+}
+
+// JoinBack tags the top node of rule R5, α_{G,agg}(T) ⋈_G Π_{G,P}(T+):
+// range-table entry Agg is the aggregation, entry Prov its rewritten
+// duplicate, and AggCols[i] / ProvCols[i] are where the i-th grouping
+// expression sits in either entry's output. While Reason is empty the
+// optimizer keeps the pair intact and the planner evaluates T+ once for
+// both sides; Reason says why a pair keeps the two-sided plan.
+type JoinBack struct {
+	Agg, Prov         int
+	AggCols, ProvCols []int
+	Reason            string
+}
+
+// Shared reports whether the pair is still to be evaluated by one
+// operator (a nil tag is not).
+func (jb *JoinBack) Shared() bool { return jb != nil && jb.Reason == "" }
+
+// Shareable reports whether one evaluation of T+ can serve both sides of
+// q's join-back, T+ being T row for row: both entries read one
+// select-project-join block over the same base relations with the same
+// FROM and WHERE, and q still joins them on the tagged grouping columns.
+// It returns why not, or "" with what is left of q's join condition and
+// WHERE clause besides the grouping-key equalities, and whether the join
+// is R5's left join (an aggregation without GROUP BY).
+func (jb *JoinBack) Shareable(q *Query) (residual []Expr, left bool, reason string) {
+	a, d := q.RangeTable[jb.Agg].Subquery, q.RangeTable[jb.Prov].Subquery
+	for _, rte := range append(append([]*RTE{}, a.RangeTable...), d.RangeTable...) {
+		if rte.Kind != RTERelation {
+			return nil, false, "nested_input"
+		}
+	}
+	if len(a.RangeTable) != len(d.RangeTable) || !EqualExpr(a.Where, d.Where) || !equalFrom(a.From, d.From) {
+		return nil, false, "diverged"
+	}
+	for i, rte := range a.RangeTable {
+		if d.RangeTable[i].RelName != rte.RelName {
+			return nil, false, "diverged"
+		}
+	}
+	// The pair sits in the implicit join list, or (an inner join the
+	// optimizer has not flattened, or the left join) in one explicit join.
+	pair := []FromItem{&FromRef{RT: jb.Agg}, &FromRef{RT: jb.Prov}}
+	conds := Conjuncts(q.Where)
+	if j, ok := q.From[0].(*FromJoin); ok && len(q.From) == 1 && j.Kind <= JoinLeft &&
+		(equalFrom([]FromItem{j.Left, j.Right}, pair) || equalFrom([]FromItem{j.Right, j.Left}, pair)) {
+		if left = j.Kind == JoinLeft; left {
+			residual, conds = conds, Conjuncts(j.Cond) // WHERE filters the left join's result
+		} else {
+			conds = append(conds, Conjuncts(j.Cond)...)
+		}
+	} else if !equalFrom(q.From, pair) && !equalFrom(q.From, []FromItem{pair[1], pair[0]}) {
+		return nil, false, "diverged"
+	}
+	if left != (len(a.GroupBy) == 0) || len(jb.AggCols) != len(a.GroupBy) {
+		return nil, false, "diverged"
+	}
+	for i, g := range a.GroupBy {
+		av, pv := &Var{RT: jb.Agg, Col: jb.AggCols[i]}, &Var{RT: jb.Prov, Col: jb.ProvCols[i]}
+		k := slices.IndexFunc(conds, func(c Expr) bool {
+			return EqualExpr(c, &DistinctFrom{Not: true, Left: av, Right: pv}) ||
+				EqualExpr(c, &DistinctFrom{Not: true, Left: pv, Right: av})
+		})
+		if k < 0 || !EqualExpr(a.TargetList[av.Col].Expr, g) || !EqualExpr(d.TargetList[pv.Col].Expr, g) {
+			return nil, false, "diverged"
+		}
+		conds = slices.Delete(conds, k, k+1)
+	}
+	for _, c := range conds {
+		if k, ok := c.(*Const); ok && k.Val.K == types.KindBool && !k.Val.Null && k.Val.B {
+			continue // the left join's TRUE
+		}
+		if left {
+			return nil, false, "diverged"
+		}
+		residual = append(residual, c)
+	}
+	return residual, left, ""
+}
+
+func equalFrom(a, b []FromItem) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		switch x := a[i].(type) {
+		case *FromRef:
+			y, ok := b[i].(*FromRef)
+			if !ok || x.RT != y.RT {
+				return false
+			}
+		case *FromJoin:
+			y, ok := b[i].(*FromJoin)
+			if !ok || x.Kind != y.Kind || !EqualExpr(x.Cond, y.Cond) ||
+				!equalFrom([]FromItem{x.Left, x.Right}, []FromItem{y.Left, y.Right}) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Schema derives the output schema of the query node.
@@ -501,65 +606,86 @@ func WalkExpr(e Expr, f func(Expr)) {
 // f(node) after its children have been mapped. f receives an already-copied
 // node and may return it or a replacement. Sublink subqueries are not
 // descended into.
-func MapExpr(e Expr, f func(Expr) Expr) Expr {
+func MapExpr(e Expr, f func(Expr) Expr) Expr { return mapper{f: f}.expr(e) }
+
+// Replace rebuilds the expression tree top-down: a node for which repl
+// returns a replacement is replaced, unvisited below; every other node is
+// copied with its children replaced in turn. Sublink subqueries are not
+// descended into.
+func Replace(e Expr, repl func(Expr) Expr) Expr { return mapper{f: repl, topDown: true}.expr(e) }
+
+type mapper struct {
+	f       func(Expr) Expr
+	topDown bool
+}
+
+func (m mapper) expr(e Expr) Expr {
 	if e == nil {
 		return nil
 	}
+	if m.topDown {
+		if r := m.f(e); r != nil {
+			return r
+		}
+	}
+	var c Expr
 	switch n := e.(type) {
 	case *Var:
-		c := *n
-		return f(&c)
+		x := *n
+		c = &x
 	case *Const:
-		c := *n
-		return f(&c)
+		x := *n
+		c = &x
 	case *BinOp:
-		c := *n
-		c.Left = MapExpr(n.Left, f)
-		c.Right = MapExpr(n.Right, f)
-		return f(&c)
+		x := *n
+		x.Left, x.Right = m.expr(n.Left), m.expr(n.Right)
+		c = &x
 	case *UnOp:
-		c := *n
-		c.Expr = MapExpr(n.Expr, f)
-		return f(&c)
+		x := *n
+		x.Expr = m.expr(n.Expr)
+		c = &x
 	case *IsNull:
-		c := *n
-		c.Expr = MapExpr(n.Expr, f)
-		return f(&c)
+		x := *n
+		x.Expr = m.expr(n.Expr)
+		c = &x
 	case *DistinctFrom:
-		c := *n
-		c.Left = MapExpr(n.Left, f)
-		c.Right = MapExpr(n.Right, f)
-		return f(&c)
+		x := *n
+		x.Left, x.Right = m.expr(n.Left), m.expr(n.Right)
+		c = &x
 	case *FuncCall:
-		c := *n
-		c.Args = make([]Expr, len(n.Args))
+		x := *n
+		x.Args = make([]Expr, len(n.Args))
 		for i, a := range n.Args {
-			c.Args[i] = MapExpr(a, f)
+			x.Args[i] = m.expr(a)
 		}
-		return f(&c)
+		c = &x
 	case *AggRef:
-		c := *n
-		c.Arg = MapExpr(n.Arg, f)
-		return f(&c)
+		x := *n
+		x.Arg = m.expr(n.Arg)
+		c = &x
 	case *CaseExpr:
-		c := *n
-		c.Whens = make([]CaseWhen, len(n.Whens))
+		x := *n
+		x.Whens = make([]CaseWhen, len(n.Whens))
 		for i, w := range n.Whens {
-			c.Whens[i] = CaseWhen{Cond: MapExpr(w.Cond, f), Result: MapExpr(w.Result, f)}
+			x.Whens[i] = CaseWhen{Cond: m.expr(w.Cond), Result: m.expr(w.Result)}
 		}
-		c.Else = MapExpr(n.Else, f)
-		return f(&c)
+		x.Else = m.expr(n.Else)
+		c = &x
 	case *Cast:
-		c := *n
-		c.Expr = MapExpr(n.Expr, f)
-		return f(&c)
+		x := *n
+		x.Expr = m.expr(n.Expr)
+		c = &x
 	case *SubLink:
-		c := *n
-		c.Test = MapExpr(n.Test, f)
-		return f(&c)
+		x := *n
+		x.Test = m.expr(n.Test)
+		c = &x
 	default:
 		panic(fmt.Sprintf("algebra.MapExpr: unknown node %T", e))
 	}
+	if m.topDown {
+		return c
+	}
+	return m.f(c)
 }
 
 // CopyExpr deep-copies an expression tree (sublink queries are shared).
@@ -747,6 +873,12 @@ func CopyQuery(q *Query) *Query {
 	c.Limit = copyExprDeep(q.Limit)
 	c.Offset = copyExprDeep(q.Offset)
 	c.ProvCols = append([]ProvCol(nil), q.ProvCols...)
+	if q.JoinBack != nil {
+		jb := *q.JoinBack
+		jb.AggCols = append([]int(nil), jb.AggCols...)
+		jb.ProvCols = append([]int(nil), jb.ProvCols...)
+		c.JoinBack = &jb
+	}
 	return c
 }
 

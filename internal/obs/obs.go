@@ -168,7 +168,28 @@ var (
 	// pressure.
 	PlanFlips     Counter
 	StmtEvictions Counter
+
+	// JoinBackShared counts provenance join-backs (rule R5) planned as one
+	// operator over a single evaluation of their input; JoinBackTwoSided
+	// those that kept the two-sided plan, by reason.
+	JoinBackShared   Counter
+	JoinBackTwoSided = map[string]*Counter{
+		"having_sublink": {}, "nested_input": {}, "diverged": {}, "limit": {}, "row_engine": {},
+	}
 )
+
+// JoinBackReasons lists the keys of JoinBackTwoSided in a fixed order.
+var JoinBackReasons = []string{"having_sublink", "nested_input", "diverged", "limit", "row_engine"}
+
+// CountJoinBack counts one planned join-back: shared for reason "", else
+// two-sided for that reason.
+func CountJoinBack(reason string) {
+	if reason == "" {
+		JoinBackShared.Inc()
+	} else {
+		JoinBackTwoSided[reason].Inc()
+	}
+}
 
 // ---------------------------------------------------------------------------
 // OpStats: the per-operator profile EXPLAIN ANALYZE collects

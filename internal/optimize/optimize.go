@@ -32,6 +32,7 @@ import (
 	"strconv"
 
 	"perm/internal/algebra"
+	"perm/internal/vexec"
 )
 
 // outputRT is the pseudo range-table index the analyzer uses for Vars
@@ -149,6 +150,15 @@ func (o *optimizer) reachInto(q *algebra.Query) {
 // rules runs the local rules once over a plain node; true if any of them
 // changed it or reached into a subquery.
 func (o *optimizer) rules(q *algebra.Query) bool {
+	if jb := q.JoinBack; jb.Shared() {
+		// A rule-R5 pair stays intact — neither merged into its parent nor
+		// taking T+ apart — only while one evaluation of T+ can serve both
+		// sides, which takes the batch engine; otherwise it is a join like
+		// any other from here on.
+		if _, _, jb.Reason = jb.Shareable(q); jb.Reason == "" && !vexec.Batchable(q.RangeTable[jb.Agg].Subquery, q.RangeTable[jb.Prov].Subquery) {
+			jb.Reason = "row_engine"
+		}
+	}
 	changed := flattenInnerJoins(q)
 	for unnestAll(q) {
 		changed = true
@@ -316,7 +326,7 @@ func flattenInnerJoins(q *algebra.Query) bool {
 func isSimpleSPJ(q *algebra.Query) bool {
 	return q != nil && !q.IsSetOp() && !q.HasAggs && len(q.GroupBy) == 0 &&
 		q.Having == nil && !q.Distinct && q.Limit == nil && q.Offset == nil &&
-		len(q.OrderBy) == 0 && len(q.From) > 0
+		len(q.OrderBy) == 0 && len(q.From) > 0 && !q.JoinBack.Shared()
 }
 
 // refSite describes where a range-table entry sits in the FROM forest:
@@ -389,7 +399,7 @@ func unnestAll(q *algebra.Query) bool {
 	}
 	var merges []merge
 	for rt, rte := range q.RangeTable {
-		if rte.Kind != algebra.RTESubquery || !isSimpleSPJ(rte.Subquery) {
+		if rte.Kind != algebra.RTESubquery || !isSimpleSPJ(rte.Subquery) || q.JoinBack.Shared() {
 			continue
 		}
 		site := locateRef(q.From, rt)
@@ -529,8 +539,10 @@ func (o *optimizer) pushDownPredicates(q *algebra.Query) bool {
 			kept = append(kept, c)
 			continue
 		}
+		// A shared join-back's sides must keep reading one block: neither
+		// takes a conjunct the other does not.
 		rte := q.RangeTable[rt]
-		if rte.Kind != algebra.RTESubquery {
+		if rte.Kind != algebra.RTESubquery || q.JoinBack.Shared() {
 			kept = append(kept, c)
 			continue
 		}
@@ -667,6 +679,15 @@ func (o *optimizer) pruneNode(q *algebra.Query) bool {
 	}
 	if !changed {
 		return false
+	}
+	for i, jb := 0, q.JoinBack; jb.Shared() && i < len(jb.AggCols); i++ {
+		// A shared pair has no other entries: only its columns move.
+		if r := newCol[jb.Agg]; r != nil {
+			jb.AggCols[i] = r[jb.AggCols[i]]
+		}
+		if r := newCol[jb.Prov]; r != nil {
+			jb.ProvCols[i] = r[jb.ProvCols[i]]
+		}
 	}
 	if len(kept) < len(q.RangeTable) {
 		q.RangeTable = kept

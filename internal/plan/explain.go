@@ -111,6 +111,12 @@ func describeV(n vexec.Node) op {
 		return op{name: "VecHashAggregate",
 			args:  fmt.Sprintf("%d groups, %d aggs%s", len(x.Groups), len(x.Aggs), spillTag(x.Spill)),
 			extra: func() []string { return resAnnot(x.Spill) }, vkids: [2]*vexec.Node{&x.Input}}
+	case *vexec.AggAttach:
+		return op{name: "VecAggAttach",
+			args: fmt.Sprintf("%d groups, %d aggs%s", len(x.Agg.Groups), len(x.Agg.Aggs), spillTag(x.Spill)),
+			extra: func() []string {
+				return append([]string{fmt.Sprintf("materialized=%d", x.Stored)}, resAnnot(x.Spill)...)
+			}, vkids: [2]*vexec.Node{&x.Input}}
 	case *vexec.VecSort:
 		return op{name: "VecSort", args: fmt.Sprintf("%d keys%s", len(x.Keys), spillTag(x.Spill)),
 			extra: func() []string { return resAnnot(x.Spill) }, vkids: [2]*vexec.Node{&x.Input}}

@@ -139,8 +139,9 @@ func findSite(n vexec.Node, depth int) (vexec.Node, siteKind, int) {
 		if eligibleSpine(x.Input) {
 			return n, siteSort, depth
 		}
-	case *vexec.VecTopN, *vexec.VecLimit, *vexec.VecDistinct, *vexec.VecSetOp:
-		// Never a site themselves: look below.
+	case *vexec.VecTopN, *vexec.VecLimit, *vexec.VecDistinct, *vexec.VecSetOp, *vexec.AggAttach:
+		// Never a site themselves: look below. (A join-back's aggregate
+		// runs once, over an exchange of its input.)
 	default:
 		// Scans, filters, projections and joins: the spine itself.
 		if eligibleSpine(n) {

@@ -32,6 +32,10 @@ type Planner struct {
 	parallelism int
 	activity    *obs.ActiveQuery
 
+	// joinBacks records, per rule-R5 join-back planned, "" when one
+	// AggAttach evaluates it or the reason it kept the two-sided plan.
+	joinBacks []string
+
 	// colSnaps holds the columnar snapshot each table was first scanned
 	// from in the statement being planned. Every further scan of the table
 	// — a self-join, the two sides of a provenance join-back, the replicas
@@ -101,10 +105,13 @@ func (p *Planner) spillRes(op string) spill.Resources {
 
 // Plan lowers a query tree to an executable node.
 func (p *Planner) Plan(q *algebra.Query) (exec.Node, error) {
-	p.colSnaps = nil
+	p.colSnaps, p.joinBacks = nil, nil
 	pl, err := p.planQuery(q)
 	if err != nil {
 		return nil, err
+	}
+	for _, reason := range p.joinBacks {
+		obs.CountJoinBack(reason)
 	}
 	if p.parallelism > 1 && pl.vnode != nil {
 		p.parallelize(q, pl)
@@ -356,8 +363,11 @@ func kindsMatch(a, b []types.Kind) bool {
 
 func (p *Planner) planPlain(q *algebra.Query) (*planned, error) {
 	// 1. FROM clause: plan items and join them, distributing WHERE
-	// conjuncts.
-	input, err := p.planFrom(q)
+	// conjuncts; a provenance join-back's pair is one operator.
+	input, err := p.planJoinBack(q)
+	if input == nil && err == nil {
+		input, err = p.planFrom(q)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -1918,109 +1928,37 @@ func (p *Planner) tryVecAgg(q *algebra.Query, input *planned, aggRefs []*algebra
 // expression become column references, AggRefs become references to their
 // computed slot. The result uses flat Vars (RT -2) bound by flatBinder.
 func mapToAggOutput(e algebra.Expr, groupBy []algebra.Expr, aggRefs []*algebra.AggRef) (algebra.Expr, error) {
-	if e == nil {
-		return nil, nil
-	}
-	for i, g := range groupBy {
-		if algebra.EqualExpr(e, g) {
-			return &algebra.Var{RT: flatRT, Col: i, Name: "group", Typ: algebra.TypeOf(g)}, nil
+	var err error
+	fail := func(first error) {
+		if err == nil {
+			err = first
 		}
 	}
-	if ar, ok := e.(*algebra.AggRef); ok {
-		for i, seen := range aggRefs {
-			if algebra.EqualExpr(seen, ar) {
-				return &algebra.Var{RT: flatRT, Col: len(groupBy) + i, Name: "agg", Typ: ar.Typ}, nil
+	out := algebra.Replace(e, func(x algebra.Expr) algebra.Expr {
+		for i, g := range groupBy {
+			if algebra.EqualExpr(x, g) {
+				return &algebra.Var{RT: flatRT, Col: i, Name: "group", Typ: algebra.TypeOf(g)}
 			}
 		}
-		return nil, fmt.Errorf("plan: aggregate not collected (planner bug)")
+		switch n := x.(type) {
+		case *algebra.AggRef:
+			for i, seen := range aggRefs {
+				if algebra.EqualExpr(seen, n) {
+					return &algebra.Var{RT: flatRT, Col: len(groupBy) + i, Name: "agg", Typ: n.Typ}
+				}
+			}
+			fail(fmt.Errorf("plan: aggregate not collected (planner bug)"))
+		case *algebra.Var:
+			fail(fmt.Errorf("plan: column %q must appear in GROUP BY", n.Name))
+		default:
+			return nil
+		}
+		return x
+	})
+	if err != nil {
+		return nil, err
 	}
-	switch n := e.(type) {
-	case *algebra.Var:
-		return nil, fmt.Errorf("plan: column %q must appear in GROUP BY", n.Name)
-	case *algebra.Const:
-		c := *n
-		return &c, nil
-	case *algebra.BinOp:
-		c := *n
-		var err error
-		if c.Left, err = mapToAggOutput(n.Left, groupBy, aggRefs); err != nil {
-			return nil, err
-		}
-		if c.Right, err = mapToAggOutput(n.Right, groupBy, aggRefs); err != nil {
-			return nil, err
-		}
-		return &c, nil
-	case *algebra.UnOp:
-		c := *n
-		var err error
-		if c.Expr, err = mapToAggOutput(n.Expr, groupBy, aggRefs); err != nil {
-			return nil, err
-		}
-		return &c, nil
-	case *algebra.IsNull:
-		c := *n
-		var err error
-		if c.Expr, err = mapToAggOutput(n.Expr, groupBy, aggRefs); err != nil {
-			return nil, err
-		}
-		return &c, nil
-	case *algebra.DistinctFrom:
-		c := *n
-		var err error
-		if c.Left, err = mapToAggOutput(n.Left, groupBy, aggRefs); err != nil {
-			return nil, err
-		}
-		if c.Right, err = mapToAggOutput(n.Right, groupBy, aggRefs); err != nil {
-			return nil, err
-		}
-		return &c, nil
-	case *algebra.FuncCall:
-		c := *n
-		c.Args = make([]algebra.Expr, len(n.Args))
-		for i, a := range n.Args {
-			m, err := mapToAggOutput(a, groupBy, aggRefs)
-			if err != nil {
-				return nil, err
-			}
-			c.Args[i] = m
-		}
-		return &c, nil
-	case *algebra.CaseExpr:
-		c := *n
-		c.Whens = make([]algebra.CaseWhen, len(n.Whens))
-		for i, w := range n.Whens {
-			wc, err := mapToAggOutput(w.Cond, groupBy, aggRefs)
-			if err != nil {
-				return nil, err
-			}
-			wr, err := mapToAggOutput(w.Result, groupBy, aggRefs)
-			if err != nil {
-				return nil, err
-			}
-			c.Whens[i] = algebra.CaseWhen{Cond: wc, Result: wr}
-		}
-		var err error
-		if c.Else, err = mapToAggOutput(n.Else, groupBy, aggRefs); err != nil {
-			return nil, err
-		}
-		return &c, nil
-	case *algebra.Cast:
-		c := *n
-		var err error
-		if c.Expr, err = mapToAggOutput(n.Expr, groupBy, aggRefs); err != nil {
-			return nil, err
-		}
-		return &c, nil
-	case *algebra.SubLink:
-		c := *n
-		var err error
-		if c.Test, err = mapToAggOutput(n.Test, groupBy, aggRefs); err != nil {
-			return nil, err
-		}
-		return &c, nil
-	default:
-		return nil, fmt.Errorf("plan: cannot map %T over aggregation output", e)
-	}
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -45,6 +45,11 @@ func testCatalog(t *testing.T) *catalog.Catalog {
 
 func planFor(t *testing.T, cat *catalog.Catalog, src string) exec.Node {
 	t.Helper()
+	return planWith(t, cat, src, provrewrite.Options{})
+}
+
+func planWith(t *testing.T, cat *catalog.Catalog, src string, opts provrewrite.Options) exec.Node {
+	t.Helper()
 	stmt, err := sql.Parse(src)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +58,7 @@ func planFor(t *testing.T, cat *catalog.Catalog, src string) exec.Node {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err = provrewrite.RewriteTree(q, provrewrite.Options{})
+	q, err = provrewrite.RewriteTree(q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +93,15 @@ func TestNonEquiJoinFallsBackToNestedLoop(t *testing.T) {
 func TestRewrittenAggregationUsesHashJoin(t *testing.T) {
 	cat := testCatalog(t)
 	// The provenance join-back for aggregation uses IS NOT DISTINCT FROM;
-	// the planner must still recognize it as a hash-joinable key.
-	node := planFor(t, cat, "SELECT PROVENANCE a, count(*) FROM small GROUP BY a")
-	out := plan.Explain(node)
+	// kept two-sided, the planner must still recognize it as a
+	// hash-joinable key. Otherwise one AggAttach evaluates both sides.
+	const src = "SELECT PROVENANCE a, count(*) FROM small GROUP BY a"
+	out := plan.Explain(planWith(t, cat, src, provrewrite.Options{TwoSidedJoinBacks: true}))
 	if !strings.Contains(out, "HashJoin") {
 		t.Errorf("null-safe join-back should be a HashJoin:\n%s", out)
+	}
+	if out := plan.Explain(planFor(t, cat, src)); !strings.Contains(out, "VecAggAttach") {
+		t.Errorf("join-back over one evaluation of its input should be a VecAggAttach:\n%s", out)
 	}
 }
 

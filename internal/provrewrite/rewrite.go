@@ -38,6 +38,10 @@ type Options struct {
 	// simpler version of set operation rewriting"); 3a is the improvement
 	// §V-B1 predicts a speedup for.
 	FlattenSetOps bool
+	// TwoSidedJoinBacks marks every rule-R5 join-back as two-sided, the
+	// plan the row engine runs: the optimizer then unnests the pair like
+	// any other subquery.
+	TwoSidedJoinBacks bool
 }
 
 // Rewriter rewrites query trees. A Rewriter carries the provenance
@@ -326,10 +330,22 @@ func (r *Rewriter) rewriteASPJ(q *algebra.Query) (*algebra.Query, error) {
 		top.ProvCols = append(top.ProvCols, algebra.ProvCol{Col: pos, Name: pc.Name})
 	}
 
+	// Tag the pair, so the optimizer and the planner can evaluate T once
+	// for both sides instead of rediscovering the duplicate.
+	top.JoinBack = &algebra.JoinBack{Agg: 0, Prov: 1, AggCols: groupPos, ProvCols: make([]int, len(groupPos))}
+	for i := range groupPos {
+		top.JoinBack.ProvCols[i] = i
+	}
+	if r.opts.TwoSidedJoinBacks {
+		top.JoinBack.Reason = "row_engine"
+	}
+
 	// HAVING sublinks contribute their accessed tuples too (§IV-E); they
 	// are attached at the top node. Scalar and EXISTS sublinks join on
-	// TRUE (the whole subquery input contributes).
+	// TRUE (the whole subquery input contributes). Their entries join the
+	// pair, which then stays two-sided.
 	if len(havingSublinks) > 0 {
+		top.JoinBack.Reason = "having_sublink"
 		if err := r.attachSublinks(top, havingSublinks, func(link *algebra.SubLink, subRT int) (algebra.Expr, error) {
 			return r.sublinkJoinCond(link, subRT, func(test algebra.Expr) (algebra.Expr, error) {
 				return mapExprToOutputs(test, qAgg, 0)
@@ -369,53 +385,26 @@ func liftOrderBy(q *algebra.Query, width int) []algebra.SortItem {
 // at the top join node.
 func mapExprToOutputs(e algebra.Expr, q *algebra.Query, rt int) (algebra.Expr, error) {
 	schema := q.Schema()
-	var mapErr error
-	mapped := mapMatch(e, q, rt, schema, &mapErr)
-	if mapErr != nil {
-		return nil, mapErr
+	var err error
+	mapped := algebra.Replace(e, func(x algebra.Expr) algebra.Expr {
+		for i, te := range q.TargetList {
+			if algebra.EqualExpr(te.Expr, x) {
+				return &algebra.Var{RT: rt, Col: i, Name: schema[i].Name, Typ: schema[i].Type}
+			}
+		}
+		switch x.(type) {
+		case *algebra.Var, *algebra.AggRef, *algebra.SubLink:
+			if err == nil {
+				err = fmt.Errorf("cannot re-express %T over the aggregation output", x)
+			}
+			return x
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return mapped, nil
-}
-
-func mapMatch(e algebra.Expr, q *algebra.Query, rt int, schema algebra.Schema, mapErr *error) algebra.Expr {
-	if e == nil {
-		return nil
-	}
-	for i, te := range q.TargetList {
-		if algebra.EqualExpr(te.Expr, e) {
-			return &algebra.Var{RT: rt, Col: i, Name: schema[i].Name, Typ: schema[i].Type}
-		}
-	}
-	switch n := e.(type) {
-	case *algebra.Const:
-		c := *n
-		return &c
-	case *algebra.BinOp:
-		c := *n
-		c.Left = mapMatch(n.Left, q, rt, schema, mapErr)
-		c.Right = mapMatch(n.Right, q, rt, schema, mapErr)
-		return &c
-	case *algebra.UnOp:
-		c := *n
-		c.Expr = mapMatch(n.Expr, q, rt, schema, mapErr)
-		return &c
-	case *algebra.Cast:
-		c := *n
-		c.Expr = mapMatch(n.Expr, q, rt, schema, mapErr)
-		return &c
-	case *algebra.FuncCall:
-		c := *n
-		c.Args = make([]algebra.Expr, len(n.Args))
-		for i, a := range n.Args {
-			c.Args[i] = mapMatch(a, q, rt, schema, mapErr)
-		}
-		return &c
-	default:
-		if *mapErr == nil {
-			*mapErr = fmt.Errorf("cannot re-express %T over the aggregation output", e)
-		}
-		return e
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -720,6 +709,11 @@ func (r *Rewriter) rewriteLimit(q *algebra.Query) (*algebra.Query, error) {
 	dPlus, err := r.RewriteNode(d)
 	if err != nil {
 		return nil, err
+	}
+	if jb := dPlus.JoinBack; jb.Shared() {
+		// The join below matches the limited original's aggregate values
+		// by equality, so dPlus must compute them the way the original does.
+		jb.Reason = "limit"
 	}
 	top := &algebra.Query{}
 	origRTE := &algebra.RTE{Kind: algebra.RTESubquery, Alias: "perm_limit", Subquery: q, Cols: q.Schema()}

@@ -294,9 +294,16 @@ func TestRewrittenShapesAreOptimizable(t *testing.T) {
 		t.Errorf("perm_agg_prov duplicate is not a plain SPJ block: %v", dup)
 	}
 
-	// After optimization the duplicate disappears entirely: the top node
-	// joins the aggregation against the base relation directly.
-	opt := optimize.Query(q)
+	// The optimizer keeps the tagged pair intact, for one evaluation of
+	// T+ to serve both sides ...
+	opt := optimize.Query(algebra.CopyQuery(q))
+	if jb := opt.JoinBack; jb == nil || jb.Reason != "" || opt.RangeTable[jb.Prov].Alias != "perm_agg_prov" {
+		t.Errorf("optimized join-back should keep its shared pair, got %+v", jb)
+	}
+	// ... and kept two-sided the duplicate disappears entirely: the top
+	// node joins the aggregation against the base relation directly.
+	q.JoinBack.Reason = "row_engine"
+	opt = optimize.Query(q)
 	aliases := make([]string, 0, len(opt.RangeTable))
 	baseRels := 0
 	for _, rte := range opt.RangeTable {

@@ -72,6 +72,11 @@ func (t *Table) Kinds() []types.Kind { return t.kinds }
 // vectors whose length is the chunk's row count. Read-only.
 func (t *Table) Chunks() [][]*Vec { return t.chunks }
 
+// Drop releases the storage of the chunks before chunk ch, whose rows the
+// caller has read for the last time: a table streamed out once need not
+// be held past its last row. Their row ids must not be read again.
+func (t *Table) Drop(ch int) { clear(t.chunks[:ch]) }
+
 // tail returns the chunk that takes the next rows, with room for at least
 // one: the last chunk, the first chunk regrown (need more rows are about
 // to arrive), or a new one.

@@ -185,6 +185,51 @@ func CompileExpr(e algebra.Expr, bind eval.Binder) (*Expr, error) {
 	}
 }
 
+// compiles reports whether the batch engine can evaluate e, an aggregate
+// in it standing for its result over compilable arguments, as the
+// aggregation would compute it. Columns and sublinks bind to anything.
+func compiles(e algebra.Expr) bool {
+	ok := true
+	e = algebra.MapExpr(e, func(x algebra.Expr) algebra.Expr {
+		if ar, isAgg := x.(*algebra.AggRef); isAgg {
+			ok = ok && !ar.Distinct && (ar.Arg == nil || compiles(ar.Arg))
+			return &algebra.Var{Typ: ar.Typ}
+		}
+		return x
+	})
+	if _, err := CompileExpr(e, anyBinder{}); e != nil && err != nil {
+		return false
+	}
+	return ok
+}
+
+// Batchable reports whether the batch engine can run the blocks of
+// queries: every expression compiles for it and no join is a right or
+// full outer join, which only the row engine executes.
+func Batchable(queries ...*algebra.Query) bool {
+	ok := true
+	var joins func(algebra.FromItem)
+	joins = func(fi algebra.FromItem) {
+		if j, isJoin := fi.(*algebra.FromJoin); isJoin {
+			ok = ok && j.Kind != algebra.JoinRight && j.Kind != algebra.JoinFull
+			joins(j.Left)
+			joins(j.Right)
+		}
+	}
+	for _, q := range queries {
+		q.VisitExprs(func(e algebra.Expr) { ok = ok && compiles(e) })
+		for _, fi := range q.From {
+			joins(fi)
+		}
+	}
+	return ok
+}
+
+type anyBinder struct{}
+
+func (anyBinder) BindVar(*algebra.Var) (int, error)                       { return 0, nil }
+func (anyBinder) BindSubLink(*algebra.SubLink) (eval.SubLinkValue, error) { return nil, nil }
+
 // CompileExprs compiles a slice of expressions; it fails if any one of
 // them is unsupported.
 func CompileExprs(es []algebra.Expr, bind eval.Binder) ([]*Expr, error) {

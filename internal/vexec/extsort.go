@@ -303,16 +303,17 @@ func mergePass(res spill.Resources, runs []*spill.Run, keys []exec.SortKey, clas
 }
 
 // reduceRuns applies intermediate merge passes until at most mergeFanIn
-// runs remain. The earliest runs merge first and the merged run takes
-// their position, preserving the segment order the tie-break relies on.
+// runs remain, each merging no more runs than that takes. The earliest
+// runs merge first and the merged run takes their position, preserving
+// the segment order the tie-break relies on.
 func reduceRuns(res spill.Resources, runs []*spill.Run, keys []exec.SortKey, classes []cmpClass, kinds []types.Kind) ([]*spill.Run, error) {
 	for len(runs) > mergeFanIn {
-		merged, err := mergePass(res, runs[:mergeFanIn], keys, classes, kinds)
+		k := min(mergeFanIn, len(runs)-mergeFanIn+1)
+		merged, err := mergePass(res, runs[:k], keys, classes, kinds)
 		if err != nil {
 			return runs, err
 		}
-		rest := append([]*spill.Run{merged}, runs[mergeFanIn:]...)
-		runs = rest
+		runs = append([]*spill.Run{merged}, runs[k:]...)
 	}
 	return runs, nil
 }

@@ -21,7 +21,8 @@
 // Memory: every replica is planned with its own spill reservations
 // against the session budget, so parallelism composes with spill instead
 // of multiplying the footprint. Pooling: batches cross goroutines only
-// through Exchange, which copies live lanes into fresh unpooled vectors;
+// through Exchange, which copies live lanes into pooled vectors it frees
+// once its consumer has moved on;
 // everything else inside a worker keeps the usual single-goroutine
 // consumer-abandons-before-Next discipline, and the barrier (WaitGroup)
 // in ParallelAgg/ParallelSort orders worker state before the
@@ -162,17 +163,27 @@ func (t *MorselTap) Close() error { return t.Input.Close() }
 // Next: the global ordinal of its first live lane.
 func (t *MorselTap) Base() int64 { return t.base }
 
-// copyBatch materializes the live lanes of a batch into fresh unpooled
-// vectors of exactly that many rows, detaching it from the producer's
-// recyclable buffers so it can cross the Exchange channel.
+// copyBatch copies the live lanes of a batch into vectors of the shared
+// buffer pool, detaching it from the producer's recyclable buffers so it
+// can cross the Exchange channel; the exchange frees them once its
+// consumer has moved past the batch.
 func copyBatch(b *vector.Batch) *vector.Batch {
 	lanes := resolveSel(b, b.Sel)
 	cols := make([]*vector.Vec, len(b.Cols))
 	for j, c := range b.Cols {
-		cols[j] = vector.NewVec(c.Kind, len(lanes))
+		cols[j] = vector.NewBatchVec(c.Kind, len(lanes))
 		cols[j].CopyLanes(0, c, lanes)
 	}
 	return &vector.Batch{N: len(lanes), Cols: cols}
+}
+
+// freeBatch returns a copied batch's vectors to the pool.
+func freeBatch(b *vector.Batch) {
+	if b != nil {
+		for _, v := range b.Cols {
+			v.Free()
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -198,6 +209,7 @@ type Exchange struct {
 
 	chans  []chan exItem
 	heads  []*exItem
+	out    *vector.Batch // the batch last emitted, freed on the next call
 	done   []bool
 	stop   chan struct{}
 	wg     sync.WaitGroup
@@ -297,6 +309,8 @@ func (e *Exchange) send(i int, it exItem) bool {
 }
 
 func (e *Exchange) Next() (*vector.Batch, error) {
+	freeBatch(e.out)
+	e.out = nil
 	if e.err != nil {
 		return nil, e.err
 	}
@@ -328,6 +342,7 @@ func (e *Exchange) Next() (*vector.Batch, error) {
 		e.err = head.err
 		return nil, e.err
 	}
+	e.out = head.b
 	return head.b, nil
 }
 
@@ -336,6 +351,8 @@ func (e *Exchange) Close() error {
 		return nil
 	}
 	e.closed = true
+	freeBatch(e.out)
+	e.out = nil
 	close(e.stop)
 	for i := range e.chans {
 		for range e.chans[i] { //nolint:revive — drain so senders unblock

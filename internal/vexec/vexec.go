@@ -3,11 +3,12 @@
 // snapshots (with runtime join-filter pushdown), filters driven by
 // selection vectors, projections over vectorized expressions, hash joins
 // (inner and left outer, with the null-safe key variant the provenance
-// join-back conditions require), hash aggregation, sorting/top-N,
-// duplicate elimination and bag/set operations. The planner lowers a
-// plan subtree to these operators when every operator and expression in
-// it is supported, and bridges back to the row-at-a-time engine (package
-// exec) through RowSource wherever it is not.
+// join-back conditions require), hash aggregation, rule R5's join-back
+// over one evaluation of its input (AggAttach), sorting/top-N, duplicate
+// elimination and bag/set operations. The planner lowers a plan subtree
+// to these operators when every operator and expression in it is
+// supported, and bridges back to the row-at-a-time engine (package exec)
+// through RowSource wherever it is not.
 //
 // Batch-buffer discipline: an operator must abandon all references to a
 // batch obtained from its child before calling the child's Next again;
@@ -754,6 +755,9 @@ type HashAgg struct {
 	Groups []*Expr
 	Aggs   []AggSpec
 	Spill  spill.Resources
+	// Unflushed grows the group table by Force rather than flush partial
+	// states, which float SUM/AVG would not merge back bit for bit.
+	Unflushed bool
 
 	// Parallel partial mode (set by NewParallelAgg): sequence numbers come
 	// from the morsel tap (global input ordinals) instead of a local
@@ -943,7 +947,9 @@ func (h *HashAgg) Open() (err error) {
 				if budgeted {
 					h.pending += laneBytes(keys, i) + stateBytes
 					if h.pending >= growQuantum {
-						if !h.Spill.Res.Grow(h.pending) {
+						if h.Unflushed {
+							h.Spill.Res.Force(h.pending)
+						} else if !h.Spill.Res.Grow(h.pending) {
 							// The groups are about to be flushed: fold in the
 							// lanes resolved against them first.
 							h.accumulate(args, lanes[folded:idx], gids[folded:idx])

@@ -210,6 +210,11 @@ func (db *Database) buildMetrics() *obs.Registry {
 	r.CounterVar("perm_parallel_plans_total", "Queries planned with a parallel operator.", "", &obs.ParallelPlans)
 	r.CounterVar("perm_parallel_workers_total", "Workers launched by parallel plans.", "", &obs.ParallelWorkers)
 	r.CounterVar("perm_parallel_serial_fallbacks_total", "Parallel sites that fell back to serial execution.", "", &obs.SerialFallbacks)
+	r.CounterVar("perm_joinback_shared_total", "Provenance join-backs planned over one evaluation of their input.", "", &obs.JoinBackShared)
+	for _, reason := range obs.JoinBackReasons {
+		r.CounterVar("perm_joinback_two_sided_total", "Provenance join-backs that kept the two-sided plan, by reason.",
+			`reason="`+reason+`"`, obs.JoinBackTwoSided[reason])
+	}
 
 	r.CounterVar("perm_panics_recovered_total", "Query panics caught and converted to errors.", "", &obs.PanicsRecovered)
 	r.CounterVar("perm_statement_timeouts_total", "Statements terminated by their statement timeout.", "", &obs.StatementTimeouts)

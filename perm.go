@@ -331,18 +331,27 @@ func (db *Database) MemoryLimit() int64 { return db.budget.Limit() }
 func (db *Database) Opts() Options { return db.opts }
 
 // optionsFingerprint encodes the options that change what the compile
-// pipeline produces. Planner-level options (vectorization) are excluded:
-// the cached artifact is the optimized logical tree, planned fresh on
-// every execution.
+// pipeline produces. The cached artifact is the optimized logical tree,
+// planned fresh on every execution; vectorization counts because the row
+// engine keeps provenance join-backs two-sided, which the optimizer then
+// unnests.
 func optionsFingerprint(opts Options) string {
-	key := []byte{'0', '0'}
+	key := []byte{'0', '0', '0'}
 	if opts.FlattenSetOps {
 		key[0] = '1'
 	}
 	if opts.DisableOptimizer {
 		key[1] = '1'
 	}
+	if opts.DisableVectorized {
+		key[2] = '1'
+	}
 	return string(key)
+}
+
+// rewriteOptions are the provenance rewriter's options for this handle.
+func (db *Database) rewriteOptions() provrewrite.Options {
+	return provrewrite.Options{FlattenSetOps: db.opts.FlattenSetOps, TwoSidedJoinBacks: db.opts.DisableVectorized}
 }
 
 // CacheStats are cumulative counters of the shared compiled-query cache.
@@ -816,7 +825,7 @@ func (db *Database) TableRowCount(name string) (int, error) {
 
 func (db *Database) analyzer() *analyze.Analyzer {
 	a := analyze.New(db.cat)
-	a.RewriteOpts = provrewrite.Options{FlattenSetOps: db.opts.FlattenSetOps}
+	a.RewriteOpts = db.rewriteOptions()
 	return a
 }
 
@@ -837,7 +846,7 @@ func (db *Database) analyzeAndRewriteQR(sel *sql.SelectStmt, qr *queryRun) (*alg
 	if err != nil {
 		return nil, err
 	}
-	q, err = provrewrite.RewriteTree(q, provrewrite.Options{FlattenSetOps: db.opts.FlattenSetOps})
+	q, err = provrewrite.RewriteTree(q, db.rewriteOptions())
 	if err != nil {
 		return nil, err
 	}
