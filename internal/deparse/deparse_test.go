@@ -146,10 +146,9 @@ func TestDeparseRoundTrip(t *testing.T) {
 
 // TestDeparseOptimizedRoundTrip: deparsing an optimized tree must produce
 // SQL that re-parses and re-analyzes cleanly (unique aliases, resolvable
-// column references) and deparses to the flattened q+ again — the
-// contract behind RewriteSQL. An aggregation's join-back pair, which the
-// optimizer keeps intact for one operator to evaluate, is plain SQL once
-// printed: it flattens to the two-sided form.
+// column references) and deparses to the same text again — the contract
+// behind RewriteSQL showing the flattened q+, whose join-backs are plain
+// joins (the row engine's tree).
 func TestDeparseOptimizedRoundTrip(t *testing.T) {
 	cat := testCatalog(t)
 	queries := []string{
@@ -158,7 +157,7 @@ func TestDeparseOptimizedRoundTrip(t *testing.T) {
 		"SELECT PROVENANCE a FROM t UNION SELECT a FROM s",
 		"SELECT u.a FROM (SELECT a FROM t) AS u LEFT JOIN (SELECT a, c FROM s WHERE c > 1) AS v ON u.a = v.a",
 	}
-	optimized := func(src string, opts provrewrite.Options) string {
+	for _, src := range queries {
 		stmt, err := sql.Parse(src)
 		if err != nil {
 			t.Fatal(err)
@@ -167,15 +166,11 @@ func TestDeparseOptimizedRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, err = provrewrite.RewriteTree(q, opts)
+		q, err = provrewrite.RewriteTree(q, provrewrite.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return deparse.Query(optimize.Query(q))
-	}
-	for _, src := range queries {
-		out := optimized(src, provrewrite.Options{})
-		flat := optimized(src, provrewrite.Options{TwoSidedJoinBacks: true})
+		out := deparse.Query(optimize.QueryForEngine(q, nil, false))
 
 		stmt2, err := sql.Parse(out)
 		if err != nil {
@@ -186,8 +181,8 @@ func TestDeparseOptimizedRoundTrip(t *testing.T) {
 			t.Fatalf("optimized deparse does not re-analyze: %v\n%s", err, out)
 		}
 		out2 := deparse.Query(optimize.Query(q2))
-		if out2 != flat {
-			t.Errorf("deparse not stable for %q:\nfirst:\n%s\nsecond:\n%s", src, flat, out2)
+		if out != out2 {
+			t.Errorf("deparse not stable for %q:\nfirst:\n%s\nsecond:\n%s", src, out, out2)
 		}
 	}
 }

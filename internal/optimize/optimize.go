@@ -54,12 +54,17 @@ type Stats interface {
 func Query(q *algebra.Query) *algebra.Query { return QueryWithStats(q, nil) }
 
 // QueryWithStats is Query with base-table statistics available to the
-// cardinality-driven rules (join-list ordering).
-func QueryWithStats(q *algebra.Query, st Stats) *algebra.Query {
+// cardinality-driven rules (join-list ordering), for the batch engine.
+func QueryWithStats(q *algebra.Query, st Stats) *algebra.Query { return QueryForEngine(q, st, true) }
+
+// QueryForEngine is QueryWithStats for the batch engine (vectorized) or
+// the row engine, which runs every rule-R5 join-back two-sided — the tree
+// RewriteSQL prints.
+func QueryForEngine(q *algebra.Query, st Stats, vectorized bool) *algebra.Query {
 	if q == nil {
 		return nil
 	}
-	o := &optimizer{st: st, visited: make(map[*algebra.Query]openWork), cards: make(map[*algebra.Query]float64)}
+	o := &optimizer{st: st, vectorized: vectorized, visited: make(map[*algebra.Query]openWork), cards: make(map[*algebra.Query]float64)}
 	for open := true; open; {
 		q, _, open = o.visit(q)
 	}
@@ -68,7 +73,8 @@ func QueryWithStats(q *algebra.Query, st Stats) *algebra.Query {
 
 // optimizer is one run over one tree, in rounds of bottom-up walks.
 type optimizer struct {
-	st Stats
+	st         Stats
+	vectorized bool
 	// visited holds the nodes whose rules last ran without effect and have
 	// seen nothing new since, with what is still open below them. A node
 	// not in it is due: never visited, changed by its own rules, or reached
@@ -150,14 +156,8 @@ func (o *optimizer) reachInto(q *algebra.Query) {
 // rules runs the local rules once over a plain node; true if any of them
 // changed it or reached into a subquery.
 func (o *optimizer) rules(q *algebra.Query) bool {
-	if jb := q.JoinBack; jb.Shared() {
-		// A rule-R5 pair stays intact — neither merged into its parent nor
-		// taking T+ apart — only while one evaluation of T+ can serve both
-		// sides, which takes the batch engine; otherwise it is a join like
-		// any other from here on.
-		if _, _, jb.Reason = jb.Shareable(q); jb.Reason == "" && !vexec.Batchable(q.RangeTable[jb.Agg].Subquery, q.RangeTable[jb.Prov].Subquery) {
-			jb.Reason = "row_engine"
-		}
+	if q.JoinBack.Shared() {
+		q.JoinBack.Reason = o.shareReason(q)
 	}
 	changed := flattenInnerJoins(q)
 	for unnestAll(q) {
@@ -167,6 +167,18 @@ func (o *optimizer) rules(q *algebra.Query) bool {
 	changed = o.pruneNode(q) || changed
 	changed = dropRedundantDistinct(q) || changed
 	return o.orderJoinList(q) || changed
+}
+
+// shareReason says why q's rule-R5 pair is not kept intact (neither merged
+// into its parent nor taking T+ apart) for one evaluation of T+ to serve
+// both sides, which takes one block the batch engine runs; "" if it is.
+func (o *optimizer) shareReason(q *algebra.Query) string {
+	jb := q.JoinBack
+	_, _, reason := jb.Shareable(q)
+	if reason == "" && (!o.vectorized || !vexec.Batchable(q.RangeTable[jb.Agg].Subquery, q.RangeTable[jb.Prov].Subquery)) {
+		reason = "row_engine"
+	}
+	return reason
 }
 
 // ---------------------------------------------------------------------------

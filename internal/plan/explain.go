@@ -115,7 +115,11 @@ func describeV(n vexec.Node) op {
 		return op{name: "VecAggAttach",
 			args: fmt.Sprintf("%d groups, %d aggs%s", len(x.Agg.Groups), len(x.Agg.Aggs), spillTag(x.Spill)),
 			extra: func() []string {
-				return append([]string{fmt.Sprintf("materialized=%d", x.Stored)}, resAnnot(x.Spill)...)
+				parts := append([]string{fmt.Sprintf("materialized=%d", x.Stored)}, resAnnot(x.Spill)...)
+				if x.Agg.Spill.Res.SpillEvents() > 0 { // the group table: attached by key
+					parts = append(parts, fmt.Sprintf("groups_spilled=%dB", x.Agg.Spill.Res.SpillBytes()))
+				}
+				return parts
 			}, vkids: [2]*vexec.Node{&x.Input}}
 	case *vexec.VecSort:
 		return op{name: "VecSort", args: fmt.Sprintf("%d keys%s", len(x.Keys), spillTag(x.Spill)),

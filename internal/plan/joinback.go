@@ -19,15 +19,16 @@ func (p *Planner) planJoinBack(q *algebra.Query) (*planned, error) {
 	if jb.Reason != "" {
 		return nil, nil
 	}
+	// The optimizer chose for the engine; the pair must still read one block.
 	residual, left, reason := jb.Shareable(q)
-	agg, prov := q.RangeTable[jb.Agg].Subquery, q.RangeTable[jb.Prov].Subquery
-	if reason == "" && (!p.vectorized || !vexec.Batchable(agg, prov)) {
+	if reason == "" && !p.vectorized {
 		reason = "row_engine"
 	}
 	if p.joinBacks[at] = reason; reason != "" {
 		return nil, nil
 	}
 	p.joinBacks[at] = "row_engine" // until the batch engine has it all
+	agg, prov := q.RangeTable[jb.Agg].Subquery, q.RangeTable[jb.Prov].Subquery
 	input, err := p.planFrom(prov)
 	if err != nil || input.vnode == nil {
 		return nil, err
@@ -48,7 +49,6 @@ func (p *Planner) planJoinBack(q *algebra.Query) (*planned, error) {
 		return nil, err
 	}
 	att.ProvKeys, att.AggKeys = jb.ProvCols, jb.AggCols
-	att.Agg.Unflushed = !aggsMergeExact(att.Agg.Aggs) // budgeted runs stay byte-identical
 	att.Spill, att.JoinSpill = p.spillRes("aggattach"), p.spillRes("hashjoin")
 	att.SetActivity(p.activity)
 	p.joinBacks[at] = ""

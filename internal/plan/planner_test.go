@@ -45,10 +45,10 @@ func testCatalog(t *testing.T) *catalog.Catalog {
 
 func planFor(t *testing.T, cat *catalog.Catalog, src string) exec.Node {
 	t.Helper()
-	return planWith(t, cat, src, provrewrite.Options{})
+	return planWith(t, cat, src, true)
 }
 
-func planWith(t *testing.T, cat *catalog.Catalog, src string, opts provrewrite.Options) exec.Node {
+func planWith(t *testing.T, cat *catalog.Catalog, src string, vectorized bool) exec.Node {
 	t.Helper()
 	stmt, err := sql.Parse(src)
 	if err != nil {
@@ -58,11 +58,11 @@ func planWith(t *testing.T, cat *catalog.Catalog, src string, opts provrewrite.O
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err = provrewrite.RewriteTree(q, opts)
+	q, err = provrewrite.RewriteTree(q, provrewrite.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, err := plan.New(cat).Plan(q)
+	node, err := plan.New(cat).SetVectorized(vectorized).Plan(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +93,11 @@ func TestNonEquiJoinFallsBackToNestedLoop(t *testing.T) {
 func TestRewrittenAggregationUsesHashJoin(t *testing.T) {
 	cat := testCatalog(t)
 	// The provenance join-back for aggregation uses IS NOT DISTINCT FROM;
-	// kept two-sided, the planner must still recognize it as a
-	// hash-joinable key. Otherwise one AggAttach evaluates both sides.
+	// kept two-sided by the row engine, the planner must still recognize
+	// it as a hash-joinable key. In the batch engine one AggAttach
+	// evaluates both sides.
 	const src = "SELECT PROVENANCE a, count(*) FROM small GROUP BY a"
-	out := plan.Explain(planWith(t, cat, src, provrewrite.Options{TwoSidedJoinBacks: true}))
+	out := plan.Explain(planWith(t, cat, src, false))
 	if !strings.Contains(out, "HashJoin") {
 		t.Errorf("null-safe join-back should be a HashJoin:\n%s", out)
 	}

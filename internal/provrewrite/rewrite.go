@@ -38,10 +38,6 @@ type Options struct {
 	// simpler version of set operation rewriting"); 3a is the improvement
 	// §V-B1 predicts a speedup for.
 	FlattenSetOps bool
-	// TwoSidedJoinBacks marks every rule-R5 join-back as two-sided, the
-	// plan the row engine runs: the optimizer then unnests the pair like
-	// any other subquery.
-	TwoSidedJoinBacks bool
 }
 
 // Rewriter rewrites query trees. A Rewriter carries the provenance
@@ -335,9 +331,6 @@ func (r *Rewriter) rewriteASPJ(q *algebra.Query) (*algebra.Query, error) {
 	top.JoinBack = &algebra.JoinBack{Agg: 0, Prov: 1, AggCols: groupPos, ProvCols: make([]int, len(groupPos))}
 	for i := range groupPos {
 		top.JoinBack.ProvCols[i] = i
-	}
-	if r.opts.TwoSidedJoinBacks {
-		top.JoinBack.Reason = "row_engine"
 	}
 
 	// HAVING sublinks contribute their accessed tuples too (§IV-E); they

@@ -300,10 +300,10 @@ func TestRewrittenShapesAreOptimizable(t *testing.T) {
 	if jb := opt.JoinBack; jb == nil || jb.Reason != "" || opt.RangeTable[jb.Prov].Alias != "perm_agg_prov" {
 		t.Errorf("optimized join-back should keep its shared pair, got %+v", jb)
 	}
-	// ... and kept two-sided the duplicate disappears entirely: the top
-	// node joins the aggregation against the base relation directly.
-	q.JoinBack.Reason = "row_engine"
-	opt = optimize.Query(q)
+	// ... and for the row engine, which keeps it two-sided, the duplicate
+	// disappears entirely: the top node joins the aggregation against the
+	// base relation directly.
+	opt = optimize.QueryForEngine(q, nil, false)
 	aliases := make([]string, 0, len(opt.RangeTable))
 	baseRels := 0
 	for _, rte := range opt.RangeTable {

@@ -9,28 +9,26 @@ import (
 
 // AggAttach evaluates rule R5's join-back α_{G,agg}(T) ⋈_G Π_{G,P}(T+) in
 // one pass over its input, for T+ that is T row for row. Open drains the
-// input through Groups — the aggregation, HAVING filter and output
-// projection, planned over Feed — while Feed stores each row's T+ columns
-// (Prov) with its group id. Next streams the stored rows back in input
-// order with their group's output attached (T+'s columns, then the
-// aggregate's), leaving out groups HAVING rejected. Group ids stand in for
-// null-safe comparisons of grouping keys, so NULL groups stay associated.
+// input through the aggregation, whose feed stores each row's T+ columns
+// (Prov) with its group id; Next streams them back in input order, each
+// with its group's output: the group gathered by id, HAVING and Groups'
+// projection applied. Group ids stand in for null-safe comparisons of
+// grouping keys, so NULL groups stay associated.
 //
-// Under a budget a store the budget denies is dropped, and the input is
-// evaluated a second time instead, each row's group id looked up in the
-// aggregation's table — cheaper than writing and rereading T+. If the
-// group table itself spilled, the rows of T+ probe the finished groups on
-// the grouping keys (ProvKeys, AggKeys) through a HashJoin, Grace under
-// pressure. The output order is the input order whatever the budget.
+// Under a budget a denied store is dropped and the input evaluated again,
+// its group ids looked up in the table. A denied group table spills as any
+// aggregation's does (float sums merging partial sums, which may move
+// their last digits); ids do not survive that, so the rows probe the
+// finished groups by key (ProvKeys, AggKeys) through a HashJoin, Grace
+// under pressure. The output order is the input order whatever the budget.
 type AggAttach struct {
 	obs.Card
 	Input  Node
 	Prov   []*Expr
-	Groups Node
+	Groups Node     // Project(Filter?(Agg)): the aggregate's output rows
 	Agg    *HashAgg // at the bottom of Groups
-	// Left marks an aggregation without grouping keys: its one row is
-	// left-joined to T+, so an empty input yields it with NULL provenance.
-	// (One group never makes its table spill.)
+	// Left marks an aggregation without grouping keys (one group, never
+	// spilled), left-joined to T+: an empty input yields it, provenance NULL.
 	Left bool
 	// ProvKeys[i] and AggKeys[i] are where the i-th grouping key sits in
 	// T+'s columns and in the aggregate's.
@@ -38,22 +36,21 @@ type AggAttach struct {
 	Spill, JoinSpill  spill.Resources
 	Stored            int // rows of T+ the last Open held in memory
 
+	having  *Expr   // HAVING over the aggregation's rows, or nil
+	out     []*Expr // Groups' projection
 	feed    attachFeed
 	aq      *obs.ActiveQuery
 	replay  bool         // the store was denied: evaluate the input again
 	store   vector.Table // T+ columns, then the group id
 	chunk   int          // emission position: chunk of the store and row in it
 	pos     int
-	src     Node         // the rows of T+ with their group ids, in input order
-	groups  vector.Table // output rows of the groups HAVING kept
-	slot    []int32      // group id → its row in groups, -1 if dropped
-	open    bool         // Groups is open
-	join    *HashJoin    // the keyed attach
+	src     Node      // the rows of T+ with their group ids, in input order
+	open    bool      // Groups is open
+	join    *HashJoin // the keyed attach
 	cols    []*vector.Vec
 	win     []vector.Vec
 	winCols []*vector.Vec
 	ids     []int32
-	sel     []int
 	owned   []*vector.Vec
 }
 
@@ -76,17 +73,18 @@ func (a *AggAttach) SetGroups(groups Node) bool {
 		return false
 	}
 	n := p.Input
+	a.having = nil
 	if f, ok := n.(*Filter); ok {
-		n = f.Input
+		n, a.having = f.Input, f.Pred
 	}
-	a.Groups = groups
+	a.Groups, a.out = groups, p.Exprs
 	a.Agg, ok = n.(*HashAgg)
 	return ok && a.Agg.Input == &a.feed
 }
 
 // Kinds returns the output column kinds: T+'s, then the aggregate's.
 func (a *AggAttach) Kinds() []types.Kind {
-	return append(exprKinds(a.Prov), exprKinds(a.Groups.(*Project).Exprs)...)
+	return append(exprKinds(a.Prov), exprKinds(a.out)...)
 }
 
 // SetActivity attaches the active query polled at every emitted batch.
@@ -151,7 +149,7 @@ func (a *AggAttach) keep(b *vector.Batch) error {
 
 func (a *AggAttach) Open() (err error) {
 	a.Close() //nolint:errcheck — resets what a previous run left
-	a.Stored, a.replay, a.slot = 0, false, a.slot[:0]
+	a.Stored, a.replay = 0, false
 	defer func() {
 		if err != nil {
 			a.Close() //nolint:errcheck — a failed Open gets no Close
@@ -179,26 +177,7 @@ func (a *AggAttach) Open() (err error) {
 		a.join.SetActivity(a.aq)
 		return a.join.Open()
 	}
-	for len(a.slot) < a.Agg.numGroups {
-		a.slot = append(a.slot, -1)
-	}
-	for {
-		var b *vector.Batch
-		if b, err = a.Groups.Next(); err != nil || b == nil {
-			break
-		}
-		// HAVING may have skipped whole batches: the aggregation's emission
-		// position says which group ids this one holds.
-		lanes, base := resolveSel(b, b.Sel), a.Agg.outPos-b.N
-		for k, lane := range lanes {
-			a.slot[base+lane] = int32(a.groups.Len() + k)
-		}
-		a.groups.Append(b.Cols, lanes)
-		if a.Spill.Enabled() {
-			a.Spill.Res.Force(batchBytes(b.Cols, lanes)) // a row per group the aggregation held
-		}
-	}
-	if err == nil && a.Left && a.Stored == 0 && !a.replay {
+	if a.Left && a.Stored == 0 && !a.replay {
 		// The aggregate's row comes out alone: a stored row of NULLs in group 0.
 		cols := make([]*vector.Vec, len(a.Prov)+1)
 		for c, k := range append(exprKinds(a.Prov), types.KindInt) {
@@ -213,10 +192,8 @@ func (a *AggAttach) Open() (err error) {
 	if a.replay {
 		src = NewProject(a.Input, append(a.Prov[:len(a.Prov):len(a.Prov)], &Expr{kind: types.KindInt, val: groupIDs{a.Agg}}))
 	}
-	if err == nil {
-		if err = src.Open(); err == nil {
-			a.src = src
-		}
+	if err = src.Open(); err == nil {
+		a.src = src
 	}
 	return err
 }
@@ -228,42 +205,56 @@ func (a *AggAttach) Next() (*vector.Batch, error) {
 	if a.join != nil {
 		return a.join.Next()
 	}
-	for _, v := range a.owned {
-		v.Free()
-	}
-	a.owned = a.owned[:0]
+	a.free()
 	if a.ids == nil {
-		a.ids, a.sel = make([]int32, vector.BatchSize), make([]int, vector.BatchSize)
+		a.ids = make([]int32, vector.BatchSize)
 	}
 	for {
 		b, err := a.src.Next()
 		if err != nil || b == nil {
 			return nil, err
 		}
-		last := len(b.Cols) - 1
-		ids, sel := a.ids[:b.N], a.sel[:0]
+		// Every lane gathers a group — those outside the selection group 0 —
+		// so HAVING and the projection run over the batch as it is.
+		last, ids := len(b.Cols)-1, a.ids[:b.N]
+		clear(ids)
 		for _, i := range resolveSel(b, b.Sel) {
-			if g := b.Cols[last].I[i]; g >= 0 && a.slot[g] >= 0 {
-				ids[i] = a.slot[g]
-				sel = append(sel, i)
+			ids[i] = int32(b.Cols[last].I[i])
+		}
+		g := &vector.Batch{N: b.N, Sel: b.Sel, Cols: a.Agg.rowsOf(ids, a.owned)}
+		a.owned = g.Cols
+		if a.having != nil {
+			sel, err := a.having.selectTrue(g, g.Sel)
+			if err != nil {
+				return nil, err
+			} else if sel != nil && len(sel) == 0 {
+				a.free()
+				continue
+			} else if sel != nil {
+				g.Sel = sel
 			}
 		}
-		if len(sel) == 0 {
-			continue
-		}
 		a.cols = append(a.cols[:0], b.Cols[:last]...)
-		for c, k := range a.groups.Kinds() {
-			v := vector.NewBatchVec(k, b.N)
-			a.groups.GatherCol(c, ids, v) // lanes outside sel gather whatever they hold
+		for _, e := range a.out {
+			v, err := e.eval(g, g.Sel)
+			if err != nil {
+				return nil, err
+			}
 			a.cols = append(a.cols, v)
-			a.owned = append(a.owned, v)
+			if !e.aliasing {
+				a.owned = append(a.owned, v)
+			}
 		}
-		out := &vector.Batch{N: b.N, Cols: a.cols}
-		if len(sel) < b.N {
-			out.Sel = sel
-		}
-		return out, nil
+		return &vector.Batch{N: b.N, Cols: a.cols, Sel: g.Sel}, nil
 	}
+}
+
+// free returns the vectors behind the last emitted batch to the pool.
+func (a *AggAttach) free() {
+	for _, v := range a.owned {
+		v.Free()
+	}
+	a.owned = a.owned[:0]
 }
 
 func (a *AggAttach) Close() error {
@@ -284,11 +275,8 @@ func (a *AggAttach) Close() error {
 		}
 		a.open = false
 	}
-	for _, v := range a.owned {
-		v.Free()
-	}
-	a.owned = a.owned[:0]
-	a.store, a.groups, a.chunk, a.pos = vector.Table{}, vector.Table{}, 0, 0
+	a.free()
+	a.store, a.chunk, a.pos = vector.Table{}, 0, 0
 	a.Spill.Res.ReleaseAll()
 	return err
 }
@@ -327,7 +315,7 @@ func (s storedRows) Next() (*vector.Batch, error) {
 }
 
 // groupIDs is the value kernel of a replayed row's group id: its grouping
-// keys looked up in the aggregation's table (-1 for a key not in it).
+// keys looked up in the aggregation's table.
 type groupIDs struct{ h *HashAgg }
 
 func (k groupIDs) eval(b *vector.Batch, sel []int) (*vector.Vec, error) {

@@ -755,9 +755,6 @@ type HashAgg struct {
 	Groups []*Expr
 	Aggs   []AggSpec
 	Spill  spill.Resources
-	// Unflushed grows the group table by Force rather than flush partial
-	// states, which float SUM/AVG would not merge back bit for bit.
-	Unflushed bool
 
 	// Parallel partial mode (set by NewParallelAgg): sequence numbers come
 	// from the morsel tap (global input ordinals) instead of a local
@@ -947,9 +944,7 @@ func (h *HashAgg) Open() (err error) {
 				if budgeted {
 					h.pending += laneBytes(keys, i) + stateBytes
 					if h.pending >= growQuantum {
-						if h.Unflushed {
-							h.Spill.Res.Force(h.pending)
-						} else if !h.Spill.Res.Grow(h.pending) {
+						if !h.Spill.Res.Grow(h.pending) {
 							// The groups are about to be flushed: fold in the
 							// lanes resolved against them first.
 							h.accumulate(args, lanes[folded:idx], gids[folded:idx])
@@ -1180,6 +1175,17 @@ func (h *HashAgg) Next() (*vector.Batch, error) {
 	h.outPos += b.N
 	b.Cols = h.outCols
 	return b, nil
+}
+
+// rowsOf appends to cols, lane for lane, the output rows of the groups
+// with the given ids (at most BatchSize) of an aggregation that finished
+// in memory, as pooled vectors the caller frees.
+func (h *HashAgg) rowsOf(ids []int32, cols []*vector.Vec) []*vector.Vec {
+	cols = gatherBatch(&h.groups.rows, ids, cols)
+	for _, rv := range h.resVecs {
+		cols = append(cols, vector.GatherBatch(rv, ids, rv.Kind))
+	}
+	return cols
 }
 
 func (h *HashAgg) Close() error {

@@ -167,9 +167,12 @@ func TestJoinBackRobust(t *testing.T) {
 	const (
 		// 7 groups over 65,536 rows, which the budget does not let the
 		// operator hold: it reads its input again. 20,000 groups deny the
-		// group table, whose rows then attach by key through a Grace join.
+		// group table, which spills like any aggregation's; its rows then
+		// attach by key through a Grace join. The float sum adds halves,
+		// which sum exactly however the spilled partial sums combine.
 		attach = `SELECT PROVENANCE b, count(*), sum(a) FROM big GROUP BY b`
 		keyed  = `SELECT PROVENANCE a % 20000 AS k, count(*) FROM big GROUP BY a % 20000`
+		fsum   = `SELECT PROVENANCE a % 20000 AS k, sum(a * 0.5), avg(a * 0.5) FROM big GROUP BY a % 20000`
 	)
 	base := perm.NewDatabaseWithOptions(perm.Options{Parallelism: -1, MemoryLimit: -1, SpillDir: t.TempDir()})
 	bigTable(base)
@@ -196,7 +199,7 @@ func TestJoinBackRobust(t *testing.T) {
 		{"48KiB", with(tiny)},
 		{"48KiB/workers=4", with(func(o *perm.Options) { tiny(o); o.Parallelism = 4 })},
 	}
-	for _, q := range []struct{ name, text string }{{"attach", attach}, {"keyed", keyed}} {
+	for _, q := range []struct{ name, text string }{{"attach", attach}, {"keyed", keyed}, {"keyed/float", fsum}} {
 		want := base.MustQuery(q.text).String()
 		for _, cfg := range configs {
 			t.Run(cfg.name+"/"+q.name, func(t *testing.T) {
@@ -205,12 +208,16 @@ func TestJoinBackRobust(t *testing.T) {
 				if got := cfg.db.MustQuery(q.text).String(); got != want {
 					t.Fatalf("budgeted output differs from the unbudgeted run")
 				}
-				if spilled == cfg.db.SessionQueryStats().BytesSpilled && q.name == "keyed" {
-					t.Error("the group table did not spill under 48 KiB")
+				keyed := q.name != "attach"
+				if spilled == cfg.db.SessionQueryStats().BytesSpilled && keyed {
+					t.Error("nothing spilled under 48 KiB")
 				}
 				report, err := cfg.db.ExplainAnalyzeSQL(q.text)
 				if err != nil || !strings.Contains(report, "materialized=0") {
 					t.Errorf("the store was held under 48 KiB (%v):\n%s", err, report)
+				}
+				if strings.Contains(report, "groups_spilled=") != keyed {
+					t.Errorf("group table spilled = %v, want %v:\n%s", !keyed, keyed, report)
 				}
 				idle(t, cfg.db)
 			})

@@ -332,9 +332,9 @@ func (db *Database) Opts() Options { return db.opts }
 
 // optionsFingerprint encodes the options that change what the compile
 // pipeline produces. The cached artifact is the optimized logical tree,
-// planned fresh on every execution; vectorization counts because the row
-// engine keeps provenance join-backs two-sided, which the optimizer then
-// unnests.
+// planned fresh on every execution; vectorization counts because the
+// optimizer keeps a provenance join-back's pair intact only for the batch
+// engine (optimize.QueryForEngine).
 func optionsFingerprint(opts Options) string {
 	key := []byte{'0', '0', '0'}
 	if opts.FlattenSetOps {
@@ -347,11 +347,6 @@ func optionsFingerprint(opts Options) string {
 		key[2] = '1'
 	}
 	return string(key)
-}
-
-// rewriteOptions are the provenance rewriter's options for this handle.
-func (db *Database) rewriteOptions() provrewrite.Options {
-	return provrewrite.Options{FlattenSetOps: db.opts.FlattenSetOps, TwoSidedJoinBacks: db.opts.DisableVectorized}
 }
 
 // CacheStats are cumulative counters of the shared compiled-query cache.
@@ -568,7 +563,7 @@ func (db *Database) cacheGet(text string) (*algebra.Query, bool) {
 // the version it claims.
 func (db *Database) compileSelect(sel *sql.SelectStmt, text string, qr *queryRun) (*algebra.Query, error) {
 	ver := db.cat.Version()
-	q, err := db.analyzeAndRewriteQR(sel, qr)
+	q, err := db.analyzeAndRewriteQR(sel, qr, !db.opts.DisableVectorized)
 	if err != nil {
 		return nil, err
 	}
@@ -729,7 +724,9 @@ func (db *Database) MustQuery(text string) *Result {
 }
 
 // RewriteSQL returns the SQL text of the provenance-rewritten form of a
-// query (the q+ of the paper), without executing it.
+// query (the q+ of the paper), without executing it. Its join-backs are
+// plain joins whatever the engine: evaluating one over a single pass of
+// its input is a plan choice, which EXPLAIN shows.
 func (db *Database) RewriteSQL(text string) (string, error) {
 	stmt, err := sql.Parse(text)
 	if err != nil {
@@ -739,7 +736,7 @@ func (db *Database) RewriteSQL(text string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("REWRITE requires a SELECT statement")
 	}
-	q, err := db.analyzeAndRewrite(sel)
+	q, err := db.analyzeAndRewriteQR(sel, nil, false)
 	if err != nil {
 		return "", err
 	}
@@ -825,7 +822,7 @@ func (db *Database) TableRowCount(name string) (int, error) {
 
 func (db *Database) analyzer() *analyze.Analyzer {
 	a := analyze.New(db.cat)
-	a.RewriteOpts = db.rewriteOptions()
+	a.RewriteOpts = provrewrite.Options{FlattenSetOps: db.opts.FlattenSetOps}
 	return a
 }
 
@@ -834,25 +831,26 @@ func (db *Database) analyzer() *analyze.Analyzer {
 // to the planner, with the optimizer standing in for the normalization
 // PostgreSQL's own planner performs on the rewriter's nested output.
 func (db *Database) analyzeAndRewrite(sel *sql.SelectStmt) (*algebra.Query, error) {
-	return db.analyzeAndRewriteQR(sel, nil)
+	return db.analyzeAndRewriteQR(sel, nil, !db.opts.DisableVectorized)
 }
 
 // analyzeAndRewriteQR is analyzeAndRewrite with lifecycle phase marks:
 // analysis and the provenance rewrite report as the rewrite phase, the
-// optimizer as the optimize phase.
-func (db *Database) analyzeAndRewriteQR(sel *sql.SelectStmt, qr *queryRun) (*algebra.Query, error) {
+// optimizer as the optimize phase. The tree is optimized for the batch
+// engine if vectorized, else for the row engine.
+func (db *Database) analyzeAndRewriteQR(sel *sql.SelectStmt, qr *queryRun, vectorized bool) (*algebra.Query, error) {
 	qr.phase(obs.PhaseRewrite)
 	q, err := db.analyzer().AnalyzeSelect(sel)
 	if err != nil {
 		return nil, err
 	}
-	q, err = provrewrite.RewriteTree(q, db.rewriteOptions())
+	q, err = provrewrite.RewriteTree(q, provrewrite.Options{FlattenSetOps: db.opts.FlattenSetOps})
 	if err != nil {
 		return nil, err
 	}
 	qr.phase(obs.PhaseOptimize)
 	if !db.opts.DisableOptimizer {
-		q = optimize.QueryWithStats(q, catalogStats{cat: db.cat})
+		q = optimize.QueryForEngine(q, catalogStats{cat: db.cat}, vectorized)
 	}
 	return q, nil
 }
@@ -908,7 +906,7 @@ func (db *Database) run(stmt sql.Statement, text string, qr *queryRun) (int, *Re
 	case *sql.ExplainStmt:
 		var out string
 		if s.Rewrite {
-			q, rerr := db.analyzeAndRewrite(s.Query)
+			q, rerr := db.analyzeAndRewriteQR(s.Query, nil, false) // as RewriteSQL
 			if rerr != nil {
 				return 0, nil, rerr
 			}
@@ -951,7 +949,7 @@ func (db *Database) run(stmt sql.Statement, text string, qr *queryRun) (int, *Re
 func (db *Database) runSelect(sel *sql.SelectStmt, qr *queryRun) (*Result, error) {
 	into := sel.Into
 	sel.Into = ""
-	q, err := db.analyzeAndRewriteQR(sel, qr)
+	q, err := db.analyzeAndRewriteQR(sel, qr, !db.opts.DisableVectorized)
 	if err != nil {
 		return nil, err
 	}
