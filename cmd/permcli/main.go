@@ -7,10 +7,12 @@
 //	EXPLAIN ANALYZE SELECT ...;              -- execute and show per-operator runtime stats
 //
 // plus the query-service dialect (PREPARE name AS ..., EXECUTE name,
-// DEALLOCATE name, SET option = on|off).
+// DEALLOCATE name, SET option = value).
 //
 // With -remote ADDR the shell connects to a permd server instead of
-// embedding an engine; statements then execute in a server-side session.
+// embedding an engine; statements then execute in a server-side session,
+// and every engine-setting flag given (perm.Settings) is forwarded to it
+// as a SET.
 //
 // Meta commands: \d (list tables/views), \tpch SF (load TPC-H data),
 // \i FILE (run a script), \q (quit).
@@ -21,12 +23,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"perm"
-	"perm/internal/mem"
 	"perm/internal/session"
 	"perm/internal/tpch"
 	"perm/permclient"
@@ -37,20 +39,13 @@ import (
 type runner func(text string) (res *perm.Result, affected int, tag string, err error)
 
 func main() {
+	var opts perm.Options
+	perm.RegisterFlags(flag.CommandLine, &opts)
 	var (
-		script   = flag.String("f", "", "execute a SQL script file and exit")
-		remote   = flag.String("remote", "", "connect to a permd server at this address instead of embedding an engine")
-		loadSF   = flag.Float64("tpch", 0, "preload TPC-H data at this scale factor")
-		flatten  = flag.Bool("flatten-setops", false, "use the Fig. 6(3a) set-operation rewrite variant")
-		noOpt    = flag.Bool("no-optimizer", false, "disable the logical optimizer (flattening/pruning of rewritten queries)")
-		noVec    = flag.Bool("no-vectorized", false, "disable the vectorized execution engine (run everything row-at-a-time)")
-		noCache  = flag.Bool("no-query-cache", false, "disable the shared compiled-query cache")
-		memLimit = flag.String("memory-limit", "", "session memory budget, e.g. 64MiB (materializing operators spill to disk past it)")
-		spillDir = flag.String("spill-dir", "", "directory for spill files (default $PERM_SPILL_DIR or the system temp dir)")
-		paraN    = flag.Int("parallelism", 0, "intra-query worker count (0 = $PERM_PARALLELISM or all cores, 1 = serial)")
-		traceN   = flag.Int("trace-sample", 0, "record a lifecycle trace for every Nth query into perm_traces (0 = $PERM_TRACE_SAMPLE or off, negative = off)")
-		stmtTO   = flag.Duration("statement-timeout", 0, "cancel statements running longer than this (0 = $PERM_STATEMENT_TIMEOUT or none, negative = none)")
-		timing   = flag.Bool("timing", true, "print execution times")
+		script = flag.String("f", "", "execute a SQL script file and exit")
+		remote = flag.String("remote", "", "connect to a permd server at this address instead of embedding an engine")
+		loadSF = flag.Float64("tpch", 0, "preload TPC-H data at this scale factor")
+		timing = flag.Bool("timing", true, "print execution times")
 	)
 	flag.Parse()
 
@@ -67,81 +62,13 @@ func main() {
 			os.Exit(1)
 		}
 		defer client.Close() //nolint:errcheck
-		// Engine option flags apply to this connection's server-side
-		// session, forwarded as SET statements.
-		for opt, on := range map[string]bool{
-			"flatten_setops":      *flatten,
-			"disable_optimizer":   *noOpt,
-			"disable_vectorized":  *noVec,
-			"disable_query_cache": *noCache,
-		} {
-			if on {
-				if err := client.Set(opt, "on"); err != nil {
-					fmt.Fprintf(os.Stderr, "SET %s: %v\n", opt, err)
-					os.Exit(1)
-				}
-			}
-		}
-		if *memLimit != "" {
-			if err := client.Set("memory_limit", *memLimit); err != nil {
-				fmt.Fprintf(os.Stderr, "SET memory_limit: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *paraN != 0 {
-			if err := client.Set("parallelism", strconv.Itoa(*paraN)); err != nil {
-				fmt.Fprintf(os.Stderr, "SET parallelism: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *traceN != 0 {
-			v := strconv.Itoa(*traceN)
-			if *traceN < 0 {
-				v = "off"
-			}
-			if err := client.Set("trace_sample", v); err != nil {
-				fmt.Fprintf(os.Stderr, "SET trace_sample: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *stmtTO != 0 {
-			v := stmtTO.String()
-			if *stmtTO < 0 {
-				v = "off"
-			}
-			if err := client.Set("statement_timeout", v); err != nil {
-				fmt.Fprintf(os.Stderr, "SET statement_timeout: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *spillDir != "" {
-			fmt.Fprintln(os.Stderr, "-spill-dir applies to the embedded engine; start permd with -spill-dir instead")
-		}
+		forwardSettings(client)
 		run = func(text string) (*perm.Result, int, string, error) {
 			res, n, err := client.Exec(strings.TrimSuffix(strings.TrimSpace(text), ";"))
 			return res, n, "OK", err
 		}
 	} else {
-		limit := int64(0)
-		if *memLimit != "" {
-			n, err := mem.ParseSize(*memLimit)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "-memory-limit:", err)
-				os.Exit(1)
-			}
-			limit = n
-		}
-		db = perm.NewDatabaseWithOptions(perm.Options{
-			FlattenSetOps:     *flatten,
-			DisableOptimizer:  *noOpt,
-			DisableVectorized: *noVec,
-			DisableQueryCache: *noCache,
-			MemoryLimit:       limit,
-			SpillDir:          *spillDir,
-			Parallelism:       *paraN,
-			TraceSample:       *traceN,
-			StatementTimeout:  *stmtTO,
-		})
+		db = perm.NewDatabaseWithOptions(opts)
 		if *loadSF > 0 {
 			fmt.Fprintf(os.Stderr, "loading TPC-H at SF %g ...\n", *loadSF)
 			tpch.MustLoad(db, *loadSF, 42)
@@ -202,6 +129,26 @@ func main() {
 			prompt = "   -> "
 		}
 	}
+}
+
+// forwardSettings applies every engine-setting flag given on the command
+// line to the connection's server-side session, as a SET of the value
+// exactly as written, so the server parses it as the flag would have.
+func forwardSettings(client *permclient.Client) {
+	settings := perm.Settings()
+	flag.Visit(func(f *flag.Flag) {
+		i := slices.IndexFunc(settings, func(s perm.Setting) bool { return s.Flag == f.Name })
+		switch {
+		case i < 0: // a permcli flag
+		case !settings[i].Settable:
+			fmt.Fprintf(os.Stderr, "-%s applies to the embedded engine; start permd with -%s instead\n", f.Name, f.Name)
+		default:
+			if err := client.Set(settings[i].Name, f.Value.String()); err != nil {
+				fmt.Fprintf(os.Stderr, "SET %s: %v\n", settings[i].Name, err)
+				os.Exit(1)
+			}
+		}
+	})
 }
 
 // metaCommand handles backslash commands; returns true to quit. db is

@@ -1,12 +1,13 @@
 // Command permd serves a Perm database over TCP, speaking the
-// length-prefixed wire protocol of perm/internal/wire (length-prefixed
-// JSON frames; ops QUERY / EXEC / PREPARE / EXECUTE / EXPLAIN /
+// length-prefixed wire protocol of perm/internal/wire (JSON requests,
+// binary responses; ops QUERY / EXEC / PREPARE / EXECUTE / EXPLAIN /
 // EXPLAIN_ANALYZE / SET / PING). Every connection gets its own session
 // (options, prepared statements); all sessions share the catalog, the
 // data and the compiled-query cache. A worker pool bounds how many
 // statements execute concurrently; SIGINT/SIGTERM trigger a graceful
 // drain. -metrics-addr adds a telemetry listener (/metrics, /healthz,
-// /debug/pprof) and -slow-query-ms a structured slow-query log.
+// /debug/pprof) and -slow-query-ms a structured slow-query log. Every
+// engine setting (perm.Settings) is a flag too, e.g. -memory-limit.
 //
 //	permd -addr :5433 -workers 8 -tpch 0.01
 //	permd -init schema.sql
@@ -84,22 +85,14 @@ func serveTelemetry(addr string, db *perm.Database, srv *server.Server) {
 }
 
 func main() {
+	var opts perm.Options
+	perm.RegisterFlags(flag.CommandLine, &opts)
 	var (
 		addr     = flag.String("addr", "127.0.0.1:5433", "listen address")
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "max concurrently executing statements")
 		loadSF   = flag.Float64("tpch", 0, "preload TPC-H data at this scale factor")
 		initSQL  = flag.String("init", "", "run a SQL script before serving")
-		flatten  = flag.Bool("flatten-setops", false, "use the Fig. 6(3a) set-operation rewrite variant")
-		noOpt    = flag.Bool("no-optimizer", false, "disable the logical optimizer")
-		noVec    = flag.Bool("no-vectorized", false, "disable the vectorized execution engine")
-		noCache  = flag.Bool("no-query-cache", false, "disable the shared compiled-query cache")
-		cacheN   = flag.Int("query-cache-size", 0, "compiled-query cache capacity (0 = default 256)")
-		memLimit = flag.String("memory-limit", "", "per-session memory budget, e.g. 64MiB (sessions spill to disk past it; default $PERM_MEMORY_LIMIT or unlimited)")
 		totalMem = flag.String("total-memory", "", "engine-wide memory cap across all sessions, e.g. 1GiB (default unlimited)")
-		spillDir = flag.String("spill-dir", "", "directory for spill files (default $PERM_SPILL_DIR or the system temp dir)")
-		paraN    = flag.Int("parallelism", 0, "intra-query worker count (0 = $PERM_PARALLELISM or all cores, 1 = serial)")
-		traceN   = flag.Int("trace-sample", 0, "record a lifecycle trace for every Nth query into perm_traces (0 = $PERM_TRACE_SAMPLE or off, negative = off)")
-		stmtTO   = flag.Duration("statement-timeout", 0, "cancel statements running longer than this (0 = $PERM_STATEMENT_TIMEOUT or none, negative = none)")
 		maxConns = flag.Int("max-connections", 0, "max concurrently open client connections (0 = unlimited; excess connections get a retryable error)")
 		queueN   = flag.Int("queue-depth", 0, "statements allowed to queue for a worker slot before load shedding (0 = twice the worker count)")
 		idleTO   = flag.Duration("idle-timeout", 0, "close connections idle longer than this between requests (0 = never)")
@@ -110,33 +103,13 @@ func main() {
 	)
 	flag.Parse()
 
-	sessionLimit := int64(0)
-	if *memLimit != "" {
-		n, err := mem.ParseSize(*memLimit)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "-memory-limit:", err)
-			os.Exit(1)
-		}
-		sessionLimit = n
-	}
+	db := perm.NewDatabaseWithOptions(opts)
 	// Sweep spill files a crashed predecessor may have left behind (live
 	// files are unlinked at creation, so only failed unlinks linger).
-	if n := spill.Cleanup(*spillDir); n > 0 {
+	spillDir := db.Opts().SpillDir
+	if n := spill.Cleanup(spillDir); n > 0 {
 		fmt.Fprintf(os.Stderr, "removed %d stale spill files\n", n)
 	}
-
-	db := perm.NewDatabaseWithOptions(perm.Options{
-		FlattenSetOps:     *flatten,
-		DisableOptimizer:  *noOpt,
-		DisableVectorized: *noVec,
-		DisableQueryCache: *noCache,
-		QueryCacheSize:    *cacheN,
-		MemoryLimit:       sessionLimit,
-		SpillDir:          *spillDir,
-		Parallelism:       *paraN,
-		TraceSample:       *traceN,
-		StatementTimeout:  *stmtTO,
-	})
 	if *totalMem != "" {
 		n, err := mem.ParseSize(*totalMem)
 		if err != nil {
@@ -196,7 +169,7 @@ func main() {
 		}
 		st := db.QueryCacheStats()
 		qs := db.QueryStats()
-		spill.Cleanup(*spillDir)
+		spill.Cleanup(spillDir)
 		fmt.Fprintf(os.Stderr, "bye (query cache: %d hits, %d misses, %d invalidations; memory peak %d B, spilled %d B in %d events)\n",
 			st.Hits, st.Misses, st.Invalidations, qs.PeakMemory, qs.BytesSpilled, qs.SpillEvents)
 	}

@@ -58,6 +58,9 @@ type ActiveQuery struct {
 	SQL         string
 	Fingerprint string
 	Start       time.Time
+	// Timeout is the statement timeout (0 = none): the first cancel poll
+	// after Start+Timeout cancels the query through CancelTimeout.
+	Timeout time.Duration
 
 	phase          atomic.Int32
 	rows           atomic.Int64
@@ -151,16 +154,29 @@ func (q *ActiveQuery) CancelTimeout(d time.Duration) bool {
 	return q.cause.CompareAndSwap(causeNone, causeTimeout)
 }
 
-// Cancelled reports whether cancellation has been requested.
-func (q *ActiveQuery) Cancelled() bool { return q != nil && q.cause.Load() != causeNone }
+// checkDeadline cancels the query once its statement timeout has
+// elapsed. The poll whose CancelTimeout lands the cause counts the
+// timeout and records the event, so each timed-out statement is counted
+// once, and not at all when a CANCEL got there first.
+func (q *ActiveQuery) checkDeadline() {
+	if q.Timeout > 0 && q.cause.Load() == causeNone && time.Since(q.Start) >= q.Timeout && q.CancelTimeout(q.Timeout) {
+		StatementTimeouts.Inc()
+		Events.Record(EventStatementTimeout, q.ID, q.Fingerprint, "statement timeout after "+q.Timeout.String())
+	}
+}
+
+// Cancelled reports whether cancellation has been requested (or the
+// statement timeout has elapsed).
+func (q *ActiveQuery) Cancelled() bool { return q.CancelErr() != nil }
 
 // CancelErr returns the error a cancelled query unwinds with, or nil.
 // Executors call it at batch boundaries: one atomic load on the normal
-// path.
+// path, plus a clock read when a statement timeout is set.
 func (q *ActiveQuery) CancelErr() error {
 	if q == nil {
 		return nil
 	}
+	q.checkDeadline()
 	switch q.cause.Load() {
 	case causeCancel:
 		return &QueryError{

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -142,6 +143,41 @@ func TestActivityRegistryAndCancel(t *testing.T) {
 	nq.Cancel()
 	if nq.CancelErr() != nil || nq.Cancelled() {
 		t.Fatal("nil ActiveQuery must never report cancellation")
+	}
+}
+
+// TestStatementDeadline: a query past its statement timeout is cancelled
+// by the first cancel poll (CancelErr or Cancelled), which counts the
+// timeout and records its event exactly once; a query within its
+// deadline, or without one, is never cancelled.
+func TestStatementDeadline(t *testing.T) {
+	live := &ActiveQuery{ID: "q1", Start: time.Now(), Timeout: time.Hour}
+	none := &ActiveQuery{ID: "q2", Start: time.Now().Add(-time.Hour)}
+	if live.Cancelled() || live.CancelErr() != nil || none.Cancelled() || none.CancelErr() != nil {
+		t.Fatal("a query within its deadline, or without one, was cancelled")
+	}
+	timeouts, seq := StatementTimeouts.Load(), Events.LastSeq()
+	late := &ActiveQuery{ID: "q3", Start: time.Now().Add(-time.Second), Timeout: time.Millisecond}
+	if !late.Cancelled() {
+		t.Fatal("a query past its deadline is not cancelled")
+	}
+	for i := 0; i < 3; i++ {
+		var qe *QueryError
+		if err := late.CancelErr(); !errors.As(err, &qe) || qe.Code != CodeTimeout || qe.QueryID != "q3" {
+			t.Fatalf("CancelErr past the deadline = %v, want a timeout error for q3", err)
+		}
+	}
+	if got := StatementTimeouts.Load() - timeouts; got != 1 {
+		t.Errorf("perm_statement_timeouts_total moved by %d, want 1", got)
+	}
+	n := 0
+	for _, e := range Events.Since(seq) {
+		if e.Kind == EventStatementTimeout && e.QueryID == "q3" {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Errorf("%d statement_timeout events for q3, want 1", n)
 	}
 }
 

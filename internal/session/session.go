@@ -11,11 +11,7 @@
 //	PREPARE <name> AS <select>       compile once, execute by name
 //	EXECUTE <name>                   run a prepared statement
 //	DEALLOCATE [PREPARE] <name>      drop a prepared statement
-//	SET <option> = <value>           session options (see SetOption); booleans take on|off
-//	SET memory_limit = <size>        per-session memory budget (spill past it)
-//	SET parallelism = <n>            intra-query worker count (0 = all cores)
-//	SET trace_sample = <n>           trace every Nth query (off = none)
-//	SET statement_timeout = <d>      per-statement deadline (ms or duration, off = none)
+//	SET <option> = <value>           a session option (the settable entries of perm.Settings)
 //	CANCEL <query_id>                cancel an in-flight query (any session's)
 //
 // A session is safe for concurrent use, but is designed for one client:
@@ -25,13 +21,10 @@ package session
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"perm"
-	"perm/internal/mem"
 	"perm/internal/obs"
 )
 
@@ -42,15 +35,9 @@ type Session struct {
 	closed   bool
 	prepared map[string]*perm.Prepared
 	portals  map[string]*perm.Cursor
-	// baseMemLimit is the server-configured memory limit the session
-	// started with; SET memory_limit = 0 restores it. baseParallelism,
-	// baseTraceSample and baseStatementTimeout are the same for the
-	// intra-query worker count, the trace sampling rate and the
-	// statement timeout.
-	baseMemLimit         int64
-	baseParallelism      int
-	baseTraceSample      int
-	baseStatementTimeout time.Duration
+	// base is the options the server configured the session with;
+	// SET <option> = 0 restores the option from it.
+	base perm.Options
 }
 
 // New returns a session over the database (inheriting its options).
@@ -60,13 +47,10 @@ type Session struct {
 func New(db *perm.Database) *Session {
 	obs.SessionsActive.Inc()
 	return &Session{
-		db:                   db.WithOptions(db.Opts()),
-		prepared:             make(map[string]*perm.Prepared),
-		portals:              make(map[string]*perm.Cursor),
-		baseMemLimit:         db.Opts().MemoryLimit,
-		baseParallelism:      db.Opts().Parallelism,
-		baseTraceSample:      db.Opts().TraceSample,
-		baseStatementTimeout: db.Opts().StatementTimeout,
+		db:       db.WithOptions(db.Opts()),
+		prepared: make(map[string]*perm.Prepared),
+		portals:  make(map[string]*perm.Cursor),
+		base:     db.Opts(),
 	}
 }
 
@@ -237,120 +221,11 @@ func (s *Session) Close() {
 	s.prepared = make(map[string]*perm.Prepared)
 }
 
-// settable is every session option SET accepts, with the function that
-// applies a value to an option set. SetOption dispatches on this table
-// and names it in its unknown-option error, so the two cannot disagree.
-// value arrives trimmed and lower-cased.
-var settable = []struct {
-	name string
-	set  func(s *Session, opts *perm.Options, value string) error
-}{
-	{"flatten_setops", boolOption(func(o *perm.Options) *bool { return &o.FlattenSetOps })},
-	{"disable_optimizer", boolOption(func(o *perm.Options) *bool { return &o.DisableOptimizer })},
-	{"disable_vectorized", boolOption(func(o *perm.Options) *bool { return &o.DisableVectorized })},
-	{"disable_query_cache", boolOption(func(o *perm.Options) *bool { return &o.DisableQueryCache })},
-	{"memory_limit", func(s *Session, opts *perm.Options, v string) error {
-		n, err := mem.ParseSize(v)
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			// 0 restores the limit the server configured this session
-			// with (which may itself defer to PERM_MEMORY_LIMIT).
-			n = s.baseMemLimit
-		}
-		opts.MemoryLimit = n
-		return nil
-	}},
-	{"parallelism", func(s *Session, opts *perm.Options, v string) error {
-		if v == "serial" {
-			v = "off"
-		}
-		// 0 restores the worker count the server configured this session
-		// with (which may itself defer to PERM_PARALLELISM or GOMAXPROCS).
-		n, err := countOrOff(v, s.baseParallelism)
-		if err != nil {
-			return fmt.Errorf("parallelism must be a non-negative worker count or off, got %q", v)
-		}
-		opts.Parallelism = n
-		return nil
-	}},
-	{"trace_sample", func(s *Session, opts *perm.Options, v string) error {
-		// 0 restores the rate the server configured this session with
-		// (which may itself defer to PERM_TRACE_SAMPLE).
-		n, err := countOrOff(v, s.baseTraceSample)
-		if err != nil {
-			return fmt.Errorf("trace_sample must be a non-negative sampling rate or off, got %q", v)
-		}
-		opts.TraceSample = n
-		return nil
-	}},
-	{"statement_timeout", func(s *Session, opts *perm.Options, v string) error {
-		var d time.Duration
-		if v == "off" {
-			d = -1
-		} else if ms, err := strconv.Atoi(v); err == nil {
-			// A bare integer is milliseconds, like PostgreSQL's
-			// statement_timeout.
-			if ms < 0 {
-				return fmt.Errorf("statement_timeout must be a non-negative duration or off, got %q", v)
-			}
-			d = time.Duration(ms) * time.Millisecond
-		} else if d, err = time.ParseDuration(v); err != nil || d < 0 {
-			return fmt.Errorf("statement_timeout must be milliseconds, a duration like 500ms, or off, got %q", v)
-		}
-		if d == 0 {
-			// 0 restores the timeout the server configured this session
-			// with (which may itself defer to PERM_STATEMENT_TIMEOUT).
-			d = s.baseStatementTimeout
-		}
-		opts.StatementTimeout = d
-		return nil
-	}},
-}
-
-func boolOption(field func(*perm.Options) *bool) func(*Session, *perm.Options, string) error {
-	return func(_ *Session, opts *perm.Options, v string) error {
-		on, err := parseBool(v)
-		if err != nil {
-			return err
-		}
-		*field(opts) = on
-		return nil
-	}
-}
-
-// countOrOff parses a non-negative count: "off" is -1 (the Options
-// convention for explicitly off) and 0 is base, the server's setting.
-func countOrOff(v string, base int) (int, error) {
-	if v == "off" {
-		return -1, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("not a non-negative count: %q", v)
-	}
-	if n == 0 {
-		n = base
-	}
-	return n, nil
-}
-
-// SetOption changes one session option. Boolean options (value on/off,
-// true/false, 1/0): flatten_setops, disable_optimizer,
-// disable_vectorized, disable_query_cache. memory_limit takes a byte
-// size ("64MiB", "4000000") bounding this session's materializing
-// operators — exhausted budgets spill to disk; "off"/"unlimited" lifts
-// the session limit and "0" restores the limit the server configured
-// this session with. parallelism takes the intra-query worker count (0
-// defers to the server's configuration, 1 or "off" forces serial
-// plans). trace_sample takes N to trace every Nth statement ("off"
-// none, 0 the server's rate). statement_timeout takes a per-statement
-// deadline — a plain integer is milliseconds (PostgreSQL convention),
-// otherwise a Go duration like "1.5s"; "off" disables the deadline and
-// "0" restores the timeout the server configured this session with.
-// Prepared statements are re-prepared under the new options so EXECUTE
-// always honours the session's current settings.
+// SetOption executes SET name = value: perm.Settings lists the names
+// and how each parses its value, and 0 restores the option the server
+// configured this session with. Prepared statements are re-prepared under
+// the new options so EXECUTE always honours the session's current
+// settings.
 func (s *Session) SetOption(name, value string) error {
 	// The whole read-modify-commit runs under the session lock (Prepare
 	// only touches shared engine state, never the session, so holding mu
@@ -359,21 +234,11 @@ func (s *Session) SetOption(name, value string) error {
 	// snapshot and the commit.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	key := strings.ToLower(strings.TrimSpace(name))
-	for _, o := range settable {
-		if o.name == key {
-			opts := s.db.Opts()
-			if err := o.set(s, &opts, strings.ToLower(strings.TrimSpace(value))); err != nil {
-				return err
-			}
-			return s.commitOptions(opts)
-		}
+	opts := s.db.Opts()
+	if err := perm.ApplySet(&opts, s.base, name, value); err != nil {
+		return err
 	}
-	names := make([]string, len(settable))
-	for i, o := range settable {
-		names[i] = o.name
-	}
-	return fmt.Errorf("unknown option %q (have %s)", name, strings.Join(names, ", "))
+	return s.commitOptions(opts)
 }
 
 // commitOptions switches the session to a new option set. Everything
@@ -395,16 +260,6 @@ func (s *Session) commitOptions(opts perm.Options) error {
 	s.db = db
 	s.prepared = reprepared
 	return nil
-}
-
-func parseBool(v string) (bool, error) {
-	switch strings.ToLower(strings.TrimSpace(v)) {
-	case "on", "true", "1", "yes":
-		return true, nil
-	case "off", "false", "0", "no":
-		return false, nil
-	}
-	return false, fmt.Errorf("boolean option value must be on/off, got %q", v)
 }
 
 // Outcome is the result of Run: exactly one of Result (queries) or the

@@ -66,23 +66,14 @@ func Heapify(h []int, less func(a, b int) bool) {
 // identifiable (and sweepable) without touching unrelated files.
 const FilePrefix = "perm-spill-"
 
-// ResolveDir picks the spill directory: the explicit configuration if
-// non-empty, else $PERM_SPILL_DIR, else the system temp directory.
-func ResolveDir(dir string) string {
-	if dir == "" {
-		dir = os.Getenv("PERM_SPILL_DIR")
-	}
+// Cleanup removes leftover spill files (from a crashed process whose
+// early unlink did not happen) under dir ("" = the system temp
+// directory, as for a run). It returns the number of files removed;
+// missing directories are not an error.
+func Cleanup(dir string) int {
 	if dir == "" {
 		dir = os.TempDir()
 	}
-	return dir
-}
-
-// Cleanup removes leftover spill files (from a crashed process whose
-// early unlink did not happen) under dir. It returns the number of
-// files removed; missing directories are not an error.
-func Cleanup(dir string) int {
-	dir = ResolveDir(dir)
 	matches, err := filepath.Glob(filepath.Join(dir, FilePrefix+"*"))
 	if err != nil {
 		return 0
@@ -128,8 +119,7 @@ func newTempFile(dir string) (*tempFile, error) {
 	if err := fault.Failure(fault.PointSpillWrite); err != nil {
 		return nil, fmt.Errorf("spill: create temp file: %w", err)
 	}
-	dir = ResolveDir(dir)
-	f, err := os.CreateTemp(dir, FilePrefix+"*")
+	f, err := os.CreateTemp(dir, FilePrefix+"*") // "" = the system temp directory
 	if err != nil {
 		return nil, fmt.Errorf("spill: create temp file: %w", err)
 	}

@@ -8,7 +8,6 @@ package perm
 
 import (
 	"fmt"
-	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -46,34 +45,6 @@ func newEngineCore() *engineCore {
 		ests:     obs.NewEstStore(0),
 		plans:    obs.NewPlanStore(0, 0),
 	}
-}
-
-// envTraceWarn makes sure a malformed PERM_TRACE_SAMPLE is reported
-// exactly once.
-var envTraceWarn sync.Once
-
-// effectiveTraceSample resolves the trace sampling rate: an explicit
-// positive setting wins (trace every Nth query), negative is explicitly
-// off, and 0 defers to the PERM_TRACE_SAMPLE environment variable and
-// then to off.
-func effectiveTraceSample(opts Options) int {
-	switch {
-	case opts.TraceSample > 0:
-		return opts.TraceSample
-	case opts.TraceSample < 0:
-		return 0
-	}
-	if s := os.Getenv("PERM_TRACE_SAMPLE"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
-			envTraceWarn.Do(func() {
-				fmt.Fprintf(os.Stderr, "perm: ignoring invalid PERM_TRACE_SAMPLE: %q\n", s)
-			})
-			return 0
-		}
-		return n
-	}
-	return 0
 }
 
 // SessionID returns the engine-unique ID of this handle's session
@@ -125,9 +96,6 @@ type queryRun struct {
 	norm  string
 	start time.Time
 	span  int
-	// timer is the armed statement-timeout deadline (nil when the handle
-	// has no timeout configured); finish stops it.
-	timer *time.Timer
 	// fresh marks that this statement's compiled artifact was built this
 	// run (a cache miss): the execution that follows hashes its physical
 	// plan into the plan-flip store. Cache hits replay a tree the store
@@ -137,7 +105,7 @@ type queryRun struct {
 
 // beginQuery registers a statement with the engine: allocates its query
 // ID, fingerprints it, makes it visible in perm_stat_activity and — for
-// every traceEvery-th query — opens a lifecycle trace. The caller must
+// every TraceSample-th query — opens a lifecycle trace. The caller must
 // call finish exactly once.
 func (db *Database) beginQuery(text string) *queryRun {
 	eng := db.eng
@@ -152,29 +120,15 @@ func (db *Database) beginQuery(text string) *queryRun {
 		SQL:         text,
 		Fingerprint: fp,
 		Start:       start,
+		Timeout:     max(db.opts.StatementTimeout, 0),
 		MemStats: func() (int64, int64) {
 			s := budget.Stats()
 			return s.InUse, s.BytesSpilled
 		},
 	}
-	trace := eng.tracer.Sample(db.traceEvery, id, fp, text, start)
+	trace := eng.tracer.Sample(db.opts.TraceSample, id, fp, text, start)
 	eng.activity.Register(aq)
-	qr := &queryRun{db: db, aq: aq, trace: trace, norm: norm, start: start, span: -1}
-	if d := db.stmtTimeout; d > 0 {
-		// The deadline rides the cooperative cancellation path: it only
-		// flips the query's cancel flag, which executors observe at the
-		// next batch boundary. CancelTimeout reports whether this timer
-		// won the race against an explicit CANCEL, so the counter ticks
-		// once per statement actually terminated by timeout.
-		qr.timer = time.AfterFunc(d, func() {
-			if aq.CancelTimeout(d) {
-				obs.StatementTimeouts.Inc()
-				obs.Events.Record(obs.EventStatementTimeout, aq.ID, aq.Fingerprint,
-					"statement timeout after "+d.String())
-			}
-		})
-	}
-	return qr
+	return &queryRun{db: db, aq: aq, trace: trace, norm: norm, start: start, span: -1}
 }
 
 // phase publishes the statement's pipeline phase and, when tracing,
@@ -205,9 +159,6 @@ func (qr *queryRun) activeQuery() *obs.ActiveQuery {
 func (qr *queryRun) finish(err error) {
 	if qr == nil {
 		return
-	}
-	if qr.timer != nil {
-		qr.timer.Stop()
 	}
 	qr.trace.End(qr.span)
 	eng := qr.db.eng

@@ -24,11 +24,8 @@ package perm
 
 import (
 	"fmt"
-	"os"
 	"runtime"
-	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -44,7 +41,6 @@ import (
 	"perm/internal/plan"
 	"perm/internal/provrewrite"
 	"perm/internal/qcache"
-	"perm/internal/spill"
 	"perm/internal/sql"
 	"perm/internal/types"
 	"perm/internal/vexec"
@@ -57,7 +53,9 @@ import (
 // DDL/DML advance a monotonic catalog version that invalidates cached
 // compilation artifacts and prepared statements.
 type Database struct {
-	cat   *catalog.Catalog
+	cat *catalog.Catalog
+	// opts are the handle's options with every unset field resolved from
+	// its environment variable (withEnvDefaults).
 	opts  Options
 	cache *qcache.Cache
 	// optsKey fingerprints the compile-relevant options so databases
@@ -77,16 +75,6 @@ type Database struct {
 	eng       *engineCore
 	sessionID int64
 	lastQ     atomic.Pointer[QueryInfo]
-	// The settings that may defer to a PERM_* environment variable,
-	// resolved once when the handle is made: the trace sampling rate, the
-	// statement timeout (0 = none; every statement this handle begins arms
-	// a deadline that triggers the cooperative cancellation path), the
-	// intra-query worker count and the spill directory. The memory limit
-	// is resolved into budget.
-	traceEvery  int
-	stmtTimeout time.Duration
-	parallelism int
-	spillDir    string
 }
 
 // Options configure a Database.
@@ -116,24 +104,20 @@ type Options struct {
 	// exists as an escape hatch and for A/B measurement.
 	DisableQueryCache bool
 
-	// QueryCacheSize bounds the number of compiled statements kept in
-	// the shared cache (0 means the default of 256).
-	QueryCacheSize int
-
 	// MemoryLimit bounds, in bytes, the memory this handle's queries may
 	// hold in materializing operators (sorts, hash-join builds, hash
 	// aggregation, DISTINCT, set operations). When the budget is
 	// exhausted those operators spill to temporary files and complete
 	// with identical results, so the limit is a performance knob, never
-	// a correctness hazard. 0 consults the PERM_MEMORY_LIMIT environment
-	// variable (e.g. "64MiB") and falls back to unlimited; a negative
-	// value is explicitly unlimited. Handles derived via WithOptions
-	// (one per session) budget independently; the engine-wide total can
-	// additionally be capped with SetEngineMemoryLimit.
+	// a correctness hazard. 0 defers to the environment (see Settings)
+	// and falls back to unlimited; a negative value is explicitly
+	// unlimited. Handles derived via WithOptions (one per session) budget
+	// independently; the engine-wide total can additionally be capped
+	// with SetEngineMemoryLimit.
 	MemoryLimit int64
 
-	// SpillDir is the directory spill files are created under ("" =
-	// $PERM_SPILL_DIR, then the system temp directory). Files are
+	// SpillDir is the directory spill files are created under ("" defers
+	// to the environment, then the system temp directory). Files are
 	// unlinked at creation, so their storage is reclaimed even on a
 	// crash.
 	SpillDir string
@@ -141,9 +125,9 @@ type Options struct {
 	// Parallelism is the number of workers intra-query parallelism may
 	// use for eligible vectorized plan segments. Parallel execution is
 	// semantics-preserving: worker outputs merge back in exact serial
-	// order, so results are byte-identical to a serial run. 0 consults
-	// the PERM_PARALLELISM environment variable and falls back to
-	// runtime.GOMAXPROCS(0); 1 (or a negative value) plans serially.
+	// order, so results are byte-identical to a serial run. 0 defers to
+	// the environment and falls back to runtime.GOMAXPROCS(0); 1 (or a
+	// negative value) plans serially.
 	// Each worker draws memory through its own reservation under this
 	// handle's session budget, so Parallelism composes with MemoryLimit
 	// (workers spill independently under pressure).
@@ -154,9 +138,8 @@ type Options struct {
 	// into the engine's shared ring buffer served by the perm_traces
 	// system table. Tracing is semantics-preserving — traced execution is
 	// byte-identical to untraced — and the off path costs one atomic add
-	// per query. 0 consults the PERM_TRACE_SAMPLE environment variable
-	// and falls back to off; a negative value is explicitly off; 1
-	// traces every query.
+	// per query. 0 defers to the environment and falls back to off; a
+	// negative value is explicitly off; 1 traces every query.
 	TraceSample int
 
 	// StatementTimeout bounds how long any single statement this handle
@@ -164,68 +147,9 @@ type Options struct {
 	// through the same cooperative path CANCEL uses (observed at batch
 	// boundaries, so spilling and parallel segments unwind cleanly) and
 	// its issuer receives a structured timeout error carrying the query
-	// ID. 0 consults the PERM_STATEMENT_TIMEOUT environment variable
-	// (a Go duration, e.g. "30s") and falls back to no timeout; a
+	// ID. 0 defers to the environment and falls back to no timeout; a
 	// negative value is explicitly no timeout.
 	StatementTimeout time.Duration
-}
-
-// envLimitWarn makes sure a malformed PERM_MEMORY_LIMIT is reported
-// exactly once instead of silently disarming the governor.
-var envLimitWarn sync.Once
-
-// envTimeoutWarn makes sure a malformed PERM_STATEMENT_TIMEOUT is
-// reported exactly once.
-var envTimeoutWarn sync.Once
-
-// effectiveStatementTimeout resolves the statement timeout: an explicit
-// positive timeout wins, negative means no timeout, and 0 defers to the
-// PERM_STATEMENT_TIMEOUT environment variable.
-func effectiveStatementTimeout(opts Options) time.Duration {
-	switch {
-	case opts.StatementTimeout > 0:
-		return opts.StatementTimeout
-	case opts.StatementTimeout < 0:
-		return 0
-	}
-	if s := os.Getenv("PERM_STATEMENT_TIMEOUT"); s != "" {
-		d, err := time.ParseDuration(s)
-		if err != nil || d < 0 {
-			envTimeoutWarn.Do(func() {
-				fmt.Fprintf(os.Stderr, "perm: ignoring invalid PERM_STATEMENT_TIMEOUT: %q\n", s)
-			})
-			return 0
-		}
-		return d
-	}
-	return 0
-}
-
-// effectiveMemoryLimit resolves the session memory limit: an explicit
-// positive limit wins, negative means unlimited, and 0 defers to the
-// PERM_MEMORY_LIMIT environment variable.
-func effectiveMemoryLimit(opts Options) int64 {
-	switch {
-	case opts.MemoryLimit > 0:
-		return opts.MemoryLimit
-	case opts.MemoryLimit < 0:
-		return 0
-	}
-	if s := os.Getenv("PERM_MEMORY_LIMIT"); s != "" {
-		n, err := mem.ParseSize(s)
-		if err != nil {
-			// The env var is the only knob that arms the governor in many
-			// deployments; a typo must not silently mean "unlimited".
-			envLimitWarn.Do(func() {
-				fmt.Fprintf(os.Stderr, "perm: ignoring invalid PERM_MEMORY_LIMIT: %v\n", err)
-			})
-			return 0
-		}
-		if n > 0 {
-			return n
-		}
-	}
-	return 0
 }
 
 // NewDatabase returns an empty database with default options.
@@ -235,7 +159,7 @@ func NewDatabase() *Database { return NewDatabaseWithOptions(Options{}) }
 func NewDatabaseWithOptions(opts Options) *Database {
 	shared := &Database{
 		cat:   catalog.New(),
-		cache: qcache.New(opts.QueryCacheSize),
+		cache: qcache.New(0),
 		gov:   mem.NewGovernor(0),
 		eng:   newEngineCore(),
 	}
@@ -268,21 +192,18 @@ func (db *Database) WithOptionsSameSession(opts Options) *Database {
 	return d
 }
 
-// withOptions is the one place options (and the PERM_* variables they
-// defer to) are resolved; statements read the handle's fields only.
+// withOptions is the one place options (and the environment variables
+// they defer to) are resolved.
 func (db *Database) withOptions(opts Options) *Database {
+	opts = withEnvDefaults(opts)
 	return &Database{
-		cat:         db.cat,
-		opts:        opts,
-		cache:       db.cache,
-		optsKey:     optionsFingerprint(opts),
-		gov:         db.gov,
-		budget:      db.gov.Session(effectiveMemoryLimit(opts)),
-		eng:         db.eng,
-		traceEvery:  effectiveTraceSample(opts),
-		stmtTimeout: effectiveStatementTimeout(opts),
-		parallelism: effectiveParallelism(opts),
-		spillDir:    spill.ResolveDir(opts.SpillDir),
+		cat:     db.cat,
+		opts:    opts,
+		cache:   db.cache,
+		optsKey: optionsFingerprint(opts),
+		gov:     db.gov,
+		budget:  db.gov.Session(max(opts.MemoryLimit, 0)),
+		eng:     db.eng,
 	}
 }
 
@@ -327,27 +248,9 @@ func (db *Database) SessionQueryStats() QueryStats { return statsFrom(db.budget.
 // bytes (0 = unlimited).
 func (db *Database) MemoryLimit() int64 { return db.budget.Limit() }
 
-// Opts returns the options of this database handle.
+// Opts returns the options of this database handle, with every field
+// left unset resolved from its environment variable.
 func (db *Database) Opts() Options { return db.opts }
-
-// optionsFingerprint encodes the options that change what the compile
-// pipeline produces. The cached artifact is the optimized logical tree,
-// planned fresh on every execution; vectorization counts because the
-// optimizer keeps a provenance join-back's pair intact only for the batch
-// engine (optimize.QueryForEngine).
-func optionsFingerprint(opts Options) string {
-	key := []byte{'0', '0', '0'}
-	if opts.FlattenSetOps {
-		key[0] = '1'
-	}
-	if opts.DisableOptimizer {
-		key[1] = '1'
-	}
-	if opts.DisableVectorized {
-		key[2] = '1'
-	}
-	return string(key)
-}
 
 // CacheStats are cumulative counters of the shared compiled-query cache.
 type CacheStats struct {
@@ -768,34 +671,18 @@ func (db *Database) ExplainSQL(text string) (string, error) {
 func (db *Database) planner() *plan.Planner {
 	return plan.New(db.cat).
 		SetVectorized(!db.opts.DisableVectorized).
-		SetResources(db.budget, db.spillDir).
-		SetParallelism(db.parallelism)
+		SetResources(db.budget, db.opts.SpillDir).
+		SetParallelism(db.workers())
 }
 
-// envParWarn makes sure a malformed PERM_PARALLELISM is reported exactly
-// once.
-var envParWarn sync.Once
-
-// effectiveParallelism resolves the worker count for intra-query
-// parallelism: an explicit positive setting wins, negative means
-// serial, and 0 defers to the PERM_PARALLELISM environment variable and
-// then to GOMAXPROCS.
-func effectiveParallelism(opts Options) int {
-	switch {
-	case opts.Parallelism > 0:
-		return opts.Parallelism
-	case opts.Parallelism < 0:
-		return 1
-	}
-	if s := os.Getenv("PERM_PARALLELISM"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 {
-			envParWarn.Do(func() {
-				fmt.Fprintf(os.Stderr, "perm: ignoring invalid PERM_PARALLELISM: %q\n", s)
-			})
-			return runtime.GOMAXPROCS(0)
-		}
+// workers is the intra-query worker count: Parallelism, 1 when it is
+// negative, GOMAXPROCS when it is unset.
+func (db *Database) workers() int {
+	switch n := db.opts.Parallelism; {
+	case n > 0:
 		return n
+	case n < 0:
+		return 1
 	}
 	return runtime.GOMAXPROCS(0)
 }
