@@ -79,7 +79,7 @@ func keyOf(v types.Value) valKey {
 	case types.KindInt, types.KindDate:
 		key.i = v.I
 	case types.KindFloat:
-		key.f = v.F
+		key.f = v.F()
 	case types.KindString:
 		key.s = v.S
 	}

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"math"
 	"testing"
 
 	"perm/internal/types"
@@ -68,5 +69,26 @@ func TestColStatsNDVExtrapolation(t *testing.T) {
 	// sample size.
 	if st.Cols[0].NDV < float64(n)/2 {
 		t.Fatalf("NDV = %v, want near %d", st.Cols[0].NDV, n)
+	}
+}
+
+// TestColStatsSpecialFloats: distinct counting and the range read a
+// float's value, not its bits: the two zeros are one value, each NaN is its
+// own, and the infinities bound the range.
+func TestColStatsSpecialFloats(t *testing.T) {
+	c := New()
+	tab, err := c.CreateTable("f", []Column{{Name: "x", Type: types.KindFloat}}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []float64{0, math.Copysign(0, -1), math.NaN(), math.NaN(), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, math.MaxFloat64} {
+		if err := tab.Heap.Insert(types.Row{types.NewFloat(f)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := tab.Stats().Cols[0]
+	if st.NDV != 7 || !math.IsInf(st.MinF, -1) || !math.IsInf(st.MaxF, 1) {
+		t.Fatalf("NDV %v, range [%v, %v]; want 7, [-Inf, +Inf]", st.NDV, st.MinF, st.MaxF)
 	}
 }

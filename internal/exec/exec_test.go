@@ -236,7 +236,7 @@ func TestHashAggGlobal(t *testing.T) {
 		t.Fatalf("rows = %d", len(out))
 	}
 	r := out[0]
-	if r[0].I != 3 || r[1].I != 6 || r[2].F != 2.0 || r[3].I != 1 || r[4].I != 3 {
+	if r[0].I != 3 || r[1].I != 6 || r[2].F() != 2.0 || r[3].I != 1 || r[4].I != 3 {
 		t.Errorf("agg row = %v", r)
 	}
 }

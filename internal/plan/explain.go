@@ -123,7 +123,12 @@ func describeV(n vexec.Node) op {
 			}, vkids: [2]*vexec.Node{&x.Input}}
 	case *vexec.VecSort:
 		return op{name: "VecSort", args: fmt.Sprintf("%d keys%s", len(x.Keys), spillTag(x.Spill)),
-			extra: func() []string { return resAnnot(x.Spill) }, vkids: [2]*vexec.Node{&x.Input}}
+			extra: func() []string {
+				if x.ByGroup() { // the join-back below emitted its rows sorted
+					return []string{"by_group"}
+				}
+				return resAnnot(x.Spill)
+			}, vkids: [2]*vexec.Node{&x.Input}}
 	case *vexec.VecTopN:
 		return op{name: "VecTopN", args: fmt.Sprintf("%d keys, keep %d", len(x.Keys), x.Offset+x.Count),
 			vkids: [2]*vexec.Node{&x.Input}}

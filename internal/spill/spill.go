@@ -455,12 +455,10 @@ func (r *RowRun) WriteRow(row types.Row) error {
 			} else {
 				r.buf = append(r.buf, 0)
 			}
-		case types.KindFloat:
-			r.buf = binary.LittleEndian.AppendUint64(r.buf, math64(v.F))
 		case types.KindString:
 			r.buf = binary.LittleEndian.AppendUint32(r.buf, uint32(len(v.S)))
 			r.buf = append(r.buf, v.S...)
-		default: // int, date, interval, untyped nulls carry I
+		default: // int, float (its bits), date, interval, untyped nulls carry I
 			r.buf = binary.LittleEndian.AppendUint64(r.buf, uint64(v.I))
 		}
 	}
@@ -501,11 +499,6 @@ func (r *RowRun) ReadRow() (types.Row, error) {
 				return nil, err
 			}
 			v.B = c != 0
-		case types.KindFloat:
-			if _, err := io.ReadFull(r.t.r, b[:8]); err != nil {
-				return nil, err
-			}
-			v.F = unmath64(binary.LittleEndian.Uint64(b[:8]))
 		case types.KindString:
 			if _, err := io.ReadFull(r.t.r, b[:4]); err != nil {
 				return nil, err

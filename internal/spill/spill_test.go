@@ -1,6 +1,7 @@
 package spill
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -88,6 +89,8 @@ func TestRowRunRoundTrip(t *testing.T) {
 		{types.NewNull(types.KindInt), types.NewString(""), types.NewFloat(-2.5)},
 		{types.NewDate(12345), types.NewInterval(2, 10), types.NullValue},
 		{},
+		{types.NewFloat(math.Copysign(0, -1)), types.NewFloat(math.NaN()), types.NewFloat(math.Inf(-1)),
+			types.NewFloat(math.SmallestNonzeroFloat64), types.NewFloat(math.MaxFloat64)},
 	}
 	for _, r := range rows {
 		if err := run.WriteRow(r); err != nil {

@@ -1345,7 +1345,7 @@ func (p *Parser) parseUnary() (Expr, error) {
 			return &Lit{Val: types.NewInt(-lit.Val.I)}, nil
 		}
 		if lit, ok := inner.(*Lit); ok && lit.Val.K == types.KindFloat {
-			return &Lit{Val: types.NewFloat(-lit.Val.F)}, nil
+			return &Lit{Val: types.NewFloat(-lit.Val.F())}, nil
 		}
 		return &UnaryExpr{Op: "-", Expr: inner}, nil
 	case p.isOp("+"):

@@ -63,15 +63,17 @@ func (k Kind) Numeric() bool { return k == KindInt || k == KindFloat }
 // meaningful. Null is represented separately so that every kind has a
 // typed NULL (needed e.g. for outer-join padding).
 //
-// K, Null and B share the first word, which keeps a Value at five words
-// (40 bytes): a wide provenance result is a slab of millions of them.
+// K, Null and B share the first word and a float keeps its bits in I (read
+// them with F), which keeps a Value at four words (32 bytes): a wide
+// provenance result is a slab of millions of them. Because the bits are
+// the payload, == on two float Values tells -0.0 from +0.0 and finds a NaN
+// equal to itself; SQL comparisons go through Compare, Equal and Distinct.
 type Value struct {
 	K    Kind
 	Null bool
-	B    bool    // KindBool
-	I    int64   // KindInt, KindDate (days), KindInterval (months<<32|days, see below)
-	F    float64 // KindFloat
-	S    string  // KindString
+	B    bool   // KindBool
+	I    int64  // KindInt, KindDate (days), KindInterval (months<<32|days, see below), KindFloat (bits)
+	S    string // KindString
 }
 
 // NewNull returns a typed NULL of kind k.
@@ -87,7 +89,10 @@ func NewBool(b bool) Value { return Value{K: KindBool, B: b} }
 func NewInt(i int64) Value { return Value{K: KindInt, I: i} }
 
 // NewFloat returns a double value.
-func NewFloat(f float64) Value { return Value{K: KindFloat, F: f} }
+func NewFloat(f float64) Value { return Value{K: KindFloat, I: int64(math.Float64bits(f))} }
+
+// F returns the payload of a float value.
+func (v Value) F() float64 { return math.Float64frombits(uint64(v.I)) }
 
 // NewString returns a text value.
 func NewString(s string) Value { return Value{K: KindString, S: s} }
@@ -134,7 +139,7 @@ func (v Value) IsTrue() bool { return !v.Null && v.K == KindBool && v.B }
 // value is non-NULL numeric.
 func (v Value) AsFloat() float64 {
 	if v.K == KindFloat {
-		return v.F
+		return v.F()
 	}
 	return float64(v.I)
 }
@@ -154,7 +159,7 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.I, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(v.F(), 'g', -1, 64)
 	case KindString:
 		return v.S
 	case KindDate:
@@ -455,7 +460,7 @@ func Neg(a Value) (Value, error) {
 	case KindInt:
 		return NewInt(-a.I), nil
 	case KindFloat:
-		return NewFloat(-a.F), nil
+		return NewFloat(-a.F()), nil
 	case KindInterval:
 		mo, dy := a.IntervalParts()
 		return NewInterval(-mo, -dy), nil
@@ -542,7 +547,7 @@ func Coerce(v Value, k Kind) (Value, error) {
 	case v.K == KindInt && k == KindFloat:
 		return NewFloat(float64(v.I)), nil
 	case v.K == KindFloat && k == KindInt:
-		return NewInt(int64(v.F)), nil
+		return NewInt(int64(v.F())), nil
 	case v.K == KindString && k == KindDate:
 		return ParseDate(v.S)
 	case k == KindString:

@@ -1,10 +1,54 @@
 package types
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
+
+// specialFloats are float64 values whose bits a Value must keep: signed
+// zeros, NaN, infinities, subnormals and the extremes.
+var specialFloats = []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+	math.SmallestNonzeroFloat64, -0x1p-1030, math.MaxFloat64, -math.MaxFloat64}
+
+// TestFloatPayload: a float keeps its bits in I, so every float64 survives
+// NewFloat and F, and Compare, Distinct, Hash and String answer on the
+// Value as on the float64 itself. == compares the bits: the two zeros are
+// two values to it and one to SQL, and a NaN equals itself.
+func TestFloatPayload(t *testing.T) {
+	for _, f := range specialFloats {
+		v := NewFloat(f)
+		if math.Float64bits(v.F()) != math.Float64bits(f) || math.Float64bits(v.AsFloat()) != math.Float64bits(f) {
+			t.Errorf("NewFloat(%v).F() = %v", f, v.F())
+		}
+		if got, want := v.String(), strconv.FormatFloat(f, 'g', -1, 64); got != want {
+			t.Errorf("NewFloat(%v).String() = %q, want %q", f, got, want)
+		}
+		h := fnv.New64a()
+		h.Write(binary.LittleEndian.AppendUint64([]byte{2}, math.Float64bits(f)))
+		if v.Hash() != h.Sum64() {
+			t.Errorf("NewFloat(%v) hashes apart from its float64 bits", f)
+		}
+		for _, g := range specialFloats {
+			want := 0
+			if f < g {
+				want = -1
+			} else if f > g {
+				want = 1
+			}
+			if got := Compare(v, NewFloat(g)); got != want || Distinct(v, NewFloat(g)) != (want != 0) {
+				t.Errorf("Compare(%v, %v) = %d, Distinct %v; want %d", f, g, got, Distinct(v, NewFloat(g)), want)
+			}
+		}
+	}
+	zero, negZero, nan := NewFloat(0), NewFloat(math.Copysign(0, -1)), NewFloat(math.NaN())
+	if zero == negZero || Distinct(zero, negZero) || nan != NewFloat(math.NaN()) {
+		t.Errorf("0.0 == -0.0: %v (Distinct %v); NaN == NaN: %v", zero == negZero, Distinct(zero, negZero), nan == NewFloat(math.NaN()))
+	}
+}
 
 func TestKindString(t *testing.T) {
 	cases := map[Kind]string{
@@ -134,7 +178,7 @@ func TestArithmetic(t *testing.T) {
 	if got := mustV(Add(NewInt(2), NewInt(3))); got.I != 5 || got.K != KindInt {
 		t.Errorf("2+3 = %v", got)
 	}
-	if got := mustV(Add(NewInt(2), NewFloat(0.5))); got.F != 2.5 || got.K != KindFloat {
+	if got := mustV(Add(NewInt(2), NewFloat(0.5))); got.F() != 2.5 || got.K != KindFloat {
 		t.Errorf("2+0.5 = %v", got)
 	}
 	if got := mustV(Sub(NewInt(2), NewInt(3))); got.I != -1 {
@@ -146,7 +190,7 @@ func TestArithmetic(t *testing.T) {
 	if got := mustV(Div(NewInt(7), NewInt(2))); got.I != 3 {
 		t.Errorf("7/2 = %v (integer division truncates)", got)
 	}
-	if got := mustV(Div(NewFloat(7), NewInt(2))); got.F != 3.5 {
+	if got := mustV(Div(NewFloat(7), NewInt(2))); got.F() != 3.5 {
 		t.Errorf("7.0/2 = %v", got)
 	}
 	if got := mustV(Mod(NewInt(7), NewInt(2))); got.I != 1 {
@@ -262,7 +306,7 @@ func TestTriProperties(t *testing.T) {
 
 func TestCoerce(t *testing.T) {
 	v, err := Coerce(NewInt(3), KindFloat)
-	if err != nil || v.F != 3.0 {
+	if err != nil || v.F() != 3.0 {
 		t.Errorf("int→float = %v, %v", v, err)
 	}
 	v, err = Coerce(NewFloat(3.7), KindInt)

@@ -16,6 +16,7 @@
 package vector
 
 import (
+	"math"
 	"sync"
 
 	"perm/internal/types"
@@ -303,7 +304,7 @@ func (v *Vec) Set(i int, val types.Value) {
 		v.B[i] = val.B
 	case types.KindInt, types.KindDate:
 		if val.K == types.KindFloat {
-			v.I[i] = int64(val.F)
+			v.I[i] = int64(val.F())
 		} else {
 			v.I[i] = val.I
 		}
@@ -341,7 +342,7 @@ func (v *Vec) Value(i int) types.Value {
 // for the result boundary: the kind is examined once per column, not
 // once per value. The slab must be freshly allocated: only the kind and
 // the one payload field of each value are stored, the rest is taken to be
-// zero already (storing all five words again costs 7 % of a wide result).
+// zero already (storing every word again costs 7 % of a wide result).
 func (v *Vec) BoxStrided(dst []types.Value, stride int, sel []int, n int) {
 	nulls := v.Nulls.AnySet(v.Len())
 	null := types.NewNull(v.Kind)
@@ -380,7 +381,7 @@ func (v *Vec) BoxStrided(dst []types.Value, stride int, sel []int, n int) {
 			if nulls && v.Nulls.Get(i) {
 				dst[o] = null
 			} else {
-				dst[o].K, dst[o].F = types.KindFloat, v.F[i]
+				dst[o].K, dst[o].I = types.KindFloat, int64(math.Float64bits(v.F[i]))
 			}
 		}
 	case types.KindString:

@@ -2,6 +2,7 @@ package vector
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"perm/internal/types"
@@ -55,7 +56,7 @@ func TestVecNullSemantics(t *testing.T) {
 	// Numeric coercion: int value into a float column.
 	f := NewVec(types.KindFloat, 1)
 	f.Set(0, types.NewInt(3))
-	if f.Value(0).F != 3.0 {
+	if f.Value(0).F() != 3.0 {
 		t.Fatalf("int into float column = %+v", f.Value(0))
 	}
 }
@@ -88,6 +89,33 @@ func TestFromRowsRoundTrip(t *testing.T) {
 	// Unsupported column kinds reject the pivot.
 	if _, ok := FromRows(nil, []types.Kind{types.KindInterval}); ok {
 		t.Fatal("FromRows must reject interval columns")
+	}
+}
+
+// TestFloatBitsRoundTrip: a float column unboxes and boxes every float64
+// bit for bit — signed zeros, NaN, infinities, subnormals, the extremes —
+// through FromRows, Set, Value and BoxStrided.
+func TestFloatBitsRoundTrip(t *testing.T) {
+	floats := []float64{math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, math.MaxFloat64}
+	rows := make([]types.Row, len(floats))
+	for i, f := range floats {
+		rows[i] = types.Row{types.NewFloat(f)}
+	}
+	cols, ok := FromRows(rows, []types.Kind{types.KindFloat})
+	if !ok {
+		t.Fatal("FromRows failed")
+	}
+	set := NewVec(types.KindFloat, len(floats))
+	boxed := make([]types.Value, len(floats))
+	cols[0].BoxStrided(boxed, 1, nil, len(floats))
+	for i, f := range floats {
+		set.Set(i, rows[i][0])
+		for _, got := range []types.Value{cols[0].Value(i), set.Value(i), boxed[i]} {
+			if got != rows[i][0] {
+				t.Fatalf("%v came back as %#v", f, got)
+			}
+		}
 	}
 }
 

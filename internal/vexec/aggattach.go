@@ -1,6 +1,9 @@
 package vexec
 
 import (
+	"math"
+
+	"perm/internal/exec"
 	"perm/internal/obs"
 	"perm/internal/spill"
 	"perm/internal/types"
@@ -10,17 +13,21 @@ import (
 // AggAttach evaluates rule R5's join-back α_{G,agg}(T) ⋈_G Π_{G,P}(T+) in
 // one pass over its input, for T+ that is T row for row. Open drains the
 // input through the aggregation, whose feed stores each row's T+ columns
-// (Prov) with its group id; Next streams them back in input order, each
-// with its group's output: the group gathered by id, HAVING and Groups'
-// projection applied. Group ids stand in for null-safe comparisons of
-// grouping keys, so NULL groups stay associated.
+// (Prov) with its group id; Next streams them back, each with its group's
+// output: the group gathered by id, HAVING and Groups' projection applied.
+// Group ids stand in for null-safe comparisons of grouping keys, so NULL
+// groups stay associated.
+//
+// The rows come back in input order, or, when the sort above set Order
+// and the store and the group table stayed in memory, in the order that
+// sort would put them in (see orderByGroup), which it then passes through.
 //
 // Under a budget a denied store is dropped and the input evaluated again,
 // its group ids looked up in the table. A denied group table spills as any
 // aggregation's does (float sums merging partial sums, which may move
 // their last digits); ids do not survive that, so the rows probe the
 // finished groups by key (ProvKeys, AggKeys) through a HashJoin, Grace
-// under pressure. The output order is the input order whatever the budget.
+// under pressure. Either way the rows come back in input order.
 type AggAttach struct {
 	obs.Card
 	Input  Node
@@ -35,6 +42,9 @@ type AggAttach struct {
 	ProvKeys, AggKeys []int
 	Spill, JoinSpill  spill.Resources
 	Stored            int // rows of T+ the last Open held in memory
+	// Order is the sort above, its keys positions in the aggregate's
+	// output; nil asks for input order. The sort sets it before Open.
+	Order []exec.SortKey
 
 	having  *Expr   // HAVING over the aggregation's rows, or nil
 	out     []*Expr // Groups' projection
@@ -44,20 +54,31 @@ type AggAttach struct {
 	store   vector.Table // T+ columns, then the group id
 	chunk   int          // emission position: chunk of the store and row in it
 	pos     int
-	src     Node      // the rows of T+ with their group ids, in input order
-	open    bool      // Groups is open
-	join    *HashJoin // the keyed attach
+	src     Node        // the rows of T+ with their group ids, in input order
+	sorted  *groupOrder // or the stored rows in Order
+	open    bool        // Groups is open
+	join    *HashJoin   // the keyed attach
 	cols    []*vector.Vec
+	outCols []*vector.Vec
 	win     []vector.Vec
 	winCols []*vector.Vec
 	ids     []int32
 	owned   []*vector.Vec
 }
 
+// groupOrder is the emission in Order: the output row of every group
+// HAVING kept, and the ids of the stored rows with the output row each
+// attaches, sorted.
+type groupOrder struct {
+	groups       vector.Table
+	rows, attach []int32
+	next         int
+}
+
 // NewAggAttach returns the join-back operator over the shared block's
 // rows, storing the T+ columns prov computes.
 func NewAggAttach(input Node, prov []*Expr, left bool) *AggAttach {
-	a := &AggAttach{Input: input, Prov: prov, Left: left}
+	a := &AggAttach{Input: input, Prov: prov, Left: left, ids: make([]int32, vector.BatchSize)}
 	a.feed.a = a
 	return a
 }
@@ -86,6 +107,9 @@ func (a *AggAttach) SetGroups(groups Node) bool {
 func (a *AggAttach) Kinds() []types.Kind {
 	return append(exprKinds(a.Prov), exprKinds(a.out)...)
 }
+
+// Sorted reports whether the last Open emits its rows in Order.
+func (a *AggAttach) Sorted() bool { return a.sorted != nil }
 
 // SetActivity attaches the active query polled at every emitted batch.
 func (a *AggAttach) SetActivity(aq *obs.ActiveQuery) { a.aq = aq }
@@ -188,6 +212,11 @@ func (a *AggAttach) Open() (err error) {
 		}
 		a.store.Append(cols, identitySel[:1])
 	}
+	if a.Order != nil && !a.replay {
+		if a.sorted, err = a.orderByGroup(); a.sorted != nil || err != nil {
+			return err
+		}
+	}
 	src := Node(storedRows{a, 0})
 	if a.replay {
 		src = NewProject(a.Input, append(a.Prov[:len(a.Prov):len(a.Prov)], &Expr{kind: types.KindInt, val: groupIDs{a.Agg}}))
@@ -198,6 +227,144 @@ func (a *AggAttach) Open() (err error) {
 	return err
 }
 
+// orderByGroup sorts the stored rows on Order without comparing them:
+// HAVING and the projection run once per group, the groups HAVING keeps
+// are sorted stably on Order, tied groups sharing one rank, and the rows
+// are counting-sorted by their group's rank. Rows of tied groups thus keep
+// their input order among each other, which is exactly how a stable sort
+// of the input-order rows on Order emits them. It returns nil (input
+// order) when the budget denies the room this takes, or when a float key
+// is NaN, which ties with every value and so has no rank.
+func (a *AggAttach) orderByGroup() (*groupOrder, error) {
+	n := a.Agg.numGroups
+	var held int64
+	grow := func(bytes int64) bool {
+		if a.Spill.Res.Grow(bytes) {
+			held += bytes
+			return true
+		}
+		a.Spill.Res.Release(held)
+		return false
+	}
+	if !grow(8*int64(a.store.Len()) + 8*int64(n)) {
+		return nil, nil
+	}
+	g := &groupOrder{}
+	at := make([]int32, n) // by group id: its output row, or -1
+	for lo := 0; lo < n; lo += vector.BatchSize {
+		ids := a.ids[:min(n-lo, vector.BatchSize)]
+		for i := range ids {
+			ids[i], at[lo+i] = int32(lo+i), -1
+		}
+		out, lanes, err := a.groupRows(ids, nil)
+		if lanes == nil {
+			lanes = identitySel[:len(ids)]
+		}
+		if err != nil || !grow(batchBytes(out, lanes)) {
+			a.free()
+			return nil, err
+		}
+		for k, lane := range lanes {
+			at[lo+lane] = int32(g.groups.Len() + k)
+		}
+		g.groups.Append(out, lanes)
+		a.free()
+	}
+	if g.groups.Len() == 0 {
+		return g, nil
+	}
+
+	keys, kinds := a.Order, g.groups.Kinds()
+	classes := make([]cmpClass, len(keys))
+	for i, k := range keys {
+		classes[i] = classify(kinds[k.Pos], kinds[k.Pos])
+		if kinds[k.Pos] == types.KindFloat && hasNaN(&g.groups, k.Pos) {
+			a.Spill.Res.Release(held)
+			return nil, nil
+		}
+	}
+	order := sortedOrder(&g.groups, keys, classes)
+	rank := make([]int32, len(order)) // by output row
+	for i := 1; i < len(order); i++ {
+		rank[order[i]] = rank[order[i-1]]
+		if compareTableRows(&g.groups, int(order[i-1]), int(order[i]), keys, classes) != 0 {
+			rank[order[i]]++
+		}
+	}
+
+	// Counting sort: start[r] is where the next row of rank r goes.
+	start := make([]int32, len(order)+1)
+	gids := len(a.Prov)
+	for _, chunk := range a.store.Chunks() {
+		for _, gid := range chunk[gids].I {
+			if o := at[gid]; o >= 0 {
+				start[rank[o]+1]++
+			}
+		}
+	}
+	for r := 1; r < len(start); r++ {
+		start[r] += start[r-1]
+	}
+	total := start[len(start)-1]
+	g.rows, g.attach = make([]int32, total), make([]int32, total)
+	id := int32(0) // a chunk is full before the next one starts: ids run on
+	for _, chunk := range a.store.Chunks() {
+		for _, gid := range chunk[gids].I {
+			if o := at[gid]; o >= 0 {
+				p := &start[rank[o]]
+				g.rows[*p], g.attach[*p] = id, o
+				*p++
+			}
+			id++
+		}
+	}
+	return g, nil
+}
+
+// hasNaN reports whether float column c of a table holds a NaN.
+func hasNaN(t *vector.Table, c int) bool {
+	for _, chunk := range t.Chunks() {
+		for i, f := range chunk[c].F {
+			if math.IsNaN(f) && !chunk[c].Nulls.Get(i) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// groupRows runs HAVING and the output projection over the groups with
+// the given ids, one lane each, within sel. It returns the output columns
+// and the lanes HAVING kept (nil: all of sel, empty: none), valid until
+// free.
+func (a *AggAttach) groupRows(ids []int32, sel []int) ([]*vector.Vec, []int, error) {
+	g := &vector.Batch{N: len(ids), Sel: sel, Cols: a.Agg.rowsOf(ids, a.owned)}
+	a.owned = g.Cols
+	if a.having != nil {
+		kept, err := a.having.selectTrue(g, g.Sel)
+		if err != nil {
+			return nil, nil, err
+		} else if kept != nil && len(kept) == 0 {
+			return nil, kept, nil
+		} else if kept != nil {
+			g.Sel = kept
+		}
+	}
+	out := a.outCols[:0]
+	for _, e := range a.out {
+		v, err := e.eval(g, g.Sel)
+		if err != nil {
+			return nil, nil, err
+		}
+		out = append(out, v)
+		if !e.aliasing {
+			a.owned = append(a.owned, v)
+		}
+	}
+	a.outCols = out
+	return out, g.Sel, nil
+}
+
 func (a *AggAttach) Next() (*vector.Batch, error) {
 	if err := a.aq.CancelErr(); err != nil {
 		return nil, err
@@ -206,8 +373,20 @@ func (a *AggAttach) Next() (*vector.Batch, error) {
 		return a.join.Next()
 	}
 	a.free()
-	if a.ids == nil {
-		a.ids = make([]int32, vector.BatchSize)
+	if g := a.sorted; g != nil {
+		if g.next == len(g.rows) {
+			return nil, nil
+		}
+		hi := min(g.next+vector.BatchSize, len(g.rows))
+		rows, attach := g.rows[g.next:hi], g.attach[g.next:hi]
+		g.next = hi
+		for c, k := range a.store.Kinds()[:len(a.Prov)] {
+			v := vector.NewBatchVec(k, len(rows))
+			a.store.GatherCol(c, rows, v)
+			a.owned = append(a.owned, v)
+		}
+		a.owned = gatherBatch(&g.groups, attach, a.owned)
+		return &vector.Batch{N: len(rows), Cols: a.owned}, nil
 	}
 	for {
 		b, err := a.src.Next()
@@ -221,31 +400,15 @@ func (a *AggAttach) Next() (*vector.Batch, error) {
 		for _, i := range resolveSel(b, b.Sel) {
 			ids[i] = int32(b.Cols[last].I[i])
 		}
-		g := &vector.Batch{N: b.N, Sel: b.Sel, Cols: a.Agg.rowsOf(ids, a.owned)}
-		a.owned = g.Cols
-		if a.having != nil {
-			sel, err := a.having.selectTrue(g, g.Sel)
-			if err != nil {
-				return nil, err
-			} else if sel != nil && len(sel) == 0 {
-				a.free()
-				continue
-			} else if sel != nil {
-				g.Sel = sel
-			}
+		out, sel, err := a.groupRows(ids, b.Sel)
+		if err != nil {
+			return nil, err
+		} else if sel != nil && len(sel) == 0 {
+			a.free()
+			continue
 		}
-		a.cols = append(a.cols[:0], b.Cols[:last]...)
-		for _, e := range a.out {
-			v, err := e.eval(g, g.Sel)
-			if err != nil {
-				return nil, err
-			}
-			a.cols = append(a.cols, v)
-			if !e.aliasing {
-				a.owned = append(a.owned, v)
-			}
-		}
-		return &vector.Batch{N: b.N, Cols: a.cols, Sel: g.Sel}, nil
+		a.cols = append(append(a.cols[:0], b.Cols[:last]...), out...)
+		return &vector.Batch{N: b.N, Cols: a.cols, Sel: sel}, nil
 	}
 }
 
@@ -276,7 +439,7 @@ func (a *AggAttach) Close() error {
 		a.open = false
 	}
 	a.free()
-	a.store, a.chunk, a.pos = vector.Table{}, 0, 0
+	a.store, a.chunk, a.pos, a.sorted = vector.Table{}, 0, 0, nil
 	a.Spill.Res.ReleaseAll()
 	return err
 }

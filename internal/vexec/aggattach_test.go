@@ -1,9 +1,12 @@
 package vexec_test
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"perm/internal/algebra"
+	"perm/internal/exec"
 	"perm/internal/spill"
 	"perm/internal/types"
 	"perm/internal/vexec"
@@ -111,5 +114,74 @@ func TestAggAttachEmptyInput(t *testing.T) {
 			want = []types.Row{{types.NewNull(types.KindInt), types.NewInt(0)}}
 		}
 		assertSameRows(t, drainRows(t, a), want, "empty input")
+	}
+}
+
+// opaque hides the operator below it from the sort above.
+type opaque struct{ vexec.Node }
+
+// TestAggAttachOrdered: a sort over the join-back, through a projection,
+// passes the rows through exactly when every key is a column of the
+// aggregate's output and the store stayed in memory, and then emits what
+// it would have made of the rows in input order — over random groups with
+// NULL keys, groups tying on the keys, HAVING, keys on T+ and on computed
+// columns, and a budget that denies the store.
+func TestAggAttachOrdered(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	// The attach emits T+ (i, s, k), then the aggregate's (k, count, sum).
+	kinds := []types.Kind{types.KindInt, types.KindString, types.KindInt, types.KindInt, types.KindInt, types.KindInt}
+	none := spill.Resources{}
+	for round := 0; round < 60; round++ {
+		rows := make([]types.Row, 1+r.Intn(3000))
+		mod := 1 + r.Intn(40)
+		for i := range rows {
+			k := types.NewInt(int64(r.Intn(mod)))
+			if r.Intn(8) == 0 {
+				k = types.NewNull(types.KindInt)
+			}
+			rows[i] = types.Row{k, types.NewInt(int64(r.Intn(4))), types.NewString(fmt.Sprint(r.Intn(5)))}
+		}
+		minCount := int64(r.Intn(4)) - 1
+		// The projection permutes the columns and may compute one of them.
+		cols, computed := r.Perm(len(kinds)), -1
+		if j := r.Intn(len(kinds)); r.Intn(3) == 0 && kinds[cols[j]] == types.KindInt {
+			computed = j
+		}
+		project := func(n vexec.Node) vexec.Node {
+			exprs := make([]*vexec.Expr, len(cols))
+			for j, c := range cols {
+				exprs[j] = colExpr(t, c, kinds[c])
+				if j == computed {
+					e, err := vexec.CompileExpr(&algebra.BinOp{Op: "+", Typ: types.KindInt,
+						Left:  &algebra.Var{Col: c, Typ: types.KindInt},
+						Right: &algebra.Const{Val: types.NewInt(0)}}, posBinder{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					exprs[j] = e
+				}
+			}
+			return vexec.NewProject(n, exprs)
+		}
+		var keys []exec.SortKey
+		byGroup := true
+		for _, pos := range r.Perm(len(kinds))[:1+r.Intn(3)] {
+			keys = append(keys, exec.SortKey{Pos: pos, Desc: r.Intn(2) == 0})
+			byGroup = byGroup && cols[pos] >= 3 && pos != computed
+		}
+		what := fmt.Sprintf("round %d: %d rows in %d groups, HAVING count > %d, keys %v over columns %v (computed %d)",
+			round, len(rows), mod, minCount, keys, cols, computed)
+		want := drainRows(t, vexec.NewVecSort(opaque{project(attachOf(t, rows, minCount, none, none, none))}, keys))
+		for _, denied := range []bool{false, true} {
+			store := none
+			if denied {
+				store, _ = tinyRes(t, 1)
+			}
+			s := vexec.NewVecSort(project(attachOf(t, rows, minCount, none, store, none)), keys)
+			assertSameRows(t, drainRows(t, s), want, what)
+			if s.ByGroup() != (byGroup && !denied) {
+				t.Fatalf("%s, store denied %v: by group = %v", what, denied, s.ByGroup())
+			}
+		}
 	}
 }

@@ -374,7 +374,7 @@ func broadcast(val types.Value, kind types.Kind, n int) *vector.Vec {
 		return v
 	}
 	if kind == types.KindInt && val.K == types.KindFloat {
-		val = types.NewInt(int64(val.F))
+		val = types.NewInt(int64(val.F()))
 	}
 	fill(v, val, identitySel[:n])
 	return v

@@ -375,7 +375,7 @@ func refEval(e algebra.Expr, cols []*vector.Vec, i int) (types.Value, error) {
 		if v.K == types.KindInt {
 			return types.NewInt(-v.I), nil
 		}
-		return types.NewFloat(-v.F), nil
+		return types.NewFloat(-v.F()), nil
 	case *algebra.CaseExpr:
 		for _, w := range n.Whens {
 			c, err := refEval(w.Cond, cols, i)
@@ -953,7 +953,7 @@ func (a *refAcc) accumulate(g int, arg *vector.Vec, i int) {
 func refLess(a, b types.Value) bool {
 	switch a.K {
 	case types.KindFloat:
-		return a.F < b.F
+		return a.F() < b.F()
 	case types.KindString:
 		return a.S < b.S
 	case types.KindBool:
@@ -993,7 +993,7 @@ func sameValue(a, b types.Value) bool {
 		return a.Null && b.Null && a.K == b.K
 	}
 	if a.K == types.KindFloat && b.K == types.KindFloat {
-		return math.Float64bits(a.F) == math.Float64bits(b.F) || (a.F != a.F && b.F != b.F)
+		return a.I == b.I || (math.IsNaN(a.F()) && math.IsNaN(b.F()))
 	}
 	return a == b
 }

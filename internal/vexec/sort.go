@@ -73,7 +73,8 @@ func gatherBatch(t *vector.Table, ids []int32, cols []*vector.Vec) []*vector.Vec
 // budget (Spill) it becomes an external merge sort: input segments that
 // no longer fit are sorted and written as spill runs, and the output is
 // a fan-in-capped multi-pass k-way merge whose order is identical to the
-// in-memory sort's.
+// in-memory sort's. Over a join-back that emitted its rows in the sort's
+// order (see joinBack) it passes them through.
 type VecSort struct {
 	obs.Card
 	Input Node
@@ -96,6 +97,7 @@ type VecSort struct {
 	tapCols  []*vector.Vec // batch columns plus the ordinal column (Tap mode)
 	runs     []*spill.Run
 	merger   *runMerger
+	byGroup  bool // the last Open's input came sorted: rows pass through
 }
 
 // NewVecSort returns a vectorized sort node.
@@ -105,6 +107,52 @@ func NewVecSort(input Node, keys []exec.SortKey) *VecSort {
 
 // Spilled reports whether the sort went external (EXPLAIN/tests).
 func (s *VecSort) Spilled() bool { return len(s.runs) > 0 }
+
+// ByGroup reports whether the last Open passed its input through, the
+// join-back below having sorted its rows by group (EXPLAIN ANALYZE/tests).
+func (s *VecSort) ByGroup() bool { return s.byGroup }
+
+// joinBack returns the join-back operator the sort reads, through a
+// projection, when every key is a column of its aggregate's output, having
+// asked it for the sort's order.
+func (s *VecSort) joinBack() *AggAttach {
+	n, cols := unprobe(s.Input), []*Expr(nil)
+	if p, ok := n.(*Project); ok {
+		n, cols = unprobe(p.Input), p.Exprs
+	}
+	a, ok := n.(*AggAttach)
+	if !ok || s.Tap != nil {
+		return nil
+	}
+	order := make([]exec.SortKey, len(s.Keys))
+	for i, k := range s.Keys {
+		pos := k.Pos
+		if cols != nil {
+			v, ok := cols[pos].val.(*varKernel)
+			if !ok {
+				return nil
+			}
+			pos = v.pos
+		}
+		if pos < len(a.Prov) {
+			return nil
+		}
+		order[i] = exec.SortKey{Pos: pos - len(a.Prov), Desc: k.Desc}
+	}
+	a.Order = order
+	return a
+}
+
+// unprobe looks through EXPLAIN ANALYZE probes.
+func unprobe(n Node) Node {
+	for {
+		p, ok := n.(*Probe)
+		if !ok {
+			return n
+		}
+		n = p.Input
+	}
+}
 
 // flushRun sorts the accumulated segment and writes it out as one run,
 // releasing the segment's memory.
@@ -132,6 +180,8 @@ func (s *VecSort) Open() (err error) {
 	s.classes = nil
 	closeRuns(s.runs)
 	s.runs = nil
+	s.byGroup = false
+	attach := s.joinBack()
 	// A failed Open never sees a matching Close from the parent, so the
 	// sort must unwind its own spill state: release reserved bytes and
 	// close any runs written before the error.
@@ -146,6 +196,10 @@ func (s *VecSort) Open() (err error) {
 	}()
 	if err := s.Input.Open(); err != nil {
 		return err
+	}
+	if attach != nil && attach.Sorted() {
+		s.byGroup = true
+		return nil
 	}
 	budgeted := s.Spill.Enabled()
 	for {
@@ -221,6 +275,9 @@ func (s *VecSort) Open() (err error) {
 }
 
 func (s *VecSort) Next() (*vector.Batch, error) {
+	if s.byGroup {
+		return s.Input.Next()
+	}
 	if s.merger != nil {
 		return s.merger.next()
 	}
@@ -236,6 +293,9 @@ func (s *VecSort) Close() error {
 	s.runs = nil
 	s.accBytes = 0
 	s.Spill.Res.ReleaseAll()
+	if s.byGroup {
+		return s.Input.Close()
+	}
 	return nil
 }
 

@@ -3,7 +3,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
 
 	"perm/internal/types"
@@ -78,9 +77,7 @@ func (r *Response) appendBody(b []byte) []byte {
 				b = append(b, tag, flag(v.B))
 			case v.K == types.KindString:
 				b = appendString(append(b, tag), v.S)
-			case v.K == types.KindFloat:
-				b = binary.BigEndian.AppendUint64(append(b, tag), math.Float64bits(v.F))
-			default: // bigint, date, interval
+			default: // bigint, double (its bits), date, interval
 				b = binary.BigEndian.AppendUint64(append(b, tag), uint64(v.I))
 			}
 		}
@@ -190,8 +187,6 @@ func (d *decoder) value(v *types.Value) {
 		v.B = d.flag()
 	case v.K == types.KindString:
 		v.S = d.str()
-	case v.K == types.KindFloat:
-		v.F = math.Float64frombits(d.uint64())
 	default:
 		v.I = int64(d.uint64())
 	}

@@ -24,29 +24,35 @@ const joinBackFixture = `
 	CREATE VIEW gv AS SELECT k, j, v FROM g WHERE v > 10;
 `
 
-// joinBackShapes are rule-R5 shapes and whether one operator evaluates
-// their join-back.
+// joinBackShapes are rule-R5 shapes, whether one operator evaluates
+// their join-back and whether it also emits their ORDER BY (by_group).
 var joinBackShapes = []struct {
-	q      string
-	shared bool
+	q               string
+	shared, byGroup bool
 }{
-	{`SELECT k, count(*), sum(v) FROM g GROUP BY k`, true},
-	{`SELECT k, j, count(*), max(w) FROM g GROUP BY k, j`, true},
-	{`SELECT k, count(*) FROM g GROUP BY k HAVING count(*) > 1`, true},
-	{`SELECT k, count(*) FROM g GROUP BY k HAVING NOT EXISTS (SELECT x FROM e)`, false},
-	{`SELECT count(*), sum(v) FROM g GROUP BY k % 2`, true},
-	{`SELECT k, count(DISTINCT j) FROM g GROUP BY k`, false},
-	{`SELECT x, count(*) FROM e GROUP BY x`, true},
-	{`SELECT count(*), sum(x) FROM e`, true},
-	{`SELECT k, count(*) FROM g WHERE v > 100 GROUP BY k`, true},
-	{`SELECT count(*), avg(w) FROM g WHERE v > 100`, true},
-	{`SELECT k, sum(v) FROM gv GROUP BY k`, true},
-	{`SELECT j, sum(w) AS s FROM g GROUP BY j ORDER BY s DESC, j`, true},
-	{`SELECT k, count(*) FROM g GROUP BY k ORDER BY k LIMIT 2`, false},
+	{`SELECT k, count(*), sum(v) FROM g GROUP BY k`, true, false},
+	{`SELECT k, j, count(*), max(w) FROM g GROUP BY k, j`, true, false},
+	{`SELECT k, count(*) FROM g GROUP BY k HAVING count(*) > 1`, true, false},
+	{`SELECT k, count(*) FROM g GROUP BY k HAVING NOT EXISTS (SELECT x FROM e)`, false, false},
+	{`SELECT count(*), sum(v) FROM g GROUP BY k % 2`, true, false},
+	{`SELECT k, count(DISTINCT j) FROM g GROUP BY k`, false, false},
+	{`SELECT x, count(*) FROM e GROUP BY x`, true, false},
+	{`SELECT count(*), sum(x) FROM e`, true, false},
+	{`SELECT k, count(*) FROM g WHERE v > 100 GROUP BY k`, true, false},
+	{`SELECT count(*), avg(w) FROM g WHERE v > 100`, true, false},
+	{`SELECT k, sum(v) FROM gv GROUP BY k`, true, false},
+	{`SELECT j, sum(w) AS s FROM g GROUP BY j ORDER BY s DESC, j`, true, true},
+	// Groups tying on the key interleave their rows by input position; NULL
+	// keys sort first descending; HAVING drops groups before they are ranked.
+	{`SELECT j, count(*) AS c FROM g GROUP BY j ORDER BY c`, true, true},
+	{`SELECT k, j, sum(v) AS s FROM g GROUP BY k, j ORDER BY k DESC, j DESC`, true, true},
+	{`SELECT k, j, count(*) AS c FROM g GROUP BY k, j ORDER BY c DESC, k`, true, true},
+	{`SELECT k, count(*) AS c FROM g GROUP BY k HAVING count(*) > 1 ORDER BY c, k`, true, true},
+	{`SELECT k, count(*) FROM g GROUP BY k ORDER BY k LIMIT 2`, false, false},
 	// The R5 cases of rewrite_rules_test.go.
-	{`SELECT b, count(*) FROM r GROUP BY b`, true},
-	{`SELECT sum(a) FROM r`, true},
-	{`SELECT count(*) FROM e HAVING count(*) > 0`, true},
+	{`SELECT b, count(*) FROM r GROUP BY b`, true, false},
+	{`SELECT sum(a) FROM r`, true, false},
+	{`SELECT count(*) FROM e HAVING count(*) > 0`, true, false},
 }
 
 // TestJoinBackShared: the join-back over one evaluation of T+ equals the
@@ -54,7 +60,8 @@ var joinBackShapes = []struct {
 // theorem, and its serial, parallel, budgeted and fault-injected runs are
 // byte-identical — over the R5 shapes, every TPC-H q+ and the aggregation
 // chains, where only the innermost level shares. The Fig. 10 q+ plans
-// show the operator, so a silent fallback fails.
+// show the operator, and their sorts take its rows as they come unless
+// the budget denied its store, so a silent fallback fails.
 func TestJoinBackShared(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TPC-H join-back corpus skipped with -short")
@@ -141,20 +148,47 @@ func TestJoinBackShared(t *testing.T) {
 		if strings.Contains(out, "VecAggAttach") != s.shared {
 			t.Errorf("%s: shared = %v, want %v:\n%s", s.q, !s.shared, s.shared, out)
 		}
+		assertByGroup(t, serial, injectProv(s.q), s.byGroup)
 	}
 	rng = tpch.NewRand(7)
 	for _, n := range []int{1, 3, 5, 6, 10, 12, 14} {
-		out, err := serial.ExplainSQL(tpch.MustQGen(n, rng).Provenance().Text)
+		q := tpch.MustQGen(n, rng).Provenance()
+		out, err := serial.ExplainSQL(q.Text)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !strings.Contains(out, "VecAggAttach") {
 			t.Errorf("Q%d q+ keeps the two-sided join-back:\n%s", n, out)
 		}
+		// Every ORDER BY of Fig. 10 is on the aggregate's output. At 48 KiB
+		// the operator sorts only rows it could store, never Q1's 5,896.
+		ordered := n != 6 && n != 14
+		assertByGroup(t, serial, q.Text, ordered)
+		report, err := configs[2].db.ExplainAnalyzeSQL(q.Text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := !strings.Contains(report, "materialized=0")
+		if strings.Contains(report, "by_group") != (ordered && held) || n == 1 && held {
+			t.Errorf("Q%d q+ at 48 KiB, store held = %v:\n%s", n, held, report)
+		}
 	}
 	res := serial.MustQuery(`SELECT labels, value FROM perm_metrics WHERE name = 'perm_joinback_two_sided_total'`)
 	if !strings.Contains(res.String(), `reason="having_sublink"`) {
 		t.Errorf("perm_metrics lacks the two-sided reasons:\n%s", res)
+	}
+}
+
+// assertByGroup checks whether EXPLAIN ANALYZE of q shows its sort passing
+// the join-back's rows through.
+func assertByGroup(t *testing.T, db *perm.Database, q string, want bool) {
+	t.Helper()
+	report, err := db.ExplainAnalyzeSQL(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(report, "by_group") != want {
+		t.Errorf("%s: by_group = %v, want %v:\n%s", q, !want, want, report)
 	}
 }
 

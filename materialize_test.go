@@ -2,10 +2,12 @@ package perm_test
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"perm"
+	"perm/internal/types"
 )
 
 // tiesTable builds n rows whose sort key k takes three values and NULL in
@@ -152,6 +154,23 @@ func TestWideResultAllocs(t *testing.T) {
 		t.Fatalf("a %d x 20 result cost %.0f allocations, budget %.0f", rows, allocs, budget)
 	}
 	t.Logf("%.0f allocations for %d batches", allocs, rows/1024)
+}
+
+// TestRawResultAdoptsRows: a client's result takes over the rows the wire
+// decoder filled, float bits and all, rather than copying them again.
+func TestRawResultAdoptsRows(t *testing.T) {
+	cols := []string{"i", "f"}
+	rows := [][]types.Value{
+		{types.NewInt(1), types.NewFloat(math.Copysign(0, -1))},
+		{types.NewNull(types.KindInt), types.NewFloat(math.NaN())},
+	}
+	res := perm.NewRawResult(cols, nil, rows)
+	if &res.RawRows()[1][1] != &rows[1][1] || res.Rows[0][1].String() != "-0" || res.Rows[1][1].String() != "NaN" {
+		t.Fatalf("result copies or changes the decoded rows: %v", res.Rows)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { perm.NewRawResult(cols, nil, rows) }); allocs > 2 {
+		t.Fatalf("NewRawResult costs %.0f allocations, want the result and its provenance flags", allocs)
+	}
 }
 
 // TestStatementSeesOneSnapshotPerTable: q+ of an ungrouped count scans its

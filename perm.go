@@ -287,7 +287,7 @@ func (v Value) Int() int64 {
 	case types.KindInt, types.KindDate:
 		return v.v.I
 	case types.KindFloat:
-		return int64(v.v.F)
+		return int64(v.v.F())
 	default:
 		return 0
 	}

@@ -15,11 +15,14 @@ import (
 // of the stable embedded API.
 
 // A Value is a types.Value under a public name, so a row of one is a row
-// of the other. Either array length goes negative, and the build breaks,
-// should the two ever differ in size.
+// of the other, and both are 32 bytes: the boxed result, the row heap and
+// the wire decoder's slab hold millions of them. An array length goes
+// negative, and the build breaks, should either size change.
 var (
 	_ [unsafe.Sizeof(Value{}) - unsafe.Sizeof(types.Value{})]struct{}
 	_ [unsafe.Sizeof(types.Value{}) - unsafe.Sizeof(Value{})]struct{}
+	_ [unsafe.Sizeof(types.Value{}) - 32]struct{}
+	_ [32 - unsafe.Sizeof(types.Value{})]struct{}
 )
 
 // rawRow views a result row as engine values, sharing its storage.
@@ -38,13 +41,15 @@ func (r *Result) RawRows() [][]types.Value {
 	return out
 }
 
-// NewRawResult builds a Result from engine values (the client side of
-// the wire protocol).
+// NewRawResult builds a Result over engine values, taking the rows over:
+// the result shares their storage (the client side of the wire protocol,
+// whose decoder hands over the one slab it decoded into).
 func NewRawResult(cols []string, prov []bool, rows [][]types.Value) *Result {
 	if prov == nil {
 		prov = make([]bool, len(cols))
 	}
-	return &Result{Columns: cols, ProvColumns: prov, Rows: boxRows(nil, rows)}
+	return &Result{Columns: cols, ProvColumns: prov,
+		Rows: unsafe.Slice((*[]Value)(unsafe.Pointer(unsafe.SliceData(rows))), len(rows))}
 }
 
 // boxRows appends a copy of engine rows to out: the values go into one
