@@ -7,6 +7,7 @@ package perm_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -167,6 +168,58 @@ const (
 	allocBudgetPerParallelDrain = 480
 )
 
+// joinBackBytesPerRow bounds what a join-back whose T+ is 8 snapshot
+// columns allocates per input row: its store keeps a row id and a group id
+// (8 bytes) and gathers the columns from the snapshot on emission into
+// pooled batches. Copying the columns into the store costs over 70.
+const joinBackBytesPerRow = 16
+
+// joinBackPipeline builds rule R5's join-back over an n-row table of 8 int
+// columns, all of which T+ reads from the scan's snapshot by row id:
+// count(*) grouped by the 97 values of column 1, attached to every row.
+func joinBackPipeline(b *testing.B, n int) vexec.Node {
+	b.Helper()
+	const width = 8
+	rows := make([]types.Row, n)
+	kinds := make([]types.Kind, width)
+	vars := make([]algebra.Expr, width)
+	for c := range kinds {
+		kinds[c], vars[c] = types.KindInt, &algebra.Var{RT: 0, Col: c, Typ: types.KindInt}
+	}
+	for i := range rows {
+		rows[i] = make(types.Row, width)
+		for c := range rows[i] {
+			rows[i][c] = types.NewInt(int64(i % (97 + c)))
+		}
+	}
+	cols, ok := vector.FromRows(rows, kinds)
+	if !ok {
+		b.Fatal("rows do not pivot")
+	}
+	prov, err := vexec.CompileExprs(vars, benchBinder{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys, err := vexec.CompileExprs(vars[1:2], benchBinder{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	out, err := vexec.CompileExprs(vars[:2], benchBinder{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	scan := vexec.NewColScan(cols, n)
+	scan.RowIDs = true
+	att := vexec.NewAggAttach(scan, prov, false)
+	att.Snap, att.RowID = cols, width
+	att.ProvKeys, att.AggKeys = []int{1}, []int{0}
+	agg := vexec.NewHashAgg(att.Feed(), keys, []vexec.AggSpec{{Fn: algebra.AggCount, Star: true, ResultKind: types.KindInt}})
+	if !att.SetGroups(vexec.NewProject(agg, out)) {
+		b.Fatal("aggregation pipeline not recognized")
+	}
+	return att
+}
+
 // allocBudgetPerCompile bounds the allocations of compiling and planning
 // one q+ of the two shapes that are most of synth_compile's time: what was
 // measured (setop10 9,980, agg10 7,836) plus 20 %. With relation sets as a
@@ -176,7 +229,8 @@ var allocBudgetPerCompile = map[string]float64{"setop": 11976, "agg": 9403}
 
 // BenchmarkAllocBudget asserts that the batch-buffer pool keeps a
 // vectorized pipeline's steady-state allocation rate flat, serial and
-// behind an exchange, so a regression in the recycling protocol fails
+// behind an exchange, and that a join-back keeps its rows as row ids, so
+// a regression in the recycling protocol or the join-back store fails
 // CI's bench smoke.
 func BenchmarkAllocBudget(b *testing.B) {
 	const n, workers = 32 * 1024, 4
@@ -188,25 +242,28 @@ func BenchmarkAllocBudget(b *testing.B) {
 	if !ok {
 		b.Fatal("rows do not pivot")
 	}
-	guard := func(pipeline vexec.Node, budget float64) func(*testing.B) {
-		return func(b *testing.B) {
-			drain := func() {
-				if err := pipeline.Open(); err != nil {
+	drainer := func(b *testing.B, pipeline vexec.Node) func() {
+		return func() {
+			if err := pipeline.Open(); err != nil {
+				b.Fatal(err)
+			}
+			for {
+				batch, err := pipeline.Next()
+				if err != nil {
 					b.Fatal(err)
 				}
-				for {
-					batch, err := pipeline.Next()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if batch == nil {
-						break
-					}
-				}
-				if err := pipeline.Close(); err != nil {
-					b.Fatal(err)
+				if batch == nil {
+					break
 				}
 			}
+			if err := pipeline.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	guard := func(pipeline vexec.Node, budget float64) func(*testing.B) {
+		return func(b *testing.B) {
+			drain := drainer(b, pipeline)
 			drain() // warm the pool
 			allocs := testing.AllocsPerRun(10, drain)
 			b.ReportMetric(allocs, "allocs/drain")
@@ -230,6 +287,26 @@ func BenchmarkAllocBudget(b *testing.B) {
 	}
 	exchange := vexec.NewExchange(replicas, drivers, srcs, vexec.NewMorsels(n))
 	b.Run("parallel-exchange", guard(exchange, allocBudgetPerParallelDrain))
+
+	b.Run("join-back-store", func(b *testing.B) {
+		drain := drainer(b, joinBackPipeline(b, n))
+		drain()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 5
+		for i := 0; i < runs; i++ {
+			drain()
+		}
+		runtime.ReadMemStats(&after)
+		perRow := float64(after.TotalAlloc-before.TotalAlloc) / runs / n
+		b.ReportMetric(perRow, "B/row")
+		if perRow > joinBackBytesPerRow {
+			b.Fatalf("join-back allocated %.1f bytes per input row (budget %d): its store copies T+ instead of keeping row ids", perRow, joinBackBytesPerRow)
+		}
+		for i := 0; i < b.N; i++ {
+			drain()
+		}
+	})
 
 	// A plan-cache miss: what Prepare does to a statement text, then Plan.
 	cat := compileCatalog(b, 0.0002)

@@ -2,7 +2,12 @@ package perm
 
 import (
 	"os"
+	"strconv"
 	"time"
+
+	"perm/internal/algebra"
+	"perm/internal/deparse"
+	"perm/internal/sql"
 )
 
 // A handle's resolved settings and the cache key of an option set, for
@@ -26,4 +31,32 @@ func EnvError(name string) error {
 		}
 	}
 	return nil
+}
+
+// SortKeysSQL returns the query with each ORDER BY key that is not an
+// output column appended as one (the text itself when there is none), and
+// where every key sits in its rows; nil positions when the statement has
+// no ORDER BY.
+func (db *Database) SortKeysSQL(text string) (string, []int, error) {
+	stmt, err := sql.Parse(text)
+	if err != nil {
+		return "", nil, err
+	}
+	q, err := db.analyzer().AnalyzeSelect(stmt.(*sql.SelectStmt))
+	if err != nil || len(q.OrderBy) == 0 {
+		return "", nil, err
+	}
+	pos, width := make([]int, len(q.OrderBy)), len(q.TargetList)
+	for i, si := range q.OrderBy {
+		if v, ok := si.Expr.(*algebra.Var); ok && v.RT == -1 {
+			pos[i] = v.Col
+			continue
+		}
+		pos[i] = len(q.TargetList)
+		q.TargetList = append(q.TargetList, algebra.TargetEntry{Expr: si.Expr, Name: "sort_key_" + strconv.Itoa(i+1)})
+	}
+	if len(q.TargetList) > width {
+		text = deparse.Query(q)
+	}
+	return text, pos, nil
 }

@@ -1,7 +1,10 @@
 package plan
 
 import (
+	"math"
+
 	"perm/internal/algebra"
+	"perm/internal/vector"
 	"perm/internal/vexec"
 )
 
@@ -48,6 +51,7 @@ func (p *Planner) planJoinBack(q *algebra.Query) (*planned, error) {
 	if _, groups, err := p.planAggregation(agg, &feed, p.aggEstimate(agg, input)); err != nil || groups == nil || !att.SetGroups(groups) {
 		return nil, err
 	}
+	readSnapshot(att, input, exprs)
 	att.ProvKeys, att.AggKeys = jb.ProvCols, jb.AggCols
 	att.Spill, att.JoinSpill = p.spillRes("aggattach"), p.spillRes("hashjoin")
 	att.SetActivity(p.activity)
@@ -61,4 +65,39 @@ func (p *Planner) planJoinBack(q *algebra.Query) (*planned, error) {
 	p.setVNode(frag, att)
 	setFragEst(frag, input.est)
 	return frag, p.attachFilter(frag, algebra.AndAll(residual))
+}
+
+// readSnapshot lets the join-back keep its rows as row ids when T+ reads
+// one columnar scan through filters, which pass its batches' columns on
+// unchanged: a T+ column that is a column of the scan is then gathered
+// from the scan's snapshot by id instead of being stored. The scan emits
+// the ids (ColScan.RowIDs) as a column after its own.
+func readSnapshot(att *vexec.AggAttach, input *planned, exprs []algebra.Expr) {
+	n := input.vnode
+	for {
+		f, ok := n.(*vexec.Filter)
+		if !ok {
+			break
+		}
+		n = f.Input
+	}
+	scan, ok := n.(*vexec.ColScan)
+	if !ok || scan.NumRows > math.MaxInt32 {
+		return
+	}
+	snap, found := make([]*vector.Vec, len(exprs)), false
+	for i, e := range exprs {
+		v, ok := e.(*algebra.Var)
+		if !ok {
+			continue
+		}
+		off, ok := input.layout[v.RT]
+		if pos := off + v.Col; ok && pos < len(scan.Cols) && scan.Cols[pos].Kind == att.Prov[i].Kind() {
+			snap[i], found = scan.Cols[pos], true
+		}
+	}
+	if found {
+		scan.RowIDs = true
+		att.Snap, att.RowID = snap, len(scan.Cols)
+	}
 }

@@ -348,17 +348,20 @@ func (r *Rewriter) rewriteASPJ(q *algebra.Query) (*algebra.Query, error) {
 		}
 	}
 
-	// ORDER BY of the original aggregation applies to the top node's
-	// pass-through columns.
-	top.OrderBy = liftOrderBy(qAgg, origWidth)
+	// ORDER BY of the original aggregation orders the top node.
+	top.OrderBy = liftOrderBy(aggRTE, 0, origWidth)
 	qAgg.OrderBy = nil
 	return top, nil
 }
 
-// liftOrderBy moves output-column ORDER BY entries from a wrapped node to
-// the wrapping top node (non-output entries are dropped: ordering is not
-// semantically load-bearing for provenance computation).
-func liftOrderBy(q *algebra.Query, width int) []algebra.SortItem {
+// liftOrderBy returns the ORDER BY of the node a top node wraps as its
+// range-table entry rt, whose first width outputs the top node passes
+// through, re-expressed for the top node: a key on an output column stays
+// one, any other key is re-expressed over the node's outputs (as HAVING
+// sublink tests are) or, where it cannot be, computed by the node as a
+// hidden output column.
+func liftOrderBy(rte *algebra.RTE, rt, width int) []algebra.SortItem {
+	q := rte.Subquery
 	var out []algebra.SortItem
 	for _, si := range q.OrderBy {
 		if v, ok := si.Expr.(*algebra.Var); ok && v.RT == -1 && v.Col < width {
@@ -366,7 +369,19 @@ func liftOrderBy(q *algebra.Query, width int) []algebra.SortItem {
 				Expr: &algebra.Var{RT: -1, Col: v.Col, Name: v.Name, Typ: v.Typ},
 				Desc: si.Desc,
 			})
+			continue
 		}
+		key, err := mapExprToOutputs(si.Expr, q, rt)
+		if err != nil {
+			pos := len(q.TargetList)
+			q.TargetList = append(q.TargetList, algebra.TargetEntry{
+				Expr: algebra.CopyExpr(si.Expr),
+				Name: "order_hidden_" + strconv.Itoa(len(out)+1),
+			})
+			rte.Cols = q.Schema()
+			key = &algebra.Var{RT: rt, Col: pos, Name: rte.Cols[pos].Name, Typ: rte.Cols[pos].Type}
+		}
+		out = append(out, algebra.SortItem{Expr: key, Desc: si.Desc})
 	}
 	return out
 }
@@ -490,7 +505,7 @@ func (r *Rewriter) rewriteSetOp(q *algebra.Query) (*algebra.Query, error) {
 	appendWrappedProv(top, 1, leftRTE, dLeft.ProvCols)
 	appendWrappedProv(top, 2, rightRTE, dRight.ProvCols)
 
-	top.OrderBy = liftOrderBy(q, origWidth)
+	top.OrderBy = liftOrderBy(origRTE, 0, origWidth)
 	q.OrderBy = nil
 	return top, nil
 }
@@ -564,7 +579,7 @@ func (r *Rewriter) rewriteSetOpFlat(q *algebra.Query) (*algebra.Query, error) {
 	for _, p := range provs {
 		appendWrappedProv(top, p.rt, p.rte, p.prov)
 	}
-	top.OrderBy = liftOrderBy(q, origWidth)
+	top.OrderBy = liftOrderBy(origRTE, 0, origWidth)
 	q.OrderBy = nil
 	return top, nil
 }

@@ -10,9 +10,11 @@
 // A row is copied twice on its way through a materializing operator:
 // once in (Table.Append compacts the live lanes of a batch into the
 // table's current chunk; a filled chunk is never touched again) and once
-// out (Table.GatherCol assembles an output batch by row id). The result
-// boundary boxes column at a time (Vec.BoxStrided) into one slab of
-// values per batch.
+// out (Table.GatherCol assembles an output batch by row id). The
+// join-back (vexec.AggAttach) copies the columns a scan's snapshot holds
+// once: it keeps their row id and gathers them from the snapshot on the
+// way out (Vec.GatherRows). The result boundary boxes column at a time
+// (Vec.BoxStrided) into one slab of values per batch.
 package vector
 
 import (
@@ -510,24 +512,31 @@ func (v *Vec) CopyRange(at int, src *Vec, lo, hi int) {
 // consumer.
 func GatherBatch(src *Vec, idx []int32, k types.Kind) *Vec {
 	out := NewBatchVec(k, len(idx))
-	switch k {
+	out.GatherRows(src, idx, src.Nulls.AnySet(src.Len()))
+	return out
+}
+
+// GatherRows copies the rows of src at the given ids into the vector's
+// rows 0..len(ids)-1, whose null bits must be clear. src is read in place
+// however long it is — a whole snapshot column serves a gather by row id —
+// so the caller says whether it may hold NULLs (nulls) instead of having
+// its bitmap scanned per call. A negative id produces a NULL row.
+func (v *Vec) GatherRows(src *Vec, ids []int32, nulls bool) {
+	switch v.Kind {
 	case types.KindBool:
-		gather(out.B, src.B, idx)
+		gather(v.B, src.B, ids)
 	case types.KindInt, types.KindDate:
-		gather(out.I, src.I, idx)
+		gather(v.I, src.I, ids)
 	case types.KindFloat:
-		gather(out.F, src.F, idx)
+		gather(v.F, src.F, ids)
 	case types.KindString:
-		gather(out.S, src.S, idx)
+		gather(v.S, src.S, ids)
 	}
-	// The null bitmap is walked only when the source rows carry NULLs.
-	srcNulls := src.Nulls.AnySet(src.Len())
-	for o, i := range idx {
-		if i < 0 || (srcNulls && src.Nulls.Get(int(i))) {
-			out.Nulls.Set(o)
+	for o, i := range ids {
+		if i < 0 || (nulls && src.Nulls.Get(int(i))) {
+			v.Nulls.Set(o)
 		}
 	}
-	return out
 }
 
 // gather copies src[idx[o]] to dst[o]; negative indices leave dst[o] as it

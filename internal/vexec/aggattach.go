@@ -12,11 +12,18 @@ import (
 
 // AggAttach evaluates rule R5's join-back α_{G,agg}(T) ⋈_G Π_{G,P}(T+) in
 // one pass over its input, for T+ that is T row for row. Open drains the
-// input through the aggregation, whose feed stores each row's T+ columns
-// (Prov) with its group id; Next streams them back, each with its group's
-// output: the group gathered by id, HAVING and Groups' projection applied.
-// Group ids stand in for null-safe comparisons of grouping keys, so NULL
-// groups stay associated.
+// input through the aggregation, whose feed stores each row's group id
+// with what it takes to produce the row's T+ columns (Prov) again; Next
+// streams the rows back, each with its group's output: the group gathered
+// by id, HAVING and Groups' projection applied. Group ids stand in for
+// null-safe comparisons of grouping keys, so NULL groups stay associated.
+//
+// A stored row is 4 bytes of group id, plus, when T+ reads one columnar
+// snapshot (Snap), 4 bytes of the row's id in it: every T+ column the
+// snapshot holds unchanged is gathered from there by id on emission, in
+// whichever order the rows go out, and only the others (a computed
+// grouping key) are copied into the store. Without a snapshot every T+
+// column is stored.
 //
 // The rows come back in input order, or, when the sort above set Order
 // and the store and the group table stayed in memory, in the order that
@@ -30,8 +37,14 @@ import (
 // under pressure. Either way the rows come back in input order.
 type AggAttach struct {
 	obs.Card
-	Input  Node
-	Prov   []*Expr
+	Input Node
+	Prov  []*Expr
+	// Snap, when set, holds per T+ column the snapshot column it reads
+	// unchanged, or nil for a column the store must hold; the input's
+	// column RowID then carries each row's id in that snapshot
+	// (ColScan.RowIDs).
+	Snap   []*vector.Vec
+	RowID  int
 	Groups Node     // Project(Filter?(Agg)): the aggregate's output rows
 	Agg    *HashAgg // at the bottom of Groups
 	// Left marks an aggregation without grouping keys (one group, never
@@ -51,18 +64,19 @@ type AggAttach struct {
 	feed    attachFeed
 	aq      *obs.ActiveQuery
 	replay  bool         // the store was denied: evaluate the input again
-	store   vector.Table // T+ columns, then the group id
-	chunk   int          // emission position: chunk of the store and row in it
-	pos     int
-	src     Node        // the rows of T+ with their group ids, in input order
-	sorted  *groupOrder // or the stored rows in Order
-	open    bool        // Groups is open
-	join    *HashJoin   // the keyed attach
+	store   vector.Table // the T+ columns not read from Snap
+	stored  []int        // which T+ columns those are
+	rows    idColumn     // per stored row: its id in the snapshot (with Snap)
+	gids    idColumn     // per stored row: its group id
+	nulls   []bool       // per T+ column read from Snap: whether it holds NULLs
+	src     Node         // the rows of T+ with their group ids, in input order
+	sorted  *groupOrder  // or the stored rows in Order
+	open    bool         // Groups is open
+	join    *HashJoin    // the keyed attach
 	cols    []*vector.Vec
 	outCols []*vector.Vec
-	win     []vector.Vec
-	winCols []*vector.Vec
 	ids     []int32
+	snapIDs []int32
 	owned   []*vector.Vec
 }
 
@@ -140,40 +154,62 @@ func (f *attachFeed) Next() (b *vector.Batch, err error) {
 
 func (f *attachFeed) Close() error { return f.a.Input.Close() }
 
-// keep stores the T+ columns and group ids of a batch's live lanes.
+// keep stores the group ids of a batch's live lanes, their snapshot row
+// ids with Snap, and the T+ columns not read from it.
 func (a *AggAttach) keep(b *vector.Batch) error {
 	lanes := resolveSel(b, b.Sel)
 	cols := a.cols[:0]
-	for _, e := range a.Prov {
-		v, err := e.eval(b, b.Sel)
+	for _, c := range a.stored {
+		v, err := a.Prov[c].eval(b, b.Sel)
 		if err != nil {
 			return err
 		}
 		cols = append(cols, v)
 	}
-	gid := vector.NewBatchVec(types.KindInt, b.N)
-	for k, lane := range lanes {
-		gid.I[lane] = int64(a.Agg.gidBuf[k])
+	bytes := batchBytes(cols, lanes) + 4*int64(len(lanes))
+	if a.Snap != nil {
+		bytes += 4 * int64(len(lanes))
 	}
-	cols = append(cols, gid)
-	if a.Spill.Enabled() && !a.Spill.Res.Grow(batchBytes(cols, lanes)) {
-		a.replay, a.store, a.Stored = true, vector.Table{}, 0
+	if a.Spill.Enabled() && !a.Spill.Res.Grow(bytes) {
+		a.replay, a.store, a.rows, a.gids, a.Stored = true, vector.Table{}, idColumn{}, idColumn{}, 0
 		a.Spill.Res.ReleaseAll()
 	} else {
-		a.store.Append(cols, lanes)
+		if len(cols) > 0 {
+			a.store.Append(cols, lanes)
+		}
+		a.gids.add(a.Agg.gidBuf[:len(lanes)])
+		if a.Snap != nil {
+			ids, rows := b.Cols[a.RowID].I, a.ids[:len(lanes)]
+			for k, lane := range lanes {
+				rows[k] = int32(ids[lane])
+			}
+			a.rows.add(rows)
+		}
 		a.Stored += len(lanes)
 	}
-	for i, e := range a.Prov {
-		e.FreeResult(cols[i])
+	for i, c := range a.stored {
+		a.Prov[c].FreeResult(cols[i])
 	}
-	gid.Free()
 	a.cols = cols[:0]
 	return nil
 }
 
+// snap returns the snapshot column T+'s column c reads, or nil.
+func (a *AggAttach) snap(c int) *vector.Vec {
+	if a.Snap == nil {
+		return nil
+	}
+	return a.Snap[c]
+}
+
 func (a *AggAttach) Open() (err error) {
 	a.Close() //nolint:errcheck — resets what a previous run left
-	a.Stored, a.replay = 0, false
+	a.Stored, a.replay, a.stored = 0, false, a.stored[:0]
+	for c := range a.Prov {
+		if a.snap(c) == nil {
+			a.stored = append(a.stored, c)
+		}
+	}
 	defer func() {
 		if err != nil {
 			a.Close() //nolint:errcheck — a failed Open gets no Close
@@ -183,6 +219,12 @@ func (a *AggAttach) Open() (err error) {
 		return err
 	}
 	a.open = true
+	if a.Snap != nil && !a.replay {
+		a.nulls = make([]bool, len(a.Prov))
+		for c, v := range a.Snap {
+			a.nulls[c] = v != nil && v.Nulls.AnySet(v.Len())
+		}
+	}
 	if a.Agg.Spilled() {
 		kinds := a.Kinds()
 		provKeys, aggKeys, nullSafe := make([]*Expr, len(a.ProvKeys)), make([]*Expr, len(a.ProvKeys)), make([]bool, len(a.ProvKeys))
@@ -191,7 +233,7 @@ func (a *AggAttach) Open() (err error) {
 			aggKeys[i] = &Expr{kind: kinds[len(a.Prov)+a.AggKeys[i]], aliasing: true, val: &varKernel{pos: a.AggKeys[i]}}
 			nullSafe[i] = true
 		}
-		left := Node(storedRows{a, 1})
+		left := Node(&storedRows{a: a})
 		if a.replay {
 			left = NewProject(a.Input, a.Prov)
 		}
@@ -203,21 +245,25 @@ func (a *AggAttach) Open() (err error) {
 	}
 	if a.Left && a.Stored == 0 && !a.replay {
 		// The aggregate's row comes out alone: a stored row of NULLs in group 0.
-		cols := make([]*vector.Vec, len(a.Prov)+1)
-		for c, k := range append(exprKinds(a.Prov), types.KindInt) {
-			cols[c] = vector.NewVec(k, 1)
-			if c < len(a.Prov) {
-				cols[c].Nulls.Set(0)
-			}
+		cols := make([]*vector.Vec, len(a.stored))
+		for i, c := range a.stored {
+			cols[i] = vector.NewVec(a.Prov[c].Kind(), 1)
+			cols[i].Nulls.Set(0)
 		}
-		a.store.Append(cols, identitySel[:1])
+		if len(cols) > 0 {
+			a.store.Append(cols, identitySel[:1])
+		}
+		a.gids.add([]int32{0})
+		if a.Snap != nil {
+			a.rows.add([]int32{-1})
+		}
 	}
 	if a.Order != nil && !a.replay {
 		if a.sorted, err = a.orderByGroup(); a.sorted != nil || err != nil {
 			return err
 		}
 	}
-	src := Node(storedRows{a, 0})
+	src := Node(&storedRows{a: a, gids: true})
 	if a.replay {
 		src = NewProject(a.Input, append(a.Prov[:len(a.Prov):len(a.Prov)], &Expr{kind: types.KindInt, val: groupIDs{a.Agg}}))
 	}
@@ -246,7 +292,7 @@ func (a *AggAttach) orderByGroup() (*groupOrder, error) {
 		a.Spill.Res.Release(held)
 		return false
 	}
-	if !grow(8*int64(a.store.Len()) + 8*int64(n)) {
+	if !grow(8*int64(a.gids.n) + 8*int64(n)) {
 		return nil, nil
 	}
 	g := &groupOrder{}
@@ -294,9 +340,8 @@ func (a *AggAttach) orderByGroup() (*groupOrder, error) {
 
 	// Counting sort: start[r] is where the next row of rank r goes.
 	start := make([]int32, len(order)+1)
-	gids := len(a.Prov)
-	for _, chunk := range a.store.Chunks() {
-		for _, gid := range chunk[gids].I {
+	for _, block := range a.gids.blocks {
+		for _, gid := range block {
 			if o := at[gid]; o >= 0 {
 				start[rank[o]+1]++
 			}
@@ -307,9 +352,9 @@ func (a *AggAttach) orderByGroup() (*groupOrder, error) {
 	}
 	total := start[len(start)-1]
 	g.rows, g.attach = make([]int32, total), make([]int32, total)
-	id := int32(0) // a chunk is full before the next one starts: ids run on
-	for _, chunk := range a.store.Chunks() {
-		for _, gid := range chunk[gids].I {
+	id := int32(0)
+	for _, block := range a.gids.blocks {
+		for _, gid := range block {
 			if o := at[gid]; o >= 0 {
 				p := &start[rank[o]]
 				g.rows[*p], g.attach[*p] = id, o
@@ -380,11 +425,7 @@ func (a *AggAttach) Next() (*vector.Batch, error) {
 		hi := min(g.next+vector.BatchSize, len(g.rows))
 		rows, attach := g.rows[g.next:hi], g.attach[g.next:hi]
 		g.next = hi
-		for c, k := range a.store.Kinds()[:len(a.Prov)] {
-			v := vector.NewBatchVec(k, len(rows))
-			a.store.GatherCol(c, rows, v)
-			a.owned = append(a.owned, v)
-		}
+		a.owned = a.gatherRows(rows, a.owned)
 		a.owned = gatherBatch(&g.groups, attach, a.owned)
 		return &vector.Batch{N: len(rows), Cols: a.owned}, nil
 	}
@@ -410,6 +451,30 @@ func (a *AggAttach) Next() (*vector.Batch, error) {
 		a.cols = append(append(a.cols[:0], b.Cols[:last]...), out...)
 		return &vector.Batch{N: b.N, Cols: a.cols, Sel: sel}, nil
 	}
+}
+
+// gatherRows appends the T+ columns of the stored rows with the given ids
+// to cols: those read from Snap gathered there by the rows' snapshot ids,
+// the others from the store.
+func (a *AggAttach) gatherRows(ids []int32, cols []*vector.Vec) []*vector.Vec {
+	if a.Snap != nil {
+		a.snapIDs = a.snapIDs[:0]
+		for _, id := range ids {
+			a.snapIDs = append(a.snapIDs, a.rows.at(id))
+		}
+	}
+	st := 0
+	for c, e := range a.Prov {
+		v := vector.NewBatchVec(e.Kind(), len(ids))
+		if snap := a.snap(c); snap != nil {
+			v.GatherRows(snap, a.snapIDs, a.nulls[c])
+		} else {
+			a.store.GatherCol(st, ids, v)
+			st++
+		}
+		cols = append(cols, v)
+	}
+	return cols
 }
 
 // free returns the vectors behind the last emitted batch to the pool.
@@ -439,42 +504,123 @@ func (a *AggAttach) Close() error {
 		a.open = false
 	}
 	a.free()
-	a.store, a.chunk, a.pos, a.sorted = vector.Table{}, 0, 0, nil
+	a.store, a.rows, a.gids, a.sorted = vector.Table{}, idColumn{}, idColumn{}, nil
 	a.Spill.Res.ReleaseAll()
 	return err
 }
 
-// storedRows streams the store in batch-sized windows, dropping the
-// chunks it has passed, less its last drop columns (the group ids, for
-// the join).
+// storedRows streams the stored rows in input order, in batch-sized
+// windows of their T+ columns — the stored ones windowed in the store,
+// whose chunks it drops once passed, the others gathered from Snap — and,
+// with gids, their group ids as a last column.
 type storedRows struct {
-	a    *AggAttach
-	drop int
+	a     *AggAttach
+	gids  bool
+	at    int // the next stored row
+	win   []vector.Vec
+	cols  []*vector.Vec
+	owned []*vector.Vec
 }
 
-func (s storedRows) Open() error  { return nil }
-func (s storedRows) Close() error { return nil }
+func (s *storedRows) Open() error { return nil }
 
-func (s storedRows) Next() (*vector.Batch, error) {
+func (s *storedRows) Close() error {
+	s.free()
+	return nil
+}
+
+func (s *storedRows) free() {
+	for _, v := range s.owned {
+		v.Free()
+	}
+	s.owned = s.owned[:0]
+}
+
+func (s *storedRows) Next() (*vector.Batch, error) {
 	a := s.a
-	chunks := a.store.Chunks()
-	for ; a.chunk < len(chunks); a.chunk, a.pos = a.chunk+1, 0 {
-		a.store.Drop(a.chunk)
-		if n := chunks[a.chunk][0].Len(); a.pos < n {
-			if a.win == nil {
-				a.win = make([]vector.Vec, len(chunks[0]))
-				a.winCols = make([]*vector.Vec, len(chunks[0]))
-			}
-			lo := a.pos
-			a.pos = min(lo+vector.BatchSize, n)
-			for c, v := range chunks[a.chunk] {
-				v.WindowInto(lo, a.pos, &a.win[c])
-				a.winCols[c] = &a.win[c]
-			}
-			return &vector.Batch{N: a.pos - lo, Cols: a.winCols[:len(a.winCols)-s.drop]}, nil
+	s.free()
+	lo := s.at
+	if lo >= a.gids.n {
+		return nil, nil
+	}
+	hi := min(lo+vector.BatchSize, a.gids.n)
+	s.at = hi
+	var chunk []*vector.Vec
+	var lane int
+	if len(a.stored) > 0 {
+		a.store.Drop(lo / vector.TableChunk)
+		chunk, lane = a.store.At(lo)
+		if s.win == nil {
+			s.win = make([]vector.Vec, len(a.stored))
 		}
 	}
-	return nil, nil
+	cols, st := s.cols[:0], 0
+	for c, e := range a.Prov {
+		if snap := a.snap(c); snap != nil {
+			v := vector.NewBatchVec(e.Kind(), hi-lo)
+			v.GatherRows(snap, a.rows.window(lo, hi), a.nulls[c])
+			s.owned = append(s.owned, v)
+			cols = append(cols, v)
+			continue
+		}
+		chunk[st].WindowInto(lane, lane+hi-lo, &s.win[st])
+		cols = append(cols, &s.win[st])
+		st++
+	}
+	if s.gids {
+		v := vector.NewBatchVec(types.KindInt, hi-lo)
+		for i, gid := range a.gids.window(lo, hi) {
+			v.I[i] = int64(gid)
+		}
+		s.owned = append(s.owned, v)
+		cols = append(cols, v)
+	}
+	s.cols = cols
+	return &vector.Batch{N: hi - lo, Cols: cols}, nil
+}
+
+// idColumn is an append-only column of ids in blocks of
+// vector.TableChunk, a store's row ids or group ids: as in vector.Table,
+// a filled block is never copied again and only the first one grows,
+// doubling from the size of the first ids added, so a column allocates
+// about what it holds however long it gets.
+type idColumn struct {
+	blocks [][]int32
+	n      int
+}
+
+func (c *idColumn) add(ids []int32) {
+	for len(ids) > 0 {
+		last := len(c.blocks) - 1
+		switch {
+		case last < 0:
+			c.blocks = append(c.blocks, make([]int32, 0, min(len(ids), vector.TableChunk)))
+		case len(c.blocks[last]) < cap(c.blocks[last]):
+		case last == 0 && cap(c.blocks[0]) < vector.TableChunk:
+			grown := make([]int32, len(c.blocks[0]), min(2*cap(c.blocks[0]), vector.TableChunk))
+			copy(grown, c.blocks[0])
+			c.blocks[0] = grown
+		default:
+			c.blocks = append(c.blocks, make([]int32, 0, vector.TableChunk))
+		}
+		block := &c.blocks[len(c.blocks)-1]
+		take := min(len(ids), cap(*block)-len(*block))
+		*block = append(*block, ids[:take]...)
+		ids = ids[take:]
+		c.n += take
+	}
+}
+
+// at returns the id at position i.
+func (c *idColumn) at(i int32) int32 {
+	return c.blocks[i/vector.TableChunk][i%vector.TableChunk]
+}
+
+// window returns the ids at positions [lo, hi), which one block holds:
+// lo is a multiple of vector.BatchSize and hi at most one batch further.
+func (c *idColumn) window(lo, hi int) []int32 {
+	off := lo % vector.TableChunk
+	return c.blocks[lo/vector.TableChunk][off : off+hi-lo]
 }
 
 // groupIDs is the value kernel of a replayed row's group id: its grouping

@@ -70,7 +70,11 @@ type ColScan struct {
 	// folded into the structural plan hash so scans of equally-sized
 	// relations stay distinguishable).
 	Table string
-	pos   int
+	// RowIDs appends one int column to every batch, after Cols: each
+	// lane's row id in the snapshot, by which a consumer that keeps rows
+	// (the join-back's store) gathers their columns again later.
+	RowIDs bool
+	pos    int
 
 	// Morsel dispatch (parallel plans): instead of iterating [0, NumRows)
 	// the scan claims morsels from the shared dispatcher and windows only
@@ -88,6 +92,7 @@ type ColScan struct {
 	rfWork  rfScratch
 	winCols []*vector.Vec
 	winVecs []vector.Vec
+	ids     []int64 // the row-id column's storage
 	selBuf  []int
 
 	// aq, when set, is polled for cooperative cancellation once per
@@ -151,10 +156,18 @@ func (s *ColScan) Open() error {
 		s.rfs[i].tested, s.rfs[i].admitted, s.rfs[i].dead = 0, 0, false
 	}
 	if s.winCols == nil {
-		s.winVecs = make([]vector.Vec, len(s.Cols))
-		s.winCols = make([]*vector.Vec, len(s.Cols))
+		width := len(s.Cols)
+		if s.RowIDs {
+			width++
+			s.ids = make([]int64, vector.BatchSize)
+		}
+		s.winVecs = make([]vector.Vec, width)
+		s.winCols = make([]*vector.Vec, width)
 		for j := range s.winVecs {
 			s.winCols[j] = &s.winVecs[j]
+		}
+		if s.RowIDs {
+			s.winVecs[width-1] = vector.Vec{Kind: types.KindInt, Nulls: vector.NewBitmap(vector.BatchSize)}
 		}
 	}
 	return nil
@@ -185,6 +198,13 @@ func (s *ColScan) Next() (*vector.Batch, error) {
 		}
 		for j, c := range s.Cols {
 			c.WindowInto(s.pos, hi, s.winCols[j])
+		}
+		if s.RowIDs {
+			ids := s.ids[:hi-s.pos]
+			for i := range ids {
+				ids[i] = int64(s.pos + i)
+			}
+			s.winVecs[len(s.Cols)].I = ids
 		}
 		b := &vector.Batch{N: hi - s.pos, Cols: s.winCols}
 		s.pos = hi

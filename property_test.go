@@ -150,7 +150,7 @@ func TestTheoremOnRandomQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d failed with provenance: %v\n%s", i, err, q)
 		}
-		checkTheorem(t, q, norm, prov)
+		checkTheorem(t, db, q, norm, prov)
 		if t.Failed() {
 			t.Fatalf("theorem violated by query %d:\n%s", i, q)
 		}
@@ -159,7 +159,7 @@ func TestTheoremOnRandomQueries(t *testing.T) {
 
 // checkTheorem verifies Π_T(q+) = Π_T(q) (set equality over the original
 // columns).
-func checkTheorem(t *testing.T, q string, norm, prov *perm.Result) {
+func checkTheorem(t *testing.T, db *perm.Database, q string, norm, prov *perm.Result) {
 	t.Helper()
 	width := len(norm.Columns)
 	if len(prov.Columns) < width {
@@ -188,6 +188,54 @@ func checkTheorem(t *testing.T, q string, norm, prov *perm.Result) {
 			t.Errorf("spurious tuple %q", fp)
 		}
 	}
+	checkOrder(t, db, q, width, prov)
+}
+
+// checkOrder verifies that q+ keeps q's ORDER BY: q's sort keys, taken for
+// each q+ row from the q row it carries (its first width columns), never
+// decrease. A key's rank is read from q run with its keys appended as
+// columns; a q row whose values recur under another key (one on a column
+// q does not output) has no rank and is skipped.
+func checkOrder(t *testing.T, db *perm.Database, q string, width int, prov *perm.Result) {
+	t.Helper()
+	text, pos, err := db.SortKeysSQL(q)
+	if err != nil {
+		t.Errorf("%s: %v", q, err)
+		return
+	} else if pos == nil {
+		return
+	}
+	keyed, err := db.Query(text)
+	if err != nil {
+		t.Errorf("%s with its sort keys: %v\n%s", q, err, text)
+		return
+	}
+	rank, last, r := map[string]int{}, "", -1
+	for _, row := range keyed.Rows {
+		var key string
+		for _, p := range pos {
+			key += row[p].String() + "|"
+		}
+		if key != last {
+			r, last = r+1, key
+		}
+		fp := fingerprint(row, width)
+		if old, seen := rank[fp]; !seen {
+			rank[fp] = r
+		} else if old != r {
+			rank[fp] = -1
+		}
+	}
+	prev := -1
+	for i, row := range prov.Rows {
+		if r, ok := rank[fingerprint(row, width)]; ok && r >= 0 {
+			if r < prev {
+				t.Errorf("%s: q+ row %d breaks q's ORDER BY (key rank %d after %d)", q, i, r, prev)
+				return
+			}
+			prev = r
+		}
+	}
 }
 
 // TestTheoremOnPaperWorkloads re-checks the theorem on the deterministic
@@ -210,6 +258,10 @@ func TestTheoremOnPaperWorkloads(t *testing.T) {
 		"SELECT id FROM items WHERE price >= (SELECT avg(price) FROM items)",
 		"SELECT s.name, t.total FROM shop AS s JOIN (SELECT sname, count(*) AS total FROM sales GROUP BY sname) AS t ON s.name = t.sname",
 		"SELECT itemid, count(*) FROM sales GROUP BY itemid ORDER BY itemid",
+		"SELECT itemid, count(*) FROM sales GROUP BY itemid ORDER BY itemid * -1",
+		"SELECT sname FROM sales GROUP BY sname ORDER BY count(*) DESC, sname",
+		"SELECT name FROM shop UNION SELECT sname FROM sales ORDER BY 1 DESC",
+		"SELECT name, numempl FROM shop ORDER BY numempl * 2 DESC LIMIT 2",
 		"SELECT name FROM shop LEFT JOIN items ON numempl = id",
 		"SELECT sum(price) FROM items WHERE id > 100",
 	}
@@ -222,7 +274,7 @@ func TestTheoremOnPaperWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d failed with provenance: %v\n%s", i, err, q)
 		}
-		checkTheorem(t, q, norm, prov)
+		checkTheorem(t, db, q, norm, prov)
 		if t.Failed() {
 			t.Fatalf("theorem violated by:\n%s", q)
 		}
