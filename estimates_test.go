@@ -131,3 +131,28 @@ func TestEstimatesFeedStore(t *testing.T) {
 		t.Fatal("worst_op is empty")
 	}
 }
+
+// TestEstimatesWithoutCallsNotStatements: a session's EXPLAIN ANALYZE
+// records estimates and a plan under the bare statement's fingerprint.
+// Until that statement itself runs, its record has no calls and stays
+// out of perm_stat_statements; its first plain run then joins the two.
+func TestEstimatesWithoutCallsNotStatements(t *testing.T) {
+	db := perm.NewDatabase()
+	db.MustExec("CREATE TABLE r (a INT, b INT)")
+	db.MustExec("INSERT INTO r VALUES (1,2),(1,4),(2,6),(3,8)")
+	const q = "SELECT a FROM r WHERE b > 3"
+	db.MustExec("EXPLAIN ANALYZE " + q)
+	est := db.MustQuery("SELECT fingerprint FROM perm_stat_estimates")
+	if len(est.Rows) != 1 {
+		t.Fatalf("perm_stat_estimates rows = %d, want 1", len(est.Rows))
+	}
+	fp := est.Rows[0][0].String()
+	joined := "SELECT s.calls FROM perm_stat_statements s, perm_stat_estimates e WHERE s.fingerprint = e.fingerprint"
+	if res := db.MustQuery(joined); len(res.Rows) != 0 {
+		t.Fatalf("the bare statement %s shows in perm_stat_statements before it ran: %v", fp, res.Rows)
+	}
+	db.MustQuery(q)
+	if res := db.MustQuery(joined); len(res.Rows) != 1 || res.Rows[0][0].String() != "1" {
+		t.Fatalf("after one plain run, joined rows = %v, want one with calls 1", res.Rows)
+	}
+}

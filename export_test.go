@@ -3,6 +3,7 @@ package perm
 import (
 	"os"
 	"strconv"
+	"strings"
 	"time"
 
 	"perm/internal/algebra"
@@ -60,3 +61,20 @@ func (db *Database) SortKeysSQL(text string) (string, []int, error) {
 	}
 	return text, pos, nil
 }
+
+// ViewSchema renders a system view's declared columns as
+// "name kind, name kind, ...", "" when no such view exists.
+func (db *Database) ViewSchema(name string) string {
+	v, ok := db.cat.Virtual(name)
+	if !ok {
+		return ""
+	}
+	cols := make([]string, len(v.Cols))
+	for i, c := range v.Cols {
+		cols[i] = c.Name + " " + c.Type.String()
+	}
+	return strings.Join(cols, ", ")
+}
+
+// Kind names a result value's kind as ViewSchema does.
+func (v Value) Kind() string { return v.v.K.String() }

@@ -1,21 +1,18 @@
-// The engine event log: a fixed-size ring of structured, low-frequency
-// engine events (plan flips, spill onset, statement timeouts,
-// cancellations, admission shedding, cache invalidations, panic
-// recoveries). The subsystems that already count these events record
-// them here too — one mutex-guarded append per event, and events are by
-// construction rare (never per row, batch or morsel), so the query hot
-// path is untouched. The ring is process-global, like the hot-path
-// counters above it: one engine runs per process, and taps in mem,
-// qcache and the server have no engine handle to thread one through.
+// The engine event log: a ring of structured, low-frequency engine
+// events (plan flips, spill onset, statement timeouts, cancellations,
+// admission shedding, cache invalidations, panic recoveries). The
+// subsystems that already count these events record them here too — one
+// mutex-guarded Put per event, and events are by construction rare
+// (never per row, batch or morsel), so the query hot path is untouched.
+// The log is process-global, like the hot-path counters: one engine runs
+// per process, and taps in mem, qcache and the server have no engine
+// handle to thread one through.
 //
-// The ring backs the perm_events system table and permd's -event-log
+// The log backs the perm_events system table and permd's -event-log
 // JSON stream; Since gives streamers incremental, seq-ordered reads.
 package obs
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // DefaultEventLogCapacity is the size of the process-global event ring.
 const DefaultEventLogCapacity = 1024
@@ -41,81 +38,20 @@ type Event struct {
 	Detail      string    `json:"detail,omitempty"`
 }
 
-// EventLog is a fixed-size ring of Events with monotonically increasing
-// sequence numbers.
-type EventLog struct {
-	mu   sync.Mutex
-	ring []Event
-	next int
-	n    int
-	seq  int64
-}
+// EventLog is a Ring of Events that stamps each with its sequence number.
+type EventLog struct{ *Ring[Event] }
 
-// NewEventLog returns a ring retaining up to capacity events (<= 0:
-// DefaultEventLogCapacity).
-func NewEventLog(capacity int) *EventLog {
-	if capacity <= 0 {
-		capacity = DefaultEventLogCapacity
-	}
-	return &EventLog{ring: make([]Event, capacity)}
+// NewEventLog returns a log retaining the newest capacity events.
+func NewEventLog(capacity int) EventLog {
+	return EventLog{NewRing(capacity, func(e *Event, seq int64) { e.Seq = seq })}
 }
 
 // Events is the process-global engine event log.
-var Events = NewEventLog(0)
+var Events = NewEventLog(DefaultEventLogCapacity)
 
 // Record appends one event. queryID, fingerprint and detail may be
 // empty when the recording site has no query context (e.g. a connection
 // shed before any statement arrived).
-func (l *EventLog) Record(kind, queryID, fingerprint, detail string) {
-	now := time.Now()
-	l.mu.Lock()
-	l.seq++
-	l.ring[l.next] = Event{
-		Seq:         l.seq,
-		At:          now,
-		Kind:        kind,
-		QueryID:     queryID,
-		Fingerprint: fingerprint,
-		Detail:      detail,
-	}
-	l.next = (l.next + 1) % len(l.ring)
-	if l.n < len(l.ring) {
-		l.n++
-	}
-	l.mu.Unlock()
-}
-
-// Snapshot returns the retained events, oldest first.
-func (l *EventLog) Snapshot() []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.sliceLocked(0)
-}
-
-// Since returns the retained events with Seq > seq, oldest first. A
-// streamer polls with its last seen sequence number to read only new
-// events.
-func (l *EventLog) Since(seq int64) []Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.sliceLocked(seq)
-}
-
-// LastSeq returns the sequence number of the newest event (0 when none
-// have been recorded).
-func (l *EventLog) LastSeq() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
-}
-
-func (l *EventLog) sliceLocked(afterSeq int64) []Event {
-	out := make([]Event, 0, l.n)
-	for i := 0; i < l.n; i++ {
-		e := &l.ring[(l.next-l.n+i+len(l.ring))%len(l.ring)]
-		if e.Seq > afterSeq {
-			out = append(out, *e)
-		}
-	}
-	return out
+func (l EventLog) Record(kind, queryID, fingerprint, detail string) {
+	l.Put(Event{At: time.Now(), Kind: kind, QueryID: queryID, Fingerprint: fingerprint, Detail: detail})
 }

@@ -1,8 +1,11 @@
 // Package obs is the engine's observability layer: lock-free metric
 // primitives (counters, gauges, histograms — all atomic on the hot
 // path), a registry that renders them in the Prometheus text exposition
-// format, and the per-operator runtime profile (OpStats) EXPLAIN ANALYZE
-// collects.
+// format, the per-operator runtime profile (OpStats) EXPLAIN ANALYZE
+// collects, and the stores behind the perm_* system views: one
+// per-fingerprint statement store (stmts.go), one generic Ring under the
+// event log, the plan-flip history and the trace store (ring.go), and
+// the active-query registry (activity.go).
 //
 // The package sits below every engine subsystem (mem, vexec, plan,
 // qcache, session, server all import it), so it depends on nothing but
@@ -61,12 +64,12 @@ func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // Histogram accumulates observations into fixed cumulative buckets. All
 // operations are a couple of atomic adds, so it is safe (and cheap) on
-// concurrent request paths.
+// concurrent request paths. The count is the sum of the buckets, so an
+// exposition's _count always equals its +Inf bucket.
 type Histogram struct {
 	bounds  []int64 // sorted upper bounds; observations above all bounds land in the +Inf bucket
 	buckets []atomic.Int64
 	sum     atomic.Int64
-	count   atomic.Int64
 }
 
 // NewHistogram returns a histogram over the given sorted upper bounds
@@ -81,11 +84,16 @@ func (h *Histogram) Observe(v int64) {
 	i := sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })
 	h.buckets[i].Add(1)
 	h.sum.Add(v)
-	h.count.Add(1)
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+func (h *Histogram) Count() int64 {
+	n := int64(0)
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
+}
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() int64 { return h.sum.Load() }
@@ -96,7 +104,7 @@ func (h *Histogram) Sum() int64 { return h.sum.Load() }
 // with no observations; the top (+Inf) bucket is approximated by its
 // lower bound.
 func (h *Histogram) Quantile(q float64) float64 {
-	count := h.count.Load()
+	count := h.Count()
 	if count == 0 {
 		return 0
 	}
@@ -382,11 +390,7 @@ func (r *Registry) Samples() []Sample {
 	for _, f := range r.fams {
 		for _, p := range f.points {
 			if p.hist != nil {
-				scale := p.scale
-				if scale == 0 {
-					scale = 1
-				}
-				out = append(out, Sample{Name: f.name + "_sum", Value: float64(p.hist.Sum()) * scale})
+				out = append(out, Sample{Name: f.name + "_sum", Value: float64(p.hist.Sum()) * p.scale})
 				out = append(out, Sample{Name: f.name + "_count", Value: float64(p.hist.Count())})
 				continue
 			}
@@ -407,7 +411,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		for _, p := range f.points {
 			if p.hist != nil {
-				if err := writeHistogram(w, f.name, p); err != nil {
+				if err := writeHistogram(w, f.name, p.labels, p.hist, p.scale); err != nil {
 					return err
 				}
 				continue
@@ -435,23 +439,28 @@ func writeSample(w io.Writer, name, labels string, v float64) error {
 	return err
 }
 
-func writeHistogram(w io.Writer, name string, p point) error {
-	h := p.hist
+// writeHistogram renders one series of histogram family name, with
+// labels (rendered without braces, "" for none) on every sample. scale
+// multiplies the bounds and the sum; _count is the +Inf bucket's
+// cumulative count from the same bucket reads, so the two agree even
+// under concurrent Observe.
+func writeHistogram(w io.Writer, name, labels string, h *Histogram, scale float64) error {
+	set, sep := "", ""
+	if labels != "" {
+		set, sep = "{"+labels+"}", ","
+	}
 	cum := int64(0)
-	for i, b := range h.bounds {
+	for i := range h.buckets {
 		cum += h.buckets[i].Load()
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d\n", name, formatFloat(float64(b)*p.scale), cum); err != nil {
+		le := "+Inf"
+		if i < len(h.bounds) {
+			le = formatFloat(float64(h.bounds[i]) * scale)
+		}
+		if _, err := fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n", name, labels, sep, le, cum); err != nil {
 			return err
 		}
 	}
-	cum += h.buckets[len(h.bounds)].Load()
-	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum %s\n", name, formatFloat(float64(h.sum.Load())*p.scale)); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count %d\n", name, h.count.Load())
+	_, err := fmt.Fprintf(w, "%s_sum%s %s\n%s_count%s %d\n", name, set, formatFloat(float64(h.sum.Load())*scale), name, set, cum)
 	return err
 }
 

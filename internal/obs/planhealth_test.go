@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"testing"
-	"time"
 )
 
 func TestQError(t *testing.T) {
@@ -24,109 +23,6 @@ func TestQError(t *testing.T) {
 		if got := QError(c.est, c.act); got != c.want {
 			t.Fatalf("QError(%v, %d) = %v, want %v", c.est, c.act, got, c.want)
 		}
-	}
-}
-
-func TestEstStoreObserve(t *testing.T) {
-	s := NewEstStore(0)
-	s.Observe("fp1", "select 1", []OpEst{
-		{Op: "VecScan", EstRows: 10, ActRows: 100},  // qerr 10
-		{Op: "VecFilter", EstRows: 50, ActRows: 25}, // qerr 2
-	})
-	s.Observe("fp1", "select 1", []OpEst{
-		{Op: "VecScan", EstRows: 10, ActRows: 20}, // qerr 2
-	})
-	s.Observe("fp2", "select 2", nil) // no estimates: not counted
-	if s.Len() != 1 {
-		t.Fatalf("want 1 fingerprint, got %d", s.Len())
-	}
-	snap := s.Snapshot()
-	r := snap[0]
-	if r.Analyzed != 2 || r.Ops != 3 {
-		t.Fatalf("analyzed/ops = %d/%d, want 2/3", r.Analyzed, r.Ops)
-	}
-	if r.MaxQErr != 10 || r.WorstOp != "VecScan" || r.WorstEst != 10 || r.WorstAct != 100 {
-		t.Fatalf("worst = %v %s est=%v act=%d", r.MaxQErr, r.WorstOp, r.WorstEst, r.WorstAct)
-	}
-	if r.MeanQErr() != 6 { // (10 + 2) / 2
-		t.Fatalf("mean q-error %v, want 6", r.MeanQErr())
-	}
-}
-
-func TestEstStoreEvictsLRU(t *testing.T) {
-	s := NewEstStore(2)
-	ops := []OpEst{{Op: "VecScan", EstRows: 1, ActRows: 2}}
-	s.Observe("a", "qa", ops)
-	s.Observe("b", "qb", ops)
-	s.Observe("a", "qa", ops) // refresh a: b is now LRU
-	s.Observe("c", "qc", ops)
-	if s.Len() != 2 {
-		t.Fatalf("capacity not enforced: %d", s.Len())
-	}
-	for _, r := range s.Snapshot() {
-		if r.Fingerprint == "b" {
-			t.Fatal("evicted the recently used fingerprint instead of the LRU one")
-		}
-	}
-}
-
-func TestPlanStoreFlips(t *testing.T) {
-	p := NewPlanStore(0, 0)
-	if _, flipped := p.ObservePlan("fp", "q", 0x111, 1, "opts"); flipped {
-		t.Fatal("first compile reported as flip")
-	}
-	if _, flipped := p.ObservePlan("fp", "q", 0x111, 1, "opts"); flipped {
-		t.Fatal("same hash reported as flip")
-	}
-	p.NoteExec("fp", int64(10*time.Millisecond))
-	p.NoteExec("fp", int64(20*time.Millisecond))
-	old, flipped := p.ObservePlan("fp", "q", 0x222, 2, "opts")
-	if !flipped || old != 0x111 {
-		t.Fatalf("catalog-bump flip not detected: old=%#x flipped=%v", old, flipped)
-	}
-	p.NoteExec("fp", int64(40*time.Millisecond))
-	flips := p.Flips()
-	if len(flips) != 1 {
-		t.Fatalf("want 1 flip, got %d", len(flips))
-	}
-	f := flips[0]
-	if f.Trigger != FlipTriggerCatalog {
-		t.Fatalf("trigger %q, want catalog", f.Trigger)
-	}
-	if f.OldHash != 0x111 || f.NewHash != 0x222 || f.Flips != 1 {
-		t.Fatalf("flip record %+v", f)
-	}
-	if f.BeforeMeanNS != int64(15*time.Millisecond) {
-		t.Fatalf("before mean %d", f.BeforeMeanNS)
-	}
-	if f.AfterMeanNS != int64(40*time.Millisecond) {
-		t.Fatalf("after mean %d", f.AfterMeanNS)
-	}
-
-	// Same version, changed options → "set"; nothing changed → "replan".
-	if _, flipped := p.ObservePlan("fp", "q", 0x333, 2, "opts2"); !flipped {
-		t.Fatal("options-change flip not detected")
-	}
-	if _, flipped := p.ObservePlan("fp", "q", 0x444, 2, "opts2"); !flipped {
-		t.Fatal("replan flip not detected")
-	}
-	flips = p.Flips()
-	if len(flips) != 3 || flips[1].Trigger != FlipTriggerSet || flips[2].Trigger != FlipTriggerReplan {
-		t.Fatalf("triggers: %+v", flips)
-	}
-}
-
-func TestPlanStoreRingWraps(t *testing.T) {
-	p := NewPlanStore(8, 4)
-	for i := 0; i < 10; i++ {
-		p.ObservePlan("fp", "q", uint64(i), int64(i), "o")
-	}
-	if p.FlipCount() != 4 {
-		t.Fatalf("ring holds %d flips, want 4", p.FlipCount())
-	}
-	flips := p.Flips()
-	if flips[0].OldHash != 5 || flips[3].NewHash != 9 {
-		t.Fatalf("ring kept wrong flips: %+v", flips)
 	}
 }
 

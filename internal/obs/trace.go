@@ -2,8 +2,8 @@
 // ID, and — when sampled — a span tree covering the pipeline phases
 // (parse → provenance rewrite → optimize → plan → execute) plus
 // per-operator child spans derived from the EXPLAIN ANALYZE probes.
-// Completed traces land in a fixed-capacity lock-free ring buffer that
-// the perm_traces system table snapshots on demand.
+// Completed traces land in a Ring that the perm_traces system table
+// snapshots on demand.
 //
 // The off path is engineered to cost nothing: Tracer.Sample is one
 // atomic add, and every method on a nil *Trace is a no-op, so the query
@@ -30,15 +30,13 @@ type Span struct {
 
 // Trace is the span record of one sampled query. It is built by the
 // query's coordinating goroutine only (no internal locking) and must be
-// complete before it is Put into a TraceStore.
+// complete, and never mutated again, once it is Put into the trace ring.
 type Trace struct {
 	QueryID     string
 	Fingerprint string
 	SQL         string
 	Start       time.Time
 	Spans       []Span
-
-	seq uint64 // assigned by TraceStore.Put; orders snapshots
 }
 
 // Begin opens a phase span and returns its index for End. Safe on a nil
@@ -96,16 +94,20 @@ func (t *Trace) PhaseBreakdown() string {
 	return string(b)
 }
 
-// Tracer decides which queries get a trace and owns the store completed
+// DefaultTraceCapacity is the trace ring size engines use unless
+// configured otherwise.
+const DefaultTraceCapacity = 256
+
+// Tracer decides which queries get a trace and owns the ring completed
 // traces land in.
 type Tracer struct {
 	counter atomic.Uint64
-	Store   *TraceStore
+	Store   *Ring[*Trace]
 }
 
-// NewTracer returns a tracer over a store of the given capacity.
+// NewTracer returns a tracer over a ring of the given capacity.
 func NewTracer(capacity int) *Tracer {
-	return &Tracer{Store: NewTraceStore(capacity)}
+	return &Tracer{Store: NewRing[*Trace](capacity, nil)}
 }
 
 // Sample makes the sampling decision for one query: every-th query (the
@@ -120,66 +122,4 @@ func (t *Tracer) Sample(every int, queryID, fingerprint, sql string, start time.
 		return nil
 	}
 	return &Trace{QueryID: queryID, Fingerprint: fingerprint, SQL: sql, Start: start}
-}
-
-// TraceStore is a lock-free ring buffer of completed traces: Put is an
-// atomic sequence claim plus an atomic pointer store, so concurrent
-// queries never contend on a lock, and the newest capacity traces win.
-type TraceStore struct {
-	slots []atomic.Pointer[Trace]
-	next  atomic.Uint64
-}
-
-// DefaultTraceCapacity is the trace ring size engines use unless
-// configured otherwise.
-const DefaultTraceCapacity = 256
-
-// NewTraceStore returns a ring buffer holding up to capacity completed
-// traces (<= 0: DefaultTraceCapacity).
-func NewTraceStore(capacity int) *TraceStore {
-	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
-	}
-	return &TraceStore{slots: make([]atomic.Pointer[Trace], capacity)}
-}
-
-// Put records a completed trace, overwriting the oldest slot. The trace
-// must not be mutated after Put (readers hold the same pointer).
-func (s *TraceStore) Put(t *Trace) {
-	if t == nil {
-		return
-	}
-	seq := s.next.Add(1) - 1
-	t.seq = seq
-	s.slots[seq%uint64(len(s.slots))].Store(t)
-}
-
-// Snapshot returns the stored traces, oldest first. Traces being
-// overwritten concurrently may be skipped; what is returned is always a
-// complete, immutable trace.
-func (s *TraceStore) Snapshot() []*Trace {
-	out := make([]*Trace, 0, len(s.slots))
-	for i := range s.slots {
-		if t := s.slots[i].Load(); t != nil {
-			out = append(out, t)
-		}
-	}
-	// Insertion sort by sequence: the ring is small and mostly ordered.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1].seq > out[j].seq; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	return out
-}
-
-// Len reports how many traces are currently stored.
-func (s *TraceStore) Len() int {
-	n := 0
-	for i := range s.slots {
-		if s.slots[i].Load() != nil {
-			n++
-		}
-	}
-	return n
 }

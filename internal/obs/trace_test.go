@@ -2,9 +2,7 @@ package obs
 
 import (
 	"errors"
-	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -54,54 +52,6 @@ func TestTracerSampling(t *testing.T) {
 	}
 	if sampled != 10 {
 		t.Fatalf("every=3 sampled %d of 30, want 10", sampled)
-	}
-}
-
-// TestTraceStoreConcurrentPut hammers the lock-free ring from many
-// goroutines under -race: every snapshot must only ever observe
-// complete, correctly sequenced traces.
-func TestTraceStoreConcurrentPut(t *testing.T) {
-	s := NewTraceStore(16)
-	const writers, per = 8, 200
-	stop := make(chan struct{})
-	var readerWg sync.WaitGroup
-	readerWg.Add(1)
-	go func() { // concurrent reader
-		defer readerWg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			snap := s.Snapshot()
-			for i := 1; i < len(snap); i++ {
-				if snap[i-1].seq >= snap[i].seq {
-					t.Error("snapshot out of order")
-					return
-				}
-			}
-		}
-	}()
-	var writerWg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		writerWg.Add(1)
-		go func(w int) {
-			defer writerWg.Done()
-			for i := 0; i < per; i++ {
-				s.Put(&Trace{QueryID: fmt.Sprintf("q%d-%d", w, i), Start: time.Now()})
-			}
-		}(w)
-	}
-	writerWg.Wait()
-	close(stop)
-	readerWg.Wait()
-	if got := s.Len(); got != 16 {
-		t.Fatalf("Len = %d after %d puts into a 16-slot ring, want 16", got, writers*per)
-	}
-	snap := s.Snapshot()
-	if len(snap) != 16 {
-		t.Fatalf("Snapshot returned %d traces, want 16", len(snap))
 	}
 }
 
@@ -178,43 +128,6 @@ func TestStatementDeadline(t *testing.T) {
 	}
 	if n != 1 {
 		t.Errorf("%d statement_timeout events for q3, want 1", n)
-	}
-}
-
-func TestStmtStatsObserveAndEvict(t *testing.T) {
-	s := NewStmtStats(4)
-	for i := 0; i < 3; i++ {
-		s.Observe("fp-hot", "select hot", time.Millisecond, 10, false)
-	}
-	s.Observe("fp-err", "select err", time.Millisecond, 0, true)
-	snap := s.Snapshot()
-	if len(snap) != 2 {
-		t.Fatalf("Snapshot len = %d, want 2", len(snap))
-	}
-	hot := snap[0] // most-called first
-	if hot.Fingerprint != "fp-hot" || hot.Calls != 3 || hot.Rows != 30 {
-		t.Fatalf("hot stat = %+v", hot)
-	}
-	if snap[1].Errors != 1 {
-		t.Fatalf("error stat = %+v", snap[1])
-	}
-	// Capacity 4: pushing 4 fresh fingerprints evicts the least recently
-	// used entries, never growing past cap.
-	for i := 0; i < 4; i++ {
-		s.Observe(fmt.Sprintf("fp-new-%d", i), "select new", time.Millisecond, 1, false)
-	}
-	if got := s.Len(); got != 4 {
-		t.Fatalf("Len after eviction = %d, want 4", got)
-	}
-	// The most recently touched fingerprints survive.
-	found := false
-	for _, st := range s.Snapshot() {
-		if st.Fingerprint == "fp-new-3" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("most recently observed fingerprint was evicted")
 	}
 }
 

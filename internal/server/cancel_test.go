@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"perm"
+	"perm/internal/qcache"
 	"perm/permclient"
 )
 
@@ -135,8 +136,10 @@ func TestSystemViewsOverWire(t *testing.T) {
 }
 
 // TestSlowLogQueryCorrelation: with tracing on, slow-log entries carry
-// the engine query ID and the phase span breakdown, correlating the log
-// with perm_traces.
+// the engine query ID, fingerprint and phase span breakdown of the
+// statement the request ran, correlating the log with perm_traces. A
+// PREPARE runs no statement and carries none; an EXECUTE carries no SQL
+// but is logged under its statement's fingerprint.
 func TestSlowLogQueryCorrelation(t *testing.T) {
 	db := paperDB(t).WithOptions(perm.Options{TraceSample: 1})
 	srv := New(db, 2)
@@ -157,21 +160,41 @@ func TestSlowLogQueryCorrelation(t *testing.T) {
 		<-done
 	})
 	c := dial(t, ln.Addr().String())
-	if _, err := c.Query(`SELECT name FROM shop ORDER BY name`); err != nil {
+	const q, prepared = `SELECT name FROM shop ORDER BY name`, `SELECT numempl FROM shop WHERE numempl > 2`
+	if _, err := c.Query(q); err != nil {
 		t.Fatal(err)
 	}
-	line := strings.TrimSpace(strings.Split(strings.TrimSpace(buf.String()), "\n")[0])
-	var e slowEntry
-	if err := json.Unmarshal([]byte(line), &e); err != nil {
-		t.Fatalf("bad slow-log line %q: %v", line, err)
+	if err := c.Prepare("p", prepared); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.HasPrefix(e.QueryID, "q") {
-		t.Fatalf("slow-log query_id = %q, want an engine query ID", e.QueryID)
+	if _, err := c.Execute("p"); err != nil {
+		t.Fatal(err)
+	}
+	var entries []slowEntry
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var e slowEntry
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("bad slow-log line %q: %v", line, err)
+		}
+		entries = append(entries, e)
+	}
+	if len(entries) != 3 {
+		t.Fatalf("want 3 slow-log entries (query, prepare, execute), got %d:\n%s", len(entries), buf.String())
+	}
+	e, prep, exec := entries[0], entries[1], entries[2]
+	if !strings.HasPrefix(e.QueryID, "q") || e.Fingerprint != qcache.Fingerprint(q) {
+		t.Fatalf("query entry: query_id %q fingerprint %q, want an engine query ID and %q", e.QueryID, e.Fingerprint, qcache.Fingerprint(q))
 	}
 	for _, phase := range []string{"parse=", "execute="} {
 		if !strings.Contains(e.Spans, phase) {
 			t.Fatalf("slow-log spans = %q, want %s", e.Spans, phase)
 		}
+	}
+	if prep.QueryID != "" || prep.Fingerprint != "" || prep.Spans != "" {
+		t.Fatalf("prepare entry carries a statement it did not run: %+v", prep)
+	}
+	if exec.QueryID == "" || exec.QueryID == e.QueryID || exec.Fingerprint != qcache.Fingerprint(prepared) {
+		t.Fatalf("execute entry: query_id %q fingerprint %q, want a new query ID and %q", exec.QueryID, exec.Fingerprint, qcache.Fingerprint(prepared))
 	}
 	// The logged ID resolves in perm_traces.
 	res, err := permclient.Dial(ln.Addr().String())

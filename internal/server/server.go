@@ -27,7 +27,6 @@ import (
 	"perm"
 	"perm/internal/fault"
 	"perm/internal/obs"
-	"perm/internal/qcache"
 	"perm/internal/session"
 	"perm/internal/wire"
 )
@@ -497,6 +496,7 @@ func resultResponse(res *perm.Result) *wire.Response {
 type queryPrecondition struct {
 	cacheHit bool
 	stats    perm.QueryStats // session budget counters before execution
+	lastID   string          // the session's last query ID: a request that runs no statement leaves it
 }
 
 func (s *Server) precondition(sess *session.Session, req *wire.Request) queryPrecondition {
@@ -504,6 +504,7 @@ func (s *Server) precondition(sess *session.Session, req *wire.Request) queryPre
 	return queryPrecondition{
 		cacheHit: req.SQL != "" && db.QueryCached(req.SQL),
 		stats:    db.SessionQueryStats(),
+		lastID:   db.LastQueryInfo().ID,
 	}
 }
 
@@ -525,7 +526,10 @@ type slowEntry struct {
 
 // logSlow emits one JSON line for a request that crossed the slow-query
 // threshold. Spill counters are the session budget's delta across the
-// statement, so concurrent sessions don't bleed into each other.
+// statement, so concurrent sessions don't bleed into each other. The
+// query ID, spans and fingerprint are the engine's for the statement the
+// request ran (an EXECUTE carries no SQL of its own), and absent when it
+// ran none (a PREPARE or SET), rather than the previous statement's.
 func (s *Server) logSlow(sl *slowLog, sess *session.Session, req *wire.Request, resp *wire.Response, dur time.Duration, pre queryPrecondition) {
 	db := sess.DB()
 	post := db.SessionQueryStats()
@@ -540,12 +544,8 @@ func (s *Server) logSlow(sl *slowLog, sess *session.Session, req *wire.Request, 
 		Parallelism:  db.Opts().Parallelism,
 		Err:          resp.Err,
 	}
-	if req.SQL != "" {
-		e.Fingerprint = qcache.Fingerprint(req.SQL)
-	}
-	if info := db.LastQueryInfo(); info.ID != "" {
-		e.QueryID = info.ID
-		e.Spans = info.Spans
+	if info := db.LastQueryInfo(); info.ID != pre.lastID {
+		e.QueryID, e.Fingerprint, e.Spans = info.ID, info.Fingerprint, info.Spans
 	}
 	if resp.Rows == nil {
 		e.Rows = resp.Affected

@@ -1,9 +1,10 @@
 // Query lifecycle introspection: the engine core shared by every handle
-// (query IDs, the span tracer, the active-query registry, per-statement
-// statistics), the per-statement bookkeeping that feeds them, live query
-// cancellation, and the virtual system tables (perm_stat_activity,
-// perm_stat_statements, perm_traces, perm_metrics) that expose it all
-// through ordinary SQL.
+// (query IDs, the span tracer, the active-query registry, the
+// per-fingerprint statement store), the per-statement bookkeeping that
+// feeds them, live query cancellation, and the virtual system tables
+// (perm_stat_activity, perm_stat_statements, perm_traces,
+// perm_stat_estimates, perm_stat_plans, perm_events, perm_metrics) that
+// expose it all through ordinary SQL.
 package perm
 
 import (
@@ -22,16 +23,15 @@ import (
 // engineCore is the introspection state shared by every Database handle
 // derived from one NewDatabase call (WithOptions copies the pointer,
 // like the catalog and the governor): the query-ID allocator, the span
-// tracer and its ring buffer, the active-query registry, per-fingerprint
-// statement statistics, and the lazily built shared metrics registry.
+// tracer and its ring buffer, the active-query registry, the
+// per-fingerprint statement store (executions, estimates and plans), and
+// the lazily built shared metrics registry.
 type engineCore struct {
 	qid        atomic.Uint64
 	sessionSeq atomic.Int64
 	tracer     *obs.Tracer
 	activity   *obs.Activity
-	stmts      *obs.StmtStats
-	ests       *obs.EstStore
-	plans      *obs.PlanStore
+	stmts      *obs.StmtStore
 
 	metricsOnce sync.Once
 	metricsReg  *obs.Registry
@@ -41,9 +41,7 @@ func newEngineCore() *engineCore {
 	return &engineCore{
 		tracer:   obs.NewTracer(obs.DefaultTraceCapacity),
 		activity: obs.NewActivity(),
-		stmts:    obs.NewStmtStats(0),
-		ests:     obs.NewEstStore(0),
-		plans:    obs.NewPlanStore(0, 0),
+		stmts:    obs.NewStmtStore(obs.DefaultStmtCapacity, obs.DefaultPlanFlipRing),
 	}
 }
 
@@ -68,13 +66,14 @@ func (db *Database) Cancel(queryID string) error {
 // correlating external telemetry (the slow-query log) with the tracing
 // subsystem.
 type QueryInfo struct {
-	ID    string // engine-unique query ID
-	Spans string // one-line phase timing breakdown; "" unless the query was sampled
+	ID          string // engine-unique query ID
+	Fingerprint string // the statement's fingerprint, as perm_stat_statements keys it
+	Spans       string // one-line phase timing breakdown; "" unless the query was sampled
 }
 
-// LastQueryInfo returns the ID (and, when the query was sampled, the
-// phase span breakdown) of the most recent statement this handle
-// finished.
+// LastQueryInfo returns the ID and fingerprint (and, when the query was
+// sampled, the phase span breakdown) of the most recent statement this
+// handle finished.
 func (db *Database) LastQueryInfo() QueryInfo {
 	if p := db.lastQ.Load(); p != nil {
 		return *p
@@ -98,7 +97,7 @@ type queryRun struct {
 	span  int
 	// fresh marks that this statement's compiled artifact was built this
 	// run (a cache miss): the execution that follows hashes its physical
-	// plan into the plan-flip store. Cache hits replay a tree the store
+	// plan into the statement store. Cache hits replay a tree the store
 	// has already seen, so hashing them would only re-render plans.
 	fresh bool
 }
@@ -154,27 +153,92 @@ func (qr *queryRun) activeQuery() *obs.ActiveQuery {
 }
 
 // finish completes the statement: deregisters it, accounts it in the
-// per-fingerprint statistics, stores the completed trace, and records
-// the handle's last-query info for log correlation.
+// per-fingerprint store (one lock, which also feeds the plan-flip
+// latency baselines), stores the completed trace, and records the
+// handle's last-query info for log correlation.
 func (qr *queryRun) finish(err error) {
 	if qr == nil {
 		return
 	}
 	qr.trace.End(qr.span)
 	eng := qr.db.eng
-	dur := time.Since(qr.start)
 	eng.activity.Deregister(qr.aq)
-	eng.stmts.Observe(qr.aq.Fingerprint, qr.norm, dur, qr.aq.Rows(), err != nil)
-	eng.plans.NoteExec(qr.aq.Fingerprint, dur.Nanoseconds())
+	eng.stmts.Observe(qr.aq.Fingerprint, qr.norm, time.Since(qr.start), qr.aq.Rows(), err != nil)
 	if qr.trace != nil {
 		eng.tracer.Store.Put(qr.trace)
 	}
-	info := QueryInfo{ID: qr.aq.ID, Spans: qr.trace.PhaseBreakdown()}
+	info := QueryInfo{ID: qr.aq.ID, Fingerprint: qr.aq.Fingerprint, Spans: qr.trace.PhaseBreakdown()}
 	qr.db.lastQ.Store(&info)
 }
 
 // ---------------------------------------------------------------------------
 // Virtual system tables
+
+// sysCol is one column of a system view: its name, its kind, and the
+// getter that reads its value from one snapshot record. The typed
+// constructors below derive the kind from the getter, so a column's
+// label, kind and value cannot fall out of step.
+type sysCol[T any] struct {
+	name string
+	kind types.Kind
+	get  func(*T) types.Value
+}
+
+func textCol[T any](name string, get func(*T) string) sysCol[T] {
+	return sysCol[T]{name, types.KindString, func(r *T) types.Value { return types.NewString(get(r)) }}
+}
+
+func intCol[T any](name string, get func(*T) int64) sysCol[T] {
+	return sysCol[T]{name, types.KindInt, func(r *T) types.Value { return types.NewInt(get(r)) }}
+}
+
+func floatCol[T any](name string, get func(*T) float64) sysCol[T] {
+	return sysCol[T]{name, types.KindFloat, func(r *T) types.Value { return types.NewFloat(get(r)) }}
+}
+
+// msCol renders a nanosecond count in milliseconds.
+func msCol[T any](name string, get func(*T) int64) sysCol[T] {
+	return floatCol(name, func(r *T) float64 { return float64(get(r)) / 1e6 })
+}
+
+// ageCol renders the milliseconds since a point in time.
+func ageCol[T any](name string, get func(*T) time.Time) sysCol[T] {
+	return msCol(name, func(r *T) int64 { return time.Since(get(r)).Nanoseconds() })
+}
+
+// systemView binds a view name to a snapshot function and its columns:
+// every scan takes one snapshot and renders each record as one row.
+func systemView[T any](name string, snapshot func() []T, cols ...sysCol[T]) *catalog.VirtualTable {
+	v := &catalog.VirtualTable{Name: name, Cols: make([]catalog.Column, len(cols))}
+	for i, c := range cols {
+		v.Cols[i] = catalog.Column{Name: c.name, Type: c.kind}
+	}
+	v.Rows = func() []types.Row {
+		snap := snapshot()
+		rows := make([]types.Row, len(snap))
+		for i := range snap {
+			rows[i] = make(types.Row, len(cols))
+			for j, c := range cols {
+				rows[i][j] = c.get(&snap[i])
+			}
+		}
+		return rows
+	}
+	return v
+}
+
+// activityRow is one in-flight query with its morsel progress and memory
+// counters read once per snapshot.
+type activityRow struct {
+	*obs.ActiveQuery
+	claimed, total, reserved, spilled int64
+}
+
+// spanRow is one span of a stored trace.
+type spanRow struct {
+	*obs.Trace
+	obs.Span
+}
 
 // registerSystemViews registers the introspection relations on the
 // catalog. They are ordinary relations to the analyzer and planner —
@@ -182,242 +246,103 @@ func (qr *queryRun) finish(err error) {
 // their rows are generated from live engine state at execution time.
 func registerSystemViews(db *Database) {
 	eng := db.eng
-	mustRegister := func(v *catalog.VirtualTable) {
+	activity := func() []activityRow {
+		snap := eng.activity.Snapshot()
+		rows := make([]activityRow, len(snap))
+		for i, q := range snap {
+			rows[i].ActiveQuery = q
+			rows[i].claimed, rows[i].total = q.Morsels()
+			if q.MemStats != nil {
+				rows[i].reserved, rows[i].spilled = q.MemStats()
+			}
+		}
+		return rows
+	}
+	spans := func() (rows []spanRow) {
+		for _, t := range eng.tracer.Store.Snapshot() {
+			for _, sp := range t.Spans {
+				rows = append(rows, spanRow{t, sp})
+			}
+		}
+		return rows
+	}
+	for _, v := range []*catalog.VirtualTable{
+		systemView("perm_stat_activity", activity,
+			textCol("query_id", func(q *activityRow) string { return q.ID }),
+			intCol("session_id", func(q *activityRow) int64 { return q.Session }),
+			textCol("phase", func(q *activityRow) string { return q.Phase().String() }),
+			textCol("query", func(q *activityRow) string { return q.SQL }),
+			textCol("fingerprint", func(q *activityRow) string { return q.Fingerprint }),
+			ageCol("elapsed_ms", func(q *activityRow) time.Time { return q.Start }),
+			intCol("rows_emitted", func(q *activityRow) int64 { return q.Rows() }),
+			intCol("morsels_claimed", func(q *activityRow) int64 { return q.claimed }),
+			intCol("morsels_total", func(q *activityRow) int64 { return q.total }),
+			intCol("mem_reserved_bytes", func(q *activityRow) int64 { return q.reserved }),
+			intCol("spilled_bytes", func(q *activityRow) int64 { return q.spilled }),
+			sysCol[activityRow]{"cancel_requested", types.KindBool, func(q *activityRow) types.Value { return types.NewBool(q.Cancelled()) }}),
+
+		systemView("perm_stat_statements", func() []obs.StmtRecord { return eng.stmts.Snapshot(obs.ByCalls) },
+			textCol("fingerprint", func(r *obs.StmtRecord) string { return r.Fingerprint }),
+			textCol("query", func(r *obs.StmtRecord) string { return r.Query }),
+			intCol("calls", func(r *obs.StmtRecord) int64 { return r.Calls }),
+			intCol("errors", func(r *obs.StmtRecord) int64 { return r.Errors }),
+			intCol("rows_emitted", func(r *obs.StmtRecord) int64 { return r.Rows }),
+			msCol("total_ms", func(r *obs.StmtRecord) int64 { return r.TotalNS }),
+			msCol("mean_ms", (*obs.StmtRecord).MeanNS),
+			floatCol("p50_ms", func(r *obs.StmtRecord) float64 { return r.Hist.Quantile(0.50) / 1e6 }),
+			floatCol("p99_ms", func(r *obs.StmtRecord) float64 { return r.Hist.Quantile(0.99) / 1e6 }),
+			msCol("max_ms", func(r *obs.StmtRecord) int64 { return r.MaxNS })),
+
+		systemView("perm_traces", spans,
+			textCol("query_id", func(s *spanRow) string { return s.QueryID }),
+			textCol("fingerprint", func(s *spanRow) string { return s.Fingerprint }),
+			textCol("query", func(s *spanRow) string { return s.SQL }),
+			textCol("span", func(s *spanRow) string { return s.Name }),
+			intCol("depth", func(s *spanRow) int64 { return int64(s.Depth) }),
+			msCol("start_ms", func(s *spanRow) int64 { return s.StartNS }),
+			msCol("duration_ms", func(s *spanRow) int64 { return s.DurNS }),
+			intCol("rows_emitted", func(s *spanRow) int64 { return s.Rows })),
+
+		systemView("perm_stat_estimates", func() []obs.StmtRecord { return db.TopMisestimates(0) },
+			textCol("fingerprint", func(r *obs.StmtRecord) string { return r.Fingerprint }),
+			textCol("query", func(r *obs.StmtRecord) string { return r.Query }),
+			intCol("analyzed", func(r *obs.StmtRecord) int64 { return r.Analyzed }),
+			intCol("ops", func(r *obs.StmtRecord) int64 { return r.Ops }),
+			floatCol("max_qerr", func(r *obs.StmtRecord) float64 { return r.MaxQErr }),
+			floatCol("mean_qerr", (*obs.StmtRecord).MeanQErr),
+			textCol("worst_op", func(r *obs.StmtRecord) string { return r.WorstOp }),
+			floatCol("worst_est", func(r *obs.StmtRecord) float64 { return r.WorstEst }),
+			intCol("worst_act", func(r *obs.StmtRecord) int64 { return r.WorstAct }),
+			ageCol("last_seen_ms", func(r *obs.StmtRecord) time.Time { return r.LastSeen })),
+
+		systemView("perm_stat_plans", eng.stmts.Flips,
+			textCol("fingerprint", func(f *obs.PlanFlip) string { return f.Fingerprint }),
+			textCol("query", func(f *obs.PlanFlip) string { return f.Query }),
+			textCol("old_plan", func(f *obs.PlanFlip) string { return fmt.Sprintf("%016x", f.OldHash) }),
+			textCol("new_plan", func(f *obs.PlanFlip) string { return fmt.Sprintf("%016x", f.NewHash) }),
+			textCol("trigger", func(f *obs.PlanFlip) string { return f.Trigger }),
+			intCol("flips", func(f *obs.PlanFlip) int64 { return f.Flips }),
+			ageCol("age_ms", func(f *obs.PlanFlip) time.Time { return f.At }),
+			msCol("before_mean_ms", func(f *obs.PlanFlip) int64 { return f.BeforeMeanNS }),
+			msCol("after_mean_ms", func(f *obs.PlanFlip) int64 { return f.AfterMeanNS })),
+
+		systemView("perm_events", obs.Events.Snapshot,
+			intCol("seq", func(e *obs.Event) int64 { return e.Seq }),
+			ageCol("age_ms", func(e *obs.Event) time.Time { return e.At }),
+			textCol("kind", func(e *obs.Event) string { return e.Kind }),
+			textCol("query_id", func(e *obs.Event) string { return e.QueryID }),
+			textCol("fingerprint", func(e *obs.Event) string { return e.Fingerprint }),
+			textCol("detail", func(e *obs.Event) string { return e.Detail })),
+
+		systemView("perm_metrics", func() []obs.Sample { return db.Metrics().Samples() },
+			textCol("name", func(s *obs.Sample) string { return s.Name }),
+			textCol("labels", func(s *obs.Sample) string { return s.Labels }),
+			floatCol("value", func(s *obs.Sample) float64 { return s.Value })),
+	} {
 		if err := db.cat.RegisterVirtual(v); err != nil {
 			// Registration happens once, on a fresh catalog, with
 			// engine-chosen names; failure is a programming error.
 			panic(err)
 		}
 	}
-
-	mustRegister(&catalog.VirtualTable{
-		Name: "perm_stat_activity",
-		Cols: []catalog.Column{
-			{Name: "query_id", Type: types.KindString},
-			{Name: "session_id", Type: types.KindInt},
-			{Name: "phase", Type: types.KindString},
-			{Name: "query", Type: types.KindString},
-			{Name: "fingerprint", Type: types.KindString},
-			{Name: "elapsed_ms", Type: types.KindFloat},
-			{Name: "rows_emitted", Type: types.KindInt},
-			{Name: "morsels_claimed", Type: types.KindInt},
-			{Name: "morsels_total", Type: types.KindInt},
-			{Name: "mem_reserved_bytes", Type: types.KindInt},
-			{Name: "spilled_bytes", Type: types.KindInt},
-			{Name: "cancel_requested", Type: types.KindBool},
-		},
-		Rows: func() []types.Row {
-			snap := eng.activity.Snapshot()
-			rows := make([]types.Row, 0, len(snap))
-			for _, q := range snap {
-				claimed, total := q.Morsels()
-				var reserved, spilled int64
-				if q.MemStats != nil {
-					reserved, spilled = q.MemStats()
-				}
-				rows = append(rows, types.Row{
-					types.NewString(q.ID),
-					types.NewInt(q.Session),
-					types.NewString(q.Phase().String()),
-					types.NewString(q.SQL),
-					types.NewString(q.Fingerprint),
-					types.NewFloat(float64(time.Since(q.Start).Nanoseconds()) / 1e6),
-					types.NewInt(q.Rows()),
-					types.NewInt(claimed),
-					types.NewInt(total),
-					types.NewInt(reserved),
-					types.NewInt(spilled),
-					types.NewBool(q.Cancelled()),
-				})
-			}
-			return rows
-		},
-	})
-
-	mustRegister(&catalog.VirtualTable{
-		Name: "perm_stat_statements",
-		Cols: []catalog.Column{
-			{Name: "fingerprint", Type: types.KindString},
-			{Name: "query", Type: types.KindString},
-			{Name: "calls", Type: types.KindInt},
-			{Name: "errors", Type: types.KindInt},
-			{Name: "rows_emitted", Type: types.KindInt},
-			{Name: "total_ms", Type: types.KindFloat},
-			{Name: "mean_ms", Type: types.KindFloat},
-			{Name: "p50_ms", Type: types.KindFloat},
-			{Name: "p99_ms", Type: types.KindFloat},
-			{Name: "max_ms", Type: types.KindFloat},
-		},
-		Rows: func() []types.Row {
-			snap := eng.stmts.Snapshot()
-			rows := make([]types.Row, 0, len(snap))
-			for i := range snap {
-				st := &snap[i]
-				rows = append(rows, types.Row{
-					types.NewString(st.Fingerprint),
-					types.NewString(st.Query),
-					types.NewInt(st.Calls),
-					types.NewInt(st.Errors),
-					types.NewInt(st.Rows),
-					types.NewFloat(float64(st.TotalNS) / 1e6),
-					types.NewFloat(float64(st.MeanNS()) / 1e6),
-					types.NewFloat(st.Hist.Quantile(0.50) / 1e6),
-					types.NewFloat(st.Hist.Quantile(0.99) / 1e6),
-					types.NewFloat(float64(st.MaxNS) / 1e6),
-				})
-			}
-			return rows
-		},
-	})
-
-	mustRegister(&catalog.VirtualTable{
-		Name: "perm_traces",
-		Cols: []catalog.Column{
-			{Name: "query_id", Type: types.KindString},
-			{Name: "fingerprint", Type: types.KindString},
-			{Name: "query", Type: types.KindString},
-			{Name: "span", Type: types.KindString},
-			{Name: "depth", Type: types.KindInt},
-			{Name: "start_ms", Type: types.KindFloat},
-			{Name: "duration_ms", Type: types.KindFloat},
-			{Name: "rows_emitted", Type: types.KindInt},
-		},
-		Rows: func() []types.Row {
-			var rows []types.Row
-			for _, t := range eng.tracer.Store.Snapshot() {
-				for _, sp := range t.Spans {
-					rows = append(rows, types.Row{
-						types.NewString(t.QueryID),
-						types.NewString(t.Fingerprint),
-						types.NewString(t.SQL),
-						types.NewString(sp.Name),
-						types.NewInt(int64(sp.Depth)),
-						types.NewFloat(float64(sp.StartNS) / 1e6),
-						types.NewFloat(float64(sp.DurNS) / 1e6),
-						types.NewInt(sp.Rows),
-					})
-				}
-			}
-			return rows
-		},
-	})
-
-	mustRegister(&catalog.VirtualTable{
-		Name: "perm_stat_estimates",
-		Cols: []catalog.Column{
-			{Name: "fingerprint", Type: types.KindString},
-			{Name: "query", Type: types.KindString},
-			{Name: "analyzed", Type: types.KindInt},
-			{Name: "ops", Type: types.KindInt},
-			{Name: "max_qerr", Type: types.KindFloat},
-			{Name: "mean_qerr", Type: types.KindFloat},
-			{Name: "worst_op", Type: types.KindString},
-			{Name: "worst_est", Type: types.KindFloat},
-			{Name: "worst_act", Type: types.KindInt},
-			{Name: "last_seen_ms", Type: types.KindFloat},
-		},
-		Rows: func() []types.Row {
-			snap := eng.ests.Snapshot()
-			rows := make([]types.Row, 0, len(snap))
-			for i := range snap {
-				r := &snap[i]
-				rows = append(rows, types.Row{
-					types.NewString(r.Fingerprint),
-					types.NewString(r.Query),
-					types.NewInt(r.Analyzed),
-					types.NewInt(r.Ops),
-					types.NewFloat(r.MaxQErr),
-					types.NewFloat(r.MeanQErr()),
-					types.NewString(r.WorstOp),
-					types.NewFloat(r.WorstEst),
-					types.NewInt(r.WorstAct),
-					types.NewFloat(float64(time.Since(r.LastSeen).Nanoseconds()) / 1e6),
-				})
-			}
-			return rows
-		},
-	})
-
-	mustRegister(&catalog.VirtualTable{
-		Name: "perm_stat_plans",
-		Cols: []catalog.Column{
-			{Name: "fingerprint", Type: types.KindString},
-			{Name: "query", Type: types.KindString},
-			{Name: "old_plan", Type: types.KindString},
-			{Name: "new_plan", Type: types.KindString},
-			{Name: "trigger", Type: types.KindString},
-			{Name: "flips", Type: types.KindInt},
-			{Name: "age_ms", Type: types.KindFloat},
-			{Name: "before_mean_ms", Type: types.KindFloat},
-			{Name: "after_mean_ms", Type: types.KindFloat},
-		},
-		Rows: func() []types.Row {
-			flips := eng.plans.Flips()
-			rows := make([]types.Row, 0, len(flips))
-			for i := range flips {
-				f := &flips[i]
-				rows = append(rows, types.Row{
-					types.NewString(f.Fingerprint),
-					types.NewString(f.Query),
-					types.NewString(fmt.Sprintf("%016x", f.OldHash)),
-					types.NewString(fmt.Sprintf("%016x", f.NewHash)),
-					types.NewString(f.Trigger),
-					types.NewInt(f.Flips),
-					types.NewFloat(float64(time.Since(f.At).Nanoseconds()) / 1e6),
-					types.NewFloat(float64(f.BeforeMeanNS) / 1e6),
-					types.NewFloat(float64(f.AfterMeanNS) / 1e6),
-				})
-			}
-			return rows
-		},
-	})
-
-	mustRegister(&catalog.VirtualTable{
-		Name: "perm_events",
-		Cols: []catalog.Column{
-			{Name: "seq", Type: types.KindInt},
-			{Name: "age_ms", Type: types.KindFloat},
-			{Name: "kind", Type: types.KindString},
-			{Name: "query_id", Type: types.KindString},
-			{Name: "fingerprint", Type: types.KindString},
-			{Name: "detail", Type: types.KindString},
-		},
-		Rows: func() []types.Row {
-			snap := obs.Events.Snapshot()
-			rows := make([]types.Row, 0, len(snap))
-			for i := range snap {
-				e := &snap[i]
-				rows = append(rows, types.Row{
-					types.NewInt(e.Seq),
-					types.NewFloat(float64(time.Since(e.At).Nanoseconds()) / 1e6),
-					types.NewString(e.Kind),
-					types.NewString(e.QueryID),
-					types.NewString(e.Fingerprint),
-					types.NewString(e.Detail),
-				})
-			}
-			return rows
-		},
-	})
-
-	mustRegister(&catalog.VirtualTable{
-		Name: "perm_metrics",
-		Cols: []catalog.Column{
-			{Name: "name", Type: types.KindString},
-			{Name: "labels", Type: types.KindString},
-			{Name: "value", Type: types.KindFloat},
-		},
-		Rows: func() []types.Row {
-			samples := db.Metrics().Samples()
-			rows := make([]types.Row, 0, len(samples))
-			for _, s := range samples {
-				rows = append(rows, types.Row{
-					types.NewString(s.Name),
-					types.NewString(s.Labels),
-					types.NewFloat(s.Value),
-				})
-			}
-			return rows
-		},
-	})
 }

@@ -434,3 +434,74 @@ func TestPreparedStatementsTracked(t *testing.T) {
 		t.Fatalf("prepared runs not accounted: %v", res.Rows)
 	}
 }
+
+// systemViewSchemas pins every system view's columns, in order, as
+// ViewSchema renders them.
+var systemViewSchemas = map[string]string{
+	"perm_stat_activity": "query_id text, session_id bigint, phase text, query text, fingerprint text, " +
+		"elapsed_ms double, rows_emitted bigint, morsels_claimed bigint, morsels_total bigint, " +
+		"mem_reserved_bytes bigint, spilled_bytes bigint, cancel_requested boolean",
+	"perm_stat_statements": "fingerprint text, query text, calls bigint, errors bigint, rows_emitted bigint, " +
+		"total_ms double, mean_ms double, p50_ms double, p99_ms double, max_ms double",
+	"perm_traces": "query_id text, fingerprint text, query text, span text, depth bigint, " +
+		"start_ms double, duration_ms double, rows_emitted bigint",
+	"perm_stat_estimates": "fingerprint text, query text, analyzed bigint, ops bigint, max_qerr double, " +
+		"mean_qerr double, worst_op text, worst_est double, worst_act bigint, last_seen_ms double",
+	"perm_stat_plans": "fingerprint text, query text, old_plan text, new_plan text, trigger text, " +
+		"flips bigint, age_ms double, before_mean_ms double, after_mean_ms double",
+	"perm_events":  "seq bigint, age_ms double, kind text, query_id text, fingerprint text, detail text",
+	"perm_metrics": "name text, labels text, value double",
+}
+
+// TestSystemViewsSchema fills every introspection store (a traced
+// workload, an EXPLAIN ANALYZE, a plan flip and a CANCEL) and checks each
+// system view's columns, that it has rows, and that every row's width and
+// value kinds match its columns.
+func TestSystemViewsSchema(t *testing.T) {
+	db := perm.NewDatabaseWithOptions(perm.Options{TraceSample: 1})
+	db.MustExec("CREATE TABLE r (a INT, b INT)")
+	db.MustExec("INSERT INTO r VALUES (1,2),(3,4),(5,6)")
+	db.MustExec("CREATE TABLE s (a INT)")
+	db.MustExec("INSERT INTO s VALUES (1)")
+	const q = "SELECT r.a FROM r, s WHERE r.a = s.a"
+	db.MustQuery(q)
+	for i := 0; i < 2000; i++ {
+		db.MustExec("INSERT INTO s VALUES (7)")
+	}
+	db.MustQuery(q) // the build side flips
+	if _, err := db.Exec("EXPLAIN ANALYZE " + q); err != nil {
+		t.Fatal(err)
+	}
+	bigTable(db)
+	observer := db.WithOptions(db.Opts())
+	if err := cancelTarget(t, db, observer, `SELECT count(*) FROM big a, big b WHERE a.b + b.b > 1`, true); err == nil {
+		t.Fatal("cancelled query returned no error")
+	}
+
+	for view, schema := range systemViewSchemas {
+		if got := db.ViewSchema(view); got != schema {
+			t.Errorf("%s columns:\n got  %s\n want %s", view, got, schema)
+			continue
+		}
+		res := observer.MustQuery("SELECT * FROM " + view)
+		if len(res.Rows) == 0 {
+			t.Errorf("%s has no rows after a workload that fills it", view)
+		}
+		cols := strings.Split(schema, ", ")
+		if len(res.Columns) != len(cols) {
+			t.Errorf("%s SELECT * has %d columns, want %d", view, len(res.Columns), len(cols))
+			continue
+		}
+		for i, row := range res.Rows {
+			if len(row) != len(cols) {
+				t.Errorf("%s row %d has %d values, want %d", view, i, len(row), len(cols))
+				break
+			}
+			for j, v := range row {
+				if name, kind, _ := strings.Cut(cols[j], " "); v.IsNull() || v.Kind() != kind || res.Columns[j] != name {
+					t.Errorf("%s row %d column %s = %s (%s), want a %s", view, i, res.Columns[j], v, v.Kind(), kind)
+				}
+			}
+		}
+	}
+}

@@ -64,8 +64,13 @@ func (db *Database) analyzeSelect(sel *sql.SelectStmt, cacheText, fpText string,
 			return nil, "", err
 		}
 	}
-	key := &stmtKey{norm: qcache.Normalize(fpText)}
-	key.fp = qcache.FingerprintNormalized(key.norm)
+	key := &stmtKey{}
+	if qr != nil && fpText == qr.aq.SQL {
+		key.fp, key.norm = qr.aq.Fingerprint, qr.norm
+	} else {
+		key.norm = qcache.Normalize(fpText)
+		key.fp = qcache.FingerprintNormalized(key.norm)
+	}
 	pre := db.budget.Stats()
 	r, err := db.openSelect(q, qr, key)
 	if err != nil {
@@ -77,7 +82,7 @@ func (db *Database) analyzeSelect(sel *sql.SelectStmt, cacheText, fpText string,
 	}
 	total := time.Since(r.start)
 	if qr != nil {
-		db.eng.ests.Observe(key.fp, key.norm, plan.OperatorEstimates(r.root))
+		db.eng.stmts.ObserveEstimates(key.fp, key.norm, plan.OperatorEstimates(r.root))
 	}
 	post := db.budget.Stats()
 	report := plan.ExplainAnalyzed(r.root, total, post.Peak, post.BytesSpilled-pre.BytesSpilled) +
@@ -90,8 +95,8 @@ func (db *Database) analyzeSelect(sel *sql.SelectStmt, cacheText, fpText string,
 // the same records perm_stat_estimates serves, for tooling that wants
 // them without a SQL round-trip. Records accumulate from EXPLAIN
 // ANALYZE executions only; plain queries are never instrumented.
-func (db *Database) TopMisestimates(n int) []obs.EstRecord {
-	snap := db.eng.ests.Snapshot()
+func (db *Database) TopMisestimates(n int) []obs.StmtRecord {
+	snap := db.eng.stmts.Snapshot(obs.ByQErr)
 	if n > 0 && len(snap) > n {
 		snap = snap[:n]
 	}
@@ -116,7 +121,7 @@ func (db *Database) notePlanHash(qr *queryRun, analyzed *stmtKey, node exec.Node
 		fp, norm = analyzed.fp, analyzed.norm
 	}
 	h := plan.Hash(node)
-	old, flipped := db.eng.plans.ObservePlan(fp, norm, h, int64(db.cat.Version()), db.optsKey)
+	old, flipped := db.eng.stmts.ObservePlan(fp, norm, h, int64(db.cat.Version()), db.optsKey)
 	if flipped {
 		obs.PlanFlips.Inc()
 		obs.Events.Record(obs.EventPlanFlip, qr.aq.ID, fp,
@@ -232,11 +237,11 @@ func (db *Database) buildMetrics() *obs.Registry {
 		func() float64 { return float64(db.eng.tracer.Store.Len()) })
 
 	r.CounterVar("perm_plan_flips_total", "Fingerprints recompiled to a structurally different physical plan.", "", &obs.PlanFlips)
-	r.CounterVar("perm_stmt_evictions_total", "Fingerprints evicted from the per-statement statistics store.", "", &obs.StmtEvictions)
-	r.ReadFunc("perm_plan_fingerprints", "Fingerprints tracked by the plan-flip store.", obs.TypeGauge, "",
-		func() float64 { return float64(db.eng.plans.Len()) })
-	r.ReadFunc("perm_estimate_fingerprints", "Fingerprints tracked by the misestimation store.", obs.TypeGauge, "",
-		func() float64 { return float64(db.eng.ests.Len()) })
+	r.CounterVar("perm_stmt_evictions_total", "Fingerprints evicted from the per-fingerprint statement store.", "", &obs.StmtEvictions)
+	r.ReadFunc("perm_plan_fingerprints", "Tracked fingerprints with a fresh compilation on record.", obs.TypeGauge, "",
+		func() float64 { return float64(db.eng.stmts.Count(obs.ByCompiles)) })
+	r.ReadFunc("perm_estimate_fingerprints", "Tracked fingerprints with an EXPLAIN ANALYZE execution on record.", obs.TypeGauge, "",
+		func() float64 { return float64(db.eng.stmts.Count(obs.ByQErr)) })
 	r.ReadFunc("perm_events_recorded_total", "Events appended to the engine event log.", obs.TypeCounter, "",
 		func() float64 { return float64(obs.Events.LastSeq()) })
 	r.RawCollector(db.eng.stmts.WritePrometheus)
