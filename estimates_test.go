@@ -15,21 +15,21 @@ import (
 var estimateRe = regexp.MustCompile(`est=([0-9]+)`)
 
 // vectorizedOp reports whether an EXPLAIN operator label names a
-// vectorized operator (including the batch→row adapter and the parallel
-// coordinators, whose worker subtrees are rendered beneath them).
+// vectorized operator (including the batch→row adapter and the exchange,
+// whose worker subtrees are rendered beneath it).
 func vectorizedOp(op string) bool {
 	switch {
 	case strings.HasPrefix(op, "Vec"):
 		return true
-	case op == "BatchToRow" || op == "Exchange" || op == "ParallelAgg" || op == "ParallelSort":
+	case op == "BatchToRow" || op == "Exchange":
 		return true
 	}
 	return false
 }
 
 // assertVecEstimates runs a query under EXPLAIN ANALYZE and requires
-// every vectorized operator in the report — including worker replica
-// subtrees of parallel operators — to carry a nonzero cardinality
+// every vectorized operator in the report — including the worker replica
+// subtrees of exchanges — to carry a nonzero cardinality
 // estimate.
 func assertVecEstimates(t *testing.T, db *perm.Database, query string) {
 	t.Helper()

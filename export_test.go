@@ -14,8 +14,6 @@ import (
 // A handle's resolved settings and the cache key of an option set, for
 // the tests of package perm_test.
 
-func (db *Database) Workers() int { return db.workers() }
-
 func (db *Database) TraceEvery() int { return max(db.opts.TraceSample, 0) }
 
 func (db *Database) Timeout() time.Duration { return max(db.opts.StatementTimeout, 0) }

@@ -8,7 +8,6 @@ package catalog
 
 import (
 	"fmt"
-	"sort"
 
 	"perm/internal/types"
 )
@@ -63,16 +62,4 @@ func (c *Catalog) Virtual(name string) (*VirtualTable, bool) {
 	defer c.mu.RUnlock()
 	v, ok := c.virtual[name]
 	return v, ok
-}
-
-// VirtualNames returns the sorted names of all virtual tables.
-func (c *Catalog) VirtualNames() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	names := make([]string, 0, len(c.virtual))
-	for n := range c.virtual {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

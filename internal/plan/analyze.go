@@ -8,9 +8,9 @@
 // happens after parallelize, so plan shape validation (which renders
 // replica trees to strings) never sees a probe, and parallel worker
 // subtrees — which run on their own goroutines — are never wrapped: the
-// parallel operator itself is probed as a unit, and worker-local detail
+// exchange itself is probed as a unit, and worker-local detail
 // (per-worker morsel counts, worker spills) is read from the replica
-// trees after the operators' own barriers have published it.
+// trees after the exchange has waited for its workers.
 package plan
 
 import (
@@ -35,8 +35,8 @@ func Instrument(n exec.Node) exec.Node {
 }
 
 func instrumentV(n vexec.Node) vexec.Node {
-	// A parallel operator is probed as a unit: its worker subtrees run
-	// concurrently and must not share a coordinator-side collector.
+	// An exchange is probed as a unit: its worker subtrees run
+	// concurrently and must not share one collector.
 	if d := describeV(n); !d.workers {
 		d.each(nil, func(k *vexec.Node) { *k = instrumentV(*k) })
 	}
@@ -101,15 +101,13 @@ func (d *op) annot() string {
 }
 
 // estOf reads a node's planner cardinality estimate, looking through
-// probes, morsel taps and estimate-less batch→row adapters (the adapter
-// emits exactly what its input does). 0 means no estimate.
+// probes and estimate-less batch→row adapters (the adapter emits exactly
+// what its input does). 0 means no estimate.
 func estOf(n interface{}) float64 {
 	switch x := n.(type) {
 	case *exec.Probe:
 		return estOf(x.Input)
 	case *vexec.Probe:
-		return estOf(x.Input)
-	case *vexec.MorselTap:
 		return estOf(x.Input)
 	case *vexec.RowSource:
 		if x.EstRows > 0 {
@@ -150,24 +148,16 @@ func scanAnnot(s *vexec.ColScan) []string {
 	return parts
 }
 
-// workerAnnot renders a parallel operator's per-worker morsel counts and
-// aggregated worker spill counters (read after the operator's barrier).
-func workerAnnot(n int, worker func(i int) (vexec.Node, spill.Resources)) []string {
-	counts := make([]int, n)
-	var events, bytes int64
-	for i := range counts {
-		in, res := worker(i)
-		if d := spineDriver(in); d != nil {
+// workerAnnot renders an exchange's per-worker morsel counts (read after
+// its Close has waited for the workers).
+func workerAnnot(x *vexec.Exchange) []string {
+	counts := make([]int, len(x.Workers))
+	for i, w := range x.Workers {
+		if d := spineDriver(w.Input); d != nil {
 			counts[i] = d.MorselsTaken()
 		}
-		events += res.Res.SpillEvents()
-		bytes += res.Res.SpillBytes()
 	}
-	parts := []string{fmt.Sprintf("morsels/worker=%v", counts)}
-	if events > 0 {
-		parts = append(parts, fmt.Sprintf("spills=%d spilled=%dB", events, bytes))
-	}
-	return parts
+	return []string{fmt.Sprintf("morsels/worker=%v", counts)}
 }
 
 // fmtDur renders nanoseconds rounded to the microsecond (exact below

@@ -3,8 +3,8 @@
 // of a plan over it. EXPLAIN, EXPLAIN ANALYZE, probe instrumentation,
 // trace spans, the misestimation harvest, the plan hash and the replica
 // shape check of parallel planning are all short visitors of that walk,
-// so they cannot disagree on labels, order or how a parallel operator's
-// workers are entered, and a new operator is one new case in describe or
+// so they cannot disagree on labels, order or how an exchange's workers
+// are entered, and a new operator is one new case in describe or
 // describeV.
 package plan
 
@@ -21,7 +21,6 @@ import (
 // op describes one physical operator.
 type op struct {
 	name  string // EXPLAIN label stem; the name in trace spans and estimate records
-	label string // EXPLAIN label stem where it differs from name
 	args  string // EXPLAIN details, rendered in parentheses after the label
 	table string // relation a scan reads; hashed, never rendered
 	// extra renders the operator's own EXPLAIN ANALYZE annotations
@@ -31,7 +30,7 @@ type op struct {
 	// engine, in EXPLAIN order.
 	kids  [2]*exec.Node
 	vkids [2]*vexec.Node
-	// workers marks a parallel operator: vkids[0] leads into worker
+	// workers marks an exchange: vkids[0] leads into worker
 	// replica 0, which stands for all of them (replicas are validated to
 	// be shape-identical). Replicas run on their own goroutines and are
 	// rendered and hashed but never probed.
@@ -141,35 +140,10 @@ func describeV(n vexec.Node) op {
 		return op{name: "VecSetOp", args: fmt.Sprintf("%s, all=%v%s", setOpName(x.Kind), x.All, spillTag(x.Spill)),
 			extra: func() []string { return resAnnot(x.Spill) }, vkids: [2]*vexec.Node{&x.Left, &x.Right}}
 	case *vexec.Exchange:
-		return parallel(op{name: "Exchange", vkids: [2]*vexec.Node{&x.Workers[0].Input}}, "", len(x.Workers),
-			func(i int) (vexec.Node, spill.Resources) { return x.Workers[i].Input, spill.Resources{} })
-	case *vexec.ParallelAgg:
-		return parallel(describeV(x.Workers[0]), "ParallelAgg", len(x.Workers),
-			func(i int) (vexec.Node, spill.Resources) { return x.Workers[i].Input, x.Workers[i].Spill })
-	case *vexec.ParallelSort:
-		return parallel(describeV(x.Workers[0]), "ParallelSort", len(x.Workers),
-			func(i int) (vexec.Node, spill.Resources) { return x.Workers[i].Input, x.Workers[i].Spill })
+		return op{name: "Exchange", args: fmt.Sprintf("workers=%d", len(x.Workers)), workers: true,
+			extra: func() []string { return workerAnnot(x) }, vkids: [2]*vexec.Node{&x.Workers[0].Input}}
 	}
 	return op{name: fmt.Sprintf("%T", n)}
-}
-
-// parallel turns the description of worker replica 0 into that of the
-// parallel operator over n such workers: EXPLAIN shows the serial
-// operator it replaces with a worker count, spans and estimates carry the
-// parallel operator's own name (where it has one of its own), and
-// ANALYZE lists per-worker morsels. worker returns replica i's input
-// pipeline and spill resources.
-func parallel(d op, name string, n int, worker func(i int) (vexec.Node, spill.Resources)) op {
-	if name != "" {
-		d.label, d.name = d.name, name
-	}
-	d.workers = true
-	if d.args != "" {
-		d.args += ", "
-	}
-	d.args += fmt.Sprintf("workers=%d", n)
-	d.extra = func() []string { return workerAnnot(n, worker) }
-	return d
 }
 
 // each calls row or batch on every child slot, in EXPLAIN order.
@@ -187,7 +161,7 @@ func (d *op) each(row func(*exec.Node), batch func(*vexec.Node)) {
 }
 
 // walk visits every operator of a plan in EXPLAIN order (pre-order,
-// children in slot order), looking through probes and morsel taps.
+// children in slot order), looking through probes.
 func walk(n exec.Node, depth int, visit func(op)) {
 	var st *obs.OpStats
 	if p, ok := n.(*exec.Probe); ok {
@@ -204,9 +178,6 @@ func walk(n exec.Node, depth int, visit func(op)) {
 
 // walkV is walk below a batch→row adapter.
 func walkV(n vexec.Node, depth int, visit func(op)) {
-	if t, ok := n.(*vexec.MorselTap); ok {
-		n = t.Input // transparent plumbing of a worker pipeline
-	}
 	var st *obs.OpStats
 	if p, ok := n.(*vexec.Probe); ok {
 		st, n = p.Stats, p.Input
@@ -223,11 +194,7 @@ func (d *op) appendLine(out []byte, annot string) []byte {
 	for i := 0; i < d.depth; i++ {
 		out = append(out, ' ', ' ')
 	}
-	if d.label != "" {
-		out = append(out, d.label...)
-	} else {
-		out = append(out, d.name...)
-	}
+	out = append(out, d.name...)
 	if d.args != "" {
 		out = append(append(append(out, " ("...), d.args...), ')')
 	}

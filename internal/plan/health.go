@@ -13,7 +13,7 @@ import (
 // planner estimate. The triples feed the per-fingerprint misestimation
 // store behind perm_stat_estimates. Operators without an estimate or
 // without a probe (parallel worker replicas) are skipped — their
-// enclosing parallel operator is probed as a unit and reports for them.
+// enclosing exchange is probed as a unit and reports for them.
 func OperatorEstimates(n exec.Node) []obs.OpEst {
 	var out []obs.OpEst
 	walk(n, 0, func(d op) {

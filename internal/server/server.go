@@ -519,7 +519,7 @@ type slowEntry struct {
 	CacheHit     bool    `json:"cache_hit"`
 	SpilledBytes int64   `json:"spilled_bytes"`
 	SpillEvents  uint64  `json:"spill_events"`
-	Parallelism  int     `json:"parallelism"`
+	Parallelism  int     `json:"parallelism"`     // the worker count the session plans with
 	Spans        string  `json:"spans,omitempty"` // phase breakdown, when the query was trace-sampled
 	Err          string  `json:"err,omitempty"`
 }
@@ -541,7 +541,7 @@ func (s *Server) logSlow(sl *slowLog, sess *session.Session, req *wire.Request, 
 		CacheHit:     pre.cacheHit,
 		SpilledBytes: post.BytesSpilled - pre.stats.BytesSpilled,
 		SpillEvents:  post.SpillEvents - pre.stats.SpillEvents,
-		Parallelism:  db.Opts().Parallelism,
+		Parallelism:  db.Workers(),
 		Err:          resp.Err,
 	}
 	if info := db.LastQueryInfo(); info.ID != pre.lastID {

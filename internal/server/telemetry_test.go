@@ -149,4 +149,26 @@ func TestServerMetricsAndSlowLog(t *testing.T) {
 			t.Fatalf("exposition lacks %q:\n%s", want, text)
 		}
 	}
+
+	// parallelism is the worker count the session plans with, not the
+	// raw option.
+	for _, set := range []struct {
+		value string
+		want  int
+	}{{"4", 4}, {"off", 1}} {
+		if err := c.Set("parallelism", set.value); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Query(q); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+		var e slowEntry
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &e); err != nil {
+			t.Fatal(err)
+		}
+		if e.Parallelism != set.want {
+			t.Errorf("after SET parallelism = %s the slow log says parallelism %d, want %d", set.value, e.Parallelism, set.want)
+		}
+	}
 }

@@ -1,9 +1,8 @@
 // Package session implements per-client session state for the Perm query
-// service: session-local options, named prepared statements, and portals
-// (open cursors). A session wraps a shared *perm.Database handle — all
-// sessions see the same catalog, data and compiled-query cache — while
-// keeping everything client-visible (options, prepared names, cursors)
-// private to the client.
+// service: session-local options and named prepared statements. A
+// session wraps a shared *perm.Database handle — all sessions see the
+// same catalog, data and compiled-query cache — while keeping everything
+// client-visible (options, prepared names) private to the client.
 //
 // Besides the programmatic API, Run gives the service front-ends (permd,
 // permcli) a PostgreSQL-flavoured statement dialect on top of plain SQL:
@@ -34,7 +33,6 @@ type Session struct {
 	db       *perm.Database
 	closed   bool
 	prepared map[string]*perm.Prepared
-	portals  map[string]*perm.Cursor
 	// base is the options the server configured the session with;
 	// SET <option> = 0 restores the option from it.
 	base perm.Options
@@ -49,7 +47,6 @@ func New(db *perm.Database) *Session {
 	return &Session{
 		db:       db.WithOptions(db.Opts()),
 		prepared: make(map[string]*perm.Prepared),
-		portals:  make(map[string]*perm.Cursor),
 		base:     db.Opts(),
 	}
 }
@@ -138,81 +135,11 @@ func (s *Session) Prepared() []string {
 	return names
 }
 
-// OpenPortal opens a named cursor over a prepared statement. The portal
-// reads the data snapshot taken now; concurrent DML does not move it.
-func (s *Session) OpenPortal(portal, stmt string) error {
-	if portal == "" {
-		return fmt.Errorf("portal needs a name")
-	}
-	s.mu.Lock()
-	p, ok := s.prepared[stmt]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("prepared statement %q does not exist", stmt)
-	}
-	if _, ok := s.portals[portal]; ok {
-		s.mu.Unlock()
-		return fmt.Errorf("portal %q is already open", portal)
-	}
-	s.mu.Unlock()
-	cur, err := p.Start()
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.portals[portal]; ok {
-		cur.Close() //nolint:errcheck
-		return fmt.Errorf("portal %q is already open", portal)
-	}
-	s.portals[portal] = cur
-	return nil
-}
-
-// FetchPortal pulls up to max rows (max <= 0: all remaining) from an
-// open portal. Exhaustion returns an empty batch.
-func (s *Session) FetchPortal(portal string, max int) ([][]perm.Value, error) {
-	s.mu.Lock()
-	cur, ok := s.portals[portal]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("portal %q is not open", portal)
-	}
-	return cur.Fetch(max)
-}
-
-// PortalColumns returns the output column names of an open portal.
-func (s *Session) PortalColumns(portal string) ([]string, error) {
-	s.mu.Lock()
-	cur, ok := s.portals[portal]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("portal %q is not open", portal)
-	}
-	return cur.Columns(), nil
-}
-
-// ClosePortal closes and forgets a portal.
-func (s *Session) ClosePortal(portal string) error {
-	s.mu.Lock()
-	cur, ok := s.portals[portal]
-	delete(s.portals, portal)
-	s.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("portal %q is not open", portal)
-	}
-	return cur.Close()
-}
-
-// Close releases every portal and prepared statement. Closing an
-// already-closed session is a no-op.
+// Close releases every prepared statement. Closing an already-closed
+// session is a no-op.
 func (s *Session) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, cur := range s.portals {
-		cur.Close() //nolint:errcheck
-	}
-	s.portals = make(map[string]*perm.Cursor)
 	if !s.closed {
 		s.closed = true
 		obs.SessionsActive.Dec()

@@ -82,45 +82,6 @@ func TestPrepareRejectsNonSelect(t *testing.T) {
 	}
 }
 
-func TestPortals(t *testing.T) {
-	s := New(testDB(t))
-	if err := s.Prepare("all", `SELECT name FROM shop ORDER BY name`); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.OpenPortal("c1", "all"); err != nil {
-		t.Fatal(err)
-	}
-	cols, err := s.PortalColumns("c1")
-	if err != nil || len(cols) != 1 || cols[0] != "name" {
-		t.Fatalf("PortalColumns = %v, %v", cols, err)
-	}
-	batch, err := s.FetchPortal("c1", 2)
-	if err != nil || len(batch) != 2 {
-		t.Fatalf("first fetch = %d rows, %v", len(batch), err)
-	}
-	if batch[0][0].String() != "Edeka" || batch[1][0].String() != "Merdies" {
-		t.Fatalf("unexpected batch: %v %v", batch[0][0], batch[1][0])
-	}
-	// The portal's snapshot was taken at open: DML must not affect it.
-	if _, err := s.Exec(`INSERT INTO shop VALUES ('Aldi', 9)`); err != nil {
-		t.Fatal(err)
-	}
-	batch, err = s.FetchPortal("c1", 10)
-	if err != nil || len(batch) != 1 || batch[0][0].String() != "Spar" {
-		t.Fatalf("second fetch = %v, %v", batch, err)
-	}
-	batch, err = s.FetchPortal("c1", 10)
-	if err != nil || len(batch) != 0 {
-		t.Fatalf("exhausted portal returned %d rows, %v", len(batch), err)
-	}
-	if err := s.ClosePortal("c1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.FetchPortal("c1", 1); err == nil {
-		t.Fatal("fetch from closed portal must fail")
-	}
-}
-
 func TestSetOption(t *testing.T) {
 	s := New(testDB(t))
 	if err := s.Prepare("q", `SELECT PROVENANCE name FROM shop`); err != nil {

@@ -30,15 +30,6 @@ func (r Row) Hash() uint64 {
 	return h.Sum64()
 }
 
-// HashKey hashes the projection of the row on the given columns.
-func (r Row) HashKey(cols []int) uint64 {
-	h := fnv.New64a()
-	for _, c := range cols {
-		r[c].HashInto(h)
-	}
-	return h.Sum64()
-}
-
 // EqualNullSafe reports whether two rows are equal treating NULLs as equal
 // (IS NOT DISTINCT FROM semantics); this is the row equality used for
 // grouping, DISTINCT and set operations.

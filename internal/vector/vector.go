@@ -266,11 +266,6 @@ func (v *Vec) Free() {
 	vecPools[cls].Put(v)
 }
 
-// Unpool detaches the vector from the buffer pool (subsequent Free calls
-// are no-ops). Operators call it when a pooled vector escapes into a
-// structure that outlives its batch.
-func (v *Vec) Unpool() { v.pooled = false }
-
 // Len returns the number of rows in the vector.
 func (v *Vec) Len() int {
 	switch v.Kind {

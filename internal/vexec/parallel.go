@@ -5,41 +5,26 @@
 // contiguous batch ranges of the shared columnar snapshot — from one
 // atomic dispatcher, while every other scan in the replica (join build
 // sides, subquery inputs) reads its snapshot in full. Worker outputs
-// carry a sequence tag derived from (morsel, position) and merge back in
-// exactly the order the serial plan would have produced:
-//
-//   - Exchange streams copied worker batches through channels and emits
-//     them in tag order (the serial stream, byte for byte).
-//   - ParallelAgg runs one partial HashAgg per worker, flushes every
-//     worker's groups through the Grace partition machinery, merges the
-//     partials partition-wise with the accumulators' associative
-//     mergeState, and replays the seq-ordered output merge.
-//   - ParallelSort runs one VecSort per worker over seq-tagged input
-//     (the hidden ordinal is the final sort key) and k-way merges the
-//     sorted worker streams, dropping the ordinal on emission.
+// carry a sequence tag derived from (morsel, position), and Exchange, the
+// one parallel operator, streams copied worker batches through channels
+// and emits them in tag order: the serial stream, byte for byte. An
+// aggregate or sort above the site runs serially over that stream.
 //
 // Memory: every replica is planned with its own spill reservations
 // against the session budget, so parallelism composes with spill instead
 // of multiplying the footprint. Pooling: batches cross goroutines only
 // through Exchange, which copies live lanes into pooled vectors it frees
-// once its consumer has moved on;
-// everything else inside a worker keeps the usual single-goroutine
-// consumer-abandons-before-Next discipline, and the barrier (WaitGroup)
-// in ParallelAgg/ParallelSort orders worker state before the
-// coordinator's merge reads it.
+// once its consumer has moved on; everything else inside a worker keeps
+// the usual single-goroutine consumer-abandons-before-Next discipline.
 package vexec
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
-	"perm/internal/exec"
 	"perm/internal/fault"
 	"perm/internal/obs"
-	"perm/internal/spill"
-	"perm/internal/types"
 	"perm/internal/vector"
 )
 
@@ -79,8 +64,8 @@ func (m *Morsels) Total() int64 {
 // NewMorsels returns a dispatcher over a snapshot of rows rows.
 func NewMorsels(rows int) *Morsels { return &Morsels{Rows: rows} }
 
-// Reset rewinds the dispatcher (called by the coordinating operator's
-// Open, before worker goroutines start).
+// Reset rewinds the dispatcher (called by the exchange's Open, before
+// worker goroutines start).
 func (m *Morsels) Reset() { m.next.Store(0) }
 
 // grab claims the next morsel, clamped to limit (the claiming scan's own
@@ -360,366 +345,5 @@ func (e *Exchange) Close() error {
 	}
 	e.wg.Wait()
 	e.heads, e.chans, e.done = nil, nil, nil
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// ParallelAgg
-
-// ParallelAgg coordinates N partial hash aggregations. Workers drain
-// concurrently, each under its own reservation, spilling independently
-// if its share of the group table outgrows the budget. When every worker
-// stayed in memory the coordinator absorbs their live tables into
-// worker 0 (the accumulators' associative mergeState; a group's sequence
-// number is the minimum first-appearance ordinal over all workers) and
-// emits in sequence order — no disk I/O, so unbudgeted sessions never
-// spill just because they ran parallel. If any worker spilled, all
-// tables are flushed as partial records and partition runs of the same
-// index merge across workers, streaming through the same seq merge the
-// serial spill path uses. Only exactly-mergeable aggregates are planned
-// this way (the planner keeps float SUM/AVG accumulation serial), so
-// either path is bit-identical to a single-threaded pass.
-type ParallelAgg struct {
-	obs.Card
-	Workers []*HashAgg
-	Disp    *Morsels
-
-	merger  *seqMerger
-	outRuns []*spill.Run
-	inMem   bool // merged in memory: emit from Workers[0]'s table
-}
-
-// NewParallelAgg wires the worker aggregations: each gets a morsel tap
-// on its input (the source of global-order sequence numbers), partial
-// mode, and its driver scan attached to the shared dispatcher.
-func NewParallelAgg(workers []*HashAgg, drivers []*ColScan, srcs []TagSource, disp *Morsels) *ParallelAgg {
-	for i, w := range workers {
-		tap := NewMorselTap(w.Input, srcs[i])
-		w.Input = tap
-		w.Tap = tap
-		w.partial = true
-		drivers[i].SetMorselSource(disp)
-	}
-	return &ParallelAgg{Workers: workers, Disp: disp}
-}
-
-func (pa *ParallelAgg) Open() error {
-	pa.Disp.Reset()
-	pa.merger = nil
-	pa.inMem = false
-	closeRuns(pa.outRuns)
-	pa.outRuns = nil
-	errs := openConcurrently(len(pa.Workers), func(i int) error { return pa.Workers[i].Open() })
-	if err := firstError(errs); err != nil {
-		closeAfterOpen(errs, func(i int) error { return pa.Workers[i].Close() })
-		return err
-	}
-	h0 := pa.Workers[0]
-	spilled := false
-	for _, w := range pa.Workers {
-		if w.hasPartRuns() {
-			spilled = true
-			break
-		}
-	}
-	if !spilled {
-		// Every worker's table fit in memory: absorb them into worker 0
-		// and finalize in global first-appearance order. This also covers
-		// the empty input (a grouped aggregate emits nothing, a global
-		// aggregate owes its default row — finishInMemOrdered delegates).
-		for _, w := range pa.Workers[1:] {
-			h0.absorb(w)
-		}
-		h0.finishInMemOrdered()
-		pa.inMem = true
-		return nil
-	}
-	// Mixed: at least one worker spilled, so the merge happens on disk.
-	// Flush the still-live tables to the same partial-record form.
-	for _, w := range pa.Workers {
-		if err := w.flushPartialRuns(); err != nil {
-			for _, ww := range pa.Workers {
-				ww.Close() //nolint:errcheck — unwinding a failed Open
-			}
-			return err
-		}
-	}
-	// Pair up partition runs across workers: same partition index = same
-	// key hash slice, so a group's partials from every worker meet in one
-	// merge table.
-	var sets [][]*spill.Run
-	for p := 0; p < spillPartitions; p++ {
-		var group []*spill.Run
-		for _, w := range pa.Workers {
-			if r := w.partRuns[p]; r != nil {
-				group = append(group, r)
-				w.partRuns[p] = nil
-			}
-		}
-		if len(group) > 0 {
-			sets = append(sets, group)
-		}
-	}
-	if len(sets) == 0 {
-		if len(h0.Groups) == 0 {
-			h0.finishInMem()
-			pa.inMem = true
-		}
-		return nil
-	}
-	resultKinds := make([]types.Kind, len(h0.Aggs))
-	for ai := range h0.Aggs {
-		resultKinds[ai] = h0.Aggs[ai].ResultKind
-	}
-	outs, err := processGroupPartitionSets(h0.Spill, sets, h0.groupKinds, h0, func(res spill.Resources,
-		acc *vector.Table, seqs []int64, order []int32) (*spill.Run, error) {
-		if acc.Len() == 0 {
-			return nil, nil
-		}
-		extraKinds := append(append([]types.Kind{}, resultKinds...), types.KindInt)
-		return writeGroupRun(res, acc, order, extraKinds, func(g int32, extra []*vector.Vec) {
-			for ai := range h0.accs {
-				appendValue(extra[ai], h0.accs[ai].finalize(int(g)))
-			}
-			appendI(extra[len(extra)-1], seqs[g])
-		})
-	})
-	if err == nil {
-		pa.outRuns = outs
-		width := len(h0.groupKinds) + len(h0.Aggs)
-		pa.merger, err = newSeqMerger(outs, width, -1, width)
-	}
-	if err != nil {
-		// A failed Open gets no Close from the parent; unwind the workers
-		// (reservations, leftover runs) here.
-		for _, w := range pa.Workers {
-			w.Close() //nolint:errcheck
-		}
-		closeRuns(pa.outRuns)
-		pa.outRuns = nil
-		return err
-	}
-	return nil
-}
-
-func (pa *ParallelAgg) Next() (*vector.Batch, error) {
-	if pa.inMem {
-		return pa.Workers[0].Next()
-	}
-	if pa.merger == nil {
-		return nil, nil
-	}
-	return pa.merger.next()
-}
-
-func (pa *ParallelAgg) Close() error {
-	var first error
-	for _, w := range pa.Workers {
-		if err := w.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	pa.merger.close()
-	pa.merger = nil
-	closeRuns(pa.outRuns)
-	pa.outRuns = nil
-	return first
-}
-
-// ---------------------------------------------------------------------------
-// ParallelSort
-
-// ParallelSort coordinates N worker sorts over seq-tagged input: each
-// worker is a full VecSort (external under budget pressure, exactly as
-// in the serial plan) whose hidden final key is the global input
-// ordinal. Workers sort concurrently in Open; Next is a serial k-way
-// merge of the sorted worker streams on (keys, ordinal) — the ordinal
-// resolves cross-worker ties precisely the way the serial stable sort
-// resolves them by input order — with the hidden column stripped on
-// emission.
-type ParallelSort struct {
-	obs.Card
-	Workers []*VecSort
-	Disp    *Morsels
-	Keys    []exec.SortKey
-
-	classes []cmpClass
-	kinds   []types.Kind
-	width   int
-	heads   []*vector.Batch
-	pos     []int
-	heap    []int
-	out     mergeOut
-}
-
-// NewParallelSort wires the worker sorts (morsel tap + hidden seq
-// column) and attaches their driver scans to the shared dispatcher.
-func NewParallelSort(workers []*VecSort, drivers []*ColScan, srcs []TagSource, disp *Morsels) *ParallelSort {
-	for i, w := range workers {
-		tap := NewMorselTap(w.Input, srcs[i])
-		w.Input = tap
-		w.Tap = tap
-		drivers[i].SetMorselSource(disp)
-	}
-	return &ParallelSort{Workers: workers, Disp: disp, Keys: workers[0].Keys}
-}
-
-func (s *ParallelSort) Open() error {
-	s.Disp.Reset()
-	s.classes, s.kinds, s.width = nil, nil, 0
-	s.heads = make([]*vector.Batch, len(s.Workers))
-	s.pos = make([]int, len(s.Workers))
-	s.heap = s.heap[:0]
-	errs := openConcurrently(len(s.Workers), func(i int) error { return s.Workers[i].Open() })
-	if err := firstError(errs); err != nil {
-		closeAfterOpen(errs, func(i int) error { return s.Workers[i].Close() })
-		return err
-	}
-	for i, w := range s.Workers {
-		b, err := w.Next()
-		if err != nil {
-			for _, w2 := range s.Workers {
-				w2.Close() //nolint:errcheck
-			}
-			return err
-		}
-		if b == nil {
-			continue
-		}
-		s.heads[i] = b
-		if s.classes == nil {
-			s.width = len(b.Cols) - 1 // trailing column is the hidden ordinal
-			s.kinds = colKinds(b.Cols[:s.width])
-			s.classes = sortKeyClasses(s.Keys, b.Cols)
-		}
-		s.heap = append(s.heap, i)
-	}
-	spill.Heapify(s.heap, s.less)
-	return nil
-}
-
-func (s *ParallelSort) less(a, b int) bool {
-	ba, bb := s.heads[a], s.heads[b]
-	ia, ib := s.pos[a], s.pos[b]
-	if c := compareSortRows(ba.Cols, ia, bb.Cols, ib, s.Keys, s.classes); c != 0 {
-		return c < 0
-	}
-	return ba.Cols[s.width].I[ia] < bb.Cols[s.width].I[ib]
-}
-
-// Next merges like runMerger.next: a worker that stays on top of the heap
-// after advancing contributes a run of consecutive output rows (a morsel's
-// worth within one key group), copied column by column in one go.
-func (s *ParallelSort) Next() (*vector.Batch, error) {
-	if len(s.heap) == 0 {
-		return nil, nil
-	}
-	s.out.begin(s.kinds)
-	for s.out.rows < vector.BatchSize && len(s.heap) > 0 {
-		wi := s.heap[0]
-		b := s.heads[wi]
-		lo := s.pos[wi]
-		for {
-			s.pos[wi]++
-			if s.pos[wi] >= b.N || s.out.rows+s.pos[wi]-lo >= vector.BatchSize {
-				break
-			}
-			spill.DownHeap(s.heap, 0, s.less)
-			if s.heap[0] != wi {
-				break
-			}
-		}
-		s.out.copyRun(b.Cols, lo, s.pos[wi])
-		if s.pos[wi] >= b.N {
-			// Still on top: the inner loop stops before it re-sifts.
-			nb, err := s.Workers[wi].Next()
-			if err != nil {
-				return nil, err
-			}
-			s.heads[wi], s.pos[wi] = nb, 0
-			if nb == nil {
-				s.heap[0] = s.heap[len(s.heap)-1]
-				s.heap = s.heap[:len(s.heap)-1]
-			}
-		}
-		spill.DownHeap(s.heap, 0, s.less)
-	}
-	return s.out.batch(), nil
-}
-
-func (s *ParallelSort) Close() error {
-	s.out.free()
-	var first error
-	for _, w := range s.Workers {
-		if err := w.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	s.heads, s.heap = nil, nil
-	return first
-}
-
-// ---------------------------------------------------------------------------
-// Shared helpers
-
-// errWorkerPanic marks an Open "error" that was really a recovered
-// worker panic: unlike an ordinary failed Open (which unwinds itself,
-// the engine-wide convention), a panicked Open may strand partial state
-// behind it, so closeAfterOpen gives such workers a guarded Close.
-var errWorkerPanic = errors.New("worker panicked")
-
-// openConcurrently runs n Opens on their own goroutines and returns the
-// per-worker errors after all complete. The WaitGroup barrier also
-// publishes every worker's drained state to the coordinator goroutine.
-// A panicking Open is recovered into an errWorkerPanic-wrapped error so
-// one crashing replica degrades into a query error, not a process
-// crash.
-func openConcurrently(n int, open func(i int) error) []error {
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					obs.PanicsRecovered.Inc()
-					obs.Events.Record(obs.EventPanicRecovered, "", "", fmt.Sprintf("parallel worker panicked in Open: %v", p))
-					errs[i] = fmt.Errorf("%w in Open: %v", errWorkerPanic, p)
-				}
-			}()
-			errs[i] = open(i)
-		}(i)
-	}
-	wg.Wait()
-	return errs
-}
-
-// closeAfterOpen unwinds the workers of a concurrent Open in which at
-// least one failed: workers that opened cleanly get a normal Close,
-// workers whose Open panicked get a guarded Close (releasing what their
-// half-built state still holds without risking a secondary panic), and
-// workers that returned an ordinary error get nothing — a failed Open
-// unwound itself.
-func closeAfterOpen(errs []error, close func(i int) error) {
-	for i, err := range errs {
-		switch {
-		case err == nil:
-			close(i) //nolint:errcheck — unwinding a failed Open
-		case errors.Is(err, errWorkerPanic):
-			func() {
-				defer func() { _ = recover() }()
-				close(i) //nolint:errcheck — unwinding a panicked Open
-			}()
-		}
-	}
-}
-
-func firstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
 	return nil
 }

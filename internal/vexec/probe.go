@@ -13,9 +13,8 @@ import (
 // inserted only when a query runs under EXPLAIN ANALYZE (plan.Instrument
 // wraps the tree after planning), so the plain query path never pays for
 // them; batches pass through by pointer, preserving the engine's
-// buffer-recycling discipline. Parallel operators (Exchange, ParallelAgg,
-// ParallelSort) are probed as a whole — their worker subtrees run on
-// other goroutines and stay unwrapped.
+// buffer-recycling discipline. An Exchange is probed as a whole — its
+// worker subtrees run on other goroutines and stay unwrapped.
 type Probe struct {
 	Input Node
 	Stats *obs.OpStats

@@ -81,20 +81,11 @@ type VecSort struct {
 	Keys  []exec.SortKey
 	Spill spill.Resources
 
-	// Parallel worker mode (set by NewParallelSort): every accumulated
-	// row gets a hidden trailing column holding its global input ordinal
-	// (from the morsel tap), which also becomes the final ascending sort
-	// key. The worker then emits width+1 columns; the coordinator merges
-	// worker streams on (keys, ordinal) and strips the ordinal.
-	Tap *MorselTap
-
 	acc      vector.Table
 	emit     emitter
 	accBytes int64
 	kinds    []types.Kind
 	classes  []cmpClass
-	sortKeys []exec.SortKey
-	tapCols  []*vector.Vec // batch columns plus the ordinal column (Tap mode)
 	runs     []*spill.Run
 	merger   *runMerger
 	byGroup  bool // the last Open's input came sorted: rows pass through
@@ -121,7 +112,7 @@ func (s *VecSort) joinBack() *AggAttach {
 		n, cols = unprobe(p.Input), p.Exprs
 	}
 	a, ok := n.(*AggAttach)
-	if !ok || s.Tap != nil {
+	if !ok {
 		return nil
 	}
 	order := make([]exec.SortKey, len(s.Keys))
@@ -160,7 +151,7 @@ func (s *VecSort) flushRun() error {
 	if s.acc.Len() == 0 {
 		return nil
 	}
-	order := sortedOrder(&s.acc, s.sortKeys, s.classes)
+	order := sortedOrder(&s.acc, s.Keys, s.classes)
 	run, err := writeOrdered(s.Spill, &s.acc, order)
 	if err != nil {
 		return err
@@ -176,7 +167,6 @@ func (s *VecSort) Open() (err error) {
 	s.acc = vector.Table{}
 	s.accBytes = 0
 	s.merger = nil
-	s.sortKeys = s.Keys
 	s.classes = nil
 	closeRuns(s.runs)
 	s.runs = nil
@@ -214,20 +204,10 @@ func (s *VecSort) Open() (err error) {
 		if s.classes == nil {
 			s.kinds = colKinds(b.Cols)
 			s.classes = sortKeyClasses(s.Keys, b.Cols)
-			if s.Tap != nil {
-				// Hidden ordinal column: last data column, last (ascending)
-				// sort key.
-				s.kinds = append(s.kinds, types.KindInt)
-				s.classes = append(s.classes, classify(types.KindInt, types.KindInt))
-				s.sortKeys = append(append([]exec.SortKey{}, s.Keys...), exec.SortKey{Pos: len(b.Cols)})
-			}
 		}
 		lanes := resolveSel(b, b.Sel)
 		if budgeted {
 			delta := batchBytes(b.Cols, lanes)
-			if s.Tap != nil {
-				delta += 8 * int64(len(lanes))
-			}
 			if !s.Spill.Res.Grow(delta) {
 				if err := s.flushRun(); err != nil {
 					s.Input.Close() //nolint:errcheck
@@ -237,28 +217,13 @@ func (s *VecSort) Open() (err error) {
 			}
 			s.accBytes += delta
 		}
-		cols := b.Cols
-		if s.Tap != nil {
-			// The ordinal rides along as one more batch column, so the
-			// table copies it with the rest.
-			ord := vector.NewBatchVec(types.KindInt, b.N)
-			base := s.Tap.Base()
-			for k, lane := range lanes {
-				ord.I[lane] = base + int64(k)
-			}
-			s.tapCols = append(append(s.tapCols[:0], b.Cols...), ord)
-			cols = s.tapCols
-		}
-		s.acc.Append(cols, lanes)
-		if s.Tap != nil {
-			cols[len(cols)-1].Free()
-		}
+		s.acc.Append(b.Cols, lanes)
 	}
 	if err := s.Input.Close(); err != nil {
 		return err
 	}
 	if len(s.runs) == 0 {
-		s.emit.reset(&s.acc, sortedOrder(&s.acc, s.sortKeys, s.classes))
+		s.emit.reset(&s.acc, sortedOrder(&s.acc, s.Keys, s.classes))
 		return nil
 	}
 	// External path: spill the tail segment too, reduce to the merge
@@ -266,11 +231,11 @@ func (s *VecSort) Open() (err error) {
 	if err := s.flushRun(); err != nil {
 		return err
 	}
-	s.runs, err = reduceRuns(s.Spill, s.runs, s.sortKeys, s.classes, s.kinds)
+	s.runs, err = reduceRuns(s.Spill, s.runs, s.Keys, s.classes, s.kinds)
 	if err != nil {
 		return err
 	}
-	s.merger, err = newRunMerger(s.runs, s.sortKeys, s.classes, s.kinds)
+	s.merger, err = newRunMerger(s.runs, s.Keys, s.classes, s.kinds)
 	return err
 }
 

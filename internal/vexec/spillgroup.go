@@ -441,12 +441,9 @@ func flushGroupRecords(ps *partitionSet, set *rowSet, seqs []int64, st groupStat
 	return nil
 }
 
-// groupWorkItem is one partition awaiting processing. Serial operators
-// have one run per partition; a parallel aggregation contributes one run
-// per worker to the same partition (identical key hash slice), and all
-// of them must merge through one table.
+// groupWorkItem is one partition run awaiting processing.
 type groupWorkItem struct {
-	runs  []*spill.Run
+	run   *spill.Run
 	depth int
 	seed  uint64
 }
@@ -468,27 +465,15 @@ func seqOrder(seqs []int64, n int) []int32 {
 // budget), and finalize writes its groups in first-appearance order as
 // one output run. The returned runs feed a seqMerger.
 func processGroupPartitions(res spill.Resources, runs []*spill.Run, dataKinds []types.Kind,
-	st groupStater, finalize groupFinalizer) ([]*spill.Run, error) {
-	sets := make([][]*spill.Run, len(runs))
-	for i, r := range runs {
-		sets[i] = []*spill.Run{r}
-	}
-	return processGroupPartitionSets(res, sets, dataKinds, st, finalize)
-}
-
-// processGroupPartitionSets is processGroupPartitions for partitions
-// made of several runs (one per parallel worker): all runs of a set
-// merge through one table.
-func processGroupPartitionSets(res spill.Resources, sets [][]*spill.Run, dataKinds []types.Kind,
 	st groupStater, finalize groupFinalizer) (outputs []*spill.Run, err error) {
-	stack := make([]groupWorkItem, 0, len(sets))
-	for _, rs := range sets {
-		stack = append(stack, groupWorkItem{runs: rs, depth: 1, seed: 1})
+	stack := make([]groupWorkItem, 0, len(runs))
+	for _, r := range runs {
+		stack = append(stack, groupWorkItem{run: r, depth: 1, seed: 1})
 	}
 	defer func() {
 		if err != nil {
 			for _, it := range stack {
-				closeRuns(it.runs)
+				it.run.Close() //nolint:errcheck — unwinding a failed merge
 			}
 			closeRuns(outputs)
 		}
@@ -502,7 +487,7 @@ func processGroupPartitionSets(res spill.Resources, sets [][]*spill.Run, dataKin
 			return outputs, err
 		}
 		for _, r := range children {
-			stack = append(stack, groupWorkItem{runs: []*spill.Run{r}, depth: item.depth + 1, seed: item.seed + 1})
+			stack = append(stack, groupWorkItem{run: r, depth: item.depth + 1, seed: item.seed + 1})
 		}
 		if out != nil {
 			outputs = append(outputs, out)
@@ -517,7 +502,7 @@ func processGroupPartitionSets(res spill.Resources, sets [][]*spill.Run, dataKin
 // closed.
 func processOneGroupPartition(res spill.Resources, item groupWorkItem, dataKinds []types.Kind,
 	st groupStater, finalize groupFinalizer) (children []*spill.Run, out *spill.Run, err error) {
-	defer closeRuns(item.runs) // temp storage, already unlinked
+	defer item.run.Close() //nolint:errcheck — temp storage, already unlinked
 	dataWidth := len(dataKinds)
 	var acc rowSet
 	var hasher keyHasher
@@ -526,62 +511,54 @@ func processOneGroupPartition(res spill.Resources, item groupWorkItem, dataKinds
 	st.reset()
 	var itemBytes int64
 	defer func() { res.Res.Release(itemBytes) }()
-	for ri, run := range item.runs {
-		for {
-			cols, n, rerr := run.ReadCols()
-			if rerr != nil {
-				return nil, nil, rerr
+	for {
+		cols, n, rerr := item.run.ReadCols()
+		if rerr != nil {
+			return nil, nil, rerr
+		}
+		if n == 0 {
+			break
+		}
+		delta := batchBytes(cols, identitySel[:n])
+		granted := res.Res.Grow(delta)
+		if !granted && item.depth < maxRepartitionDepth {
+			// Skewed partition: push everything seen so far (the live
+			// partial groups) plus the rest of the run one level down
+			// under a reseeded hash.
+			ps := newPartitionSet(res, recordKinds(dataKinds, st), item.seed+1)
+			if err := flushGroupRecords(ps, &acc, seqs, st); err != nil {
+				ps.abandon()
+				return nil, nil, err
 			}
-			if n == 0 {
-				break
+			if err := repartitionRecords(ps, &hasher, item.run, cols, n, dataWidth); err != nil {
+				ps.abandon()
+				return nil, nil, err
 			}
-			delta := batchBytes(cols, identitySel[:n])
-			granted := res.Res.Grow(delta)
-			if !granted && item.depth < maxRepartitionDepth {
-				// Skewed partition: push everything seen so far (the live
-				// partial groups) plus the rest of this run and every
-				// still-unread run one level down under a reseeded hash.
-				ps := newPartitionSet(res, recordKinds(dataKinds, st), item.seed+1)
-				if err := flushGroupRecords(ps, &acc, seqs, st); err != nil {
-					ps.abandon()
-					return nil, nil, err
-				}
-				if err := repartitionRecords(ps, &hasher, run, cols, n, dataWidth); err != nil {
-					ps.abandon()
-					return nil, nil, err
-				}
-				for _, rest := range item.runs[ri+1:] {
-					if err := repartitionRecords(ps, &hasher, rest, nil, 0, dataWidth); err != nil {
-						ps.abandon()
-						return nil, nil, err
-					}
-				}
-				children, err := ps.finish()
-				if err != nil {
-					ps.abandon()
-					return nil, nil, err
-				}
-				return children, nil, nil
+			children, err := ps.finish()
+			if err != nil {
+				ps.abandon()
+				return nil, nil, err
 			}
-			if !granted {
-				res.Res.Force(delta) // depth exhausted: complete over budget
+			return children, nil, nil
+		}
+		if !granted {
+			res.Res.Force(delta) // depth exhausted: complete over budget
+		}
+		itemBytes += delta
+		dataCols := cols[:dataWidth]
+		stateCols := cols[dataWidth : len(cols)-1]
+		seqCol := cols[len(cols)-1]
+		hs := hasher.rowRange(dataCols, 0, n)
+		for i := 0; i < n; i++ {
+			g := acc.find(dataCols, i, hs[i])
+			if g < 0 {
+				g = acc.insert(dataCols, i, hs[i])
+				st.newGroup()
+				seqs = append(seqs, seqCol.I[i])
+			} else if s := seqCol.I[i]; s < seqs[g] {
+				seqs[g] = s
 			}
-			itemBytes += delta
-			dataCols := cols[:dataWidth]
-			stateCols := cols[dataWidth : len(cols)-1]
-			seqCol := cols[len(cols)-1]
-			hs := hasher.rowRange(dataCols, 0, n)
-			for i := 0; i < n; i++ {
-				g := acc.find(dataCols, i, hs[i])
-				if g < 0 {
-					g = acc.insert(dataCols, i, hs[i])
-					st.newGroup()
-					seqs = append(seqs, seqCol.I[i])
-				} else if s := seqCol.I[i]; s < seqs[g] {
-					seqs[g] = s
-				}
-				st.mergeState(int(g), stateCols, i)
-			}
+			st.mergeState(int(g), stateCols, i)
 		}
 	}
 	out, err = finalize(res, &acc.rows, seqs, seqOrder(seqs, acc.rows.Len()))

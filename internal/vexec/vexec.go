@@ -84,8 +84,8 @@ type ColScan struct {
 	morselSeq int64
 	morselEnd int
 	// morselsTaken counts the morsels this scan claimed (worker-local;
-	// coordinators read it after the worker barrier for EXPLAIN ANALYZE's
-	// per-worker morsel counts).
+	// EXPLAIN ANALYZE reads it for its per-worker morsel counts once the
+	// exchange's workers have finished).
 	morselsTaken int
 
 	rfs     []rfBinding
@@ -126,16 +126,12 @@ func (s *ColScan) SetMorselSource(d *Morsels) { s.disp = d }
 // the scan polls at every batch boundary (nil: never cancelled).
 func (s *ColScan) SetActivity(aq *obs.ActiveQuery) { s.aq = aq }
 
-// CurrentMorsel returns the sequence number of the morsel the scan's
-// last batch came from.
-func (s *ColScan) CurrentMorsel() int64 { return s.morselSeq }
-
 // CurrentBand implements TagSource: the scan's bands are its morsels.
 func (s *ColScan) CurrentBand() int64 { return s.morselSeq }
 
 // MorselsTaken returns how many morsels the scan claimed from its
 // dispatcher (0 for a serial scan). Only read it after the scan's worker
-// has finished (the parallel operators' barriers publish it).
+// has finished (the exchange's Close waits for every worker).
 func (s *ColScan) MorselsTaken() int { return s.morselsTaken }
 
 // RuntimeFilterStats sums the tested/admitted lane counts over the
@@ -776,14 +772,6 @@ type HashAgg struct {
 	Aggs   []AggSpec
 	Spill  spill.Resources
 
-	// Parallel partial mode (set by NewParallelAgg): sequence numbers come
-	// from the morsel tap (global input ordinals) instead of a local
-	// counter, and Open stops after flushing all groups as partial records
-	// into partition runs — the coordinator merges them across workers.
-	Tap      *MorselTap
-	partial  bool
-	partRuns [spillPartitions]*spill.Run
-
 	groups    rowSet // group key values, one row per group
 	numGroups int
 	accs      []aggAcc
@@ -887,8 +875,6 @@ func (h *HashAgg) Open() (err error) {
 			h.ps.abandon()
 			closeRuns(h.outRuns)
 			h.outRuns = nil
-			closeRuns(h.partRuns[:])
-			h.partRuns = [spillPartitions]*spill.Run{}
 			h.Spill.Res.ReleaseAll()
 		}
 	}()
@@ -900,8 +886,6 @@ func (h *HashAgg) Open() (err error) {
 	h.ps, h.merger = nil, nil
 	closeRuns(h.outRuns)
 	h.outRuns = nil
-	closeRuns(h.partRuns[:])
-	h.partRuns = [spillPartitions]*spill.Run{}
 	h.accs = make([]aggAcc, len(h.Aggs))
 	for ai := range h.Aggs {
 		h.accs[ai].spec = h.Aggs[ai]
@@ -947,19 +931,12 @@ func (h *HashAgg) Open() (err error) {
 			h.gidBuf = make([]int32, max(len(lanes), vector.BatchSize))
 		}
 		gids := h.gidBuf[:len(lanes)]
-		// Sequence numbers: the local counter in serial mode, the morsel
-		// tap's global input ordinals in parallel partial mode (so group
-		// order merges correctly across workers).
-		base := h.seqCtr
-		if h.Tap != nil {
-			base = h.Tap.Base()
-		}
 		folded := 0 // pairs before this position are already accumulated
 		for idx, i := range lanes {
 			hv := hs[idx]
 			g := int(h.groups.find(keys, i, hv))
 			if g < 0 {
-				seq := base + int64(idx)
+				seq := h.seqCtr + int64(idx)
 				g = h.insertGroup(keys, i, hv, seq)
 				if budgeted {
 					h.pending += laneBytes(keys, i) + stateBytes
@@ -985,9 +962,7 @@ func (h *HashAgg) Open() (err error) {
 			gids[idx] = int32(g)
 		}
 		h.accumulate(args, lanes[folded:], gids[folded:])
-		if h.Tap == nil {
-			h.seqCtr = base + int64(len(lanes))
-		}
+		h.seqCtr += int64(len(lanes))
 		for g, kv := range keys {
 			h.Groups[g].FreeResult(kv)
 		}
@@ -996,9 +971,6 @@ func (h *HashAgg) Open() (err error) {
 				h.Aggs[ai].Arg.FreeResult(av)
 			}
 		}
-	}
-	if h.partial {
-		return h.finishPartial()
 	}
 	if h.ps != nil {
 		// Spilled: flush the tail epoch, merge partitions, stream the
@@ -1052,7 +1024,9 @@ func (h *HashAgg) accumulate(args []*vector.Vec, lanes []int, gids []int32) {
 }
 
 // finishInMem finalizes the in-memory result (and the default row of a
-// global aggregate over empty input), emitting groups in insertion order.
+// global aggregate over empty input) into one result vector per
+// aggregate and points the emitter at the group columns, both in
+// insertion order; Next pairs gathered group columns with result windows.
 func (h *HashAgg) finishInMem() {
 	if h.numGroups == 0 && len(h.Groups) == 0 {
 		h.numGroups = 1
@@ -1064,120 +1038,16 @@ func (h *HashAgg) finishInMem() {
 	for g := range order {
 		order[g] = int32(g)
 	}
-	h.finishOrdered(order)
-}
-
-// finishOrdered finalizes every aggregate into a result vector laid out
-// in the given group order and points the emitter at the group columns in
-// the same order; Next pairs gathered group columns with result windows.
-func (h *HashAgg) finishOrdered(order []int32) {
 	h.resVecs = make([]*vector.Vec, len(h.Aggs))
 	for ai := range h.accs {
-		out := vector.NewVec(h.Aggs[ai].ResultKind, len(order))
-		for i, g := range order {
-			out.Set(i, h.accs[ai].finalize(int(g)))
+		out := vector.NewVec(h.Aggs[ai].ResultKind, h.numGroups)
+		for g := range order {
+			out.Set(g, h.accs[ai].finalize(g))
 		}
 		h.resVecs[ai] = out
 	}
 	h.emit.reset(&h.groups.rows, order)
 	h.outPos = 0
-}
-
-// finishPartial ends a parallel worker's drain. A worker that stayed in
-// memory keeps its live group table for the coordinator's in-memory
-// absorb; one that spilled under budget pressure flushes everything into
-// partition runs for the disk merge.
-func (h *HashAgg) finishPartial() error {
-	if h.ps == nil {
-		return nil
-	}
-	return h.flushPartialRuns()
-}
-
-// flushPartialRuns force-flushes a worker's groups (live table and any
-// earlier flush epochs) into finished partition runs. The coordinator
-// calls it on in-memory workers when a sibling spilled, so the
-// cross-worker merge sees a uniform representation.
-func (h *HashAgg) flushPartialRuns() error {
-	if h.numGroups == 0 && h.ps == nil {
-		return nil
-	}
-	if h.pending > 0 {
-		h.Spill.Res.Force(h.pending)
-		h.accBytes += h.pending
-		h.pending = 0
-	}
-	if err := h.spillGroups(); err != nil {
-		return err
-	}
-	runs, err := h.ps.finishAll()
-	if err != nil {
-		return err
-	}
-	h.partRuns = runs
-	h.ps = nil
-	return nil
-}
-
-// hasPartRuns reports whether the worker flushed partial records to
-// disk.
-func (h *HashAgg) hasPartRuns() bool {
-	for _, r := range h.partRuns {
-		if r != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// absorb folds another worker's live group table into h (coordinator
-// side, single-threaded after the drain barrier). States combine with
-// the same associative merge the spill path uses, and a group's sequence
-// number becomes its minimum first-appearance ordinal across workers.
-// The merged copy's growth is recorded against h's reservation (Force:
-// the inputs already fit worker budgets, the union may not).
-func (h *HashAgg) absorb(w *HashAgg) {
-	if w.numGroups == 0 {
-		return
-	}
-	kinds := w.stateKinds()
-	state := make([]*vector.Vec, len(kinds))
-	for i, k := range kinds {
-		state[i] = vector.NewVecCap(k, w.numGroups)
-	}
-	for g := 0; g < w.numGroups; g++ {
-		w.appendState(g, state)
-	}
-	stateBytes := int64(len(h.Aggs))*96 + groupOverheadBytes
-	var grown int64
-	for g := 0; g < w.numGroups; g++ {
-		keys, lane := w.groups.rows.At(g)
-		hv := w.groups.hashes[g]
-		target := int(h.groups.find(keys, lane, hv))
-		if target < 0 {
-			target = h.insertGroup(keys, lane, hv, w.seqs[g])
-			grown += laneBytes(keys, lane) + stateBytes
-		} else if w.seqs[g] < h.seqs[target] {
-			h.seqs[target] = w.seqs[g]
-		}
-		h.mergeState(target, state, g)
-	}
-	if grown > 0 && h.Spill.Enabled() {
-		h.Spill.Res.Force(grown)
-		h.accBytes += grown
-	}
-}
-
-// finishInMemOrdered finalizes like finishInMem but emits groups in
-// ascending first-appearance order: after a cross-worker absorb the
-// table's insertion order is worker-0-first, not the serial input
-// order the sequence numbers record.
-func (h *HashAgg) finishInMemOrdered() {
-	if h.numGroups == 0 {
-		h.finishInMem() // empty grouped agg, or a global agg's default row
-		return
-	}
-	h.finishOrdered(seqOrder(h.seqs, h.numGroups))
 }
 
 func (h *HashAgg) Next() (*vector.Batch, error) {
@@ -1216,8 +1086,6 @@ func (h *HashAgg) Close() error {
 	h.ps.abandon()
 	closeRuns(h.outRuns)
 	h.outRuns = nil
-	closeRuns(h.partRuns[:])
-	h.partRuns = [spillPartitions]*spill.Run{}
 	h.Spill.Res.ReleaseAll()
 	return nil
 }

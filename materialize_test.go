@@ -38,10 +38,10 @@ func tiesTable(n int) func(*perm.Database) {
 	}
 }
 
-// TestMergesMatchSerialSort: the run-copying merges — ParallelSort over
-// 2 and 4 workers, the external sort's runMerger under a budget small
-// enough for several merge passes, and both at once — emit byte for byte
-// what the serial in-memory VecSort emits, ties and NULL keys included.
+// TestMergesMatchSerialSort: a sort over an exchange of 2 and 4 workers,
+// the external sort's run-copying runMerger under a budget small enough
+// for several merge passes, and both at once emit byte for byte what the
+// serial in-memory VecSort emits, ties and NULL keys included.
 func TestMergesMatchSerialSort(t *testing.T) {
 	const rows = 20000
 	queries := []string{
@@ -69,7 +69,7 @@ func TestMergesMatchSerialSort(t *testing.T) {
 				if workers > 1 {
 					plan, err := db.ExplainSQL(queries[0])
 					if err != nil || !strings.Contains(plan, fmt.Sprintf("workers=%d", workers)) {
-						t.Fatalf("no parallel sort in the plan (err %v):\n%s", err, plan)
+						t.Fatalf("no exchange below the sort (err %v):\n%s", err, plan)
 					}
 				}
 			})

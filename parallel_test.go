@@ -23,25 +23,24 @@ func parallelPair(t *testing.T, n int, limit int64, setup func(*perm.Database)) 
 }
 
 // TestParallelTransparencyBig requires byte-identical output — same
-// rows, same order — between serial and parallel plans across every
-// parallel operator shape: exchange over scan/filter/project spines,
-// partial aggregation (grouped, global, and the float SUM/AVG shapes
-// that keep serial accumulation), parallel sort runs, and exchanges
-// under distinct/set-op/join parents.
+// rows, same order — between serial and parallel plans for every parent
+// an exchange can have: scan/filter/project spines on their own, and
+// exchanges under aggregates (grouped and global, integer and float),
+// sorts, top-N, distinct, set operations and joins.
 func TestParallelTransparencyBig(t *testing.T) {
 	queries := []string{
 		// Exchange over a filtered scan: order must replay morsel order.
 		`SELECT a, b, s FROM big WHERE a % 3 = 0`,
 		`SELECT a + b, s FROM big WHERE b < 3`,
-		// Parallel sort: stable ties on b resolved by global input order.
+		// Sort over an exchange: stable ties on b resolved by input order.
 		`SELECT a, b, s FROM big ORDER BY b, s`,
 		`SELECT a FROM big ORDER BY a DESC LIMIT 10`,
-		// Partial aggregation, grouped and global; min/max over strings.
+		// Aggregation over an exchange, grouped and global; min/max over
+		// strings.
 		`SELECT a % 4096, count(*), sum(b), min(s), max(a) FROM big GROUP BY a % 4096`,
 		`SELECT count(*), sum(a), min(s), max(s) FROM big`,
-		// avg(b) is integer-argument AVG: exactly mergeable.
 		`SELECT b, avg(a), count(*) FROM big GROUP BY b`,
-		// Float SUM/AVG keeps serial accumulation (exchange below agg).
+		// Float SUM/AVG: accumulation order is the serial input order.
 		`SELECT sum(a * 0.5), avg(b * 1.5) FROM big`,
 		`SELECT b, sum(a * 0.25) FROM big GROUP BY b`,
 		// Distinct and set operations over exchanged inputs.
@@ -60,8 +59,8 @@ func TestParallelTransparencyBig(t *testing.T) {
 					assertIdenticalResult(t, serial, parallel, q)
 				})
 			}
-			// Parallelism alone must never cause disk traffic: partial
-			// tables that fit in memory merge in memory.
+			// Parallelism alone must never cause disk traffic: an exchange
+			// holds no more than a few batches per worker.
 			if st := parallel.QueryStats(); st.BytesSpilled != 0 || st.SpillEvents != 0 {
 				t.Fatalf("unlimited parallel database spilled: %+v", st)
 			}
@@ -207,26 +206,39 @@ func TestParallelSynthCorpora(t *testing.T) {
 	}
 }
 
-// TestParallelExplainAnnotation pins the EXPLAIN surface: parallel
-// operators report their worker count, and a serial handle over the same
-// data never does.
+// TestParallelExplainAnnotation pins the EXPLAIN surface: the exchange
+// is the one operator that reports a worker count, an aggregate or sort
+// above it carries none, and a serial handle over the same data never
+// shows one.
 func TestParallelExplainAnnotation(t *testing.T) {
 	serial, parallel := parallelPair(t, 4, -1, bigTable)
 	cases := []struct {
 		query string
-		want  string
+		above string // the operator directly over the exchange, if any
 	}{
-		{`SELECT a FROM big WHERE a % 3 = 0`, `Exchange (workers=4)`},
-		{`SELECT b, count(*) FROM big GROUP BY b`, `workers=4`},
-		{`SELECT a FROM big ORDER BY a`, `workers=4`},
+		{`SELECT a FROM big WHERE a % 3 = 0`, ""},
+		{`SELECT b, count(*) FROM big GROUP BY b`, "VecHashAggregate"},
+		{`SELECT a FROM big ORDER BY a`, "VecSort"},
 	}
 	for _, c := range cases {
 		plan, err := parallel.ExplainSQL(c.query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(plan, c.want) {
-			t.Fatalf("parallel EXPLAIN of %q lacks %q:\n%s", c.query, c.want, plan)
+		lines := strings.Split(plan, "\n")
+		ex := -1
+		for i, l := range lines {
+			if strings.TrimLeft(l, " ") == "Exchange (workers=4)" {
+				ex = i
+			} else if strings.Contains(l, "workers=") {
+				t.Fatalf("parallel EXPLAIN of %q shows workers outside an exchange:\n%s", c.query, plan)
+			}
+		}
+		if ex < 0 {
+			t.Fatalf("parallel EXPLAIN of %q lacks Exchange (workers=4):\n%s", c.query, plan)
+		}
+		if c.above != "" && (ex == 0 || !strings.HasPrefix(strings.TrimLeft(lines[ex-1], " "), c.above+" ")) {
+			t.Fatalf("parallel EXPLAIN of %q: the exchange is not directly below %s:\n%s", c.query, c.above, plan)
 		}
 		splan, err := serial.ExplainSQL(c.query)
 		if err != nil {
@@ -235,5 +247,39 @@ func TestParallelExplainAnnotation(t *testing.T) {
 		if strings.Contains(splan, "workers=") {
 			t.Fatalf("serial EXPLAIN of %q mentions workers:\n%s", c.query, splan)
 		}
+	}
+}
+
+// TestBenchShapesPlanOnlyExchanges: the TPC-H statements the benchmark
+// times (Q1/3/5/6/10/12/14 as q and q+, at SF 0.01) plan at 4 workers
+// with exchanges as their only parallel operators, and some of them do
+// plan one.
+func TestBenchShapesPlanOnlyExchanges(t *testing.T) {
+	db := perm.NewDatabaseWithOptions(perm.Options{Parallelism: 4})
+	tpch.MustLoad(db, 0.01, 42)
+	exchanges := 0
+	for seed := uint64(1); seed <= 3; seed++ {
+		rng := tpch.NewRand(seed)
+		for _, n := range []int{1, 3, 5, 6, 10, 12, 14} {
+			q := tpch.MustQGen(n, rng)
+			for _, text := range []string{q.Text, q.Provenance().Text} {
+				plan, err := db.ExplainSQL(text)
+				if err != nil {
+					t.Fatalf("Q%d: %v", n, err)
+				}
+				for _, l := range strings.Split(plan, "\n") {
+					if !strings.Contains(l, "workers=") {
+						continue
+					}
+					if !strings.HasPrefix(strings.TrimLeft(l, " "), "Exchange (workers=4)") {
+						t.Fatalf("Q%d plans a parallel operator other than an exchange: %q\n%s", n, l, plan)
+					}
+					exchanges++
+				}
+			}
+		}
+	}
+	if exchanges == 0 {
+		t.Fatal("no benchmark statement planned an exchange")
 	}
 }

@@ -672,12 +672,12 @@ func (db *Database) planner() *plan.Planner {
 	return plan.New(db.cat).
 		SetVectorized(!db.opts.DisableVectorized).
 		SetResources(db.budget, db.opts.SpillDir).
-		SetParallelism(db.workers())
+		SetParallelism(db.Workers())
 }
 
-// workers is the intra-query worker count: Parallelism, 1 when it is
-// negative, GOMAXPROCS when it is unset.
-func (db *Database) workers() int {
+// Workers is the intra-query worker count the handle plans with:
+// Parallelism, 1 when it is negative (off), GOMAXPROCS when it is unset.
+func (db *Database) Workers() int {
 	switch n := db.opts.Parallelism; {
 	case n > 0:
 		return n

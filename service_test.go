@@ -136,6 +136,47 @@ func TestPreparedStatement(t *testing.T) {
 	}
 }
 
+// TestCursorReadsItsSnapshot: a cursor reads the data snapshot taken
+// when it starts; an INSERT between two fetches does not move it, even
+// though most of the table's batches are still unread.
+func TestCursorReadsItsSnapshot(t *testing.T) {
+	db := perm.NewDatabase()
+	db.MustExec(`CREATE TABLE tt (x int); INSERT INTO tt VALUES (0), (1), (2), (3)`)
+	for i := 0; i < 10; i++ { // 4 × 2^10 = 4096 rows
+		db.MustExec(fmt.Sprintf(`INSERT INTO tt SELECT x + %d FROM tt`, 4<<i))
+	}
+	p, err := db.Prepare(`SELECT x FROM tt`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := p.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	if cols := cur.Columns(); len(cols) != 1 || cols[0] != "x" {
+		t.Fatalf("Columns = %v", cols)
+	}
+	rows, err := cur.Fetch(2)
+	if err != nil || len(rows) != 2 {
+		t.Fatalf("first fetch = %d rows, %v", len(rows), err)
+	}
+	db.MustExec(`INSERT INTO tt SELECT x + 4096 FROM tt`)
+	rest, err := cur.Fetch(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows = append(rows, rest...)
+	if len(rows) != 4096 {
+		t.Fatalf("cursor returned %d rows, its snapshot has 4096", len(rows))
+	}
+	for i, row := range rows {
+		if row[0].Int() != int64(i) {
+			t.Fatalf("row %d = %v", i, row[0])
+		}
+	}
+}
+
 // TestIntrospectionRacesDDL: Tables, Views and TableRowCount must be
 // safe against concurrent DDL (they read through the catalog lock).
 func TestIntrospectionRacesDDL(t *testing.T) {
