@@ -157,14 +157,15 @@ const (
 	// explodes by an order of magnitude.
 	allocBudgetPerDrain = 600
 	// Behind a 4-worker Exchange: worker-side batches still recycle
-	// through the shared (goroutine-safe) buffer pool; only the exchange's
-	// handoff copies are fresh unpooled vectors — a per-batch constant,
-	// not per-row — plus the per-Open goroutine/channel setup. A blowout
-	// means pooled buffers started crossing goroutines (each would need a
-	// defensive copy or, worse, corrupt a recycled batch), or the handoff
-	// copy went back to growing by append: exactly sized it costs 400
-	// allocations a drain (1169 when it grew from capacity 0); the budget
-	// is that plus 20 %.
+	// through the shared (goroutine-safe) buffer pool, and so do the
+	// morsels the exchange buffers — handed-over snapshot views and
+	// pooled copies, in pooled holders — leaving the per-batch constant of
+	// the serial pipeline plus the per-Open helper goroutines (about 100
+	// a drain). A blowout means pooled buffers started crossing goroutines
+	// (each would need a defensive copy or, worse, corrupt a recycled
+	// batch), or buffering went back to a fresh allocation per batch. The
+	// budget is the 400 allocations a drain of an exchange that copied
+	// every batch into fresh vectors cost, plus 20 %.
 	allocBudgetPerParallelDrain = 480
 )
 
@@ -279,13 +280,10 @@ func BenchmarkAllocBudget(b *testing.B) {
 	b.Run("scan-filter-project", guard(serial, allocBudgetPerDrain))
 
 	replicas := make([]vexec.Node, workers)
-	drivers := make([]*vexec.ColScan, workers)
-	srcs := make([]vexec.TagSource, workers)
 	for w := range replicas {
-		drivers[w], replicas[w] = allocPipeline(b, cols, n)
-		srcs[w] = drivers[w]
+		_, replicas[w] = allocPipeline(b, cols, n)
 	}
-	exchange := vexec.NewExchange(replicas, drivers, srcs, vexec.NewMorsels(n))
+	exchange := vexec.NewExchange(replicas)
 	b.Run("parallel-exchange", guard(exchange, allocBudgetPerParallelDrain))
 
 	b.Run("join-back-store", func(b *testing.B) {

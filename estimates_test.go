@@ -156,3 +156,58 @@ func TestEstimatesWithoutCallsNotStatements(t *testing.T) {
 		t.Fatalf("after one plain run, joined rows = %v, want one with calls 1", res.Rows)
 	}
 }
+
+// TestGroupCountEstimates is the q-error budget of the planner's group
+// count, the estimate an aggregate carries: Q1's two keys form 4 groups,
+// and a count over orders ⋈ lineitem by o_orderpriority forms 5. Both go
+// through an exchange below the aggregate at 2 workers. The EXPLAIN label
+// counts the grouping keys, not the groups.
+func TestGroupCountEstimates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("TPC-H estimate budget skipped with -short")
+	}
+	db := perm.NewDatabaseWithOptions(perm.Options{Parallelism: 2})
+	tpch.MustLoad(db, 0.01, 42)
+	cases := []struct {
+		query  string
+		label  string
+		groups int
+		budget float64
+	}{
+		{tpch.MustQGen(1, tpch.NewRand(7)).Text, "VecHashAggregate (2 keys, 8 aggs", 4, 1.5},
+		{`SELECT o_orderpriority, count(*) FROM orders, lineitem WHERE o_orderkey = l_orderkey GROUP BY o_orderpriority`,
+			"VecHashAggregate (1 keys, 1 aggs", 5, 1.25},
+	}
+	qerrRe := regexp.MustCompile(`act=([0-9]+) qerr=([0-9.]+)`)
+	for _, c := range cases {
+		report, err := db.ExplainAnalyzeSQL(c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, line := range strings.Split(report, "\n") {
+			if !strings.HasPrefix(strings.TrimLeft(line, " "), c.label) {
+				continue
+			}
+			found = true
+			m := qerrRe.FindStringSubmatch(line)
+			if m == nil {
+				t.Fatalf("aggregate line carries no q-error: %q", line)
+			}
+			act, _ := strconv.Atoi(m[1])
+			qerr, _ := strconv.ParseFloat(m[2], 64)
+			if act != c.groups {
+				t.Fatalf("aggregate emitted %d groups, want %d:\n%s", act, c.groups, report)
+			}
+			if qerr > c.budget {
+				t.Fatalf("group-count q-error %.2f over its budget %.2f:\n%s", qerr, c.budget, report)
+			}
+		}
+		if !found {
+			t.Fatalf("no %q line in\n%s", c.label, report)
+		}
+		if !strings.Contains(report, "Exchange (workers=2)") {
+			t.Fatalf("the aggregate's input is not an exchange:\n%s", report)
+		}
+	}
+}

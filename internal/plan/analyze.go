@@ -8,9 +8,10 @@
 // happens after parallelize, so plan shape validation (which renders
 // replica trees to strings) never sees a probe, and parallel worker
 // subtrees — which run on their own goroutines — are never wrapped: the
-// exchange itself is probed as a unit, and worker-local detail
-// (per-worker morsel counts, worker spills) is read from the replica
-// trees after the exchange has waited for its workers.
+// exchange itself is probed as a unit, the shared build sides (run once,
+// by worker 0) like serial operators, and the exchange's own detail
+// (morsels per worker, buffered morsels) is read after it has waited for
+// its workers.
 package plan
 
 import (
@@ -36,8 +37,15 @@ func Instrument(n exec.Node) exec.Node {
 
 func instrumentV(n vexec.Node) vexec.Node {
 	// An exchange is probed as a unit: its worker subtrees run
-	// concurrently and must not share one collector.
-	if d := describeV(n); !d.workers {
+	// concurrently and must not share one collector. The shared build
+	// sides are the exception: worker 0 runs each once, on the consumer's
+	// goroutine, exactly as the serial plan would.
+	if x, ok := n.(*vexec.Exchange); ok {
+		for _, j := range x.SharedBuilds() {
+			j.Right = instrumentV(j.Right)
+		}
+	} else {
+		d := describeV(n)
 		d.each(nil, func(k *vexec.Node) { *k = instrumentV(*k) })
 	}
 	return vexec.NewProbe(n)
@@ -134,30 +142,25 @@ func resAnnot(res spill.Resources) []string {
 	return parts
 }
 
-// scanAnnot renders a columnar scan's morsel count (parallel workers)
-// and runtime-filter selectivity.
+// scanAnnot renders a columnar scan's runtime-filter selectivity.
 func scanAnnot(s *vexec.ColScan) []string {
-	var parts []string
-	if n := s.MorselsTaken(); n > 0 {
-		parts = append(parts, fmt.Sprintf("morsels=%d", n))
+	if !s.HasRuntimeFilters() {
+		return nil
 	}
-	if s.HasRuntimeFilters() {
-		tested, admitted := s.RuntimeFilterStats()
-		parts = append(parts, fmt.Sprintf("rf=%d/%d admitted", admitted, tested))
-	}
-	return parts
+	tested, admitted := s.RuntimeFilterStats()
+	return []string{fmt.Sprintf("rf=%d/%d admitted", admitted, tested)}
 }
 
-// workerAnnot renders an exchange's per-worker morsel counts (read after
-// its Close has waited for the workers).
+// workerAnnot renders an exchange's morsels per worker, the consumer's
+// own worker first, and the most morsels it held buffered at once (read
+// after its Close has waited for the workers); a run that degraded to
+// worker 0 alone says so instead.
 func workerAnnot(x *vexec.Exchange) []string {
-	counts := make([]int, len(x.Workers))
-	for i, w := range x.Workers {
-		if d := spineDriver(w.Input); d != nil {
-			counts[i] = d.MorselsTaken()
-		}
+	if x.Serial() {
+		return []string{"serial=spilled-build"}
 	}
-	return []string{fmt.Sprintf("morsels/worker=%v", counts)}
+	counts, peak := x.WorkerMorsels()
+	return []string{fmt.Sprintf("morsels/worker=%v", counts), fmt.Sprintf("buffered_peak=%d", peak)}
 }
 
 // fmtDur renders nanoseconds rounded to the microsecond (exact below

@@ -58,7 +58,7 @@ func describe(n exec.Node) op {
 		return op{name: "HashJoin", args: fmt.Sprintf("%s, %d keys", joinName(x.Type), len(x.LeftKeys)),
 			kids: [2]*exec.Node{&x.Left, &x.Right}}
 	case *exec.HashAgg:
-		return op{name: "HashAggregate", args: fmt.Sprintf("%d groups, %d aggs", len(x.Groups), len(x.Aggs)),
+		return op{name: "HashAggregate", args: fmt.Sprintf("%d keys, %d aggs", len(x.Groups), len(x.Aggs)),
 			kids: [2]*exec.Node{&x.Input}}
 	case *exec.Sort:
 		return op{name: "Sort", args: fmt.Sprintf("%d keys%s", len(x.Keys), spillTag(x.Spill)),
@@ -108,11 +108,11 @@ func describeV(n vexec.Node) op {
 		return op{name: "VecNestedLoopJoin", args: vecJoinName(x.Type), vkids: [2]*vexec.Node{&x.Left, &x.Right}}
 	case *vexec.HashAgg:
 		return op{name: "VecHashAggregate",
-			args:  fmt.Sprintf("%d groups, %d aggs%s", len(x.Groups), len(x.Aggs), spillTag(x.Spill)),
+			args:  fmt.Sprintf("%d keys, %d aggs%s", len(x.Groups), len(x.Aggs), spillTag(x.Spill)),
 			extra: func() []string { return resAnnot(x.Spill) }, vkids: [2]*vexec.Node{&x.Input}}
 	case *vexec.AggAttach:
 		return op{name: "VecAggAttach",
-			args: fmt.Sprintf("%d groups, %d aggs%s", len(x.Agg.Groups), len(x.Agg.Aggs), spillTag(x.Spill)),
+			args: fmt.Sprintf("%d keys, %d aggs%s", len(x.Agg.Groups), len(x.Agg.Aggs), spillTag(x.Spill)),
 			extra: func() []string {
 				parts := append([]string{fmt.Sprintf("materialized=%d", x.Stored)}, resAnnot(x.Spill)...)
 				if x.Agg.Spill.Res.SpillEvents() > 0 { // the group table: attached by key
@@ -141,7 +141,7 @@ func describeV(n vexec.Node) op {
 			extra: func() []string { return resAnnot(x.Spill) }, vkids: [2]*vexec.Node{&x.Left, &x.Right}}
 	case *vexec.Exchange:
 		return op{name: "Exchange", args: fmt.Sprintf("workers=%d", len(x.Workers)), workers: true,
-			extra: func() []string { return workerAnnot(x) }, vkids: [2]*vexec.Node{&x.Workers[0].Input}}
+			extra: func() []string { return workerAnnot(x) }, vkids: [2]*vexec.Node{&x.Workers[0]}}
 	}
 	return op{name: fmt.Sprintf("%T", n)}
 }

@@ -4,18 +4,23 @@
 // enough to morsel — and replaces it with an Exchange over N
 // independently planned replicas of the same subtree (compiled batch
 // expressions carry per-instance scratch state, so workers can never
-// share one tree). The exchange replays the serial output stream from
-// sequence-tagged worker batches, so the aggregates, sorts and other
-// materializing operators above it run serially over exactly the rows,
-// in exactly the order, of the serial plan.
+// share one tree). The exchange emits whole morsels in dispatch order, so
+// the aggregates, sorts and other materializing operators above it run
+// serially over exactly the rows, in exactly the order, of the serial
+// plan.
+//
+// Worker 0 runs on the consumer's goroutine, so N workers are N
+// goroutines doing work. Every hash join on the replicated probe spine
+// has one build: worker 0 builds it once, under its own reservation, and
+// publishes its runtime filters once; the other replicas probe that
+// table read-only and their driver scans test worker 0's filters. A
+// shared build that would go Grace degrades the exchange to worker 0
+// alone — the serial plan — so no spine join spills inside a worker.
 //
 // Replication is validated, not assumed: every replica must render to
 // the same plan shape and its driver scan must see the same columnar
 // snapshot (pointer-identical vectors — SnapshotColumns caches per heap
-// version); any mismatch falls back to the serial plan. Each replica is
-// planned with its own spill reservations, so worker memory draws
-// against the session budget exactly like serial operators and spilling
-// composes with parallelism instead of escaping the governor.
+// version); any mismatch falls back to the serial plan.
 package plan
 
 import (
@@ -40,10 +45,9 @@ func (p *Planner) parallelize(q *algebra.Query, pl *planned) {
 	if site == nil {
 		return
 	}
-	driver0 := spineDriver(site)
+	driver0 := vexec.SpineDriver(site)
 	shape := vnodeShape(pl.vnode)
 	sites := []vexec.Node{site}
-	drivers := []*vexec.ColScan{driver0}
 	for i := 1; i < p.parallelism; i++ {
 		rpl, err := p.planQuery(q)
 		if err != nil || rpl.vnode == nil || vnodeShape(rpl.vnode) != shape {
@@ -55,26 +59,20 @@ func (p *Planner) parallelize(q *algebra.Query, pl *planned) {
 			obs.SerialFallbacks.Inc()
 			return
 		}
-		rdriver := spineDriver(rsite)
+		rdriver := vexec.SpineDriver(rsite)
 		if rdriver == nil || !sameSnapshot(driver0, rdriver) {
 			obs.SerialFallbacks.Inc()
 			return
 		}
 		sites = append(sites, rsite)
-		drivers = append(drivers, rdriver)
 	}
 	obs.ParallelPlans.Inc()
 	obs.ParallelWorkers.Add(int64(len(sites)))
-	disp := vexec.NewMorsels(driver0.NumRows)
+	pn := vexec.NewExchange(sites)
 	if p.activity != nil {
-		disp.AQ = p.activity
-		p.activity.SetMorselTotal(disp.Total())
+		pn.AQ = p.activity
+		p.activity.SetMorselTotal(pn.Morsels())
 	}
-	srcs := make([]vexec.TagSource, len(sites))
-	for i, s := range sites {
-		srcs[i] = wireSpineTags(s)
-	}
-	pn := vexec.NewExchange(sites, drivers, srcs, disp)
 	// The exchange emits exactly what the serial site it replaces would
 	// have: carry the site's cardinality estimate over.
 	if c, ok := site.(interface{ EstimatedRows() float64 }); ok {
@@ -113,48 +111,8 @@ func findSite(n vexec.Node, depth int) (vexec.Node, int) {
 // eligibleSpine reports whether a subtree's probe spine reaches a
 // columnar scan with enough rows to be worth morseling.
 func eligibleSpine(n vexec.Node) bool {
-	d := spineDriver(n)
+	d := vexec.SpineDriver(n)
 	return d != nil && d.NumRows >= vexec.ParallelMinRows
-}
-
-// spineDriver descends the streaming probe spine — filter and projection
-// inputs, the probe (left) side of joins — to the driver columnar scan.
-// Anything else breaks the spine (nil).
-func spineDriver(n vexec.Node) *vexec.ColScan {
-	switch x := n.(type) {
-	case *vexec.ColScan:
-		return x
-	case *vexec.Filter:
-		return spineDriver(x.Input)
-	case *vexec.Project:
-		return spineDriver(x.Input)
-	case *vexec.HashJoin:
-		return spineDriver(x.Left)
-	case *vexec.NLJoin:
-		return spineDriver(x.Left)
-	}
-	return nil
-}
-
-// wireSpineTags threads the morsel tag chain through a worker spine:
-// each spine hash join learns the nearest tag source below its probe
-// side (so Grace mode can keep globally ordered sequence tags), and the
-// topmost source is what the worker's tap reads.
-func wireSpineTags(n vexec.Node) vexec.TagSource {
-	switch x := n.(type) {
-	case *vexec.ColScan:
-		return x
-	case *vexec.Filter:
-		return wireSpineTags(x.Input)
-	case *vexec.Project:
-		return wireSpineTags(x.Input)
-	case *vexec.HashJoin:
-		x.TagSrc = wireSpineTags(x.Left)
-		return x
-	case *vexec.NLJoin:
-		return wireSpineTags(x.Left)
-	}
-	return nil
 }
 
 // nthWrapperChild replays a findSite descent on another tree: starting

@@ -1,25 +1,34 @@
 // Morsel-driven intra-query parallelism. A parallel plan segment is the
 // same vectorized subtree planned N times (compiled expressions hold
 // per-instance scratch state, so workers can never share one tree); the
-// single "driver" columnar scan of every replica draws morsels — small
-// contiguous batch ranges of the shared columnar snapshot — from one
-// atomic dispatcher, while every other scan in the replica (join build
-// sides, subquery inputs) reads its snapshot in full. Worker outputs
-// carry a sequence tag derived from (morsel, position), and Exchange, the
-// one parallel operator, streams copied worker batches through channels
-// and emits them in tag order: the serial stream, byte for byte. An
-// aggregate or sort above the site runs serially over that stream.
+// single "driver" columnar scan of every replica works one morsel — a
+// small contiguous batch range of the shared columnar snapshot — at a
+// time, as the exchange assigns them, while the build sides of the hash
+// joins on the probe spine are built once, by worker 0, and probed
+// read-only by every replica. Exchange, the one parallel operator,
+// emits whole morsels in dispatch order: the serial stream, byte for
+// byte. An aggregate or sort above the site runs serially over that
+// stream.
 //
-// Memory: every replica is planned with its own spill reservations
-// against the session budget, so parallelism composes with spill instead
-// of multiplying the footprint. Pooling: batches cross goroutines only
-// through Exchange, which copies live lanes into pooled vectors it frees
-// once its consumer has moved on; everything else inside a worker keeps
-// the usual single-goroutine consumer-abandons-before-Next discipline.
+// Worker 0 is the consumer's own goroutine: N workers are N goroutines
+// doing work. It streams the morsel due next straight to the consumer,
+// and while that morsel is still with a helper it works a fresh one
+// instead of waiting. Helpers, and worker 0 when it works out of order,
+// buffer whole morsels — snapshot views handed over as they are, pooled
+// copies of anything else — never more than the run-ahead window past
+// the next morsel to emit, so buffered output stays bounded however slow
+// the consumer.
+//
+// Memory: the shared builds are held under worker 0's reservations, once,
+// exactly as in the serial plan. A build that exceeds its budget goes
+// Grace in worker 0 — which is then the serial plan — and the exchange
+// runs worker 0 alone over the whole snapshot, so no spine join ever
+// spills inside a worker.
 package vexec
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -34,316 +43,506 @@ import (
 const morselRows = 2 * vector.BatchSize
 
 // ParallelMinRows is the smallest driver scan worth parallelizing: below
-// two morsels per worker pair the dispatch and merge overhead dominates.
+// two morsels per worker pair the dispatch and hand-off overhead dominates.
 const ParallelMinRows = 2 * morselRows
 
-// seqShift splits a sequence tag into morsel number (high bits) and
-// position within the morsel's output stream (low 40 bits; a morsel is
-// at most 2048 source rows, so even a join fan-out of half a billion per
-// source row cannot overflow the field).
-const seqShift = 40
+// runAhead is how many morsels past the next one to emit a worker may
+// claim (or the worker count, when that is larger): it bounds the
+// morsels buffered at once.
+const runAhead = 4
 
-// Morsels hands out contiguous row ranges of a shared columnar snapshot
-// to competing worker scans. grab is a single atomic increment, so the
-// dispatcher itself never becomes a contention point.
-type Morsels struct {
-	Rows int
-	next atomic.Int64
-
-	// AQ, when set, receives per-morsel progress for the active-query
-	// registry (perm_stat_activity's morsels claimed/total columns).
-	AQ *obs.ActiveQuery
+// SpineDriver descends a subtree's streaming probe spine — filter and
+// projection inputs, the probe (left) side of joins — to its driver
+// columnar scan. Anything else breaks the spine (nil).
+func SpineDriver(n Node) *ColScan {
+	d, _ := spine(n, false)
+	return d
 }
 
-// Total returns how many morsels one full pass over the snapshot
-// dispatches.
-func (m *Morsels) Total() int64 {
-	return int64((m.Rows + morselRows - 1) / morselRows)
-}
-
-// NewMorsels returns a dispatcher over a snapshot of rows rows.
-func NewMorsels(rows int) *Morsels { return &Morsels{Rows: rows} }
-
-// Reset rewinds the dispatcher (called by the exchange's Open, before
-// worker goroutines start).
-func (m *Morsels) Reset() { m.next.Store(0) }
-
-// grab claims the next morsel, clamped to limit (the claiming scan's own
-// row count — a belt-and-suspenders guard should a replica ever see a
-// different snapshot). ok=false means the snapshot is exhausted.
-func (m *Morsels) grab(limit int) (seq int64, lo, hi int, ok bool) {
-	if limit > m.Rows {
-		limit = m.Rows
-	}
-	s := m.next.Add(1) - 1
-	lo = int(s) * morselRows
-	if lo >= limit {
-		return 0, 0, 0, false
-	}
-	hi = lo + morselRows
-	if hi > limit {
-		hi = limit
-	}
-	obs.MorselsDispatched.Inc()
-	m.AQ.MorselClaimed()
-	return s, lo, hi, true
-}
-
-// ---------------------------------------------------------------------------
-// MorselTap
-
-// TagSource reports which morsel band the most recently emitted batch of
-// a spine node belongs to. The driver scan is the canonical source (its
-// current morsel); a spine hash join that went Grace re-derives bands
-// from the sequence tags it stored at probe time, because by the time it
-// emits, the scan has long finished. Streaming spine operators (filters,
-// projections, nested-loop joins, in-memory hash joins) stay transparent:
-// they drain every output of one input batch before pulling the next, so
-// the nearest TagSource below them is always current.
-type TagSource interface {
-	CurrentBand() int64
-}
-
-// MorselTap sits on a worker pipeline and tracks the global serial-order
-// position of every batch flowing through it: Base() after a Next is
-// band<<seqShift | rows-already-emitted-for-that-band. Within one worker
-// each surfaced batch derives entirely from one morsel band of the tag
-// source, so ordering batches by Base replays the serial stream exactly.
-type MorselTap struct {
-	Input Node
-	Src   TagSource
-
-	cur  int64
-	pos  int64
-	base int64
-}
-
-// NewMorselTap returns a tap over input, reading morsel bands from the
-// subtree's tag source (the driver scan, or the topmost spine join).
-func NewMorselTap(input Node, src TagSource) *MorselTap {
-	return &MorselTap{Input: input, Src: src}
-}
-
-func (t *MorselTap) Open() error {
-	t.cur, t.pos, t.base = -1, 0, 0
-	return t.Input.Open()
-}
-
-func (t *MorselTap) Next() (*vector.Batch, error) {
-	b, err := t.Input.Next()
-	if b == nil || err != nil {
-		return b, err
-	}
-	if band := t.Src.CurrentBand(); band != t.cur {
-		t.cur, t.pos = band, 0
-	}
-	t.base = t.cur<<seqShift | t.pos
-	t.pos += int64(len(resolveSel(b, b.Sel)))
-	return b, nil
-}
-
-func (t *MorselTap) Close() error { return t.Input.Close() }
-
-// Base returns the sequence tag of the batch most recently returned by
-// Next: the global ordinal of its first live lane.
-func (t *MorselTap) Base() int64 { return t.base }
-
-// copyBatch copies the live lanes of a batch into vectors of the shared
-// buffer pool, detaching it from the producer's recyclable buffers so it
-// can cross the Exchange channel; the exchange frees them once its
-// consumer has moved past the batch.
-func copyBatch(b *vector.Batch) *vector.Batch {
-	lanes := resolveSel(b, b.Sel)
-	cols := make([]*vector.Vec, len(b.Cols))
-	for j, c := range b.Cols {
-		cols[j] = vector.NewBatchVec(c.Kind, len(lanes))
-		cols[j].CopyLanes(0, c, lanes)
-	}
-	return &vector.Batch{N: len(lanes), Cols: cols}
-}
-
-// freeBatch returns a copied batch's vectors to the pool.
-func freeBatch(b *vector.Batch) {
-	if b != nil {
-		for _, v := range b.Cols {
-			v.Free()
+// spine is SpineDriver that also collects the spine's hash joins,
+// outermost first, when joins is set.
+func spine(n Node, joins bool) (*ColScan, []*HashJoin) {
+	var js []*HashJoin
+	for {
+		switch x := n.(type) {
+		case *ColScan:
+			return x, js
+		case *Filter:
+			n = x.Input
+		case *Project:
+			n = x.Input
+		case *HashJoin:
+			if joins {
+				js = append(js, x)
+			}
+			n = x.Left
+		case *NLJoin:
+			n = x.Left
+		default:
+			return nil, nil
 		}
 	}
 }
 
-// ---------------------------------------------------------------------------
-// Exchange
-
-// exItem is one tagged worker emission: a copied batch, or the worker's
-// terminal error (tag -1 for an Open failure, which must surface before
-// any data).
-type exItem struct {
-	tag int64
-	b   *vector.Batch
-	err error
+// held is one buffered batch, detached from the recyclable buffers of the
+// worker that produced it. Columns that are the driver scan's windows —
+// views of the snapshot, whose arrays never change while the plan runs —
+// are handed over as they are; the batch then keeps its selection, and
+// its other columns (computed ones, the scan's row ids) are copied whole
+// into pooled vectors. A batch without a view is compacted into pooled
+// vectors. Helds recycle through a pool, so buffering allocates nothing
+// in the steady state.
+type held struct {
+	batch vector.Batch
+	cols  []*vector.Vec
+	views []vector.Vec // the handed-over window structs
+	sel   []int
 }
 
-// Exchange runs N replicated pipelines on their own goroutines and
-// re-emits their batches in sequence-tag order, reproducing the serial
-// plan's output stream byte for byte. Worker errors are tagged like data
-// and surface exactly when the serial plan would have reached them.
+var heldPool = sync.Pool{New: func() any { return new(held) }}
+
+// hold detaches a batch worker driver d's pipeline emitted.
+func hold(d *ColScan, b *vector.Batch) *held {
+	h := heldPool.Get().(*held)
+	n := len(b.Cols)
+	if cap(h.cols) < n {
+		h.cols, h.views = make([]*vector.Vec, n), make([]vector.Vec, n)
+	}
+	h.cols, h.views = h.cols[:n], h.views[:n]
+	if !slices.ContainsFunc(b.Cols, d.view) {
+		lanes := resolveSel(b, b.Sel)
+		for j, c := range b.Cols {
+			h.cols[j] = vector.NewBatchVec(c.Kind, len(lanes))
+			h.cols[j].CopyLanes(0, c, lanes)
+		}
+		h.batch = vector.Batch{N: len(lanes), Cols: h.cols}
+		return h
+	}
+	for j, c := range b.Cols {
+		if d.view(c) {
+			h.views[j] = *c
+			h.cols[j] = &h.views[j]
+		} else {
+			h.cols[j] = vector.NewBatchVec(c.Kind, b.N)
+			h.cols[j].CopyRange(0, c, 0, b.N)
+		}
+	}
+	h.batch = vector.Batch{N: b.N, Cols: h.cols}
+	if b.Sel != nil {
+		h.sel = append(h.sel[:0], b.Sel...)
+		h.batch.Sel = h.sel
+	}
+	return h
+}
+
+// release frees a held batch's copies (Free passes over the views) and
+// returns it to the pool. Nil-safe.
+func (h *held) release() {
+	if h == nil {
+		return
+	}
+	for _, v := range h.cols {
+		v.Free()
+	}
+	clear(h.cols)
+	clear(h.views) // drop the snapshot references
+	h.batch = vector.Batch{}
+	heldPool.Put(h)
+}
+
+// morsel is the buffered output of one morsel: the batches a worker
+// produced from it, in order, and the error that ended it early.
+type morsel struct {
+	batches []*held
+	pos     int // next batch to emit
+	err     error
+	done    bool
+}
+
+// free releases the morsel's unemitted batches.
+func (m *morsel) free() {
+	for i, h := range m.batches {
+		h.release()
+		m.batches[i] = nil
+	}
+	m.batches = m.batches[:0]
+}
+
+// Exchange runs N replicated pipelines over the morsels of one snapshot
+// and emits their output in morsel order, reproducing the serial plan's
+// stream byte for byte. A worker's error ends its morsel and surfaces
+// exactly when the serial plan would have reached it: after every
+// earlier morsel's rows.
 type Exchange struct {
 	obs.Card
-	Workers []*MorselTap
-	Disp    *Morsels
+	// Workers are the replica roots. Workers[0] runs on the consumer's
+	// goroutine and owns the shared builds of the spine's hash joins.
+	Workers []Node
+	// AQ, when set, receives per-morsel progress for the active-query
+	// registry (perm_stat_activity's morsels claimed/total columns).
+	AQ *obs.ActiveQuery
 
-	chans  []chan exItem
-	heads  []*exItem
-	out    *vector.Batch // the batch last emitted, freed on the next call
-	done   []bool
-	stop   chan struct{}
-	wg     sync.WaitGroup
-	err    error
-	closed bool
+	drivers []*ColScan
+	builds  []*HashJoin // worker 0's spine joins
+	total   int64       // morsels in one pass over the snapshot
+	rows    int
+	window  int64
+
+	// Shared with the helpers, under mu.
+	mu       sync.Mutex
+	cond     sync.Cond
+	ring     []morsel // morsel m sits in ring[m % window] while in flight
+	claimed  int64    // morsels handed out so far
+	emitted  int64    // the next morsel to emit
+	failed   error    // a helper's Open failure
+	buffered int      // morsels claimed for buffering and not yet emitted
+	peak     int
+	counts   []int // morsels worked, per worker
+
+	helpers sync.WaitGroup
+	// quit is set by Close, under mu: helpers stop claiming and abandon
+	// the morsel they are on.
+	quit atomic.Bool
+
+	// The consumer's own state.
+	serial    bool // a shared build spilled: worker 0 runs the serial plan
+	streaming bool // worker 0 is producing morsel emitted straight out
+	dead0     bool // worker 0 failed; its error sits in its morsel
+	cur       *morsel
+	out       *held // buffered batch last emitted, released on the next call
+	err       error
+	open      bool
 }
 
-// NewExchange builds an exchange over the replicated subtree roots, each
-// driven by its driver scan and tagged from its spine tag source; all
-// drivers are attached to one shared morsel dispatcher.
-func NewExchange(workers []Node, drivers []*ColScan, srcs []TagSource, disp *Morsels) *Exchange {
-	ex := &Exchange{Workers: make([]*MorselTap, len(workers)), Disp: disp}
+// NewExchange builds an exchange over replicated subtree roots. Each
+// replica's spine hash joins are wired to share worker 0's build, and
+// each driver scan's runtime-filter bindings to worker 0's filters, the
+// ones its builds publish.
+func NewExchange(workers []Node) *Exchange {
+	e := &Exchange{Workers: workers, counts: make([]int, len(workers))}
+	e.cond.L = &e.mu
+	e.window = int64(max(runAhead, len(workers)))
+	e.ring = make([]morsel, e.window)
 	for i, w := range workers {
-		ex.Workers[i] = NewMorselTap(w, srcs[i])
-		drivers[i].SetMorselSource(disp)
+		d, joins := spine(w, true)
+		e.drivers = append(e.drivers, d)
+		if i == 0 {
+			e.builds = joins
+			e.rows = d.NumRows
+			e.total = int64((d.NumRows + morselRows - 1) / morselRows)
+			continue
+		}
+		for k, j := range joins {
+			j.owner = e.builds[k]
+		}
+		d0 := e.drivers[0]
+		if len(d.rfs) == len(d0.rfs) {
+			for k := range d.rfs {
+				d.rfs[k].rf = d0.rfs[k].rf
+			}
+		}
 	}
-	return ex
+	return e
 }
+
+// Morsels returns how many morsels one full pass over the snapshot
+// dispatches.
+func (e *Exchange) Morsels() int64 { return e.total }
+
+// WorkerMorsels returns the morsels each worker worked in the last run,
+// the consumer's worker first, and the most morsels ever buffered at
+// once. Read it only after Close.
+func (e *Exchange) WorkerMorsels() (counts []int, peakBuffered int) { return e.counts, e.peak }
+
+// SharedBuilds returns worker 0's spine hash joins, whose build sides
+// every worker probes: each runs once per execution, on the consumer's
+// goroutine.
+func (e *Exchange) SharedBuilds() []*HashJoin { return e.builds }
+
+// Serial reports whether the last run degraded to worker 0 alone because
+// a shared build spilled.
+func (e *Exchange) Serial() bool { return e.serial }
 
 func (e *Exchange) Open() error {
-	e.Disp.Reset()
-	e.chans = make([]chan exItem, len(e.Workers))
-	e.heads = make([]*exItem, len(e.Workers))
-	e.done = make([]bool, len(e.Workers))
-	e.stop = make(chan struct{})
-	e.err = nil
-	e.closed = false
-	for i := range e.Workers {
-		e.chans[i] = make(chan exItem, 2)
-		e.wg.Add(1)
-		go e.run(i)
+	e.claimed, e.emitted, e.failed = 0, 0, nil
+	e.buffered, e.peak = 0, 0
+	clear(e.counts)
+	e.quit.Store(false)
+	e.serial, e.streaming, e.dead0, e.cur, e.out, e.err = false, false, false, nil, nil, nil
+	// Worker 0 opens first, on this goroutine: that builds every shared
+	// build side (and publishes its runtime filters) before any helper
+	// starts, so the helpers' joins find them complete.
+	if err := e.Workers[0].Open(); err != nil {
+		return err
+	}
+	e.open = true
+	for _, j := range e.builds {
+		if j.Spilled() {
+			// The Grace join drained the whole probe side during Open;
+			// worker 0 is now the serial plan.
+			e.serial = true
+			return nil
+		}
+	}
+	for i := 1; i < len(e.Workers); i++ {
+		e.helpers.Add(1)
+		go e.help(i)
 	}
 	return nil
 }
 
-func (e *Exchange) run(i int) {
-	defer e.wg.Done()
-	defer close(e.chans[i])
-	tap := e.Workers[i]
-	opened := false
-	// The recover defer runs before the close defer above (LIFO), so a
-	// panicking worker still sends its error item on an open channel: the
-	// k-way merge surfaces one error instead of deadlocking, and the
-	// worker's subtree is closed under a guard so its reservations and
-	// spill files are released even when the panic left it inconsistent.
-	defer func() {
-		p := recover()
-		if opened {
-			closeQuietly(tap)
+// help is a helper worker's loop: claim a morsel, buffer its output,
+// repeat until the snapshot is exhausted, the exchange closes or the
+// worker fails.
+func (e *Exchange) help(i int) {
+	defer e.helpers.Done()
+	if err := e.openHelper(i); err != nil {
+		e.mu.Lock()
+		if e.failed == nil {
+			e.failed = err
 		}
-		if p != nil {
-			obs.PanicsRecovered.Inc()
-			obs.Events.Record(obs.EventPanicRecovered, "", "", fmt.Sprintf("parallel worker panicked: %v", p))
-			e.send(i, exItem{tag: -1, err: fmt.Errorf("parallel worker panicked: %v", p)})
-		}
-	}()
-	if err := tap.Open(); err != nil {
-		// A failed Open never sees a matching Close (the engine-wide
-		// convention): the subtree unwound itself.
-		e.send(i, exItem{tag: -1, err: err})
+		e.cond.Broadcast()
+		e.mu.Unlock()
 		return
 	}
-	opened = true
+	// A failed worker's subtree may be left inconsistent: close it under
+	// a guard, so its cleanup can neither mask the original error nor
+	// take the process down with a secondary crash.
+	defer closeQuietly(e.Workers[i])
 	for {
-		if err := fault.Failure(fault.PointWorkerPanic); err != nil {
-			panic(err)
+		m, slot := e.claimWait(i)
+		if slot == nil {
+			return
 		}
-		b, err := tap.Next()
+		err := e.fill(i, m, slot)
+		e.finish(slot, err)
 		if err != nil {
-			e.send(i, exItem{tag: tap.Base(), err: err})
-			return
-		}
-		if b == nil {
-			return
-		}
-		if !e.send(i, exItem{tag: tap.Base(), b: copyBatch(b)}) {
 			return
 		}
 	}
 }
 
+// openHelper opens helper i's replica, turning a panic into an error. A
+// failed Open never sees a matching Close (the engine-wide convention):
+// the subtree unwound itself.
+func (e *Exchange) openHelper(i int) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = workerPanic(p)
+		}
+	}()
+	return e.Workers[i].Open()
+}
+
+// pull returns worker i's next batch of its current morsel, turning a
+// panic into an error.
+func (e *Exchange) pull(i int) (b *vector.Batch, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = workerPanic(p)
+		}
+	}()
+	if err := fault.Failure(fault.PointWorkerPanic); err != nil {
+		panic(err)
+	}
+	return e.Workers[i].Next()
+}
+
+func workerPanic(p any) error {
+	obs.PanicsRecovered.Inc()
+	obs.Events.Record(obs.EventPanicRecovered, "", "", fmt.Sprintf("parallel worker panicked: %v", p))
+	return fmt.Errorf("parallel worker panicked: %v", p)
+}
+
 // closeQuietly closes a worker subtree swallowing both errors and
-// panics: cleanup of a worker that already failed must not mask the
-// original error or take the process down with a secondary crash.
+// panics.
 func closeQuietly(n Node) {
 	defer func() { _ = recover() }()
 	n.Close() //nolint:errcheck — worker-local unwinding
 }
 
-func (e *Exchange) send(i int, it exItem) bool {
-	select {
-	case e.chans[i] <- it:
-		return true
-	case <-e.stop:
-		return false
+// claimLocked hands morsel claimed to worker i (mu held) and returns it
+// with its ring slot; buffer marks a morsel whose output will be copied
+// (or handed over) rather than streamed.
+func (e *Exchange) claimLocked(i int, buffer bool) (int64, *morsel) {
+	m := e.claimed
+	e.claimed++
+	slot := &e.ring[m%e.window]
+	slot.batches, slot.pos, slot.err, slot.done = slot.batches[:0], 0, nil, false
+	e.counts[i]++
+	if buffer {
+		e.buffered++
+		e.peak = max(e.peak, e.buffered)
 	}
+	obs.MorselsDispatched.Inc()
+	e.AQ.MorselClaimed()
+	return m, slot
+}
+
+// claimWait claims the next morsel for helper i, waiting while the
+// run-ahead window is full. A nil slot means the exchange stopped or
+// the snapshot is exhausted.
+func (e *Exchange) claimWait(i int) (int64, *morsel) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for !e.quit.Load() && e.claimed < e.total && e.claimed >= e.emitted+e.window {
+		e.cond.Wait()
+	}
+	if e.quit.Load() || e.claimed >= e.total {
+		return 0, nil
+	}
+	return e.claimLocked(i, true)
+}
+
+// fill runs worker i over morsel m, buffering its output in slot.
+func (e *Exchange) fill(i int, m int64, slot *morsel) error {
+	e.setMorsel(i, m)
+	for !e.quit.Load() {
+		b, err := e.pull(i)
+		if err != nil || b == nil {
+			return err
+		}
+		slot.batches = append(slot.batches, hold(e.drivers[i], b))
+	}
+	return nil
+}
+
+// setMorsel points worker i's driver scan at morsel m's rows.
+func (e *Exchange) setMorsel(i int, m int64) {
+	lo := int(m) * morselRows
+	e.drivers[i].SetMorsel(lo, min(lo+morselRows, e.rows))
+}
+
+// finish marks a buffered morsel complete.
+func (e *Exchange) finish(slot *morsel, err error) {
+	e.mu.Lock()
+	slot.err, slot.done = err, true
+	e.cond.Broadcast()
+	e.mu.Unlock()
+}
+
+// advance moves emission past the current morsel, opening the window by
+// one.
+func (e *Exchange) advance(buffered bool) {
+	e.mu.Lock()
+	e.emitted++
+	if buffered {
+		e.buffered--
+	}
+	e.cond.Broadcast()
+	e.mu.Unlock()
 }
 
 func (e *Exchange) Next() (*vector.Batch, error) {
-	freeBatch(e.out)
+	e.out.release()
 	e.out = nil
 	if e.err != nil {
 		return nil, e.err
 	}
-	// Refill the head slot of every live worker, then emit the smallest
-	// tag. Blocking on a slow worker is required for correctness: until
-	// every live worker has shown its next tag, the global minimum is
-	// unknown.
-	min := -1
-	for i := range e.chans {
-		if e.heads[i] == nil && !e.done[i] {
-			it, ok := <-e.chans[i]
-			if !ok {
-				e.done[i] = true
-				continue
+	if e.serial {
+		b, err := e.pull(0)
+		if err != nil {
+			e.err, e.dead0 = err, true
+		}
+		return b, err
+	}
+	for {
+		switch {
+		case e.streaming:
+			b, err := e.pull(0)
+			if err != nil {
+				e.err, e.dead0 = err, true
+				return nil, err
 			}
-			h := it
-			e.heads[i] = &h
+			if b != nil {
+				return b, nil
+			}
+			e.streaming = false
+			e.advance(false)
+		case e.cur != nil:
+			if m := e.cur; m.pos < len(m.batches) {
+				e.out = m.batches[m.pos]
+				m.batches[m.pos] = nil
+				m.pos++
+				return &e.out.batch, nil
+			}
+			if e.cur.err != nil {
+				e.err = e.cur.err
+				return nil, e.err
+			}
+			e.cur = nil
+			e.advance(true)
+		default:
+			done, err := e.schedule()
+			if err != nil {
+				e.err = err
+			}
+			if done || err != nil {
+				return nil, err
+			}
 		}
-		if e.heads[i] != nil && (min < 0 || e.heads[i].tag < e.heads[min].tag) {
-			min = i
+	}
+}
+
+// schedule picks the consumer's next step. The morsel due next is
+// streamed by worker 0 when nobody has claimed it yet, and emitted from
+// its buffer once a helper has finished it. While a helper still has it,
+// worker 0 works a fresh morsel instead of waiting, and waits only when
+// the run-ahead window is full. done reports the end of the stream.
+func (e *Exchange) schedule() (done bool, err error) {
+	e.mu.Lock()
+	for {
+		switch {
+		case e.failed != nil:
+			err := e.failed
+			e.mu.Unlock()
+			return false, err
+		case e.emitted >= e.total:
+			e.mu.Unlock()
+			return true, nil
+		case e.emitted == e.claimed:
+			m, _ := e.claimLocked(0, false)
+			e.mu.Unlock()
+			e.setMorsel(0, m)
+			e.streaming = true
+			return false, nil
 		}
+		if slot := &e.ring[e.emitted%e.window]; slot.done {
+			e.mu.Unlock()
+			e.cur = slot
+			return false, nil
+		}
+		if !e.dead0 && e.claimed < e.total && e.claimed < e.emitted+e.window {
+			m, slot := e.claimLocked(0, true)
+			e.mu.Unlock()
+			err := e.fill(0, m, slot)
+			e.dead0 = err != nil
+			e.finish(slot, err)
+			return false, nil
+		}
+		e.cond.Wait()
 	}
-	if min < 0 {
-		return nil, nil
-	}
-	head := e.heads[min]
-	e.heads[min] = nil
-	if head.err != nil {
-		e.err = head.err
-		return nil, e.err
-	}
-	e.out = head.b
-	return head.b, nil
 }
 
 func (e *Exchange) Close() error {
-	if e.stop == nil || e.closed {
+	if !e.open {
 		return nil
 	}
-	e.closed = true
-	freeBatch(e.out)
-	e.out = nil
-	close(e.stop)
-	for i := range e.chans {
-		for range e.chans[i] { //nolint:revive — drain so senders unblock
-		}
+	e.open = false
+	e.mu.Lock()
+	e.quit.Store(true)
+	e.cond.Broadcast()
+	e.mu.Unlock()
+	e.helpers.Wait()
+	e.out.release()
+	e.out, e.cur = nil, nil
+	for i := range e.ring {
+		e.ring[i].free()
 	}
-	e.wg.Wait()
-	e.heads, e.chans, e.done = nil, nil, nil
-	return nil
+	// Worker 0 closes last: the helpers probed its builds.
+	if e.dead0 {
+		closeQuietly(e.Workers[0])
+		return nil
+	}
+	return e.Workers[0].Close()
 }

@@ -291,11 +291,6 @@ type seqMerger struct {
 	heap    []int
 	rem     int64 // remaining repeats of the current head record
 	out     mergeOut
-	// bandShift > 0 keeps every emitted batch within one seq>>bandShift
-	// band and records the band in lastBand, so a morsel-spine operator
-	// draining this merger remains a valid TagSource (see parallel.go).
-	bandShift int
-	lastBand  int64
 }
 
 func newSeqMerger(runs []*spill.Run, width, multCol, seqCol int) (*seqMerger, error) {
@@ -353,14 +348,6 @@ func (m *seqMerger) next() (*vector.Batch, error) {
 	}
 	m.out.begin(m.kinds)
 	for m.out.rows < vector.BatchSize && len(m.heap) > 0 {
-		if m.bandShift > 0 {
-			band := m.seqAt(m.heap[0]) >> m.bandShift
-			if m.out.rows == 0 {
-				m.lastBand = band
-			} else if band != m.lastBand {
-				break // next record starts a new morsel band
-			}
-		}
 		cur := m.cursors[m.heap[0]]
 		for m.rem > 0 && m.out.rows < vector.BatchSize {
 			m.out.copyRun(cur.cols, cur.pos, cur.pos+1)

@@ -28,8 +28,6 @@ type graceJoin struct {
 	buildPS    *partitionSet
 	probePS    *partitionSet
 	seqCtr     int64
-	curBand    int64 // morsel-spine mode: band of the current probe batch
-	bandCtr    int64 // morsel-spine mode: probe rows seen within curBand
 	outRuns    []*spill.Run
 	merger     *seqMerger
 }
@@ -60,7 +58,7 @@ type joinWorkItem struct {
 // accumulated so far are rehashed into build partitions and the
 // in-memory build storage is released.
 func (j *HashJoin) startGrace(hashes []uint64) (*graceJoin, error) {
-	g := &graceJoin{j: j, res: j.Spill, curBand: -1}
+	g := &graceJoin{j: j, res: j.Spill}
 	g.buildKinds = append(append([]types.Kind{}, j.RightKinds...), exprKinds(j.RightKeys)...)
 	g.probeKinds = append(append([]types.Kind{}, j.LeftKinds...), exprKinds(j.LeftKeys)...)
 	g.probeKinds = append(g.probeKinds, types.KindInt)
@@ -117,25 +115,11 @@ func (g *graceJoin) runProbe() error {
 		if err != nil {
 			return err
 		}
-		// On a morsel-driven spine the sequence tags must stay globally
-		// comparable across workers: band<<seqShift | row-within-band,
-		// exactly the tap's tag scheme, instead of a join-local counter.
-		if j.TagSrc != nil {
-			if band := j.TagSrc.CurrentBand(); band != g.curBand {
-				g.curBand, g.bandCtr = band, 0
-			}
-		}
 		lanes := resolveSel(b, b.Sel)
 		hs := j.hasher.rows(keys, lanes)
 		for idx, i := range lanes {
-			var seq int64
-			if j.TagSrc != nil {
-				seq = g.curBand<<seqShift | g.bandCtr
-				g.bandCtr++
-			} else {
-				seq = g.seqCtr
-				g.seqCtr++
-			}
+			seq := g.seqCtr
+			g.seqCtr++
 			if j.Type == InnerJoin && hasNullKey(j.NullSafe, keys, i) {
 				continue // matches nothing, emits nothing
 			}
@@ -192,11 +176,6 @@ func (g *graceJoin) runProbe() error {
 	}
 	width := len(j.LeftKinds) + len(j.RightKinds)
 	g.merger, err = newSeqMerger(g.outRuns, width, -1, width)
-	if err == nil && j.TagSrc != nil {
-		// Batches must not span morsel bands, or the exchange above could
-		// not interleave another worker's intervening morsels.
-		g.merger.bandShift = seqShift
-	}
 	return err
 }
 

@@ -74,19 +74,9 @@ type ColScan struct {
 	// lane's row id in the snapshot, by which a consumer that keeps rows
 	// (the join-back's store) gathers their columns again later.
 	RowIDs bool
-	pos    int
-
-	// Morsel dispatch (parallel plans): instead of iterating [0, NumRows)
-	// the scan claims morsels from the shared dispatcher and windows only
-	// its own ranges. morselSeq identifies the current morsel for the
-	// sequence tags that restore serial output order.
-	disp      *Morsels
-	morselSeq int64
-	morselEnd int
-	// morselsTaken counts the morsels this scan claimed (worker-local;
-	// EXPLAIN ANALYZE reads it for its per-worker morsel counts once the
-	// exchange's workers have finished).
-	morselsTaken int
+	// The scan windows rows [pos, end): the whole snapshot, or in a
+	// parallel plan the morsel an exchange assigned it (SetMorsel).
+	pos, end int
 
 	rfs     []rfBinding
 	rfWork  rfScratch
@@ -118,21 +108,16 @@ func (s *ColScan) AddRuntimeFilter(rf *RuntimeFilter, col int) {
 // scan (EXPLAIN).
 func (s *ColScan) HasRuntimeFilters() bool { return len(s.rfs) > 0 }
 
-// SetMorselSource switches the scan to morsel-driven iteration against a
-// shared dispatcher (parallel plans only).
-func (s *ColScan) SetMorselSource(d *Morsels) { s.disp = d }
+// SetMorsel assigns the opened scan rows [lo, hi) of its snapshot: Next
+// windows them and then reports the end of the stream.
+// The spine above resumes when the exchange assigns the next morsel:
+// filters, projections and joins on a probe spine all pull their input
+// afresh after it ended.
+func (s *ColScan) SetMorsel(lo, hi int) { s.pos, s.end = lo, hi }
 
 // SetActivity attaches the active-query record whose cancellation flag
 // the scan polls at every batch boundary (nil: never cancelled).
 func (s *ColScan) SetActivity(aq *obs.ActiveQuery) { s.aq = aq }
-
-// CurrentBand implements TagSource: the scan's bands are its morsels.
-func (s *ColScan) CurrentBand() int64 { return s.morselSeq }
-
-// MorselsTaken returns how many morsels the scan claimed from its
-// dispatcher (0 for a serial scan). Only read it after the scan's worker
-// has finished (the exchange's Close waits for every worker).
-func (s *ColScan) MorselsTaken() int { return s.morselsTaken }
 
 // RuntimeFilterStats sums the tested/admitted lane counts over the
 // scan's runtime-filter bindings (EXPLAIN ANALYZE).
@@ -145,9 +130,7 @@ func (s *ColScan) RuntimeFilterStats() (tested, admitted int) {
 }
 
 func (s *ColScan) Open() error {
-	s.pos = 0
-	s.morselSeq, s.morselEnd = 0, 0
-	s.morselsTaken = 0
+	s.pos, s.end = 0, s.NumRows
 	for i := range s.rfs {
 		s.rfs[i].tested, s.rfs[i].admitted, s.rfs[i].dead = 0, 0, false
 	}
@@ -174,24 +157,10 @@ func (s *ColScan) Next() (*vector.Batch, error) {
 		return nil, err
 	}
 	for {
-		limit := s.NumRows
-		if s.disp != nil {
-			if s.pos >= s.morselEnd {
-				seq, lo, hi, ok := s.disp.grab(s.NumRows)
-				if !ok {
-					return nil, nil
-				}
-				s.morselsTaken++
-				s.morselSeq, s.pos, s.morselEnd = seq, lo, hi
-			}
-			limit = s.morselEnd
-		} else if s.pos >= s.NumRows {
+		if s.pos >= s.end {
 			return nil, nil
 		}
-		hi := s.pos + vector.BatchSize
-		if hi > limit {
-			hi = limit
-		}
+		hi := min(s.pos+vector.BatchSize, s.end)
 		for j, c := range s.Cols {
 			c.WindowInto(s.pos, hi, s.winCols[j])
 		}
@@ -234,6 +203,17 @@ func (s *ColScan) Next() (*vector.Batch, error) {
 		}
 		return b, nil
 	}
+}
+
+// view reports whether v is one of the scan's windows onto its snapshot
+// columns (the row-id column is rewritten every batch, so it is not).
+func (s *ColScan) view(v *vector.Vec) bool {
+	for i := range s.Cols {
+		if v == &s.winVecs[i] {
+			return true
+		}
+	}
+	return false
 }
 
 func (s *ColScan) anyReadyFilter() bool {
@@ -381,14 +361,6 @@ type HashJoin struct {
 	Publish     []*RuntimeFilter
 	Spill       spill.Resources
 
-	// TagSrc, when non-nil, marks the join as sitting on a morsel-driven
-	// worker spine: the nearest tag source below its probe side. Grace
-	// mode then stores band-derived sequence tags for probe rows and the
-	// output merge never lets a batch span bands, so the join remains a
-	// valid TagSource for the tap above even though it buffered the whole
-	// probe side.
-	TagSrc TagSource
-
 	build      vector.Table  // build rows: the right columns, then the evaluated keys
 	buildRow   []*vector.Vec // scratch: one batch's columns plus keys
 	index      hashIndex     // key hash → chain of build rows, in input order
@@ -405,8 +377,13 @@ type HashJoin struct {
 
 	grace      *graceJoin
 	buildBytes int64
-	leftOpen   bool
-	aq         *obs.ActiveQuery
+	// owner, when set, is the replica of this join whose build side this
+	// one probes instead of building its own (an exchange's helpers share
+	// worker 0's builds). The owner finishes its Open before this join
+	// opens, and keeps its table until this join has closed.
+	owner    *HashJoin
+	leftOpen bool
+	aq       *obs.ActiveQuery
 }
 
 // NewHashJoin returns a vectorized hash join node.
@@ -441,6 +418,10 @@ func (j *HashJoin) Open() (err error) {
 		if !j.NullSafe[k] && classify(j.LeftKeys[k].Kind(), j.RightKeys[k].Kind()) == classNone {
 			j.neverMatch = true
 		}
+	}
+	if j.owner != nil {
+		j.grace, j.build, j.index = nil, j.owner.build, j.owner.index
+		return j.openProbe()
 	}
 	// Build side first: drain the right input, keeping (per batch, so no
 	// input batch is retained) the lanes whose non-null-safe keys are all
@@ -554,6 +535,11 @@ func (j *HashJoin) Open() (err error) {
 			rf.PublishFrom(j.RightKeys[k].Kind(), keys)
 		}
 	}
+	return j.openProbe()
+}
+
+// openProbe resets the in-memory probe state and opens the probe side.
+func (j *HashJoin) openProbe() error {
 	j.curBatch = nil
 	j.outL, j.outR = j.outL[:0], j.outR[:0]
 	j.outPos = 0
@@ -607,20 +593,6 @@ func (j *HashJoin) keysMatch(probe []*vector.Vec, pi int, build int) bool {
 
 // Spilled reports whether the join went Grace (spilled partitions).
 func (j *HashJoin) Spilled() bool { return j.grace != nil }
-
-// CurrentBand implements TagSource. In-memory mode the join streams (all
-// outputs of one probe batch emit before the next is pulled), so the
-// source below is still current; Grace mode re-derives the band from the
-// sequence tags of the merged output stream.
-func (j *HashJoin) CurrentBand() int64 {
-	if j.grace != nil && j.grace.merger != nil {
-		return j.grace.merger.lastBand
-	}
-	if j.TagSrc != nil {
-		return j.TagSrc.CurrentBand()
-	}
-	return 0
-}
 
 // SetActivity attaches the active-query registration so cooperative
 // cancellation is observed once per emitted batch: joins multiply rows,

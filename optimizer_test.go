@@ -249,7 +249,7 @@ func TestOptimizerGoldenExplain(t *testing.T) {
 			want: strings.Join([]string{
 				"BatchToRow",
 				"  VecProject (4 cols)",
-				"    VecAggAttach (1 groups, 1 aggs)",
+				"    VecAggAttach (1 keys, 1 aggs)",
 				"      VecScan (4 rows)",
 				"",
 			}, "\n"),
@@ -268,12 +268,12 @@ func TestOptimizerGoldenExplain(t *testing.T) {
 				"    VecHashJoin (left, 2 keys)",
 				"      VecTopN (1 keys, keep 2)",
 				"        VecProject (2 cols)",
-				"          VecHashAggregate (1 groups, 1 aggs)",
+				"          VecHashAggregate (1 keys, 1 aggs)",
 				"            VecScan (4 rows)",
 				"      VecHashJoin (inner, 1 keys, RuntimeFilter)",
 				"        VecScan (4 rows, RuntimeFilter)",
 				"        VecProject (2 cols)",
-				"          VecHashAggregate (1 groups, 1 aggs)",
+				"          VecHashAggregate (1 keys, 1 aggs)",
 				"            VecScan (4 rows)",
 				"",
 			}, "\n"),

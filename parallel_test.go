@@ -2,6 +2,8 @@ package perm_test
 
 import (
 	"fmt"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -247,8 +249,33 @@ func TestParallelExplainAnnotation(t *testing.T) {
 		if strings.Contains(splan, "workers=") {
 			t.Fatalf("serial EXPLAIN of %q mentions workers:\n%s", c.query, splan)
 		}
+		// EXPLAIN ANALYZE: morsels per worker, the consumer's own worker
+		// first, covering big's 32 morsels once, and the most morsels
+		// buffered at once, within the run-ahead window of 4.
+		report, err := parallel.ExplainAnalyzeSQL(c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := exchangeAnnotRe.FindStringSubmatch(report)
+		if m == nil {
+			t.Fatalf("EXPLAIN ANALYZE of %q lacks the exchange's morsel annotation:\n%s", c.query, report)
+		}
+		counts, total := strings.Fields(m[1]), 0
+		for _, f := range counts {
+			n, _ := strconv.Atoi(f)
+			total += n
+		}
+		if len(counts) != 4 || total != 32 {
+			t.Fatalf("morsels/worker=[%s] of %q: want 4 workers sharing 32 morsels", m[1], c.query)
+		}
+		if peak, _ := strconv.Atoi(m[2]); peak < 0 || peak > 4 {
+			t.Fatalf("buffered_peak=%d of %q exceeds the run-ahead window of 4", peak, c.query)
+		}
 	}
 }
+
+// exchangeAnnotRe matches an exchange's EXPLAIN ANALYZE annotation.
+var exchangeAnnotRe = regexp.MustCompile(`Exchange \(workers=4\) \(actual .*morsels/worker=\[([0-9 ]+)\] buffered_peak=([0-9]+)`)
 
 // TestBenchShapesPlanOnlyExchanges: the TPC-H statements the benchmark
 // times (Q1/3/5/6/10/12/14 as q and q+, at SF 0.01) plan at 4 workers

@@ -123,14 +123,16 @@ type Options struct {
 	SpillDir string
 
 	// Parallelism is the number of workers intra-query parallelism may
-	// use for eligible vectorized plan segments. Parallel execution is
-	// semantics-preserving: worker outputs merge back in exact serial
-	// order, so results are byte-identical to a serial run. 0 defers to
-	// the environment and falls back to runtime.GOMAXPROCS(0); 1 (or a
-	// negative value) plans serially.
-	// Each worker draws memory through its own reservation under this
-	// handle's session budget, so Parallelism composes with MemoryLimit
-	// (workers spill independently under pressure).
+	// use for eligible vectorized plan segments: goroutines doing work,
+	// the one consuming the segment included. Parallel execution is
+	// semantics-preserving: worker outputs are emitted morsel by morsel
+	// in exact serial order, so results are byte-identical to a serial
+	// run. 0 defers to the environment and falls back to
+	// runtime.GOMAXPROCS(0); 1 (or a negative value) plans serially.
+	// Each hash join on the segment's probe spine is built once, by the
+	// consuming worker, under this handle's session budget, and probed by
+	// all; a build that would spill runs the segment on that worker alone,
+	// so Parallelism never reserves more than the serial plan.
 	Parallelism int
 
 	// TraceSample records a full lifecycle trace (phase spans plus

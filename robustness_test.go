@@ -299,14 +299,14 @@ func TestChaosMemDenial(t *testing.T) {
 }
 
 // TestChaosWorkerPanic: a panic inside a parallel exchange worker
-// surfaces as one clean query error — no deadlock in the k-way merge,
-// no leaked goroutines or reservations, process alive — and the retry
+// surfaces as one clean query error — no deadlock in the exchange, no
+// leaked goroutines or reservations, process alive — and the retry
 // returns byte-identical results.
 func TestChaosWorkerPanic(t *testing.T) {
 	leakCheck(t)
 	// No ORDER BY / aggregate: the plan runs the filter pipeline under an
-	// Exchange (where the worker.panic tap sits), and the tag-order merge
-	// makes the output order deterministic anyway.
+	// Exchange (where the worker.panic tap sits), and morsel-order
+	// emission makes the output order deterministic anyway.
 	const query = `SELECT a, b, s FROM big WHERE b >= 0`
 	serial := perm.NewDatabaseWithOptions(perm.Options{Parallelism: -1, SpillDir: t.TempDir()})
 	bigTable(serial)

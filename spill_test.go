@@ -141,7 +141,7 @@ func TestSpillExplainAndStats(t *testing.T) {
 	for _, c := range []struct{ query, wantOp string }{
 		{`SELECT a FROM big ORDER BY a`, "VecSort (1 keys, spill=on"},
 		{`SELECT DISTINCT b FROM big`, "VecDistinct (spill=on)"},
-		{`SELECT b, count(*) FROM big GROUP BY b`, "VecHashAggregate (1 groups, 1 aggs, spill=on"},
+		{`SELECT b, count(*) FROM big GROUP BY b`, "VecHashAggregate (1 keys, 1 aggs, spill=on"},
 		{`SELECT a FROM big INTERSECT SELECT b FROM big`, "VecSetOp (intersect, all=false, spill=on)"},
 		{`SELECT count(*) FROM big AS x, big AS y WHERE x.a = y.a`, "spill=on)"},
 	} {

@@ -368,7 +368,7 @@ func TestVectorizedGoldenExplain(t *testing.T) {
 			want: strings.Join([]string{
 				"BatchToRow",
 				"  VecProject (1 cols)",
-				"    VecHashAggregate (0 groups, 1 aggs)",
+				"    VecHashAggregate (0 keys, 1 aggs)",
 				"      VecFilter",
 				"        VecScan (5 rows)",
 				"",
