@@ -160,13 +160,15 @@ const (
 	// through the shared (goroutine-safe) buffer pool, and so do the
 	// morsels the exchange buffers — handed-over snapshot views and
 	// pooled copies, in pooled holders — leaving the per-batch constant of
-	// the serial pipeline plus the per-Open helper goroutines (about 100
-	// a drain). A blowout means pooled buffers started crossing goroutines
-	// (each would need a defensive copy or, worse, corrupt a recycled
-	// batch), or buffering went back to a fresh allocation per batch. The
-	// budget is the 400 allocations a drain of an exchange that copied
-	// every batch into fresh vectors cost, plus 20 %.
-	allocBudgetPerParallelDrain = 480
+	// the serial pipeline plus the per-Open helper goroutines: 99 a drain
+	// on a 2-CPU Xeon, where the consumer's own worker streams most of
+	// the 32 batches. The budget is that plus half again, so two more
+	// allocations per emitted batch break it: pooled buffers crossing
+	// goroutines (each would need a defensive copy) or an exchange that
+	// stopped recycling what it emits. How many batches helpers buffer
+	// depends on the core count, so a fresh allocation per buffered batch
+	// shows only in proportion.
+	allocBudgetPerParallelDrain = 150
 )
 
 // joinBackBytesPerRow bounds what a join-back whose T+ is 8 snapshot

@@ -231,3 +231,40 @@ func TestExchangeSpilledBuildRunsSerial(t *testing.T) {
 	}
 	assertNoLeftovers(t, parallel)
 }
+
+// TestExchangeFanOutBounded: a cross join on the replicated spine fans
+// each 2048-row morsel of big out to 32 batches. Under a 256 KiB budget
+// the exchange's buffers, which reserve nothing, still hold no more
+// than slotBatches batches per run-ahead slot, and a LIMIT above the
+// exchange stops the helpers without draining the product.
+func TestExchangeFanOutBounded(t *testing.T) {
+	leakCheck(t)
+	setup := func(db *perm.Database) {
+		bigTable(db)
+		db.MustExec(`CREATE TABLE sm (k int)`)
+		db.MustExec(`INSERT INTO sm VALUES (1), (2), (3), (4), (5), (6), (7), (8), (9), (10), (11), (12), (13), (14), (15), (16)`)
+	}
+	serial, parallel := parallelPair(t, 2, 256<<10, setup)
+	for _, q := range []string{
+		`SELECT count(*), sum(x.a * s.k) FROM big AS x, sm AS s WHERE x.b >= 0`,
+		`SELECT x.a, s.k FROM big AS x, sm AS s WHERE x.b >= 0 LIMIT 5`,
+	} {
+		report, err := parallel.ExplainAnalyzeSQL(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := batchesPeakRe.FindStringSubmatch(report)
+		if m == nil || !strings.Contains(report, "VecNestedLoopJoin") {
+			t.Fatalf("EXPLAIN ANALYZE of %q lacks an exchange over the cross join:\n%s", q, report)
+		}
+		// 4 run-ahead slots of 4 batches each.
+		if peak, _ := strconv.Atoi(m[1]); peak > 16 {
+			t.Fatalf("%q buffered %d batches at once, want at most 16:\n%s", q, peak, report)
+		}
+		assertIdenticalResult(t, serial, parallel, q)
+	}
+	assertNoLeftovers(t, parallel)
+}
+
+// batchesPeakRe matches the peak of batches an exchange buffered.
+var batchesPeakRe = regexp.MustCompile(`Exchange \(workers=2\) \(actual .*batches_peak=([0-9]+)`)

@@ -10,7 +10,7 @@
 // subtrees — which run on their own goroutines — are never wrapped: the
 // exchange itself is probed as a unit, the shared build sides (run once,
 // by worker 0) like serial operators, and the exchange's own detail
-// (morsels per worker, buffered morsels) is read after it has waited for
+// (morsels per worker, buffered morsels and batches) is read after it has waited for
 // its workers.
 package plan
 
@@ -152,15 +152,16 @@ func scanAnnot(s *vexec.ColScan) []string {
 }
 
 // workerAnnot renders an exchange's morsels per worker, the consumer's
-// own worker first, and the most morsels it held buffered at once (read
-// after its Close has waited for the workers); a run that degraded to
-// worker 0 alone says so instead.
+// own worker first, and the most morsels and batches it held buffered
+// at once (read after its Close has waited for the workers); a run that
+// degraded to worker 0 alone says so instead.
 func workerAnnot(x *vexec.Exchange) []string {
 	if x.Serial() {
 		return []string{"serial=spilled-build"}
 	}
-	counts, peak := x.WorkerMorsels()
-	return []string{fmt.Sprintf("morsels/worker=%v", counts), fmt.Sprintf("buffered_peak=%d", peak)}
+	counts, morsels, batches := x.WorkerMorsels()
+	return []string{fmt.Sprintf("morsels/worker=%v", counts),
+		fmt.Sprintf("buffered_peak=%d", morsels), fmt.Sprintf("batches_peak=%d", batches)}
 }
 
 // fmtDur renders nanoseconds rounded to the microsecond (exact below

@@ -2,6 +2,7 @@ package vexec
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -17,10 +18,7 @@ import (
 func exchangeOver(t *testing.T, workers, morsels int) *Exchange {
 	t.Helper()
 	n := morsels * morselRows
-	a := vector.NewVec(types.KindInt, n)
-	for i := range a.I {
-		a.I[i] = int64(i)
-	}
+	a := seqVec(n)
 	v := &algebra.Var{Col: 0, Typ: types.KindInt}
 	pred := cmp("=", bin("%", types.KindInt, v, intLit(3)), intLit(0))
 	replicas := make([]Node, workers)
@@ -32,6 +30,15 @@ func exchangeOver(t *testing.T, workers, morsels int) *Exchange {
 		replicas[w] = NewFilter(NewColScan([]*vector.Vec{a}, n), e)
 	}
 	return NewExchange(replicas)
+}
+
+// seqVec returns the int column 0, 1, ..., n-1.
+func seqVec(n int) *vector.Vec {
+	a := vector.NewVec(types.KindInt, n)
+	for i := range a.I {
+		a.I[i] = int64(i)
+	}
+	return a
 }
 
 // waitFor polls cond under the exchange's lock until it holds.
@@ -139,7 +146,99 @@ func TestExchangeCloseFreesBufferedMorsels(t *testing.T) {
 			t.Fatalf("ring slot %d still holds %d batches after Close", i, len(e.ring[i].batches))
 		}
 	}
-	if counts, peak := e.WorkerMorsels(); counts[0]+counts[1] != int(e.window) || peak != buffered {
+	if counts, peak, _ := e.WorkerMorsels(); counts[0]+counts[1] != int(e.window) || peak != buffered {
 		t.Fatalf("morsels/worker=%v buffered_peak=%d, want %d morsels and a peak of %d", counts, peak, e.window, buffered)
 	}
+}
+
+// TestExchangeFanOutStaysBounded: behind a cross join that fans every
+// 2-batch morsel out to 32 batches, a consumer that stalls after its
+// first batch leaves the helpers waiting at the slot bound instead of
+// buffering whole morsels, and the stream is still the serial plan's.
+func TestExchangeFanOutStaysBounded(t *testing.T) {
+	const morsels, fan = 8, 16
+	before := runtime.NumGoroutine()
+	n := morsels * morselRows
+	a, b := seqVec(n), seqVec(fan)
+	kinds := []types.Kind{types.KindInt}
+	cross := func() Node {
+		return NewNLJoin(NewColScan([]*vector.Vec{a}, n), NewColScan([]*vector.Vec{b}, fan), nil, InnerJoin, kinds, kinds)
+	}
+	drain := func(root Node, stall time.Duration) [][2]int64 {
+		t.Helper()
+		var pairs [][2]int64
+		for {
+			bt, err := root.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bt == nil {
+				return pairs
+			}
+			for _, l := range resolveSel(bt, bt.Sel) {
+				pairs = append(pairs, [2]int64{bt.Cols[0].I[l], bt.Cols[1].I[l]})
+			}
+			time.Sleep(stall)
+			stall = 0
+		}
+	}
+	serial := cross()
+	if err := serial.Open(); err != nil {
+		t.Fatal(err)
+	}
+	want := drain(serial, 0)
+	if err := serial.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	e := NewExchange([]Node{cross(), cross(), cross()})
+	if err := e.Open(); err != nil {
+		t.Fatal(err)
+	}
+	// Unbounded helpers would buffer 4 whole morsels, 128 batches,
+	// during the stall.
+	got := drain(e, 50*time.Millisecond)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	settleGoroutines(t, before)
+	if len(got) != n*fan || !slices.Equal(got, want) {
+		t.Fatalf("parallel cross join emitted %d pairs, want the serial plan's %d in its order", len(got), len(want))
+	}
+	if _, _, peak := e.WorkerMorsels(); peak < 1 || peak > int(e.window)*slotBatches {
+		t.Fatalf("buffered at most %d batches; want 1..%d (%d slots of %d)", peak, int(e.window)*slotBatches, e.window, slotBatches)
+	}
+}
+
+// panicOpen is a build side whose Open panics.
+type panicOpen struct{}
+
+func (panicOpen) Open() error                  { panic("build side failed") }
+func (panicOpen) Next() (*vector.Batch, error) { return nil, nil }
+func (panicOpen) Close() error                 { return nil }
+
+// TestExchangeBuildPanic: a panic while worker 0 builds the shared hash
+// join — during Open, on the caller's goroutine — fails Open with an
+// error rather than taking the process down, and starts no helper.
+func TestExchangeBuildPanic(t *testing.T) {
+	before := runtime.NumGoroutine()
+	n := 4 * morselRows
+	a := seqVec(n)
+	kinds := []types.Kind{types.KindInt}
+	key := func() []*Expr {
+		k, err := CompileExpr(&algebra.Var{Col: 0, Typ: types.KindInt}, colBinder{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []*Expr{k}
+	}
+	replicas := make([]Node, 2)
+	for w := range replicas {
+		replicas[w] = NewHashJoin(NewColScan([]*vector.Vec{a}, n), panicOpen{}, key(), key(), []bool{false}, InnerJoin, kinds, kinds)
+	}
+	e := NewExchange(replicas)
+	if err := e.Open(); err == nil || !strings.Contains(err.Error(), "panicked: build side failed") {
+		t.Fatalf("Open = %v; want the build's panic as an error", err)
+	}
+	settleGoroutines(t, before)
 }

@@ -14,10 +14,13 @@
 // doing work. It streams the morsel due next straight to the consumer,
 // and while that morsel is still with a helper it works a fresh one
 // instead of waiting. Helpers, and worker 0 when it works out of order,
-// buffer whole morsels — snapshot views handed over as they are, pooled
-// copies of anything else — never more than the run-ahead window past
-// the next morsel to emit, so buffered output stays bounded however slow
-// the consumer.
+// buffer their morsels' output — snapshot views handed over as they are,
+// pooled copies of anything else — in a ring of run-ahead slots of at
+// most slotBatches batches each: a worker whose slot is full waits
+// until the consumer reaches that morsel and then hands it over as a
+// stream (worker 0 parks its pipeline inside the morsel instead). So
+// buffered output stays bounded in batches however slow the consumer
+// and however far a spine join fans a morsel out.
 //
 // Memory: the shared builds are held under worker 0's reservations, once,
 // exactly as in the serial plan. A build that exceeds its budget goes
@@ -50,6 +53,10 @@ const ParallelMinRows = 2 * morselRows
 // claim (or the worker count, when that is larger): it bounds the
 // morsels buffered at once.
 const runAhead = 4
+
+// slotBatches bounds the batches one buffered morsel holds. A morsel
+// is 2 source batches, but a spine join can fan it out to any number.
+const slotBatches = 4
 
 // SpineDriver descends a subtree's streaming probe spine — filter and
 // projection inputs, the probe (left) side of joins — to its driver
@@ -150,22 +157,43 @@ func (h *held) release() {
 	heldPool.Put(h)
 }
 
-// morsel is the buffered output of one morsel: the batches a worker
-// produced from it, in order, and the error that ended it early.
+// morsel is one ring slot: the buffered output of a morsel a helper, or
+// worker 0 working ahead, claimed — at most slotBatches batches not yet
+// emitted, oldest first — and how the morsel ended. Guarded by the
+// exchange's mu.
 type morsel struct {
 	batches []*held
-	pos     int // next batch to emit
-	err     error
+	pos     int   // next batch to emit
+	err     error // what ended the morsel early
 	done    bool
+	// parked: worker 0 stopped buffering the morsel at the slot bound.
+	// Its pipeline still stands inside the morsel and streams the rest
+	// of it once the morsel is due.
+	parked bool
 }
 
-// free releases the morsel's unemitted batches.
-func (m *morsel) free() {
-	for i, h := range m.batches {
-		h.release()
-		m.batches[i] = nil
+// pop takes the slot's next batch (nil when it holds none), reusing the
+// slice once it is drained.
+func (m *morsel) pop() *held {
+	if m.pos == len(m.batches) {
+		return nil
 	}
-	m.batches = m.batches[:0]
+	h := m.batches[m.pos]
+	m.batches[m.pos] = nil
+	if m.pos++; m.pos == len(m.batches) {
+		m.batches, m.pos = m.batches[:0], 0
+	}
+	return h
+}
+
+// pending is the number of batches the slot holds.
+func (m *morsel) pending() int { return len(m.batches) - m.pos }
+
+// free releases the slot's unemitted batches.
+func (m *morsel) free() {
+	for h := m.pop(); h != nil; h = m.pop() {
+		h.release()
+	}
 }
 
 // Exchange runs N replicated pipelines over the morsels of one snapshot
@@ -193,10 +221,12 @@ type Exchange struct {
 	cond     sync.Cond
 	ring     []morsel // morsel m sits in ring[m % window] while in flight
 	claimed  int64    // morsels handed out so far
-	emitted  int64    // the next morsel to emit
+	emitted  int64    // the next morsel to emit: the due one
 	failed   error    // a helper's Open failure
 	buffered int      // morsels claimed for buffering and not yet emitted
 	peak     int
+	held     int // batches buffered in the ring
+	heldPeak int
 	counts   []int // morsels worked, per worker
 
 	helpers sync.WaitGroup
@@ -205,10 +235,11 @@ type Exchange struct {
 	quit atomic.Bool
 
 	// The consumer's own state.
-	serial    bool // a shared build spilled: worker 0 runs the serial plan
-	streaming bool // worker 0 is producing morsel emitted straight out
-	dead0     bool // worker 0 failed; its error sits in its morsel
-	cur       *morsel
+	serial    bool  // a shared build spilled: worker 0 runs the serial plan
+	streaming bool  // worker 0 is producing the due morsel straight out
+	parked    bool  // worker 0's pipeline stands in a parked morsel
+	dead0     bool  // worker 0 failed; its error sits in its morsel
+	done      bool  // the stream ended
 	out       *held // buffered batch last emitted, released on the next call
 	err       error
 	open      bool
@@ -250,9 +281,11 @@ func NewExchange(workers []Node) *Exchange {
 func (e *Exchange) Morsels() int64 { return e.total }
 
 // WorkerMorsels returns the morsels each worker worked in the last run,
-// the consumer's worker first, and the most morsels ever buffered at
-// once. Read it only after Close.
-func (e *Exchange) WorkerMorsels() (counts []int, peakBuffered int) { return e.counts, e.peak }
+// the consumer's worker first, and the most morsels and batches ever
+// buffered at once. Read it only after Close.
+func (e *Exchange) WorkerMorsels() (counts []int, peakMorsels, peakBatches int) {
+	return e.counts, e.peak, e.heldPeak
+}
 
 // SharedBuilds returns worker 0's spine hash joins, whose build sides
 // every worker probes: each runs once per execution, on the consumer's
@@ -265,14 +298,15 @@ func (e *Exchange) Serial() bool { return e.serial }
 
 func (e *Exchange) Open() error {
 	e.claimed, e.emitted, e.failed = 0, 0, nil
-	e.buffered, e.peak = 0, 0
+	e.buffered, e.peak, e.held, e.heldPeak = 0, 0, 0, 0
 	clear(e.counts)
 	e.quit.Store(false)
-	e.serial, e.streaming, e.dead0, e.cur, e.out, e.err = false, false, false, nil, nil, nil
+	e.serial, e.streaming, e.parked, e.dead0, e.done = false, false, false, false, false
+	e.out, e.err = nil, nil
 	// Worker 0 opens first, on this goroutine: that builds every shared
 	// build side (and publishes its runtime filters) before any helper
 	// starts, so the helpers' joins find them complete.
-	if err := e.Workers[0].Open(); err != nil {
+	if err := e.openWorker(0); err != nil {
 		return err
 	}
 	e.open = true
@@ -280,7 +314,7 @@ func (e *Exchange) Open() error {
 		if j.Spilled() {
 			// The Grace join drained the whole probe side during Open;
 			// worker 0 is now the serial plan.
-			e.serial = true
+			e.serial, e.streaming = true, true
 			return nil
 		}
 	}
@@ -296,7 +330,7 @@ func (e *Exchange) Open() error {
 // worker fails.
 func (e *Exchange) help(i int) {
 	defer e.helpers.Done()
-	if err := e.openHelper(i); err != nil {
+	if err := e.openWorker(i); err != nil {
 		e.mu.Lock()
 		if e.failed == nil {
 			e.failed = err
@@ -314,21 +348,26 @@ func (e *Exchange) help(i int) {
 		if slot == nil {
 			return
 		}
-		err := e.fill(i, m, slot)
-		e.finish(slot, err)
+		_, err := e.fill(i, m, slot)
+		e.mu.Lock()
+		slot.err, slot.done = err, true
+		e.cond.Broadcast()
+		e.mu.Unlock()
 		if err != nil {
 			return
 		}
 	}
 }
 
-// openHelper opens helper i's replica, turning a panic into an error. A
+// openWorker opens worker i's replica, turning a panic into an error. A
 // failed Open never sees a matching Close (the engine-wide convention):
-// the subtree unwound itself.
-func (e *Exchange) openHelper(i int) (err error) {
+// the subtree unwinds itself, and one a panic cut short is closed here,
+// so that its reservations and spill files are released.
+func (e *Exchange) openWorker(i int) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = workerPanic(p)
+			closeQuietly(e.Workers[i])
 		}
 	}()
 	return e.Workers[i].Open()
@@ -362,13 +401,13 @@ func closeQuietly(n Node) {
 }
 
 // claimLocked hands morsel claimed to worker i (mu held) and returns it
-// with its ring slot; buffer marks a morsel whose output will be copied
-// (or handed over) rather than streamed.
+// with its ring slot; buffer marks a morsel whose output will be
+// buffered rather than streamed.
 func (e *Exchange) claimLocked(i int, buffer bool) (int64, *morsel) {
 	m := e.claimed
 	e.claimed++
 	slot := &e.ring[m%e.window]
-	slot.batches, slot.pos, slot.err, slot.done = slot.batches[:0], 0, nil, false
+	slot.batches, slot.pos, slot.err, slot.done, slot.parked = slot.batches[:0], 0, nil, false, false
 	e.counts[i]++
 	if buffer {
 		e.buffered++
@@ -394,17 +433,40 @@ func (e *Exchange) claimWait(i int) (int64, *morsel) {
 	return e.claimLocked(i, true)
 }
 
-// fill runs worker i over morsel m, buffering its output in slot.
-func (e *Exchange) fill(i int, m int64, slot *morsel) error {
+// fill runs worker i over morsel m, buffering its output in slot, and
+// turns a panic anywhere in that work into the morsel's error. A helper
+// whose slot holds slotBatches batches waits until the consumer takes
+// one, so a morsel the consumer has reached is handed over as a stream.
+// Worker 0 is that consumer and cannot wait for itself: it parks the
+// morsel instead.
+func (e *Exchange) fill(i int, m int64, slot *morsel) (parked bool, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			parked, err = false, workerPanic(p)
+		}
+	}()
 	e.setMorsel(i, m)
 	for !e.quit.Load() {
 		b, err := e.pull(i)
 		if err != nil || b == nil {
-			return err
+			return false, err
 		}
-		slot.batches = append(slot.batches, hold(e.drivers[i], b))
+		h := hold(e.drivers[i], b)
+		e.mu.Lock()
+		slot.batches = append(slot.batches, h)
+		e.held++
+		e.heldPeak = max(e.heldPeak, e.held)
+		e.cond.Broadcast()
+		if i == 0 && slot.pending() >= slotBatches {
+			e.mu.Unlock()
+			return true, nil
+		}
+		for slot.pending() >= slotBatches && !e.quit.Load() {
+			e.cond.Wait()
+		}
+		e.mu.Unlock()
 	}
-	return nil
+	return false, nil
 }
 
 // setMorsel points worker i's driver scan at morsel m's rows.
@@ -413,112 +475,94 @@ func (e *Exchange) setMorsel(i int, m int64) {
 	e.drivers[i].SetMorsel(lo, min(lo+morselRows, e.rows))
 }
 
-// finish marks a buffered morsel complete.
-func (e *Exchange) finish(slot *morsel, err error) {
-	e.mu.Lock()
-	slot.err, slot.done = err, true
-	e.cond.Broadcast()
-	e.mu.Unlock()
-}
-
-// advance moves emission past the current morsel, opening the window by
-// one.
-func (e *Exchange) advance(buffered bool) {
-	e.mu.Lock()
-	e.emitted++
-	if buffered {
-		e.buffered--
-	}
-	e.cond.Broadcast()
-	e.mu.Unlock()
-}
-
 func (e *Exchange) Next() (*vector.Batch, error) {
 	e.out.release()
 	e.out = nil
-	if e.err != nil {
-		return nil, e.err
-	}
-	if e.serial {
-		b, err := e.pull(0)
-		if err != nil {
-			e.err, e.dead0 = err, true
-		}
-		return b, err
-	}
-	for {
-		switch {
-		case e.streaming:
-			b, err := e.pull(0)
-			if err != nil {
-				e.err, e.dead0 = err, true
-				return nil, err
-			}
-			if b != nil {
-				return b, nil
-			}
-			e.streaming = false
-			e.advance(false)
-		case e.cur != nil:
-			if m := e.cur; m.pos < len(m.batches) {
-				e.out = m.batches[m.pos]
-				m.batches[m.pos] = nil
-				m.pos++
-				return &e.out.batch, nil
-			}
-			if e.cur.err != nil {
-				e.err = e.cur.err
-				return nil, e.err
-			}
-			e.cur = nil
-			e.advance(true)
-		default:
-			done, err := e.schedule()
-			if err != nil {
+	for e.err == nil && !e.done {
+		if !e.streaming {
+			b, err := e.step()
+			if b != nil || err != nil {
 				e.err = err
+				return b, err
 			}
-			if done || err != nil {
-				return nil, err
-			}
+			continue
+		}
+		b, err := e.pull(0)
+		switch {
+		case err != nil:
+			e.err, e.dead0 = err, true
+		case b != nil:
+			return b, nil
+		case e.serial:
+			e.done = true
+		default:
+			e.streaming = false
+			e.mu.Lock()
+			e.emitted++
+			e.cond.Broadcast()
+			e.mu.Unlock()
 		}
 	}
+	return nil, e.err
 }
 
-// schedule picks the consumer's next step. The morsel due next is
-// streamed by worker 0 when nobody has claimed it yet, and emitted from
-// its buffer once a helper has finished it. While a helper still has it,
-// worker 0 works a fresh morsel instead of waiting, and waits only when
-// the run-ahead window is full. done reports the end of the stream.
-func (e *Exchange) schedule() (done bool, err error) {
+// step takes the consumer's next step and returns the batch it emits, if
+// any. The due morsel is streamed by worker 0 when nobody has claimed it
+// yet, and taken batch by batch from its slot otherwise. While a helper
+// still works the due morsel and its slot is empty, worker 0 works a
+// fresh morsel instead of waiting; it waits only when the run-ahead
+// window is full or its own pipeline is parked or failed.
+func (e *Exchange) step() (*vector.Batch, error) {
 	e.mu.Lock()
 	for {
-		switch {
-		case e.failed != nil:
-			err := e.failed
+		if err := e.failed; err != nil {
 			e.mu.Unlock()
-			return false, err
-		case e.emitted >= e.total:
+			return nil, err
+		}
+		if e.emitted >= e.total {
 			e.mu.Unlock()
-			return true, nil
-		case e.emitted == e.claimed:
+			e.done = true
+			return nil, nil
+		}
+		if e.emitted == e.claimed {
 			m, _ := e.claimLocked(0, false)
 			e.mu.Unlock()
 			e.setMorsel(0, m)
 			e.streaming = true
-			return false, nil
+			return nil, nil
 		}
-		if slot := &e.ring[e.emitted%e.window]; slot.done {
+		slot := &e.ring[e.emitted%e.window]
+		if h := slot.pop(); h != nil {
+			e.held--
+			e.cond.Broadcast() // its helper may be waiting for room
 			e.mu.Unlock()
-			e.cur = slot
-			return false, nil
+			e.out = h
+			return &h.batch, nil
 		}
-		if !e.dead0 && e.claimed < e.total && e.claimed < e.emitted+e.window {
-			m, slot := e.claimLocked(0, true)
+		switch {
+		case slot.done && slot.err != nil:
+			err := slot.err
 			e.mu.Unlock()
-			err := e.fill(0, m, slot)
-			e.dead0 = err != nil
-			e.finish(slot, err)
-			return false, nil
+			return nil, err
+		case slot.done:
+			e.emitted++
+			e.buffered--
+			e.cond.Broadcast()
+			continue
+		case slot.parked:
+			slot.parked, e.parked = false, false
+			e.buffered--
+			e.mu.Unlock()
+			e.streaming = true
+			return nil, nil
+		case !e.dead0 && !e.parked && e.claimed < e.total && e.claimed < e.emitted+e.window:
+			m, own := e.claimLocked(0, true)
+			e.mu.Unlock()
+			parked, err := e.fill(0, m, own)
+			e.mu.Lock()
+			own.err, own.done, own.parked = err, !parked, parked
+			e.parked, e.dead0 = parked, err != nil
+			continue
 		}
 		e.cond.Wait()
 	}
@@ -535,7 +579,7 @@ func (e *Exchange) Close() error {
 	e.mu.Unlock()
 	e.helpers.Wait()
 	e.out.release()
-	e.out, e.cur = nil, nil
+	e.out = nil
 	for i := range e.ring {
 		e.ring[i].free()
 	}
