@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"unsafe"
 
 	"perm/internal/types"
 )
@@ -75,6 +76,8 @@ func (r *Response) appendBody(b []byte) []byte {
 				b = append(b, tag|flag(v.Null))
 			case v.K == types.KindBool:
 				b = append(b, tag, flag(v.B))
+			case v.K == types.KindString && len(v.S) < 0x80:
+				b = append(append(b, tag, byte(len(v.S))), v.S...)
 			case v.K == types.KindString:
 				b = appendString(append(b, tag), v.S)
 			default: // bigint, double (its bits), date, interval
@@ -98,7 +101,7 @@ func flag(b bool) byte {
 // bytes left before anything is allocated from them.
 type decoder struct {
 	b   []byte
-	s   string // string(b): every decoded string is a substring of this one copy
+	s   string // b as a string: every decoded string is a substring of it
 	off int
 	err error
 }
@@ -192,11 +195,55 @@ func (d *decoder) value(v *types.Value) {
 	}
 }
 
+// values decodes len(vals) values: the loop that dominates decoding a
+// result. The common encodings (a NULL, a fixed-width value, a string
+// shorter than 128 bytes) are read in line over a local cursor; anything
+// else, malformed input included, goes through value, which checks every
+// field and reports the first error.
+func (d *decoder) values(vals []types.Value) {
+	b, s, off := d.b, d.s, d.off
+	for i := range vals {
+		v := &vals[i]
+		if off < len(b) {
+			tag := b[off]
+			k := types.Kind(tag >> 1)
+			switch {
+			case k > types.KindInterval:
+			case tag&1 != 0 || k == types.KindNull:
+				v.K, v.Null = k, tag&1 != 0
+				off++
+				continue
+			case k == types.KindString:
+				if off+1 < len(b) && b[off+1] < 0x80 && off+2+int(b[off+1]) <= len(b) {
+					end := off + 2 + int(b[off+1])
+					v.K, v.S = k, s[off+2:end]
+					off = end
+					continue
+				}
+			case k != types.KindBool:
+				if off+9 <= len(b) {
+					v.K, v.I = k, int64(binary.BigEndian.Uint64(b[off+1:]))
+					off += 9
+					continue
+				}
+			}
+		}
+		d.off = off
+		if d.value(v); d.err != nil {
+			return
+		}
+		off = d.off
+	}
+	d.off = off
+}
+
 // decodeResponse decodes one Response body. It allocates a constant
 // number of objects whatever the result size: the values are one slab
-// sliced into rows, the strings substrings of one copy of the body.
+// sliced into rows, the strings substrings of body itself. They alias
+// body without a copy because body is the frame ReadResponse allocated
+// for this one response, and nothing writes to it again.
 func decodeResponse(body []byte) (*Response, error) {
-	d := &decoder{b: body, s: string(body)}
+	d := &decoder{b: body, s: unsafe.String(unsafe.SliceData(body), len(body))}
 	resp := &Response{OK: d.flag()}
 	resp.Err, resp.Code = d.str(), d.str()
 	resp.Affected = int(d.uvarint())
@@ -222,16 +269,12 @@ func decodeResponse(body []byte) (*Response, error) {
 	}
 	if nrows > 0 {
 		vals := make([]types.Value, nrows*ncols)
+		if d.values(vals); d.err != nil {
+			return nil, d.err
+		}
 		resp.Rows = make([][]types.Value, nrows)
 		for i := range resp.Rows {
-			row := vals[i*ncols : (i+1)*ncols : (i+1)*ncols]
-			for j := range row {
-				d.value(&row[j])
-			}
-			if d.err != nil {
-				return nil, d.err
-			}
-			resp.Rows[i] = row
+			resp.Rows[i] = vals[i*ncols : (i+1)*ncols : (i+1)*ncols]
 		}
 	}
 	if d.off != len(body) {
