@@ -81,7 +81,7 @@ func keyOf(v types.Value) valKey {
 	case types.KindFloat:
 		key.f = v.F()
 	case types.KindString:
-		key.s = v.S
+		key.s = v.Str()
 	}
 	// Cross-kind numeric equality (1 = 1.0) folds into one key.
 	if v.K == types.KindInt {
@@ -135,11 +135,12 @@ func computeStats(rows []types.Row, cols []Column) *TableStats {
 				}
 				first, ranged = false, true
 			case types.KindString:
-				if first || v.S < minS {
-					minS = v.S
+				s := v.Str()
+				if first || s < minS {
+					minS = s
 				}
-				if first || v.S > maxS {
-					maxS = v.S
+				if first || s > maxS {
+					maxS = s
 				}
 				first, ranged = false, true
 			}

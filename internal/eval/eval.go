@@ -212,7 +212,7 @@ func compileBinOp(n *algebra.BinOp, b Binder) (Func, error) {
 			if lv.Null || rv.Null {
 				return types.NewNull(types.KindBool), nil
 			}
-			return types.NewBool(MatchLike(lv.S, rv.S)), nil
+			return types.NewBool(MatchLike(lv.Str(), rv.Str())), nil
 		}, nil
 	case "||":
 		return func(ctx *Ctx) (types.Value, error) {
@@ -435,7 +435,7 @@ func callScalar(name string, vals []types.Value) (types.Value, error) {
 	}
 	switch name {
 	case "substring":
-		s := vals[0].S
+		s := vals[0].Str()
 		start := int(vals[1].I)
 		if start < 1 {
 			start = 1
@@ -454,11 +454,11 @@ func callScalar(name string, vals []types.Value) (types.Value, error) {
 		}
 		return types.NewString(s[start-1 : end]), nil
 	case "upper":
-		return types.NewString(strings.ToUpper(vals[0].S)), nil
+		return types.NewString(strings.ToUpper(vals[0].Str())), nil
 	case "lower":
-		return types.NewString(strings.ToLower(vals[0].S)), nil
+		return types.NewString(strings.ToLower(vals[0].Str())), nil
 	case "length":
-		return types.NewInt(int64(len(vals[0].S))), nil
+		return types.NewInt(int64(len(vals[0].Str()))), nil
 	case "abs":
 		switch vals[0].K {
 		case types.KindInt:

@@ -97,14 +97,14 @@ func TestCaseEvaluation(t *testing.T) {
 		Else: c(types.NewString("big")),
 		Typ:  types.KindString,
 	}
-	if got := evalExpr(t, ce, types.Row{types.NewInt(1)}); got.S != "small" {
+	if got := evalExpr(t, ce, types.Row{types.NewInt(1)}); got.Str() != "small" {
 		t.Errorf("case = %v", got)
 	}
-	if got := evalExpr(t, ce, types.Row{types.NewInt(9)}); got.S != "big" {
+	if got := evalExpr(t, ce, types.Row{types.NewInt(9)}); got.Str() != "big" {
 		t.Errorf("case = %v", got)
 	}
 	// NULL condition falls through to ELSE.
-	if got := evalExpr(t, ce, types.Row{types.NewNull(types.KindInt)}); got.S != "big" {
+	if got := evalExpr(t, ce, types.Row{types.NewNull(types.KindInt)}); got.Str() != "big" {
 		t.Errorf("case null cond = %v", got)
 	}
 	// No ELSE → typed NULL.
@@ -230,7 +230,7 @@ func TestMatchLikeProperties(t *testing.T) {
 
 func TestCast(t *testing.T) {
 	ce := &algebra.Cast{Expr: c(types.NewInt(42)), To: types.KindString}
-	if got := evalExpr(t, ce, nil); got.S != "42" {
+	if got := evalExpr(t, ce, nil); got.Str() != "42" {
 		t.Errorf("cast = %v", got)
 	}
 	ce = &algebra.Cast{Expr: c(types.NewString("1995-06-17")), To: types.KindDate}

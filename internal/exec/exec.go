@@ -724,7 +724,7 @@ const sortGrowQuantum = 16 << 10
 func rowBytes(r types.Row) int64 {
 	n := int64(24) + int64(unsafe.Sizeof(types.Value{}))*int64(len(r))
 	for _, v := range r {
-		n += int64(len(v.S))
+		n += int64(len(v.Str()))
 	}
 	return n
 }

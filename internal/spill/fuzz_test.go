@@ -4,6 +4,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"perm/internal/types"
 	"perm/internal/vector"
 )
 
@@ -151,5 +152,120 @@ func TestReadColsRejectsOversizedLengths(t *testing.T) {
 	defer run.Close()
 	if batches, _ := readAll(t, run); len(batches) != 2 || batches[0].n != 3 || batches[1].n != 70 {
 		t.Fatalf("golden run decoded to %d batches", len(batches))
+	}
+}
+
+// rowRunOf returns a finished row run whose file holds exactly data.
+func rowRunOf(t *testing.T, data []byte) *RowRun {
+	t.Helper()
+	run, err := NewRowRun("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run.t.write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := run.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return run
+}
+
+// readRows decodes a row run to its end or first error.
+func readRows(run *RowRun) []types.Row {
+	var rows []types.Row
+	for {
+		row, err := run.ReadRow()
+		if err != nil || row == nil {
+			return rows
+		}
+		rows = append(rows, row)
+	}
+}
+
+// FuzzReadRow feeds the row-run reader arbitrary bytes: it must not
+// panic, and whatever rows it decodes must survive WriteRow → ReadRow
+// identical, string bytes included.
+func FuzzReadRow(f *testing.F) {
+	run, err := NewRowRun("")
+	if err != nil {
+		f.Fatal(err)
+	}
+	var golden []byte
+	for _, row := range rowRunRows() {
+		if err := run.WriteRow(row); err != nil {
+			f.Fatal(err)
+		}
+		golden = append(golden, run.buf...)
+	}
+	run.Close()
+	for cut := 0; cut <= len(golden); cut++ {
+		f.Add(golden[:cut])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		run := rowRunOf(t, data)
+		rows := readRows(run)
+		run.Close()
+		if len(rows) == 0 {
+			return
+		}
+		again, err := NewRowRun("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer again.Close()
+		for _, row := range rows {
+			if err := again.WriteRow(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := again.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		back := readRows(again)
+		if len(back) != len(rows) {
+			t.Fatalf("round trip returned %d rows, want %d", len(back), len(rows))
+		}
+		for ri, row := range rows {
+			if len(back[ri]) != len(row) {
+				t.Fatalf("row %d: %d values came back as %d", ri, len(row), len(back[ri]))
+			}
+			for i, v := range row {
+				if !types.Identical(back[ri][i], v) {
+					t.Fatalf("row %d value %d: %s %v came back as %s %v", ri, i, v.K, v, back[ri][i].K, back[ri][i])
+				}
+			}
+		}
+	})
+}
+
+// TestReadRowRejectsCorruption: an unknown kind and a string length
+// beyond the run are errors, not a value or an allocation.
+func TestReadRowRejectsCorruption(t *testing.T) {
+	run, err := NewRowRun("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run.WriteRow(rowRunRows()[0]); err != nil { // u16 3, int, string at 14, bool
+		t.Fatal(err)
+	}
+	golden := append([]byte(nil), run.buf...)
+	run.Close()
+	for name, corrupt := range map[string]func([]byte){
+		"kind":          func(b []byte) { b[2] = 0x7f },
+		"string length": func(b []byte) { b[16], b[17] = 0xff, 0x7f },
+	} {
+		data := append([]byte(nil), golden...)
+		corrupt(data)
+		run := rowRunOf(t, data)
+		if row, err := run.ReadRow(); err == nil {
+			t.Errorf("%s: decoded %v from a corrupt row", name, row)
+		}
+		run.Close()
+	}
+	run = rowRunOf(t, golden)
+	defer run.Close()
+	if rows := readRows(run); len(rows) != 1 || rows[0][1].Str() != "hello" {
+		t.Fatalf("golden row decoded to %v", rows)
 	}
 }

@@ -412,8 +412,11 @@ func (r *Run) Close() error {
 // Row run codec (row engine's external sort)
 //
 // Each row is encoded as u16 ncols, then per value u8 kind, u8 null and
-// the payload for non-NULL values. Interval values ride in I like every
-// other kind the row engine stores there.
+// the payload for non-NULL values: a bool's byte, a string's u32 length
+// and bytes, and I for every other kind (a float's bits, an interval's
+// months and days). The reader rejects an unknown kind and a string
+// longer than the whole run, so a damaged file is an error, not a panic
+// or a huge allocation.
 
 // RowRun is one spill run of encoded rows.
 type RowRun struct {
@@ -456,8 +459,9 @@ func (r *RowRun) WriteRow(row types.Row) error {
 				r.buf = append(r.buf, 0)
 			}
 		case types.KindString:
-			r.buf = binary.LittleEndian.AppendUint32(r.buf, uint32(len(v.S)))
-			r.buf = append(r.buf, v.S...)
+			s := v.Str()
+			r.buf = binary.LittleEndian.AppendUint32(r.buf, uint32(len(s)))
+			r.buf = append(r.buf, s...)
 		default: // int, float (its bits), date, interval, untyped nulls carry I
 			r.buf = binary.LittleEndian.AppendUint64(r.buf, uint64(v.I))
 		}
@@ -487,6 +491,9 @@ func (r *RowRun) ReadRow() (types.Row, error) {
 			return nil, err
 		}
 		v := types.Value{K: types.Kind(b[0])}
+		if v.K > types.KindInterval {
+			return nil, fmt.Errorf("spill: row run: unknown value kind %d", b[0])
+		}
 		if b[1] != 0 {
 			v.Null = true
 			row[i] = v
@@ -503,11 +510,15 @@ func (r *RowRun) ReadRow() (types.Row, error) {
 			if _, err := io.ReadFull(r.t.r, b[:4]); err != nil {
 				return nil, err
 			}
-			sb := make([]byte, binary.LittleEndian.Uint32(b[:4]))
+			n := int64(binary.LittleEndian.Uint32(b[:4]))
+			if n > r.t.bytes {
+				return nil, fmt.Errorf("spill: row run: a string of %d bytes in a run of %d", n, r.t.bytes)
+			}
+			sb := make([]byte, n)
 			if _, err := io.ReadFull(r.t.r, sb); err != nil {
 				return nil, err
 			}
-			v.S = string(sb)
+			v.SetString(string(sb))
 		default:
 			if _, err := io.ReadFull(r.t.r, b[:8]); err != nil {
 				return nil, err

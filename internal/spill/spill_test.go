@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"perm/internal/types"
@@ -78,20 +79,27 @@ func TestRunRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRowRunRoundTrip(t *testing.T) {
-	run, err := NewRowRun(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer run.Close()
-	rows := []types.Row{
+// rowRunRows is a value of every kind, typed and untyped NULLs, empty,
+// long and multi-byte strings, an empty row and the float edge cases.
+func rowRunRows() []types.Row {
+	return []types.Row{
 		{types.NewInt(1), types.NewString("hello"), types.NewBool(true)},
 		{types.NewNull(types.KindInt), types.NewString(""), types.NewFloat(-2.5)},
 		{types.NewDate(12345), types.NewInterval(2, 10), types.NullValue},
 		{},
 		{types.NewFloat(math.Copysign(0, -1)), types.NewFloat(math.NaN()), types.NewFloat(math.Inf(-1)),
 			types.NewFloat(math.SmallestNonzeroFloat64), types.NewFloat(math.MaxFloat64)},
+		{types.NewNull(types.KindString), types.NewString(strings.Repeat("long ", 60)), types.NewString("grüße\x00€")},
 	}
+}
+
+func TestRowRunRoundTrip(t *testing.T) {
+	run, err := NewRowRun(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer run.Close()
+	rows := rowRunRows()
 	for _, r := range rows {
 		if err := run.WriteRow(r); err != nil {
 			t.Fatal(err)
@@ -109,8 +117,8 @@ func TestRowRunRoundTrip(t *testing.T) {
 			t.Fatalf("row %d: %d cols, want %d", ri, len(got), len(want))
 		}
 		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("row %d col %d: %#v != %#v", ri, i, got[i], want[i])
+			if !types.Identical(got[i], want[i]) {
+				t.Fatalf("row %d col %d: %s %v != %s %v", ri, i, got[i].K, got[i], want[i].K, want[i])
 			}
 		}
 	}

@@ -269,7 +269,7 @@ func TestParseLiterals(t *testing.T) {
 	if len(lits) != 10 {
 		t.Fatalf("got %d literals", len(lits))
 	}
-	if lits[0].I != 1 || lits[1].I != -2 || lits[2].F() != 2.5 || lits[3].S != "str" {
+	if lits[0].I != 1 || lits[1].I != -2 || lits[2].F() != 2.5 || lits[3].Str() != "str" {
 		t.Error("scalar literals wrong")
 	}
 	if !lits[4].Null || !lits[5].B || lits[6].B {

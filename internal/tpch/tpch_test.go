@@ -107,13 +107,13 @@ func TestGenerateInvariants(t *testing.T) {
 	big := Generate(0.01, 7)
 	foundSpecial, foundComplaint := false, false
 	for _, o := range big.Tables["orders"] {
-		if strings.Contains(o[8].S, "special requests") {
+		if strings.Contains(o[8].Str(), "special requests") {
 			foundSpecial = true
 			break
 		}
 	}
 	for _, s := range big.Tables["supplier"] {
-		if strings.Contains(s[6].S, "Customer Complaints") {
+		if strings.Contains(s[6].Str(), "Customer Complaints") {
 			foundComplaint = true
 			break
 		}

@@ -16,6 +16,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 )
 
 // Kind enumerates the scalar datatypes supported by the engine.
@@ -63,17 +64,23 @@ func (k Kind) Numeric() bool { return k == KindInt || k == KindFloat }
 // meaningful. Null is represented separately so that every kind has a
 // typed NULL (needed e.g. for outer-join padding).
 //
-// K, Null and B share the first word and a float keeps its bits in I (read
-// them with F), which keeps a Value at four words (32 bytes): a wide
-// provenance result is a slab of millions of them. Because the bits are
-// the payload, == on two float Values tells -0.0 from +0.0 and finds a NaN
-// equal to itself; SQL comparisons go through Compare, Equal and Distinct.
+// K, Null and B share the first word, a float keeps its bits in I (read
+// them with F) and a string keeps its length in I and a pointer to its
+// bytes in the third word (read it with Str, write it with NewString or
+// SetString). That keeps a Value at three words (24 bytes): a wide
+// provenance result is a slab of millions of them. The zero-size first
+// field makes == on Values a compile error, since comparing the pointer
+// would compare where the bytes live, not what they say; Identical is the
+// exact comparison (kind, null, payload bits and string bytes, so -0.0 is
+// not +0.0 and a NaN is identical to itself), and SQL comparisons go
+// through Compare, Equal and Distinct.
 type Value struct {
+	_    [0]func()
 	K    Kind
 	Null bool
-	B    bool   // KindBool
-	I    int64  // KindInt, KindDate (days), KindInterval (months<<32|days, see below), KindFloat (bits)
-	S    string // KindString
+	B    bool  // KindBool
+	I    int64 // KindInt, KindDate (days), KindInterval (months<<32|days, see below), KindFloat (bits), KindString (length)
+	p    *byte // KindString: the bytes
 }
 
 // NewNull returns a typed NULL of kind k.
@@ -95,7 +102,37 @@ func NewFloat(f float64) Value { return Value{K: KindFloat, I: int64(math.Float6
 func (v Value) F() float64 { return math.Float64frombits(uint64(v.I)) }
 
 // NewString returns a text value.
-func NewString(s string) Value { return Value{K: KindString, S: s} }
+func NewString(s string) Value {
+	return Value{K: KindString, I: int64(len(s)), p: unsafe.StringData(s)}
+}
+
+// SetString makes v the text value s.
+func (v *Value) SetString(s string) { *v = NewString(s) }
+
+// Str returns the payload of a text value: "" for a NULL, for an empty
+// string and for any other kind.
+func (v Value) Str() string {
+	if v.Null {
+		return ""
+	}
+	return v.bytes()
+}
+
+// Identical reports whether a and b are the same value bit for bit: kind,
+// null flag, payload bits and string bytes. Unlike Equal it finds two
+// NULLs identical, tells -0.0 from +0.0 and a NaN identical to itself;
+// it is the == that Values do not have.
+func Identical(a, b Value) bool {
+	return a.K == b.K && a.Null == b.Null && a.B == b.B && a.I == b.I && a.bytes() == b.bytes()
+}
+
+// bytes is a string value's bytes whether or not it is NULL.
+func (v Value) bytes() string {
+	if v.K != KindString || v.p == nil {
+		return ""
+	}
+	return unsafe.String(v.p, v.I)
+}
 
 // NewDate returns a date value from days since the Unix epoch.
 func NewDate(days int64) Value { return Value{K: KindDate, I: days} }
@@ -161,7 +198,7 @@ func (v Value) String() string {
 	case KindFloat:
 		return strconv.FormatFloat(v.F(), 'g', -1, 64)
 	case KindString:
-		return v.S
+		return v.Str()
 	case KindDate:
 		y, m, d := v.DateYMD()
 		return fmt.Sprintf("%04d-%02d-%02d", y, m, d)
@@ -180,7 +217,7 @@ func (v Value) SQLLiteral() string {
 	}
 	switch v.K {
 	case KindString:
-		return "'" + strings.ReplaceAll(v.S, "'", "''") + "'"
+		return "'" + strings.ReplaceAll(v.Str(), "'", "''") + "'"
 	case KindDate:
 		return "date '" + v.String() + "'"
 	default:
@@ -212,7 +249,7 @@ func Compare(a, b Value) int {
 			return 0
 		}
 	case a.K == KindString && b.K == KindString:
-		return strings.Compare(a.S, b.S)
+		return strings.Compare(a.Str(), b.Str())
 	case a.K == KindDate && b.K == KindDate:
 		return cmpInt(a.I, b.I)
 	case a.K == KindBool && b.K == KindBool:
@@ -322,7 +359,7 @@ func (v Value) HashInto(h hashWriter) {
 	case KindString:
 		buf[0] = 3
 		h.Write(buf[:1])
-		h.Write([]byte(v.S))
+		h.Write([]byte(v.Str()))
 	case KindDate:
 		buf[0] = 4
 		for i := 0; i < 8; i++ {
@@ -549,7 +586,7 @@ func Coerce(v Value, k Kind) (Value, error) {
 	case v.K == KindFloat && k == KindInt:
 		return NewInt(int64(v.F())), nil
 	case v.K == KindString && k == KindDate:
-		return ParseDate(v.S)
+		return ParseDate(v.Str())
 	case k == KindString:
 		return NewString(v.String()), nil
 	}

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -16,8 +17,9 @@ var specialFloats = []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), 
 
 // TestFloatPayload: a float keeps its bits in I, so every float64 survives
 // NewFloat and F, and Compare, Distinct, Hash and String answer on the
-// Value as on the float64 itself. == compares the bits: the two zeros are
-// two values to it and one to SQL, and a NaN equals itself.
+// Value as on the float64 itself. Identical compares the bits: the two
+// zeros are two values to it and one to SQL, and a NaN is identical to
+// itself.
 func TestFloatPayload(t *testing.T) {
 	for _, f := range specialFloats {
 		v := NewFloat(f)
@@ -45,8 +47,8 @@ func TestFloatPayload(t *testing.T) {
 		}
 	}
 	zero, negZero, nan := NewFloat(0), NewFloat(math.Copysign(0, -1)), NewFloat(math.NaN())
-	if zero == negZero || Distinct(zero, negZero) || nan != NewFloat(math.NaN()) {
-		t.Errorf("0.0 == -0.0: %v (Distinct %v); NaN == NaN: %v", zero == negZero, Distinct(zero, negZero), nan == NewFloat(math.NaN()))
+	if Identical(zero, negZero) || Distinct(zero, negZero) || !Identical(nan, NewFloat(math.NaN())) {
+		t.Errorf("0.0 identical to -0.0: %v (Distinct %v); NaN identical to NaN: %v", Identical(zero, negZero), Distinct(zero, negZero), Identical(nan, NewFloat(math.NaN())))
 	}
 }
 
@@ -323,6 +325,50 @@ func TestCoerce(t *testing.T) {
 	}
 	if _, err := Coerce(NewBool(true), KindDate); err == nil {
 		t.Error("bool→date must error")
+	}
+}
+
+// TestStringPayload: a string keeps its length in I and its bytes behind
+// a pointer. Str reads "" for every other kind, for a NULL string and for
+// the empty string, and any string comes back byte for byte.
+func TestStringPayload(t *testing.T) {
+	for _, v := range []Value{{}, NullValue, NewNull(KindString), NewInt(42), NewFloat(2.5),
+		NewBool(true), NewDate(19000), NewInterval(1, 2), NewString("")} {
+		if got := v.Str(); got != "" {
+			t.Errorf("%s %v: Str() = %q, want \"\"", v.K, v, got)
+		}
+	}
+	var set Value
+	set.SetString("x")
+	for _, s := range []string{"", "a", "grüße\x00€", strings.Repeat("long ", 1000), string(make([]byte, 300))} {
+		v := NewString(s)
+		if v.K != KindString || v.Null || v.I != int64(len(s)) || v.Str() != s || v.String() != s {
+			t.Errorf("NewString(%q) = kind %s null %v len %d %q", s, v.K, v.Null, v.I, v.Str())
+		}
+		set.SetString(s)
+		if !Identical(set, v) {
+			t.Errorf("SetString(%q) = %q", s, set.Str())
+		}
+		// A copy of the bytes is the same value; the same bytes in
+		// another kind are not.
+		if !Identical(v, NewString(string([]byte(s)))) || Identical(v, NewInt(int64(len(s)))) {
+			t.Errorf("Identical on %q compares the wrong payload", s)
+		}
+		if back, err := Coerce(v, KindString); err != nil || !Identical(back, v) {
+			t.Errorf("Coerce(%q, text) = %q, %v", s, back.Str(), err)
+		}
+		if !Distinct(v, NewString(s+"!")) || Compare(v, NewString(s)) != 0 || v.Hash() != NewString(string([]byte(s))).Hash() {
+			t.Errorf("%q does not compare or hash by its bytes", s)
+		}
+	}
+	if Identical(NewString("ab"), NewString("ac")) || Identical(NewString("a"), NewString("ab")) ||
+		Identical(NewString(""), NewNull(KindString)) || !Identical(NewNull(KindString), NewNull(KindString)) {
+		t.Error("Identical tells strings apart by their bytes, their length and NULL")
+	}
+	for _, v := range []Value{NewInt(-7), NewFloat(2.5), NewDate(19000), NewBool(true), NewInterval(1, -2)} {
+		if back, err := Coerce(v, KindString); err != nil || back.Str() != v.String() || !Identical(back, NewString(v.String())) {
+			t.Errorf("Coerce(%v, text) = %q, %v", v, back.Str(), err)
+		}
 	}
 }
 

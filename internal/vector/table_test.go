@@ -71,7 +71,7 @@ func feed(t *Table, src []*Vec, n int) []int {
 }
 
 func sameValue(a, b types.Value) bool {
-	return a.K == b.K && a.Null == b.Null && (a.Null || a == b)
+	return a.K == b.K && a.Null == b.Null && (a.Null || types.Identical(a, b))
 }
 
 // TestTableAppendThenGather is the accumulator's property: whatever was

@@ -308,7 +308,7 @@ func (v *Vec) Set(i int, val types.Value) {
 	case types.KindFloat:
 		v.F[i] = val.AsFloat()
 	case types.KindString:
-		v.S[i] = val.S
+		v.S[i] = val.Str()
 	}
 }
 
@@ -390,7 +390,7 @@ func (v *Vec) BoxStrided(dst []types.Value, stride int, sel []int, n int) {
 			if nulls && v.Nulls.Get(i) {
 				dst[o] = null
 			} else {
-				dst[o].K, dst[o].S = types.KindString, v.S[i]
+				dst[o].SetString(v.S[i])
 			}
 		}
 	default:

@@ -112,8 +112,8 @@ func TestFloatBitsRoundTrip(t *testing.T) {
 	for i, f := range floats {
 		set.Set(i, rows[i][0])
 		for _, got := range []types.Value{cols[0].Value(i), set.Value(i), boxed[i]} {
-			if got != rows[i][0] {
-				t.Fatalf("%v came back as %#v", f, got)
+			if !types.Identical(got, rows[i][0]) {
+				t.Fatalf("%v came back as %v (bits %x)", f, got, got.I)
 			}
 		}
 	}
@@ -204,13 +204,13 @@ func TestAppendFromAndCopyLanes(t *testing.T) {
 	for _, i := range []int{3, 1, 0} {
 		app.AppendFrom(src, i)
 	}
-	if app.Len() != 3 || app.Value(0).S != "d" || !app.IsNull(1) || app.Value(2).S != "a" {
+	if app.Len() != 3 || app.Value(0).Str() != "d" || !app.IsNull(1) || app.Value(2).Str() != "a" {
 		t.Fatalf("AppendFrom result wrong: len=%d", app.Len())
 	}
 
 	dst := NewVec(types.KindString, 3)
 	dst.CopyLanes(1, src, []int{1, 2})
-	if !dst.IsNull(1) || dst.Value(2).S != "c" {
+	if !dst.IsNull(1) || dst.Value(2).Str() != "c" {
 		t.Fatal("CopyLanes result wrong")
 	}
 }

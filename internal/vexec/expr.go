@@ -522,7 +522,7 @@ func scalarOf(v types.Value, class cmpClass) scalar {
 	case classFloat:
 		return scalar{f: v.AsFloat()}
 	case classString:
-		return scalar{s: v.S}
+		return scalar{s: v.Str()}
 	case classBool:
 		if v.B {
 			return scalar{i: 1}
@@ -989,7 +989,7 @@ func compileLikeExpr(n *algebra.BinOp, l, r *Expr) (*Expr, error) {
 	k := &likeSel{l: l, r: r}
 	if r.isConst {
 		k.r, k.nullPat = nil, r.cv.Null
-		k.m = compileLike(r.cv.S)
+		k.m = compileLike(r.cv.Str())
 	}
 	return &Expr{kind: types.KindBool, pred: k}, nil
 }

@@ -292,7 +292,7 @@ func corpus() []testExpr {
 func refCompare(a, b types.Value) int {
 	switch {
 	case a.K == types.KindString:
-		return strings.Compare(a.S, b.S)
+		return strings.Compare(a.Str(), b.Str())
 	case a.K == types.KindBool:
 		switch {
 		case a.B == b.B:
@@ -437,7 +437,7 @@ func refBinOp(n *algebra.BinOp, cols []*vector.Vec, i int) (types.Value, error) 
 	case "=", "<>", "<", "<=", ">", ">=":
 		return types.NewBool(refCmpHolds(n.Op, refCompare(l, r))), nil
 	case "LIKE":
-		return types.NewBool(eval.MatchLike(l.S, r.S)), nil
+		return types.NewBool(eval.MatchLike(l.Str(), r.Str())), nil
 	}
 	if n.Typ == types.KindInt {
 		a, b := l.I, r.I
@@ -484,7 +484,7 @@ func sameLane(v *vector.Vec, i int, want types.Value) bool {
 		f := want.AsFloat()
 		return math.Float64bits(v.F[i]) == math.Float64bits(f) || (v.F[i] != v.F[i] && f != f)
 	case types.KindString:
-		return v.S[i] == want.S
+		return v.S[i] == want.Str()
 	default:
 		return v.I[i] == want.I
 	}
@@ -955,7 +955,7 @@ func refLess(a, b types.Value) bool {
 	case types.KindFloat:
 		return a.F() < b.F()
 	case types.KindString:
-		return a.S < b.S
+		return a.Str() < b.Str()
 	case types.KindBool:
 		return !a.B && b.B
 	default:
@@ -995,7 +995,7 @@ func sameValue(a, b types.Value) bool {
 	if a.K == types.KindFloat && b.K == types.KindFloat {
 		return a.I == b.I || (math.IsNaN(a.F()) && math.IsNaN(b.F()))
 	}
-	return a == b
+	return types.Identical(a, b)
 }
 
 func TestAggregateKernelEquivalence(t *testing.T) {

@@ -225,7 +225,7 @@ func fill(dst *vector.Vec, val types.Value, lanes []int) {
 		}
 	case types.KindString:
 		for _, i := range lanes {
-			dst.S[i] = val.S
+			dst.S[i] = val.Str()
 		}
 	default: // int, date
 		for _, i := range lanes {

@@ -42,7 +42,7 @@ func (r *Response) bodySize() (int, error) {
 			case v.K == types.KindBool:
 				n += 2
 			case v.K == types.KindString:
-				n += 1 + stringSize(v.S)
+				n += 1 + stringSize(v.Str())
 			default:
 				n += 9
 			}
@@ -76,10 +76,12 @@ func (r *Response) appendBody(b []byte) []byte {
 				b = append(b, tag|flag(v.Null))
 			case v.K == types.KindBool:
 				b = append(b, tag, flag(v.B))
-			case v.K == types.KindString && len(v.S) < 0x80:
-				b = append(append(b, tag, byte(len(v.S))), v.S...)
 			case v.K == types.KindString:
-				b = appendString(append(b, tag), v.S)
+				if s := v.Str(); len(s) < 0x80 {
+					b = append(append(b, tag, byte(len(s))), s...)
+				} else {
+					b = appendString(append(b, tag), s)
+				}
 			default: // bigint, double (its bits), date, interval
 				b = binary.BigEndian.AppendUint64(append(b, tag), uint64(v.I))
 			}
@@ -189,7 +191,7 @@ func (d *decoder) value(v *types.Value) {
 	case v.K == types.KindBool:
 		v.B = d.flag()
 	case v.K == types.KindString:
-		v.S = d.str()
+		v.SetString(d.str())
 	default:
 		v.I = int64(d.uint64())
 	}
@@ -216,7 +218,7 @@ func (d *decoder) values(vals []types.Value) {
 			case k == types.KindString:
 				if off+1 < len(b) && b[off+1] < 0x80 && off+2+int(b[off+1]) <= len(b) {
 					end := off + 2 + int(b[off+1])
-					v.K, v.S = k, s[off+2:end]
+					v.SetString(s[off+2 : end])
 					off = end
 					continue
 				}

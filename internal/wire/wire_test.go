@@ -64,7 +64,7 @@ func TestResponseRoundTripTypedValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !identical(got, want) {
 		t.Fatalf("round trip:\ngot  %+v\nwant %+v", got, want)
 	}
 	// Typed values must render identically after the trip.
@@ -142,7 +142,7 @@ func TestGoldenResponseFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !identical(got, want) {
 		t.Fatalf("decoded\n%+v\nwant\n%+v", got, want)
 	}
 	if n, _ := want.bodySize(); n != len(frame)-4 {
@@ -162,6 +162,12 @@ func TestResponseShapes(t *testing.T) {
 		{OK: true, Columns: []string{"f"}, Rows: [][]types.Value{
 			{types.NewFloat(math.Inf(1))}, {types.NewFloat(math.Inf(-1))}, {types.NewFloat(math.Copysign(0, -1))},
 			{types.NewFloat(math.NaN())}, {types.NewFloat(math.SmallestNonzeroFloat64)}, {types.NewFloat(math.MaxFloat64)}}},
+		// Strings either side of the one-byte length, with NUL and
+		// multi-byte characters, beside a NULL string.
+		{OK: true, Columns: []string{"s"}, Rows: [][]types.Value{
+			{types.NewString("")}, {types.NewString("\x00")}, {types.NewString(strings.Repeat("x", 127))},
+			{types.NewString(strings.Repeat("y", 128))}, {types.NewString(strings.Repeat("grüße€", 5000))},
+			{types.NewNull(types.KindString)}}},
 	} {
 		frame, err := Encode(want)
 		if err != nil {
@@ -171,10 +177,32 @@ func TestResponseShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if !identical(got, want) {
 			t.Fatalf("round trip: got %+v, want %+v", got, want)
 		}
 	}
+}
+
+// identical reports whether two responses are the same: every field
+// deeply equal and every value types.Identical (reflect.DeepEqual would
+// compare only the first byte of a string value).
+func identical(a, b *Response) bool {
+	ar, br := *a, *b
+	ar.Rows, br.Rows = nil, nil
+	if !reflect.DeepEqual(ar, br) || len(a.Rows) != len(b.Rows) || (a.Rows == nil) != (b.Rows == nil) {
+		return false
+	}
+	for i := range a.Rows {
+		if len(a.Rows[i]) != len(b.Rows[i]) || (a.Rows[i] == nil) != (b.Rows[i] == nil) {
+			return false
+		}
+		for j := range a.Rows[i] {
+			if !types.Identical(a.Rows[i][j], b.Rows[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func TestEncodeRejects(t *testing.T) {

@@ -3,6 +3,7 @@ package perm_test
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -131,29 +132,87 @@ func TestResultRowsDoNotAlias(t *testing.T) {
 }
 
 // TestWideResultAllocs bounds what materializing a wide result costs in
-// allocations: a constant per batch of 1024 rows (one slab of values, the
-// growth of the row list, and whatever column buffers miss the pool), not
-// one or more per row as when every row was boxed on its own. Measured: 9
-// per batch, 24 under the race detector, which makes sync.Pool drop a
-// quarter of what is returned to it; 1024 and more before.
+// allocations: a constant per batch of 1024 rows (one slab of values and
+// whatever column buffers miss the pool), not one or more per row as when
+// every row was boxed on its own. Measured: 9 per batch, 24 under the race
+// detector, which makes sync.Pool drop a quarter of what is returned to
+// it; 1024 and more before. It also bounds the bytes: 24 a value, plus
+// the row headers (24 bytes a row, allocated once), 25.2 in all. A Value
+// that grows, a second copy of the result or a row list that grows by
+// reallocation breaks the bound of 26.
 func TestWideResultAllocs(t *testing.T) {
-	const rows = 50 * 1024
+	const rows, width = 50 * 1024, 20
 	db := perm.NewDatabaseWithOptions(perm.Options{Parallelism: 1, MemoryLimit: -1})
 	tiesTable(rows)(db)
-	cols := make([]string, 20)
+	cols := make([]string, width)
 	for c := range cols {
 		cols[c] = fmt.Sprintf("id + %d", c)
 	}
 	q := `SELECT ` + strings.Join(cols, ", ") + ` FROM ties`
-	if res := db.MustQuery(q); len(res.Rows) != rows || len(res.Rows[0]) != 20 {
+	if res := db.MustQuery(q); len(res.Rows) != rows || len(res.Rows[0]) != width {
 		t.Fatalf("result is %d x %d", len(res.Rows), len(res.Rows[0]))
 	}
 	allocs := testing.AllocsPerRun(3, func() { db.MustQuery(q) })
 	const perBatch, fixed = 40, 400
 	if budget := float64(perBatch*rows/1024 + fixed); allocs > budget {
-		t.Fatalf("a %d x 20 result cost %.0f allocations, budget %.0f", rows, allocs, budget)
+		t.Fatalf("a %d x %d result cost %.0f allocations, budget %.0f", rows, width, allocs, budget)
 	}
-	t.Logf("%.0f allocations for %d batches", allocs, rows/1024)
+	perValue, budget := bytesPerRun(3, func() { db.MustQuery(q) })/(rows*width), 26.0
+	if raceEnabled {
+		budget += 3 // 27.4 measured: the batch buffers the pool dropped
+	}
+	if perValue > budget {
+		t.Fatalf("a %d x %d result allocated %.2f bytes a value, budget %.0f", rows, width, perValue, budget)
+	}
+	t.Logf("%.0f allocations for %d batches, %.2f bytes a value", allocs, rows/1024, perValue)
+}
+
+// raceEnabled is set when the tests run under the race detector.
+var raceEnabled bool
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the average number of
+// bytes allocated by a call of f, after one warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestStringsSurviveSelectInto: text values, the empty string and NULL
+// among them, come back byte for byte after SELECT ... INTO stores them in
+// a new table and a sorted query reads that table, on either engine and
+// under a memory budget, beside a cast to text.
+func TestStringsSurviveSelectInto(t *testing.T) {
+	strs := []string{"", "a", "it's", "grüße\x00€", strings.Repeat("long ", 100)}
+	for _, opts := range []perm.Options{{}, {DisableVectorized: true}, {MemoryLimit: 48 << 10}} {
+		db := perm.NewDatabaseWithOptions(opts)
+		db.MustExec(`CREATE TABLE src (id int, s text)`)
+		db.MustExec(`INSERT INTO src VALUES (0, NULL)`)
+		for i, s := range strs {
+			db.MustExec(fmt.Sprintf(`INSERT INTO src VALUES (%d, %s)`, i+1, types.NewString(s).SQLLiteral()))
+		}
+		db.MustExec(`SELECT id, s, CAST(id AS text) AS t INTO dst FROM src`)
+		res := db.MustQuery(`SELECT id, s, t FROM dst ORDER BY s, id`)
+		if len(res.Rows) != len(strs)+1 {
+			t.Fatalf("%+v: %d rows came back, want %d", opts, len(res.Rows), len(strs)+1)
+		}
+		for _, row := range res.RawRows() {
+			id := row[0].I
+			want := types.NewNull(types.KindString)
+			if id > 0 {
+				want = types.NewString(strs[id-1])
+			}
+			if !types.Identical(row[1], want) || !types.Identical(row[2], types.NewString(fmt.Sprint(id))) {
+				t.Errorf("%+v: row %d came back as %q (null %v), %q", opts, id, row[1].Str(), row[1].Null, row[2].Str())
+			}
+		}
+	}
 }
 
 // TestRawResultAdoptsRows: a client's result takes over the rows the wire

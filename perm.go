@@ -272,7 +272,8 @@ func (db *Database) QueryCacheStats() CacheStats {
 // DDL and DML statement; cached compilation artifacts are tagged with it).
 func (db *Database) CatalogVersion() uint64 { return db.cat.Version() }
 
-// Value is a single result value.
+// Value is a single result value. Values do not compare with ==; compare
+// what String, Int, Float or Bool return.
 type Value struct {
 	v types.Value
 }
@@ -553,37 +554,35 @@ func (db *Database) openSelect(q *algebra.Query, qr *queryRun, analyzed *stmtKey
 const rowStride = 1024
 
 // step boxes the plan's next batch (on the row engine, its next rowStride
-// rows) onto out; more is false once the plan is exhausted. Per batch it
-// feeds emitted-row progress and a cancellation check to the active-query
+// rows); more is false once the plan is exhausted. Per batch it feeds
+// emitted-row progress and a cancellation check to the active-query
 // record (one atomic add and one atomic load).
-func (r *selectRun) step(out [][]Value) (_ [][]Value, more bool, err error) {
+func (r *selectRun) step() (_ block, more bool, err error) {
 	aq := r.qr.activeQuery()
 	if r.batches != nil {
 		b, err := r.batches.Next()
 		if err != nil || b == nil {
-			return out, false, err
+			return block{}, false, err
 		}
 		if err := aq.CancelErr(); err != nil {
-			return out, false, err
+			return block{}, false, err
 		}
-		out = boxBatch(out, b)
 		aq.AddRows(int64(b.Live()))
-		return out, true, nil
+		return boxBatch(b), true, nil
 	}
 	r.rows = r.rows[:0]
 	for len(r.rows) < rowStride {
 		row, err := r.root.Next()
 		if err != nil {
-			return out, false, err
+			return block{}, false, err
 		}
 		if row == nil {
 			break
 		}
 		r.rows = append(r.rows, row)
 	}
-	out = boxRows(out, r.rows)
 	aq.AddRows(int64(len(r.rows)))
-	return out, len(r.rows) == rowStride, aq.CancelErr()
+	return boxRows(r.rows), len(r.rows) == rowStride, aq.CancelErr()
 }
 
 // close releases the plan. After a complete run (err == nil) of a traced
@@ -597,16 +596,26 @@ func (r *selectRun) close(err error) error {
 	return r.root.Close()
 }
 
-// drain steps the plan to the end and returns the result.
+// drain steps the plan to the end and returns the result, whose rows are
+// cut from the boxed blocks once their number is known.
 func (r *selectRun) drain() (*Result, error) {
+	var blocks []block
+	n := 0
 	for more := true; more; {
-		var err error
-		if r.res.Rows, more, err = r.step(r.res.Rows); err != nil {
+		b, m, err := r.step()
+		if err != nil {
 			_ = r.close(err) // the step's error is the one to report
 			return nil, err
 		}
+		blocks, n, more = append(blocks, b), n+b.n, m
 	}
 	_ = r.close(nil) // every row is out: nothing a failing Close could take back
+	if n > 0 {
+		r.res.Rows = make([][]Value, 0, n)
+		for _, b := range blocks {
+			r.res.Rows = b.rows(r.res.Rows)
+		}
+	}
 	return r.res, nil
 }
 

@@ -11,6 +11,7 @@ import (
 	"perm"
 	"perm/internal/server"
 	"perm/internal/tpch"
+	"perm/internal/types"
 	"perm/internal/wire"
 )
 
@@ -53,12 +54,34 @@ func shopDB() *perm.Database {
 }
 
 // same fails unless a remote result equals the embedded one value for
-// value and renders the same.
+// value (types.Identical: kind, null, payload bits, string bytes) and
+// renders the same.
 func same(t *testing.T, what string, got, want *perm.Result) {
 	t.Helper()
-	if !reflect.DeepEqual(got, want) || got.String() != want.String() {
+	if !reflect.DeepEqual(got.Columns, want.Columns) || !reflect.DeepEqual(got.ProvColumns, want.ProvColumns) ||
+		!identicalRows(got.RawRows(), want.RawRows()) || (got.Rows == nil) != (want.Rows == nil) ||
+		got.String() != want.String() {
 		t.Fatalf("%s: remote\n%s\nembedded\n%s", what, got, want)
 	}
+}
+
+// identicalRows reports whether two row sets hold identical values in
+// the same shape.
+func identicalRows(a, b [][]types.Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) || (a[i] == nil) != (b[i] == nil) {
+			return false
+		}
+		for j := range a[i] {
+			if !types.Identical(a[i][j], b[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func TestRoundTripsEqualEmbedded(t *testing.T) {

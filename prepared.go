@@ -145,9 +145,8 @@ func (c *Cursor) Fetch(max int) ([][]Value, error) {
 			if c.run == nil {
 				break
 			}
-			var more bool
-			var err error
-			c.pending, more, err = c.run.step(nil)
+			b, more, err := c.run.step()
+			c.pending = b.rows(nil)
 			if err != nil || !more {
 				_ = c.end(err) // a step error, if any, is the one to report
 			}

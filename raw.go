@@ -15,14 +15,16 @@ import (
 // of the stable embedded API.
 
 // A Value is a types.Value under a public name, so a row of one is a row
-// of the other, and both are 32 bytes: the boxed result, the row heap and
-// the wire decoder's slab hold millions of them. An array length goes
-// negative, and the build breaks, should either size change.
+// of the other, and both are 24 bytes (a string's length rides in the
+// integer word): the boxed result, the row heap and the wire decoder's
+// slab hold millions of them. An array length goes negative, and the
+// build breaks, should either size change. Neither compares with ==:
+// types.Identical is the exact comparison.
 var (
 	_ [unsafe.Sizeof(Value{}) - unsafe.Sizeof(types.Value{})]struct{}
 	_ [unsafe.Sizeof(types.Value{}) - unsafe.Sizeof(Value{})]struct{}
-	_ [unsafe.Sizeof(types.Value{}) - 32]struct{}
-	_ [32 - unsafe.Sizeof(types.Value{})]struct{}
+	_ [unsafe.Sizeof(types.Value{}) - 24]struct{}
+	_ [24 - unsafe.Sizeof(types.Value{})]struct{}
 )
 
 // rawRow views a result row as engine values, sharing its storage.
@@ -52,28 +54,45 @@ func NewRawResult(cols []string, prov []bool, rows [][]types.Value) *Result {
 		Rows: unsafe.Slice((*[]Value)(unsafe.Pointer(unsafe.SliceData(rows))), len(rows))}
 }
 
-// boxRows appends a copy of engine rows to out: the values go into one
-// slab, however many rows there are, so the result never aliases rows the
-// engine still owns (a scan hands out its table's own row slices).
-func boxRows[R ~[]types.Value](out [][]Value, rows []R) [][]Value {
-	cells := 0
-	for _, row := range rows {
-		cells += len(row)
-	}
-	slab := make([]Value, cells)
-	out = slices.Grow(out, len(rows))
-	for _, row := range rows {
-		copy(rawRow(slab), row)
-		out, slab = append(out, slab[:len(row):len(row)]), slab[len(row):]
+// A block is what one step of a plan boxed: n rows of width values in one
+// slab. The rows are cut from it only once the result's size is known, so
+// a drained result allocates its row headers once, not once per doubling.
+type block struct {
+	slab     []Value
+	n, width int
+}
+
+// rows appends the block's rows to out. Every row is capped at its own
+// length, so appending to one reallocates it and cannot run into its
+// neighbour.
+func (b block) rows(out [][]Value) [][]Value {
+	out = slices.Grow(out, b.n)
+	for i := 0; i < b.n; i++ {
+		lo, hi := i*b.width, (i+1)*b.width
+		out = append(out, b.slab[lo:hi:hi])
 	}
 	return out
 }
 
-// boxBatch appends the live rows of a batch to out. Values are boxed
-// column at a time (the kind is examined once per column) into one slab
-// per batch. Every row is capped at its own length, so appending to one
-// reallocates it and cannot run into its neighbour.
-func boxBatch(out [][]Value, b *vector.Batch) [][]Value {
+// boxRows copies engine rows, all of the plan's width, into one slab, so
+// the result never aliases rows the engine still owns (a scan hands out
+// its table's own row slices).
+func boxRows(rows []types.Row) block {
+	if len(rows) == 0 {
+		return block{}
+	}
+	width := len(rows[0])
+	slab := make([]Value, len(rows)*width)
+	raw := rawRow(slab)
+	for i, row := range rows {
+		copy(raw[i*width:(i+1)*width], row)
+	}
+	return block{slab, len(rows), width}
+}
+
+// boxBatch boxes the live rows of a batch column at a time (the kind is
+// examined once per column) into one slab.
+func boxBatch(b *vector.Batch) block {
 	n, width := b.Live(), len(b.Cols)
 	slab := make([]Value, n*width)
 	raw := rawRow(slab)
@@ -87,10 +106,7 @@ func boxBatch(out [][]Value, b *vector.Batch) [][]Value {
 			c.BoxStrided(raw[lo*width+j:], width, sel[lo:hi], hi-lo)
 		}
 	}
-	for i := 0; i < n; i++ {
-		out = append(out, slab[i*width:(i+1)*width:(i+1)*width])
-	}
-	return out
+	return block{slab, n, width}
 }
 
 // boxBlock is how many rows of a batch are boxed before moving on: every
