@@ -1,206 +1,27 @@
 package qcache
 
-import (
-	"fmt"
-	"hash/fnv"
-	"strings"
-)
+import "perm/internal/sql"
 
-// Normalize returns the parameterized form of a statement text: string
-// and numeric literals are replaced with '?' (a unary minus directly
-// before a number folds into the literal, so -5 and 42 normalize alike),
-// identifiers and keywords are lowercased, whitespace runs collapse to
-// single spaces, and IN lists of literals collapse to a single
-// placeholder — IN (1,2) and IN (1,2,3) are one query shape, not two.
-// Two statements that differ only in their literal values normalize to
-// the same text — the key shape a parameterized plan cache wants.
-//
-// The compiled-query cache itself still keys on the raw text: its
-// artifacts are optimized trees with the literals folded in (constant
-// folding, stats-driven join orders), so serving them across literals
-// would be wrong. Normalize exists for identity, not for artifact reuse:
-// the slow-query log and EXPLAIN ANALYZE fingerprint statements with it
-// so one query shape aggregates across its parameter values.
-func Normalize(text string) string {
-	var sb strings.Builder
-	sb.Grow(len(text))
-	prevIdent := false // previous emitted byte continues an identifier
-	pendingSpace := false
-	var lastSig byte // last significant (non-space) byte emitted
-	emit := func(b byte) {
-		if pendingSpace {
-			if sb.Len() > 0 {
-				sb.WriteByte(' ')
-			}
-			pendingSpace = false
-		}
-		sb.WriteByte(b)
-		lastSig = b
-	}
-	i := 0
-	for i < len(text) {
-		c := text[i]
-		switch {
-		case c == '\'':
-			// String literal with '' escapes.
-			i++
-			for i < len(text) {
-				if text[i] == '\'' {
-					if i+1 < len(text) && text[i+1] == '\'' {
-						i += 2
-						continue
-					}
-					i++
-					break
-				}
-				i++
-			}
-			emit('?')
-			prevIdent = false
-			continue
-		case c == '-' && i+1 < len(text) && isDigit(text[i+1]) && signContext(lastSig):
-			// Unary minus folded into the literal it signs: the previous
-			// significant byte is an opener, separator or operator, so this
-			// '-' cannot be binary subtraction. (After a word — "SELECT -1" —
-			// the sign is kept: keywords and identifiers are lexically
-			// indistinguishable, and "a -1" must stay a subtraction.)
-			i++
-			continue
-		case c >= '0' && c <= '9' && !prevIdent:
-			// Numeric literal (digits, optional fraction and exponent).
-			j := i
-			for j < len(text) && isDigit(text[j]) {
-				j++
-			}
-			if j < len(text) && text[j] == '.' {
-				j++
-				for j < len(text) && isDigit(text[j]) {
-					j++
-				}
-			}
-			if j < len(text) && (text[j] == 'e' || text[j] == 'E') {
-				k := j + 1
-				if k < len(text) && (text[k] == '+' || text[k] == '-') {
-					k++
-				}
-				if k < len(text) && isDigit(text[k]) {
-					for k < len(text) && isDigit(text[k]) {
-						k++
-					}
-					j = k
-				}
-			}
-			i = j
-			emit('?')
-			prevIdent = false
-			continue
-		case isIdentByte(c):
-			lc := c
-			if c >= 'A' && c <= 'Z' {
-				lc = c + ('a' - 'A')
-			}
-			emit(lc)
-			prevIdent = true
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			pendingSpace = true
-			prevIdent = false
-		default:
-			emit(c)
-			prevIdent = false
-		}
-		i++
-	}
-	return collapseInLists(sb.String())
-}
-
-// signContext reports whether a '-' emitted after this byte signs a
-// numeric literal rather than subtracting: at the start of the text or
-// after an opener, separator or operator.
-func signContext(last byte) bool {
-	switch last {
-	case 0, '(', ',', '=', '<', '>', '+', '-', '*', '/', '%':
-		return true
-	}
-	return false
-}
-
-// collapseInLists rewrites every fully parameterized IN list in a
-// normalized text — "in (?,?,?)", any arity, any spacing — to the
-// arity-independent "in (?)". IN (1,2) and IN (1,2,3) differ only in
-// how many values the client batched this time; for fingerprint
-// identity they are the same statement. Lists containing anything but
-// placeholders (column references, subqueries) are left untouched.
-func collapseInLists(s string) string {
-	if !strings.Contains(s, "in") {
-		return s
-	}
-	var sb strings.Builder
-	sb.Grow(len(s))
-	for i := 0; i < len(s); {
-		if inWordAt(s, i) {
-			k := i + 2
-			if k < len(s) && s[k] == ' ' {
-				k++
-			}
-			if k < len(s) && s[k] == '(' {
-				m := k + 1
-				placeholders := 0
-				listOnly := true
-			scan:
-				for ; m < len(s); m++ {
-					switch s[m] {
-					case '?':
-						placeholders++
-					case ',', ' ':
-					default:
-						if s[m] != ')' {
-							listOnly = false
-						}
-						break scan
-					}
-				}
-				if listOnly && m < len(s) && s[m] == ')' && placeholders > 0 {
-					sb.WriteString("in (?)")
-					i = m + 1
-					continue
-				}
-			}
-		}
-		sb.WriteByte(s[i])
-		i++
-	}
-	return sb.String()
-}
-
-// inWordAt reports whether the standalone word "in" starts at s[i].
-func inWordAt(s string, i int) bool {
-	if i+2 > len(s) || s[i] != 'i' || s[i+1] != 'n' {
-		return false
-	}
-	if i > 0 && isIdentByte(s[i-1]) {
-		return false
-	}
-	return i+2 == len(s) || !isIdentByte(s[i+2])
-}
-
-// Fingerprint returns a 16-hex-digit hash of Normalize(text): a stable
-// identity for a query shape, shared by the slow-query log, EXPLAIN
-// ANALYZE output, the statement-statistics registry and benchmark
+// Fingerprint returns a 16-hex-digit hash of sql.Normalize(text): a
+// stable identity for a query shape, shared by the slow-query log,
+// EXPLAIN ANALYZE output, the statement-statistics registry and benchmark
 // tooling.
 func Fingerprint(text string) string {
-	return FingerprintNormalized(Normalize(text))
+	return FingerprintNormalized(sql.Normalize(text))
 }
 
 // FingerprintNormalized hashes an already-normalized statement text
-// (callers that also need the normalized form avoid normalizing twice).
+// (callers that also need the normalized form avoid normalizing twice):
+// FNV-1a over its bytes, as 16 lower-case hex digits.
 func FingerprintNormalized(norm string) string {
-	h := fnv.New64a()
-	h.Write([]byte(norm)) //nolint:errcheck — fnv never fails
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-func isDigit(c byte) bool { return c >= '0' && c <= '9' }
-
-func isIdentByte(c byte) bool {
-	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(norm); i++ {
+		h = (h ^ uint64(norm[i])) * 1099511628211
+	}
+	var hex [16]byte
+	for i := len(hex) - 1; i >= 0; i-- {
+		hex[i] = "0123456789abcdef"[h&0xf]
+		h >>= 4
+	}
+	return string(hex[:])
 }

@@ -25,6 +25,7 @@ import (
 
 	"perm"
 	"perm/internal/obs"
+	"perm/internal/sql"
 )
 
 // Session is one client's state against a shared database.
@@ -198,17 +199,22 @@ type Outcome struct {
 }
 
 // Run executes one statement of the service dialect: PREPARE/EXECUTE/
-// DEALLOCATE/SET are handled by the session, SELECT/EXPLAIN run as
-// queries, and everything else goes through Exec. A trailing semicolon
-// is tolerated.
+// DEALLOCATE/SET are handled by the session, SELECT/EXPLAIN (or a
+// parenthesized query) run as queries, and everything else goes through
+// Exec. The statement's first token decides, so leading comments are
+// skipped; a trailing semicolon is tolerated.
 func (s *Session) Run(text string) (*Outcome, error) {
 	stmt := strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(text), ";"))
 	if stmt == "" {
 		return &Outcome{Tag: "OK"}, nil
 	}
-	word, rest := splitWord(stmt)
-	switch strings.ToUpper(word) {
-	case "PREPARE":
+	// On a lex error first is the zero token, and Exec reports the error.
+	first, _ := sql.NewLexer(stmt).Next()
+	rest := stmt[first.End:]
+	// PREPARE, EXECUTE and DEALLOCATE are no SQL keywords: they lex as
+	// (lower-cased) identifiers.
+	switch first.Text {
+	case "prepare":
 		name, rest := splitWord(rest)
 		as, body := splitWord(rest)
 		if name == "" || !strings.EqualFold(as, "AS") || strings.TrimSpace(body) == "" {
@@ -218,7 +224,7 @@ func (s *Session) Run(text string) (*Outcome, error) {
 			return nil, err
 		}
 		return &Outcome{Tag: "PREPARE"}, nil
-	case "EXECUTE":
+	case "execute":
 		name, extra := splitWord(rest)
 		if name == "" || strings.TrimSpace(extra) != "" {
 			return nil, fmt.Errorf("usage: EXECUTE <name>")
@@ -228,7 +234,7 @@ func (s *Session) Run(text string) (*Outcome, error) {
 			return nil, err
 		}
 		return &Outcome{Result: res}, nil
-	case "DEALLOCATE":
+	case "deallocate":
 		name, extra := splitWord(rest)
 		if strings.EqualFold(name, "PREPARE") {
 			name, extra = splitWord(extra)
@@ -249,7 +255,7 @@ func (s *Session) Run(text string) (*Outcome, error) {
 			return nil, err
 		}
 		return &Outcome{Tag: "SET"}, nil
-	case "SELECT", "EXPLAIN":
+	case "SELECT", "EXPLAIN", "(":
 		res, err := s.Query(stmt)
 		if err != nil {
 			return nil, err
@@ -261,13 +267,6 @@ func (s *Session) Run(text string) (*Outcome, error) {
 		}
 		return &Outcome{Tag: "CANCEL"}, nil
 	default:
-		if strings.HasPrefix(stmt, "(") {
-			res, err := s.Query(stmt)
-			if err != nil {
-				return nil, err
-			}
-			return &Outcome{Result: res}, nil
-		}
 		n, err := s.Exec(stmt)
 		if err != nil {
 			return nil, err

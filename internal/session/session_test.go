@@ -235,6 +235,13 @@ func TestRunDialect(t *testing.T) {
 	if err != nil || out.Result.Rows[0][0].Int() != 4 {
 		t.Fatalf("SELECT: %v %v", out, err)
 	}
+	// The first token classifies: comments before a query are skipped.
+	for _, q := range []string{"/* hint */ SELECT count(*) FROM shop", "-- note\nSELECT count(*) FROM shop;"} {
+		out, err = s.Run(q)
+		if err != nil || out.Result == nil || out.Result.Rows[0][0].Int() != 4 {
+			t.Fatalf("Run(%q) = %+v, %v; want the query's rows", q, out, err)
+		}
+	}
 	if _, err := s.Run(`EXECUTE nope`); err == nil || !strings.Contains(err.Error(), "does not exist") {
 		t.Fatalf("EXECUTE unknown: %v", err)
 	}

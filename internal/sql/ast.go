@@ -211,6 +211,7 @@ type ExplainStmt struct {
 	Rewrite bool
 	Analyze bool
 	Query   *SelectStmt
+	Source  string // the SELECT's source text, first token to last
 }
 
 func (*ExplainStmt) stmt() {}

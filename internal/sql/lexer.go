@@ -30,15 +30,17 @@ const (
 	TokKeyword
 	TokNumber
 	TokString
-	TokOp    // operators and punctuation
-	TokParam // $n positional parameter (reserved; unused by the engine)
+	TokOp // operators and punctuation
 )
 
-// Token is a lexical token with its source position (byte offset).
+// Token is a lexical token with its source span (byte offsets). Text is a
+// substring of the source wherever it can be: keywords are upper-cased,
+// unquoted identifiers lower-cased, and != reads as <>.
 type Token struct {
 	Kind TokenKind
-	Text string // keywords are upper-cased, identifiers lower-cased
-	Pos  int
+	Text string
+	Pos  int // offset of the token's first byte
+	End  int // offset just past its last byte
 }
 
 func (t Token) String() string {
@@ -48,27 +50,47 @@ func (t Token) String() string {
 	return fmt.Sprintf("%q", t.Text)
 }
 
-// keywords is the reserved-word set. Identifiers matching these (case
-// insensitively) lex as TokKeyword.
-var keywords = map[string]bool{
-	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"HAVING": true, "ORDER": true, "LIMIT": true, "OFFSET": true, "AS": true,
-	"AND": true, "OR": true, "NOT": true, "NULL": true, "TRUE": true, "FALSE": true,
-	"IN": true, "EXISTS": true, "BETWEEN": true, "LIKE": true, "IS": true,
-	"DISTINCT": true, "ALL": true, "ANY": true, "SOME": true, "CASE": true,
-	"WHEN": true, "THEN": true, "ELSE": true, "END": true, "CAST": true,
-	"JOIN": true, "INNER": true, "LEFT": true, "RIGHT": true, "FULL": true,
-	"OUTER": true, "CROSS": true, "ON": true, "USING": true, "NATURAL": true,
-	"UNION": true, "INTERSECT": true, "EXCEPT": true,
-	"CREATE": true, "TABLE": true, "VIEW": true, "DROP": true, "INSERT": true,
-	"INTO": true, "VALUES": true, "ASC": true, "DESC": true,
-	"DATE": true, "INTERVAL": true, "EXTRACT": true, "YEAR": true,
-	"MONTH": true, "DAY": true, "SUBSTRING": true, "FOR": true,
-	"PROVENANCE": true, "BASERELATION": true,
-	"PRIMARY": true, "KEY": true, "IF": true,
-	"EXPLAIN": true, "REWRITE": true, "ANALYZE": true, "DELETE": true, "UPDATE": true, "SET": true,
-	"CANCEL": true,
-	"NULLS":  true, "FIRST": true, "LAST": true,
+// keywords maps each reserved word to itself, so a keyword token's text
+// is the map's string and lexing one allocates nothing. Identifiers
+// matching these (case insensitively) lex as TokKeyword.
+var keywords = func() map[string]string {
+	m := make(map[string]string)
+	for _, kw := range strings.Fields(`
+		SELECT FROM WHERE GROUP BY HAVING ORDER LIMIT OFFSET AS
+		AND OR NOT NULL TRUE FALSE IN EXISTS BETWEEN LIKE IS
+		DISTINCT ALL ANY SOME CASE WHEN THEN ELSE END CAST
+		JOIN INNER LEFT RIGHT FULL OUTER CROSS ON USING NATURAL
+		UNION INTERSECT EXCEPT
+		CREATE TABLE VIEW DROP INSERT INTO VALUES ASC DESC
+		DATE INTERVAL EXTRACT YEAR MONTH DAY SUBSTRING FOR
+		PROVENANCE BASERELATION PRIMARY KEY IF
+		EXPLAIN REWRITE ANALYZE DELETE UPDATE SET CANCEL
+		NULLS FIRST LAST`) {
+		m[kw] = kw
+	}
+	return m
+}()
+
+// keyword returns the keyword a word spells in any case. The word is
+// upper-cased into a fixed buffer (no keyword is longer), so the lookup
+// allocates nothing; a word with a byte other than a letter, such as
+// most column names, is no keyword and skips the lookup.
+func keyword(word string) (string, bool) {
+	var buf [16]byte
+	if len(word) > len(buf) {
+		return "", false
+	}
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		} else if c < 'A' || c > 'Z' {
+			return "", false
+		}
+		buf[i] = c
+	}
+	kw, ok := keywords[string(buf[:len(word)])]
+	return kw, ok
 }
 
 // Lexer turns SQL text into tokens.
@@ -108,21 +130,15 @@ func (l *Lexer) errorf(pos int, format string, args ...interface{}) error {
 func (l *Lexer) Next() (Token, error) {
 	l.skipSpaceAndComments()
 	if l.pos >= len(l.src) {
-		return Token{Kind: TokEOF, Pos: l.pos}, nil
+		return Token{Kind: TokEOF, Pos: l.pos, End: l.pos}, nil
 	}
 	start := l.pos
 	c := l.src[l.pos]
 	switch {
-	case isIdentStart(rune(c)):
+	case identClass[c]&identStart != 0:
 		return l.lexIdent(start), nil
-	case c >= '0' && c <= '9':
-		return l.lexNumber(start)
-	case c == '.':
-		if l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9' {
-			return l.lexNumber(start)
-		}
-		l.pos++
-		return Token{Kind: TokOp, Text: ".", Pos: start}, nil
+	case isDigit(c) || c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1]):
+		return l.lexNumber(start), nil
 	case c == '\'':
 		return l.lexString(start)
 	case c == '"':
@@ -157,52 +173,55 @@ func (l *Lexer) skipSpaceAndComments() {
 	}
 }
 
-func isIdentStart(r rune) bool {
-	return r == '_' || unicode.IsLetter(r)
-}
+// identClass classifies every byte, read as a Latin-1 rune, for
+// identifiers: a letter or '_' starts one, and those, digits and '$'
+// continue it.
+var identClass = func() (t [256]uint8) {
+	for c := range t {
+		r := rune(c)
+		if r == '_' || unicode.IsLetter(r) {
+			t[c] |= identStart
+		}
+		if r == '_' || r == '$' || unicode.IsLetter(r) || unicode.IsDigit(r) {
+			t[c] |= identPart
+		}
+	}
+	return t
+}()
 
-func isIdentPart(r rune) bool {
-	return r == '_' || r == '$' || unicode.IsLetter(r) || unicode.IsDigit(r)
-}
+const (
+	identStart = 1 << iota
+	identPart
+)
 
 func (l *Lexer) lexIdent(start int) Token {
-	for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
+	for l.pos < len(l.src) && identClass[l.src[l.pos]]&identPart != 0 {
 		l.pos++
 	}
 	word := l.src[start:l.pos]
-	upper := strings.ToUpper(word)
-	if keywords[upper] {
-		return Token{Kind: TokKeyword, Text: upper, Pos: start}
+	if kw, ok := keyword(word); ok {
+		return Token{Kind: TokKeyword, Text: kw, Pos: start, End: l.pos}
 	}
-	return Token{Kind: TokIdent, Text: strings.ToLower(word), Pos: start}
+	return Token{Kind: TokIdent, Text: strings.ToLower(word), Pos: start, End: l.pos}
 }
 
 func (l *Lexer) lexQuotedIdent(start int) (Token, error) {
-	l.pos++ // opening quote
-	var sb strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '"' {
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '"' {
-				sb.WriteByte('"')
-				l.pos += 2
-				continue
-			}
-			l.pos++
-			return Token{Kind: TokIdent, Text: sb.String(), Pos: start}, nil
-		}
-		sb.WriteByte(c)
-		l.pos++
+	text, ok := l.lexQuoted('"')
+	if !ok {
+		return Token{}, l.errorf(start, "unterminated quoted identifier")
 	}
-	return Token{}, l.errorf(start, "unterminated quoted identifier")
+	return Token{Kind: TokIdent, Text: text, Pos: start, End: l.pos}, nil
 }
 
-func (l *Lexer) lexNumber(start int) (Token, error) {
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+func (l *Lexer) lexNumber(start int) Token {
 	seenDot, seenExp := false, false
+scan:
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {
-		case c >= '0' && c <= '9':
+		case isDigit(c):
 			l.pos++
 		case c == '.' && !seenDot && !seenExp:
 			seenDot = true
@@ -214,57 +233,69 @@ func (l *Lexer) lexNumber(start int) (Token, error) {
 				l.pos++
 			}
 		default:
-			return Token{Kind: TokNumber, Text: l.src[start:l.pos], Pos: start}, nil
+			break scan
 		}
 	}
-	return Token{Kind: TokNumber, Text: l.src[start:l.pos], Pos: start}, nil
+	return Token{Kind: TokNumber, Text: l.src[start:l.pos], Pos: start, End: l.pos}
 }
 
 func (l *Lexer) lexString(start int) (Token, error) {
-	l.pos++ // opening quote
-	var sb strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\'' {
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-				sb.WriteByte('\'')
-				l.pos += 2
-				continue
-			}
-			l.pos++
-			return Token{Kind: TokString, Text: sb.String(), Pos: start}, nil
-		}
-		sb.WriteByte(c)
-		l.pos++
+	text, ok := l.lexQuoted('\'')
+	if !ok {
+		return Token{}, l.errorf(start, "unterminated string literal")
 	}
-	return Token{}, l.errorf(start, "unterminated string literal")
+	return Token{Kind: TokString, Text: text, Pos: start, End: l.pos}, nil
 }
 
-// multi-character operators, longest first.
-var multiOps = []string{"<>", "<=", ">=", "!=", "||"}
+// lexQuoted reads the body of a run delimited by quote q, starting at the
+// opening quote, where a doubled q stands for one. A body without a
+// doubled q is returned as a substring of the source.
+func (l *Lexer) lexQuoted(q byte) (string, bool) {
+	l.pos++ // opening quote
+	begin := l.pos
+	var unescaped []byte // nil until the first doubled quote
+	for l.pos < len(l.src) {
+		if l.src[l.pos] != q {
+			l.pos++
+			continue
+		}
+		if l.pos+1 < len(l.src) && l.src[l.pos+1] == q {
+			unescaped = append(unescaped, l.src[begin:l.pos+1]...)
+			l.pos += 2
+			begin = l.pos
+			continue
+		}
+		body := l.src[begin:l.pos]
+		l.pos++ // closing quote
+		if unescaped != nil {
+			body = string(append(unescaped, body...))
+		}
+		return body, true
+	}
+	return "", false
+}
 
 func (l *Lexer) lexOp(start int) (Token, error) {
-	rest := l.src[l.pos:]
-	for _, op := range multiOps {
-		if strings.HasPrefix(rest, op) {
-			l.pos += len(op)
-			text := op
-			if text == "!=" {
-				text = "<>"
+	if l.pos+2 <= len(l.src) {
+		switch op := l.src[l.pos : l.pos+2]; op {
+		case "<>", "<=", ">=", "||", "!=":
+			l.pos += 2
+			if op == "!=" {
+				op = "<>"
 			}
-			return Token{Kind: TokOp, Text: text, Pos: start}, nil
+			return Token{Kind: TokOp, Text: op, Pos: start, End: l.pos}, nil
 		}
 	}
 	c := l.src[l.pos]
 	switch c {
 	case '(', ')', ',', '*', '+', '-', '/', '%', '<', '>', '=', ';', '.':
 		l.pos++
-		return Token{Kind: TokOp, Text: string(c), Pos: start}, nil
+		return Token{Kind: TokOp, Text: l.src[start:l.pos], Pos: start, End: l.pos}, nil
 	}
 	return Token{}, l.errorf(start, "unexpected character %q", c)
 }
 
-// Tokenize lexes the whole input (used by tests).
+// Tokenize lexes the whole input; the last token is TokEOF.
 func Tokenize(src string) ([]Token, error) {
 	l := NewLexer(src)
 	var toks []Token

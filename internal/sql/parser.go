@@ -14,6 +14,7 @@ type Parser struct {
 	tok   Token
 	queue []Token // buffered lookahead tokens
 	src   string
+	end   int // offset just past the last token consumed
 }
 
 // NewParser returns a parser over src positioned at the first token.
@@ -69,6 +70,7 @@ func ParseAll(src string) ([]Statement, error) {
 
 func (p *Parser) advance() error {
 	if len(p.queue) > 0 {
+		p.end = p.tok.End
 		p.tok = p.queue[0]
 		p.queue = p.queue[1:]
 		return nil
@@ -77,6 +79,7 @@ func (p *Parser) advance() error {
 	if err != nil {
 		return err
 	}
+	p.end = p.tok.End
 	p.tok = t
 	return nil
 }
@@ -124,6 +127,7 @@ func (p *Parser) peeksAtSelect() (bool, error) {
 // "((SELECT ...) AS x JOIN y)".
 type parserState struct {
 	lexPos int
+	end    int
 	tok    Token
 	queue  []Token
 }
@@ -131,6 +135,7 @@ type parserState struct {
 func (p *Parser) save() parserState {
 	return parserState{
 		lexPos: p.lex.pos,
+		end:    p.end,
 		tok:    p.tok,
 		queue:  append([]Token(nil), p.queue...),
 	}
@@ -138,6 +143,7 @@ func (p *Parser) save() parserState {
 
 func (p *Parser) restore(st parserState) {
 	p.lex.pos = st.lexPos
+	p.end = st.end
 	p.tok = st.tok
 	p.queue = st.queue
 }
@@ -223,11 +229,12 @@ func (p *Parser) parseExplain() (Statement, error) {
 			return nil, err
 		}
 	}
+	start := p.tok.Pos
 	sel, err := p.parseSelectStmt()
 	if err != nil {
 		return nil, err
 	}
-	return &ExplainStmt{Rewrite: rewrite, Analyze: analyze, Query: sel}, nil
+	return &ExplainStmt{Rewrite: rewrite, Analyze: analyze, Query: sel, Source: p.src[start:p.end]}, nil
 }
 
 func (p *Parser) parseCancel() (Statement, error) {

@@ -371,6 +371,21 @@ func TestParseExplain(t *testing.T) {
 	if !ex.Rewrite || !ex.Query.Provenance {
 		t.Errorf("explain = %+v", ex)
 	}
+	// Source is the SELECT's own text: no EXPLAIN prefix, no trailing
+	// comment or semicolon, whatever comes between the keywords.
+	for src, want := range map[string]string{
+		"EXPLAIN REWRITE SELECT PROVENANCE a FROM t":                              "SELECT PROVENANCE a FROM t",
+		"explain /* c */ analyze (SELECT a FROM t) UNION SELECT b FROM s -- x\n;": "(SELECT a FROM t) UNION SELECT b FROM s",
+		"EXPLAIN SELECT a FROM (SELECT a FROM t) AS x JOIN u ON a = b;":           "SELECT a FROM (SELECT a FROM t) AS x JOIN u ON a = b",
+	} {
+		stmt, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := stmt.(*ExplainStmt).Source; got != want {
+			t.Errorf("Source of %q = %q, want %q", src, got, want)
+		}
+	}
 }
 
 func TestParseAllMultiple(t *testing.T) {

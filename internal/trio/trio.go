@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"perm"
+	"perm/internal/sql"
 )
 
 // System is a Trio-style eager provenance layer over a Perm database.
@@ -59,16 +60,16 @@ func New(db *perm.Database) *System {
 // whose first column is the tuple key; aggregation and sublinks are
 // rejected, matching Trio's documented limitations.
 func (s *System) Derive(name, query string) error {
-	if err := checkSupported(query); err != nil {
+	toks, err := sql.Tokenize(query)
+	if err != nil {
+		return fmt.Errorf("trio: %w", err)
+	}
+	if err := checkSupported(toks); err != nil {
 		return err
 	}
 	// Run the provenance-computing form once (standing in for Trio's
 	// instrumented operators: the lineage content is identical).
-	provQuery, err := injectProvenance(query)
-	if err != nil {
-		return err
-	}
-	res, err := s.db.Query(provQuery)
+	res, err := s.db.Query(injectProvenance(query, toks))
 	if err != nil {
 		return fmt.Errorf("trio: derivation failed: %w", err)
 	}
@@ -269,44 +270,55 @@ func (s *System) keyColumn(rel string) (string, error) {
 }
 
 // checkSupported rejects query shapes outside Trio's documented subset.
-func checkSupported(query string) error {
-	upper := strings.ToUpper(query)
-	for _, kw := range []string{"GROUP BY", "HAVING", "SUM(", "COUNT(", "AVG(", "MIN(", "MAX("} {
-		if strings.Contains(upper, kw) {
-			return fmt.Errorf("trio: aggregation is not supported (as in the original system)")
+// It decides on keyword tokens, so a column named "selected" or a
+// literal 'select' is no subquery.
+func checkSupported(toks []sql.Token) error {
+	selects, setOps := 0, 0
+	for i, tok := range toks {
+		// toks ends with TokEOF, so an identifier has a successor.
+		if tok.Kind == sql.TokIdent && aggregates[tok.Text] && toks[i+1].Kind == sql.TokOp && toks[i+1].Text == "(" {
+			return errAggregation
+		}
+		if tok.Kind != sql.TokKeyword {
+			continue
+		}
+		switch tok.Text {
+		case "GROUP", "HAVING":
+			return errAggregation
+		case "SELECT":
+			selects++
+		case "UNION", "INTERSECT", "EXCEPT":
+			setOps++
 		}
 	}
-	if strings.Count(upper, "SELECT") > 1 && !strings.Contains(upper, "UNION") &&
-		!strings.Contains(upper, "INTERSECT") && !strings.Contains(upper, "EXCEPT") {
+	if selects > 1 && setOps == 0 {
 		return fmt.Errorf("trio: subqueries are not supported (as in the original system)")
 	}
-	setOps := strings.Count(upper, "UNION") + strings.Count(upper, "INTERSECT") + strings.Count(upper, "EXCEPT")
 	if setOps > 1 {
 		return fmt.Errorf("trio: only single set operations are supported (as in the original system)")
 	}
 	return nil
 }
 
-// injectProvenance adds the PROVENANCE keyword to every SELECT of the
-// query (for set operations, every branch must be rewritten).
-func injectProvenance(query string) (string, error) {
+var errAggregation = fmt.Errorf("trio: aggregation is not supported (as in the original system)")
+
+// aggregates are the aggregate functions, rejected when called.
+var aggregates = map[string]bool{"sum": true, "count": true, "avg": true, "min": true, "max": true}
+
+// injectProvenance adds the PROVENANCE keyword after every SELECT token
+// of the query (for set operations, every branch must be rewritten).
+func injectProvenance(query string, toks []sql.Token) string {
 	var sb strings.Builder
-	upper := strings.ToUpper(query)
 	last := 0
-	for i := 0; i+6 <= len(query); i++ {
-		if upper[i:i+6] == "SELECT" && (i == 0 || !isWordByte(upper[i-1])) &&
-			(i+6 == len(query) || !isWordByte(upper[i+6])) {
-			sb.WriteString(query[last : i+6])
+	for _, tok := range toks {
+		if tok.Kind == sql.TokKeyword && tok.Text == "SELECT" {
+			sb.WriteString(query[last:tok.End])
 			sb.WriteString(" PROVENANCE")
-			last = i + 6
+			last = tok.End
 		}
 	}
 	sb.WriteString(query[last:])
-	return sb.String(), nil
-}
-
-func isWordByte(b byte) bool {
-	return b == '_' || (b >= 'A' && b <= 'Z') || (b >= 'a' && b <= 'z') || (b >= '0' && b <= '9')
+	return sb.String()
 }
 
 func sqlString(s string) string {

@@ -1,7 +1,5 @@
 package types
 
-import "hash/fnv"
-
 // Row is a tuple of values. Rows are value-like: executors never mutate a
 // row after handing it downstream; copies are made when buffering.
 type Row []Value
@@ -23,11 +21,11 @@ func Concat(a, b Row) Row {
 
 // Hash hashes the whole row, consistent with EqualNullSafe.
 func (r Row) Hash() uint64 {
-	h := fnv.New64a()
+	h := uint64(fnvOffset64)
 	for i := range r {
-		r[i].HashInto(h)
+		h = r[i].hashInto(h)
 	}
-	return h.Sum64()
+	return h
 }
 
 // EqualNullSafe reports whether two rows are equal treating NULLs as equal

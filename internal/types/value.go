@@ -11,7 +11,6 @@ package types
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -323,59 +322,54 @@ func Distinct(a, b Value) bool {
 // set operations. It is consistent with Distinct: !Distinct(a,b) implies
 // Hash(a)==Hash(b). Numeric values hash by their float64 value so that
 // cross-kind numeric equality is respected.
-func (v Value) Hash() uint64 {
-	h := fnv.New64a()
-	v.HashInto(h)
-	return h.Sum64()
+func (v Value) Hash() uint64 { return v.hashInto(fnvOffset64) }
+
+// FNV-1a (hash/fnv's New64a), computed inline so hashing allocates
+// nothing.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
+
+// fnvWord folds w's 8 bytes, little-endian first.
+func fnvWord(h, w uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = fnvByte(h, byte(w>>(8*i)))
+	}
+	return h
 }
 
-// hashWriter is the subset of hash.Hash64 we need.
-type hashWriter interface{ Write(p []byte) (int, error) }
-
-// HashInto feeds the value into an existing hasher (for row hashing).
-func (v Value) HashInto(h hashWriter) {
-	var buf [9]byte
+// hashInto folds the value into an FNV-1a state: a tag byte for its kind
+// (0xff for NULL), then its payload.
+func (v Value) hashInto(h uint64) uint64 {
 	if v.Null {
-		buf[0] = 0xff
-		h.Write(buf[:1])
-		return
+		return fnvByte(h, 0xff)
 	}
 	switch v.K {
 	case KindBool:
-		buf[0] = 1
+		h = fnvByte(h, 1)
 		if v.B {
-			buf[1] = 1
+			return fnvByte(h, 1)
 		}
-		h.Write(buf[:2])
+		return fnvByte(h, 0)
 	case KindInt, KindFloat:
 		// Hash numerics by float64 bit pattern for cross-kind equality.
-		buf[0] = 2
-		f := v.AsFloat()
-		bits := math.Float64bits(f)
-		for i := 0; i < 8; i++ {
-			buf[1+i] = byte(bits >> (8 * i))
-		}
-		h.Write(buf[:9])
+		return fnvWord(fnvByte(h, 2), math.Float64bits(v.AsFloat()))
 	case KindString:
-		buf[0] = 3
-		h.Write(buf[:1])
-		h.Write([]byte(v.Str()))
+		h = fnvByte(h, 3)
+		s := v.Str()
+		for i := 0; i < len(s); i++ {
+			h = fnvByte(h, s[i])
+		}
+		return h
 	case KindDate:
-		buf[0] = 4
-		for i := 0; i < 8; i++ {
-			buf[1+i] = byte(uint64(v.I) >> (8 * i))
-		}
-		h.Write(buf[:9])
+		return fnvWord(fnvByte(h, 4), uint64(v.I))
 	case KindInterval:
-		buf[0] = 5
-		for i := 0; i < 8; i++ {
-			buf[1+i] = byte(uint64(v.I) >> (8 * i))
-		}
-		h.Write(buf[:9])
-	default:
-		buf[0] = 0xfe
-		h.Write(buf[:1])
+		return fnvWord(fnvByte(h, 5), uint64(v.I))
 	}
+	return fnvByte(h, 0xfe)
 }
 
 // Arithmetic errors.

@@ -464,3 +464,60 @@ func TestFloatEdgeCases(t *testing.T) {
 		t.Error("floats are never boolean-true")
 	}
 }
+
+var hashSink uint64
+
+// TestHashIsFNV1a: Hash and Row.Hash allocate nothing and equal hash/fnv's
+// FNV-1a over the encoding values have always hashed as: a kind tag (0xff
+// NULL, 1 bool, 2 number, 3 string, 4 date, 5 interval, 0xfe otherwise)
+// and the payload (a bool byte, 8 little-endian bytes or the string's
+// bytes). A row hashes its values' encodings one after another.
+func TestHashIsFNV1a(t *testing.T) {
+	encode := func(v Value) []byte {
+		switch {
+		case v.Null:
+			return []byte{0xff}
+		case v.K == KindBool && v.B:
+			return []byte{1, 1}
+		case v.K == KindBool:
+			return []byte{1, 0}
+		case v.K == KindInt || v.K == KindFloat:
+			return binary.LittleEndian.AppendUint64([]byte{2}, math.Float64bits(v.AsFloat()))
+		case v.K == KindString:
+			return append([]byte{3}, v.Str()...)
+		case v.K == KindDate:
+			return binary.LittleEndian.AppendUint64([]byte{4}, uint64(v.I))
+		case v.K == KindInterval:
+			return binary.LittleEndian.AppendUint64([]byte{5}, uint64(v.I))
+		}
+		return []byte{0xfe}
+	}
+	fnv1a := func(b []byte) uint64 {
+		h := fnv.New64a()
+		h.Write(b)
+		return h.Sum64()
+	}
+	vals := []Value{NewNull(KindInt), NewNull(KindString), NewBool(true), NewBool(false),
+		NewInt(-7), NewInt(1 << 40), NewFloat(2.5), NewFloat(math.NaN()), NewString(""),
+		NewString("Merdies"), NewDate(9000), NewInterval(2, -3), {K: KindNull}}
+	var row Row
+	var rowEnc []byte
+	for _, v := range vals {
+		if got, want := v.Hash(), fnv1a(encode(v)); got != want {
+			t.Errorf("%v (kind %d).Hash() = %x, want %x", v, v.K, got, want)
+		}
+		row = append(row, v)
+		rowEnc = append(rowEnc, encode(v)...)
+	}
+	if got, want := row.Hash(), fnv1a(rowEnc); got != want {
+		t.Errorf("Row.Hash() = %x, want %x", got, want)
+	}
+	for _, v := range []Value{NewInt(42), NewFloat(2.5), NewString("Merdies")} {
+		if n := testing.AllocsPerRun(100, func() { hashSink = v.Hash() }); n != 0 {
+			t.Errorf("%v.Hash() allocates %v times", v, n)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { hashSink = row.Hash() }); n != 0 {
+		t.Errorf("Row.Hash() allocates %v times", n)
+	}
+}

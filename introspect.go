@@ -17,6 +17,7 @@ import (
 	"perm/internal/catalog"
 	"perm/internal/obs"
 	"perm/internal/qcache"
+	"perm/internal/sql"
 	"perm/internal/types"
 )
 
@@ -110,7 +111,7 @@ func (db *Database) beginQuery(text string) *queryRun {
 	eng := db.eng
 	start := time.Now()
 	id := "q" + strconv.FormatUint(eng.qid.Add(1), 10)
-	norm := qcache.Normalize(text)
+	norm := sql.Normalize(text)
 	fp := qcache.FingerprintNormalized(norm)
 	budget := db.budget
 	aq := &obs.ActiveQuery{

@@ -3,10 +3,8 @@ package perm
 import (
 	"fmt"
 	"runtime"
-	"strings"
 	"time"
 
-	"perm/internal/algebra"
 	"perm/internal/exec"
 	"perm/internal/obs"
 	"perm/internal/plan"
@@ -32,7 +30,7 @@ func (db *Database) QueryAnalyzed(text string) (*Result, string, error) {
 		return nil, "", fmt.Errorf("EXPLAIN ANALYZE requires a plain SELECT statement")
 	}
 	qr := db.beginQuery(text)
-	res, report, err := db.analyzeSelect(sel, text, text, qr)
+	res, report, err := db.analyzeSelect(sel, text, qr)
 	qr.finish(err)
 	return res, report, err
 }
@@ -45,30 +43,26 @@ func (db *Database) ExplainAnalyzeSQL(text string) (string, error) {
 	return report, err
 }
 
-// analyzeSelect compiles (through the cache when cacheText is non-empty)
-// and runs a SELECT probed, returning the result and the annotated plan.
-// fpText is the statement text fingerprinted in the report footer: plan
+// analyzeSelect compiles (through the cache) and runs a SELECT probed,
+// returning the result and the annotated plan. text is the SELECT's own
+// text, the cache key and the fingerprint in the report footer: plan
 // health is keyed on the bare statement, not the session's
 // EXPLAIN ANALYZE-prefixed text, so estimates and flips join against
 // perm_stat_statements rows for the plain statement.
-func (db *Database) analyzeSelect(sel *sql.SelectStmt, cacheText, fpText string, qr *queryRun) (*Result, string, error) {
-	var q *algebra.Query
-	var ok bool
-	if cacheText != "" {
-		q, ok = db.cacheGet(cacheText)
-	}
+func (db *Database) analyzeSelect(sel *sql.SelectStmt, text string, qr *queryRun) (*Result, string, error) {
+	q, ok := db.cacheGet(text)
 	if !ok {
 		var err error
-		q, err = db.compileSelect(sel, cacheText, qr)
+		q, err = db.compileSelect(sel, text, qr)
 		if err != nil {
 			return nil, "", err
 		}
 	}
 	key := &stmtKey{}
-	if qr != nil && fpText == qr.aq.SQL {
+	if qr != nil && text == qr.aq.SQL {
 		key.fp, key.norm = qr.aq.Fingerprint, qr.norm
 	} else {
-		key.norm = qcache.Normalize(fpText)
+		key.norm = sql.Normalize(text)
 		key.fp = qcache.FingerprintNormalized(key.norm)
 	}
 	pre := db.budget.Stats()
@@ -127,24 +121,6 @@ func (db *Database) notePlanHash(qr *queryRun, analyzed *stmtKey, node exec.Node
 		obs.Events.Record(obs.EventPlanFlip, qr.aq.ID, fp,
 			fmt.Sprintf("plan %016x -> %016x", old, h))
 	}
-}
-
-// stripExplainPrefix removes a leading EXPLAIN ANALYZE from a statement
-// text so the analyzed query fingerprints (and caches) the same as the
-// bare SELECT would. Texts not of that shape are returned unchanged.
-func stripExplainPrefix(text string) string {
-	s := strings.TrimLeft(text, " \t\r\n")
-	for _, kw := range []string{"EXPLAIN", "ANALYZE"} {
-		if len(s) < len(kw) || !strings.EqualFold(s[:len(kw)], kw) {
-			return text
-		}
-		rest := strings.TrimLeft(s[len(kw):], " \t\r\n")
-		if rest == s[len(kw):] {
-			return text // keyword not followed by whitespace
-		}
-		s = rest
-	}
-	return s
 }
 
 // QueryCached reports whether a compiled artifact for the statement text

@@ -8,6 +8,7 @@ import (
 
 	"perm"
 	"perm/internal/obs"
+	"perm/internal/qcache"
 	"perm/internal/session"
 	"perm/internal/tpch"
 )
@@ -338,6 +339,51 @@ func TestQueryCached(t *testing.T) {
 	db.MustExec(`INSERT INTO t VALUES (3)`) // version bump invalidates
 	if db.QueryCached(q) {
 		t.Fatal("stale artifact still reported as cached after DML")
+	}
+}
+
+// TestExplainAnalyzeSharesBareIdentity: EXPLAIN ANALYZE <select> caches
+// and fingerprints as the bare <select> does, whatever surrounds its
+// keywords — comments between them, a trailing comment or semicolon, a
+// second statement after it.
+func TestExplainAnalyzeSharesBareIdentity(t *testing.T) {
+	const q = `SELECT a FROM t WHERE a > 1 ORDER BY a`
+	for _, text := range []string{
+		"EXPLAIN ANALYZE " + q,
+		"explain /* why */ analyze " + q + ";",
+		"EXPLAIN -- x\nANALYZE\n" + q + " -- trailing",
+		"EXPLAIN ANALYZE " + q + "; SELECT 1",
+	} {
+		db := perm.NewDatabase()
+		db.MustExec(`CREATE TABLE t (a int)`)
+		db.MustExec(`INSERT INTO t VALUES (1), (2)`)
+		var report strings.Builder
+		if strings.HasSuffix(text, "SELECT 1") {
+			if _, err := db.Exec(text); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			res, err := db.Query(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, row := range res.Rows {
+				report.WriteString(row[0].String() + "\n")
+			}
+		}
+		if !db.QueryCached(q) {
+			t.Errorf("%q did not fill the bare statement's cache slot", text)
+		}
+		if report.Len() > 0 && !strings.Contains(report.String(), "Fingerprint: "+qcache.Fingerprint(q)+"\n") {
+			t.Errorf("%q reports another fingerprint than the bare statement:\n%s", text, report.String())
+		}
+		before := db.QueryCacheStats()
+		if _, err := db.Query(q); err != nil {
+			t.Fatal(err)
+		}
+		if after := db.QueryCacheStats(); after.Hits != before.Hits+1 {
+			t.Errorf("bare statement after %q missed the cache: %+v -> %+v", text, before, after)
+		}
 	}
 }
 

@@ -810,15 +810,9 @@ func (db *Database) run(stmt sql.Statement, text string, qr *queryRun) (int, *Re
 			}
 			out = deparse.Query(q)
 		} else if s.Analyze {
-			// Strip the EXPLAIN ANALYZE prefix so the analyzed query hits
-			// (and fills) the same cache slot and fingerprint the bare
-			// SELECT would; a multi-statement text is left uncached.
-			qtext := stripExplainPrefix(text)
-			fpText := qtext
-			if qtext == text || strings.ContainsRune(qtext, ';') {
-				qtext = ""
-			}
-			_, report, aerr := db.analyzeSelect(s.Query, qtext, fpText, qr)
+			// The SELECT's own text hits (and fills) the same cache slot
+			// and fingerprint the bare SELECT would.
+			_, report, aerr := db.analyzeSelect(s.Query, s.Source, qr)
 			if aerr != nil {
 				return 0, nil, aerr
 			}
@@ -972,12 +966,17 @@ func (db *Database) runInsert(s *sql.InsertStmt, qr *queryRun) (int, error) {
 }
 
 // evalConstRow evaluates a row of literal expressions (INSERT VALUES).
+// A string literal is a substring of the statement text, so a stored
+// string gets its own bytes rather than pin the whole text.
 func (db *Database) evalConstRow(exprs []sql.Expr) (types.Row, error) {
 	row := make(types.Row, len(exprs))
 	for i, e := range exprs {
 		v, err := evalConstExpr(e)
 		if err != nil {
 			return nil, err
+		}
+		if v.K == types.KindString && !v.Null {
+			v.SetString(strings.Clone(v.Str()))
 		}
 		row[i] = v
 	}

@@ -127,11 +127,39 @@ func TestTrioRejectsUnsupported(t *testing.T) {
 		"SELECT count(*) FROM supplier",
 		"SELECT s_suppkey, sum(s_acctbal) FROM supplier GROUP BY s_suppkey",
 		"SELECT s_suppkey FROM supplier UNION SELECT s_suppkey FROM supplier UNION SELECT s_suppkey FROM supplier",
+		"SELECT s_suppkey FROM supplier WHERE s_nationkey IN (SELECT n_nationkey FROM nation)",
+		"SELECT max (s_acctbal) FROM supplier",
 	}
 	for _, q := range cases {
 		if err := sys.Derive(sys.FreshName(), q); err == nil {
 			t.Errorf("Derive(%q) should have been rejected", q)
 		}
+	}
+}
+
+// TestTrioReadsTokens: the Trio baseline decides on keyword tokens, so a
+// column or a literal that spells SELECT is no subquery, and PROVENANCE
+// goes after SELECT keywords only, never into a literal.
+func TestTrioReadsTokens(t *testing.T) {
+	db := tpchDB(t, 0.001)
+	sys := trio.New(db)
+	for name, query := range map[string]string{
+		"d_col": "SELECT s_suppkey, s_name AS selected FROM supplier WHERE s_suppkey <= 2",
+		"d_lit": "SELECT s_suppkey, 'select' AS tag FROM supplier WHERE s_suppkey <= 2 AND s_name <> 'select'",
+	} {
+		if err := sys.Derive(name, query); err != nil {
+			t.Fatalf("Derive(%q): %v", query, err)
+		}
+		if n, err := sys.DerivedRowCount(name); err != nil || n != 2 {
+			t.Fatalf("Derive(%q) stored %d tuples (%v), want 2", query, n, err)
+		}
+	}
+	res, err := db.Query("SELECT DISTINCT tag FROM d_lit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].String() != "select" {
+		t.Fatalf("literal rewritten: tags %v", res.Rows)
 	}
 }
 
