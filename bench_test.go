@@ -86,34 +86,6 @@ func BenchmarkFig15Trio(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationSetOpVariant compares the paper's Fig. 6(3b) rewrite
-// (default) against the flattened 3a variant the paper predicts a speedup
-// for (§V-B1) — the ablation DESIGN.md calls out.
-func BenchmarkAblationSetOpVariant(b *testing.B) {
-	for _, variant := range []struct {
-		name    string
-		flatten bool
-	}{{"3b-recursive", false}, {"3a-flattened", true}} {
-		variant := variant
-		b.Run(variant.name, func(b *testing.B) {
-			db := perm.NewDatabaseWithOptions(perm.Options{FlattenSetOps: variant.flatten})
-			tpch.MustLoad(db, benchSF, 42)
-			maxKey, err := db.TableRowCount("part")
-			if err != nil {
-				b.Fatal(err)
-			}
-			rng := tpch.NewRand(9)
-			q := injectProv(synth.SetOpQuery(rng, 4, maxKey))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := db.Query(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // benchBinder binds Vars positionally for the vexec alloc-budget bench.
 type benchBinder struct{}
 

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"perm/internal/algebra"
+	"perm/internal/analyze"
 	"perm/internal/deparse"
 	"perm/internal/sql"
 )
@@ -41,7 +42,7 @@ func (db *Database) SortKeysSQL(text string) (string, []int, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	q, err := db.analyzer().AnalyzeSelect(stmt.(*sql.SelectStmt))
+	q, err := analyze.New(db.cat).AnalyzeSelect(stmt.(*sql.SelectStmt))
 	if err != nil || len(q.OrderBy) == 0 {
 		return "", nil, err
 	}

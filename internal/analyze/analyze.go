@@ -23,11 +23,6 @@ import (
 // Analyzer resolves statements against a catalog.
 type Analyzer struct {
 	cat *catalog.Catalog
-	// RewriteOpts configures the provenance rewriter, which the analyzer
-	// invokes inline for nested SELECT PROVENANCE subqueries so that their
-	// provenance attributes are resolvable by name in enclosing queries
-	// (the analyzer changes §IV-B describes).
-	RewriteOpts provrewrite.Options
 
 	// lifted holds the leaf statements whose PROVENANCE keyword a
 	// set-operation statement now under analysis has taken for itself. The
@@ -40,12 +35,13 @@ type Analyzer struct {
 func New(cat *catalog.Catalog) *Analyzer { return &Analyzer{cat: cat} }
 
 // rewriteIfRequested applies the provenance rewrite to a subquery marked
-// with SELECT PROVENANCE, so enclosing scopes see the rewritten schema.
+// with SELECT PROVENANCE, so that its provenance attributes are resolvable
+// by name in enclosing queries (the analyzer changes §IV-B describes).
 func (a *Analyzer) rewriteIfRequested(q *algebra.Query) (*algebra.Query, error) {
 	if q == nil || !q.ProvenanceRequested {
 		return q, nil
 	}
-	return provrewrite.RewriteTree(q, a.RewriteOpts)
+	return provrewrite.Rewrite(q)
 }
 
 // ErrCorrelated is returned (wrapped) when a sublink references a column of

@@ -128,7 +128,7 @@ func TestViewUnfolding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cat.CreateView("v", stmt.(*sql.SelectStmt), "", false); err != nil {
+	if err := cat.CreateView("v", stmt.(*sql.SelectStmt), false); err != nil {
 		t.Fatal(err)
 	}
 	q := mustAnalyze(t, cat, "SELECT va FROM v")

@@ -45,7 +45,6 @@ func (t *Table) ColIndex(name string) int {
 type View struct {
 	Name  string
 	Query *sql.SelectStmt
-	Text  string // original definition text, for introspection
 }
 
 // Catalog is the collection of schema objects. It is safe for concurrent
@@ -55,8 +54,10 @@ type View struct {
 // bumps it internally, and the engine bumps it (via Bump) after DML.
 // Compiled-query caches and prepared statements tag their artifacts with
 // the version they were compiled under and recompile when it has moved,
-// so no cached plan can outlive the schema (or, conservatively, the
-// data) it was compiled against.
+// so no cached tree can outlive the schema it was compiled against. A
+// compiled tree reads no data, so the DML bump is not needed for that:
+// it makes the next execution compile and plan afresh, which is when a
+// plan flip with trigger "catalog" is observed.
 type Catalog struct {
 	version atomic.Uint64
 	mu      sync.RWMutex
@@ -72,8 +73,7 @@ func (c *Catalog) Version() uint64 { return c.version.Load() }
 
 // Bump advances the catalog version. DDL methods bump internally; the
 // engine calls Bump after DML so data changes also invalidate
-// version-tagged artifacts (conservative, but keeps cached plans from
-// ever observing a world they were not compiled in).
+// version-tagged artifacts.
 func (c *Catalog) Bump() { c.version.Add(1) }
 
 // New returns an empty catalog.
@@ -118,7 +118,7 @@ func (c *Catalog) CreateTable(name string, cols []Column, ifNotExists bool) (*Ta
 }
 
 // CreateView adds a view definition.
-func (c *Catalog) CreateView(name string, q *sql.SelectStmt, text string, orReplace bool) error {
+func (c *Catalog) CreateView(name string, q *sql.SelectStmt, orReplace bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.tables[name]; ok {
@@ -130,7 +130,7 @@ func (c *Catalog) CreateView(name string, q *sql.SelectStmt, text string, orRepl
 	if _, ok := c.virtual[name]; ok {
 		return fmt.Errorf("%q is a system table", name)
 	}
-	c.views[name] = &View{Name: name, Query: q, Text: text}
+	c.views[name] = &View{Name: name, Query: q}
 	c.version.Add(1)
 	return nil
 }

@@ -57,13 +57,13 @@ func TestViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel := stmt.(*sql.SelectStmt)
-	if err := c.CreateView("v", sel, "SELECT 1", false); err != nil {
+	if err := c.CreateView("v", sel, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CreateView("v", sel, "", false); err == nil {
+	if err := c.CreateView("v", sel, false); err == nil {
 		t.Error("duplicate view must fail")
 	}
-	if err := c.CreateView("v", sel, "", true); err != nil {
+	if err := c.CreateView("v", sel, true); err != nil {
 		t.Errorf("OR REPLACE failed: %v", err)
 	}
 	if _, err := c.CreateTable("v", []Column{intCol("a")}, false); err == nil {

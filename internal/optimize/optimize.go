@@ -6,8 +6,9 @@
 // PostgreSQL optimizer to flatten exactly these shapes before execution.
 //
 // One bottom-up worklist drives the rules to a fixpoint: subqueries first,
-// and a node again only when it, one of its subqueries or a subquery's
-// estimate changed, so the work is proportional to the tree. Rules:
+// and a node again only when it or one of its subqueries changed, so the
+// work is proportional to the tree. The rules read the tree alone, not
+// table statistics: join order is the planner's. Rules:
 //
 //   - Subquery unnesting: a range-table subquery that is a plain
 //     select-project-join block is merged into its parent by substituting
@@ -28,7 +29,6 @@
 package optimize
 
 import (
-	"sort"
 	"strconv"
 
 	"perm/internal/algebra"
@@ -39,50 +39,37 @@ import (
 // that reference a query's own output columns (ORDER BY positions).
 const outputRT = -1
 
-// Stats provides optional base-table cardinalities for the join-tree
-// canonicalization. When present, the implicit join list of every plain
-// block is ordered by estimated cardinality (smallest first) instead of
-// syntactic order, giving the planner's greedy join ordering a
-// stats-driven starting point and deterministic tie-breaking.
+// Stats is what the benchmark's shadow pipeline hands QueryWithStats.
+// The optimizer reads no statistics: join order is the planner's, on its
+// own per-column estimates. Stats and QueryWithStats go with the shadow.
 type Stats interface {
-	// TableRows returns the current row count of a base table.
 	TableRows(name string) (float64, bool)
 }
 
 // Query optimizes the tree to a fixpoint and returns the (possibly
-// replaced) root. The input is mutated in place.
-func Query(q *algebra.Query) *algebra.Query { return QueryWithStats(q, nil) }
-
-// QueryWithStats is Query with base-table statistics available to the
-// cardinality-driven rules (join-list ordering), for the batch engine.
-func QueryWithStats(q *algebra.Query, st Stats) *algebra.Query { return QueryForEngine(q, st, true) }
-
-// QueryForEngine is QueryWithStats for the batch engine (vectorized) or
-// the row engine, which runs every rule-R5 join-back two-sided — the tree
-// RewriteSQL prints.
-func QueryForEngine(q *algebra.Query, st Stats, vectorized bool) *algebra.Query {
+// replaced) root. The input is mutated in place. The result depends on
+// the tree alone: neither the data nor the engine that runs it.
+func Query(q *algebra.Query) *algebra.Query {
 	if q == nil {
 		return nil
 	}
-	o := &optimizer{st: st, vectorized: vectorized, visited: make(map[*algebra.Query]openWork), cards: make(map[*algebra.Query]float64)}
+	o := &optimizer{visited: make(map[*algebra.Query]openWork)}
 	for open := true; open; {
 		q, _, open = o.visit(q)
 	}
 	return q
 }
 
+// QueryWithStats is Query; the statistics are ignored.
+func QueryWithStats(q *algebra.Query, _ Stats) *algebra.Query { return Query(q) }
+
 // optimizer is one run over one tree, in rounds of bottom-up walks.
 type optimizer struct {
-	st         Stats
-	vectorized bool
 	// visited holds the nodes whose rules last ran without effect and have
 	// seen nothing new since, with what is still open below them. A node
 	// not in it is due: never visited, changed by its own rules, or reached
 	// into by a rule of its parent (pushdown, pruning, collapse).
 	visited map[*algebra.Query]openWork
-	// cards memoizes queryCard; an entry goes when its node is reached
-	// into and is refreshed by a visit that may have moved it.
-	cards map[*algebra.Query]float64
 }
 
 // openWork says where under a node rules still have to run; sublink
@@ -123,7 +110,6 @@ func (o *optimizer) visit(q *algebra.Query) (_ *algebra.Query, changed, open boo
 	if q.IsSetOp() {
 		// Pure scaffolding over its branches: no rules of its own, and a
 		// parent's pushdown looks through it to them.
-		delete(o.cards, q)
 		return q, changed, open
 	}
 	if clean && !changed {
@@ -137,27 +123,19 @@ func (o *optimizer) visit(q *algebra.Query) (_ *algebra.Query, changed, open boo
 		delete(o.visited, merged)
 		return merged, true, true
 	}
-	if o.st != nil {
-		// Of changes further down the parent's join-list order only has
-		// to hear if they moved this node's estimate.
-		old, had := o.cards[q]
-		delete(o.cards, q)
-		changed = changed || !had || o.queryCard(q) != old
-	}
 	return q, changed, open
 }
 
 // reachInto notes that a rule of the parent changed the node.
 func (o *optimizer) reachInto(q *algebra.Query) {
 	delete(o.visited, q)
-	delete(o.cards, q)
 }
 
 // rules runs the local rules once over a plain node; true if any of them
 // changed it or reached into a subquery.
 func (o *optimizer) rules(q *algebra.Query) bool {
 	if q.JoinBack.Shared() {
-		q.JoinBack.Reason = o.shareReason(q)
+		q.JoinBack.Reason = shareReason(q)
 	}
 	changed := flattenInnerJoins(q)
 	for unnestAll(q) {
@@ -165,129 +143,20 @@ func (o *optimizer) rules(q *algebra.Query) bool {
 	}
 	changed = o.pushDownPredicates(q) || changed
 	changed = o.pruneNode(q) || changed
-	changed = dropRedundantDistinct(q) || changed
-	return o.orderJoinList(q) || changed
+	return dropRedundantDistinct(q) || changed
 }
 
 // shareReason says why q's rule-R5 pair is not kept intact (neither merged
 // into its parent nor taking T+ apart) for one evaluation of T+ to serve
 // both sides, which takes one block the batch engine runs; "" if it is.
-func (o *optimizer) shareReason(q *algebra.Query) string {
+// The row engine plans a kept pair two-sided (plan.planJoinBack).
+func shareReason(q *algebra.Query) string {
 	jb := q.JoinBack
 	_, _, reason := jb.Shareable(q)
-	if reason == "" && (!o.vectorized || !vexec.Batchable(q.RangeTable[jb.Agg].Subquery, q.RangeTable[jb.Prov].Subquery)) {
+	if reason == "" && !vexec.Batchable(q.RangeTable[jb.Agg].Subquery, q.RangeTable[jb.Prov].Subquery) {
 		reason = "row_engine"
 	}
 	return reason
-}
-
-// ---------------------------------------------------------------------------
-// Stats-driven join-list ordering
-
-// orderJoinList stable-sorts the implicit join list by estimated
-// cardinality, smallest first. The list is commutable by construction
-// (flattenInnerJoins only hoists inner/cross joins into it), so the
-// reorder is semantics-preserving; it canonicalizes the order the
-// planner's greedy join ordering starts from, so equally-costed plans no
-// longer depend on how the rewriter happened to nest its shells.
-func (o *optimizer) orderJoinList(q *algebra.Query) bool {
-	if o.st == nil || len(q.From) < 2 {
-		return false
-	}
-	cards := make(map[algebra.FromItem]float64, len(q.From))
-	for _, fi := range q.From {
-		cards[fi] = o.fromItemCard(fi, q)
-	}
-	sorted := true
-	for i := 1; i < len(q.From); i++ {
-		if cards[q.From[i]] < cards[q.From[i-1]] {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
-		return false
-	}
-	sort.SliceStable(q.From, func(i, j int) bool {
-		return cards[q.From[i]] < cards[q.From[j]]
-	})
-	return true
-}
-
-// fromItemCard estimates the cardinality of one FROM item. Join trees
-// (outer joins, whose shape is load-bearing) estimate as the product of
-// their sides.
-func (o *optimizer) fromItemCard(fi algebra.FromItem, q *algebra.Query) float64 {
-	switch n := fi.(type) {
-	case *algebra.FromRef:
-		if n.RT < len(q.RangeTable) {
-			return o.rteCard(q.RangeTable[n.RT])
-		}
-	case *algebra.FromJoin:
-		return o.fromItemCard(n.Left, q) * o.fromItemCard(n.Right, q)
-	}
-	return 1000
-}
-
-func (o *optimizer) rteCard(rte *algebra.RTE) float64 {
-	switch rte.Kind {
-	case algebra.RTERelation:
-		if rows, ok := o.st.TableRows(rte.RelName); ok {
-			return rows + 1
-		}
-	case algebra.RTESubquery:
-		return o.queryCard(rte.Subquery)
-	case algebra.RTEValues:
-		return float64(len(rte.Rows)) + 1
-	}
-	return 1000
-}
-
-// queryCard crudely estimates a subquery's output cardinality: product
-// of its FROM items, damped per WHERE conjunct, collapsed by
-// aggregation, capped by LIMIT. The planner re-estimates precisely; this
-// only has to rank siblings.
-func (o *optimizer) queryCard(q *algebra.Query) float64 {
-	if q == nil {
-		return 1000
-	}
-	card, ok := o.cards[q]
-	if !ok {
-		card = o.estimate(q)
-		o.cards[q] = card
-	}
-	return card
-}
-
-func (o *optimizer) estimate(q *algebra.Query) float64 {
-	if q.IsSetOp() {
-		total := 0.0
-		for _, rte := range q.RangeTable {
-			total += o.queryCard(rte.Subquery)
-		}
-		return total
-	}
-	card := 1.0
-	for _, fi := range q.From {
-		card *= o.fromItemCard(fi, q)
-	}
-	for range algebra.Conjuncts(q.Where) {
-		card *= 0.5
-	}
-	if q.HasAggs {
-		if len(q.GroupBy) == 0 {
-			card = 1
-		} else {
-			card = card/2 + 1
-		}
-	}
-	if c, ok := q.Limit.(*algebra.Const); ok && !c.Val.Null && float64(c.Val.I) < card {
-		card = float64(c.Val.I)
-	}
-	if card < 1 {
-		card = 1
-	}
-	return card
 }
 
 // ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ func compile(t *testing.T, cat *catalog.Catalog, src string) *algebra.Query {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err = provrewrite.RewriteTree(q, provrewrite.Options{})
+	q, err = provrewrite.Rewrite(q)
 	if err != nil {
 		t.Fatal(err)
 	}

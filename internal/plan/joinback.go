@@ -22,7 +22,8 @@ func (p *Planner) planJoinBack(q *algebra.Query) (*planned, error) {
 	if jb.Reason != "" {
 		return nil, nil
 	}
-	// The optimizer chose for the engine; the pair must still read one block.
+	// The optimizer kept the pair; it must still read one block, and only
+	// the batch engine evaluates it once.
 	residual, left, reason := jb.Shareable(q)
 	if reason == "" && !p.vectorized {
 		reason = "row_engine"

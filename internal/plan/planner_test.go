@@ -58,7 +58,7 @@ func planWith(t *testing.T, cat *catalog.Catalog, src string, vectorized bool) e
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err = provrewrite.RewriteTree(q, provrewrite.Options{})
+	q, err = provrewrite.Rewrite(q)
 	if err != nil {
 		t.Fatal(err)
 	}

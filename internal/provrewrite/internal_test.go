@@ -37,7 +37,7 @@ func TestCollectSublinkCtxPolarity(t *testing.T) {
 }
 
 func TestProvNameNumbering(t *testing.T) {
-	r := New(Options{})
+	r := New()
 	if got := r.relInstance("shop"); got != "shop" {
 		t.Errorf("first instance = %q", got)
 	}

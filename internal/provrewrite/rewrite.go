@@ -14,7 +14,7 @@
 //	        grouping expressions (rule R5, §IV-B2).
 //	SetOp — keep the original set operation and join it with the rewritten
 //	        duplicates of its two top-level branches (rules R6-R9, variant
-//	        Fig. 6(3b); the flattened 3a variant is available as an option).
+//	        Fig. 6(3b)).
 //
 // Uncorrelated sublinks are rewritten per §IV-E: the rewritten sublink
 // query joins the outer query with a condition determined by the sublink's
@@ -29,40 +29,35 @@ import (
 	"perm/internal/types"
 )
 
-// Options tune rewrite strategy choices called out in the paper.
-type Options struct {
-	// FlattenSetOps selects the Fig. 6(3a) variant that joins the original
-	// set-operation query with every rewritten branch directly, avoiding
-	// the intermediate results of the recursive 3b variant. The paper's
-	// prototype used 3b ("Note that the current version of Perm uses the
-	// simpler version of set operation rewriting"); 3a is the improvement
-	// §V-B1 predicts a speedup for.
-	FlattenSetOps bool
-}
+// Options is what the benchmark's shadow pipeline hands RewriteTree; the
+// rewriter has no options. Options and RewriteTree go with the shadow.
+type Options struct{}
+
+// RewriteTree is Rewrite.
+func RewriteTree(q *algebra.Query, _ Options) (*algebra.Query, error) { return Rewrite(q) }
 
 // Rewriter rewrites query trees. A Rewriter carries the provenance
 // attribute naming state (per-relation reference counters) for one
 // top-level query, so provenance attribute names are unique "in the scope
 // of q" (§III-B, footnote 2).
 type Rewriter struct {
-	opts     Options
 	relCount map[string]int
 }
 
-// New returns a rewriter with the given options.
-func New(opts Options) *Rewriter {
-	return &Rewriter{opts: opts, relCount: make(map[string]int)}
+// New returns a rewriter.
+func New() *Rewriter {
+	return &Rewriter{relCount: make(map[string]int)}
 }
 
-// RewriteTree walks the query tree and rewrites every node marked with
+// Rewrite walks the query tree and rewrites every node marked with
 // SELECT PROVENANCE (traverseQueryTree of Fig. 7). It returns the possibly
 // replaced root.
-func RewriteTree(q *algebra.Query, opts Options) (*algebra.Query, error) {
+func Rewrite(q *algebra.Query) (*algebra.Query, error) {
 	if q == nil {
 		return nil, nil
 	}
 	if q.ProvenanceRequested {
-		r := New(opts)
+		r := New()
 		return r.RewriteNode(q)
 	}
 	// Recurse into range-table subqueries and sublinks.
@@ -70,7 +65,7 @@ func RewriteTree(q *algebra.Query, opts Options) (*algebra.Query, error) {
 		if rte.Subquery == nil {
 			continue
 		}
-		sub, err := RewriteTree(rte.Subquery, opts)
+		sub, err := Rewrite(rte.Subquery)
 		if err != nil {
 			return nil, err
 		}
@@ -89,7 +84,7 @@ func RewriteTree(q *algebra.Query, opts Options) (*algebra.Query, error) {
 				return
 			}
 			if link, ok := x.(*algebra.SubLink); ok && link.Query != nil {
-				sub, err := RewriteTree(link.Query, opts)
+				sub, err := Rewrite(link.Query)
 				if err != nil {
 					walkErr = err
 					return
@@ -418,16 +413,11 @@ func mapExprToOutputs(e algebra.Expr, q *algebra.Query, rt int) (algebra.Expr, e
 // ---------------------------------------------------------------------------
 // Set operations (rules R6-R9)
 
-// rewriteSetOp implements case 3 of §IV-B. The default strategy is the
-// recursive split of Fig. 6(3b): the original set-operation node is kept
-// whole and joined with the rewritten duplicates of the two branches of
-// its top-level operation. With Options.FlattenSetOps, difference-free
-// trees instead join the original with every rewritten leaf directly
-// (Fig. 6(3a)).
+// rewriteSetOp implements case 3 of §IV-B with the recursive split of
+// Fig. 6(3b), the variant the paper's prototype uses: the original
+// set-operation node is kept whole and joined with the rewritten
+// duplicates of the two branches of its top-level operation.
 func (r *Rewriter) rewriteSetOp(q *algebra.Query) (*algebra.Query, error) {
-	if r.opts.FlattenSetOps && !containsExcept(q.SetOp) {
-		return r.rewriteSetOpFlat(q)
-	}
 	origWidth := len(q.TargetList)
 	node := q.SetOp
 
@@ -508,91 +498,6 @@ func (r *Rewriter) rewriteSetOp(q *algebra.Query) (*algebra.Query, error) {
 	top.OrderBy = liftOrderBy(origRTE, 0, origWidth)
 	q.OrderBy = nil
 	return top, nil
-}
-
-// rewriteSetOpFlat implements the Fig. 6(3a) variant for difference-free
-// set operation trees: the original query joins directly with every
-// rewritten leaf. UNION leaves use left outer joins, INTERSECT leaves
-// inner joins.
-func (r *Rewriter) rewriteSetOpFlat(q *algebra.Query) (*algebra.Query, error) {
-	origWidth := len(q.TargetList)
-
-	// Collect the leaves in order, remembering whether any UNION appears
-	// on the path (then a tuple need not have contributors in every leaf,
-	// so left joins are needed).
-	type leafInfo struct {
-		rte      *algebra.RTE
-		underAll bool // true when only INTERSECT ancestors: contributor guaranteed
-	}
-	var leaves []leafInfo
-	var collect func(item algebra.SetOpItem, onlyIntersect bool)
-	collect = func(item algebra.SetOpItem, onlyIntersect bool) {
-		switch n := item.(type) {
-		case *algebra.SetOpLeaf:
-			leaves = append(leaves, leafInfo{rte: q.RangeTable[n.RT], underAll: onlyIntersect})
-		case *algebra.SetOpNode:
-			next := onlyIntersect && n.Op == algebra.SetIntersect
-			collect(n.Left, next)
-			collect(n.Right, next)
-		}
-	}
-	collect(q.SetOp, true)
-
-	top := &algebra.Query{}
-	origRTE := &algebra.RTE{Kind: algebra.RTESubquery, Alias: "perm_setop", Subquery: q, Cols: q.Schema()}
-	top.RangeTable = []*algebra.RTE{origRTE}
-	var from algebra.FromItem = &algebra.FromRef{RT: 0}
-	type provInfo struct {
-		rt   int
-		rte  *algebra.RTE
-		prov []algebra.ProvCol
-	}
-	var provs []provInfo
-	for _, leaf := range leaves {
-		d, err := r.RewriteNode(algebra.CopyQuery(leaf.rte.Subquery))
-		if err != nil {
-			return nil, err
-		}
-		rte := &algebra.RTE{Kind: algebra.RTESubquery, Alias: "perm_setop_branch", Subquery: d, Cols: d.Schema()}
-		rt := len(top.RangeTable)
-		top.RangeTable = append(top.RangeTable, rte)
-		kind := algebra.JoinLeft
-		if leaf.underAll {
-			kind = algebra.JoinInner
-		}
-		from = &algebra.FromJoin{
-			Kind:  kind,
-			Left:  from,
-			Right: &algebra.FromRef{RT: rt},
-			Cond:  rowEqCond(origRTE, 0, rte, rt, origWidth),
-		}
-		provs = append(provs, provInfo{rt: rt, rte: rte, prov: d.ProvCols})
-	}
-	top.From = []algebra.FromItem{from}
-
-	for i := 0; i < origWidth; i++ {
-		top.TargetList = append(top.TargetList, algebra.TargetEntry{
-			Expr: &algebra.Var{RT: 0, Col: i, Name: origRTE.Cols[i].Name, Typ: origRTE.Cols[i].Type},
-			Name: origRTE.Cols[i].Name,
-		})
-	}
-	for _, p := range provs {
-		appendWrappedProv(top, p.rt, p.rte, p.prov)
-	}
-	top.OrderBy = liftOrderBy(origRTE, 0, origWidth)
-	q.OrderBy = nil
-	return top, nil
-}
-
-func containsExcept(item algebra.SetOpItem) bool {
-	n, ok := item.(*algebra.SetOpNode)
-	if !ok {
-		return false
-	}
-	if n.Op == algebra.SetExcept {
-		return true
-	}
-	return containsExcept(n.Left) || containsExcept(n.Right)
 }
 
 // branchQuery builds a standalone query node for one branch of a

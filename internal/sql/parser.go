@@ -43,27 +43,36 @@ func Parse(src string) (Statement, error) {
 
 // ParseAll parses a semicolon-separated list of statements.
 func ParseAll(src string) ([]Statement, error) {
+	stmts, _, err := ParseScript(src)
+	return stmts, err
+}
+
+// ParseScript is ParseAll that also returns each statement's own source
+// text, first token to last.
+func ParseScript(src string) ([]Statement, []string, error) {
 	p, err := NewParser(src)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var stmts []Statement
+	var texts []string
 	for {
 		for p.tok.Kind == TokOp && p.tok.Text == ";" {
 			if err := p.advance(); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		if p.tok.Kind == TokEOF {
-			return stmts, nil
+			return stmts, texts, nil
 		}
+		start := p.tok.Pos
 		s, err := p.parseStatement()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		stmts = append(stmts, s)
+		stmts, texts = append(stmts, s), append(texts, src[start:p.end])
 		if p.tok.Kind != TokEOF && !(p.tok.Kind == TokOp && p.tok.Text == ";") {
-			return nil, p.errorf("expected ';' or end of input, found %s", p.tok)
+			return nil, nil, p.errorf("expected ';' or end of input, found %s", p.tok)
 		}
 	}
 }

@@ -105,6 +105,28 @@ func TestStatStatementsAggregates(t *testing.T) {
 	}
 }
 
+// TestExecScriptStatementsOwnText: each statement of an Exec script is a
+// query of its own under its own text — in perm_stat_statements and in
+// perm_traces — not one query per statement under the whole script.
+func TestExecScriptStatementsOwnText(t *testing.T) {
+	db := perm.NewDatabaseWithOptions(perm.Options{TraceSample: 1})
+	db.MustExec("CREATE TABLE a (x int); INSERT INTO a VALUES (1);\n CREATE VIEW v AS SELECT x FROM a; INSERT INTO a VALUES (2);; SELECT x FROM v;")
+	// DDL and INSERT record no phase spans: only the SELECT is traced.
+	res := db.MustQuery("SELECT DISTINCT query FROM perm_traces")
+	if len(res.Rows) != 1 || res.Rows[0][0].String() != "SELECT x FROM v" {
+		t.Errorf("perm_traces holds %v, want the SELECT's own text", res.Rows)
+	}
+	res = db.MustQuery("SELECT query, calls FROM perm_stat_statements WHERE query NOT LIKE '%perm_%' ORDER BY query")
+	var got []string
+	for _, row := range res.Rows {
+		got = append(got, row[0].String()+" x"+row[1].String())
+	}
+	want := "create table a (x int) x1; create view v as select x from a x1; insert into a values (?) x2; select x from v x1"
+	if strings.Join(got, "; ") != want {
+		t.Errorf("perm_stat_statements holds %q, want %q", got, want)
+	}
+}
+
 func TestPermTracesSampledSpans(t *testing.T) {
 	db := introspectDB(t, perm.Options{TraceSample: 1})
 	db.MustQuery(`SELECT s.name, count(*) FROM shop s, sales sa WHERE s.name = sa.sname GROUP BY s.name`)

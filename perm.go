@@ -60,7 +60,7 @@ type Database struct {
 	cache *qcache.Cache
 	// optsKey fingerprints the compile-relevant options so databases
 	// derived via WithOptions share the cache without ever sharing an
-	// artifact compiled under different rewrite settings.
+	// artifact compiled under different settings.
 	optsKey string
 	// gov is the engine-wide memory governor, shared by every handle
 	// derived via WithOptions; budget is this handle's session-level
@@ -79,11 +79,6 @@ type Database struct {
 
 // Options configure a Database.
 type Options struct {
-	// FlattenSetOps enables the Fig. 6(3a) set-operation rewrite variant
-	// (the paper's prototype used the simpler 3b variant; 3a avoids
-	// unnecessary intermediate results).
-	FlattenSetOps bool
-
 	// DisableOptimizer turns off the logical optimizer that flattens and
 	// prunes the (provenance-rewritten) query tree before planning. The
 	// optimizer is semantics-preserving; the switch exists as an escape
@@ -382,16 +377,18 @@ func (r *Result) String() string {
 
 // Exec runs one or more semicolon-separated statements (DDL, DML or
 // queries whose results are discarded). It returns the number of rows
-// affected by the last DML statement.
+// affected by the last DML statement. Each statement is its own query,
+// under its own text, in perm_stat_activity, perm_stat_statements,
+// traces and the slow log.
 func (db *Database) Exec(text string) (int, error) {
-	stmts, err := sql.ParseAll(text)
+	stmts, texts, err := sql.ParseScript(text)
 	if err != nil {
 		return 0, err
 	}
 	affected := 0
-	for _, stmt := range stmts {
-		qr := db.beginQuery(text)
-		n, _, err := db.run(stmt, text, qr)
+	for i, stmt := range stmts {
+		qr := db.beginQuery(texts[i])
+		n, _, err := db.run(stmt, qr)
 		qr.finish(err)
 		if err != nil {
 			return affected, err
@@ -438,7 +435,7 @@ func (db *Database) query(text string, qr *queryRun) (*Result, error) {
 		}
 		return db.execute(q, qr)
 	}
-	_, res, err := db.run(stmt, text, qr)
+	_, res, err := db.run(stmt, qr)
 	if err != nil {
 		return nil, err
 	}
@@ -469,7 +466,7 @@ func (db *Database) cacheGet(text string) (*algebra.Query, bool) {
 // the version it claims.
 func (db *Database) compileSelect(sel *sql.SelectStmt, text string, qr *queryRun) (*algebra.Query, error) {
 	ver := db.cat.Version()
-	q, err := db.analyzeAndRewriteQR(sel, qr, !db.opts.DisableVectorized)
+	q, err := db.compile(sel, qr)
 	if err != nil {
 		return nil, err
 	}
@@ -638,9 +635,9 @@ func (db *Database) MustQuery(text string) *Result {
 }
 
 // RewriteSQL returns the SQL text of the provenance-rewritten form of a
-// query (the q+ of the paper), without executing it. Its join-backs are
-// plain joins whatever the engine: evaluating one over a single pass of
-// its input is a plan choice, which EXPLAIN shows.
+// query (the q+ of the paper), without executing it: the tree the engine
+// runs. A join-back it prints as a join may run over a single pass of its
+// input; that is a plan choice, which EXPLAIN shows.
 func (db *Database) RewriteSQL(text string) (string, error) {
 	stmt, err := sql.Parse(text)
 	if err != nil {
@@ -650,7 +647,7 @@ func (db *Database) RewriteSQL(text string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("REWRITE requires a SELECT statement")
 	}
-	q, err := db.analyzeAndRewriteQR(sel, nil, false)
+	q, err := db.compile(sel, nil)
 	if err != nil {
 		return "", err
 	}
@@ -667,7 +664,7 @@ func (db *Database) ExplainSQL(text string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("EXPLAIN requires a SELECT statement")
 	}
-	q, err := db.analyzeAndRewrite(sel)
+	q, err := db.compile(sel, nil)
 	if err != nil {
 		return "", err
 	}
@@ -718,61 +715,33 @@ func (db *Database) TableRowCount(name string) (int, error) {
 // ---------------------------------------------------------------------------
 // Pipeline internals
 
-func (db *Database) analyzer() *analyze.Analyzer {
-	a := analyze.New(db.cat)
-	a.RewriteOpts = provrewrite.Options{FlattenSetOps: db.opts.FlattenSetOps}
-	return a
-}
-
-// analyzeAndRewrite runs analysis, the provenance rewrite stage and the
-// logical optimizer — the "compilation" pipeline of the paper's Fig. 5 up
-// to the planner, with the optimizer standing in for the normalization
-// PostgreSQL's own planner performs on the rewriter's nested output.
-func (db *Database) analyzeAndRewrite(sel *sql.SelectStmt) (*algebra.Query, error) {
-	return db.analyzeAndRewriteQR(sel, nil, !db.opts.DisableVectorized)
-}
-
-// analyzeAndRewriteQR is analyzeAndRewrite with lifecycle phase marks:
-// analysis and the provenance rewrite report as the rewrite phase, the
-// optimizer as the optimize phase. The tree is optimized for the batch
-// engine if vectorized, else for the row engine.
-func (db *Database) analyzeAndRewriteQR(sel *sql.SelectStmt, qr *queryRun, vectorized bool) (*algebra.Query, error) {
+// compile runs analysis, the provenance rewrite stage and the logical
+// optimizer — the "compilation" pipeline of the paper's Fig. 5 up to the
+// planner, with the optimizer standing in for the normalization
+// PostgreSQL's own planner performs on the rewriter's nested output. The
+// tree depends on the statement, the schema and DisableOptimizer alone:
+// the data and the engine are the planner's. With qr it marks lifecycle
+// phases: analysis and the provenance rewrite report as the rewrite
+// phase, the optimizer as the optimize phase.
+func (db *Database) compile(sel *sql.SelectStmt, qr *queryRun) (*algebra.Query, error) {
 	qr.phase(obs.PhaseRewrite)
-	q, err := db.analyzer().AnalyzeSelect(sel)
+	q, err := analyze.New(db.cat).AnalyzeSelect(sel)
 	if err != nil {
 		return nil, err
 	}
-	q, err = provrewrite.RewriteTree(q, provrewrite.Options{FlattenSetOps: db.opts.FlattenSetOps})
-	if err != nil {
+	if q, err = provrewrite.Rewrite(q); err != nil {
 		return nil, err
 	}
 	qr.phase(obs.PhaseOptimize)
 	if !db.opts.DisableOptimizer {
-		q = optimize.QueryForEngine(q, catalogStats{cat: db.cat}, vectorized)
+		q = optimize.Query(q)
 	}
 	return q, nil
 }
 
-// catalogStats adapts the catalog's lazily maintained table statistics
-// to the optimizer's Stats interface. Cached compilation artifacts stay
-// sound: the query cache keys on the catalog version, which every DML
-// bump advances, so a tree canonicalized under stale row counts is
-// discarded with the version that produced it.
-type catalogStats struct {
-	cat *catalog.Catalog
-}
-
-func (s catalogStats) TableRows(name string) (float64, bool) {
-	t, ok := s.cat.Table(name)
-	if !ok {
-		return 0, false
-	}
-	return t.Stats().Rows, true
-}
-
 // run executes one parsed statement. It returns rows-affected (DML) and a
 // result (queries).
-func (db *Database) run(stmt sql.Statement, text string, qr *queryRun) (int, *Result, error) {
+func (db *Database) run(stmt sql.Statement, qr *queryRun) (int, *Result, error) {
 	switch s := stmt.(type) {
 	case *sql.SelectStmt:
 		res, err := db.runSelect(s, qr)
@@ -789,10 +758,10 @@ func (db *Database) run(stmt sql.Statement, text string, qr *queryRun) (int, *Re
 	case *sql.CreateViewStmt:
 		// Validate the definition now (catching errors early, as
 		// PostgreSQL does), store the parse tree for unfolding.
-		if _, err := db.analyzer().AnalyzeSelect(s.Query); err != nil {
+		if _, err := analyze.New(db.cat).AnalyzeSelect(s.Query); err != nil {
 			return 0, nil, fmt.Errorf("invalid view definition: %v", err)
 		}
-		return 0, nil, db.cat.CreateView(s.Name, s.Query, text, s.OrReplace)
+		return 0, nil, db.cat.CreateView(s.Name, s.Query, s.OrReplace)
 	case *sql.DropStmt:
 		return 0, nil, db.cat.Drop(s.Name, s.View, s.IfExists)
 	case *sql.InsertStmt:
@@ -804,7 +773,7 @@ func (db *Database) run(stmt sql.Statement, text string, qr *queryRun) (int, *Re
 	case *sql.ExplainStmt:
 		var out string
 		if s.Rewrite {
-			q, rerr := db.analyzeAndRewriteQR(s.Query, nil, false) // as RewriteSQL
+			q, rerr := db.compile(s.Query, nil)
 			if rerr != nil {
 				return 0, nil, rerr
 			}
@@ -818,7 +787,7 @@ func (db *Database) run(stmt sql.Statement, text string, qr *queryRun) (int, *Re
 			}
 			out = report
 		} else {
-			q, rerr := db.analyzeAndRewrite(s.Query)
+			q, rerr := db.compile(s.Query, nil)
 			if rerr != nil {
 				return 0, nil, rerr
 			}
@@ -841,7 +810,7 @@ func (db *Database) run(stmt sql.Statement, text string, qr *queryRun) (int, *Re
 func (db *Database) runSelect(sel *sql.SelectStmt, qr *queryRun) (*Result, error) {
 	into := sel.Into
 	sel.Into = ""
-	q, err := db.analyzeAndRewriteQR(sel, qr, !db.opts.DisableVectorized)
+	q, err := db.compile(sel, qr)
 	if err != nil {
 		return nil, err
 	}
@@ -1033,7 +1002,7 @@ func (db *Database) runDelete(s *sql.DeleteStmt) (int, error) {
 		return n, nil
 	}
 	// Analyze the predicate in the table's scope.
-	a := db.analyzer()
+	a := analyze.New(db.cat)
 	sel := &sql.SelectStmt{
 		Targets: []sql.SelectTarget{{Star: true}},
 		From:    []sql.TableExpr{&sql.TableName{Name: s.Table}},

@@ -1,6 +1,7 @@
 package perm_test
 
 import (
+	"maps"
 	"strings"
 	"testing"
 
@@ -290,37 +291,39 @@ func TestScalarSublinkProvenance(t *testing.T) {
 	}
 }
 
-// TestFlattenSetOpsOption: the Fig. 6(3a) variant computes the same
-// provenance as the default 3b variant on difference-free trees.
-func TestFlattenSetOpsOption(t *testing.T) {
-	q := "SELECT PROVENANCE a FROM r UNION SELECT a FROM s INTERSECT SELECT a FROM s"
-	db1 := ruleDB(t)
-	res1 := db1.MustQuery(q)
-
-	db2 := perm.NewDatabaseWithOptions(perm.Options{FlattenSetOps: true})
-	db2.MustExec(`
-		CREATE TABLE r (a int, b text);
-		INSERT INTO r VALUES (1, 'x'), (2, 'y'), (2, 'y'), (3, NULL);
-		CREATE TABLE s (a int, c int);
-		INSERT INTO s VALUES (1, 100), (2, 200), (4, 400);
-	`)
-	res2 := db2.MustQuery(q)
-
-	set1 := map[string]int{}
-	for _, row := range res1.Rows {
-		set1[fingerprint(row, len(row))]++
+// TestSetOpWitnessesMixedTree pins the witness multiset of a UNION over an
+// INTERSECT under every optimizer × engine configuration. A witness of a
+// leaf under the INTERSECT must be one the intersection kept: s's 1 is not
+// (t has no 1), so the result row 1 has no s or t witness. A rewrite that
+// joins the result with every leaf directly, as Fig. 6(3a) does, gives it
+// prov_s_a = 1.
+func TestSetOpWitnessesMixedTree(t *testing.T) {
+	const q = "SELECT PROVENANCE a FROM r UNION (SELECT a FROM s INTERSECT SELECT a FROM t)"
+	want := map[string]int{
+		"1|1|NULL|NULL|": 1,
+		"2|2|NULL|NULL|": 2, // r holds 2 twice: two witnesses
+		"3|NULL|3|3|":    2, // s holds 3 twice
 	}
-	set2 := map[string]int{}
-	for _, row := range res2.Rows {
-		set2[fingerprint(row, len(row))]++
-	}
-	if len(set1) != len(set2) {
-		t.Fatalf("variant results differ: %d vs %d distinct rows\n3b: %v\n3a: %v",
-			len(set1), len(set2), set1, set2)
-	}
-	for k := range set1 {
-		if _, ok := set2[k]; !ok {
-			t.Errorf("row %q missing from flattened variant", k)
+	for _, opts := range []perm.Options{
+		{}, {DisableOptimizer: true}, {DisableVectorized: true},
+		{DisableOptimizer: true, DisableVectorized: true},
+	} {
+		db := perm.NewDatabaseWithOptions(opts)
+		db.MustExec(`
+			CREATE TABLE r (a int); INSERT INTO r VALUES (1), (2), (2);
+			CREATE TABLE s (a int); INSERT INTO s VALUES (1), (3), (3);
+			CREATE TABLE t (a int); INSERT INTO t VALUES (3);
+		`)
+		res := db.MustQuery(q)
+		if got := strings.Join(res.Columns, ","); got != "a,prov_r_a,prov_s_a,prov_t_a" {
+			t.Fatalf("%+v: columns %s", opts, got)
+		}
+		got := map[string]int{}
+		for _, row := range res.Rows {
+			got[fingerprint(row, len(row))]++
+		}
+		if !maps.Equal(got, want) {
+			t.Errorf("%+v: witnesses %v, want %v", opts, got, want)
 		}
 	}
 }

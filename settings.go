@@ -41,15 +41,10 @@ type Setting struct {
 }
 
 var settings = []Setting{
-	{Name: "flatten_setops", Flag: "flatten-setops", Settable: true, Compile: true,
-		Usage: "use the Fig. 6(3a) set-operation rewrite variant",
-		field: func(o *Options) any { return &o.FlattenSetOps }},
 	{Name: "disable_optimizer", Flag: "no-optimizer", Settable: true, Compile: true,
 		Usage: "disable the logical optimizer (flattening/pruning of rewritten queries)",
 		field: func(o *Options) any { return &o.DisableOptimizer }},
-	// Compile: the optimizer keeps a provenance join-back's pair intact
-	// only for the batch engine (optimize.QueryForEngine).
-	{Name: "disable_vectorized", Flag: "no-vectorized", Settable: true, Compile: true,
+	{Name: "disable_vectorized", Flag: "no-vectorized", Settable: true,
 		Usage: "disable the vectorized execution engine (run everything row-at-a-time)",
 		field: func(o *Options) any { return &o.DisableVectorized }},
 	{Name: "disable_query_cache", Flag: "no-query-cache", Settable: true,

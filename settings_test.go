@@ -45,7 +45,6 @@ func TestSettingsOneSource(t *testing.T) {
 		value string
 		want  perm.Options
 	}{
-		"flatten_setops":      {"on", perm.Options{FlattenSetOps: true}},
 		"disable_optimizer":   {"true", perm.Options{DisableOptimizer: true}},
 		"disable_vectorized":  {"yes", perm.Options{DisableVectorized: true}},
 		"disable_query_cache": {"1", perm.Options{DisableQueryCache: true}},
