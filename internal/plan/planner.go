@@ -43,6 +43,8 @@ type Planner struct {
 	// counts a table and lists its rows cannot see an INSERT land in
 	// between.
 	colSnaps map[*storage.Heap]colSnapshot
+	// rowSnaps is the same for the row engine's scans.
+	rowSnaps map[*storage.Heap][]types.Row
 }
 
 type colSnapshot struct {
@@ -63,6 +65,19 @@ func (p *Planner) snapshotColumns(h *storage.Heap, kinds []types.Kind) ([]*vecto
 	}
 	p.colSnaps[h] = colSnapshot{cols, n, ok}
 	return cols, n, ok
+}
+
+// snapshotRows is Heap.Snapshot, taken once per table and statement.
+func (p *Planner) snapshotRows(h *storage.Heap) []types.Row {
+	if rows, seen := p.rowSnaps[h]; seen {
+		return rows
+	}
+	rows := h.Snapshot()
+	if p.rowSnaps == nil {
+		p.rowSnaps = make(map[*storage.Heap][]types.Row)
+	}
+	p.rowSnaps[h] = rows
+	return rows
 }
 
 // New returns a planner with the vectorized lowering path enabled.
@@ -105,7 +120,7 @@ func (p *Planner) spillRes(op string) spill.Resources {
 
 // Plan lowers a query tree to an executable node.
 func (p *Planner) Plan(q *algebra.Query) (exec.Node, error) {
-	p.colSnaps, p.joinBacks = nil, nil
+	p.colSnaps, p.rowSnaps, p.joinBacks = nil, nil, nil
 	pl, err := p.planQuery(q)
 	if err != nil {
 		return nil, err
@@ -129,10 +144,6 @@ func (p *Planner) Plan(q *algebra.Query) (exec.Node, error) {
 type planned struct {
 	node  exec.Node
 	vnode vexec.Node
-	// rowScan lazily builds the row-engine scan for a fragment that is
-	// still a bare columnar scan, so a row-only consumer can take the
-	// heap rows directly instead of boxing every batch lane (demotion).
-	rowScan func() exec.Node
 	// layout maps range-table index → offset of that entry's columns in
 	// the output row.
 	layout map[int]int
@@ -225,22 +236,6 @@ func setFragEst(pl *planned, est float64) {
 	setEstNode(pl.node, est)
 }
 
-// demote reverts a fragment that is still a bare columnar scan to the
-// row-engine scan. The adapter over a bare scan only boxes rows the heap
-// already stores, so a row-only consumer is strictly better off with the
-// row snapshot; once the fragment carries vectorized filters, joins or
-// aggregation, adapting is worthwhile and demote leaves it alone.
-func demote(pl *planned) {
-	if pl.vnode == nil || pl.rowScan == nil {
-		return
-	}
-	if _, ok := pl.vnode.(*vexec.ColScan); ok {
-		pl.node = pl.rowScan()
-		pl.vnode = nil
-		setEstNode(pl.node, pl.est)
-	}
-}
-
 // attachFilter adds a filter for e on top of the fragment, staying
 // vectorized when the predicate compiles for the batch engine and
 // falling back to a row filter (over the fragment's adapter) otherwise.
@@ -262,7 +257,6 @@ func (p *Planner) attachFilter(pl *planned, e algebra.Expr) error {
 			return nil
 		}
 	}
-	demote(pl)
 	pred, err := eval.Compile(e, binder)
 	if err != nil {
 		return err
@@ -336,8 +330,6 @@ func (p *Planner) foldSetOp(item algebra.SetOpItem, branches map[int]*planned) (
 			setFragEst(out, out.est)
 			return out, nil
 		}
-		demote(left)
-		demote(right)
 		out.node = exec.NewSetOp(left.node, right.node, kind, n.All)
 		setFragEst(out, out.est)
 		return out, nil
@@ -404,7 +396,6 @@ func (p *Planner) planPlain(q *algebra.Query) (*planned, error) {
 			}
 		}
 		if node == nil {
-			demote(input)
 			binder := &rowBinder{p: p, layout: input.layout}
 			fns, err := eval.CompileAll(exprs, binder)
 			if err != nil {
@@ -1017,8 +1008,6 @@ func (p *Planner) buildJoin(left, right *planned, kind algebra.JoinKind, conds [
 				return combined, nil
 			}
 		}
-		demote(left)
-		demote(right)
 		leftBinder := &rowBinder{p: p, layout: left.layout}
 		rightBinder := &rowBinder{p: p, layout: shiftedLayout(right.layout, 0)}
 		lk, err := eval.CompileAll(leftKeyExprs, leftBinder)
@@ -1072,8 +1061,6 @@ func (p *Planner) buildJoin(left, right *planned, kind algebra.JoinKind, conds [
 			return combined, nil
 		}
 	}
-	demote(left)
-	demote(right)
 	var condFn eval.Func
 	if cond != nil {
 		var err error
@@ -1588,7 +1575,6 @@ func (p *Planner) planRTE(rt int, rte *algebra.RTE) (*planned, error) {
 		}
 		if p.vectorized {
 			if cols, n, ok := p.snapshotColumns(t.Heap, kinds); ok {
-				heap := t.Heap
 				scan := vexec.NewColScan(cols, n)
 				scan.Table = rte.RelName
 				scan.SetActivity(p.activity)
@@ -1596,27 +1582,19 @@ func (p *Planner) planRTE(rt int, rte *algebra.RTE) (*planned, error) {
 				for i := range infos {
 					infos[i].scan, infos[i].scanCol = scan, i
 				}
-				aq := p.activity
-				relName := rte.RelName
 				pl := &planned{
 					layout: map[int]int{rt: 0},
 					kinds:  kinds,
 					cols:   infos,
 					rts:    algebra.BitsOf(rt),
 					est:    float64(n) + 1,
-					rowScan: func() exec.Node {
-						rs := exec.NewScan(heap.Snapshot())
-						rs.Table = relName
-						rs.SetActivity(aq)
-						return rs
-					},
 				}
 				p.setVNode(pl, scan)
 				setFragEst(pl, pl.est)
 				return pl, nil
 			}
 		}
-		rows := t.Heap.Snapshot()
+		rows := p.snapshotRows(t.Heap)
 		rs := exec.NewScan(rows)
 		rs.Table = rte.RelName
 		rs.SetActivity(p.activity)
@@ -1702,13 +1680,6 @@ func (p *Planner) planVirtual(rt int, rte *algebra.RTE, v *catalog.VirtualTable)
 			scan := vexec.NewColScan(cols, len(rows))
 			scan.Table = v.Name
 			scan.SetActivity(p.activity)
-			aq := p.activity
-			pl.rowScan = func() exec.Node {
-				rs := exec.NewScan(rows)
-				rs.Table = v.Name
-				rs.SetActivity(aq)
-				return rs
-			}
 			p.setVNode(pl, scan)
 			setFragEst(pl, pl.est)
 			return pl, nil
@@ -1767,7 +1738,6 @@ func (p *Planner) planAggregation(q *algebra.Query, input *planned, est float64)
 		}
 	}
 	if node == nil {
-		demote(input)
 		inBinder := &rowBinder{p: p, layout: input.layout}
 		groupFns, err := eval.CompileAll(q.GroupBy, inBinder)
 		if err != nil {

@@ -638,8 +638,8 @@ func (k groupIDs) eval(b *vector.Batch, sel []int) (*vector.Vec, error) {
 		defer g.FreeResult(v)
 	}
 	lanes, out := resolveSel(b, sel), vector.NewBatchVec(types.KindInt, b.N)
-	for idx, hv := range k.h.hasher.rows(keys, lanes) {
-		out.I[lanes[idx]] = int64(k.h.groups.find(keys, lanes[idx], hv))
+	for idx, hv := range k.h.tab.hasher.rows(keys, lanes) {
+		out.I[lanes[idx]] = int64(k.h.tab.set.find(keys, lanes[idx], hv))
 	}
 	return out, nil
 }

@@ -32,20 +32,9 @@ type VecSetOp struct {
 	phase int // 0 = left, 1 = right, 2 = done
 
 	// Materialized state (everything else).
-	acc    rowSet
-	hasher keyHasher
+	tab    groupTable
 	nL, mR []int64
 	emit   emitter
-
-	// Budget-driven spill state.
-	kinds    []types.Kind
-	seqs     []int64
-	seqCtr   int64
-	pending  int64
-	accBytes int64
-	ps       *partitionSet
-	merger   *seqMerger
-	outRuns  []*spill.Run
 }
 
 // NewVecSetOp returns a vectorized set-operation node.
@@ -58,7 +47,7 @@ func NewVecSetOp(left, right Node, kind exec.SetOpKind, all bool) *VecSetOp {
 func (s *VecSetOp) streaming() bool { return s.Kind == exec.Union && s.All }
 
 // Spilled reports whether the operator spilled partitions to disk.
-func (s *VecSetOp) Spilled() bool { return s.ps != nil }
+func (s *VecSetOp) Spilled() bool { return s.tab.spilled() }
 
 // stateKinds etc. implement groupStater over the per-side multiplicity
 // counters.
@@ -79,6 +68,13 @@ func (s *VecSetOp) appendState(g int, dst []*vector.Vec) {
 func (s *VecSetOp) mergeState(g int, state []*vector.Vec, lane int) {
 	s.nL[g] += state[0].I[lane]
 	s.mR[g] += state[1].I[lane]
+}
+
+// The result column of a spilled set operation is the multiplicity.
+func (s *VecSetOp) resultKinds() []types.Kind { return []types.Kind{types.KindInt} }
+func (s *VecSetOp) emits(g int) bool          { return s.countFor(g) > 0 }
+func (s *VecSetOp) appendResult(g int, dst []*vector.Vec) {
+	appendI(dst[0], s.countFor(g))
 }
 
 // countFor computes the output multiplicity of distinct row e under the
@@ -109,44 +105,17 @@ func (s *VecSetOp) countFor(e int) int64 {
 	return count
 }
 
-// spillGroups flushes the live distinct-row table into the partition set
-// and resets it.
-func (s *VecSetOp) spillGroups() error {
-	if s.ps == nil {
-		s.ps = newPartitionSet(s.Spill, recordKinds(s.kinds, s), 0)
-	}
-	if err := flushGroupRecords(s.ps, &s.acc, s.seqs, s); err != nil {
-		return err
-	}
-	s.acc.reset()
-	s.seqs = s.seqs[:0]
-	s.nL, s.mR = s.nL[:0], s.mR[:0]
-	s.Spill.Res.Release(s.accBytes)
-	s.accBytes = 0
-	return nil
-}
-
 func (s *VecSetOp) Open() (err error) {
 	if s.streaming() {
 		s.phase = 0
 		return s.Left.Open()
 	}
-	s.acc.reset()
-	s.nL, s.mR = s.nL[:0], s.mR[:0]
-	s.seqs = s.seqs[:0]
-	s.seqCtr, s.pending, s.accBytes = 0, 0, 0
-	s.ps, s.merger = nil, nil
-	closeRuns(s.outRuns)
-	s.outRuns = nil
+	s.tab.open(s.Spill, s, groupOverheadBytes)
 	// A failed Open never sees a matching Close from the parent: unwind
 	// the spill state here (reserved bytes, partition writers, outputs).
 	defer func() {
 		if err != nil {
-			s.ps.abandon()
-			closeRuns(s.outRuns)
-			s.outRuns = nil
-			s.acc = rowSet{}
-			s.Spill.Res.ReleaseAll()
+			s.tab.close()
 		}
 	}()
 	if err := s.Left.Open(); err != nil {
@@ -169,66 +138,23 @@ func (s *VecSetOp) Open() (err error) {
 	if err := s.Right.Close(); err != nil {
 		return err
 	}
-
-	if s.ps == nil {
-		// Emit multiplicities per distinct row, in first-appearance order.
-		var order []int32
-		for e := 0; e < s.acc.rows.Len(); e++ {
-			for i := int64(0); i < s.countFor(e); i++ {
-				order = append(order, int32(e))
-			}
-		}
-		s.emit.reset(&s.acc.rows, order)
-		return nil
-	}
-	if s.pending > 0 {
-		s.Spill.Res.Force(s.pending)
-		s.accBytes += s.pending
-		s.pending = 0
-	}
-	if err := s.spillGroups(); err != nil {
+	if err := s.tab.finish(true); err != nil || s.tab.spilled() {
 		return err
 	}
-	runs, err := s.ps.finish()
-	if err != nil {
-		return err
-	}
-	s.outRuns, err = processGroupPartitions(s.Spill, runs, s.kinds, s, func(res spill.Resources,
-		acc *vector.Table, seqs []int64, order []int32) (*spill.Run, error) {
-		kept := order[:0]
-		for _, g := range order {
-			if s.countFor(int(g)) > 0 {
-				kept = append(kept, g)
-			}
+	// Emit multiplicities per distinct row, in first-appearance order.
+	var order []int32
+	for e := 0; e < s.tab.set.rows.Len(); e++ {
+		for i := int64(0); i < s.countFor(e); i++ {
+			order = append(order, int32(e))
 		}
-		if len(kept) == 0 {
-			return nil, nil
-		}
-		return writeGroupRun(res, acc, kept, []types.Kind{types.KindInt, types.KindInt},
-			func(g int32, extra []*vector.Vec) {
-				appendI(extra[0], s.countFor(int(g)))
-				appendI(extra[1], seqs[g])
-			})
-	})
-	if err != nil {
-		return err
 	}
-	s.merger, err = newSeqMerger(s.outRuns, len(s.kinds), len(s.kinds), len(s.kinds)+1)
-	return err
-}
-
-// startGroup adds lane i of b (key hash h) as a new distinct row with zero
-// counts, first seen at seq.
-func (s *VecSetOp) startGroup(b *vector.Batch, i int, h uint64, seq int64) int32 {
-	s.newGroup()
-	s.seqs = append(s.seqs, seq)
-	return s.acc.insert(b.Cols, i, h)
+	s.emit.reset(&s.tab.set.rows, order)
+	return nil
 }
 
 // drain folds one input into the distinct-row table with per-side
-// multiplicities, spilling partial records under budget pressure.
+// multiplicities.
 func (s *VecSetOp) drain(in Node, left bool) error {
-	budgeted := s.Spill.Enabled()
 	for {
 		b, err := in.Next()
 		if err != nil {
@@ -237,33 +163,13 @@ func (s *VecSetOp) drain(in Node, left bool) error {
 		if b == nil {
 			return nil
 		}
-		if s.kinds == nil {
-			s.kinds = colKinds(b.Cols)
-		}
 		lanes := resolveSel(b, b.Sel)
-		hs := s.hasher.rows(b.Cols, lanes)
+		hs := s.tab.hasher.rows(b.Cols, lanes)
 		for idx, i := range lanes {
-			seq := s.seqCtr
-			s.seqCtr++
-			h := hs[idx]
-			e := s.acc.find(b.Cols, i, h)
+			e := s.tab.set.find(b.Cols, i, hs[idx])
 			if e < 0 {
-				e = s.startGroup(b, i, h, seq)
-				if budgeted {
-					s.pending += laneBytes(b.Cols, i) + groupOverheadBytes
-					if s.pending >= growQuantum {
-						if !s.Spill.Res.Grow(s.pending) {
-							if err := s.spillGroups(); err != nil {
-								return err
-							}
-							s.Spill.Res.Force(s.pending)
-							// The row just counted was flushed with the
-							// rest; restart its group.
-							e = s.startGroup(b, i, h, seq)
-						}
-						s.accBytes += s.pending
-						s.pending = 0
-					}
+				if e, err = s.tab.add(b.Cols, i, hs[idx]); err != nil {
+					return err
 				}
 			}
 			if left {
@@ -277,8 +183,8 @@ func (s *VecSetOp) drain(in Node, left bool) error {
 
 func (s *VecSetOp) Next() (*vector.Batch, error) {
 	if !s.streaming() {
-		if s.merger != nil {
-			return s.merger.next()
+		if s.tab.spilled() {
+			return s.tab.merger.next()
 		}
 		return s.emit.next(), nil
 	}
@@ -319,13 +225,7 @@ func (s *VecSetOp) Next() (*vector.Batch, error) {
 
 func (s *VecSetOp) Close() error {
 	s.emit.close()
-	s.acc = rowSet{}
-	s.merger.close()
-	s.merger = nil
-	s.ps.abandon()
-	closeRuns(s.outRuns)
-	s.outRuns = nil
-	s.Spill.Res.ReleaseAll()
+	s.tab.close()
 	if s.streaming() {
 		// Inputs were closed as their phases completed; closing again is
 		// harmless for our nodes but skip the bookkeeping.

@@ -500,246 +500,91 @@ type VecDistinct struct {
 	Input Node
 	Spill spill.Resources
 
-	acc    rowSet
-	hasher keyHasher
-	selBuf []int
-
-	// Budget-driven spill state.
-	emitted  []bool // per group: left the operator during streaming
-	tail     bool   // spilled: no more emission until the final merge
-	kinds    []types.Kind
-	seqs     []int64
-	seqCtr   int64
-	pending  int64
-	accBytes int64
-	ps       *partitionSet
-	merger   *seqMerger
-	outRuns  []*spill.Run
+	tab     groupTable
+	selBuf  []int
+	emitted []bool // per group: left the operator during streaming
+	tail    bool   // spilled: no more emission until the final merge
 }
 
 // NewVecDistinct returns a vectorized duplicate-elimination node.
 func NewVecDistinct(input Node) *VecDistinct { return &VecDistinct{Input: input} }
 
 // Spilled reports whether the operator spilled partitions to disk.
-func (d *VecDistinct) Spilled() bool { return d.ps != nil }
+func (d *VecDistinct) Spilled() bool { return d.tab.spilled() }
 
 // stateKinds etc. implement groupStater: the only accumulator state is
 // whether the group's row already left the operator while it was still
-// streaming.
+// streaming; after a spill only the groups whose row did not leave have
+// an output row.
 func (d *VecDistinct) stateKinds() []types.Kind { return []types.Kind{types.KindBool} }
 func (d *VecDistinct) reset()                   { d.emitted = d.emitted[:0] }
-func (d *VecDistinct) newGroup()                { d.emitted = append(d.emitted, false) }
+func (d *VecDistinct) newGroup()                { d.emitted = append(d.emitted, !d.tail) }
 func (d *VecDistinct) appendState(g int, dst []*vector.Vec) {
 	appendB(dst[0], d.emitted[g])
 }
 func (d *VecDistinct) mergeState(g int, state []*vector.Vec, lane int) {
 	d.emitted[g] = d.emitted[g] || state[0].B[lane]
 }
-
-// spillGroups flushes the live seen-set into the partition set and
-// resets the in-memory table.
-func (d *VecDistinct) spillGroups() error {
-	if d.ps == nil {
-		d.ps = newPartitionSet(d.Spill, recordKinds(d.kinds, d), 0)
-	}
-	if err := flushGroupRecords(d.ps, &d.acc, d.seqs, d); err != nil {
-		return err
-	}
-	d.acc.reset()
-	d.seqs = d.seqs[:0]
-	d.emitted = d.emitted[:0]
-	d.Spill.Res.Release(d.accBytes)
-	d.accBytes = 0
-	return nil
-}
-
-// insert adds lane i of b (key hash h) to the seen-set; it reports whether
-// the row is new (a first occurrence) relative to the current table epoch.
-func (d *VecDistinct) insert(b *vector.Batch, i int, h uint64) bool {
-	if d.acc.find(b.Cols, i, h) >= 0 {
-		return false
-	}
-	d.acc.insert(b.Cols, i, h)
-	return true
-}
-
-// account tracks one inserted group's bytes, spilling the table when the
-// budget denies the grant. It reports whether a spill happened.
-func (d *VecDistinct) account(b *vector.Batch, i int) (bool, error) {
-	d.pending += laneBytes(b.Cols, i) + groupOverheadBytes
-	if d.pending < growQuantum {
-		return false, nil
-	}
-	spilled := false
-	if !d.Spill.Res.Grow(d.pending) {
-		if err := d.spillGroups(); err != nil {
-			return false, err
-		}
-		d.Spill.Res.Force(d.pending)
-		spilled = true
-	}
-	d.accBytes += d.pending
-	d.pending = 0
-	return spilled, nil
-}
+func (d *VecDistinct) resultKinds() []types.Kind       { return nil }
+func (d *VecDistinct) emits(g int) bool                { return !d.emitted[g] }
+func (d *VecDistinct) appendResult(int, []*vector.Vec) {}
 
 func (d *VecDistinct) Open() error {
-	d.acc.reset()
 	if d.selBuf == nil {
 		d.selBuf = make([]int, 0, vector.BatchSize)
 	}
-	d.seqs = d.seqs[:0]
-	d.emitted = d.emitted[:0]
-	d.seqCtr, d.pending, d.accBytes = 0, 0, 0
-	d.ps, d.merger = nil, nil
 	d.tail = false
-	closeRuns(d.outRuns)
-	d.outRuns = nil
+	d.tab.open(d.Spill, d, groupOverheadBytes)
 	return d.Input.Open()
 }
 
+// Next emits each batch's first occurrences until the table first
+// flushes: the lane whose new group set off the flush still leaves with
+// its batch, every later new group waits for the final merge.
 func (d *VecDistinct) Next() (*vector.Batch, error) {
-	if d.merger != nil {
-		return d.merger.next()
-	}
-	if d.tail {
-		return d.finishTail()
-	}
-	budgeted := d.Spill.Enabled()
 	for {
+		if d.tab.merger != nil {
+			return d.tab.merger.next()
+		}
 		b, err := d.Input.Next()
-		if err != nil || b == nil {
+		if err != nil {
 			return nil, err
 		}
-		if d.kinds == nil {
-			d.kinds = colKinds(b.Cols)
+		if b == nil {
+			if !d.tail {
+				return nil, nil
+			}
+			if err := d.tab.finish(false); err != nil {
+				return nil, err
+			}
+			continue
 		}
 		out := d.selBuf[:0]
 		lanes := resolveSel(b, b.Sel)
-		hs := d.hasher.rows(b.Cols, lanes)
-		for idx := 0; idx < len(lanes); idx++ {
-			i := lanes[idx]
-			seq := d.seqCtr
-			d.seqCtr++
-			if !d.insert(b, i, hs[idx]) {
+		hs := d.tab.hasher.rows(b.Cols, lanes)
+		for idx, i := range lanes {
+			if d.tab.set.find(b.Cols, i, hs[idx]) >= 0 {
 				continue
 			}
-			out = append(out, i)
-			if !budgeted {
-				continue
-			}
-			d.seqs = append(d.seqs, seq)
-			d.emitted = append(d.emitted, true) // leaves with this batch
-			spilled, err := d.account(b, i)
-			if err != nil {
+			if _, err := d.tab.add(b.Cols, i, hs[idx]); err != nil {
 				return nil, err
 			}
-			if spilled {
-				// Pipelining ends here: absorb the rest of this batch
-				// without emitting, then finish in tail mode. Everything
-				// emitted so far was flushed flagged emitted=true, so the
-				// final merge will not repeat it.
-				d.tail = true
-				for idx2, i2 := range lanes[idx+1:] {
-					seq2 := d.seqCtr
-					d.seqCtr++
-					if !d.insert(b, i2, hs[idx+1+idx2]) {
-						continue
-					}
-					d.seqs = append(d.seqs, seq2)
-					d.emitted = append(d.emitted, false)
-					if _, err := d.account(b, i2); err != nil {
-						return nil, err
-					}
-				}
-				break
+			if !d.tail {
+				out = append(out, i)
+				d.tail = d.tab.spilled()
 			}
 		}
 		d.selBuf = out
 		if len(out) > 0 {
 			return &vector.Batch{N: b.N, Cols: b.Cols, Sel: out}, nil
 		}
-		if d.tail {
-			return d.finishTail()
-		}
 	}
-}
-
-// finishTail absorbs the remaining input without emitting, merges the
-// partitions and streams the not-yet-emitted first occurrences in
-// sequence order.
-func (d *VecDistinct) finishTail() (*vector.Batch, error) {
-	for {
-		b, err := d.Input.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		lanes := resolveSel(b, b.Sel)
-		hs := d.hasher.rows(b.Cols, lanes)
-		for idx, i := range lanes {
-			seq := d.seqCtr
-			d.seqCtr++
-			if !d.insert(b, i, hs[idx]) {
-				continue
-			}
-			d.seqs = append(d.seqs, seq)
-			d.emitted = append(d.emitted, false)
-			if _, err := d.account(b, i); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if d.pending > 0 {
-		d.Spill.Res.Force(d.pending)
-		d.accBytes += d.pending
-		d.pending = 0
-	}
-	if err := d.spillGroups(); err != nil {
-		return nil, err
-	}
-	runs, err := d.ps.finish()
-	if err != nil {
-		return nil, err
-	}
-	d.outRuns, err = processGroupPartitions(d.Spill, runs, d.kinds, d, func(res spill.Resources,
-		acc *vector.Table, seqs []int64, order []int32) (*spill.Run, error) {
-		kept := order[:0]
-		for _, g := range order {
-			if !d.emitted[g] {
-				kept = append(kept, g)
-			}
-		}
-		if len(kept) == 0 {
-			return nil, nil
-		}
-		return writeGroupRun(res, acc, kept, []types.Kind{types.KindInt}, func(g int32, extra []*vector.Vec) {
-			appendI(extra[0], seqs[g])
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	d.merger, err = newSeqMerger(d.outRuns, len(d.kinds), -1, len(d.kinds))
-	if err != nil {
-		return nil, err
-	}
-	d.tail = false
-	return d.merger.next()
 }
 
 func (d *VecDistinct) Close() error {
-	d.acc = rowSet{}
-	d.merger.close()
-	d.merger = nil
 	d.tail = false
 	// The spill work happens in Next, so an error there relies on this
 	// Close to unwind partition writers still holding files.
-	d.ps.abandon()
-	closeRuns(d.outRuns)
-	d.outRuns = nil
-	d.Spill.Res.ReleaseAll()
+	d.tab.close()
 	return d.Input.Close()
 }

@@ -2,6 +2,7 @@ package vexec_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"perm/internal/algebra"
@@ -113,6 +114,9 @@ func TestHashAggSpill(t *testing.T) {
 	if budget.Stats().BytesSpilled == 0 {
 		t.Fatal("aggregation under a 24 KiB budget did not spill")
 	}
+	if st := budget.Stats(); st.InUse != 0 {
+		t.Fatalf("reservation leak: %d bytes", st.InUse)
+	}
 }
 
 // TestVecDistinctSpill: partitioned dedup must keep exactly the first
@@ -126,6 +130,9 @@ func TestVecDistinctSpill(t *testing.T) {
 	assertSameRows(t, drainRows(t, d), want, "spilled distinct")
 	if budget.Stats().BytesSpilled == 0 {
 		t.Fatal("distinct under a 24 KiB budget did not spill")
+	}
+	if st := budget.Stats(); st.InUse != 0 {
+		t.Fatalf("reservation leak: %d bytes", st.InUse)
 	}
 }
 
@@ -150,6 +157,62 @@ func TestVecSetOpSpill(t *testing.T) {
 		assertSameRows(t, drainRows(t, op), want, name)
 		if budget.Stats().BytesSpilled == 0 {
 			t.Fatalf("%s under a 24 KiB budget did not spill", name)
+		}
+		if st := budget.Stats(); st.InUse != 0 {
+			t.Fatalf("%s leaked %d reserved bytes", name, st.InUse)
+		}
+	}
+}
+
+// TestGroupSpillPastRepartitionDepth: when every group alone outgrows the
+// grant quantum and the budget is smaller still, no partition ever fits,
+// so the merges split down to maxRepartitionDepth and complete there
+// over budget. The output must still be the in-memory run's.
+func TestGroupSpillPastRepartitionDepth(t *testing.T) {
+	const keys = 24
+	big := make([]string, keys)
+	for k := range big {
+		big[k] = fmt.Sprintf("%s%03d", strings.Repeat("x", 17<<10), k)
+	}
+	data := make([]types.Row, 120)
+	for i := range data {
+		data[i] = types.Row{
+			types.NewInt(int64(i)),
+			types.NewInt(int64(i % 5)),
+			types.NewString(big[(i*7)%keys]),
+		}
+	}
+	for _, c := range []struct {
+		name string
+		mk   func(spill.Resources) vexec.Node
+	}{
+		{"aggregation", func(res spill.Resources) vexec.Node {
+			a := vexec.NewHashAgg(
+				scanOf(t, pairKinds, data),
+				[]*vexec.Expr{colExpr(t, 2, types.KindString)},
+				[]vexec.AggSpec{
+					{Fn: algebra.AggCount, Star: true, ResultKind: types.KindInt},
+					{Fn: algebra.AggSum, Arg: colExpr(t, 0, types.KindInt), ResultKind: types.KindInt},
+				})
+			a.Spill = res
+			return a
+		}},
+		{"distinct", func(res spill.Resources) vexec.Node {
+			d := vexec.NewVecDistinct(vexec.NewProject(scanOf(t, pairKinds, data),
+				[]*vexec.Expr{colExpr(t, 1, types.KindInt), colExpr(t, 2, types.KindString)}))
+			d.Spill = res
+			return d
+		}},
+	} {
+		want := drainRows(t, c.mk(spill.Resources{}))
+		res, budget := tinyRes(t, 8<<10)
+		assertSameRows(t, drainRows(t, c.mk(res)), want, c.name)
+		st := budget.Stats()
+		if st.BytesSpilled == 0 {
+			t.Fatalf("%s under an 8 KiB budget did not spill", c.name)
+		}
+		if st.InUse != 0 {
+			t.Fatalf("%s leaked %d reserved bytes", c.name, st.InUse)
 		}
 	}
 }

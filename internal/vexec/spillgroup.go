@@ -2,17 +2,18 @@
 // aggregation, DISTINCT, set operations) and the shared partition /
 // merge machinery the Grace hash join reuses.
 //
-// The pattern: the operator aggregates into its in-memory table as
-// usual; when the memory reservation denies a grant, every group is
-// flushed as a *partial record* — group columns, serialized accumulator
-// state, and the sequence number of the group's first appearance — into
-// hash partitions on disk, and the (now empty) table keeps absorbing
-// input. At the end each partition is drained independently: partials of
-// the same group land in the same partition and merge associatively
-// (recursively repartitioning with a reseeded hash when a skewed
-// partition still exceeds the budget), each partition's groups are
-// finalized in first-appearance order, and a k-way merge on the sequence
-// number reproduces the exact output order of the in-memory operator.
+// The pattern: the operator keeps its groups in a groupTable; when the
+// memory reservation denies a grant, every group is flushed as a
+// *partial record* — group columns, serialized accumulator state, and
+// the sequence number of the group's first appearance — into hash
+// partitions on disk, and the (now empty) table keeps absorbing input.
+// At the end each partition is drained independently: partials of the
+// same group land in the same partition and merge associatively in a
+// groupTable of their own (which flushes one level down under a
+// reseeded hash when a skewed partition still exceeds the budget), each
+// partition's groups are finalized in first-appearance order, and a
+// k-way merge on the sequence number reproduces the exact output order
+// of the in-memory operator.
 package vexec
 
 import (
@@ -378,15 +379,16 @@ func (m *seqMerger) close() {
 }
 
 // ---------------------------------------------------------------------------
-// Generic partition processing for grouping operators
+// The budgeted group table
 
-// groupStater is the operator-specific per-group accumulator state that
-// survives a partial-group flush: its record-column serialization and
-// the associative merge of a flushed partial back into a live group.
+// groupStater is the operator-specific per-group state of a group table:
+// its record-column serialization, the associative merge of a flushed
+// partial back into a live group, and the result columns a finished
+// group adds to its data columns.
 type groupStater interface {
 	// stateKinds describes the state columns of a record.
 	stateKinds() []types.Kind
-	// reset drops all group state (a fresh partition table).
+	// reset drops all group state (an emptied table).
 	reset()
 	// newGroup appends one zero-state group.
 	newGroup()
@@ -395,67 +397,212 @@ type groupStater interface {
 	appendState(g int, dst []*vector.Vec)
 	// mergeState folds record lane of the state columns into group g.
 	mergeState(g int, state []*vector.Vec, lane int)
+	// resultKinds describes the result columns of a finished group.
+	resultKinds() []types.Kind
+	// emits reports whether finished group g has an output row.
+	emits(g int) bool
+	// appendResult appends finished group g's result values, one per
+	// result column.
+	appendResult(g int, dst []*vector.Vec)
 }
 
-// groupFinalizer writes one partition's finished groups (in the given
-// first-appearance order) as an output run ending in the seq column.
-type groupFinalizer func(res spill.Resources, acc *vector.Table, seqs []int64, order []int32) (*spill.Run, error)
+// groupTable holds the groups of a grouping operator — hash aggregation,
+// DISTINCT, a set operation — or of one partition merge of their spill
+// paths, under the operator's memory budget. Group bytes are reserved in
+// growQuantum steps; a denied grant flushes every group as a partial
+// record into hash partitions and empties the table, which keeps
+// absorbing input. A spilled table merges its partitions at the end (a
+// partition merge is itself a groupTable, flushing one level down when
+// its grant is denied) and streams the groups in first-appearance order
+// through a sequence merge.
+type groupTable struct {
+	set    rowSet
+	hasher keyHasher
+	st     groupStater
+	res    spill.Resources
+	// kinds are the data columns of a record, known from the first flush.
+	kinds []types.Kind
+	// groupBytes is the per-group estimate added to its key lane's bytes.
+	groupBytes int64
+	budgeted   bool
+	// seqs holds each group's first-appearance sequence number (budgeted
+	// tables only); seqCtr numbers the groups in insertion order across
+	// flushes, which is the order of their first appearance.
+	seqs   []int64
+	seqCtr int64
+	// seed is the partition hash seed of the flushes; forced tables (a
+	// partition merge at maxRepartitionDepth) never flush: their grants
+	// are forced over budget.
+	seed   uint64
+	forced bool
 
-// recordKinds assembles the record layout: data columns, state columns,
-// then the sequence column.
-func recordKinds(dataKinds []types.Kind, st groupStater) []types.Kind {
-	kinds := append(append([]types.Kind{}, dataKinds...), st.stateKinds()...)
-	return append(kinds, types.KindInt)
+	pending  int64
+	accBytes int64
+	ps       *partitionSet
+	merger   *seqMerger
+	outRuns  []*spill.Run
 }
 
-// flushGroupRecords writes every live group as a partial record into the
-// partition set.
-func flushGroupRecords(ps *partitionSet, set *rowSet, seqs []int64, st groupStater) error {
-	for g, h := range set.hashes {
-		cols, lane := set.rows.At(g)
-		dataWidth := len(cols)
-		err := ps.addFunc(h, func(dst []*vector.Vec) {
-			for c := 0; c < dataWidth; c++ {
-				dst[c].AppendFrom(cols[c], lane)
-			}
-			st.appendState(g, dst[dataWidth:len(dst)-1])
-			appendI(dst[len(dst)-1], seqs[g])
-		})
-		if err != nil {
-			return err
-		}
+// open empties the table for a run of the operator whose group state st
+// holds; each group accounts groupBytes on top of its key lane.
+func (t *groupTable) open(res spill.Resources, st groupStater, groupBytes int64) {
+	t.close()
+	t.res, t.st, t.groupBytes, t.budgeted = res, st, groupBytes, res.Enabled()
+	t.kinds, t.seqs, t.seqCtr, t.seed, t.forced = nil, t.seqs[:0], 0, 0, false
+	t.ps = nil
+	t.set.reset()
+	st.reset()
+}
+
+// spilled reports whether the table flushed groups to disk in its last
+// run.
+func (t *groupTable) spilled() bool { return t.ps != nil }
+
+// admit accounts for a new group over lane of cols. It reports false when
+// the budget denied the grant: the caller flushes before inserting the
+// group.
+func (t *groupTable) admit(cols []*vector.Vec, lane int) bool {
+	if !t.budgeted {
+		return true
 	}
+	t.pending += laneBytes(cols, lane) + t.groupBytes
+	if t.pending < growQuantum {
+		return true
+	}
+	if t.forced {
+		t.res.Res.Force(t.pending)
+	} else if !t.res.Res.Grow(t.pending) {
+		return false
+	}
+	t.accBytes += t.pending
+	t.pending = 0
+	return true
+}
+
+// flush writes every group as a partial record — data columns, state
+// columns, sequence number — into the partition set, empties the table
+// and forces the grant admit was denied.
+func (t *groupTable) flush() error {
+	if t.set.rows.Len() > 0 {
+		if t.ps == nil {
+			if t.kinds == nil {
+				t.kinds = t.set.rows.Kinds()
+			}
+			kinds := append(append(append([]types.Kind{}, t.kinds...), t.st.stateKinds()...), types.KindInt)
+			t.ps = newPartitionSet(t.res, kinds, t.seed)
+		}
+		for g, h := range t.set.hashes {
+			cols, lane := t.set.rows.At(g)
+			err := t.ps.addFunc(h, func(dst []*vector.Vec) {
+				for c := range cols {
+					dst[c].AppendFrom(cols[c], lane)
+				}
+				t.st.appendState(g, dst[len(cols):len(dst)-1])
+				appendI(dst[len(dst)-1], t.seqs[g])
+			})
+			if err != nil {
+				return err
+			}
+		}
+		t.set.reset()
+		t.seqs = t.seqs[:0]
+		t.st.reset()
+		t.res.Res.Release(t.accBytes)
+		t.accBytes = 0
+	}
+	t.res.Res.Force(t.pending)
+	t.accBytes += t.pending
+	t.pending = 0
 	return nil
 }
 
-// groupWorkItem is one partition run awaiting processing.
+// insert adds lane of cols (key hash h) as a new zero-state group after
+// admit, and returns its id.
+func (t *groupTable) insert(cols []*vector.Vec, lane int, h uint64) int32 {
+	if t.budgeted {
+		t.seqs = append(t.seqs, t.seqCtr)
+	}
+	t.seqCtr++
+	t.st.newGroup()
+	return t.set.insert(cols, lane, h)
+}
+
+// add admits, flushing when the grant is denied, and inserts a new group.
+func (t *groupTable) add(cols []*vector.Vec, lane int, h uint64) (int32, error) {
+	if !t.admit(cols, lane) {
+		if err := t.flush(); err != nil {
+			return -1, err
+		}
+	}
+	return t.insert(cols, lane, h), nil
+}
+
+// spillTail flushes the groups still in memory and returns the
+// partition runs of a spilled table. The tail's pending bytes are never
+// granted: its groups are leaving memory.
+func (t *groupTable) spillTail() ([]*spill.Run, error) {
+	t.pending = 0
+	if err := t.flush(); err != nil {
+		return nil, err
+	}
+	return t.ps.finish()
+}
+
+// finish ends the input. A table that never flushed keeps its groups for
+// the operator to emit from memory; a spilled one merges its partitions
+// and prepares the sequence merge that streams its output. counted marks
+// the first result column as each output row's multiplicity (set
+// operations).
+func (t *groupTable) finish(counted bool) error {
+	if t.ps == nil {
+		return nil
+	}
+	runs, err := t.spillTail()
+	if err != nil {
+		return err
+	}
+	if t.outRuns, err = t.mergePartitions(runs); err != nil {
+		return err
+	}
+	width := len(t.kinds) + len(t.st.resultKinds())
+	multCol, seqCol := -1, width
+	if counted {
+		width--
+		multCol, seqCol = width, width+1
+	}
+	t.merger, err = newSeqMerger(t.outRuns, width, multCol, seqCol)
+	return err
+}
+
+// close releases the table's bytes, partition files and output runs; it
+// also unwinds a failed run. spilled keeps reporting the run.
+func (t *groupTable) close() {
+	t.merger.close()
+	t.merger = nil
+	t.ps.abandon()
+	closeRuns(t.outRuns)
+	t.outRuns = nil
+	t.set = rowSet{}
+	t.res.Res.Release(t.accBytes)
+	t.accBytes, t.pending = 0, 0
+}
+
+// groupWorkItem is one partition run awaiting its merge; the live
+// table's partitions are at depth 1.
 type groupWorkItem struct {
 	run   *spill.Run
 	depth int
-	seed  uint64
 }
 
-// seqOrder returns group indices ordered by ascending first-appearance
-// sequence number.
-func seqOrder(seqs []int64, n int) []int32 {
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(x, y int) bool { return seqs[order[x]] < seqs[order[y]] })
-	return order
-}
-
-// processGroupPartitions drains the partition runs of a spilled grouping
-// operator: each partition's partial records merge into a fresh table
-// (repartitioning recursively when a skewed partition still exceeds the
-// budget), and finalize writes its groups in first-appearance order as
-// one output run. The returned runs feed a seqMerger.
-func processGroupPartitions(res spill.Resources, runs []*spill.Run, dataKinds []types.Kind,
-	st groupStater, finalize groupFinalizer) (outputs []*spill.Run, err error) {
+// mergePartitions drains the partition runs of a spilled table: each
+// partition's partial records merge in a table of their own, which
+// splits into child partitions when its grant is denied, and the
+// partition's groups leave in first-appearance order as one output run.
+// The returned runs feed a seqMerger.
+func (t *groupTable) mergePartitions(runs []*spill.Run) (outputs []*spill.Run, err error) {
 	stack := make([]groupWorkItem, 0, len(runs))
 	for _, r := range runs {
-		stack = append(stack, groupWorkItem{run: r, depth: 1, seed: 1})
+		stack = append(stack, groupWorkItem{run: r, depth: 1})
 	}
 	defer func() {
 		if err != nil {
@@ -468,13 +615,13 @@ func processGroupPartitions(res spill.Resources, runs []*spill.Run, dataKinds []
 	for len(stack) > 0 {
 		item := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		children, out, perr := processOneGroupPartition(res, item, dataKinds, st, finalize)
+		children, out, perr := t.mergePartition(item)
 		if perr != nil {
 			err = perr
 			return outputs, err
 		}
 		for _, r := range children {
-			stack = append(stack, groupWorkItem{run: r, depth: item.depth + 1, seed: item.seed + 1})
+			stack = append(stack, groupWorkItem{run: r, depth: item.depth + 1})
 		}
 		if out != nil {
 			outputs = append(outputs, out)
@@ -483,127 +630,83 @@ func processGroupPartitions(res spill.Resources, runs []*spill.Run, dataKinds []
 	return outputs, nil
 }
 
-// processOneGroupPartition merges one partition's partial records. It
-// returns child partitions when the partition had to be split further,
-// or the partition's finalized output run. The item's run is always
+// mergePartition absorbs one partition's partial records: a record of an
+// existing group merges its state, the group keeping the smaller
+// sequence number. It returns the child partitions when the merge
+// flushed, or else the partition's output run. The item's run is always
 // closed.
-func processOneGroupPartition(res spill.Resources, item groupWorkItem, dataKinds []types.Kind,
-	st groupStater, finalize groupFinalizer) (children []*spill.Run, out *spill.Run, err error) {
+func (t *groupTable) mergePartition(item groupWorkItem) (children []*spill.Run, out *spill.Run, err error) {
 	defer item.run.Close() //nolint:errcheck — temp storage, already unlinked
-	dataWidth := len(dataKinds)
-	var acc rowSet
-	var hasher keyHasher
-	var seqs []int64
-	acc.reset()
-	st.reset()
-	var itemBytes int64
-	defer func() { res.Res.Release(itemBytes) }()
+	m := &groupTable{}
+	m.open(t.res, t.st, t.groupBytes)
+	m.kinds = t.kinds
+	m.seed, m.forced = uint64(item.depth)+1, item.depth >= maxRepartitionDepth
+	defer m.close()
+	w := len(t.kinds)
 	for {
-		cols, n, rerr := item.run.ReadCols()
-		if rerr != nil {
-			return nil, nil, rerr
+		cols, n, err := item.run.ReadCols()
+		if err != nil {
+			return nil, nil, err
 		}
 		if n == 0 {
 			break
 		}
-		delta := batchBytes(cols, identitySel[:n])
-		granted := res.Res.Grow(delta)
-		if !granted && item.depth < maxRepartitionDepth {
-			// Skewed partition: push everything seen so far (the live
-			// partial groups) plus the rest of the run one level down
-			// under a reseeded hash.
-			ps := newPartitionSet(res, recordKinds(dataKinds, st), item.seed+1)
-			if err := flushGroupRecords(ps, &acc, seqs, st); err != nil {
-				ps.abandon()
-				return nil, nil, err
-			}
-			if err := repartitionRecords(ps, &hasher, item.run, cols, n, dataWidth); err != nil {
-				ps.abandon()
-				return nil, nil, err
-			}
-			children, err := ps.finish()
-			if err != nil {
-				ps.abandon()
-				return nil, nil, err
-			}
-			return children, nil, nil
-		}
-		if !granted {
-			res.Res.Force(delta) // depth exhausted: complete over budget
-		}
-		itemBytes += delta
-		dataCols := cols[:dataWidth]
-		stateCols := cols[dataWidth : len(cols)-1]
-		seqCol := cols[len(cols)-1]
-		hs := hasher.rowRange(dataCols, 0, n)
+		data, state, seqs := cols[:w], cols[w:len(cols)-1], cols[len(cols)-1].I
+		hs := m.hasher.rowRange(data, 0, n)
 		for i := 0; i < n; i++ {
-			g := acc.find(dataCols, i, hs[i])
+			g := m.set.find(data, i, hs[i])
 			if g < 0 {
-				g = acc.insert(dataCols, i, hs[i])
-				st.newGroup()
-				seqs = append(seqs, seqCol.I[i])
-			} else if s := seqCol.I[i]; s < seqs[g] {
-				seqs[g] = s
-			}
-			st.mergeState(int(g), stateCols, i)
-		}
-	}
-	out, err = finalize(res, &acc.rows, seqs, seqOrder(seqs, acc.rows.Len()))
-	if err != nil {
-		return nil, nil, err
-	}
-	return nil, out, nil
-}
-
-// repartitionRecords routes the current batch and the rest of the run
-// into the child partition set, hashing each record's data columns.
-func repartitionRecords(ps *partitionSet, hasher *keyHasher, run *spill.Run, cols []*vector.Vec, n, dataWidth int) error {
-	for {
-		if n > 0 {
-			hs := hasher.rowRange(cols[:dataWidth], 0, n)
-			for i := 0; i < n; i++ {
-				if err := ps.addRecord(cols, i, hs[i]); err != nil {
-					return err
+				if g, err = m.add(data, i, hs[i]); err != nil {
+					return nil, nil, err
 				}
+				m.seqs[g] = seqs[i]
+			} else if seqs[i] < m.seqs[g] {
+				m.seqs[g] = seqs[i]
 			}
-		}
-		var err error
-		cols, n, err = run.ReadCols()
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			return nil
+			m.st.mergeState(int(g), state, i)
 		}
 	}
+	if m.spilled() {
+		children, err = m.spillTail()
+		return children, nil, err
+	}
+	out, err = m.writeOutput()
+	return nil, out, err
 }
 
-// writeGroupRun writes finished groups (data columns in the given order,
-// plus extra columns supplied by emit) as one seq-terminated output run.
-// emit appends the extra column values for one group; the seq column is
-// written by the caller through it.
-func writeGroupRun(res spill.Resources, acc *vector.Table, order []int32,
-	extraKinds []types.Kind, emit func(g int32, extra []*vector.Vec)) (*spill.Run, error) {
-	run, err := spill.NewRun(res.Dir)
+// writeOutput writes the groups that have an output row, in
+// first-appearance order, as one run of data columns, result columns and
+// the sequence number; nil when no group has one.
+func (t *groupTable) writeOutput() (*spill.Run, error) {
+	order := make([]int32, 0, len(t.seqs))
+	for g := range t.seqs {
+		if t.st.emits(g) {
+			order = append(order, int32(g))
+		}
+	}
+	if len(order) == 0 {
+		return nil, nil
+	}
+	sort.Slice(order, func(x, y int) bool { return t.seqs[order[x]] < t.seqs[order[y]] })
+	run, err := spill.NewRun(t.res.Dir)
 	if err != nil {
 		return nil, err
 	}
-	width := len(acc.Kinds())
-	out := append(gatherScratch(acc.Kinds()), newRecordBuf(extraKinds)...)
+	acc := &t.set.rows
+	width := len(t.kinds)
+	extra := append(append([]types.Kind{}, t.st.resultKinds()...), types.KindInt)
+	out := append(gatherScratch(t.kinds), newRecordBuf(extra)...)
 	for lo := 0; lo < len(order); lo += vector.BatchSize {
-		hi := lo + vector.BatchSize
-		if hi > len(order) {
-			hi = len(order)
-		}
-		chunk := order[lo:hi]
+		chunk := order[lo:min(lo+vector.BatchSize, len(order))]
 		for c := 0; c < width; c++ {
 			acc.GatherCol(c, chunk, out[c])
 		}
 		resetRecordBuf(out[width:])
 		for _, g := range chunk {
-			emit(g, out[width:])
+			t.st.appendResult(int(g), out[width:len(out)-1])
+			appendI(out[len(out)-1], t.seqs[g])
 		}
-		if err := run.WriteCols(out, hi-lo); err != nil {
+		if err := run.WriteCols(out, len(chunk)); err != nil {
 			run.Close() //nolint:errcheck
 			return nil, err
 		}
@@ -612,6 +715,6 @@ func writeGroupRun(res spill.Resources, acc *vector.Table, order []int32,
 		run.Close() //nolint:errcheck
 		return nil, err
 	}
-	res.Res.NoteSpill(run.Bytes())
+	t.res.Res.NoteSpill(run.Bytes())
 	return run, nil
 }

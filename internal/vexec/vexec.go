@@ -744,10 +744,9 @@ type HashAgg struct {
 	Aggs   []AggSpec
 	Spill  spill.Resources
 
-	groups    rowSet // group key values, one row per group
+	tab       groupTable // group key values, one row per group
 	numGroups int
 	accs      []aggAcc
-	hasher    keyHasher
 	scratch   aggScratch
 	keyBuf    []*vector.Vec // per batch: evaluated group keys, then aggregate arguments
 	gidBuf    []int32       // per batch: the group id of every live lane
@@ -755,15 +754,6 @@ type HashAgg struct {
 	emit      emitter       // group columns, in emission order
 	outCols   []*vector.Vec
 	outPos    int
-
-	groupKinds []types.Kind
-	seqs       []int64
-	seqCtr     int64
-	pending    int64
-	accBytes   int64
-	ps         *partitionSet
-	merger     *seqMerger
-	outRuns    []*spill.Run
 }
 
 // NewHashAgg returns a vectorized hash aggregation node.
@@ -772,7 +762,7 @@ func NewHashAgg(input Node, groups []*Expr, aggs []AggSpec) *HashAgg {
 }
 
 // Spilled reports whether the aggregation spilled partitions to disk.
-func (h *HashAgg) Spilled() bool { return h.ps != nil }
+func (h *HashAgg) Spilled() bool { return h.tab.spilled() }
 
 // stateKinds etc. implement groupStater by concatenating every
 // aggregate's serialized accumulator columns.
@@ -808,31 +798,20 @@ func (h *HashAgg) mergeState(g int, st []*vector.Vec, lane int) {
 	}
 }
 
-// spillGroups flushes the live group table as partial records and resets
-// it.
-func (h *HashAgg) spillGroups() error {
-	if h.ps == nil {
-		h.ps = newPartitionSet(h.Spill, recordKinds(h.groupKinds, h), 0)
+func (h *HashAgg) resultKinds() []types.Kind {
+	kinds := make([]types.Kind, len(h.Aggs))
+	for ai := range h.Aggs {
+		kinds[ai] = h.Aggs[ai].ResultKind
 	}
-	if err := flushGroupRecords(h.ps, &h.groups, h.seqs, h); err != nil {
-		return err
-	}
-	h.groups.reset()
-	h.numGroups = 0
-	h.seqs = h.seqs[:0]
-	h.reset()
-	h.Spill.Res.Release(h.accBytes)
-	h.accBytes = 0
-	return nil
+	return kinds
 }
 
-// insertGroup starts group state for lane i of the key vectors.
-func (h *HashAgg) insertGroup(keys []*vector.Vec, i int, hv uint64, seq int64) int {
-	g := int(h.groups.insert(keys, i, hv))
-	h.numGroups++
-	h.newGroup()
-	h.seqs = append(h.seqs, seq)
-	return g
+func (h *HashAgg) emits(int) bool { return true }
+
+func (h *HashAgg) appendResult(g int, dst []*vector.Vec) {
+	for ai := range h.accs {
+		appendValue(dst[ai], h.accs[ai].finalize(g))
+	}
 }
 
 func (h *HashAgg) Open() (err error) {
@@ -844,20 +823,9 @@ func (h *HashAgg) Open() (err error) {
 	// the spill state here (reserved bytes, partition writers, outputs).
 	defer func() {
 		if err != nil {
-			h.ps.abandon()
-			closeRuns(h.outRuns)
-			h.outRuns = nil
-			h.Spill.Res.ReleaseAll()
+			h.tab.close()
 		}
 	}()
-	h.groups.reset()
-	h.groupKinds = exprKinds(h.Groups)
-	h.numGroups = 0
-	h.seqs = h.seqs[:0]
-	h.seqCtr, h.pending, h.accBytes = 0, 0, 0
-	h.ps, h.merger = nil, nil
-	closeRuns(h.outRuns)
-	h.outRuns = nil
 	h.accs = make([]aggAcc, len(h.Aggs))
 	for ai := range h.Aggs {
 		h.accs[ai].spec = h.Aggs[ai]
@@ -865,8 +833,7 @@ func (h *HashAgg) Open() (err error) {
 			h.accs[ai].argKind = h.Aggs[ai].Arg.Kind()
 		}
 	}
-	budgeted := h.Spill.Enabled()
-	stateBytes := int64(len(h.Aggs))*96 + groupOverheadBytes
+	h.tab.open(h.Spill, h, int64(len(h.Aggs))*96+groupOverheadBytes)
 	for {
 		b, err := h.Input.Next()
 		if err != nil {
@@ -898,7 +865,7 @@ func (h *HashAgg) Open() (err error) {
 		h.keyBuf = vecs
 		keys, args := vecs[:len(h.Groups)], vecs[len(h.Groups):]
 		lanes := resolveSel(b, b.Sel)
-		hs := h.hasher.rows(keys, lanes)
+		hs := h.tab.hasher.rows(keys, lanes)
 		if cap(h.gidBuf) < len(lanes) {
 			h.gidBuf = make([]int32, max(len(lanes), vector.BatchSize))
 		}
@@ -906,35 +873,22 @@ func (h *HashAgg) Open() (err error) {
 		folded := 0 // pairs before this position are already accumulated
 		for idx, i := range lanes {
 			hv := hs[idx]
-			g := int(h.groups.find(keys, i, hv))
+			g := h.tab.set.find(keys, i, hv)
 			if g < 0 {
-				seq := h.seqCtr + int64(idx)
-				g = h.insertGroup(keys, i, hv, seq)
-				if budgeted {
-					h.pending += laneBytes(keys, i) + stateBytes
-					if h.pending >= growQuantum {
-						if !h.Spill.Res.Grow(h.pending) {
-							// The groups are about to be flushed: fold in the
-							// lanes resolved against them first.
-							h.accumulate(args, lanes[folded:idx], gids[folded:idx])
-							folded = idx
-							if err := h.spillGroups(); err != nil {
-								return err
-							}
-							h.Spill.Res.Force(h.pending)
-							// The group just started was flushed with the
-							// rest; restart it for this row.
-							g = h.insertGroup(keys, i, hv, seq)
-						}
-						h.accBytes += h.pending
-						h.pending = 0
+				if !h.tab.admit(keys, i) {
+					// The groups are about to be flushed: fold in the lanes
+					// resolved against them first.
+					h.accumulate(args, lanes[folded:idx], gids[folded:idx])
+					folded = idx
+					if err := h.tab.flush(); err != nil {
+						return err
 					}
 				}
+				g = h.tab.insert(keys, i, hv)
 			}
-			gids[idx] = int32(g)
+			gids[idx] = g
 		}
 		h.accumulate(args, lanes[folded:], gids[folded:])
-		h.seqCtr += int64(len(lanes))
 		for g, kv := range keys {
 			h.Groups[g].FreeResult(kv)
 		}
@@ -944,43 +898,7 @@ func (h *HashAgg) Open() (err error) {
 			}
 		}
 	}
-	if h.ps != nil {
-		// Spilled: flush the tail epoch, merge partitions, stream the
-		// sequence merge.
-		if h.pending > 0 {
-			h.Spill.Res.Force(h.pending)
-			h.accBytes += h.pending
-			h.pending = 0
-		}
-		if err := h.spillGroups(); err != nil {
-			return err
-		}
-		runs, err := h.ps.finish()
-		if err != nil {
-			return err
-		}
-		resultKinds := make([]types.Kind, len(h.Aggs))
-		for ai := range h.Aggs {
-			resultKinds[ai] = h.Aggs[ai].ResultKind
-		}
-		h.outRuns, err = processGroupPartitions(h.Spill, runs, h.groupKinds, h, func(res spill.Resources,
-			acc *vector.Table, seqs []int64, order []int32) (*spill.Run, error) {
-			if acc.Len() == 0 {
-				return nil, nil
-			}
-			extraKinds := append(append([]types.Kind{}, resultKinds...), types.KindInt)
-			return writeGroupRun(res, acc, order, extraKinds, func(g int32, extra []*vector.Vec) {
-				for ai := range h.accs {
-					appendValue(extra[ai], h.accs[ai].finalize(int(g)))
-				}
-				appendI(extra[len(extra)-1], seqs[g])
-			})
-		})
-		if err != nil {
-			return err
-		}
-		width := len(h.groupKinds) + len(h.Aggs)
-		h.merger, err = newSeqMerger(h.outRuns, width, -1, width)
+	if err := h.tab.finish(false); err != nil || h.tab.spilled() {
 		return err
 	}
 	h.finishInMem()
@@ -1000,6 +918,7 @@ func (h *HashAgg) accumulate(args []*vector.Vec, lanes []int, gids []int32) {
 // aggregate and points the emitter at the group columns, both in
 // insertion order; Next pairs gathered group columns with result windows.
 func (h *HashAgg) finishInMem() {
+	h.numGroups = h.tab.set.rows.Len()
 	if h.numGroups == 0 && len(h.Groups) == 0 {
 		h.numGroups = 1
 		for ai := range h.accs {
@@ -1018,13 +937,13 @@ func (h *HashAgg) finishInMem() {
 		}
 		h.resVecs[ai] = out
 	}
-	h.emit.reset(&h.groups.rows, order)
+	h.emit.reset(&h.tab.set.rows, order)
 	h.outPos = 0
 }
 
 func (h *HashAgg) Next() (*vector.Batch, error) {
-	if h.merger != nil {
-		return h.merger.next()
+	if h.tab.spilled() {
+		return h.tab.merger.next()
 	}
 	b := h.emit.next()
 	if b == nil {
@@ -1043,7 +962,7 @@ func (h *HashAgg) Next() (*vector.Batch, error) {
 // with the given ids (at most BatchSize) of an aggregation that finished
 // in memory, as pooled vectors the caller frees.
 func (h *HashAgg) rowsOf(ids []int32, cols []*vector.Vec) []*vector.Vec {
-	cols = gatherBatch(&h.groups.rows, ids, cols)
+	cols = gatherBatch(&h.tab.set.rows, ids, cols)
 	for _, rv := range h.resVecs {
 		cols = append(cols, vector.GatherBatch(rv, ids, rv.Kind))
 	}
@@ -1052,13 +971,8 @@ func (h *HashAgg) rowsOf(ids []int32, cols []*vector.Vec) []*vector.Vec {
 
 func (h *HashAgg) Close() error {
 	h.emit.close()
-	h.groups, h.resVecs, h.accs = rowSet{}, nil, nil
-	h.merger.close()
-	h.merger = nil
-	h.ps.abandon()
-	closeRuns(h.outRuns)
-	h.outRuns = nil
-	h.Spill.Res.ReleaseAll()
+	h.resVecs, h.accs = nil, nil
+	h.tab.close()
 	return nil
 }
 

@@ -235,8 +235,14 @@ func TestRawResultAdoptsRows(t *testing.T) {
 // TestStatementSeesOneSnapshotPerTable: q+ of an ungrouped count scans its
 // table twice, once to count and once to list the witnesses. Both scans
 // must read the same snapshot even while another session inserts, or the
-// count and the number of witness rows disagree.
+// count and the number of witness rows disagree. A right self-join, which
+// the batch engine leaves to a row operator, must likewise match every
+// row of one snapshot with itself, on both engines.
 func TestStatementSeesOneSnapshotPerTable(t *testing.T) {
+	for _, opts := range []perm.Options{{}, {DisableVectorized: true}} {
+		selfJoinSeesOneSnapshot(t, perm.NewDatabaseWithOptions(opts))
+	}
+
 	const inserts = 1500
 	db := perm.NewDatabase()
 	db.MustExec(`CREATE TABLE ev (id int); INSERT INTO ev VALUES (0)`)
@@ -259,6 +265,36 @@ func TestStatementSeesOneSnapshotPerTable(t *testing.T) {
 		}
 		if !running && len(res.Rows) != inserts+1 {
 			t.Fatalf("%d rows after %d inserts", len(res.Rows), inserts)
+		}
+	}
+}
+
+// selfJoinSeesOneSnapshot runs a right self-join on unique keys while
+// another goroutine inserts: every row of b matches its copy in a unless
+// the two sides read different snapshots.
+func selfJoinSeesOneSnapshot(t *testing.T, db *perm.Database) {
+	t.Helper()
+	db.MustExec(`CREATE TABLE t (x int)`)
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 4000; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			db.MustExec(fmt.Sprintf(`INSERT INTO t VALUES (%d)`, i))
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-done
+	}()
+	for i := 0; i < 1500; i++ {
+		res := db.MustQuery(`SELECT count(*) - count(a.x) FROM t a RIGHT JOIN t b ON a.x = b.x`)
+		if n := res.Rows[0][0].Int(); n != 0 {
+			t.Fatalf("statement %d: %d rows of b found no copy of themselves in a", i, n)
 		}
 	}
 }

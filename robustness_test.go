@@ -205,16 +205,26 @@ func TestSetStatementTimeout(t *testing.T) {
 // read errors on the merge path) surface as clean query errors; every
 // reservation and spill file descriptor is released, and once the
 // injected fault clears, the retried query returns byte-identical
-// results.
+// results. The queries spill through the external sort and through each
+// grouping operator's partitions: aggregation, DISTINCT, a set operation.
 func TestChaosSpillIO(t *testing.T) {
 	leakCheck(t)
-	const query = `SELECT a, b, s FROM big ORDER BY b, a`
+	queries := []string{
+		`SELECT a, b, s FROM big ORDER BY b, a`,
+		`SELECT a, count(*), min(s) FROM big GROUP BY a`,
+		`SELECT DISTINCT a, s FROM big`,
+		`SELECT a, s FROM big EXCEPT ALL SELECT a, s FROM big WHERE b = 0`,
+	}
 	opts := perm.Options{Parallelism: -1, MemoryLimit: 64 << 10, SpillDir: t.TempDir()}
 	clean := perm.NewDatabaseWithOptions(opts)
 	bigTable(clean)
-	want := clean.MustQuery(query)
-	if clean.QueryStats().BytesSpilled == 0 {
-		t.Fatal("reference query did not spill; the fault taps are not exercised")
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		before := clean.QueryStats().BytesSpilled
+		want[i] = clean.MustQuery(q).String()
+		if clean.QueryStats().BytesSpilled == before {
+			t.Fatalf("reference run of %s did not spill; the fault taps are not exercised", q)
+		}
 	}
 
 	// Counting rules: fail the first N calls of the point, then recover —
@@ -223,42 +233,49 @@ func TestChaosSpillIO(t *testing.T) {
 		t.Run(spec, func(t *testing.T) {
 			db := perm.NewDatabaseWithOptions(opts)
 			bigTable(db)
-			restore := fault.Set(mustInjector(t, spec))
-			defer restore()
-
-			_, err := db.Query(query)
-			if err == nil {
-				t.Fatalf("query under %s returned no error", spec)
-			}
-			if !errors.Is(err, fault.ErrInjected) {
-				t.Fatalf("query error does not wrap the injected fault: %v", err)
-			}
-			if inUse := db.QueryStats().MemoryInUse; inUse != 0 {
-				t.Fatalf("reserved memory after injected failure = %d, want 0", inUse)
-			}
-			if leaks := leakedSpillFDs(); len(leaks) > 0 {
-				t.Fatalf("leaked spill files after injected failure: %v", leaks)
-			}
-			// Each aborted attempt consumes one injected failure, so
-			// bounded retries drain the counting rule; the first clean
-			// attempt must match the reference run byte for byte.
-			var got *perm.Result
-			for attempt := 0; ; attempt++ {
-				got, err = db.Query(query)
-				if err == nil {
-					break
+			for i, query := range queries {
+				got := faultedRun(t, db, spec, query)
+				if got.String() != want[i] {
+					t.Fatalf("%s: retried query diverges from the clean run", query)
 				}
-				if !errors.Is(err, fault.ErrInjected) {
-					t.Fatalf("retry attempt %d: %v", attempt, err)
-				}
-				if attempt > 6 {
-					t.Fatalf("injected fault never cleared: %v", err)
-				}
-			}
-			if got.String() != want.String() {
-				t.Fatal("retried query diverges from the clean run")
 			}
 		})
+	}
+}
+
+// faultedRun runs query under the counting fault rule spec: the first
+// attempt must fail cleanly, and the result of the first attempt that
+// succeeds is returned.
+func faultedRun(t *testing.T, db *perm.Database, spec, query string) *perm.Result {
+	t.Helper()
+	restore := fault.Set(mustInjector(t, spec))
+	defer restore()
+	_, err := db.Query(query)
+	if err == nil {
+		t.Fatalf("%s under %s returned no error", query, spec)
+	}
+	if !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("%s: error does not wrap the injected fault: %v", query, err)
+	}
+	if inUse := db.QueryStats().MemoryInUse; inUse != 0 {
+		t.Fatalf("%s: reserved memory after injected failure = %d, want 0", query, inUse)
+	}
+	if leaks := leakedSpillFDs(); len(leaks) > 0 {
+		t.Fatalf("%s: leaked spill files after injected failure: %v", query, leaks)
+	}
+	// Each aborted attempt consumes one injected failure, so bounded
+	// retries drain the counting rule.
+	for attempt := 0; ; attempt++ {
+		got, err := db.Query(query)
+		if err == nil {
+			return got
+		}
+		if !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("%s: retry attempt %d: %v", query, attempt, err)
+		}
+		if attempt > 6 {
+			t.Fatalf("%s: injected fault never cleared: %v", query, err)
+		}
 	}
 }
 
@@ -271,6 +288,7 @@ func TestChaosMemDenial(t *testing.T) {
 		`SELECT a, b, s FROM big ORDER BY b, a`,
 		`SELECT b, count(*), min(a) FROM big GROUP BY b ORDER BY b`,
 		`SELECT DISTINCT s FROM big ORDER BY s`,
+		`SELECT a, s FROM big INTERSECT ALL SELECT a, s FROM big WHERE b < 3`,
 	}
 	opts := perm.Options{Parallelism: -1, MemoryLimit: 1 << 20, SpillDir: t.TempDir()}
 	clean := perm.NewDatabaseWithOptions(opts)
