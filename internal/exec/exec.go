@@ -752,21 +752,18 @@ func (s *Sort) flushRun() error {
 		return nil
 	}
 	s.sortRows()
-	run, err := spill.NewRowRun(s.Spill.Dir)
+	rows := s.rows
+	run, err := s.writeRun(func() (types.Row, error) {
+		if len(rows) == 0 {
+			return nil, nil
+		}
+		r := rows[0]
+		rows = rows[1:]
+		return r, nil
+	})
 	if err != nil {
 		return err
 	}
-	for _, r := range s.rows {
-		if err := run.WriteRow(r); err != nil {
-			run.Close() //nolint:errcheck — unwinding after a failed write
-			return err
-		}
-	}
-	if err := run.Finish(); err != nil {
-		run.Close() //nolint:errcheck
-		return err
-	}
-	s.Spill.Res.NoteSpill(run.Bytes())
 	s.runs = append(s.runs, run)
 	s.rows = nil
 	s.Spill.Res.Release(s.accBytes)
@@ -833,7 +830,13 @@ func (s *Sort) Open() (err error) {
 	if err := s.flushRun(); err != nil {
 		return err
 	}
-	s.runs, err = s.reduceRuns()
+	s.runs, err = spill.Reduce(s.runs, func(group []*spill.RowRun) (*spill.RowRun, error) {
+		m, err := newRowRunMerger(group, s.Keys)
+		if err != nil {
+			return nil, err
+		}
+		return s.writeRun(m.next)
+	})
 	if err != nil {
 		return err
 	}
@@ -884,48 +887,32 @@ func (s *Sort) Close() error {
 	return nil
 }
 
-// sortMergeFanIn caps how many runs one merge pass reads; more runs
-// trigger intermediate passes (multi-pass external sort).
-const sortMergeFanIn = 8
-
-// reduceRuns merges runs down to the fan-in, earliest segments first so
-// the tie-break order survives intermediate passes.
-func (s *Sort) reduceRuns() ([]*spill.RowRun, error) {
-	runs := s.runs
-	for len(runs) > sortMergeFanIn {
-		m, err := newRowRunMerger(runs[:sortMergeFanIn], s.Keys)
-		if err != nil {
-			return runs, err
-		}
-		out, err := spill.NewRowRun(s.Spill.Dir)
-		if err != nil {
-			return runs, err
-		}
-		for {
-			r, err := m.next()
-			if err != nil {
-				out.Close() //nolint:errcheck
-				return runs, err
-			}
-			if r == nil {
-				break
-			}
-			if err := out.WriteRow(r); err != nil {
-				out.Close() //nolint:errcheck
-				return runs, err
-			}
-		}
-		if err := out.Finish(); err != nil {
-			out.Close() //nolint:errcheck
-			return runs, err
-		}
-		s.Spill.Res.NoteSpill(out.Bytes())
-		for _, r := range runs[:sortMergeFanIn] {
-			r.Close() //nolint:errcheck
-		}
-		runs = append([]*spill.RowRun{out}, runs[sortMergeFanIn:]...)
+// writeRun writes the rows next yields, until it yields nil, to a new
+// run and notes the run's bytes as spilled. On error the run is closed.
+func (s *Sort) writeRun(next func() (types.Row, error)) (*spill.RowRun, error) {
+	run, err := spill.NewRowRun(s.Spill.Dir)
+	if err != nil {
+		return nil, err
 	}
-	return runs, nil
+	for {
+		r, err := next()
+		if err == nil && r == nil {
+			break
+		}
+		if err == nil {
+			err = run.WriteRow(r)
+		}
+		if err != nil {
+			run.Close() //nolint:errcheck — unwinding a failed run
+			return nil, err
+		}
+	}
+	if err := run.Finish(); err != nil {
+		run.Close() //nolint:errcheck
+		return nil, err
+	}
+	s.Spill.Res.NoteSpill(run.Bytes())
+	return run, nil
 }
 
 // rowRunMerger is a k-way streaming merge over sorted row runs; ties

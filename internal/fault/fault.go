@@ -14,7 +14,8 @@
 // Each entry names a tap point and a failure rule: a fractional value is
 // a per-call failure probability, an integer value N fails exactly the
 // first N calls of that point (handy for "fail once, then recover"
-// tests). Probabilistic decisions hash (seed, point, call ordinal) with
+// tests), and N@K fails the N calls from the K-th on (a failure deep in
+// a statement, after the calls Calls counted in a clean run). Probabilistic decisions hash (seed, point, call ordinal) with
 // a splitmix64 mix — no global RNG state — so a given spec produces the
 // same failure sequence on every run, which is what lets the chaos suite
 // assert exact outcomes.
@@ -57,7 +58,8 @@ var ErrInjected = errors.New("injected fault")
 // rule is one tap point's failure configuration.
 type rule struct {
 	prob  float64 // per-call failure probability (probabilistic form)
-	count int64   // fail the first count calls (counting form); 0 = probabilistic
+	count int64   // fail count calls from call from on (counting form); 0 = probabilistic
+	from  int64
 	calls atomic.Int64
 }
 
@@ -118,10 +120,18 @@ func New(spec string) (*Injector, error) {
 			return nil, fmt.Errorf("fault: bad entry %q (want point:rate)", ent)
 		}
 		val = strings.TrimSpace(val)
-		r := &rule{}
+		r := &rule{from: 1}
+		val, from, at := strings.Cut(val, "@")
+		if at {
+			k, err := strconv.ParseInt(strings.TrimSpace(from), 10, 64)
+			if err != nil || k < 1 {
+				return nil, fmt.Errorf("fault: bad first call %q for %s (want a positive integer)", from, point)
+			}
+			r.from = k
+		}
 		if strings.ContainsAny(val, ".eE") {
 			p, err := strconv.ParseFloat(val, 64)
-			if err != nil || p < 0 || p > 1 {
+			if err != nil || p < 0 || p > 1 || at {
 				return nil, fmt.Errorf("fault: bad probability %q for %s", val, point)
 			}
 			r.prob = p
@@ -138,6 +148,15 @@ func New(spec string) (*Injector, error) {
 		return nil, errors.New("fault: empty spec")
 	}
 	return inj, nil
+}
+
+// Calls returns how many times point's tap has been consulted while inj
+// was armed.
+func (inj *Injector) Calls(point string) int64 {
+	if r, ok := inj.rules[point]; ok {
+		return r.calls.Load()
+	}
+	return 0
 }
 
 // Set installs inj as the process-wide injector (nil disarms) and
@@ -179,7 +198,7 @@ func (inj *Injector) should(point string) bool {
 	}
 	n := r.calls.Add(1)
 	if r.count > 0 {
-		return n <= r.count
+		return n >= r.from && n < r.from+r.count
 	}
 	if r.prob <= 0 {
 		return false

@@ -9,6 +9,7 @@ func TestParseErrors(t *testing.T) {
 	for _, spec := range []string{
 		"", ";seed=1", "spill.write", "spill.write:2.0", "spill.write:-1",
 		"spill.write:0", "spill.write:abc", "spill.write:0.1;tilt=3", "spill.write:0.1;seed=x",
+		"spill.write:1@0", "spill.write:1@x", "spill.write:0.5@3",
 	} {
 		if _, err := New(spec); err == nil {
 			t.Errorf("New(%q) succeeded, want error", spec)
@@ -36,6 +37,27 @@ func TestCountingRuleFailsFirstN(t *testing.T) {
 	// Unconfigured points never fire.
 	if Should("mem.grow") {
 		t.Fatal("unconfigured point fired")
+	}
+}
+
+// TestCountingRuleFromCallK: N@K fails calls K..K+N-1, and Calls counts
+// every consultation, fired or not.
+func TestCountingRuleFromCallK(t *testing.T) {
+	inj, err := New("spill.write:2@4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer Set(inj)()
+	for i := 1; i < 10; i++ {
+		if got, want := Should("spill.write"), i == 4 || i == 5; got != want {
+			t.Fatalf("call %d fired=%v, want %v", i, got, want)
+		}
+	}
+	if n := inj.Calls("spill.write"); n != 9 {
+		t.Fatalf("Calls = %d, want 9", n)
+	}
+	if n := inj.Calls("mem.grow"); n != 0 {
+		t.Fatalf("Calls of an unconfigured point = %d, want 0", n)
 	}
 }
 

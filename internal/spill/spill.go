@@ -35,7 +35,7 @@ func unmath64(u uint64) float64 { return math.Float64frombits(u) }
 
 // DownHeap restores the min-heap property of h from position at, with
 // less ordering the stored values. Shared by the k-way run mergers of
-// the external sorts and the sequence merges.
+// both engines.
 func DownHeap(h []int, at int, less func(a, b int) bool) {
 	n := len(h)
 	for {
@@ -59,6 +59,59 @@ func DownHeap(h []int, at int, less func(a, b int) bool) {
 func Heapify(h []int, less func(a, b int) bool) {
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		DownHeap(h, i, less)
+	}
+}
+
+// FanIn caps how many runs one merge reads, so a merge's memory stays
+// bounded however small the budget that cut the runs.
+const FanIn = 8
+
+// Reduce applies intermediate merge passes until at most FanIn runs
+// remain. A level merges consecutive groups of FanIn runs from the front,
+// each into one run through merge; the last level (at most FanIn² runs)
+// stops as soon as FanIn runs are left. A level rewrites each run at most
+// once, and R > FanIn runs take ⌈log_FanIn R⌉ − 1 levels, so the bytes
+// written stay within that many times the first-level bytes. Groups stay
+// consecutive and in order, so a merge that breaks ties by run position
+// (the earlier segment first) keeps doing so across levels.
+//
+// Reduce closes the runs a merge consumed. merge closes what it wrote
+// when it fails; Reduce then closes every other run, so each run is
+// closed exactly once, and returns nil.
+func Reduce[R io.Closer](runs []R, merge func(group []R) (R, error)) ([]R, error) {
+	for len(runs) > FanIn {
+		excess, last := len(runs)-FanIn, len(runs) <= FanIn*FanIn
+		next := make([]R, 0, len(runs)/FanIn+FanIn)
+		lo := 0
+		for lo < len(runs) && (!last || excess > 0) {
+			hi := min(lo+FanIn, len(runs))
+			if last {
+				hi = min(hi, lo+excess+1)
+			}
+			if hi-lo == 1 {
+				next = append(next, runs[lo])
+				lo = hi
+				continue
+			}
+			out, err := merge(runs[lo:hi])
+			if err != nil {
+				closeAll(next)
+				closeAll(runs[lo:])
+				return nil, err
+			}
+			closeAll(runs[lo:hi])
+			next = append(next, out)
+			excess -= hi - lo - 1
+			lo = hi
+		}
+		runs = append(next, runs[lo:]...)
+	}
+	return runs, nil
+}
+
+func closeAll[R io.Closer](runs []R) {
+	for _, r := range runs {
+		r.Close() //nolint:errcheck — temp storage, already unlinked
 	}
 }
 

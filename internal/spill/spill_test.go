@@ -1,6 +1,7 @@
 package spill
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -166,5 +167,83 @@ func TestCleanupSweepsLeftovers(t *testing.T) {
 	ents, _ := os.ReadDir(dir)
 	if len(ents) != 1 || ents[0].Name() != "keep.txt" {
 		t.Fatalf("unexpected leftovers after Cleanup: %v", ents)
+	}
+}
+
+// fakeRun stands in for a run in the merge schedule: the input segments
+// it holds, in order, and how often it was closed.
+type fakeRun struct {
+	segs   []int
+	closed int
+}
+
+func (r *fakeRun) Close() error { r.closed++; return nil }
+
+// TestReduceSchedule: the schedule keeps segments consecutive and in
+// order, leaves at most FanIn runs, writes each segment at most once per
+// level, and closes every run it consumed exactly once — also when a
+// merge fails at any point.
+func TestReduceSchedule(t *testing.T) {
+	for _, n := range []int{1, 8, 9, 10, 17, 64, 65, 131, 600} {
+		levels := 0
+		for r := n; r > FanIn; r = (r + FanIn - 1) / FanIn {
+			levels++
+		}
+		for failAt := 0; failAt <= 3; failAt++ {
+			var all []*fakeRun
+			runs := make([]*fakeRun, n)
+			for i := range runs {
+				runs[i] = &fakeRun{segs: []int{i}}
+				all = append(all, runs[i])
+			}
+			merges, written := 0, 0
+			merge := func(group []*fakeRun) (*fakeRun, error) {
+				merges++
+				if merges == failAt {
+					return nil, fmt.Errorf("merge %d failed", merges)
+				}
+				out := &fakeRun{}
+				for _, r := range group {
+					out.segs = append(out.segs, r.segs...)
+				}
+				written += len(out.segs)
+				all = append(all, out)
+				return out, nil
+			}
+			got, err := Reduce(runs, merge)
+			if err != nil {
+				for i, r := range all {
+					if r.closed != 1 {
+						t.Fatalf("n=%d fail at merge %d: run %d closed %d times", n, failAt, i, r.closed)
+					}
+				}
+				continue
+			}
+			if failAt != 0 && merges >= failAt {
+				t.Fatalf("n=%d: merge %d failed but Reduce succeeded", n, failAt)
+			}
+			if len(got) > FanIn {
+				t.Fatalf("n=%d: %d runs left", n, len(got))
+			}
+			var segs []int
+			kept := map[*fakeRun]bool{}
+			for _, r := range got {
+				segs = append(segs, r.segs...)
+				kept[r] = true
+			}
+			for i, s := range segs {
+				if s != i {
+					t.Fatalf("n=%d: segment %d at position %d", n, s, i)
+				}
+			}
+			for i, r := range all {
+				if want := map[bool]int{true: 0, false: 1}[kept[r]]; r.closed != want {
+					t.Fatalf("n=%d: run %d closed %d times, want %d", n, i, r.closed, want)
+				}
+			}
+			if written > levels*n {
+				t.Fatalf("n=%d: wrote %d segments in %d levels", n, written, levels)
+			}
+		}
 	}
 }

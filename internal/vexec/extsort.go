@@ -1,9 +1,13 @@
 // External-sort machinery for the vectorized engine: budget-driven run
 // spilling and the k-way streaming merge that reads sorted runs back.
 // VecSort switches to this path when its memory reservation denies a
-// grant; the merge preserves the in-memory sort's exact output order
-// (stable, NULLS LAST ascending) because runs hold consecutive input
-// segments and ties always resolve to the earlier run.
+// grant. Intermediate merges go level by level (spill.Reduce), so each
+// level rewrites the spilled bytes once. The merge preserves the
+// in-memory sort's exact output order (stable, NULLS LAST ascending)
+// because runs hold consecutive input segments and ties always resolve to
+// the earlier run. The same merge, keyed on a trailing sequence column,
+// restores the output order of the spilled grouping operators and of the
+// Grace join.
 package vexec
 
 import (
@@ -14,12 +18,6 @@ import (
 	"perm/internal/types"
 	"perm/internal/vector"
 )
-
-// mergeFanIn caps how many runs a single merge pass reads. More runs
-// than this trigger intermediate merge passes (a genuinely multi-pass
-// external sort) so the merge's memory stays bounded no matter how
-// small the budget was.
-const mergeFanIn = 8
 
 // batchBytes estimates the heap footprint of the given live lanes of a
 // batch once copied into accumulator columns. Fixed-width lanes cost
@@ -76,35 +74,6 @@ func gatherScratch(kinds []types.Kind) []*vector.Vec {
 		cols[c] = vector.NewVec(k, vector.BatchSize)
 	}
 	return cols
-}
-
-// writeOrdered writes a table's rows to a fresh run in the given
-// permutation order, in batch-sized chunks.
-func writeOrdered(res spill.Resources, t *vector.Table, order []int32) (*spill.Run, error) {
-	run, err := spill.NewRun(res.Dir)
-	if err != nil {
-		return nil, err
-	}
-	chunk := gatherScratch(t.Kinds())
-	for lo := 0; lo < len(order); lo += vector.BatchSize {
-		hi := lo + vector.BatchSize
-		if hi > len(order) {
-			hi = len(order)
-		}
-		for c := range chunk {
-			t.GatherCol(c, order[lo:hi], chunk[c])
-		}
-		if err := run.WriteCols(chunk, hi-lo); err != nil {
-			run.Close() //nolint:errcheck — unwinding after a failed write
-			return nil, err
-		}
-	}
-	if err := run.Finish(); err != nil {
-		run.Close() //nolint:errcheck
-		return nil, err
-	}
-	res.Res.NoteSpill(run.Bytes())
-	return run, nil
 }
 
 // runCursor walks one sorted run batch-at-a-time during a merge.
@@ -265,57 +234,37 @@ func (o *mergeOut) free() {
 	o.cols = o.cols[:0]
 }
 
-// mergePass merges the given runs into one new run (an intermediate pass
-// of the multi-pass external sort) and closes the inputs.
-func mergePass(res spill.Resources, runs []*spill.Run, keys []exec.SortKey, classes []cmpClass, kinds []types.Kind) (*spill.Run, error) {
+// mergeRuns merges sorted runs into one new run: an intermediate level
+// of the external sort. The caller closes the inputs.
+func mergeRuns(res spill.Resources, runs []*spill.Run, keys []exec.SortKey, classes []cmpClass, kinds []types.Kind) (*spill.Run, error) {
 	m, err := newRunMerger(runs, keys, classes, kinds)
 	if err != nil {
 		return nil, err
 	}
 	defer m.close()
-	out, err := spill.NewRun(res.Dir)
-	if err != nil {
-		return nil, err
-	}
+	w := &runWriter{res: res, kinds: kinds}
 	for {
 		b, err := m.next()
 		if err != nil {
-			out.Close() //nolint:errcheck
+			w.abandon()
 			return nil, err
 		}
 		if b == nil {
-			break
+			return w.finish()
 		}
-		if err := out.WriteCols(b.Cols, b.N); err != nil {
-			out.Close() //nolint:errcheck
+		if err := w.write(b.Cols, b.N); err != nil {
 			return nil, err
 		}
 	}
-	for _, r := range runs {
-		r.Close() //nolint:errcheck — inputs are fully drained
-	}
-	if err := out.Finish(); err != nil {
-		out.Close() //nolint:errcheck
-		return nil, err
-	}
-	res.Res.NoteSpill(out.Bytes())
-	return out, nil
 }
 
-// reduceRuns applies intermediate merge passes until at most mergeFanIn
-// runs remain, each merging no more runs than that takes. The earliest
-// runs merge first and the merged run takes their position, preserving
-// the segment order the tie-break relies on.
-func reduceRuns(res spill.Resources, runs []*spill.Run, keys []exec.SortKey, classes []cmpClass, kinds []types.Kind) ([]*spill.Run, error) {
-	for len(runs) > mergeFanIn {
-		k := min(mergeFanIn, len(runs)-mergeFanIn+1)
-		merged, err := mergePass(res, runs[:k], keys, classes, kinds)
-		if err != nil {
-			return runs, err
-		}
-		runs = append([]*spill.Run{merged}, runs[k:]...)
-	}
-	return runs, nil
+// newSeqMerge merges runs of records whose data columns (of the given
+// kinds) are followed by an ascending sequence column, emitting the data
+// columns in sequence order: the output of a spilled grouping operator
+// or Grace join. A sequence number lives in one run only (a group's
+// output rows, a probe row's matches), so ties never span runs.
+func newSeqMerge(runs []*spill.Run, kinds []types.Kind) (*runMerger, error) {
+	return newRunMerger(runs, []exec.SortKey{{Pos: len(kinds)}}, []cmpClass{classInt}, kinds)
 }
 
 // closeRuns closes every run in the slice.

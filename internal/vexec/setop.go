@@ -6,8 +6,9 @@
 // right input, matching the row engine. Under a memory budget the
 // distinct-row table spills partial records (row, per-side counts,
 // first-appearance sequence number) into hash partitions; partitions
-// merge the counts independently and a final sequence merge restores the
-// exact in-memory output order, multiplicities expanded on the fly.
+// merge the counts independently and write each surviving row as many
+// times as its multiplicity, and a final sequence merge restores the
+// exact in-memory output order.
 package vexec
 
 import (
@@ -70,16 +71,12 @@ func (s *VecSetOp) mergeState(g int, state []*vector.Vec, lane int) {
 	s.mR[g] += state[1].I[lane]
 }
 
-// The result column of a spilled set operation is the multiplicity.
-func (s *VecSetOp) resultKinds() []types.Kind { return []types.Kind{types.KindInt} }
-func (s *VecSetOp) emits(g int) bool          { return s.countFor(g) > 0 }
-func (s *VecSetOp) appendResult(g int, dst []*vector.Vec) {
-	appendI(dst[0], s.countFor(g))
-}
+func (s *VecSetOp) resultKinds() []types.Kind       { return nil }
+func (s *VecSetOp) appendResult(int, []*vector.Vec) {}
 
-// countFor computes the output multiplicity of distinct row e under the
+// copies computes the output multiplicity of distinct row e under the
 // operation's multiset semantics.
-func (s *VecSetOp) countFor(e int) int64 {
+func (s *VecSetOp) copies(e int) int64 {
 	var count int64
 	switch s.Kind {
 	case exec.Union:
@@ -138,13 +135,13 @@ func (s *VecSetOp) Open() (err error) {
 	if err := s.Right.Close(); err != nil {
 		return err
 	}
-	if err := s.tab.finish(true); err != nil || s.tab.spilled() {
+	if err := s.tab.finish(); err != nil || s.tab.spilled() {
 		return err
 	}
 	// Emit multiplicities per distinct row, in first-appearance order.
 	var order []int32
 	for e := 0; e < s.tab.set.rows.Len(); e++ {
-		for i := int64(0); i < s.countFor(e); i++ {
+		for i := int64(0); i < s.copies(e); i++ {
 			order = append(order, int32(e))
 		}
 	}

@@ -152,7 +152,18 @@ func (s *VecSort) flushRun() error {
 		return nil
 	}
 	order := sortedOrder(&s.acc, s.Keys, s.classes)
-	run, err := writeOrdered(s.Spill, &s.acc, order)
+	w := &runWriter{res: s.Spill, kinds: s.kinds}
+	chunk := gatherScratch(s.kinds)
+	for lo := 0; lo < len(order); lo += vector.BatchSize {
+		ids := order[lo:min(lo+vector.BatchSize, len(order))]
+		for c := range chunk {
+			s.acc.GatherCol(c, ids, chunk[c])
+		}
+		if err := w.write(chunk, len(ids)); err != nil {
+			return err
+		}
+	}
+	run, err := w.finish()
 	if err != nil {
 		return err
 	}
@@ -231,7 +242,9 @@ func (s *VecSort) Open() (err error) {
 	if err := s.flushRun(); err != nil {
 		return err
 	}
-	s.runs, err = reduceRuns(s.Spill, s.runs, s.Keys, s.classes, s.kinds)
+	s.runs, err = spill.Reduce(s.runs, func(group []*spill.Run) (*spill.Run, error) {
+		return mergeRuns(s.Spill, group, s.Keys, s.classes, s.kinds)
+	})
 	if err != nil {
 		return err
 	}
@@ -525,8 +538,13 @@ func (d *VecDistinct) appendState(g int, dst []*vector.Vec) {
 func (d *VecDistinct) mergeState(g int, state []*vector.Vec, lane int) {
 	d.emitted[g] = d.emitted[g] || state[0].B[lane]
 }
-func (d *VecDistinct) resultKinds() []types.Kind       { return nil }
-func (d *VecDistinct) emits(g int) bool                { return !d.emitted[g] }
+func (d *VecDistinct) resultKinds() []types.Kind { return nil }
+func (d *VecDistinct) copies(g int) int64 {
+	if d.emitted[g] {
+		return 0
+	}
+	return 1
+}
 func (d *VecDistinct) appendResult(int, []*vector.Vec) {}
 
 func (d *VecDistinct) Open() error {
@@ -554,7 +572,7 @@ func (d *VecDistinct) Next() (*vector.Batch, error) {
 			if !d.tail {
 				return nil, nil
 			}
-			if err := d.tab.finish(false); err != nil {
+			if err := d.tab.finish(); err != nil {
 				return nil, err
 			}
 			continue

@@ -10,6 +10,7 @@ import (
 	"perm/internal/mem"
 	"perm/internal/spill"
 	"perm/internal/types"
+	"perm/internal/vector"
 	"perm/internal/vexec"
 )
 
@@ -87,6 +88,125 @@ func TestVecSortSpillMultiPass(t *testing.T) {
 	if st.InUse != 0 {
 		t.Fatalf("reservation leak: %d bytes", st.InUse)
 	}
+}
+
+// onEnd calls end when its input reports the end of its stream.
+type onEnd struct {
+	vexec.Node
+	end func()
+}
+
+func (n *onEnd) Next() (*vector.Batch, error) {
+	b, err := n.Node.Next()
+	if b == nil && err == nil {
+		n.end()
+	}
+	return b, err
+}
+
+// rowOnEnd is onEnd for the row engine.
+type rowOnEnd struct {
+	exec.Node
+	end func()
+}
+
+func (n *rowOnEnd) Next() (types.Row, error) {
+	r, err := n.Node.Next()
+	if r == nil && err == nil {
+		n.end()
+	}
+	return r, err
+}
+
+// TestSpillMergeScheduleBound: an external sort that cuts over a hundred
+// first-level runs merges them level by level, so on both engines it
+// spills at most (1 + ⌈log₈ R⌉) times the bytes of its R first-level
+// runs, and its output is the in-memory sort's.
+func TestSpillMergeScheduleBound(t *testing.T) {
+	data := pairRows(200000, 97)
+	keys := []exec.SortKey{{Pos: 0}, {Pos: 2, Desc: true}}
+	dir := t.TempDir()
+
+	// The first-level runs hold every input row once. Written as one
+	// column run in full batches the rows take the fewest batch headers,
+	// so that run's size is a lower bound of the first-level bytes; the
+	// row codec has no batch headers, so there the size is exact.
+	colRef, err := spill.NewRun(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer colRef.Close()
+	scan := scanOf(t, pairKinds, data)
+	if err := scan.Open(); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		b, err := scan.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			break
+		}
+		if err := colRef.WriteCols(b.Cols, b.N); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan.Close()
+	rowRef, err := spill.NewRowRun(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rowRef.Close()
+	for _, r := range data {
+		if err := rowRef.WriteRow(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// check holds the bound; atEnd is the budget's spill count when the
+	// input ended, the first-level runs but the tail segment's.
+	check := func(name string, b *mem.Budget, atEnd, first int64) {
+		t.Helper()
+		if atEnd < 100 {
+			t.Fatalf("%s: %d first-level runs, want at least 100", name, atEnd)
+		}
+		levels := int64(0) // ⌈log₈ R⌉ for R = atEnd + 1
+		for r := int64(1); r < atEnd+1; r *= 8 {
+			levels++
+		}
+		st := b.Stats()
+		if st.BytesSpilled > (1+levels)*first {
+			t.Fatalf("%s: spilled %d bytes, %.1fx the %d first-level bytes; bound %dx",
+				name, st.BytesSpilled, float64(st.BytesSpilled)/float64(first), first, 1+levels)
+		}
+		if st.InUse != 0 {
+			t.Fatalf("%s: reservation leak: %d bytes", name, st.InUse)
+		}
+		t.Logf("%s: %d first-level runs, spilled %.1fx their bytes", name, atEnd+1, float64(st.BytesSpilled)/float64(first))
+	}
+
+	want := drainRows(t, vexec.NewVecSort(scanOf(t, pairKinds, data), keys))
+	res, budget := tinyRes(t, 64<<10)
+	var atEnd int64
+	ext := vexec.NewVecSort(&onEnd{scanOf(t, pairKinds, data), func() { atEnd = budget.Stats().SpillEvents }}, keys)
+	ext.Spill = res
+	assertSameRows(t, drainRows(t, ext), want, "VecSort")
+	check("VecSort", budget, atEnd, colRef.Bytes())
+
+	want, err = exec.Collect(exec.NewSort(exec.NewScan(data), keys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := mem.NewGovernor(0).Session(128 << 10)
+	s := exec.NewSort(&rowOnEnd{exec.NewScan(data), func() { atEnd = b.Stats().SpillEvents }}, keys)
+	s.Spill = spill.Resources{Res: b.Reserve("sort"), Dir: dir}
+	got, err := exec.Collect(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameRows(t, got, want, "row Sort")
+	check("row Sort", b, atEnd, rowRef.Bytes())
 }
 
 // TestHashAggSpill: partial-group flushing with state merge must produce
@@ -203,6 +323,20 @@ func TestGroupSpillPastRepartitionDepth(t *testing.T) {
 			d.Spill = res
 			return d
 		}},
+		{"join", func(res spill.Resources) vexec.Node {
+			// Every build row has key 1: no reseeded hash splits them.
+			build := make([]types.Row, 300)
+			for i := range build {
+				build[i] = types.Row{types.NewInt(int64(i)), types.NewInt(1), types.NewString(fmt.Sprintf("b%d", i))}
+			}
+			j := vexec.NewHashJoin(
+				scanOf(t, pairKinds, pairRows(120, 5)), scanOf(t, pairKinds, build),
+				[]*vexec.Expr{colExpr(t, 1, types.KindInt)},
+				[]*vexec.Expr{colExpr(t, 1, types.KindInt)},
+				[]bool{false}, vexec.InnerJoin, pairKinds, pairKinds)
+			j.Spill = res
+			return j
+		}},
 	} {
 		want := drainRows(t, c.mk(spill.Resources{}))
 		res, budget := tinyRes(t, 8<<10)
@@ -210,6 +344,9 @@ func TestGroupSpillPastRepartitionDepth(t *testing.T) {
 		st := budget.Stats()
 		if st.BytesSpilled == 0 {
 			t.Fatalf("%s under an 8 KiB budget did not spill", c.name)
+		}
+		if st.Peak <= 8<<10 {
+			t.Fatalf("%s peaked at %d bytes: it never completed over the 8 KiB budget", c.name, st.Peak)
 		}
 		if st.InUse != 0 {
 			t.Fatalf("%s leaked %d reserved bytes", c.name, st.InUse)

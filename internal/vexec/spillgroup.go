@@ -1,6 +1,8 @@
-// Grace-style partition spilling for the grouping operators (hash
-// aggregation, DISTINCT, set operations) and the shared partition /
-// merge machinery the Grace hash join reuses.
+// The spill toolkit of the vectorized engine — one run writer, one hash
+// partition set, one partition loop — and the grouping operators' (hash
+// aggregation, DISTINCT, set operations) budgeted group table built on
+// it. The external sort writes its runs through the run writer; the
+// Grace hash join drains its partitions through the same loop.
 //
 // The pattern: the operator keeps its groups in a groupTable; when the
 // memory reservation denies a grant, every group is flushed as a
@@ -11,9 +13,9 @@
 // same group land in the same partition and merge associatively in a
 // groupTable of their own (which flushes one level down under a
 // reseeded hash when a skewed partition still exceeds the budget), each
-// partition's groups are finalized in first-appearance order, and a
-// k-way merge on the sequence number reproduces the exact output order
-// of the in-memory operator.
+// partition writes its groups' output rows in first-appearance order,
+// and the k-way merge on the sequence number reproduces the exact output
+// order of the in-memory operator.
 package vexec
 
 import (
@@ -58,10 +60,17 @@ func laneBytes(cols []*vector.Vec, i int) int64 {
 	return n + int64(len(cols))/4
 }
 
-// partitionOf maps a group/key hash to its partition at the given
-// repartitioning depth. Reseeding with the depth makes the levels
-// independent, so a skewed partition genuinely splits when repartitioned.
-func partitionOf(h uint64, seed uint64) int {
+// partitionOf maps a group/key hash to its partition among the
+// partitions written at the given depth. Reseeding with the depth makes
+// the levels independent, so a skewed partition genuinely splits when
+// repartitioned. Depth 1 takes seed 0 and depth d seed d. Keep it so:
+// which groups share a partition decides whether its merge splits a
+// group's partials, and so the last digits of a spilled float SUM.
+func partitionOf(h uint64, depth int) int {
+	seed := uint64(depth)
+	if depth == 1 {
+		seed = 0
+	}
 	return int(mix64(h^(0x9e3779b97f4a7c15*(seed+1))) & (spillPartitions - 1))
 }
 
@@ -121,21 +130,6 @@ func appendValue(v *vector.Vec, val types.Value) {
 	v.Set(n, val)
 }
 
-// partitionSet buffers and routes records into spillPartitions runs by
-// hash. Records are fixed-layout rows over the given column kinds.
-type partitionSet struct {
-	res   spill.Resources
-	kinds []types.Kind
-	seed  uint64
-	runs  [spillPartitions]*spill.Run
-	bufs  [spillPartitions][]*vector.Vec
-	bufN  [spillPartitions]int
-}
-
-func newPartitionSet(res spill.Resources, kinds []types.Kind, seed uint64) *partitionSet {
-	return &partitionSet{res: res, kinds: kinds, seed: seed}
-}
-
 // newRecordBuf returns empty record columns with room for one batch.
 func newRecordBuf(kinds []types.Kind) []*vector.Vec {
 	cols := make([]*vector.Vec, len(kinds))
@@ -153,42 +147,109 @@ func resetRecordBuf(cols []*vector.Vec) {
 	}
 }
 
-func (ps *partitionSet) buf(p int) []*vector.Vec {
-	if ps.bufs[p] == nil {
-		ps.bufs[p] = newRecordBuf(ps.kinds)
-	}
-	return ps.bufs[p]
+// runWriter writes one spill run of records over fixed column kinds:
+// records appended one at a time (add) into a batch-sized buffer, or
+// whole batches (write). The run is created when the first batch leaves.
+// finish hands the run over with its bytes noted as spilled, nil when
+// nothing was written. A failed write closes the run; abandon closes it
+// when the caller fails.
+type runWriter struct {
+	res   spill.Resources
+	kinds []types.Kind
+	buf   []*vector.Vec // created with the first record
+	n     int
+	run   *spill.Run
 }
 
-func (ps *partitionSet) flush(p int) error {
-	if ps.bufN[p] == 0 {
-		return nil
+// add appends one record: write appends exactly one value to every
+// buffer column.
+func (w *runWriter) add(write func(dst []*vector.Vec)) error {
+	if w.buf == nil {
+		w.buf = newRecordBuf(w.kinds)
 	}
-	if ps.runs[p] == nil {
-		run, err := spill.NewRun(ps.res.Dir)
-		if err != nil {
-			return err
-		}
-		ps.runs[p] = run
+	write(w.buf)
+	w.n++
+	if w.n >= vector.BatchSize {
+		return w.flush()
 	}
-	if err := ps.runs[p].WriteCols(ps.bufs[p], ps.bufN[p]); err != nil {
+	return nil
+}
+
+// write appends a batch of n dense records after the buffered ones.
+func (w *runWriter) write(cols []*vector.Vec, n int) error {
+	if err := w.flush(); err != nil {
 		return err
 	}
-	resetRecordBuf(ps.bufs[p])
-	ps.bufN[p] = 0
+	return w.put(cols, n)
+}
+
+func (w *runWriter) flush() error {
+	if w.n == 0 {
+		return nil
+	}
+	if err := w.put(w.buf, w.n); err != nil {
+		return err
+	}
+	resetRecordBuf(w.buf)
+	w.n = 0
 	return nil
+}
+
+func (w *runWriter) put(cols []*vector.Vec, n int) (err error) {
+	if w.run == nil {
+		if w.run, err = spill.NewRun(w.res.Dir); err != nil {
+			return err
+		}
+	}
+	if err = w.run.WriteCols(cols, n); err != nil {
+		w.abandon()
+	}
+	return err
+}
+
+func (w *runWriter) finish() (*spill.Run, error) {
+	if err := w.flush(); err != nil {
+		return nil, err
+	}
+	run := w.run
+	w.run = nil
+	if run == nil {
+		return nil, nil
+	}
+	if err := run.Finish(); err != nil {
+		run.Close() //nolint:errcheck — unwinding a failed run
+		return nil, err
+	}
+	w.res.Res.NoteSpill(run.Bytes())
+	return run, nil
+}
+
+// abandon closes the run being written, if any.
+func (w *runWriter) abandon() {
+	w.run.Close() //nolint:errcheck — temp storage, already unlinked
+	w.run = nil
+}
+
+// partitionSet routes records by hash into spillPartitions run writers.
+// Its depth is the repartitioning level of the partitions it writes,
+// which seeds the hash.
+type partitionSet struct {
+	parts [spillPartitions]runWriter
+	depth int
+}
+
+func newPartitionSet(res spill.Resources, kinds []types.Kind, depth int) *partitionSet {
+	ps := &partitionSet{depth: depth}
+	for p := range ps.parts {
+		ps.parts[p] = runWriter{res: res, kinds: kinds}
+	}
+	return ps
 }
 
 // addFunc routes one record to the partition of h; write appends exactly
 // one value to every buffer column.
 func (ps *partitionSet) addFunc(h uint64, write func(dst []*vector.Vec)) error {
-	p := partitionOf(h, ps.seed)
-	write(ps.buf(p))
-	ps.bufN[p]++
-	if ps.bufN[p] >= vector.BatchSize {
-		return ps.flush(p)
-	}
-	return nil
+	return ps.parts[partitionOf(h, ps.depth)].add(write)
 }
 
 // addRecord routes an existing record (one lane of a record batch).
@@ -200,182 +261,141 @@ func (ps *partitionSet) addRecord(cols []*vector.Vec, lane int, h uint64) error 
 	})
 }
 
-// finish flushes all buffers and returns the non-empty partition runs,
-// ready for reading. Spilled bytes are noted on the reservation. On
-// error the set self-cleans: every run — transferred or still owned —
-// is closed.
-func (ps *partitionSet) finish() ([]*spill.Run, error) {
-	var out []*spill.Run
-	for p := 0; p < spillPartitions; p++ {
-		if err := ps.flush(p); err != nil {
-			closeRuns(out)
-			ps.abandon()
-			return nil, err
+// addRows routes records lo..hi-1 (at most BatchSize) of a record batch
+// by the hash of the record columns [key, key+nkeys).
+func (ps *partitionSet) addRows(kh *keyHasher, cols []*vector.Vec, lo, hi, key, nkeys int) error {
+	hs := kh.rowRange(cols[key:key+nkeys], lo, hi)
+	for i := lo; i < hi; i++ {
+		if err := ps.addRecord(cols, i, hs[i-lo]); err != nil {
+			return err
 		}
-		if ps.runs[p] == nil {
-			continue
-		}
-		if err := ps.runs[p].Finish(); err != nil {
-			closeRuns(out)
-			ps.abandon()
-			return nil, err
-		}
-		ps.res.Res.NoteSpill(ps.runs[p].Bytes())
-		out = append(out, ps.runs[p])
-		ps.runs[p] = nil
 	}
-	return out, nil
+	return nil
 }
 
-// finishAll flushes all buffers and returns the runs indexed by
-// partition (nil entries for empty partitions), for consumers that must
-// pair runs across two sets (the Grace join's build and probe sides).
-// On error the set self-cleans like finish.
-func (ps *partitionSet) finishAll() ([spillPartitions]*spill.Run, error) {
-	var out [spillPartitions]*spill.Run
-	fail := func() {
-		for p := range out {
-			out[p].Close() //nolint:errcheck
-			out[p] = nil
+// addRun routes every record left in run like addRows.
+func (ps *partitionSet) addRun(kh *keyHasher, run *spill.Run, key, nkeys int) error {
+	for {
+		cols, n, err := run.ReadCols()
+		if err != nil || n == 0 {
+			return err
 		}
-		ps.abandon()
+		if err := ps.addRows(kh, cols, 0, n, key, nkeys); err != nil {
+			return err
+		}
 	}
-	for p := 0; p < spillPartitions; p++ {
-		if err := ps.flush(p); err != nil {
-			fail()
-			return out, err
+}
+
+// finish flushes every partition and returns the finished runs by
+// partition, nil where nothing was written, their bytes noted as spilled.
+// On error every run of the set is closed.
+func (ps *partitionSet) finish() (runs [spillPartitions]*spill.Run, err error) {
+	for p := range ps.parts {
+		if runs[p], err = ps.parts[p].finish(); err != nil {
+			closeRuns(runs[:])
+			ps.abandon()
+			return [spillPartitions]*spill.Run{}, err
 		}
-		if ps.runs[p] == nil {
-			continue
-		}
-		if err := ps.runs[p].Finish(); err != nil {
-			fail()
-			return out, err
-		}
-		ps.res.Res.NoteSpill(ps.runs[p].Bytes())
-		out[p] = ps.runs[p]
-		ps.runs[p] = nil
 	}
-	return out, nil
+	return runs, nil
 }
 
 // abandon closes any runs the set still owns (error unwinding). It is
-// nil-safe and a no-op after a successful finish.
+// nil-safe and a no-op after finish.
 func (ps *partitionSet) abandon() {
 	if ps == nil {
 		return
 	}
-	for p := 0; p < spillPartitions; p++ {
-		if ps.runs[p] != nil {
-			ps.runs[p].Close() //nolint:errcheck
-			ps.runs[p] = nil
-		}
+	for p := range ps.parts {
+		ps.parts[p].abandon()
 	}
 }
 
 // ---------------------------------------------------------------------------
-// Sequence merge
+// The partition loop
 
-// seqMerger streams the union of output runs ordered by their trailing
-// sequence column, optionally expanding a multiplicity column (set
-// operations). Every emitted batch holds the leading width data columns
-// only. Runs are individually seq-ascending and their seq ranges
-// interleave arbitrarily; equal seqs only occur within one run (a
-// group's — or probe row's — records never span runs), where file order
-// is already the in-memory emission order.
-type seqMerger struct {
-	cursors []*runCursor
-	width   int
-	multCol int // -1: no multiplicity
-	seqCol  int
-	kinds   []types.Kind
-	heap    []int
-	rem     int64 // remaining repeats of the current head record
-	out     mergeOut
+// partitionItem is one spilled partition awaiting its drain: its runs —
+// a grouping operator's partial records, or a join's build and probe
+// records, either of them nil — at its repartitioning depth. The
+// partitions an operator spills itself are at depth 1.
+type partitionItem struct {
+	runs  []*spill.Run
+	depth int
 }
 
-func newSeqMerger(runs []*spill.Run, width, multCol, seqCol int) (*seqMerger, error) {
-	m := &seqMerger{width: width, multCol: multCol, seqCol: seqCol}
-	for _, r := range runs {
-		cur := &runCursor{run: r}
-		ok, err := cur.load()
+// capped reports whether the item must not split again: it completes in
+// memory, over budget if need be (completion over precision).
+func (it partitionItem) capped() bool { return it.depth >= maxRepartitionDepth }
+
+// split returns a partition set for the item's records one level down.
+func (it partitionItem) split(res spill.Resources, kinds []types.Kind) *partitionSet {
+	return newPartitionSet(res, kinds, it.depth+1)
+}
+
+// drainPartitions drains spilled partitions depth first, starting from
+// the operator's partition sets. process consumes one item and returns
+// its output run, or the sets it split the item's records into; the loop
+// finishes those and pairs their partitions by index into the next
+// items. Each item's runs are closed exactly once, after process. On
+// error every run still held — queued items and outputs alike — is
+// closed.
+func drainPartitions(sets []*partitionSet, process func(partitionItem) (*spill.Run, []*partitionSet, error)) (outs []*spill.Run, err error) {
+	var stack []partitionItem
+	defer func() {
 		if err != nil {
-			return nil, err
-		}
-		m.cursors = append(m.cursors, cur)
-		if ok {
-			if m.kinds == nil {
-				m.kinds = colKinds(cur.cols[:width])
+			for _, it := range stack {
+				closeRuns(it.runs)
 			}
-			m.heap = append(m.heap, len(m.cursors)-1)
+			closeRuns(outs)
+			outs = nil
+		}
+	}()
+	push := func(sets []*partitionSet, depth int) error {
+		parts := make([][spillPartitions]*spill.Run, len(sets))
+		for i, ps := range sets {
+			var err error
+			if parts[i], err = ps.finish(); err != nil {
+				for _, done := range parts[:i] {
+					closeRuns(done[:])
+				}
+				for _, rest := range sets[i+1:] {
+					rest.abandon()
+				}
+				return err
+			}
+		}
+		for p := 0; p < spillPartitions; p++ {
+			it := partitionItem{runs: make([]*spill.Run, len(sets)), depth: depth}
+			held := false
+			for i := range sets {
+				it.runs[i] = parts[i][p]
+				held = held || it.runs[i] != nil
+			}
+			if held {
+				stack = append(stack, it)
+			}
+		}
+		return nil
+	}
+	if err = push(sets, 1); err != nil {
+		return nil, err
+	}
+	for len(stack) > 0 {
+		it := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		out, children, perr := process(it)
+		closeRuns(it.runs)
+		if out != nil {
+			outs = append(outs, out)
+		}
+		if perr == nil {
+			perr = push(children, it.depth+1)
+		}
+		if perr != nil {
+			return outs, perr
 		}
 	}
-	spill.Heapify(m.heap, m.less)
-	m.primeRem()
-	return m, nil
-}
-
-func (m *seqMerger) seqAt(ci int) int64 {
-	cur := m.cursors[ci]
-	return cur.cols[m.seqCol].I[cur.pos]
-}
-
-func (m *seqMerger) less(a, b int) bool {
-	sa, sb := m.seqAt(a), m.seqAt(b)
-	if sa != sb {
-		return sa < sb
-	}
-	return a < b
-}
-
-// primeRem loads the multiplicity of the current head record.
-func (m *seqMerger) primeRem() {
-	if len(m.heap) == 0 {
-		m.rem = 0
-		return
-	}
-	if m.multCol < 0 {
-		m.rem = 1
-		return
-	}
-	cur := m.cursors[m.heap[0]]
-	m.rem = cur.cols[m.multCol].I[cur.pos]
-}
-
-// next emits up to BatchSize merged rows, nil at end of stream.
-func (m *seqMerger) next() (*vector.Batch, error) {
-	if len(m.heap) == 0 {
-		return nil, nil
-	}
-	m.out.begin(m.kinds)
-	for m.out.rows < vector.BatchSize && len(m.heap) > 0 {
-		cur := m.cursors[m.heap[0]]
-		for m.rem > 0 && m.out.rows < vector.BatchSize {
-			m.out.copyRun(cur.cols, cur.pos, cur.pos+1)
-			m.rem--
-		}
-		if m.rem > 0 {
-			break // batch full mid-expansion; resume next call
-		}
-		ok, err := cur.advance()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			m.heap[0] = m.heap[len(m.heap)-1]
-			m.heap = m.heap[:len(m.heap)-1]
-		}
-		spill.DownHeap(m.heap, 0, m.less)
-		m.primeRem()
-	}
-	return m.out.batch(), nil
-}
-
-// close recycles the last output batch. Nil-safe.
-func (m *seqMerger) close() {
-	if m != nil {
-		m.out.free()
-	}
+	return outs, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -399,8 +419,8 @@ type groupStater interface {
 	mergeState(g int, state []*vector.Vec, lane int)
 	// resultKinds describes the result columns of a finished group.
 	resultKinds() []types.Kind
-	// emits reports whether finished group g has an output row.
-	emits(g int) bool
+	// copies is the number of output rows of finished group g.
+	copies(g int) int64
 	// appendResult appends finished group g's result values, one per
 	// result column.
 	appendResult(g int, dst []*vector.Vec)
@@ -414,7 +434,7 @@ type groupStater interface {
 // absorbing input. A spilled table merges its partitions at the end (a
 // partition merge is itself a groupTable, flushing one level down when
 // its grant is denied) and streams the groups in first-appearance order
-// through a sequence merge.
+// through a merge on the sequence column.
 type groupTable struct {
 	set    rowSet
 	hasher keyHasher
@@ -430,16 +450,17 @@ type groupTable struct {
 	// flushes, which is the order of their first appearance.
 	seqs   []int64
 	seqCtr int64
-	// seed is the partition hash seed of the flushes; forced tables (a
-	// partition merge at maxRepartitionDepth) never flush: their grants
-	// are forced over budget.
-	seed   uint64
+	// depth is the repartitioning level of the partitions the table
+	// flushes to; forced tables (a partition merge at
+	// maxRepartitionDepth) never flush: their grants are forced over
+	// budget.
+	depth  int
 	forced bool
 
 	pending  int64
 	accBytes int64
 	ps       *partitionSet
-	merger   *seqMerger
+	merger   *runMerger
 	outRuns  []*spill.Run
 }
 
@@ -448,7 +469,7 @@ type groupTable struct {
 func (t *groupTable) open(res spill.Resources, st groupStater, groupBytes int64) {
 	t.close()
 	t.res, t.st, t.groupBytes, t.budgeted = res, st, groupBytes, res.Enabled()
-	t.kinds, t.seqs, t.seqCtr, t.seed, t.forced = nil, t.seqs[:0], 0, 0, false
+	t.kinds, t.seqs, t.seqCtr, t.depth, t.forced = nil, t.seqs[:0], 0, 1, false
 	t.ps = nil
 	t.set.reset()
 	st.reset()
@@ -489,7 +510,7 @@ func (t *groupTable) flush() error {
 				t.kinds = t.set.rows.Kinds()
 			}
 			kinds := append(append(append([]types.Kind{}, t.kinds...), t.st.stateKinds()...), types.KindInt)
-			t.ps = newPartitionSet(t.res, kinds, t.seed)
+			t.ps = newPartitionSet(t.res, kinds, t.depth)
 		}
 		for g, h := range t.set.hashes {
 			cols, lane := t.set.rows.At(g)
@@ -537,40 +558,28 @@ func (t *groupTable) add(cols []*vector.Vec, lane int, h uint64) (int32, error) 
 	return t.insert(cols, lane, h), nil
 }
 
-// spillTail flushes the groups still in memory and returns the
-// partition runs of a spilled table. The tail's pending bytes are never
-// granted: its groups are leaving memory.
-func (t *groupTable) spillTail() ([]*spill.Run, error) {
+// flushTail flushes the groups still in memory of a spilled table. The
+// tail's pending bytes are never granted: its groups are leaving memory.
+func (t *groupTable) flushTail() error {
 	t.pending = 0
-	if err := t.flush(); err != nil {
-		return nil, err
-	}
-	return t.ps.finish()
+	return t.flush()
 }
 
 // finish ends the input. A table that never flushed keeps its groups for
 // the operator to emit from memory; a spilled one merges its partitions
-// and prepares the sequence merge that streams its output. counted marks
-// the first result column as each output row's multiplicity (set
-// operations).
-func (t *groupTable) finish(counted bool) error {
+// and prepares the merge on the sequence column that streams its output.
+func (t *groupTable) finish() (err error) {
 	if t.ps == nil {
 		return nil
 	}
-	runs, err := t.spillTail()
-	if err != nil {
+	if err := t.flushTail(); err != nil {
 		return err
 	}
-	if t.outRuns, err = t.mergePartitions(runs); err != nil {
+	if t.outRuns, err = drainPartitions([]*partitionSet{t.ps}, t.mergePartition); err != nil {
 		return err
 	}
-	width := len(t.kinds) + len(t.st.resultKinds())
-	multCol, seqCol := -1, width
-	if counted {
-		width--
-		multCol, seqCol = width, width+1
-	}
-	t.merger, err = newSeqMerger(t.outRuns, width, multCol, seqCol)
+	kinds := append(append([]types.Kind{}, t.kinds...), t.st.resultKinds()...)
+	t.merger, err = newSeqMerge(t.outRuns, kinds)
 	return err
 }
 
@@ -587,64 +596,19 @@ func (t *groupTable) close() {
 	t.accBytes, t.pending = 0, 0
 }
 
-// groupWorkItem is one partition run awaiting its merge; the live
-// table's partitions are at depth 1.
-type groupWorkItem struct {
-	run   *spill.Run
-	depth int
-}
-
-// mergePartitions drains the partition runs of a spilled table: each
-// partition's partial records merge in a table of their own, which
-// splits into child partitions when its grant is denied, and the
-// partition's groups leave in first-appearance order as one output run.
-// The returned runs feed a seqMerger.
-func (t *groupTable) mergePartitions(runs []*spill.Run) (outputs []*spill.Run, err error) {
-	stack := make([]groupWorkItem, 0, len(runs))
-	for _, r := range runs {
-		stack = append(stack, groupWorkItem{run: r, depth: 1})
-	}
-	defer func() {
-		if err != nil {
-			for _, it := range stack {
-				it.run.Close() //nolint:errcheck — unwinding a failed merge
-			}
-			closeRuns(outputs)
-		}
-	}()
-	for len(stack) > 0 {
-		item := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		children, out, perr := t.mergePartition(item)
-		if perr != nil {
-			err = perr
-			return outputs, err
-		}
-		for _, r := range children {
-			stack = append(stack, groupWorkItem{run: r, depth: item.depth + 1})
-		}
-		if out != nil {
-			outputs = append(outputs, out)
-		}
-	}
-	return outputs, nil
-}
-
 // mergePartition absorbs one partition's partial records: a record of an
 // existing group merges its state, the group keeping the smaller
-// sequence number. It returns the child partitions when the merge
-// flushed, or else the partition's output run. The item's run is always
-// closed.
-func (t *groupTable) mergePartition(item groupWorkItem) (children []*spill.Run, out *spill.Run, err error) {
-	defer item.run.Close() //nolint:errcheck — temp storage, already unlinked
+// sequence number. It returns the partition's output run, or the
+// partition set one level down when the merge flushed.
+func (t *groupTable) mergePartition(it partitionItem) (*spill.Run, []*partitionSet, error) {
 	m := &groupTable{}
 	m.open(t.res, t.st, t.groupBytes)
 	m.kinds = t.kinds
-	m.seed, m.forced = uint64(item.depth)+1, item.depth >= maxRepartitionDepth
+	m.depth, m.forced = it.depth+1, it.capped()
 	defer m.close()
 	w := len(t.kinds)
 	for {
-		cols, n, err := item.run.ReadCols()
+		cols, n, err := it.runs[0].ReadCols()
 		if err != nil {
 			return nil, nil, err
 		}
@@ -666,36 +630,34 @@ func (t *groupTable) mergePartition(item groupWorkItem) (children []*spill.Run, 
 			m.st.mergeState(int(g), state, i)
 		}
 	}
-	if m.spilled() {
-		children, err = m.spillTail()
-		return children, nil, err
+	if !m.spilled() {
+		out, err := m.writeOutput()
+		return out, nil, err
 	}
-	out, err = m.writeOutput()
-	return nil, out, err
+	if err := m.flushTail(); err != nil {
+		return nil, nil, err
+	}
+	ps := m.ps
+	m.ps = nil // the partition loop finishes it
+	return nil, []*partitionSet{ps}, nil
 }
 
-// writeOutput writes the groups that have an output row, in
-// first-appearance order, as one run of data columns, result columns and
-// the sequence number; nil when no group has one.
+// writeOutput writes the groups' output rows — each group's copies
+// consecutively — in first-appearance order, as one run of data columns,
+// result columns and the sequence number; nil when there are none.
 func (t *groupTable) writeOutput() (*spill.Run, error) {
 	order := make([]int32, 0, len(t.seqs))
 	for g := range t.seqs {
-		if t.st.emits(g) {
+		for c := t.st.copies(g); c > 0; c-- {
 			order = append(order, int32(g))
 		}
 	}
-	if len(order) == 0 {
-		return nil, nil
-	}
 	sort.Slice(order, func(x, y int) bool { return t.seqs[order[x]] < t.seqs[order[y]] })
-	run, err := spill.NewRun(t.res.Dir)
-	if err != nil {
-		return nil, err
-	}
 	acc := &t.set.rows
 	width := len(t.kinds)
-	extra := append(append([]types.Kind{}, t.st.resultKinds()...), types.KindInt)
-	out := append(gatherScratch(t.kinds), newRecordBuf(extra)...)
+	kinds := append(append(append([]types.Kind{}, t.kinds...), t.st.resultKinds()...), types.KindInt)
+	out := append(gatherScratch(t.kinds), newRecordBuf(kinds[width:])...)
+	w := &runWriter{res: t.res, kinds: kinds}
 	for lo := 0; lo < len(order); lo += vector.BatchSize {
 		chunk := order[lo:min(lo+vector.BatchSize, len(order))]
 		for c := 0; c < width; c++ {
@@ -706,15 +668,9 @@ func (t *groupTable) writeOutput() (*spill.Run, error) {
 			t.st.appendResult(int(g), out[width:len(out)-1])
 			appendI(out[len(out)-1], t.seqs[g])
 		}
-		if err := run.WriteCols(out, len(chunk)); err != nil {
-			run.Close() //nolint:errcheck
+		if err := w.write(out, len(chunk)); err != nil {
 			return nil, err
 		}
 	}
-	if err := run.Finish(); err != nil {
-		run.Close() //nolint:errcheck
-		return nil, err
-	}
-	t.res.Res.NoteSpill(run.Bytes())
-	return run, nil
+	return w.finish()
 }

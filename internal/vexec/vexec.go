@@ -806,7 +806,7 @@ func (h *HashAgg) resultKinds() []types.Kind {
 	return kinds
 }
 
-func (h *HashAgg) emits(int) bool { return true }
+func (h *HashAgg) copies(int) int64 { return 1 }
 
 func (h *HashAgg) appendResult(g int, dst []*vector.Vec) {
 	for ai := range h.accs {
@@ -898,7 +898,7 @@ func (h *HashAgg) Open() (err error) {
 			}
 		}
 	}
-	if err := h.tab.finish(false); err != nil || h.tab.spilled() {
+	if err := h.tab.finish(); err != nil || h.tab.spilled() {
 		return err
 	}
 	h.finishInMem()

@@ -205,15 +205,24 @@ func TestSetStatementTimeout(t *testing.T) {
 // read errors on the merge path) surface as clean query errors; every
 // reservation and spill file descriptor is released, and once the
 // injected fault clears, the retried query returns byte-identical
-// results. The queries spill through the external sort and through each
-// grouping operator's partitions: aggregation, DISTINCT, a set operation.
+// results. The queries spill through the external sort (one merge level
+// and two), through each grouping operator's partitions — aggregation,
+// DISTINCT, a set operation — and through the Grace hash join. A last
+// case fails the final spill write of the two-level sort, which lands in
+// its last intermediate merge.
 func TestChaosSpillIO(t *testing.T) {
 	leakCheck(t)
+	const (
+		join      = `SELECT x.a, y.s FROM big AS x JOIN big AS y ON x.a = y.a WHERE x.b = 1`
+		twoLevels = `SELECT a, b, s FROM big UNION ALL SELECT a, b + 1, s FROM big ORDER BY b, s, a`
+	)
 	queries := []string{
 		`SELECT a, b, s FROM big ORDER BY b, a`,
 		`SELECT a, count(*), min(s) FROM big GROUP BY a`,
 		`SELECT DISTINCT a, s FROM big`,
 		`SELECT a, s FROM big EXCEPT ALL SELECT a, s FROM big WHERE b = 0`,
+		join,
+		twoLevels,
 	}
 	opts := perm.Options{Parallelism: -1, MemoryLimit: 64 << 10, SpillDir: t.TempDir()}
 	clean := perm.NewDatabaseWithOptions(opts)
@@ -226,6 +235,34 @@ func TestChaosSpillIO(t *testing.T) {
 			t.Fatalf("reference run of %s did not spill; the fault taps are not exercised", q)
 		}
 	}
+	// The hash join went Grace, and the sort merged in two levels: one
+	// level over at most 64 runs writes at most 8 merged runs, so more
+	// than 72 spill events take two.
+	analyzed := func(q, op string) string {
+		for _, line := range strings.Split(clean.MustQuery("EXPLAIN ANALYZE "+q).String(), "\n") {
+			if strings.Contains(line, op) {
+				return line
+			}
+		}
+		t.Fatalf("EXPLAIN ANALYZE %s has no %s", q, op)
+		return ""
+	}
+	if line := analyzed(join, "HashJoin"); !strings.Contains(line, "spilled=") {
+		t.Fatalf("the hash join of %s did not spill: %s", join, line)
+	}
+	line := analyzed(twoLevels, "VecSort")
+	var events int
+	if at := strings.Index(line, "spills="); at >= 0 {
+		fmt.Sscanf(line[at:], "spills=%d", &events) //nolint:errcheck — events stays 0
+	}
+	if events <= 72 {
+		t.Fatalf("the sort of %s did not merge in two levels: %s", twoLevels, line)
+	}
+	counter := mustInjector(t, "spill.write:0.0")
+	restore := fault.Set(counter)
+	clean.MustQuery(twoLevels)
+	restore()
+	lastWrite := fmt.Sprintf("spill.write:1@%d", counter.Calls(fault.PointSpillWrite))
 
 	// Counting rules: fail the first N calls of the point, then recover —
 	// so the in-test retry deterministically succeeds.
@@ -241,6 +278,13 @@ func TestChaosSpillIO(t *testing.T) {
 			}
 		})
 	}
+	t.Run(lastWrite, func(t *testing.T) {
+		db := perm.NewDatabaseWithOptions(opts)
+		bigTable(db)
+		if got := faultedRun(t, db, lastWrite, twoLevels); got.String() != want[len(want)-1] {
+			t.Fatalf("%s: retried query diverges from the clean run", twoLevels)
+		}
+	})
 }
 
 // faultedRun runs query under the counting fault rule spec: the first
