@@ -13,7 +13,6 @@ import (
 
 	"perm"
 	"perm/internal/algebra"
-	"perm/internal/eval"
 	"perm/internal/synth"
 	"perm/internal/tpch"
 	"perm/internal/trio"
@@ -90,7 +89,7 @@ func BenchmarkFig15Trio(b *testing.B) {
 type benchBinder struct{}
 
 func (benchBinder) BindVar(v *algebra.Var) (int, error) { return v.Col, nil }
-func (benchBinder) BindSubLink(*algebra.SubLink) (eval.SubLinkValue, error) {
+func (benchBinder) BindSubLink(*algebra.SubLink) (algebra.SubLinkValue, error) {
 	return nil, fmt.Errorf("no sublinks")
 }
 

@@ -194,6 +194,14 @@ type SortItem struct {
 	Desc bool
 }
 
+// SortKey is one ordering key of a physical sort: a position in the
+// operator's input row plus direction. NULLs sort last ascending, first
+// descending (PostgreSQL's default), on both engines.
+type SortKey struct {
+	Pos  int
+	Desc bool
+}
+
 // Query is an analyzed query node. Exactly one of two shapes applies:
 //
 //   - Plain node: TargetList/RangeTable/From/Where/GroupBy/Having describe
@@ -518,6 +526,28 @@ type SubLink struct {
 
 func (*SubLink) exprNode()          {}
 func (s *SubLink) Type() types.Kind { return s.Typ }
+
+// SubLinkValue is the planner-provided runtime of one sublink: a
+// materialized (cached) uncorrelated subquery.
+type SubLinkValue interface {
+	// Scalar returns the single value of a scalar subquery (NULL when the
+	// subquery returns no rows; an error when it returns more than one).
+	Scalar() (types.Value, error)
+	// Exists reports whether the subquery returns at least one row.
+	Exists() (bool, error)
+	// CompareAny evaluates test op ANY(subquery) under SQL semantics.
+	CompareAny(test types.Value, op string) (types.Tri, error)
+	// CompareAll evaluates test op ALL(subquery) under SQL semantics.
+	CompareAll(test types.Value, op string) (types.Tri, error)
+}
+
+// Binder resolves the parts of an expression that depend on plan
+// context, for the expression compilers of both engines: a Var's
+// position in the input row and a sublink's runtime.
+type Binder interface {
+	BindVar(v *Var) (int, error)
+	BindSubLink(s *SubLink) (SubLinkValue, error)
+}
 
 // TypeOf is a convenience for Expr.Type tolerant of nil.
 func TypeOf(e Expr) types.Kind {

@@ -21,28 +21,8 @@ type Ctx struct {
 // Func is a compiled expression.
 type Func func(ctx *Ctx) (types.Value, error)
 
-// SubLinkValue is the planner-provided runtime of one sublink: a
-// materialized (cached) uncorrelated subquery.
-type SubLinkValue interface {
-	// Scalar returns the single value of a scalar subquery (NULL when the
-	// subquery returns no rows; an error when it returns more than one).
-	Scalar() (types.Value, error)
-	// Exists reports whether the subquery returns at least one row.
-	Exists() (bool, error)
-	// CompareAny evaluates test op ANY(subquery) under SQL semantics.
-	CompareAny(test types.Value, op string) (types.Tri, error)
-	// CompareAll evaluates test op ALL(subquery) under SQL semantics.
-	CompareAll(test types.Value, op string) (types.Tri, error)
-}
-
-// Binder resolves the parts of an expression that depend on plan context.
-type Binder interface {
-	BindVar(v *algebra.Var) (int, error)
-	BindSubLink(s *algebra.SubLink) (SubLinkValue, error)
-}
-
 // Compile builds an executable closure for e.
-func Compile(e algebra.Expr, b Binder) (Func, error) {
+func Compile(e algebra.Expr, b algebra.Binder) (Func, error) {
 	switch n := e.(type) {
 	case nil:
 		return nil, fmt.Errorf("eval: nil expression")
@@ -125,7 +105,7 @@ func Compile(e algebra.Expr, b Binder) (Func, error) {
 }
 
 // CompileAll compiles a slice of expressions.
-func CompileAll(es []algebra.Expr, b Binder) ([]Func, error) {
+func CompileAll(es []algebra.Expr, b algebra.Binder) ([]Func, error) {
 	out := make([]Func, len(es))
 	for i, e := range es {
 		f, err := Compile(e, b)
@@ -137,7 +117,7 @@ func CompileAll(es []algebra.Expr, b Binder) ([]Func, error) {
 	return out, nil
 }
 
-func compileBinOp(n *algebra.BinOp, b Binder) (Func, error) {
+func compileBinOp(n *algebra.BinOp, b algebra.Binder) (Func, error) {
 	l, err := Compile(n.Left, b)
 	if err != nil {
 		return nil, err
@@ -197,7 +177,7 @@ func compileBinOp(n *algebra.BinOp, b Binder) (Func, error) {
 				return types.NullValue, fmt.Errorf("cannot compare %s with %s", lv.K, rv.K)
 			}
 			c := types.Compare(lv, rv)
-			return types.NewBool(cmpSatisfies(c, op)), nil
+			return types.NewBool(types.CmpSatisfies(c, op)), nil
 		}, nil
 	case "LIKE":
 		return func(ctx *Ctx) (types.Value, error) {
@@ -212,7 +192,7 @@ func compileBinOp(n *algebra.BinOp, b Binder) (Func, error) {
 			if lv.Null || rv.Null {
 				return types.NewNull(types.KindBool), nil
 			}
-			return types.NewBool(MatchLike(lv.Str(), rv.Str())), nil
+			return types.NewBool(types.MatchLike(lv.Str(), rv.Str())), nil
 		}, nil
 	case "||":
 		return func(ctx *Ctx) (types.Value, error) {
@@ -258,26 +238,7 @@ func compileBinOp(n *algebra.BinOp, b Binder) (Func, error) {
 	}
 }
 
-func cmpSatisfies(c int, op string) bool {
-	switch op {
-	case "=":
-		return c == 0
-	case "<>":
-		return c != 0
-	case "<":
-		return c < 0
-	case "<=":
-		return c <= 0
-	case ">":
-		return c > 0
-	case ">=":
-		return c >= 0
-	default:
-		return false
-	}
-}
-
-func compileUnOp(n *algebra.UnOp, b Binder) (Func, error) {
+func compileUnOp(n *algebra.UnOp, b algebra.Binder) (Func, error) {
 	inner, err := Compile(n.Expr, b)
 	if err != nil {
 		return nil, err
@@ -304,7 +265,7 @@ func compileUnOp(n *algebra.UnOp, b Binder) (Func, error) {
 	}
 }
 
-func compileCase(n *algebra.CaseExpr, b Binder) (Func, error) {
+func compileCase(n *algebra.CaseExpr, b algebra.Binder) (Func, error) {
 	type arm struct{ cond, res Func }
 	arms := make([]arm, len(n.Whens))
 	for i, w := range n.Whens {
@@ -352,7 +313,7 @@ func compileCase(n *algebra.CaseExpr, b Binder) (Func, error) {
 	}, nil
 }
 
-func compileSubLink(n *algebra.SubLink, b Binder) (Func, error) {
+func compileSubLink(n *algebra.SubLink, b algebra.Binder) (Func, error) {
 	slv, err := b.BindSubLink(n)
 	if err != nil {
 		return nil, err
@@ -399,7 +360,7 @@ func compileSubLink(n *algebra.SubLink, b Binder) (Func, error) {
 // ---------------------------------------------------------------------------
 // Scalar functions
 
-func compileFunc(n *algebra.FuncCall, b Binder) (Func, error) {
+func compileFunc(n *algebra.FuncCall, b algebra.Binder) (Func, error) {
 	args, err := CompileAll(n.Args, b)
 	if err != nil {
 		return nil, err
@@ -502,33 +463,4 @@ func callScalar(name string, vals []types.Value) (types.Value, error) {
 	default:
 		return types.NullValue, fmt.Errorf("eval: unknown function %q", name)
 	}
-}
-
-// MatchLike implements SQL LIKE patterns: % matches any run (including
-// empty), _ matches exactly one byte. Matching is byte-wise.
-func MatchLike(s, pattern string) bool {
-	// Iterative two-pointer algorithm with backtracking on %.
-	si, pi := 0, 0
-	starP, starS := -1, 0
-	for si < len(s) {
-		switch {
-		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]):
-			si++
-			pi++
-		case pi < len(pattern) && pattern[pi] == '%':
-			starP = pi
-			starS = si
-			pi++
-		case starP >= 0:
-			starS++
-			si = starS
-			pi = starP + 1
-		default:
-			return false
-		}
-	}
-	for pi < len(pattern) && pattern[pi] == '%' {
-		pi++
-	}
-	return pi == len(pattern)
 }

@@ -1,9 +1,7 @@
 package eval
 
 import (
-	"strings"
 	"testing"
-	"testing/quick"
 
 	"perm/internal/algebra"
 	"perm/internal/types"
@@ -13,7 +11,7 @@ import (
 type testBinder struct{}
 
 func (testBinder) BindVar(v *algebra.Var) (int, error) { return v.Col, nil }
-func (testBinder) BindSubLink(*algebra.SubLink) (SubLinkValue, error) {
+func (testBinder) BindSubLink(*algebra.SubLink) (algebra.SubLinkValue, error) {
 	return fakeSubLink{}, nil
 }
 
@@ -168,63 +166,6 @@ func TestSubLinkKinds(t *testing.T) {
 		Test: c(types.NewInt(1)), Typ: types.KindBool}
 	if got := evalExpr(t, allL, nil); got.B {
 		t.Errorf("all sublink = %v", got)
-	}
-}
-
-func TestMatchLike(t *testing.T) {
-	cases := []struct {
-		s, p string
-		want bool
-	}{
-		{"hello", "hello", true},
-		{"hello", "h%", true},
-		{"hello", "%o", true},
-		{"hello", "%ell%", true},
-		{"hello", "h_llo", true},
-		{"hello", "h_x", false},
-		{"hello", "", false},
-		{"", "", true},
-		{"", "%", true},
-		{"abc", "%%", true},
-		{"abc", "a%b%c", true},
-		{"abc", "a%c%b", false},
-		{"special requests here", "%special%requests%", true},
-		{"specialrequests", "%special%requests%", true},
-		{"requests special", "%special%requests%", false},
-		{"PROMO BRUSHED TIN", "PROMO%", true},
-		{"x", "_", true},
-		{"xy", "_", false},
-	}
-	for _, tc := range cases {
-		if got := MatchLike(tc.s, tc.p); got != tc.want {
-			t.Errorf("MatchLike(%q, %q) = %v, want %v", tc.s, tc.p, got, tc.want)
-		}
-	}
-}
-
-// TestMatchLikeProperties property-tests the LIKE matcher against a
-// simple specification.
-func TestMatchLikeProperties(t *testing.T) {
-	// s LIKE s is always true for %-free, _-free strings.
-	ident := func(s string) bool {
-		clean := strings.NewReplacer("%", "", "_", "").Replace(s)
-		return MatchLike(clean, clean)
-	}
-	if err := quick.Check(ident, nil); err != nil {
-		t.Error("identity:", err)
-	}
-	// "%"+s+"%" matches any superstring.
-	contains := func(pre, s, post string) bool {
-		clean := strings.NewReplacer("%", "", "_", "").Replace(s)
-		return MatchLike(pre+clean+post, "%"+clean+"%")
-	}
-	if err := quick.Check(contains, nil); err != nil {
-		t.Error("contains:", err)
-	}
-	// A lone % matches everything.
-	all := func(s string) bool { return MatchLike(s, "%") }
-	if err := quick.Check(all, nil); err != nil {
-		t.Error("%:", err)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"unsafe"
 
+	"perm/internal/algebra"
 	"perm/internal/eval"
 	"perm/internal/obs"
 	"perm/internal/spill"
@@ -169,17 +170,6 @@ func (p *Project) Close() error { return p.Input.Close() }
 // ---------------------------------------------------------------------------
 // Joins
 
-// JoinType enumerates physical join types.
-type JoinType uint8
-
-// Physical join types.
-const (
-	InnerJoin JoinType = iota
-	LeftJoin
-	RightJoin
-	FullJoin
-)
-
 // NestedLoopJoin joins two inputs with an arbitrary condition. The right
 // input is materialized at Open. Cond is evaluated over the concatenated
 // row; a nil Cond means cross join.
@@ -187,9 +177,9 @@ type NestedLoopJoin struct {
 	obs.Card
 	Left, Right Node
 	Cond        eval.Func
-	Type        JoinType
-	LeftKinds   []types.Kind // for right/full outer padding
-	RightKinds  []types.Kind // for left/full outer padding
+	Type        algebra.JoinKind // JoinInner, JoinLeft, JoinRight or JoinFull
+	LeftKinds   []types.Kind     // for right/full outer padding
+	RightKinds  []types.Kind     // for left/full outer padding
 
 	rightRows    []types.Row
 	rightMatched []bool
@@ -202,7 +192,7 @@ type NestedLoopJoin struct {
 }
 
 // NewNestedLoopJoin returns a nested-loop join node.
-func NewNestedLoopJoin(left, right Node, cond eval.Func, jt JoinType, leftKinds, rightKinds []types.Kind) *NestedLoopJoin {
+func NewNestedLoopJoin(left, right Node, cond eval.Func, jt algebra.JoinKind, leftKinds, rightKinds []types.Kind) *NestedLoopJoin {
 	return &NestedLoopJoin{Left: left, Right: right, Cond: cond, Type: jt, LeftKinds: leftKinds, RightKinds: rightKinds}
 }
 
@@ -215,7 +205,7 @@ func (j *NestedLoopJoin) Open() error {
 		return err
 	}
 	j.rightRows = rows
-	if j.Type == RightJoin || j.Type == FullJoin {
+	if j.Type == algebra.JoinRight || j.Type == algebra.JoinFull {
 		j.rightMatched = make([]bool, len(rows))
 	}
 	j.cur = nil
@@ -232,7 +222,7 @@ func (j *NestedLoopJoin) Next() (types.Row, error) {
 				return nil, err
 			}
 			if r == nil {
-				if j.Type == RightJoin || j.Type == FullJoin {
+				if j.Type == algebra.JoinRight || j.Type == algebra.JoinFull {
 					j.phase = 1
 					break
 				}
@@ -267,7 +257,7 @@ func (j *NestedLoopJoin) Next() (types.Row, error) {
 		done := j.cur
 		matched := j.leftMatched
 		j.cur = nil
-		if !matched && (j.Type == LeftJoin || j.Type == FullJoin) {
+		if !matched && (j.Type == algebra.JoinLeft || j.Type == algebra.JoinFull) {
 			return types.Concat(done, types.NullRow(j.RightKinds)), nil
 		}
 	}
@@ -299,7 +289,7 @@ type HashJoin struct {
 	RightKeys   []eval.Func
 	NullSafe    []bool
 	Residual    eval.Func
-	Type        JoinType // InnerJoin, LeftJoin, RightJoin, FullJoin
+	Type        algebra.JoinKind // JoinInner, JoinLeft, JoinRight or JoinFull
 	LeftKinds   []types.Kind
 	RightKinds  []types.Kind
 
@@ -323,7 +313,7 @@ type hashEntry struct {
 
 // NewHashJoin returns a hash join node; build side is the right input.
 func NewHashJoin(left, right Node, leftKeys, rightKeys []eval.Func, nullSafe []bool,
-	residual eval.Func, jt JoinType, leftKinds, rightKinds []types.Kind) *HashJoin {
+	residual eval.Func, jt algebra.JoinKind, leftKinds, rightKinds []types.Kind) *HashJoin {
 	return &HashJoin{
 		Left: left, Right: right,
 		LeftKeys: leftKeys, RightKeys: rightKeys, NullSafe: nullSafe,
@@ -387,7 +377,7 @@ func (j *HashJoin) Next() (types.Row, error) {
 				return nil, err
 			}
 			if r == nil {
-				if j.Type == RightJoin || j.Type == FullJoin {
+				if j.Type == algebra.JoinRight || j.Type == algebra.JoinFull {
 					j.phase = 1
 					break
 				}
@@ -440,7 +430,7 @@ func (j *HashJoin) Next() (types.Row, error) {
 		done := j.cur
 		matched := j.leftMatched
 		j.cur = nil
-		if !matched && (j.Type == LeftJoin || j.Type == FullJoin) {
+		if !matched && (j.Type == algebra.JoinLeft || j.Type == algebra.JoinFull) {
 			return types.Concat(done, types.NullRow(j.RightKinds)), nil
 		}
 	}
@@ -464,23 +454,12 @@ func (j *HashJoin) Close() error {
 // ---------------------------------------------------------------------------
 // Aggregation
 
-// AggKind enumerates aggregate functions at the physical level.
-type AggKind uint8
-
-// Physical aggregate kinds.
-const (
-	AggCount AggKind = iota
-	AggCountStar
-	AggSum
-	AggAvg
-	AggMin
-	AggMax
-)
-
 // AggSpec describes one aggregate to compute.
 type AggSpec struct {
-	Kind     AggKind
-	Arg      eval.Func // nil for COUNT(*)
+	Fn   algebra.AggFn
+	Star bool      // COUNT(*): counts rows, Arg is nil
+	Arg  eval.Func // nil for COUNT(*)
+	// Distinct aggregates each distinct non-NULL argument value once.
 	Distinct bool
 	// ResultKind is the declared output kind (used for typed NULLs and to
 	// keep integer sums integral).
@@ -590,7 +569,7 @@ func (a *HashAgg) Open() error {
 }
 
 func accumulate(st *aggState, spec *AggSpec, ctx *eval.Ctx) error {
-	if spec.Kind == AggCountStar {
+	if spec.Star {
 		st.count++
 		return nil
 	}
@@ -611,10 +590,10 @@ func accumulate(st *aggState, spec *AggSpec, ctx *eval.Ctx) error {
 		st.seen[h] = append(st.seen[h], v)
 	}
 	st.sawany = true
-	switch spec.Kind {
-	case AggCount:
+	switch spec.Fn {
+	case algebra.AggCount:
 		st.count++
-	case AggSum, AggAvg:
+	case algebra.AggSum, algebra.AggAvg:
 		st.count++
 		if v.K == types.KindInt {
 			st.sumI += v.I
@@ -622,12 +601,12 @@ func accumulate(st *aggState, spec *AggSpec, ctx *eval.Ctx) error {
 		} else {
 			st.sumF += v.AsFloat()
 		}
-	case AggMin:
+	case algebra.AggMin:
 		if !st.mmSet || types.Compare(v, st.min) < 0 {
 			st.min = v
 			st.mmSet = true
 		}
-	case AggMax:
+	case algebra.AggMax:
 		if !st.mmSet || types.Compare(v, st.max) > 0 {
 			st.max = v
 			st.mmSet = true
@@ -637,10 +616,10 @@ func accumulate(st *aggState, spec *AggSpec, ctx *eval.Ctx) error {
 }
 
 func finalize(st *aggState, spec *AggSpec) types.Value {
-	switch spec.Kind {
-	case AggCount, AggCountStar:
+	switch spec.Fn {
+	case algebra.AggCount:
 		return types.NewInt(st.count)
-	case AggSum:
+	case algebra.AggSum:
 		if !st.sawany {
 			return types.NewNull(spec.ResultKind)
 		}
@@ -648,17 +627,17 @@ func finalize(st *aggState, spec *AggSpec) types.Value {
 			return types.NewInt(st.sumI)
 		}
 		return types.NewFloat(st.sumF)
-	case AggAvg:
+	case algebra.AggAvg:
 		if !st.sawany || st.count == 0 {
 			return types.NewNull(types.KindFloat)
 		}
 		return types.NewFloat(st.sumF / float64(st.count))
-	case AggMin:
+	case algebra.AggMin:
 		if !st.sawany {
 			return types.NewNull(spec.ResultKind)
 		}
 		return st.min
-	case AggMax:
+	case algebra.AggMax:
 		if !st.sawany {
 			return types.NewNull(spec.ResultKind)
 		}
@@ -685,12 +664,6 @@ func (a *HashAgg) Close() error {
 // ---------------------------------------------------------------------------
 // Sort / Limit / Distinct
 
-// SortKey is one ordering key: position in the input row plus direction.
-type SortKey struct {
-	Pos  int
-	Desc bool
-}
-
 // Sort materializes and orders its input. NULLs sort last ascending,
 // first descending (PostgreSQL default). Under a memory budget (Spill)
 // it becomes an external merge sort over row-encoded spill runs; the
@@ -699,7 +672,7 @@ type SortKey struct {
 type Sort struct {
 	obs.Card
 	Input Node
-	Keys  []SortKey
+	Keys  []algebra.SortKey
 	Spill spill.Resources
 
 	rows     []types.Row
@@ -711,7 +684,7 @@ type Sort struct {
 }
 
 // NewSort returns a sort node.
-func NewSort(input Node, keys []SortKey) *Sort { return &Sort{Input: input, Keys: keys} }
+func NewSort(input Node, keys []algebra.SortKey) *Sort { return &Sort{Input: input, Keys: keys} }
 
 // Spilled reports whether the sort went external.
 func (s *Sort) Spilled() bool { return len(s.runs) > 0 }
@@ -920,11 +893,11 @@ func (s *Sort) writeRun(next func() (types.Row, error)) (*spill.RowRun, error) {
 type rowRunMerger struct {
 	runs []*spill.RowRun
 	cur  []types.Row // current head row per run, nil = exhausted
-	keys []SortKey
+	keys []algebra.SortKey
 	heap []int
 }
 
-func newRowRunMerger(runs []*spill.RowRun, keys []SortKey) (*rowRunMerger, error) {
+func newRowRunMerger(runs []*spill.RowRun, keys []algebra.SortKey) (*rowRunMerger, error) {
 	m := &rowRunMerger{runs: runs, cur: make([]types.Row, len(runs)), keys: keys}
 	for i, r := range runs {
 		row, err := r.ReadRow()
@@ -1060,16 +1033,6 @@ func (d *Distinct) Close() error {
 // ---------------------------------------------------------------------------
 // Set operations
 
-// SetOpKind enumerates physical set operations.
-type SetOpKind uint8
-
-// Physical set operations.
-const (
-	Union SetOpKind = iota
-	Intersect
-	Except
-)
-
 // SetOp computes a bag or set operation over two inputs, implementing the
 // multiset semantics of the paper's Fig. 1: UNION ALL adds multiplicities,
 // INTERSECT ALL takes the minimum, EXCEPT ALL subtracts; the set variants
@@ -1077,7 +1040,7 @@ const (
 type SetOp struct {
 	obs.Card
 	Left, Right Node
-	Kind        SetOpKind
+	Kind        algebra.SetOpKind
 	All         bool
 
 	out []types.Row
@@ -1085,7 +1048,7 @@ type SetOp struct {
 }
 
 // NewSetOp returns a set operation node.
-func NewSetOp(left, right Node, kind SetOpKind, all bool) *SetOp {
+func NewSetOp(left, right Node, kind algebra.SetOpKind, all bool) *SetOp {
 	return &SetOp{Left: left, Right: right, Kind: kind, All: all}
 }
 
@@ -1103,7 +1066,7 @@ func (s *SetOp) Open() error {
 	if err != nil {
 		return err
 	}
-	if s.Kind == Union && s.All {
+	if s.Kind == algebra.SetUnion && s.All {
 		s.out = append(append([]types.Row{}, leftRows...), rightRows...)
 		s.pos = 0
 		return nil
@@ -1140,17 +1103,17 @@ func (s *SetOp) Open() error {
 	for _, e := range order {
 		var count int64
 		switch s.Kind {
-		case Union:
+		case algebra.SetUnion:
 			// set semantics: distinct union
 			if e.n+e.m > 0 {
 				count = 1
 			}
-		case Intersect:
+		case algebra.SetIntersect:
 			count = minInt64(e.n, e.m)
 			if !s.All && count > 0 {
 				count = 1
 			}
-		case Except:
+		case algebra.SetExcept:
 			if s.All {
 				count = e.n - e.m
 			} else if e.n > 0 && e.m == 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"perm/internal/algebra"
 	"perm/internal/eval"
 	"perm/internal/types"
 )
@@ -123,26 +124,26 @@ func TestNestedLoopJoinTypes(t *testing.T) {
 	}
 
 	t.Run("inner", func(t *testing.T) {
-		j := NewNestedLoopJoin(NewScan(left), NewScan(right), cond, InnerJoin, intKinds(1), intKinds(2))
+		j := NewNestedLoopJoin(NewScan(left), NewScan(right), cond, algebra.JoinInner, intKinds(1), intKinds(2))
 		wantRows(t, collectInts(t, j), [][]int64{{2, 2, 20}, {2, 2, 21}})
 	})
 	t.Run("left", func(t *testing.T) {
-		j := NewNestedLoopJoin(NewScan(left), NewScan(right), cond, LeftJoin, intKinds(1), intKinds(2))
+		j := NewNestedLoopJoin(NewScan(left), NewScan(right), cond, algebra.JoinLeft, intKinds(1), intKinds(2))
 		wantRows(t, collectInts(t, j), [][]int64{
 			{1, -999, -999}, {2, 2, 20}, {2, 2, 21}, {3, -999, -999}})
 	})
 	t.Run("right", func(t *testing.T) {
-		j := NewNestedLoopJoin(NewScan(left), NewScan(right), cond, RightJoin, intKinds(1), intKinds(2))
+		j := NewNestedLoopJoin(NewScan(left), NewScan(right), cond, algebra.JoinRight, intKinds(1), intKinds(2))
 		wantRows(t, collectInts(t, j), [][]int64{
 			{2, 2, 20}, {2, 2, 21}, {-999, 4, 40}})
 	})
 	t.Run("full", func(t *testing.T) {
-		j := NewNestedLoopJoin(NewScan(left), NewScan(right), cond, FullJoin, intKinds(1), intKinds(2))
+		j := NewNestedLoopJoin(NewScan(left), NewScan(right), cond, algebra.JoinFull, intKinds(1), intKinds(2))
 		wantRows(t, collectInts(t, j), [][]int64{
 			{1, -999, -999}, {2, 2, 20}, {2, 2, 21}, {3, -999, -999}, {-999, 4, 40}})
 	})
 	t.Run("cross", func(t *testing.T) {
-		j := NewNestedLoopJoin(NewScan(left), NewScan(right), nil, InnerJoin, intKinds(1), intKinds(2))
+		j := NewNestedLoopJoin(NewScan(left), NewScan(right), nil, algebra.JoinInner, intKinds(1), intKinds(2))
 		if got := collectInts(t, j); len(got) != 9 {
 			t.Fatalf("cross join rows = %d, want 9", len(got))
 		}
@@ -154,7 +155,7 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 	right := rows([]int64{2, 20}, []int64{5, 50}, []int64{7, 70})
 	intKinds := []types.Kind{types.KindInt}
 	rightKinds := []types.Kind{types.KindInt, types.KindInt}
-	for _, jt := range []JoinType{InnerJoin, LeftJoin, RightJoin, FullJoin} {
+	for _, jt := range []algebra.JoinKind{algebra.JoinInner, algebra.JoinLeft, algebra.JoinRight, algebra.JoinFull} {
 		jt := jt
 		t.Run(fmt.Sprintf("type%d", jt), func(t *testing.T) {
 			hj := NewHashJoin(NewScan(left), NewScan(right),
@@ -181,7 +182,7 @@ func TestHashJoinNullSafety(t *testing.T) {
 	// Plain equality: NULL keys never match.
 	hj := NewHashJoin(NewScan(left), NewScan(right),
 		[]eval.Func{colFn(0)}, []eval.Func{colFn(0)}, []bool{false},
-		nil, InnerJoin, intKinds, intKinds)
+		nil, algebra.JoinInner, intKinds, intKinds)
 	got, err := Collect(hj)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +194,7 @@ func TestHashJoinNullSafety(t *testing.T) {
 	// Null-safe: NULL keys match each other (the rewriter's join-back).
 	hj = NewHashJoin(NewScan(left), NewScan(right),
 		[]eval.Func{colFn(0)}, []eval.Func{colFn(0)}, []bool{true},
-		nil, InnerJoin, intKinds, intKinds)
+		nil, algebra.JoinInner, intKinds, intKinds)
 	got, err = Collect(hj)
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +213,7 @@ func TestHashJoinResidual(t *testing.T) {
 	}
 	hj := NewHashJoin(NewScan(left), NewScan(right),
 		[]eval.Func{colFn(0)}, []eval.Func{colFn(0)}, []bool{false},
-		residual, LeftJoin,
+		residual, algebra.JoinLeft,
 		[]types.Kind{types.KindInt, types.KindInt},
 		[]types.Kind{types.KindInt, types.KindInt})
 	got := collectInts(t, hj)
@@ -222,11 +223,11 @@ func TestHashJoinResidual(t *testing.T) {
 func TestHashAggGlobal(t *testing.T) {
 	input := rows([]int64{1}, []int64{2}, []int64{3})
 	agg := NewHashAgg(NewScan(input), nil, []AggSpec{
-		{Kind: AggCountStar, ResultKind: types.KindInt},
-		{Kind: AggSum, Arg: colFn(0), ResultKind: types.KindInt},
-		{Kind: AggAvg, Arg: colFn(0), ResultKind: types.KindFloat},
-		{Kind: AggMin, Arg: colFn(0), ResultKind: types.KindInt},
-		{Kind: AggMax, Arg: colFn(0), ResultKind: types.KindInt},
+		{Fn: algebra.AggCount, Star: true, ResultKind: types.KindInt},
+		{Fn: algebra.AggSum, Arg: colFn(0), ResultKind: types.KindInt},
+		{Fn: algebra.AggAvg, Arg: colFn(0), ResultKind: types.KindFloat},
+		{Fn: algebra.AggMin, Arg: colFn(0), ResultKind: types.KindInt},
+		{Fn: algebra.AggMax, Arg: colFn(0), ResultKind: types.KindInt},
 	})
 	out, err := Collect(agg)
 	if err != nil {
@@ -243,8 +244,8 @@ func TestHashAggGlobal(t *testing.T) {
 
 func TestHashAggEmptyInput(t *testing.T) {
 	agg := NewHashAgg(NewScan(nil), nil, []AggSpec{
-		{Kind: AggCountStar, ResultKind: types.KindInt},
-		{Kind: AggSum, Arg: colFn(0), ResultKind: types.KindInt},
+		{Fn: algebra.AggCount, Star: true, ResultKind: types.KindInt},
+		{Fn: algebra.AggSum, Arg: colFn(0), ResultKind: types.KindInt},
 	})
 	out, err := Collect(agg)
 	if err != nil {
@@ -255,7 +256,7 @@ func TestHashAggEmptyInput(t *testing.T) {
 	}
 	// Grouped aggregation over empty input: no rows.
 	agg = NewHashAgg(NewScan(nil), []eval.Func{colFn(0)}, []AggSpec{
-		{Kind: AggCountStar, ResultKind: types.KindInt},
+		{Fn: algebra.AggCount, Star: true, ResultKind: types.KindInt},
 	})
 	out, err = Collect(agg)
 	if err != nil {
@@ -269,9 +270,9 @@ func TestHashAggEmptyInput(t *testing.T) {
 func TestHashAggGroupsAndDistinct(t *testing.T) {
 	input := rows([]int64{1, 10}, []int64{1, 10}, []int64{1, 20}, []int64{2, 30})
 	agg := NewHashAgg(NewScan(input), []eval.Func{colFn(0)}, []AggSpec{
-		{Kind: AggCount, Arg: colFn(1), ResultKind: types.KindInt},
-		{Kind: AggCount, Arg: colFn(1), Distinct: true, ResultKind: types.KindInt},
-		{Kind: AggSum, Arg: colFn(1), Distinct: true, ResultKind: types.KindInt},
+		{Fn: algebra.AggCount, Arg: colFn(1), ResultKind: types.KindInt},
+		{Fn: algebra.AggCount, Arg: colFn(1), Distinct: true, ResultKind: types.KindInt},
+		{Fn: algebra.AggSum, Arg: colFn(1), Distinct: true, ResultKind: types.KindInt},
 	})
 	got := collectInts(t, agg)
 	wantRows(t, got, [][]int64{{1, 3, 2, 30}, {2, 1, 1, 30}})
@@ -284,7 +285,7 @@ func TestHashAggNullGroups(t *testing.T) {
 		{types.NewInt(1)},
 	}
 	agg := NewHashAgg(NewScan(input), []eval.Func{colFn(0)}, []AggSpec{
-		{Kind: AggCountStar, ResultKind: types.KindInt},
+		{Fn: algebra.AggCount, Star: true, ResultKind: types.KindInt},
 	})
 	got := collectInts(t, agg)
 	wantRows(t, got, [][]int64{{-999, 2}, {1, 1}})
@@ -294,13 +295,13 @@ func TestSortNullsOrdering(t *testing.T) {
 	input := []types.Row{
 		{types.NewInt(2)}, {types.NewNull(types.KindInt)}, {types.NewInt(1)},
 	}
-	s := NewSort(NewScan(input), []SortKey{{Pos: 0}})
+	s := NewSort(NewScan(input), []algebra.SortKey{{Pos: 0}})
 	got := collectInts(t, s)
 	// NULLS LAST ascending.
 	if got[0][0] != 1 || got[1][0] != 2 || got[2][0] != -999 {
 		t.Errorf("asc sort = %v", got)
 	}
-	s = NewSort(NewScan(input), []SortKey{{Pos: 0, Desc: true}})
+	s = NewSort(NewScan(input), []algebra.SortKey{{Pos: 0, Desc: true}})
 	got = collectInts(t, s)
 	// NULLS FIRST descending.
 	if got[0][0] != -999 || got[1][0] != 2 || got[2][0] != 1 {
@@ -310,7 +311,7 @@ func TestSortNullsOrdering(t *testing.T) {
 
 func TestSortStability(t *testing.T) {
 	input := rows([]int64{1, 1}, []int64{1, 2}, []int64{1, 3})
-	s := NewSort(NewScan(input), []SortKey{{Pos: 0}})
+	s := NewSort(NewScan(input), []algebra.SortKey{{Pos: 0}})
 	got := collectInts(t, s)
 	for i, r := range got {
 		if r[1] != int64(i+1) {
@@ -344,16 +345,16 @@ func TestSetOpSemantics(t *testing.T) {
 	left := rows([]int64{1}, []int64{2}, []int64{2}, []int64{3})
 	right := rows([]int64{2}, []int64{3}, []int64{3}, []int64{4})
 	cases := []struct {
-		kind SetOpKind
+		kind algebra.SetOpKind
 		all  bool
 		want [][]int64
 	}{
-		{Union, false, [][]int64{{1}, {2}, {3}, {4}}},
-		{Union, true, [][]int64{{1}, {2}, {2}, {3}, {2}, {3}, {3}, {4}}},
-		{Intersect, false, [][]int64{{2}, {3}}},
-		{Intersect, true, [][]int64{{2}, {3}}},
-		{Except, false, [][]int64{{1}}},
-		{Except, true, [][]int64{{1}, {2}}},
+		{algebra.SetUnion, false, [][]int64{{1}, {2}, {3}, {4}}},
+		{algebra.SetUnion, true, [][]int64{{1}, {2}, {2}, {3}, {2}, {3}, {3}, {4}}},
+		{algebra.SetIntersect, false, [][]int64{{2}, {3}}},
+		{algebra.SetIntersect, true, [][]int64{{2}, {3}}},
+		{algebra.SetExcept, false, [][]int64{{1}}},
+		{algebra.SetExcept, true, [][]int64{{1}, {2}}},
 	}
 	for _, tc := range cases {
 		name := fmt.Sprintf("%d-all=%v", tc.kind, tc.all)
@@ -369,7 +370,7 @@ func TestSetOpNullRows(t *testing.T) {
 	left := []types.Row{null, null.Clone(), {types.NewInt(1)}}
 	right := []types.Row{null.Clone()}
 	// Set ops treat NULLs as equal (null-safe), per SQL set semantics.
-	op := NewSetOp(NewScan(left), NewScan(right), Except, true)
+	op := NewSetOp(NewScan(left), NewScan(right), algebra.SetExcept, true)
 	got := collectInts(t, op)
 	wantRows(t, got, [][]int64{{-999}, {1}})
 }

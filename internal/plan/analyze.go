@@ -109,8 +109,8 @@ func (d *op) annot() string {
 }
 
 // estOf reads a node's planner cardinality estimate, looking through
-// probes and estimate-less batch→row adapters (the adapter emits exactly
-// what its input does). 0 means no estimate.
+// probes and batch→row adapters (an adapter emits exactly what its input
+// does). 0 means no estimate.
 func estOf(n interface{}) float64 {
 	switch x := n.(type) {
 	case *exec.Probe:
@@ -118,9 +118,6 @@ func estOf(n interface{}) float64 {
 	case *vexec.Probe:
 		return estOf(x.Input)
 	case *vexec.RowSource:
-		if x.EstRows > 0 {
-			return x.EstRows
-		}
 		return estOf(x.Input)
 	}
 	if c, ok := n.(interface{ EstimatedRows() float64 }); ok {

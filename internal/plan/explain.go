@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"strings"
 
+	"perm/internal/algebra"
 	"perm/internal/exec"
 	"perm/internal/obs"
 	"perm/internal/spill"
@@ -102,10 +103,10 @@ func describeV(n vexec.Node) op {
 			rf = ", RuntimeFilter"
 		}
 		return op{name: "VecHashJoin",
-			args:  fmt.Sprintf("%s, %d keys%s%s", vecJoinName(x.Type), len(x.LeftKeys), rf, spillTag(x.Spill)),
+			args:  fmt.Sprintf("%s, %d keys%s%s", joinName(x.Type), len(x.LeftKeys), rf, spillTag(x.Spill)),
 			extra: func() []string { return resAnnot(x.Spill) }, vkids: [2]*vexec.Node{&x.Left, &x.Right}}
 	case *vexec.NLJoin:
-		return op{name: "VecNestedLoopJoin", args: vecJoinName(x.Type), vkids: [2]*vexec.Node{&x.Left, &x.Right}}
+		return op{name: "VecNestedLoopJoin", args: joinName(x.Type), vkids: [2]*vexec.Node{&x.Left, &x.Right}}
 	case *vexec.HashAgg:
 		return op{name: "VecHashAggregate",
 			args:  fmt.Sprintf("%d keys, %d aggs%s", len(x.Groups), len(x.Aggs), spillTag(x.Spill)),
@@ -218,41 +219,22 @@ func spillTag(res spill.Resources) string {
 	return ""
 }
 
-func vecJoinName(t vexec.JoinType) string {
-	switch t {
-	case vexec.InnerJoin:
+// joinName is the EXPLAIN label of a join kind, the same on both engines.
+func joinName(k algebra.JoinKind) string {
+	switch k {
+	case algebra.JoinInner:
 		return "inner"
-	case vexec.LeftJoin:
+	case algebra.JoinLeft:
 		return "left"
-	default:
-		return "?"
-	}
-}
-
-func joinName(t exec.JoinType) string {
-	switch t {
-	case exec.InnerJoin:
-		return "inner"
-	case exec.LeftJoin:
-		return "left"
-	case exec.RightJoin:
+	case algebra.JoinRight:
 		return "right"
-	case exec.FullJoin:
+	case algebra.JoinFull:
 		return "full"
 	default:
 		return "?"
 	}
 }
 
-func setOpName(k exec.SetOpKind) string {
-	switch k {
-	case exec.Union:
-		return "union"
-	case exec.Intersect:
-		return "intersect"
-	case exec.Except:
-		return "except"
-	default:
-		return "?"
-	}
-}
+// setOpName is the EXPLAIN label of a set operation: its keyword in
+// lower case.
+func setOpName(k algebra.SetOpKind) string { return strings.ToLower(k.String()) }

@@ -48,8 +48,8 @@ func (p *Planner) planJoinBack(q *algebra.Query) (*planned, error) {
 	att := vexec.NewAggAttach(input.vnode, cols, left)
 	feed := *input
 	feed.vnode = att.Feed()
-	feed.node = vexec.NewRowSource(feed.vnode)
-	if _, groups, err := p.planAggregation(agg, &feed, p.aggEstimate(agg, input)); err != nil || groups == nil || !att.SetGroups(groups) {
+	groups, err := p.planAggregation(agg, &feed, p.aggEstimate(agg, input))
+	if err != nil || groups.vnode == nil || !att.SetGroups(groups.vnode) {
 		return nil, err
 	}
 	readSnapshot(att, input, exprs)
@@ -63,7 +63,7 @@ func (p *Planner) planJoinBack(q *algebra.Query) (*planned, error) {
 		kinds:  att.Kinds(),
 		rts:    algebra.BitsOf(jb.Agg).Union(algebra.BitsOf(jb.Prov)),
 	}
-	p.setVNode(frag, att)
+	frag.setBatch(att)
 	setFragEst(frag, input.est)
 	return frag, p.attachFilter(frag, algebra.AndAll(residual))
 }

@@ -79,8 +79,7 @@ func (p *Planner) parallelize(q *algebra.Query, pl *planned) {
 		setEstNode(pn, c.EstimatedRows())
 	}
 	if depth == 0 {
-		p.setVNode(pl, pn)
-		setEstNode(pl.node, pn.EstimatedRows())
+		pl.vnode = pn
 		return
 	}
 	*wrapperSlot(nthWrapperChild(pl.vnode, depth-1)) = pn

@@ -131,16 +131,17 @@ func (p *Planner) Plan(q *algebra.Query) (exec.Node, error) {
 	if p.parallelism > 1 && pl.vnode != nil {
 		p.parallelize(q, pl)
 	}
-	return pl.node, nil
+	return pl.rowNode(), nil
 }
 
-// planned is a plan fragment: an executor node plus the layout of its
+// planned is a plan fragment: its root operator plus the layout of its
 // output row and a cardinality estimate for join ordering.
 //
-// When the whole fragment is vectorized, vnode holds the batch operator
-// tree and node is the same tree behind a batch→row adapter, so row
-// operators can always consume the fragment. Operators that stay on the
-// row engine clear vnode for everything above them.
+// The root is vnode when the batch engine runs the whole fragment and
+// node, a row-engine tree, otherwise; exactly one of them is set. A
+// batch fragment meets the row engine through rowNode, where a row
+// operator reads it and at Plan's root. Operators that stay on the row
+// engine keep everything above them there.
 type planned struct {
 	node  exec.Node
 	vnode vexec.Node
@@ -202,11 +203,20 @@ func (p *Planner) planQuery(q *algebra.Query) (*planned, error) {
 // ---------------------------------------------------------------------------
 // Vectorized lowering helpers
 
-// setVNode marks a fragment vectorized: its row node becomes the same
-// tree behind a batch→row adapter.
-func (p *Planner) setVNode(pl *planned, vn vexec.Node) {
-	pl.vnode = vn
-	pl.node = vexec.NewRowSource(vn)
+// setBatch makes a batch operator the fragment's root.
+func (pl *planned) setBatch(vn vexec.Node) { pl.node, pl.vnode = nil, vn }
+
+// setRow makes a row operator the fragment's root.
+func (pl *planned) setRow(n exec.Node) { pl.node, pl.vnode = n, nil }
+
+// rowNode returns the fragment's root as a row operator: a batch
+// fragment behind a batch→row adapter, built here for the one consumer
+// that asks.
+func (pl *planned) rowNode() exec.Node {
+	if pl.vnode != nil {
+		return vexec.NewRowSource(pl.vnode)
+	}
+	return pl.node
 }
 
 // setEstNode records a cardinality estimate on a physical operator (both
@@ -227,9 +237,8 @@ func setEstNode(n any, est float64) {
 
 // setFragEst records est as the fragment's estimated output cardinality,
 // both in the planner's bookkeeping (join ordering, build-side choice)
-// and on the fragment's physical root — including the batch→row adapter
-// when the fragment is vectorized — for EXPLAIN ANALYZE's cardinality
-// feedback.
+// and on the fragment's physical root, for EXPLAIN ANALYZE's cardinality
+// feedback. A batch→row adapter reports its input's estimate.
 func setFragEst(pl *planned, est float64) {
 	pl.est = est
 	setEstNode(pl.vnode, est)
@@ -238,7 +247,7 @@ func setFragEst(pl *planned, est float64) {
 
 // attachFilter adds a filter for e on top of the fragment, staying
 // vectorized when the predicate compiles for the batch engine and
-// falling back to a row filter (over the fragment's adapter) otherwise.
+// falling back to a row filter otherwise.
 // The fragment's cardinality estimate is scaled by the predicate's
 // estimated selectivity.
 func (p *Planner) attachFilter(pl *planned, e algebra.Expr) error {
@@ -252,7 +261,7 @@ func (p *Planner) attachFilter(pl *planned, e algebra.Expr) error {
 	}
 	if pl.vnode != nil {
 		if ve, err := vexec.CompileExpr(e, binder); err == nil && ve.Kind() == types.KindBool {
-			p.setVNode(pl, vexec.NewFilter(pl.vnode, ve))
+			pl.setBatch(vexec.NewFilter(pl.vnode, ve))
 			setFragEst(pl, est)
 			return nil
 		}
@@ -261,8 +270,7 @@ func (p *Planner) attachFilter(pl *planned, e algebra.Expr) error {
 	if err != nil {
 		return err
 	}
-	pl.vnode = nil
-	pl.node = exec.NewFilter(pl.node, pred)
+	pl.setRow(exec.NewFilter(pl.rowNode(), pred))
 	setFragEst(pl, est)
 	return nil
 }
@@ -284,15 +292,13 @@ func (p *Planner) planSetOp(q *algebra.Query) (*planned, error) {
 		return nil, err
 	}
 	est := pl.est
-	node, vnode, err := p.applySortLimit(q, pl.node, pl.vnode, len(q.TargetList), est)
-	if err != nil {
-		return nil, err
-	}
+	out := &planned{node: pl.node, vnode: pl.vnode, kinds: q.Schema().Kinds(), est: est}
+	p.applySortLimit(q, out, len(q.TargetList))
 	if c, ok := q.Limit.(*algebra.Const); ok && !c.Val.Null && float64(c.Val.I) < est {
 		est = float64(c.Val.I)
 	}
-	schema := q.Schema()
-	return &planned{node: node, vnode: vnode, kinds: schema.Kinds(), est: est}, nil
+	out.est = est
+	return out, nil
 }
 
 func (p *Planner) foldSetOp(item algebra.SetOpItem, branches map[int]*planned) (*planned, error) {
@@ -308,15 +314,6 @@ func (p *Planner) foldSetOp(item algebra.SetOpItem, branches map[int]*planned) (
 		if err != nil {
 			return nil, err
 		}
-		var kind exec.SetOpKind
-		switch n.Op {
-		case algebra.SetUnion:
-			kind = exec.Union
-		case algebra.SetIntersect:
-			kind = exec.Intersect
-		case algebra.SetExcept:
-			kind = exec.Except
-		}
 		out := &planned{kinds: left.kinds, est: left.est + right.est}
 		// The vectorized set operation requires identical column kinds on
 		// both branches (its stored columns are typed after the left
@@ -324,13 +321,12 @@ func (p *Planner) foldSetOp(item algebra.SetOpItem, branches map[int]*planned) (
 		// rows compare across kinds dynamically.
 		if p.vectorized && left.vnode != nil && right.vnode != nil &&
 			kindsMatch(left.kinds, right.kinds) {
-			vso := vexec.NewVecSetOp(left.vnode, right.vnode, kind, n.All)
+			vso := vexec.NewVecSetOp(left.vnode, right.vnode, n.Op, n.All)
 			vso.Spill = p.spillRes("setop")
-			p.setVNode(out, vso)
-			setFragEst(out, out.est)
-			return out, nil
+			out.setBatch(vso)
+		} else {
+			out.setRow(exec.NewSetOp(left.rowNode(), right.rowNode(), n.Op, n.All))
 		}
-		out.node = exec.NewSetOp(left.node, right.node, kind, n.All)
 		setFragEst(out, out.est)
 		return out, nil
 	default:
@@ -367,14 +363,13 @@ func (p *Planner) planPlain(q *algebra.Query) (*planned, error) {
 	// 2. Aggregation or plain projection. Both stay vectorized when the
 	// input fragment is and every expression compiles for the batch
 	// engine; otherwise the fragment drops to the row engine here.
-	var node exec.Node
-	var vnode vexec.Node
+	var out *planned
 	var outCols []colInfo
 	var outWidth = len(q.TargetList)
 	est := input.est
 	if q.HasAggs {
 		est = p.aggEstimate(q, input)
-		node, vnode, err = p.planAggregation(q, input, est)
+		out, err = p.planAggregation(q, input, est)
 		if err != nil {
 			return nil, err
 		}
@@ -387,23 +382,21 @@ func (p *Planner) planPlain(q *algebra.Query) (*planned, error) {
 		// output references.
 		extraSort := p.extraSortExprs(q)
 		exprs = append(exprs, extraSort...)
+		binder := &rowBinder{p: p, layout: input.layout}
+		out = &planned{}
 		if input.vnode != nil {
-			if ves, err := vexec.CompileExprs(exprs, &rowBinder{p: p, layout: input.layout}); err == nil {
-				vnode = vexec.NewProject(input.vnode, ves)
-				node = vexec.NewRowSource(vnode)
-				setEstNode(vnode, est)
-				setEstNode(node, est)
+			if ves, err := vexec.CompileExprs(exprs, binder); err == nil {
+				out.setBatch(vexec.NewProject(input.vnode, ves))
 			}
 		}
-		if node == nil {
-			binder := &rowBinder{p: p, layout: input.layout}
+		if out.vnode == nil {
 			fns, err := eval.CompileAll(exprs, binder)
 			if err != nil {
 				return nil, err
 			}
-			node = exec.NewProject(input.node, fns)
-			setEstNode(node, est)
+			out.setRow(exec.NewProject(input.rowNode(), fns))
 		}
+		setFragEst(out, est)
 		// Column provenance passes through the projection wherever an
 		// output expression is a bare column reference.
 		outCols = make([]colInfo, outWidth)
@@ -421,24 +414,18 @@ func (p *Planner) planPlain(q *algebra.Query) (*planned, error) {
 	// rows, so the duplicate elimination inherits its input estimate (an
 	// upper bound; the q-error feedback shows how loose it was).
 	if q.Distinct {
-		if vnode != nil {
-			vd := vexec.NewVecDistinct(vnode)
+		if out.vnode != nil {
+			vd := vexec.NewVecDistinct(out.vnode)
 			vd.Spill = p.spillRes("distinct")
-			vnode = vd
-			node = vexec.NewRowSource(vnode)
-			setEstNode(vnode, est)
-			setEstNode(node, est)
+			out.setBatch(vd)
 		} else {
-			node = exec.NewDistinct(node)
-			setEstNode(node, est)
+			out.setRow(exec.NewDistinct(out.node))
 		}
+		setFragEst(out, est)
 	}
 
 	// 4. ORDER BY / LIMIT / OFFSET (strips hidden sort columns).
-	node, vnode, err = p.applySortLimit(q, node, vnode, outWidth, est)
-	if err != nil {
-		return nil, err
-	}
+	p.applySortLimit(q, out, outWidth)
 	if q.Limit != nil || q.Offset != nil {
 		// Which rows survive a limit depends on rows pruning would
 		// remove, so runtime filters must not reach through it.
@@ -448,8 +435,8 @@ func (p *Planner) planPlain(q *algebra.Query) (*planned, error) {
 		}
 	}
 
-	schema := q.Schema()
-	return &planned{node: node, vnode: vnode, kinds: schema.Kinds(), cols: outCols, est: est}, nil
+	out.kinds, out.cols, out.est = q.Schema().Kinds(), outCols, est
+	return out, nil
 }
 
 // aggEstimate estimates the group count of an aggregation: the product
@@ -501,14 +488,15 @@ func (p *Planner) extraSortExprs(q *algebra.Query) []algebra.Expr {
 const outputRT = -1
 
 // applySortLimit adds sort/top-N/limit nodes on top of the fragment,
-// staying on the batch engine when the input is vectorized: ORDER BY
+// staying on the batch engine when the fragment is vectorized: ORDER BY
 // lowers to VecSort (or, with a LIMIT, to the limit-aware VecTopN heap),
 // a bare LIMIT/OFFSET to VecLimit. outWidth is the real output width;
 // hidden sort columns (if any) sit beyond it and are stripped by a
-// projection above the sort. est is the input fragment's cardinality
-// estimate, used only to annotate the constructed operators (sorts
-// preserve it, top-N/limit cap it at the row count they emit).
-func (p *Planner) applySortLimit(q *algebra.Query, node exec.Node, vnode vexec.Node, outWidth int, est float64) (exec.Node, vexec.Node, error) {
+// projection above the sort. The fragment's estimate is used only to
+// annotate the constructed operators (sorts preserve it, top-N/limit cap
+// it at the row count they emit); the caller sets the fragment's own.
+func (p *Planner) applySortLimit(q *algebra.Query, frag *planned, outWidth int) {
+	est := frag.est
 	var count, offset int64 = -1, 0
 	if q.Limit != nil {
 		count = q.Limit.(*algebra.Const).Val.I
@@ -517,22 +505,23 @@ func (p *Planner) applySortLimit(q *algebra.Query, node exec.Node, vnode vexec.N
 		offset = q.Offset.(*algebra.Const).Val.I
 	}
 	if len(q.OrderBy) > 0 {
-		keys := make([]exec.SortKey, 0, len(q.OrderBy))
+		keys := make([]algebra.SortKey, 0, len(q.OrderBy))
 		hidden := outWidth
 		for _, si := range q.OrderBy {
 			if v, ok := si.Expr.(*algebra.Var); ok && v.RT == outputRT {
-				keys = append(keys, exec.SortKey{Pos: v.Col, Desc: si.Desc})
+				keys = append(keys, algebra.SortKey{Pos: v.Col, Desc: si.Desc})
 				continue
 			}
-			keys = append(keys, exec.SortKey{Pos: hidden, Desc: si.Desc})
+			keys = append(keys, algebra.SortKey{Pos: hidden, Desc: si.Desc})
 			hidden++
 		}
 		// The hidden-column strip must compile for the batch engine for
 		// the sort to stay vectorized; its inputs are the (already
 		// vectorized) projection outputs, so this only fails on kinds the
 		// pipeline could not have produced.
+		vectorized := frag.vnode != nil
 		var strip []*vexec.Expr
-		if vnode != nil && hidden > outWidth {
+		if vectorized && hidden > outWidth {
 			kinds := q.Schema().Kinds()
 			exprs := make([]algebra.Expr, outWidth)
 			for i := 0; i < outWidth; i++ {
@@ -540,33 +529,29 @@ func (p *Planner) applySortLimit(q *algebra.Query, node exec.Node, vnode vexec.N
 			}
 			var err error
 			strip, err = vexec.CompileExprs(exprs, &flatBinder{p: p})
-			if err != nil {
-				vnode = nil
-			}
+			vectorized = err == nil
 		}
-		if vnode != nil {
+		if vectorized {
 			if count >= 0 {
-				vnode = vexec.NewVecTopN(vnode, keys, count, offset)
+				top := vexec.NewVecTopN(frag.vnode, keys, count, offset)
 				count, offset = -1, 0 // the heap applied them
-				est = limitEst(est, vnode.(*vexec.VecTopN).Count)
+				est = limitEst(est, top.Count)
+				frag.setBatch(top)
 			} else {
-				vs := vexec.NewVecSort(vnode, keys)
+				vs := vexec.NewVecSort(frag.vnode, keys)
 				vs.Spill = p.spillRes("sort")
-				vnode = vs
+				frag.setBatch(vs)
 			}
-			setEstNode(vnode, est)
+			setFragEst(frag, est)
 			if strip != nil {
-				vnode = vexec.NewProject(vnode, strip)
-				setEstNode(vnode, est)
+				frag.setBatch(vexec.NewProject(frag.vnode, strip))
+				setFragEst(frag, est)
 			}
-			node = vexec.NewRowSource(vnode)
-			setEstNode(node, est)
 		} else {
-			vnode = nil
-			rs := exec.NewSort(node, keys)
+			rs := exec.NewSort(frag.rowNode(), keys)
 			rs.Spill = p.spillRes("sort")
-			node = rs
-			setEstNode(node, est)
+			frag.setRow(rs)
+			setFragEst(frag, est)
 			if hidden > outWidth {
 				// Strip hidden columns.
 				fns := make([]eval.Func, outWidth)
@@ -574,24 +559,19 @@ func (p *Planner) applySortLimit(q *algebra.Query, node exec.Node, vnode vexec.N
 					pos := i
 					fns[i] = func(ctx *eval.Ctx) (types.Value, error) { return ctx.Row[pos], nil }
 				}
-				node = exec.NewProject(node, fns)
-				setEstNode(node, est)
+				frag.setRow(exec.NewProject(frag.node, fns))
+				setFragEst(frag, est)
 			}
 		}
 	}
 	if count >= 0 || offset > 0 {
-		est = limitEst(est, count)
-		if vnode != nil {
-			vnode = vexec.NewVecLimit(vnode, count, offset)
-			node = vexec.NewRowSource(vnode)
-			setEstNode(vnode, est)
-			setEstNode(node, est)
+		if frag.vnode != nil {
+			frag.setBatch(vexec.NewVecLimit(frag.vnode, count, offset))
 		} else {
-			node = exec.NewLimit(node, count, offset)
-			setEstNode(node, est)
+			frag.setRow(exec.NewLimit(frag.node, count, offset))
 		}
+		setFragEst(frag, limitEst(est, count))
 	}
-	return node, vnode, nil
 }
 
 // limitEst caps an estimate at a LIMIT count (negative: no limit).
@@ -930,7 +910,10 @@ func equiSides(c algebra.Expr) (left, right algebra.Expr, nullSafe, ok bool) {
 // provenance-rewritten queries this keeps the blown-up side streaming
 // through the probe instead of being materialized in the hash table.
 func (p *Planner) buildJoin(left, right *planned, kind algebra.JoinKind, conds []*conjunct) (*planned, error) {
-	if (kind == algebra.JoinInner || kind == algebra.JoinCross) && right.est > left.est {
+	if kind == algebra.JoinCross {
+		kind = algebra.JoinInner // the conditions, if any, are its ON clause
+	}
+	if kind == algebra.JoinInner && right.est > left.est {
 		left, right = right, left
 	}
 	combined := &planned{
@@ -946,30 +929,18 @@ func (p *Planner) buildJoin(left, right *planned, kind algebra.JoinKind, conds [
 		combined.layout[rt] = off + shift
 	}
 
-	var jt exec.JoinType
-	switch kind {
-	case algebra.JoinInner, algebra.JoinCross:
-		jt = exec.InnerJoin
-	case algebra.JoinLeft:
-		jt = exec.LeftJoin
-	case algebra.JoinRight:
-		jt = exec.RightJoin
-	case algebra.JoinFull:
-		jt = exec.FullJoin
-	}
-
 	// Column provenance: both sides pass through an inner join; the
 	// null-producing side(s) of outer joins lose their runtime-filter
 	// attachment points (pruning below a null-extension could turn a
 	// matched row into a null-extended one and change null-safe joins
 	// above).
 	lc, rc := fragCols(left), fragCols(right)
-	switch jt {
-	case exec.LeftJoin:
+	switch kind {
+	case algebra.JoinLeft:
 		rc = clearScans(rc)
-	case exec.RightJoin:
+	case algebra.JoinRight:
 		lc = clearScans(lc)
-	case exec.FullJoin:
+	case algebra.JoinFull:
 		lc, rc = clearScans(lc), clearScans(rc)
 	}
 	combined.cols = append(append([]colInfo{}, lc...), rc...)
@@ -1001,9 +972,9 @@ func (p *Planner) buildJoin(left, right *planned, kind algebra.JoinKind, conds [
 		// join, which is equivalent; a left join with a residual falls
 		// back, because the residual takes part in the match decision.
 		if p.vectorized && left.vnode != nil && right.vnode != nil &&
-			(jt == exec.InnerJoin || (jt == exec.LeftJoin && len(residual) == 0)) {
-			if vj := p.tryVecHashJoin(left, right, leftKeyExprs, rightKeyExprs, nullSafe, residual, jt, combined, est); vj != nil {
-				p.setVNode(combined, vj)
+			(kind == algebra.JoinInner || (kind == algebra.JoinLeft && len(residual) == 0)) {
+			if vj := p.tryVecHashJoin(left, right, leftKeyExprs, rightKeyExprs, nullSafe, residual, kind, combined, est); vj != nil {
+				combined.setBatch(vj)
 				setFragEst(combined, est)
 				return combined, nil
 			}
@@ -1026,7 +997,7 @@ func (p *Planner) buildJoin(left, right *planned, kind algebra.JoinKind, conds [
 				return nil, err
 			}
 		}
-		combined.node = exec.NewHashJoin(left.node, right.node, lk, rk, nullSafe, res, jt, left.kinds, right.kinds)
+		combined.setRow(exec.NewHashJoin(left.rowNode(), right.rowNode(), lk, rk, nullSafe, res, kind, left.kinds, right.kinds))
 		setFragEst(combined, est)
 		return combined, nil
 	}
@@ -1037,7 +1008,7 @@ func (p *Planner) buildJoin(left, right *planned, kind algebra.JoinKind, conds [
 	// instead of boxing one row per pair.
 	cond := conjExpr(conds)
 	if p.vectorized && left.vnode != nil && right.vnode != nil &&
-		(jt == exec.InnerJoin || jt == exec.LeftJoin) {
+		(kind == algebra.JoinInner || kind == algebra.JoinLeft) {
 		var vcond *vexec.Expr
 		condOK := cond == nil
 		if cond != nil {
@@ -1046,13 +1017,9 @@ func (p *Planner) buildJoin(left, right *planned, kind algebra.JoinKind, conds [
 			}
 		}
 		if condOK {
-			vjt := vexec.InnerJoin
-			if jt == exec.LeftJoin {
-				vjt = vexec.LeftJoin
-			}
-			nlj := vexec.NewNLJoin(left.vnode, right.vnode, vcond, vjt, left.kinds, right.kinds)
+			nlj := vexec.NewNLJoin(left.vnode, right.vnode, vcond, kind, left.kinds, right.kinds)
 			nlj.SetActivity(p.activity)
-			p.setVNode(combined, nlj)
+			combined.setBatch(nlj)
 			est := left.est * right.est
 			if cond != nil {
 				est = est*0.3 + 1
@@ -1069,7 +1036,7 @@ func (p *Planner) buildJoin(left, right *planned, kind algebra.JoinKind, conds [
 			return nil, err
 		}
 	}
-	combined.node = exec.NewNestedLoopJoin(left.node, right.node, condFn, jt, left.kinds, right.kinds)
+	combined.setRow(exec.NewNestedLoopJoin(left.rowNode(), right.rowNode(), condFn, kind, left.kinds, right.kinds))
 	est := left.est * right.est
 	if cond != nil {
 		est = est*0.3 + 1
@@ -1275,7 +1242,7 @@ func constValue(e algebra.Expr) (types.Value, bool) {
 // bare column traced to a columnar scan gets a filter published by this
 // join's build and applied by that scan.
 func (p *Planner) tryVecHashJoin(left, right *planned, leftKeyExprs, rightKeyExprs []algebra.Expr,
-	nullSafe []bool, residual []algebra.Expr, jt exec.JoinType, combined *planned, est float64) vexec.Node {
+	nullSafe []bool, residual []algebra.Expr, kind algebra.JoinKind, combined *planned, est float64) vexec.Node {
 	lk, err := vexec.CompileExprs(leftKeyExprs, &rowBinder{p: p, layout: left.layout})
 	if err != nil {
 		return nil
@@ -1291,14 +1258,10 @@ func (p *Planner) tryVecHashJoin(left, right *planned, leftKeyExprs, rightKeyExp
 			return nil
 		}
 	}
-	vjt := vexec.InnerJoin
-	if jt == exec.LeftJoin {
-		vjt = vexec.LeftJoin
-	}
-	vj := vexec.NewHashJoin(left.vnode, right.vnode, lk, rk, nullSafe, vjt, left.kinds, right.kinds)
+	vj := vexec.NewHashJoin(left.vnode, right.vnode, lk, rk, nullSafe, kind, left.kinds, right.kinds)
 	vj.SetActivity(p.activity)
 	vj.Spill = p.spillRes("hashjoin")
-	if vjt == vexec.InnerJoin && left.cols != nil {
+	if kind == algebra.JoinInner && left.cols != nil {
 		// Left-join probe rows must survive to null-extend, so only inner
 		// joins may prune them at the source.
 		var publish []*vexec.RuntimeFilter
@@ -1589,7 +1552,7 @@ func (p *Planner) planRTE(rt int, rte *algebra.RTE) (*planned, error) {
 					rts:    algebra.BitsOf(rt),
 					est:    float64(n) + 1,
 				}
-				p.setVNode(pl, scan)
+				pl.setBatch(scan)
 				setFragEst(pl, pl.est)
 				return pl, nil
 			}
@@ -1680,7 +1643,7 @@ func (p *Planner) planVirtual(rt int, rte *algebra.RTE, v *catalog.VirtualTable)
 			scan := vexec.NewColScan(cols, len(rows))
 			scan.Table = v.Name
 			scan.SetActivity(p.activity)
-			p.setVNode(pl, scan)
+			pl.setBatch(scan)
 			setFragEst(pl, pl.est)
 			return pl, nil
 		}
@@ -1696,14 +1659,15 @@ func (p *Planner) planVirtual(rt int, rte *algebra.RTE, v *catalog.VirtualTable)
 // ---------------------------------------------------------------------------
 // Aggregation
 
-// planAggregation builds the HashAgg node plus the post-aggregation
-// HAVING filter and projection. It rewrites target/HAVING/ORDER BY
-// expressions to reference the aggregate output row (groups first, then
-// aggregate results). The aggregation, the HAVING filter and the final
-// projection each stay vectorized as long as their expressions compile
-// for the batch engine; the first unsupported stage drops to the row
-// engine over the vectorized prefix.
-func (p *Planner) planAggregation(q *algebra.Query, input *planned, est float64) (exec.Node, vexec.Node, error) {
+// planAggregation plans the aggregation plus the post-aggregation
+// HAVING filter and projection as a fragment of which only the root and
+// the estimate are set. It rewrites target/HAVING/ORDER BY expressions
+// to reference the aggregate output row (groups first, then aggregate
+// results). The aggregation, the HAVING filter and the final projection
+// each stay vectorized as long as their expressions compile for the
+// batch engine; the first unsupported stage drops to the row engine over
+// the vectorized prefix.
+func (p *Planner) planAggregation(q *algebra.Query, input *planned, est float64) (*planned, error) {
 	// Collect distinct aggregate references from targets, HAVING and
 	// ORDER BY expressions.
 	var aggRefs []*algebra.AggRef
@@ -1727,53 +1691,30 @@ func (p *Planner) planAggregation(q *algebra.Query, input *planned, est float64)
 		collect(si.Expr)
 	}
 
-	var node exec.Node
-	var vnode vexec.Node
+	out := &planned{}
 	if input.vnode != nil {
 		if vn := p.tryVecAgg(q, input, aggRefs); vn != nil {
-			vnode = vn
-			node = vexec.NewRowSource(vn)
-			setEstNode(vnode, est)
-			setEstNode(node, est)
+			out.setBatch(vn)
 		}
 	}
-	if node == nil {
+	if out.vnode == nil {
 		inBinder := &rowBinder{p: p, layout: input.layout}
 		groupFns, err := eval.CompileAll(q.GroupBy, inBinder)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		specs := make([]exec.AggSpec, len(aggRefs))
 		for i, ar := range aggRefs {
-			spec := exec.AggSpec{Distinct: ar.Distinct, ResultKind: ar.Typ}
-			switch ar.Fn {
-			case algebra.AggCount:
-				if ar.Star {
-					spec.Kind = exec.AggCountStar
-				} else {
-					spec.Kind = exec.AggCount
-				}
-			case algebra.AggSum:
-				spec.Kind = exec.AggSum
-			case algebra.AggAvg:
-				spec.Kind = exec.AggAvg
-			case algebra.AggMin:
-				spec.Kind = exec.AggMin
-			case algebra.AggMax:
-				spec.Kind = exec.AggMax
-			}
+			specs[i] = exec.AggSpec{Fn: ar.Fn, Star: ar.Star, Distinct: ar.Distinct, ResultKind: ar.Typ}
 			if ar.Arg != nil {
-				fn, err := eval.Compile(ar.Arg, inBinder)
-				if err != nil {
-					return nil, nil, err
+				if specs[i].Arg, err = eval.Compile(ar.Arg, inBinder); err != nil {
+					return nil, err
 				}
-				spec.Arg = fn
 			}
-			specs[i] = spec
 		}
-		node = exec.NewHashAgg(input.node, groupFns, specs)
-		setEstNode(node, est)
+		out.setRow(exec.NewHashAgg(input.rowNode(), groupFns, specs))
 	}
+	setFragEst(out, est)
 
 	// Aggregate output layout: group values 0..G-1, aggregates G..G+A-1.
 	mapAgg := func(e algebra.Expr) (algebra.Expr, error) {
@@ -1784,60 +1725,55 @@ func (p *Planner) planAggregation(q *algebra.Query, input *planned, est float64)
 	if q.Having != nil {
 		mapped, err := mapAgg(q.Having)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		attached := false
-		if vnode != nil {
-			if ve, verr := vexec.CompileExpr(mapped, &flatBinder{p: p}); verr == nil && ve.Kind() == types.KindBool {
-				vnode = vexec.NewFilter(vnode, ve)
-				node = vexec.NewRowSource(vnode)
-				setEstNode(vnode, est)
-				setEstNode(node, est)
-				attached = true
+		var ve *vexec.Expr
+		if out.vnode != nil {
+			if ve, err = vexec.CompileExpr(mapped, aggBinder); err != nil || ve.Kind() != types.KindBool {
+				ve = nil
 			}
 		}
-		if !attached {
+		if ve != nil {
+			out.setBatch(vexec.NewFilter(out.vnode, ve))
+		} else {
 			pred, err := eval.Compile(mapped, aggBinder)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			node = exec.NewFilter(node, pred)
-			setEstNode(node, est)
-			vnode = nil
+			out.setRow(exec.NewFilter(out.rowNode(), pred))
 		}
+		setFragEst(out, est)
 	}
 
 	exprs := make([]algebra.Expr, 0, len(q.TargetList))
 	for _, te := range q.TargetList {
 		mapped, err := mapAgg(te.Expr)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		exprs = append(exprs, mapped)
 	}
 	for _, se := range p.extraSortExprs(q) {
 		mapped, err := mapAgg(se)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		exprs = append(exprs, mapped)
 	}
-	if vnode != nil {
-		if ves, verr := vexec.CompileExprs(exprs, &flatBinder{p: p}); verr == nil {
-			vnode = vexec.NewProject(vnode, ves)
-			setEstNode(vnode, est)
-			rs := vexec.NewRowSource(vnode)
-			setEstNode(rs, est)
-			return rs, vnode, nil
+	if out.vnode != nil {
+		if ves, err := vexec.CompileExprs(exprs, aggBinder); err == nil {
+			out.setBatch(vexec.NewProject(out.vnode, ves))
+			setFragEst(out, est)
+			return out, nil
 		}
 	}
 	fns, err := eval.CompileAll(exprs, aggBinder)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	proj := exec.NewProject(node, fns)
-	setEstNode(proj, est)
-	return proj, nil, nil
+	out.setRow(exec.NewProject(out.rowNode(), fns))
+	setFragEst(out, est)
+	return out, nil
 }
 
 // tryVecAgg compiles the aggregation itself for the batch engine:
@@ -1958,7 +1894,7 @@ func (b *rowBinder) BindVar(v *algebra.Var) (int, error) {
 	return off + v.Col, nil
 }
 
-func (b *rowBinder) BindSubLink(s *algebra.SubLink) (eval.SubLinkValue, error) {
+func (b *rowBinder) BindSubLink(s *algebra.SubLink) (algebra.SubLinkValue, error) {
 	return b.p.newSubLinkValue(s)
 }
 
@@ -1974,7 +1910,7 @@ func (b *flatBinder) BindVar(v *algebra.Var) (int, error) {
 	return v.Col, nil
 }
 
-func (b *flatBinder) BindSubLink(s *algebra.SubLink) (eval.SubLinkValue, error) {
+func (b *flatBinder) BindSubLink(s *algebra.SubLink) (algebra.SubLinkValue, error) {
 	return b.p.newSubLinkValue(s)
 }
 
@@ -1983,7 +1919,7 @@ func (b *flatBinder) BindSubLink(s *algebra.SubLink) (eval.SubLinkValue, error) 
 
 // NewSubLinkValue exposes sublink planning for engine-level predicate
 // evaluation (DELETE ... WHERE with sublinks).
-func NewSubLinkValue(p *Planner, s *algebra.SubLink) (eval.SubLinkValue, error) {
+func NewSubLinkValue(p *Planner, s *algebra.SubLink) (algebra.SubLinkValue, error) {
 	return p.newSubLinkValue(s)
 }
 
@@ -1997,7 +1933,7 @@ type subLinkValue struct {
 	err    error
 }
 
-func (p *Planner) newSubLinkValue(s *algebra.SubLink) (eval.SubLinkValue, error) {
+func (p *Planner) newSubLinkValue(s *algebra.SubLink) (algebra.SubLinkValue, error) {
 	pl, err := p.planQuery(s.Query)
 	if err != nil {
 		return nil, err
@@ -2006,7 +1942,7 @@ func (p *Planner) newSubLinkValue(s *algebra.SubLink) (eval.SubLinkValue, error)
 	if len(s.Query.Schema()) > 0 {
 		kind = s.Query.Schema()[0].Type
 	}
-	return &subLinkValue{node: pl.node, kind: kind}, nil
+	return &subLinkValue{node: pl.rowNode(), kind: kind}, nil
 }
 
 func (s *subLinkValue) load() error {
@@ -2059,7 +1995,7 @@ func (s *subLinkValue) CompareAny(test types.Value, op string) (types.Tri, error
 		if !types.Comparable(test.K, v.K) {
 			return types.TriNull, fmt.Errorf("cannot compare %s with %s", test.K, v.K)
 		}
-		if cmpSatisfies(types.Compare(test, v), op) {
+		if types.CmpSatisfies(types.Compare(test, v), op) {
 			return types.TriTrue, nil
 		}
 	}
@@ -2089,7 +2025,7 @@ func (s *subLinkValue) CompareAll(test types.Value, op string) (types.Tri, error
 		if !types.Comparable(test.K, v.K) {
 			return types.TriNull, fmt.Errorf("cannot compare %s with %s", test.K, v.K)
 		}
-		if !cmpSatisfies(types.Compare(test, v), op) {
+		if !types.CmpSatisfies(types.Compare(test, v), op) {
 			return types.TriFalse, nil
 		}
 	}
@@ -2097,23 +2033,4 @@ func (s *subLinkValue) CompareAll(test types.Value, op string) (types.Tri, error
 		return types.TriNull, nil
 	}
 	return types.TriTrue, nil
-}
-
-func cmpSatisfies(c int, op string) bool {
-	switch op {
-	case "=":
-		return c == 0
-	case "<>":
-		return c != 0
-	case "<":
-		return c < 0
-	case "<=":
-		return c <= 0
-	case ">":
-		return c > 0
-	case ">=":
-		return c >= 0
-	default:
-		return false
-	}
 }

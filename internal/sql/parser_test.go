@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -469,4 +470,29 @@ func TestTypeFromName(t *testing.T) {
 	if _, ok := TypeFromName("blob"); ok {
 		t.Error("blob should be unknown")
 	}
+}
+
+// FuzzParse: the parser is a byte boundary (every statement text a client
+// sends reaches it), so on any input it returns an error or a statement,
+// never panics, and never both fails and succeeds.
+func FuzzParse(f *testing.F) {
+	for _, text := range fig10Texts() {
+		f.Add(text)
+	}
+	for _, text := range []string{
+		"SELECT PROVENANCE a, count(*) FROM t GROUP BY a HAVING count(*) > 1 ORDER BY 2 DESC LIMIT 3",
+		"SELECT a FROM t LEFT JOIN u ON t.a = u.b UNION ALL SELECT c FROM v EXCEPT SELECT 1",
+		"SELECT * FROM (SELECT a FROM t) AS s WHERE a IN (SELECT b FROM u) AND EXISTS (SELECT 1)",
+		"INSERT INTO t VALUES (1, 'x'), (NULL, -2.5)",
+		"EXPLAIN ANALYZE SELECT CASE WHEN a IS NULL THEN 0 ELSE a END FROM t",
+		"SELECT (((a", "SELECT a FROM", ";;", "",
+	} {
+		f.Add(text)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		stmt, err := Parse(text)
+		if (err == nil) == (stmt == nil || reflect.ValueOf(stmt).IsNil()) {
+			t.Fatalf("Parse(%q) = %v, %v: want exactly one of a statement and an error", text, stmt, err)
+		}
+	})
 }

@@ -266,6 +266,57 @@ func Compare(a, b Value) int {
 	panic(fmt.Sprintf("types.Compare: incompatible kinds %s and %s", a.K, b.K))
 }
 
+// CmpSatisfies reports whether a Compare result c satisfies the SQL
+// comparison operator op ("=", "<>", "<", "<=", ">", ">="; false for
+// anything else).
+func CmpSatisfies(c int, op string) bool {
+	switch op {
+	case "=":
+		return c == 0
+	case "<>":
+		return c != 0
+	case "<":
+		return c < 0
+	case "<=":
+		return c <= 0
+	case ">":
+		return c > 0
+	case ">=":
+		return c >= 0
+	default:
+		return false
+	}
+}
+
+// MatchLike implements SQL LIKE patterns: % matches any run (including
+// empty), _ matches exactly one byte. Matching is byte-wise.
+func MatchLike(s, pattern string) bool {
+	// Iterative two-pointer algorithm with backtracking on %.
+	si, pi := 0, 0
+	starP, starS := -1, 0
+	for si < len(s) {
+		switch {
+		case pi < len(pattern) && (pattern[pi] == '_' || pattern[pi] == s[si]):
+			si++
+			pi++
+		case pi < len(pattern) && pattern[pi] == '%':
+			starP = pi
+			starS = si
+			pi++
+		case starP >= 0:
+			starS++
+			si = starS
+			pi = starP + 1
+		default:
+			return false
+		}
+	}
+	for pi < len(pattern) && pattern[pi] == '%' {
+		pi++
+	}
+	return pi == len(pattern)
+}
+
 func cmpInt(a, b int64) int {
 	switch {
 	case a < b:

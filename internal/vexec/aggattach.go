@@ -3,7 +3,7 @@ package vexec
 import (
 	"math"
 
-	"perm/internal/exec"
+	"perm/internal/algebra"
 	"perm/internal/obs"
 	"perm/internal/spill"
 	"perm/internal/types"
@@ -57,7 +57,7 @@ type AggAttach struct {
 	Stored            int // rows of T+ the last Open held in memory
 	// Order is the sort above, its keys positions in the aggregate's
 	// output; nil asks for input order. The sort sets it before Open.
-	Order []exec.SortKey
+	Order []algebra.SortKey
 
 	having  *Expr   // HAVING over the aggregation's rows, or nil
 	out     []*Expr // Groups' projection
@@ -238,7 +238,7 @@ func (a *AggAttach) Open() (err error) {
 			left = NewProject(a.Input, a.Prov)
 		}
 		a.join = NewHashJoin(left, openedNode{a.Groups}, provKeys, aggKeys, nullSafe,
-			InnerJoin, kinds[:len(a.Prov)], kinds[len(a.Prov):])
+			algebra.JoinInner, kinds[:len(a.Prov)], kinds[len(a.Prov):])
 		a.join.Spill = a.JoinSpill
 		a.join.SetActivity(a.aq)
 		return a.join.Open()

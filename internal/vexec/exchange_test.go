@@ -162,7 +162,7 @@ func TestExchangeFanOutStaysBounded(t *testing.T) {
 	a, b := seqVec(n), seqVec(fan)
 	kinds := []types.Kind{types.KindInt}
 	cross := func() Node {
-		return NewNLJoin(NewColScan([]*vector.Vec{a}, n), NewColScan([]*vector.Vec{b}, fan), nil, InnerJoin, kinds, kinds)
+		return NewNLJoin(NewColScan([]*vector.Vec{a}, n), NewColScan([]*vector.Vec{b}, fan), nil, algebra.JoinInner, kinds, kinds)
 	}
 	drain := func(root Node, stall time.Duration) [][2]int64 {
 		t.Helper()
@@ -234,7 +234,7 @@ func TestExchangeBuildPanic(t *testing.T) {
 	}
 	replicas := make([]Node, 2)
 	for w := range replicas {
-		replicas[w] = NewHashJoin(NewColScan([]*vector.Vec{a}, n), panicOpen{}, key(), key(), []bool{false}, InnerJoin, kinds, kinds)
+		replicas[w] = NewHashJoin(NewColScan([]*vector.Vec{a}, n), panicOpen{}, key(), key(), []bool{false}, algebra.JoinInner, kinds, kinds)
 	}
 	e := NewExchange(replicas)
 	if err := e.Open(); err == nil || !strings.Contains(err.Error(), "panicked: build side failed") {

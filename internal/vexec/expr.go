@@ -41,7 +41,6 @@ import (
 	"strings"
 
 	"perm/internal/algebra"
-	"perm/internal/eval"
 	"perm/internal/types"
 	"perm/internal/vector"
 )
@@ -162,7 +161,7 @@ func resolveSel(b *vector.Batch, sel []int) []int {
 // An error means the shape is not supported and the caller must stay on
 // the row engine. The binder resolves column references to flat batch
 // positions and sublinks to their (lazily materialized) subplans.
-func CompileExpr(e algebra.Expr, bind eval.Binder) (*Expr, error) {
+func CompileExpr(e algebra.Expr, bind algebra.Binder) (*Expr, error) {
 	switch n := e.(type) {
 	case *algebra.Var:
 		return compileVar(n, bind)
@@ -227,12 +226,12 @@ func Batchable(queries ...*algebra.Query) bool {
 
 type anyBinder struct{}
 
-func (anyBinder) BindVar(*algebra.Var) (int, error)                       { return 0, nil }
-func (anyBinder) BindSubLink(*algebra.SubLink) (eval.SubLinkValue, error) { return nil, nil }
+func (anyBinder) BindVar(*algebra.Var) (int, error)                          { return 0, nil }
+func (anyBinder) BindSubLink(*algebra.SubLink) (algebra.SubLinkValue, error) { return nil, nil }
 
 // CompileExprs compiles a slice of expressions; it fails if any one of
 // them is unsupported.
-func CompileExprs(es []algebra.Expr, bind eval.Binder) ([]*Expr, error) {
+func CompileExprs(es []algebra.Expr, bind algebra.Binder) ([]*Expr, error) {
 	out := make([]*Expr, len(es))
 	for i, e := range es {
 		c, err := CompileExpr(e, bind)
@@ -245,7 +244,7 @@ func CompileExprs(es []algebra.Expr, bind eval.Binder) ([]*Expr, error) {
 }
 
 // compileBool compiles an operand that must be boolean.
-func compileBool(e algebra.Expr, bind eval.Binder) (*Expr, error) {
+func compileBool(e algebra.Expr, bind algebra.Binder) (*Expr, error) {
 	c, err := CompileExpr(e, bind)
 	if err != nil {
 		return nil, err
@@ -268,7 +267,7 @@ func (k *varKernel) eval(b *vector.Batch, sel []int) (*vector.Vec, error) {
 	return b.Cols[k.pos], nil
 }
 
-func compileVar(n *algebra.Var, bind eval.Binder) (*Expr, error) {
+func compileVar(n *algebra.Var, bind algebra.Binder) (*Expr, error) {
 	if !vector.Supported(n.Typ) {
 		return nil, errUnsupported
 	}
@@ -317,7 +316,7 @@ func foldedConst(e algebra.Expr, typ types.Kind) (*Expr, bool) {
 // uncorrelated sublink (TPC-H Q15's max-revenue filter) stay on the
 // batch engine. Quantified (ANY/ALL) sublinks fall back.
 type subLinkKernel struct {
-	slv    eval.SubLinkValue
+	slv    algebra.SubLinkValue
 	kind   types.Kind
 	exists bool
 	cache  *vector.Vec
@@ -344,7 +343,7 @@ func (k *subLinkKernel) eval(b *vector.Batch, sel []int) (*vector.Vec, error) {
 	return k.cache, nil
 }
 
-func compileSubLink(n *algebra.SubLink, bind eval.Binder) (*Expr, error) {
+func compileSubLink(n *algebra.SubLink, bind algebra.Binder) (*Expr, error) {
 	kind := n.Typ
 	if n.Kind == algebra.SubExists {
 		kind = types.KindBool
@@ -782,7 +781,7 @@ func flattenLogic(e algebra.Expr, op string, out []algebra.Expr) []algebra.Expr 
 	return append(out, e)
 }
 
-func compileLogic(n *algebra.BinOp, bind eval.Binder) (*Expr, error) {
+func compileLogic(n *algebra.BinOp, bind algebra.Binder) (*Expr, error) {
 	if n.Typ != types.KindBool {
 		return nil, errUnsupported
 	}
@@ -869,7 +868,7 @@ func (k *nullSel) sel(b *vector.Batch, s []int, want bool) ([]int, error) {
 	return selNulls(v.Nulls, wantNull, lanes, selScratch(&k.out, len(lanes))), nil
 }
 
-func compileIsNull(n *algebra.IsNull, bind eval.Binder) (*Expr, error) {
+func compileIsNull(n *algebra.IsNull, bind algebra.Binder) (*Expr, error) {
 	inner, err := CompileExpr(n.Expr, bind)
 	if err != nil {
 		return nil, err
@@ -927,7 +926,7 @@ func (k *distinctSel) sel(b *vector.Batch, s []int, want bool) ([]int, error) {
 	return selUnion(decided, compared, selScratch(&k.out, len(lanes))), nil
 }
 
-func compileDistinctFrom(n *algebra.DistinctFrom, bind eval.Binder) (*Expr, error) {
+func compileDistinctFrom(n *algebra.DistinctFrom, bind algebra.Binder) (*Expr, error) {
 	l, err := CompileExpr(n.Left, bind)
 	if err != nil {
 		return nil, err
@@ -997,7 +996,7 @@ func compileLikeExpr(n *algebra.BinOp, l, r *Expr) (*Expr, error) {
 // ---------------------------------------------------------------------------
 // Arithmetic
 
-func compileBinOp(n *algebra.BinOp, bind eval.Binder) (*Expr, error) {
+func compileBinOp(n *algebra.BinOp, bind algebra.Binder) (*Expr, error) {
 	if c, ok := foldedConst(n, n.Typ); ok {
 		return c, nil
 	}
@@ -1158,7 +1157,7 @@ func (k *negKernel) eval(b *vector.Batch, s []int) (*vector.Vec, error) {
 	return out, nil
 }
 
-func compileUnOp(n *algebra.UnOp, bind eval.Binder) (*Expr, error) {
+func compileUnOp(n *algebra.UnOp, bind algebra.Binder) (*Expr, error) {
 	if c, ok := foldedConst(n, n.Typ); ok {
 		return c, nil
 	}
@@ -1248,7 +1247,7 @@ func (k *caseKernel) branch(e *Expr, b *vector.Batch, lanes []int, out *vector.V
 // its own kind must be typ, or int under a float CASE (widened lane by
 // lane, as the row engine coerces the chosen value), or it is a NULL
 // literal.
-func compileCaseResult(e algebra.Expr, typ types.Kind, bind eval.Binder) (*Expr, error) {
+func compileCaseResult(e algebra.Expr, typ types.Kind, bind algebra.Binder) (*Expr, error) {
 	if c, ok := e.(*algebra.Const); ok && c.Val.Null {
 		return &Expr{kind: typ, isConst: true, cv: types.NewNull(typ)}, nil
 	}
@@ -1262,7 +1261,7 @@ func compileCaseResult(e algebra.Expr, typ types.Kind, bind eval.Binder) (*Expr,
 	return r, nil
 }
 
-func compileCase(n *algebra.CaseExpr, bind eval.Binder) (*Expr, error) {
+func compileCase(n *algebra.CaseExpr, bind algebra.Binder) (*Expr, error) {
 	if !vector.Supported(n.Typ) {
 		return nil, errUnsupported
 	}

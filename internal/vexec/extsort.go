@@ -13,7 +13,7 @@ package vexec
 import (
 	"slices"
 
-	"perm/internal/exec"
+	"perm/internal/algebra"
 	"perm/internal/spill"
 	"perm/internal/types"
 	"perm/internal/vector"
@@ -54,7 +54,7 @@ func colKinds(cols []*vector.Vec) []types.Kind {
 // sortedOrder computes the stable sort permutation of a table's rows
 // under the sort keys (the in-memory VecSort comparator, shared with the
 // run writer).
-func sortedOrder(t *vector.Table, keys []exec.SortKey, classes []cmpClass) []int32 {
+func sortedOrder(t *vector.Table, keys []algebra.SortKey, classes []cmpClass) []int32 {
 	order := make([]int32, t.Len())
 	for i := range order {
 		order[i] = int32(i)
@@ -112,14 +112,14 @@ func (c *runCursor) advance() (bool, error) {
 // segments, so this reproduces the stable in-memory order exactly.
 type runMerger struct {
 	cursors []*runCursor
-	keys    []exec.SortKey
+	keys    []algebra.SortKey
 	classes []cmpClass
 	kinds   []types.Kind
 	heap    []int // heap of cursor indices, least row on top
 	out     mergeOut
 }
 
-func newRunMerger(runs []*spill.Run, keys []exec.SortKey, classes []cmpClass, kinds []types.Kind) (*runMerger, error) {
+func newRunMerger(runs []*spill.Run, keys []algebra.SortKey, classes []cmpClass, kinds []types.Kind) (*runMerger, error) {
 	m := &runMerger{keys: keys, classes: classes, kinds: kinds}
 	for _, r := range runs {
 		cur := &runCursor{run: r}
@@ -236,7 +236,7 @@ func (o *mergeOut) free() {
 
 // mergeRuns merges sorted runs into one new run: an intermediate level
 // of the external sort. The caller closes the inputs.
-func mergeRuns(res spill.Resources, runs []*spill.Run, keys []exec.SortKey, classes []cmpClass, kinds []types.Kind) (*spill.Run, error) {
+func mergeRuns(res spill.Resources, runs []*spill.Run, keys []algebra.SortKey, classes []cmpClass, kinds []types.Kind) (*spill.Run, error) {
 	m, err := newRunMerger(runs, keys, classes, kinds)
 	if err != nil {
 		return nil, err
@@ -264,7 +264,7 @@ func mergeRuns(res spill.Resources, runs []*spill.Run, keys []exec.SortKey, clas
 // or Grace join. A sequence number lives in one run only (a group's
 // output rows, a probe row's matches), so ties never span runs.
 func newSeqMerge(runs []*spill.Run, kinds []types.Kind) (*runMerger, error) {
-	return newRunMerger(runs, []exec.SortKey{{Pos: len(kinds)}}, []cmpClass{classInt}, kinds)
+	return newRunMerger(runs, []algebra.SortKey{{Pos: len(kinds)}}, []cmpClass{classInt}, kinds)
 }
 
 // closeRuns closes every run in the slice.

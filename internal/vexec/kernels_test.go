@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"perm/internal/algebra"
-	"perm/internal/eval"
 	"perm/internal/types"
 	"perm/internal/vector"
 )
@@ -109,7 +108,7 @@ func randomSel(r *rand.Rand, n int, mode selMode) []int {
 type colBinder struct{}
 
 func (colBinder) BindVar(v *algebra.Var) (int, error) { return v.Col, nil }
-func (colBinder) BindSubLink(*algebra.SubLink) (eval.SubLinkValue, error) {
+func (colBinder) BindSubLink(*algebra.SubLink) (algebra.SubLinkValue, error) {
 	return nil, fmt.Errorf("no sublinks in kernel tests")
 }
 
@@ -437,7 +436,7 @@ func refBinOp(n *algebra.BinOp, cols []*vector.Vec, i int) (types.Value, error) 
 	case "=", "<>", "<", "<=", ">", ">=":
 		return types.NewBool(refCmpHolds(n.Op, refCompare(l, r))), nil
 	case "LIKE":
-		return types.NewBool(eval.MatchLike(l.Str(), r.Str())), nil
+		return types.NewBool(types.MatchLike(l.Str(), r.Str())), nil
 	}
 	if n.Typ == types.KindInt {
 		a, b := l.I, r.I

@@ -9,6 +9,7 @@
 package vexec
 
 import (
+	"perm/internal/algebra"
 	"perm/internal/obs"
 	"perm/internal/types"
 	"perm/internal/vector"
@@ -22,8 +23,8 @@ import (
 type NLJoin struct {
 	obs.Card
 	Left, Right Node
-	Cond        *Expr // nil = cross join
-	Type        JoinType
+	Cond        *Expr            // nil = cross join
+	Type        algebra.JoinKind // JoinInner or JoinLeft
 	LeftKinds   []types.Kind
 	RightKinds  []types.Kind
 
@@ -42,7 +43,7 @@ type NLJoin struct {
 }
 
 // NewNLJoin returns a vectorized nested-loop join node.
-func NewNLJoin(left, right Node, cond *Expr, jt JoinType, leftKinds, rightKinds []types.Kind) *NLJoin {
+func NewNLJoin(left, right Node, cond *Expr, jt algebra.JoinKind, leftKinds, rightKinds []types.Kind) *NLJoin {
 	return &NLJoin{Left: left, Right: right, Cond: cond, Type: jt, LeftKinds: leftKinds, RightKinds: rightKinds}
 }
 
@@ -101,7 +102,7 @@ func (j *NLJoin) Next() (*vector.Batch, error) {
 		j.lanes = resolveSel(b, b.Sel)
 		j.li, j.ri = 0, 0
 		j.flushed = false
-		if j.Type == LeftJoin {
+		if j.Type == algebra.JoinLeft {
 			if cap(j.matched) < len(j.lanes) {
 				j.matched = make([]bool, len(j.lanes))
 			} else {
@@ -145,7 +146,7 @@ func (j *NLJoin) pairChunk() (*vector.Batch, error) {
 			if err != nil {
 				return nil, err
 			}
-			if j.Type == LeftJoin {
+			if j.Type == algebra.JoinLeft {
 				// Map surviving pairs back to their probe lanes. The
 				// chunk covers a contiguous run of (lane, build) pairs;
 				// recover the lane index from the chunk position.
@@ -161,7 +162,7 @@ func (j *NLJoin) pairChunk() (*vector.Batch, error) {
 			}
 			return out, nil
 		}
-		if j.Type == LeftJoin {
+		if j.Type == algebra.JoinLeft {
 			for _, l := range j.pairL {
 				j.markMatched(l)
 			}
@@ -169,7 +170,7 @@ func (j *NLJoin) pairChunk() (*vector.Batch, error) {
 		return out, nil
 	}
 	// Pairs exhausted: emit null-extended unmatched lanes (left join).
-	if j.Type == LeftJoin && !j.flushed {
+	if j.Type == algebra.JoinLeft && !j.flushed {
 		j.flushed = true
 		j.pairL = j.pairL[:0]
 		for idx, lane := range j.lanes {

@@ -17,7 +17,7 @@ package vexec
 import (
 	"strings"
 
-	"perm/internal/eval"
+	"perm/internal/types"
 	"perm/internal/vector"
 )
 
@@ -329,7 +329,7 @@ func selLikeVC(m likeMatcher, want bool, v []string, sel, out []int) []int {
 	default:
 		for _, i := range sel {
 			out[k] = i
-			if eval.MatchLike(v[i], m.lit) == want {
+			if types.MatchLike(v[i], m.lit) == want {
 				k++
 			}
 		}
@@ -343,7 +343,7 @@ func selLikeVV(want bool, v, pattern []string, sel, out []int) []int {
 	k := 0
 	for _, i := range sel {
 		out[k] = i
-		if eval.MatchLike(v[i], pattern[i]) == want {
+		if types.MatchLike(v[i], pattern[i]) == want {
 			k++
 		}
 	}

@@ -12,7 +12,7 @@
 package vexec
 
 import (
-	"perm/internal/exec"
+	"perm/internal/algebra"
 	"perm/internal/obs"
 	"perm/internal/spill"
 	"perm/internal/types"
@@ -25,7 +25,7 @@ import (
 type VecSetOp struct {
 	obs.Card
 	Left, Right Node
-	Kind        exec.SetOpKind
+	Kind        algebra.SetOpKind
 	All         bool
 	Spill       spill.Resources
 
@@ -39,13 +39,13 @@ type VecSetOp struct {
 }
 
 // NewVecSetOp returns a vectorized set-operation node.
-func NewVecSetOp(left, right Node, kind exec.SetOpKind, all bool) *VecSetOp {
+func NewVecSetOp(left, right Node, kind algebra.SetOpKind, all bool) *VecSetOp {
 	return &VecSetOp{Left: left, Right: right, Kind: kind, All: all}
 }
 
 // streaming reports whether the operation passes batches through without
 // materializing (UNION ALL).
-func (s *VecSetOp) streaming() bool { return s.Kind == exec.Union && s.All }
+func (s *VecSetOp) streaming() bool { return s.Kind == algebra.SetUnion && s.All }
 
 // Spilled reports whether the operator spilled partitions to disk.
 func (s *VecSetOp) Spilled() bool { return s.tab.spilled() }
@@ -79,12 +79,12 @@ func (s *VecSetOp) appendResult(int, []*vector.Vec) {}
 func (s *VecSetOp) copies(e int) int64 {
 	var count int64
 	switch s.Kind {
-	case exec.Union:
+	case algebra.SetUnion:
 		// Set semantics: distinct union.
 		if s.nL[e]+s.mR[e] > 0 {
 			count = 1
 		}
-	case exec.Intersect:
+	case algebra.SetIntersect:
 		count = s.nL[e]
 		if s.mR[e] < count {
 			count = s.mR[e]
@@ -92,7 +92,7 @@ func (s *VecSetOp) copies(e int) int64 {
 		if !s.All && count > 0 {
 			count = 1
 		}
-	case exec.Except:
+	case algebra.SetExcept:
 		if s.All {
 			count = s.nL[e] - s.mR[e]
 		} else if s.nL[e] > 0 && s.mR[e] == 0 {

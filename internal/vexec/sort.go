@@ -8,7 +8,7 @@ import (
 	"slices"
 	"sort"
 
-	"perm/internal/exec"
+	"perm/internal/algebra"
 	"perm/internal/obs"
 	"perm/internal/spill"
 	"perm/internal/types"
@@ -78,7 +78,7 @@ func gatherBatch(t *vector.Table, ids []int32, cols []*vector.Vec) []*vector.Vec
 type VecSort struct {
 	obs.Card
 	Input Node
-	Keys  []exec.SortKey
+	Keys  []algebra.SortKey
 	Spill spill.Resources
 
 	acc      vector.Table
@@ -92,7 +92,7 @@ type VecSort struct {
 }
 
 // NewVecSort returns a vectorized sort node.
-func NewVecSort(input Node, keys []exec.SortKey) *VecSort {
+func NewVecSort(input Node, keys []algebra.SortKey) *VecSort {
 	return &VecSort{Input: input, Keys: keys}
 }
 
@@ -115,7 +115,7 @@ func (s *VecSort) joinBack() *AggAttach {
 	if !ok {
 		return nil
 	}
-	order := make([]exec.SortKey, len(s.Keys))
+	order := make([]algebra.SortKey, len(s.Keys))
 	for i, k := range s.Keys {
 		pos := k.Pos
 		if cols != nil {
@@ -128,7 +128,7 @@ func (s *VecSort) joinBack() *AggAttach {
 		if pos < len(a.Prov) {
 			return nil
 		}
-		order[i] = exec.SortKey{Pos: pos - len(a.Prov), Desc: k.Desc}
+		order[i] = algebra.SortKey{Pos: pos - len(a.Prov), Desc: k.Desc}
 	}
 	a.Order = order
 	return a
@@ -288,7 +288,7 @@ func (s *VecSort) Close() error {
 type VecTopN struct {
 	obs.Card
 	Input  Node
-	Keys   []exec.SortKey
+	Keys   []algebra.SortKey
 	Count  int64 // ≥ 0
 	Offset int64
 
@@ -299,7 +299,7 @@ type VecTopN struct {
 }
 
 // NewVecTopN returns a vectorized top-N node keeping offset+count rows.
-func NewVecTopN(input Node, keys []exec.SortKey, count, offset int64) *VecTopN {
+func NewVecTopN(input Node, keys []algebra.SortKey, count, offset int64) *VecTopN {
 	return &VecTopN{Input: input, Keys: keys, Count: count, Offset: offset}
 }
 

@@ -74,7 +74,7 @@ func colExpr(t *testing.T, col int, kind types.Kind) *vexec.Expr {
 // to the in-memory sort's, stable ties included.
 func TestVecSortSpillMultiPass(t *testing.T) {
 	data := pairRows(50000, 97)
-	keys := []exec.SortKey{{Pos: 0}, {Pos: 2, Desc: true}}
+	keys := []algebra.SortKey{{Pos: 0}, {Pos: 2, Desc: true}}
 	want := drainRows(t, vexec.NewVecSort(scanOf(t, pairKinds, data), keys))
 
 	res, budget := tinyRes(t, 16<<10)
@@ -124,7 +124,7 @@ func (n *rowOnEnd) Next() (types.Row, error) {
 // runs, and its output is the in-memory sort's.
 func TestSpillMergeScheduleBound(t *testing.T) {
 	data := pairRows(200000, 97)
-	keys := []exec.SortKey{{Pos: 0}, {Pos: 2, Desc: true}}
+	keys := []algebra.SortKey{{Pos: 0}, {Pos: 2, Desc: true}}
 	dir := t.TempDir()
 
 	// The first-level runs hold every input row once. Written as one
@@ -262,11 +262,11 @@ func TestVecSetOpSpill(t *testing.T) {
 	left := pairRows(15000, 2003)
 	right := pairRows(10000, 3001)
 	for _, c := range []struct {
-		kind exec.SetOpKind
+		kind algebra.SetOpKind
 		all  bool
 	}{
-		{exec.Union, false}, {exec.Intersect, true}, {exec.Intersect, false},
-		{exec.Except, true}, {exec.Except, false},
+		{algebra.SetUnion, false}, {algebra.SetIntersect, true}, {algebra.SetIntersect, false},
+		{algebra.SetExcept, true}, {algebra.SetExcept, false},
 	} {
 		name := fmt.Sprintf("%v-all=%v", c.kind, c.all)
 		want := drainRows(t, vexec.NewVecSetOp(
@@ -333,7 +333,7 @@ func TestGroupSpillPastRepartitionDepth(t *testing.T) {
 				scanOf(t, pairKinds, pairRows(120, 5)), scanOf(t, pairKinds, build),
 				[]*vexec.Expr{colExpr(t, 1, types.KindInt)},
 				[]*vexec.Expr{colExpr(t, 1, types.KindInt)},
-				[]bool{false}, vexec.InnerJoin, pairKinds, pairKinds)
+				[]bool{false}, algebra.JoinInner, pairKinds, pairKinds)
 			j.Spill = res
 			return j
 		}},
@@ -360,7 +360,7 @@ func TestGroupSpillPastRepartitionDepth(t *testing.T) {
 func TestHashJoinGrace(t *testing.T) {
 	probe := pairRows(12000, 541)
 	build := pairRows(6000, 761) // dup keys → multiple matches per probe row
-	for _, jt := range []vexec.JoinType{vexec.InnerJoin, vexec.LeftJoin} {
+	for _, jt := range []algebra.JoinKind{algebra.JoinInner, algebra.JoinLeft} {
 		mk := func() *vexec.HashJoin {
 			return vexec.NewHashJoin(
 				scanOf(t, pairKinds, probe), scanOf(t, pairKinds, build),
@@ -400,7 +400,7 @@ func TestHashJoinGraceNullSafe(t *testing.T) {
 			scanOf(t, pairKinds, probe), scanOf(t, pairKinds, build),
 			[]*vexec.Expr{colExpr(t, 0, types.KindInt)},
 			[]*vexec.Expr{colExpr(t, 0, types.KindInt)},
-			[]bool{true}, vexec.InnerJoin, pairKinds, pairKinds)
+			[]bool{true}, algebra.JoinInner, pairKinds, pairKinds)
 	}
 	want := drainRows(t, mk())
 	res, budget := tinyRes(t, 24<<10)
@@ -416,7 +416,7 @@ func TestHashJoinGraceNullSafe(t *testing.T) {
 // in-memory one.
 func TestRowSortSpill(t *testing.T) {
 	data := pairRows(50000, 97)
-	keys := []exec.SortKey{{Pos: 0}, {Pos: 2, Desc: true}}
+	keys := []algebra.SortKey{{Pos: 0}, {Pos: 2, Desc: true}}
 	want, err := exec.Collect(exec.NewSort(exec.NewScan(data), keys))
 	if err != nil {
 		t.Fatal(err)

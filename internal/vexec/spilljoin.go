@@ -16,6 +16,7 @@
 package vexec
 
 import (
+	"perm/internal/algebra"
 	"perm/internal/spill"
 	"perm/internal/types"
 	"perm/internal/vector"
@@ -119,7 +120,7 @@ func (g *graceJoin) runProbe() (err error) {
 		for idx, i := range lanes {
 			seq := g.seqCtr
 			g.seqCtr++
-			if j.Type == InnerJoin && hasNullKey(j.NullSafe, keys, i) {
+			if j.Type == algebra.JoinInner && hasNullKey(j.NullSafe, keys, i) {
 				continue // matches nothing, emits nothing
 			}
 			lane := i
@@ -235,7 +236,7 @@ func (g *graceJoin) processPartition(it partitionItem) (*spill.Run, []*partition
 					}
 				}
 			}
-			if !matched && j.Type == LeftJoin {
+			if !matched && j.Type == algebra.JoinLeft {
 				if err := pair(probeData, i, nil, -1, seqs[i]); err != nil {
 					return nil, nil, err
 				}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"testing"
 
-	"perm/internal/exec"
+	"perm/internal/algebra"
 	"perm/internal/mem"
 	"perm/internal/spill"
 	"perm/internal/types"
@@ -61,7 +61,7 @@ func TestSortHoldsWhatItReserved(t *testing.T) {
 	const chunkBytes = vector.TableChunk * (8 + 8 + 16 + 1 + 4*1.0/8)
 
 	budget := mem.NewGovernor(0).Session(1 << 20) // a fraction of the input: the sort spills
-	sort := NewVecSort(nil, []exec.SortKey{{Pos: 0}})
+	sort := NewVecSort(nil, []algebra.SortKey{{Pos: 0}})
 	sort.Spill = spill.Resources{Res: budget.Reserve("sort"), Dir: t.TempDir()}
 	var worst, peakHeld int64
 	sort.Input = &watchInput{Node: NewColScan(cols, rows), check: func() {

@@ -8,7 +8,9 @@
 // elimination and bag/set operations. The planner lowers a plan subtree
 // to these operators when every operator and expression in it is
 // supported, and bridges back to the row-at-a-time engine (package exec)
-// through RowSource wherever it is not.
+// through RowSource wherever it is not. This package does not depend on
+// the row engine: the vocabulary both share (join, set-operation and
+// aggregate kinds, sort keys, the expression binder) lives in algebra.
 //
 // Batch-buffer discipline: an operator must abandon all references to a
 // batch obtained from its child before calling the child's Next again;
@@ -20,7 +22,6 @@ package vexec
 
 import (
 	"perm/internal/algebra"
-	"perm/internal/exec"
 	"perm/internal/obs"
 	"perm/internal/spill"
 	"perm/internal/types"
@@ -330,16 +331,6 @@ func (p *Project) Close() error {
 // ---------------------------------------------------------------------------
 // Hash join
 
-// JoinType enumerates the join types the vectorized hash join supports.
-// Right and full outer joins stay on the row engine.
-type JoinType uint8
-
-// Vectorized join types.
-const (
-	InnerJoin JoinType = iota
-	LeftJoin
-)
-
 // HashJoin is a vectorized equi-join; the right input is the build side.
 // NullSafe marks keys compared with IS NOT DISTINCT FROM semantics.
 // Residual conditions are handled by the planner as a Filter above an
@@ -355,7 +346,7 @@ type HashJoin struct {
 	LeftKeys    []*Expr
 	RightKeys   []*Expr
 	NullSafe    []bool
-	Type        JoinType
+	Type        algebra.JoinKind // JoinInner or JoinLeft: right and full joins run on the row engine
 	LeftKinds   []types.Kind
 	RightKinds  []types.Kind
 	Publish     []*RuntimeFilter
@@ -388,7 +379,7 @@ type HashJoin struct {
 
 // NewHashJoin returns a vectorized hash join node.
 func NewHashJoin(left, right Node, leftKeys, rightKeys []*Expr, nullSafe []bool,
-	jt JoinType, leftKinds, rightKinds []types.Kind) *HashJoin {
+	jt algebra.JoinKind, leftKinds, rightKinds []types.Kind) *HashJoin {
 	return &HashJoin{
 		Left: left, Right: right,
 		LeftKeys: leftKeys, RightKeys: rightKeys, NullSafe: nullSafe,
@@ -634,7 +625,7 @@ func (j *HashJoin) Next() (*vector.Batch, error) {
 		hs := j.hasher.rows(keys, lanes)
 		skipped := 0 // index into all of the next lane not yet accounted for
 		for idx, i := range lanes {
-			if j.Type == LeftJoin {
+			if j.Type == algebra.JoinLeft {
 				for ; all[skipped] != i; skipped++ {
 					j.outL = append(j.outL, int32(all[skipped]))
 					j.outR = append(j.outR, -1)
@@ -649,12 +640,12 @@ func (j *HashJoin) Next() (*vector.Batch, error) {
 					matched = true
 				}
 			}
-			if !matched && j.Type == LeftJoin {
+			if !matched && j.Type == algebra.JoinLeft {
 				j.outL = append(j.outL, int32(i))
 				j.outR = append(j.outR, -1)
 			}
 		}
-		if j.Type == LeftJoin {
+		if j.Type == algebra.JoinLeft {
 			for _, i := range all[skipped:] {
 				j.outL = append(j.outL, int32(i))
 				j.outR = append(j.outR, -1)
@@ -986,7 +977,6 @@ func (h *HashAgg) Close() error {
 // expressions) and the top-level result sink consume vectorized subtrees
 // through it.
 type RowSource struct {
-	obs.Card
 	Input Node
 	batch *vector.Batch
 	idx   int
@@ -1030,7 +1020,7 @@ func (r *RowSource) Close() error { return r.Input.Close() }
 
 // sortKeyClasses precomputes the comparison class of each sort key from
 // the first batch's column kinds.
-func sortKeyClasses(keys []exec.SortKey, cols []*vector.Vec) []cmpClass {
+func sortKeyClasses(keys []algebra.SortKey, cols []*vector.Vec) []cmpClass {
 	classes := make([]cmpClass, len(keys))
 	for i, k := range keys {
 		classes[i] = classify(cols[k.Pos].Kind, cols[k.Pos].Kind)
@@ -1041,7 +1031,7 @@ func sortKeyClasses(keys []exec.SortKey, cols []*vector.Vec) []cmpClass {
 // compareSortRows orders row li of columns l against row ri of columns r
 // under the sort keys: negative when the left row sorts first, 0 on a
 // tie over every key.
-func compareSortRows(l []*vector.Vec, li int, r []*vector.Vec, ri int, keys []exec.SortKey, classes []cmpClass) int {
+func compareSortRows(l []*vector.Vec, li int, r []*vector.Vec, ri int, keys []algebra.SortKey, classes []cmpClass) int {
 	for k, key := range keys {
 		c := compareSortLanes(classes[k], l[key.Pos], li, r[key.Pos], ri)
 		if c == 0 {
@@ -1056,7 +1046,7 @@ func compareSortRows(l []*vector.Vec, li int, r []*vector.Vec, ri int, keys []ex
 }
 
 // compareTableRows is compareSortRows over two rows of one table.
-func compareTableRows(t *vector.Table, i, j int, keys []exec.SortKey, classes []cmpClass) int {
+func compareTableRows(t *vector.Table, i, j int, keys []algebra.SortKey, classes []cmpClass) int {
 	l, li := t.At(i)
 	r, ri := t.At(j)
 	return compareSortRows(l, li, r, ri, keys, classes)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"perm/internal/algebra"
-	"perm/internal/eval"
 	"perm/internal/exec"
 	"perm/internal/types"
 	"perm/internal/vector"
@@ -16,7 +15,7 @@ import (
 type posBinder struct{}
 
 func (posBinder) BindVar(v *algebra.Var) (int, error) { return v.Col, nil }
-func (posBinder) BindSubLink(*algebra.SubLink) (eval.SubLinkValue, error) {
+func (posBinder) BindSubLink(*algebra.SubLink) (algebra.SubLinkValue, error) {
 	return nil, fmt.Errorf("no sublinks in vexec tests")
 }
 
@@ -63,11 +62,11 @@ func firstInts(rows []types.Row) []string {
 func TestVecSortNullsAndDirections(t *testing.T) {
 	kinds := []types.Kind{types.KindInt}
 	data := intRows(3, nil, 1, 2, nil, 1)
-	asc := drainRows(t, vexec.NewVecSort(scanOf(t, kinds, data), []exec.SortKey{{Pos: 0}}))
+	asc := drainRows(t, vexec.NewVecSort(scanOf(t, kinds, data), []algebra.SortKey{{Pos: 0}}))
 	if got, want := fmt.Sprint(firstInts(asc)), "[1 1 2 3 NULL NULL]"; got != want {
 		t.Errorf("asc = %s, want %s (NULLS LAST ascending)", got, want)
 	}
-	desc := drainRows(t, vexec.NewVecSort(scanOf(t, kinds, data), []exec.SortKey{{Pos: 0, Desc: true}}))
+	desc := drainRows(t, vexec.NewVecSort(scanOf(t, kinds, data), []algebra.SortKey{{Pos: 0, Desc: true}}))
 	if got, want := fmt.Sprint(firstInts(desc)), "[NULL NULL 3 2 1 1]"; got != want {
 		t.Errorf("desc = %s, want %s (NULLS FIRST descending)", got, want)
 	}
@@ -79,7 +78,7 @@ func TestVecSortStability(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		rows = append(rows, types.Row{types.NewInt(int64(i % 3)), types.NewInt(int64(i))})
 	}
-	sorted := drainRows(t, vexec.NewVecSort(scanOf(t, kinds, rows), []exec.SortKey{{Pos: 0}}))
+	sorted := drainRows(t, vexec.NewVecSort(scanOf(t, kinds, rows), []algebra.SortKey{{Pos: 0}}))
 	last := int64(-1)
 	for _, r := range sorted {
 		if r[0].I == 0 { // within one key group, input order must persist
@@ -97,7 +96,7 @@ func TestVecTopNMatchesSortLimit(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		rows = append(rows, types.Row{types.NewInt(int64((i * 37) % 101)), types.NewInt(int64(i))})
 	}
-	keys := []exec.SortKey{{Pos: 0}, {Pos: 1, Desc: true}}
+	keys := []algebra.SortKey{{Pos: 0}, {Pos: 1, Desc: true}}
 	for _, lim := range []struct{ count, offset int64 }{{10, 0}, {5, 7}, {0, 0}, {5000, 0}} {
 		full := drainRows(t, vexec.NewVecSort(scanOf(t, kinds, rows), keys))
 		lo := lim.offset
@@ -128,7 +127,7 @@ func TestVecTopNDescendingInput(t *testing.T) {
 	for i := 0; i < n; i++ {
 		rows = append(rows, types.Row{types.NewInt(int64(n - i))})
 	}
-	got := drainRows(t, vexec.NewVecTopN(scanOf(t, kinds, rows), []exec.SortKey{{Pos: 0}}, 5, 2))
+	got := drainRows(t, vexec.NewVecTopN(scanOf(t, kinds, rows), []algebra.SortKey{{Pos: 0}}, 5, 2))
 	if fmt.Sprint(firstInts(got)) != "[3 4 5 6 7]" {
 		t.Fatalf("topn over descending input = %v", firstInts(got))
 	}
@@ -163,16 +162,16 @@ func TestVecSetOpMultisetSemantics(t *testing.T) {
 	left := intRows(1, 1, 2, nil, nil)
 	right := intRows(1, 3, nil)
 	cases := []struct {
-		kind exec.SetOpKind
+		kind algebra.SetOpKind
 		all  bool
 		want string
 	}{
-		{exec.Union, true, "[1 1 2 NULL NULL 1 3 NULL]"},
-		{exec.Union, false, "[1 2 NULL 3]"},
-		{exec.Intersect, true, "[1 NULL]"},
-		{exec.Intersect, false, "[1 NULL]"},
-		{exec.Except, true, "[1 2 NULL]"},
-		{exec.Except, false, "[2]"},
+		{algebra.SetUnion, true, "[1 1 2 NULL NULL 1 3 NULL]"},
+		{algebra.SetUnion, false, "[1 2 NULL 3]"},
+		{algebra.SetIntersect, true, "[1 NULL]"},
+		{algebra.SetIntersect, false, "[1 NULL]"},
+		{algebra.SetExcept, true, "[1 2 NULL]"},
+		{algebra.SetExcept, false, "[2]"},
 	}
 	for _, c := range cases {
 		got := drainRows(t, vexec.NewVecSetOp(scanOf(t, kinds, left), scanOf(t, kinds, right), c.kind, c.all))
@@ -210,13 +209,13 @@ func TestNLJoinInnerAndLeftWithCondition(t *testing.T) {
 	rightRows := intRows(2, 4)
 	inner := drainRows(t, vexec.NewNLJoin(
 		scanOf(t, kinds, leftRows), scanOf(t, kinds, rightRows),
-		cond, vexec.InnerJoin, kinds, kinds))
+		cond, algebra.JoinInner, kinds, kinds))
 	if len(inner) != 2 { // 1<2, 1<4
 		t.Fatalf("inner rows = %v", inner)
 	}
 	outer := drainRows(t, vexec.NewNLJoin(
 		scanOf(t, kinds, leftRows), scanOf(t, kinds, rightRows),
-		cond, vexec.LeftJoin, kinds, kinds))
+		cond, algebra.JoinLeft, kinds, kinds))
 	if len(outer) != 4 { // (1,2),(1,4), 5 null-extended, NULL null-extended
 		t.Fatalf("left-join rows = %v", outer)
 	}
@@ -236,7 +235,7 @@ func TestNLJoinInnerAndLeftWithCondition(t *testing.T) {
 	}
 	cross := drainRows(t, vexec.NewNLJoin(
 		scanOf(t, kinds, big), scanOf(t, kinds, intRows(7, 8, 9)),
-		nil, vexec.InnerJoin, kinds, kinds))
+		nil, algebra.JoinInner, kinds, kinds))
 	if len(cross) != 7500 {
 		t.Fatalf("cross join rows = %d, want 7500", len(cross))
 	}
@@ -316,7 +315,7 @@ func TestHashJoinPublishesAfterBuild(t *testing.T) {
 
 	lk := []*vexec.Expr{compileVar(t, 0, types.KindInt)}
 	rk := []*vexec.Expr{compileVar(t, 0, types.KindInt)}
-	j := vexec.NewHashJoin(probe, buildScan, lk, rk, []bool{false}, vexec.InnerJoin, kinds, kinds)
+	j := vexec.NewHashJoin(probe, buildScan, lk, rk, []bool{false}, algebra.JoinInner, kinds, kinds)
 	rf := vexec.NewRuntimeFilter(false)
 	probe.AddRuntimeFilter(rf, 0)
 	j.Publish = []*vexec.RuntimeFilter{rf}

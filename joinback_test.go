@@ -181,13 +181,15 @@ func TestJoinBackShared(t *testing.T) {
 			t.Fatal(err)
 		}
 		held := !strings.Contains(report, "materialized=0")
-		if strings.Contains(report, "by_group") != (ordered && held && n != 1) || n == 1 && !held {
+		if !fault.Enabled() && (strings.Contains(report, "by_group") != (ordered && held && n != 1) || n == 1 && !held) {
 			t.Errorf("Q%d q+ at 48 KiB, store held = %v:\n%s", n, held, report)
 		}
 	}
 	// Fig. 10 Q1's q+ at SF 0.02 under tpch_spill's 4 MiB: its store of row
 	// ids is held, so the input is read once and the sort passes the rows
-	// through, serial and with the ids crossing an exchange.
+	// through, serial and with the ids crossing an exchange. Injected
+	// denials (PERM_FAULT) may deny the store, here and at 48 KiB above;
+	// then only the output is checked.
 	big := perm.NewDatabaseWithOptions(perm.Options{Parallelism: -1, MemoryLimit: 4 << 20, SpillDir: t.TempDir()})
 	tpch.MustLoad(big, 0.02, 42)
 	q1 := tpch.MustQGen(1, tpch.NewRand(7)).Provenance().Text
@@ -207,8 +209,8 @@ func TestJoinBackShared(t *testing.T) {
 				fmt.Sscanf(line[i:], "materialized=%d mem=%dB", &stored, &bytes)
 			}
 		}
-		if stored != len(want.Rows) || bytes > 2<<20 || !strings.Contains(report, "by_group") ||
-			strings.Contains(report, "spills=") || strings.Contains(report, "Exchange") != (workers > 1) {
+		if !fault.Enabled() && (stored != len(want.Rows) || bytes > 2<<20 || !strings.Contains(report, "by_group") ||
+			strings.Contains(report, "spills=") || strings.Contains(report, "Exchange") != (workers > 1)) {
 			t.Errorf("Q1 q+ at 4 MiB, workers=%d: %d of %d rows stored in %d bytes:\n%s", workers, stored, len(want.Rows), bytes, report)
 		}
 	}

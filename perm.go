@@ -89,7 +89,10 @@ type Options struct {
 	// execution engine; every plan then runs on the row-at-a-time volcano
 	// operators. Vectorization is semantics-preserving — plan subtrees it
 	// cannot handle fall back to the row engine automatically — so the
-	// switch exists as an escape hatch and for A/B measurement.
+	// switch exists as an escape hatch and for A/B measurement. The row
+	// engine is also the reference engine: the agreement tests and the
+	// benchmark's reference runs compare the batch engine against a
+	// handle with this set.
 	DisableVectorized bool
 
 	// DisableQueryCache turns off the shared compiled-query cache; every
@@ -1040,7 +1043,7 @@ func (b *deleteBinder) BindVar(v *algebra.Var) (int, error) {
 	return v.Col, nil
 }
 
-func (b *deleteBinder) BindSubLink(s *algebra.SubLink) (eval.SubLinkValue, error) {
+func (b *deleteBinder) BindSubLink(s *algebra.SubLink) (algebra.SubLinkValue, error) {
 	return plan.NewSubLinkValue(b.db.planner(), s)
 }
 
