@@ -64,7 +64,7 @@ func main() {
 		defer client.Close() //nolint:errcheck
 		forwardSettings(client)
 		run = func(text string) (*perm.Result, int, string, error) {
-			res, n, err := client.Exec(strings.TrimSuffix(strings.TrimSpace(text), ";"))
+			res, n, err := client.Exec(text)
 			return res, n, "OK", err
 		}
 	} else {

@@ -1,7 +1,7 @@
 // Command permd serves a Perm database over TCP, speaking the
 // length-prefixed wire protocol of perm/internal/wire (JSON requests,
-// binary responses; ops QUERY / EXEC / PREPARE / EXECUTE / EXPLAIN /
-// EXPLAIN_ANALYZE / SET / PING). Every connection gets its own session
+// binary responses; EXEC carries a statement of the service dialect,
+// PING and CANCEL are out of band). Every connection gets its own session
 // (options, prepared statements); all sessions share the catalog, the
 // data and the compiled-query cache. A worker pool bounds how many
 // statements execute concurrently; SIGINT/SIGTERM trigger a graceful

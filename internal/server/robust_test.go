@@ -393,3 +393,76 @@ func TestConnDropClientRetry(t *testing.T) {
 		t.Fatal("dropped connection with retries disabled returned no error")
 	}
 }
+
+// TestConnDropRetriesByStatement: whether a request whose response was
+// lost is re-sent depends on what its statement does, not on the client
+// method that sent it. A write sent through Query runs once and surfaces
+// the network error; a read sent through Exec is retried like a Query.
+func TestConnDropRetriesByStatement(t *testing.T) {
+	leakCheck(t)
+	db := paperDB(t)
+	db.MustExec(`CREATE TABLE zz (x int)`)
+	addr := startServer(t, db, 2)
+	// dropOnce sends one request through a fresh retrying client while
+	// the server drops the connection under its first response.
+	dropOnce := func(send func(c *permclient.Client) error) error {
+		t.Helper()
+		c, err := permclient.DialConfig(addr, permclient.Config{MaxRetries: 2, RetryBase: 10 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close() //nolint:errcheck
+		restore := fault.Set(mustInjector(t, "conn.drop:1"))
+		defer restore()
+		return send(c)
+	}
+	rows := func(table string) int {
+		t.Helper()
+		n, err := db.TableRowCount(table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+
+	err := dropOnce(func(c *permclient.Client) error {
+		_, err := c.Query(`INSERT INTO zz VALUES (1)`)
+		return err
+	})
+	if err == nil {
+		t.Fatal("INSERT across a dropped connection reported success")
+	}
+	if n := rows("zz"); n != 1 {
+		t.Fatalf("INSERT through Query across a dropped connection left %d rows, want 1", n)
+	}
+
+	err = dropOnce(func(c *permclient.Client) error {
+		_, err := c.Query(`SELECT name INTO zz_copy FROM shop`)
+		return err
+	})
+	var se *permclient.Error
+	if err == nil || errors.As(err, &se) {
+		t.Fatalf("SELECT INTO across a dropped connection: %v, want the network error", err)
+	}
+	if n := rows("zz_copy"); n != 2 {
+		t.Fatalf("SELECT INTO made a table of %d rows, want 2", n)
+	}
+
+	const query = `SELECT name, numempl FROM shop ORDER BY name`
+	want := db.MustQuery(query)
+	retriesBefore := obs.ClientRetries.Load()
+	var got *perm.Result
+	err = dropOnce(func(c *permclient.Client) (err error) {
+		got, _, err = c.Exec(query)
+		return err
+	})
+	if err != nil {
+		t.Fatalf("read through Exec across a dropped connection: %v", err)
+	}
+	if got == nil || got.String() != want.String() {
+		t.Fatalf("retried Exec diverges:\nremote:\n%s\nlocal:\n%s", got, want)
+	}
+	if obs.ClientRetries.Load() <= retriesBefore {
+		t.Fatal("Exec of a read was not retried")
+	}
+}

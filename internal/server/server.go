@@ -421,7 +421,8 @@ func (s *Server) safeDispatch(sess *session.Session, req *wire.Request) (resp *w
 	return s.dispatch(sess, req)
 }
 
-// dispatch executes one request against the connection's session.
+// dispatch executes one request against the connection's session: a
+// statement goes to the session, which routes it as its text says.
 func (s *Server) dispatch(sess *session.Session, req *wire.Request) *wire.Response {
 	switch req.Op {
 	case wire.OpPing:
@@ -433,60 +434,18 @@ func (s *Server) dispatch(sess *session.Session, req *wire.Request) *wire.Respon
 			return wire.ErrorResponse(err)
 		}
 		return &wire.Response{OK: true}
-	case wire.OpQuery:
-		res, err := sess.Query(req.SQL)
-		if err != nil {
-			return wire.ErrorResponse(err)
-		}
-		return resultResponse(res)
 	case wire.OpExec:
 		out, err := sess.Run(req.SQL)
 		if err != nil {
 			return wire.ErrorResponse(err)
 		}
-		if out.Result != nil {
-			return resultResponse(out.Result)
+		if out.Result == nil {
+			return &wire.Response{OK: true, Affected: out.Affected}
 		}
-		return &wire.Response{OK: true, Affected: out.Affected}
-	case wire.OpPrepare:
-		if err := sess.Prepare(req.Name, req.SQL); err != nil {
-			return wire.ErrorResponse(err)
-		}
-		return &wire.Response{OK: true}
-	case wire.OpExecute:
-		res, err := sess.Execute(req.Name)
-		if err != nil {
-			return wire.ErrorResponse(err)
-		}
-		return resultResponse(res)
-	case wire.OpExplain:
-		plan, err := sess.Explain(req.SQL)
-		if err != nil {
-			return wire.ErrorResponse(err)
-		}
-		return &wire.Response{OK: true, Plan: plan}
-	case wire.OpExplainAnalyze:
-		plan, err := sess.ExplainAnalyze(req.SQL)
-		if err != nil {
-			return wire.ErrorResponse(err)
-		}
-		return &wire.Response{OK: true, Plan: plan}
-	case wire.OpSet:
-		if err := sess.SetOption(req.Name, req.SQL); err != nil {
-			return wire.ErrorResponse(err)
-		}
-		return &wire.Response{OK: true}
+		res := out.Result
+		return &wire.Response{OK: true, Columns: res.Columns, Prov: res.ProvColumns, Rows: res.RawRows()}
 	default:
 		return wire.ErrorResponse(fmt.Errorf("unknown op %q", req.Op))
-	}
-}
-
-func resultResponse(res *perm.Result) *wire.Response {
-	return &wire.Response{
-		OK:      true,
-		Columns: res.Columns,
-		Prov:    res.ProvColumns,
-		Rows:    res.RawRows(),
 	}
 }
 
@@ -502,7 +461,7 @@ type queryPrecondition struct {
 func (s *Server) precondition(sess *session.Session, req *wire.Request) queryPrecondition {
 	db := sess.DB()
 	return queryPrecondition{
-		cacheHit: req.SQL != "" && db.QueryCached(req.SQL),
+		cacheHit: req.SQL != "" && sess.Cached(req.SQL),
 		stats:    db.SessionQueryStats(),
 		lastID:   db.LastQueryInfo().ID,
 	}

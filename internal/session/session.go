@@ -70,17 +70,6 @@ func (s *Session) Exec(text string) (int, error) {
 	return s.DB().Exec(text)
 }
 
-// Explain returns the physical plan of a query as text.
-func (s *Session) Explain(text string) (string, error) {
-	return s.DB().ExplainSQL(text)
-}
-
-// ExplainAnalyze executes a query under instrumentation and returns the
-// plan annotated with per-operator runtime statistics.
-func (s *Session) ExplainAnalyze(text string) (string, error) {
-	return s.DB().ExplainAnalyzeSQL(text)
-}
-
 // Prepare compiles a SELECT under the given name. Re-preparing an
 // existing name replaces it (the old statement is deallocated), matching
 // the server protocol's idempotent PREPARE.
@@ -204,7 +193,7 @@ type Outcome struct {
 // Exec. The statement's first token decides, so leading comments are
 // skipped; a trailing semicolon is tolerated.
 func (s *Session) Run(text string) (*Outcome, error) {
-	stmt := strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(text), ";"))
+	stmt := statement(text)
 	if stmt == "" {
 		return &Outcome{Tag: "OK"}, nil
 	}
@@ -273,6 +262,18 @@ func (s *Session) Run(text string) (*Outcome, error) {
 		}
 		return &Outcome{Affected: n, Tag: "OK"}, nil
 	}
+}
+
+// Cached reports whether Run would find text's compiled tree in the
+// query cache (perm.Database.QueryCached of the text Run compiles).
+func (s *Session) Cached(text string) bool {
+	return s.DB().QueryCached(statement(text))
+}
+
+// statement is the text Run routes and compiles: text without the
+// surrounding space and a trailing semicolon.
+func statement(text string) string {
+	return strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(text), ";"))
 }
 
 // splitWord splits off the first whitespace-delimited word.

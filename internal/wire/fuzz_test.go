@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"perm/internal/types"
 )
 
 // frameOf prefixes body with its length, as a peer that frames honestly
@@ -33,7 +35,7 @@ func allocated(f func()) uint64 {
 func allocBound(n int) uint64 { return uint64(100*n) + 256<<10 }
 
 // rowBomb is a 20-byte body that claims 2^31 rows of one column.
-var rowBomb = append([]byte("\x01\x00\x00\x00\x00\x01\x01c\x01\x00\x80\x80\x80\x80\x08"), 3, 3, 3, 3, 3)
+var rowBomb = append([]byte("\x01\x00\x00\x00\x01\x01c\x01\x00\x80\x80\x80\x80\x08"), 3, 3, 3, 3, 3, 3)
 
 // TestRowCountBeyondBytesRejected: the row count is the sender's claim
 // and is checked against the bytes present before the slab is made.
@@ -63,7 +65,7 @@ func FuzzReadResponse(f *testing.F) {
 	for _, r := range []*Response{
 		{OK: true},
 		{OK: true, Affected: 1 << 40},
-		{OK: true, Plan: "Scan shop\n"},
+		{OK: true, Columns: []string{"plan"}, Prov: []bool{false}, Rows: [][]types.Value{{types.NewString("Scan shop")}}},
 		{Err: "boom", Code: CodeInternal},
 		{OK: true, Columns: []string{"name"}, Prov: []bool{true}},
 	} {

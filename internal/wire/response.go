@@ -25,7 +25,7 @@ func appendString(b []byte, s string) []byte {
 // frame buffer once. It rejects rows that do not match Columns, which the
 // layout cannot express.
 func (r *Response) bodySize() (int, error) {
-	n := 1 + stringSize(r.Err) + stringSize(r.Code) + uvarintLen(uint64(r.Affected)) + stringSize(r.Plan) +
+	n := 1 + stringSize(r.Err) + stringSize(r.Code) + uvarintLen(uint64(r.Affected)) +
 		uvarintLen(uint64(len(r.Columns))) + uvarintLen(uint64(len(r.Prov))) + len(r.Prov) +
 		uvarintLen(uint64(len(r.Rows)))
 	for _, c := range r.Columns {
@@ -57,7 +57,6 @@ func (r *Response) appendBody(b []byte) []byte {
 	b = appendString(b, r.Err)
 	b = appendString(b, r.Code)
 	b = binary.AppendUvarint(b, uint64(r.Affected))
-	b = appendString(b, r.Plan)
 	b = binary.AppendUvarint(b, uint64(len(r.Columns)))
 	for _, c := range r.Columns {
 		b = appendString(b, c)
@@ -249,7 +248,6 @@ func decodeResponse(body []byte) (*Response, error) {
 	resp := &Response{OK: d.flag()}
 	resp.Err, resp.Code = d.str(), d.str()
 	resp.Affected = int(d.uvarint())
-	resp.Plan = d.str()
 	if n := d.count(); n > 0 {
 		resp.Columns = make([]string, n)
 		for i := range resp.Columns {

@@ -7,15 +7,17 @@
 //
 // The client sends a Request and reads exactly one Response; requests on
 // one connection are processed in order (pipelining is permitted, the
-// server answers in receive order). A Request body is a small JSON object
-// (three short strings). A Response body is binary, all integers
-// big-endian, "string" meaning a uvarint byte length followed by the bytes:
+// server answers in receive order). A request is a statement: EXEC
+// carries its text, and the server's session routes it as the statement
+// itself says (a query, EXPLAIN, PREPARE, SET, DML, ...). Only PING and
+// CANCEL are no statements. A Request body is a small JSON object (three
+// short strings). A Response body is binary, all integers big-endian,
+// "string" meaning a uvarint byte length followed by the bytes:
 //
 //	byte     flags: bit 0 = OK, every other bit zero
 //	string   Err
 //	string   Code
 //	uvarint  Affected
-//	string   Plan
 //	uvarint  column count, then one string per column name
 //	uvarint  provenance-flag count, then one byte (0 or 1) per flag
 //	uvarint  row count
@@ -69,17 +71,10 @@ const readAhead = 1 << 20
 
 // Request operations.
 const (
-	OpQuery   = "QUERY"   // run SQL, return rows (SELECT / EXPLAIN)
-	OpExec    = "EXEC"    // run DDL/DML (semicolon-separated allowed), return affected count
-	OpPrepare = "PREPARE" // compile SQL under Name
-	OpExecute = "EXECUTE" // run the statement prepared under Name
-	OpExplain = "EXPLAIN" // return the physical plan of SQL as text
-	OpSet     = "SET"     // set the session option Name to SQL (option value)
-	OpPing    = "PING"    // liveness check
-
-	// OpExplainAnalyze executes SQL under instrumentation and returns the
-	// plan annotated with per-operator runtime statistics as text.
-	OpExplainAnalyze = "EXPLAIN_ANALYZE"
+	// OpExec runs SQL, one statement or script of the service dialect
+	// (session.Run), and answers with its rows or its affected count.
+	OpExec = "EXEC"
+	OpPing = "PING" // liveness check
 
 	// OpCancel requests cooperative cancellation of the in-flight query
 	// whose engine query ID (as shown in perm_stat_activity) is in Name.
@@ -91,8 +86,8 @@ const (
 // Request is one client command.
 type Request struct {
 	Op   string `json:"op"`
-	SQL  string `json:"sql,omitempty"`  // statement text (QUERY/EXEC/PREPARE/EXPLAIN), option value (SET)
-	Name string `json:"name,omitempty"` // prepared-statement name (PREPARE/EXECUTE), option name (SET)
+	SQL  string `json:"sql,omitempty"`  // statement text (EXEC)
+	Name string `json:"name,omitempty"` // query ID (CANCEL)
 }
 
 // Error codes carried by Response.Code on failure frames. The engine
@@ -132,13 +127,13 @@ type Response struct {
 	Err  string // set when !OK
 	Code string // machine-readable error class, see Code* consts
 
-	// Result payload (QUERY/EXECUTE; Plan for EXPLAIN). Every row has
-	// len(Columns) values.
+	// Result payload: the rows of a statement that returns them (Columns
+	// non-nil, also with zero rows), else the rows it affected. Every row
+	// has len(Columns) values.
 	Columns  []string
 	Prov     []bool
 	Rows     [][]types.Value
 	Affected int
-	Plan     string
 }
 
 // Encode returns v, a *Request or a *Response, as one complete

@@ -16,13 +16,14 @@ import (
 
 func TestRequestRoundTrip(t *testing.T) {
 	reqs := []*Request{
-		{Op: OpQuery, SQL: "SELECT PROVENANCE name FROM shop"},
+		{Op: OpExec, SQL: "SELECT PROVENANCE name FROM shop"},
 		{Op: OpExec, SQL: "INSERT INTO shop VALUES ('Aldi', 9)"},
-		{Op: OpPrepare, Name: "q1", SQL: "SELECT 1"},
-		{Op: OpExecute, Name: "q1"},
-		{Op: OpExplain, SQL: "SELECT 1"},
-		{Op: OpSet, Name: "disable_vectorized", SQL: "on"},
+		{Op: OpExec, SQL: "PREPARE q1 AS SELECT 1"},
+		{Op: OpExec, SQL: "EXECUTE q1"},
+		{Op: OpExec, SQL: "EXPLAIN SELECT 1"},
+		{Op: OpExec, SQL: "SET disable_vectorized = on"},
 		{Op: OpPing},
+		{Op: OpCancel, Name: "q1"},
 	}
 	var buf bytes.Buffer
 	for _, r := range reqs {
@@ -79,12 +80,12 @@ func TestResponseRoundTripTypedValues(t *testing.T) {
 // changes are deliberate, not accidental.
 func TestGoldenFrame(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, &Request{Op: OpQuery, SQL: "SELECT 1"}); err != nil {
+	if err := WriteFrame(&buf, &Request{Op: OpExec, SQL: "SELECT 1"}); err != nil {
 		t.Fatal(err)
 	}
 	// Requests are JSON; field order follows struct order, so the frame is
 	// deterministic.
-	golden := "\x00\x00\x00\x1f" + `{"op":"QUERY","sql":"SELECT 1"}`
+	golden := "\x00\x00\x00\x1e" + `{"op":"EXEC","sql":"SELECT 1"}`
 	if got := buf.String(); got != golden {
 		t.Fatalf("frame = %q, want %q", got, golden)
 	}
@@ -113,8 +114,8 @@ func goldenResponse() *Response {
 
 // goldenResponseFrame is goldenResponse on the wire: the length prefix,
 // the header fields, then fourteen values of a tag byte and a payload.
-const goldenResponseFrame = "\x00\x00\x00\x5d" + // body length
-	"\x01\x00\x00\x00\x00" + // OK, no Err, no Code, Affected 0, no Plan
+const goldenResponseFrame = "\x00\x00\x00\x5c" + // body length
+	"\x01\x00\x00\x00" + // OK, no Err, no Code, Affected 0
 	"\x07\x01b\x01i\x01f\x01s\x01d\x02iv\x08prov_t_s" + // seven column names
 	"\x07\x00\x00\x00\x00\x00\x00\x01" + // seven provenance flags
 	"\x02" + // two rows
@@ -156,7 +157,7 @@ func TestResponseShapes(t *testing.T) {
 	for _, want := range []*Response{
 		{OK: true},
 		{OK: true, Affected: 3},
-		{OK: true, Plan: "Scan shop\n"},
+		{OK: true, Columns: []string{"plan"}, Prov: []bool{false}, Rows: [][]types.Value{{types.NewString("Scan shop")}}},
 		{OK: true, Columns: []string{"name"}, Prov: []bool{false}}, // zero-row SELECT
 		{Err: "boom", Code: CodeInternal},
 		{OK: true, Columns: []string{"f"}, Rows: [][]types.Value{

@@ -21,12 +21,11 @@ import (
 // Compilation goes through the shared compiled-query cache and execution
 // through the same drain exactly like Query; only the probes differ.
 func (db *Database) QueryAnalyzed(text string) (*Result, string, error) {
-	stmt, err := sql.Parse(text)
+	sel, err := parseSelect(text, "EXPLAIN ANALYZE")
 	if err != nil {
 		return nil, "", err
 	}
-	sel, ok := stmt.(*sql.SelectStmt)
-	if !ok || sel.Into != "" {
+	if sel.Into != "" {
 		return nil, "", fmt.Errorf("EXPLAIN ANALYZE requires a plain SELECT statement")
 	}
 	qr := db.beginQuery(text)

@@ -642,14 +642,38 @@ func (db *Database) MustQuery(text string) *Result {
 // runs. A join-back it prints as a join may run over a single pass of its
 // input; that is a plan choice, which EXPLAIN shows.
 func (db *Database) RewriteSQL(text string) (string, error) {
-	stmt, err := sql.Parse(text)
+	sel, err := parseSelect(text, "REWRITE")
 	if err != nil {
 		return "", err
 	}
+	return db.rewriteText(sel)
+}
+
+// ExplainSQL returns the physical plan of a query as indented text.
+func (db *Database) ExplainSQL(text string) (string, error) {
+	sel, err := parseSelect(text, "EXPLAIN")
+	if err != nil {
+		return "", err
+	}
+	return db.planText(sel)
+}
+
+// parseSelect parses text as the single SELECT a statement form (named
+// by what, for the error) requires.
+func parseSelect(text, what string) (*sql.SelectStmt, error) {
+	stmt, err := sql.Parse(text)
+	if err != nil {
+		return nil, err
+	}
 	sel, ok := stmt.(*sql.SelectStmt)
 	if !ok {
-		return "", fmt.Errorf("REWRITE requires a SELECT statement")
+		return nil, fmt.Errorf("%s requires a SELECT statement", what)
 	}
+	return sel, nil
+}
+
+// rewriteText is EXPLAIN REWRITE's text: the compiled tree as SQL.
+func (db *Database) rewriteText(sel *sql.SelectStmt) (string, error) {
 	q, err := db.compile(sel, nil)
 	if err != nil {
 		return "", err
@@ -657,16 +681,8 @@ func (db *Database) RewriteSQL(text string) (string, error) {
 	return deparse.Query(q), nil
 }
 
-// ExplainSQL returns the physical plan of a query as indented text.
-func (db *Database) ExplainSQL(text string) (string, error) {
-	stmt, err := sql.Parse(text)
-	if err != nil {
-		return "", err
-	}
-	sel, ok := stmt.(*sql.SelectStmt)
-	if !ok {
-		return "", fmt.Errorf("EXPLAIN requires a SELECT statement")
-	}
+// planText is EXPLAIN's text: the physical plan of the compiled tree.
+func (db *Database) planText(sel *sql.SelectStmt) (string, error) {
 	q, err := db.compile(sel, nil)
 	if err != nil {
 		return "", err
@@ -775,30 +791,19 @@ func (db *Database) run(stmt sql.Statement, qr *queryRun) (int, *Result, error) 
 		return n, nil, err
 	case *sql.ExplainStmt:
 		var out string
-		if s.Rewrite {
-			q, rerr := db.compile(s.Query, nil)
-			if rerr != nil {
-				return 0, nil, rerr
-			}
-			out = deparse.Query(q)
-		} else if s.Analyze {
+		var err error
+		switch {
+		case s.Rewrite:
+			out, err = db.rewriteText(s.Query)
+		case s.Analyze:
 			// The SELECT's own text hits (and fills) the same cache slot
 			// and fingerprint the bare SELECT would.
-			_, report, aerr := db.analyzeSelect(s.Query, s.Source, qr)
-			if aerr != nil {
-				return 0, nil, aerr
-			}
-			out = report
-		} else {
-			q, rerr := db.compile(s.Query, nil)
-			if rerr != nil {
-				return 0, nil, rerr
-			}
-			node, perr := db.planner().Plan(q)
-			if perr != nil {
-				return 0, nil, perr
-			}
-			out = plan.Explain(node)
+			_, out, err = db.analyzeSelect(s.Query, s.Source, qr)
+		default:
+			out, err = db.planText(s.Query)
+		}
+		if err != nil {
+			return 0, nil, err
 		}
 		res := &Result{Columns: []string{"plan"}, ProvColumns: []bool{false}}
 		for _, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {

@@ -1,7 +1,9 @@
 // Package permclient is a tiny Go client for the permd query service.
 // It speaks the length-prefixed wire protocol (perm/internal/wire) over
 // TCP and returns results as *perm.Result, rendering byte-identically to
-// an embedded perm.Database.
+// an embedded perm.Database. Every statement method writes its statement
+// in the service dialect (PREPARE n AS ..., EXECUTE n, EXPLAIN ..., SET
+// o = v) and sends it as one EXEC request.
 //
 //	c, err := permclient.Dial("localhost:5433")
 //	res, err := c.Query("SELECT PROVENANCE name FROM shop")
@@ -11,13 +13,16 @@ package permclient
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"time"
 
 	"perm"
 	"perm/internal/obs"
+	"perm/internal/sql"
 	"perm/internal/wire"
 )
 
@@ -36,9 +41,10 @@ type Config struct {
 	// A request the server shed without executing (Error.Retryable:
 	// overloaded, draining) is retried verbatim on the same connection.
 	// A request whose fate a network failure left unknown is retried
-	// only when its operation is idempotent (Query, Explain, Ping), on
-	// a fresh connection — which is a new server session, so prior SETs
-	// and prepared statements do not carry over.
+	// only when it is a Ping or a statement that only reads (a SELECT
+	// without INTO, an EXPLAIN), whichever method sent it, on a fresh
+	// connection — which is a new server session, so prior SETs and
+	// prepared statements do not carry over.
 	MaxRetries int
 	// RetryBase and RetryMax shape the exponential backoff between
 	// retries (defaults: 50ms base, 2s cap), jittered ±50% so a herd of
@@ -125,12 +131,23 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-// idempotent reports whether an operation is safe to re-send when a
+// idempotent reports whether a request is safe to re-send when a
 // network failure leaves its fate unknown: the server may have executed
-// it, so only operations without side effects qualify.
-func idempotent(op string) bool {
-	switch op {
-	case wire.OpQuery, wire.OpExplain, wire.OpExplainAnalyze, wire.OpPing:
+// it, so only a ping and a statement without side effects qualify — one
+// that parses to a SELECT without INTO or to an EXPLAIN. Only the retry
+// path parses.
+func idempotent(req *wire.Request) bool {
+	if req.Op != wire.OpExec {
+		return req.Op == wire.OpPing
+	}
+	stmt, err := sql.Parse(req.SQL)
+	if err != nil {
+		return false // a script, or a statement only the session's dialect has
+	}
+	switch s := stmt.(type) {
+	case *sql.SelectStmt:
+		return s.Into == ""
+	case *sql.ExplainStmt:
 		return true
 	}
 	return false
@@ -170,7 +187,7 @@ func (c *Client) roundTrip(req *wire.Request) (*wire.Response, error) {
 			if !se.Retryable() {
 				return nil, err
 			}
-		case idempotent(req.Op):
+		case idempotent(req):
 			// Network failure mid-exchange; the connection is desynced,
 			// so retry on a fresh one. A failed redial leaves the dead
 			// connection in place and the next attempt fails fast.
@@ -225,18 +242,10 @@ func (c *Client) Cancel(queryID string) error {
 	return err
 }
 
-// Query runs a SELECT (or EXPLAIN) and returns its result.
-func (c *Client) Query(sql string) (*perm.Result, error) {
-	resp, err := c.roundTrip(&wire.Request{Op: wire.OpQuery, SQL: sql})
-	if err != nil {
-		return nil, err
-	}
-	return perm.NewRawResult(resp.Columns, resp.Prov, resp.Rows), nil
-}
-
-// Exec runs one or more statements of the service dialect (DDL, DML,
-// PREPARE name AS ..., SET option = value, ...). For statements that
-// return rows it returns (result, 0); otherwise (nil, affected).
+// Exec runs one statement or script of the service dialect (DDL, DML,
+// queries, EXPLAIN, PREPARE name AS ..., EXECUTE name, SET option =
+// value, ...). For statements that return rows it returns (result, 0);
+// otherwise (nil, affected).
 func (c *Client) Exec(sql string) (*perm.Result, int, error) {
 	resp, err := c.roundTrip(&wire.Request{Op: wire.OpExec, SQL: sql})
 	if err != nil {
@@ -248,42 +257,57 @@ func (c *Client) Exec(sql string) (*perm.Result, int, error) {
 	return nil, resp.Affected, nil
 }
 
+// Query runs a statement that returns rows (SELECT, EXPLAIN, EXECUTE)
+// and returns its result.
+func (c *Client) Query(sql string) (*perm.Result, error) {
+	res, _, err := c.Exec(sql)
+	if err == nil && res == nil {
+		return nil, errors.New("statement returns no result; use Exec")
+	}
+	return res, err
+}
+
 // Prepare compiles a SELECT under a name in this connection's session.
 func (c *Client) Prepare(name, sql string) error {
-	_, err := c.roundTrip(&wire.Request{Op: wire.OpPrepare, Name: name, SQL: sql})
+	if f := strings.Fields(name); len(f) != 1 || f[0] != name {
+		return fmt.Errorf("prepared statement name %q is not one word", name)
+	}
+	_, _, err := c.Exec("PREPARE " + name + " AS " + sql)
 	return err
 }
 
 // Execute runs a statement prepared on this connection.
 func (c *Client) Execute(name string) (*perm.Result, error) {
-	resp, err := c.roundTrip(&wire.Request{Op: wire.OpExecute, Name: name})
-	if err != nil {
-		return nil, err
-	}
-	return perm.NewRawResult(resp.Columns, resp.Prov, resp.Rows), nil
+	return c.Query("EXECUTE " + name)
 }
 
 // Explain returns the physical plan of a query as indented text.
 func (c *Client) Explain(sql string) (string, error) {
-	resp, err := c.roundTrip(&wire.Request{Op: wire.OpExplain, SQL: sql})
-	if err != nil {
-		return "", err
-	}
-	return resp.Plan, nil
+	return c.lines("EXPLAIN " + sql)
 }
 
 // ExplainAnalyze executes a query on the server under instrumentation
 // and returns the plan annotated with per-operator runtime statistics.
 func (c *Client) ExplainAnalyze(sql string) (string, error) {
-	resp, err := c.roundTrip(&wire.Request{Op: wire.OpExplainAnalyze, SQL: sql})
+	return c.lines("EXPLAIN ANALYZE " + sql)
+}
+
+// lines runs an EXPLAIN and joins the lines it returns as rows.
+func (c *Client) lines(explain string) (string, error) {
+	res, err := c.Query(explain)
 	if err != nil {
 		return "", err
 	}
-	return resp.Plan, nil
+	var sb strings.Builder
+	for _, row := range res.Rows {
+		sb.WriteString(row[0].String())
+		sb.WriteByte('\n')
+	}
+	return sb.String(), nil
 }
 
 // Set changes one session option (see session.SetOption for names).
 func (c *Client) Set(option, value string) error {
-	_, err := c.roundTrip(&wire.Request{Op: wire.OpSet, Name: option, SQL: value})
+	_, _, err := c.Exec("SET " + option + " = " + value)
 	return err
 }

@@ -30,13 +30,9 @@ type Prepared struct {
 // Prepare parses and compiles a single plain SELECT statement (no
 // SELECT ... INTO, no EXPLAIN) for repeated execution.
 func (db *Database) Prepare(text string) (*Prepared, error) {
-	stmt, err := sql.Parse(text)
+	sel, err := parseSelect(text, "PREPARE")
 	if err != nil {
 		return nil, err
-	}
-	sel, ok := stmt.(*sql.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("PREPARE requires a SELECT statement")
 	}
 	if sel.Into != "" {
 		return nil, fmt.Errorf("cannot prepare SELECT ... INTO")
