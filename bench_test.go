@@ -1,8 +1,10 @@
 // What is left of the go-test benchmarks after bench/ (bash bench/run.sh)
-// took over every timing series: the two allocation guards CI runs, the
-// paper's Perm-vs-Trio comparison (Fig. 15, section V-C) and the Fig. 6
-// 3a-vs-3b set-operation ablation, none of which bench/ has a workload
-// for.
+// took over every timing series: the paper's Perm-vs-Trio comparison
+// (Fig. 15, section V-C), which bench/ has no workload for, and the
+// allocation guards CI's bench smoke runs (BenchmarkAllocBudget: batch
+// recycling serial and behind an exchange, the join-back's row-id store,
+// compile + plan of a Fig. 12/14 q+, and the bytes of one small statement
+// from text to rows).
 package perm_test
 
 import (
@@ -13,6 +15,8 @@ import (
 
 	"perm"
 	"perm/internal/algebra"
+	"perm/internal/catalog"
+	"perm/internal/exec"
 	"perm/internal/synth"
 	"perm/internal/tpch"
 	"perm/internal/trio"
@@ -196,10 +200,18 @@ func joinBackPipeline(b *testing.B, n int) vexec.Node {
 
 // allocBudgetPerCompile bounds the allocations of compiling and planning
 // one q+ of the two shapes that are most of synth_compile's time: what was
-// measured (setop10 9,980, agg10 7,836) plus 20 %. With relation sets as a
-// map per call and an optimizer pass per nesting level they cost 15,268
-// and 23,930.
-var allocBudgetPerCompile = map[string]float64{"setop": 11976, "agg": 9403}
+// measured (setop10 6,039, agg10 5,348) plus 20 %. With the optimizer
+// copying every block it renumbered they cost 9,535 and 7,376; with
+// relation sets as a map per call and an optimizer pass per nesting level,
+// 15,268 and 23,930.
+var allocBudgetPerCompile = map[string]float64{"setop": 7247, "agg": 6418}
+
+// smallStatementBytes bounds what setop10's q+ over 40-row tables
+// allocates from text to rows: measured about 1,010,000 bytes plus 20 %. Its
+// hashing operators' scratch floored at BatchSize lanes instead of sized
+// to their input alone costs 1,364,000; every scratch buffer floored and
+// every renumbered block copied, 1,521,000.
+const smallStatementBytes = 1_210_000
 
 // BenchmarkAllocBudget asserts that the batch-buffer pool keeps a
 // vectorized pipeline's steady-state allocation rate flat, serial and
@@ -281,6 +293,25 @@ func BenchmarkAllocBudget(b *testing.B) {
 
 	// A plan-cache miss: what Prepare does to a statement text, then Plan.
 	cat := compileCatalog(b, 0.0002)
+	b.Run("small-statement", func(b *testing.B) {
+		text := compileShape("setop", 10, 40)
+		compileAndRun(b, cat, text)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 10
+		for i := 0; i < runs; i++ {
+			compileAndRun(b, cat, text)
+		}
+		runtime.ReadMemStats(&after)
+		perStmt := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		b.ReportMetric(perStmt, "B/stmt")
+		if perStmt > smallStatementBytes {
+			b.Fatalf("compiling, planning and running a q+ over 40-row tables allocated %.0f bytes (budget %d): operator scratch sized to BatchSize instead of its input, or blocks copied to renumber them", perStmt, smallStatementBytes)
+		}
+		for i := 0; i < b.N; i++ {
+			compileAndRun(b, cat, text)
+		}
+	})
 	for shape, budget := range allocBudgetPerCompile {
 		text := compileShape(shape, 10, 40)
 		b.Run("compile/"+shape+"10", func(b *testing.B) {
@@ -293,5 +324,13 @@ func BenchmarkAllocBudget(b *testing.B) {
 				compileAndPlan(b, cat, text)
 			}
 		})
+	}
+}
+
+// compileAndRun is compileAndPlan followed by a drain of the plan.
+func compileAndRun(b *testing.B, cat *catalog.Catalog, text string) {
+	_, root := compileAndPlan(b, cat, text)
+	if _, err := exec.Collect(root); err != nil {
+		b.Fatal(err)
 	}
 }

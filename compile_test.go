@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"perm"
@@ -13,12 +14,14 @@ import (
 	"perm/internal/analyze"
 	"perm/internal/catalog"
 	"perm/internal/deparse"
+	"perm/internal/exec"
 	"perm/internal/optimize"
 	"perm/internal/plan"
 	"perm/internal/provrewrite"
 	"perm/internal/sql"
 	"perm/internal/synth"
 	"perm/internal/tpch"
+	"perm/internal/types"
 )
 
 // This file tests the compile path (parse, analyze, provenance rewrite,
@@ -142,8 +145,8 @@ func rewriteStmt(t testing.TB, cat *catalog.Catalog, sel *sql.SelectStmt) *algeb
 
 // compileAndPlan takes a statement text through every compile stage and
 // the planner — a plan-cache miss up to the point where execution starts
-// — and returns the node count of the rewritten tree.
-func compileAndPlan(t testing.TB, cat *catalog.Catalog, text string) int {
+// — and returns the node count of the rewritten tree and the plan.
+func compileAndPlan(t testing.TB, cat *catalog.Catalog, text string) (int, exec.Node) {
 	t.Helper()
 	stmt, err := sql.Parse(text)
 	if err != nil {
@@ -151,11 +154,11 @@ func compileAndPlan(t testing.TB, cat *catalog.Catalog, text string) int {
 	}
 	q := rewriteStmt(t, cat, stmt.(*sql.SelectStmt))
 	nodes := countQueryNodes(q)
-	q = optimize.Query(q)
-	if _, err := plan.New(cat).SetParallelism(1).Plan(q); err != nil {
+	root, err := plan.New(cat).SetParallelism(1).Plan(optimize.Query(q))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return nodes
+	return nodes, root
 }
 
 // countQueryNodes counts query nodes and range-table entries, through
@@ -276,7 +279,8 @@ func TestCompileAllocScaling(t *testing.T) {
 		var nodes, allocs [2]float64
 		for i, n := range []int{10, 20} {
 			text := compileShape(shape, n, 40)
-			nodes[i] = float64(compileAndPlan(t, cat, text))
+			n, _ := compileAndPlan(t, cat, text)
+			nodes[i] = float64(n)
 			allocs[i] = testing.AllocsPerRun(3, func() { compileAndPlan(t, cat, text) })
 		}
 		treeGrowth, allocGrowth := nodes[1]/nodes[0], allocs[1]/allocs[0]
@@ -386,5 +390,189 @@ func TestCompiledTreeIgnoresDataAndEngine(t *testing.T) {
 			t.Errorf("%s: batch then row engine: %d misses and %d hits, want 1 and 1",
 				text, now.Misses-was.Misses, now.Hits-was.Hits)
 		}
+	}
+}
+
+// sharedNode reports the first expression node or query block the tree
+// reaches a second time by pointer identity, "" when it reaches each once.
+// Every slot counts: target lists, WHERE, GROUP BY, HAVING, ORDER BY,
+// LIMIT/OFFSET, ON conditions, VALUES rows, range-table subqueries and
+// sublinks (their tests and their queries).
+func sharedNode(root *algebra.Query) string {
+	seen := make(map[any]string)
+	dup := ""
+	note := func(node any, at string) bool {
+		if prev, ok := seen[node]; ok {
+			if dup == "" {
+				dup = fmt.Sprintf("%T reached at %s and again at %s", node, prev, at)
+			}
+			return false
+		}
+		seen[node] = at
+		return true
+	}
+	var block func(q *algebra.Query, at string)
+	expr := func(e algebra.Expr, at string) {
+		algebra.WalkExpr(e, func(x algebra.Expr) {
+			note(x, at)
+			if sl, ok := x.(*algebra.SubLink); ok && sl.Query != nil {
+				block(sl.Query, at+"/sublink")
+			}
+		})
+	}
+	var from func(fi algebra.FromItem, at string)
+	from = func(fi algebra.FromItem, at string) {
+		if j, ok := fi.(*algebra.FromJoin); ok {
+			expr(j.Cond, at+"/on")
+			from(j.Left, at)
+			from(j.Right, at)
+		}
+	}
+	block = func(q *algebra.Query, at string) {
+		if !note(q, at) {
+			return
+		}
+		for i, te := range q.TargetList {
+			expr(te.Expr, fmt.Sprintf("%s/target[%d]", at, i))
+		}
+		expr(q.Where, at+"/where")
+		for i, g := range q.GroupBy {
+			expr(g, fmt.Sprintf("%s/group[%d]", at, i))
+		}
+		expr(q.Having, at+"/having")
+		for i, si := range q.OrderBy {
+			expr(si.Expr, fmt.Sprintf("%s/order[%d]", at, i))
+		}
+		expr(q.Limit, at+"/limit")
+		expr(q.Offset, at+"/offset")
+		for _, fi := range q.From {
+			from(fi, at+"/from")
+		}
+		for rt, rte := range q.RangeTable {
+			for r, row := range rte.Rows {
+				for c, e := range row {
+					expr(e, fmt.Sprintf("%s/rte[%d]/values[%d][%d]", at, rt, r, c))
+				}
+			}
+			if rte.Subquery != nil {
+				block(rte.Subquery, fmt.Sprintf("%s/rte[%d]", at, rt))
+			}
+		}
+	}
+	block(root, "root")
+	return dup
+}
+
+// TestCompiledTreeUnshared: the optimizer renumbers a block's Vars in
+// place and moves a merged child's target expression into its first
+// reference, which is only sound on a tree that reaches every expression
+// node and every query block exactly once. Over the Fig. 10 texts, the
+// section V-B shapes and the SQL-logic corpus, as q and q+, with the
+// optimizer on and off, the compiled tree must be unshared; the checker
+// must see one Var placed twice.
+func TestCompiledTreeUnshared(t *testing.T) {
+	v := &algebra.Var{RT: 0, Col: 0, Typ: types.KindInt}
+	shared := &algebra.Query{
+		TargetList: []algebra.TargetEntry{{Expr: v, Name: "a"}},
+		GroupBy:    []algebra.Expr{v},
+		RangeTable: []*algebra.RTE{{Kind: algebra.RTERelation, Alias: "t"}},
+		From:       []algebra.FromItem{&algebra.FromRef{RT: 0}},
+	}
+	if sharedNode(shared) == "" {
+		t.Fatal("the checker missed a Var reached from the target list and GROUP BY")
+	}
+
+	tpchDB := perm.NewDatabase()
+	tpch.MustLoad(tpchDB, 0.0002, 42)
+	logic := perm.NewDatabase()
+	logic.MustExec(vecFixture)
+	var texts []string
+	rng := tpch.NewRand(42)
+	for _, n := range tpch.SupportedQueries() {
+		q := tpch.MustQGen(n, rng)
+		if len(q.Setup) > 0 {
+			continue // Q15's view: its body is the statement's subquery
+		}
+		texts = append(texts, q.Text, q.Provenance().Text)
+	}
+	for _, n := range []int{1, 5, 10} {
+		for _, shape := range []string{"setop", "spj", "agg"} {
+			q := compileShape(shape, n, 40)
+			texts = append(texts, strings.Replace(q, "SELECT PROVENANCE", "SELECT", 1), q)
+		}
+	}
+	for _, side := range []struct {
+		name string
+		opts perm.Options
+	}{{"optimized", perm.Options{}}, {"unoptimized", perm.Options{DisableOptimizer: true}}} {
+		check := func(db *perm.Database, text string) {
+			q, err := db.WithOptions(side.opts).CompiledTree(text)
+			if err != nil {
+				t.Fatalf("%.60s: %v", text, err)
+			}
+			if dup := sharedNode(q); dup != "" {
+				t.Errorf("%s %.80s: %s", side.name, text, dup)
+			}
+		}
+		for _, text := range texts {
+			check(tpchDB, text)
+		}
+		for _, text := range logicCorpus {
+			check(logic, text)
+			if !strings.Contains(text, "PROVENANCE") {
+				check(logic, injectProv(text))
+			}
+		}
+	}
+}
+
+// TestRaceCompile runs one synthetic q+ from four goroutines on one
+// database, cold (every goroutine may compile it) and then warm (all of
+// them plan from the one cached tree). Under the race detector, an
+// optimizer or planner that renumbered or rewrote a tree the cache
+// shares shows as a data race; without it, as rows that differ.
+func TestRaceCompile(t *testing.T) {
+	db := perm.NewDatabase()
+	tpch.MustLoad(db, 0.0002, 42)
+	maxKey, err := db.TableRowCount("part")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := injectProv(synth.SetOpQuery(tpch.NewRand(3), 5, maxKey))
+	var want string
+	for _, round := range []string{"cold", "warm"} {
+		const workers = 4
+		got := make([]string, workers)
+		errs := make([]error, workers)
+		var start, done sync.WaitGroup
+		start.Add(1)
+		for w := 0; w < workers; w++ {
+			done.Add(1)
+			go func(w int) {
+				defer done.Done()
+				start.Wait()
+				res, err := db.Query(text)
+				if err == nil {
+					got[w] = strings.Join(sortedRows(res), "\n")
+				}
+				errs[w] = err
+			}(w)
+		}
+		start.Done()
+		done.Wait()
+		for w := range got {
+			if errs[w] != nil {
+				t.Fatalf("%s run, goroutine %d: %v", round, w, errs[w])
+			}
+			if want == "" {
+				want = got[w]
+			}
+			if got[w] != want {
+				t.Errorf("%s run, goroutine %d: rows differ from the first run's", round, w)
+			}
+		}
+	}
+	if !db.QueryCached(text) {
+		t.Error("the statement's tree is not in the plan cache after the cold run")
 	}
 }

@@ -75,5 +75,15 @@ func (db *Database) ViewSchema(name string) string {
 	return strings.Join(cols, ", ")
 }
 
+// CompiledTree is the tree a plan-cache miss compiles a SELECT text to:
+// what the cache stores and every execution of the statement plans from.
+func (db *Database) CompiledTree(text string) (*algebra.Query, error) {
+	stmt, err := sql.Parse(text)
+	if err != nil {
+		return nil, err
+	}
+	return db.compile(stmt.(*sql.SelectStmt), nil)
+}
+
 // Kind names a result value's kind as ViewSchema does.
 func (v Value) Kind() string { return v.v.K.String() }

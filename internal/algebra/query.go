@@ -718,6 +718,46 @@ func (m mapper) expr(e Expr) Expr {
 	return m.f(c)
 }
 
+// EditExpr is MapExpr in place: every child slot of the tree is set to its
+// edited self, bottom-up, and f's result for the root is returned. No node
+// is copied, and a replacement f returns is not visited. It is only for a
+// tree no other tree shares a node with: a compiled tree reaches each
+// node once.
+func EditExpr(e Expr, f func(Expr) Expr) Expr {
+	switch n := e.(type) {
+	case nil:
+		return nil
+	case *Var, *Const:
+	case *BinOp:
+		n.Left, n.Right = EditExpr(n.Left, f), EditExpr(n.Right, f)
+	case *UnOp:
+		n.Expr = EditExpr(n.Expr, f)
+	case *IsNull:
+		n.Expr = EditExpr(n.Expr, f)
+	case *DistinctFrom:
+		n.Left, n.Right = EditExpr(n.Left, f), EditExpr(n.Right, f)
+	case *FuncCall:
+		for i, a := range n.Args {
+			n.Args[i] = EditExpr(a, f)
+		}
+	case *AggRef:
+		n.Arg = EditExpr(n.Arg, f)
+	case *CaseExpr:
+		for i := range n.Whens {
+			w := &n.Whens[i]
+			w.Cond, w.Result = EditExpr(w.Cond, f), EditExpr(w.Result, f)
+		}
+		n.Else = EditExpr(n.Else, f)
+	case *Cast:
+		n.Expr = EditExpr(n.Expr, f)
+	case *SubLink:
+		n.Test = EditExpr(n.Test, f)
+	default:
+		panic(fmt.Sprintf("algebra.EditExpr: unknown node %T", e))
+	}
+	return f(e)
+}
+
 // CopyExpr deep-copies an expression tree (sublink queries are shared).
 func CopyExpr(e Expr) Expr {
 	return MapExpr(e, func(x Expr) Expr { return x })
@@ -806,13 +846,23 @@ func EqualExpr(a, b Expr) bool {
 
 // Conjuncts splits an expression into its top-level AND conjuncts.
 func Conjuncts(e Expr) []Expr {
+	var out []Expr
+	EachConjunct(e, func(c Expr) { out = append(out, c) })
+	return out
+}
+
+// EachConjunct calls f on every top-level AND conjunct of e, in the order
+// Conjuncts lists them, without building the list.
+func EachConjunct(e Expr, f func(Expr)) {
 	if e == nil {
-		return nil
+		return
 	}
 	if b, ok := e.(*BinOp); ok && b.Op == "AND" {
-		return append(Conjuncts(b.Left), Conjuncts(b.Right)...)
+		EachConjunct(b.Left, f)
+		EachConjunct(b.Right, f)
+		return
 	}
-	return []Expr{e}
+	f(e)
 }
 
 // AndAll combines expressions with AND; nil for empty input.

@@ -4,46 +4,44 @@
 
 package algebra
 
-// MapOwnExprs applies a MapExpr transform to every expression site of the
-// query node itself: target list, WHERE, GROUP BY, HAVING, ORDER BY,
-// LIMIT/OFFSET, join conditions and VALUES rows. It does not descend into
-// range-table subqueries or sublink subqueries.
-func (q *Query) MapOwnExprs(f func(Expr) Expr) {
+// EditOwnExprs applies an EditExpr transform, in place, to every
+// expression site of the query node itself: target list, WHERE, GROUP BY,
+// HAVING, ORDER BY, LIMIT/OFFSET, join conditions and VALUES rows. It
+// does not descend into range-table subqueries or sublink subqueries.
+func (q *Query) EditOwnExprs(f func(Expr) Expr) {
 	for i := range q.TargetList {
-		q.TargetList[i].Expr = MapExpr(q.TargetList[i].Expr, f)
+		q.TargetList[i].Expr = EditExpr(q.TargetList[i].Expr, f)
 	}
-	q.Where = MapExpr(q.Where, f)
+	q.Where = EditExpr(q.Where, f)
 	for i := range q.GroupBy {
-		q.GroupBy[i] = MapExpr(q.GroupBy[i], f)
+		q.GroupBy[i] = EditExpr(q.GroupBy[i], f)
 	}
-	q.Having = MapExpr(q.Having, f)
+	q.Having = EditExpr(q.Having, f)
 	for i := range q.OrderBy {
-		q.OrderBy[i].Expr = MapExpr(q.OrderBy[i].Expr, f)
+		q.OrderBy[i].Expr = EditExpr(q.OrderBy[i].Expr, f)
 	}
-	q.Limit = MapExpr(q.Limit, f)
-	q.Offset = MapExpr(q.Offset, f)
+	q.Limit = EditExpr(q.Limit, f)
+	q.Offset = EditExpr(q.Offset, f)
 	for _, fi := range q.From {
-		mapFromItemConds(fi, f)
+		editFromItemConds(fi, f)
 	}
 	for _, rte := range q.RangeTable {
 		for _, row := range rte.Rows {
 			for k := range row {
-				row[k] = MapExpr(row[k], f)
+				row[k] = EditExpr(row[k], f)
 			}
 		}
 	}
 }
 
-func mapFromItemConds(fi FromItem, f func(Expr) Expr) {
+func editFromItemConds(fi FromItem, f func(Expr) Expr) {
 	j, ok := fi.(*FromJoin)
 	if !ok {
 		return
 	}
-	if j.Cond != nil {
-		j.Cond = MapExpr(j.Cond, f)
-	}
-	mapFromItemConds(j.Left, f)
-	mapFromItemConds(j.Right, f)
+	j.Cond = EditExpr(j.Cond, f)
+	editFromItemConds(j.Left, f)
+	editFromItemConds(j.Right, f)
 }
 
 // SubstituteVars rebuilds the expression, replacing every Var for which

@@ -272,11 +272,15 @@ func allVarTargets(q *algebra.Query) bool {
 // target expressions — one rewrite of q's expressions for all children —
 // its FROM clause takes the place of the subquery reference, and its WHERE
 // clause conjoins into q's (on the nullable side of an outer join, into
-// that join's condition).
+// that join's condition). The child is taken apart in place: its
+// expressions are renumbered into q's numbering where they stand, and a
+// target expression moves into the first reference to it; only further
+// references copy it.
 func unnestAll(q *algebra.Query) bool {
 	type merge struct {
 		rt, base int
 		site     *refSite
+		moved    algebra.Bits // target entries already moved into q
 	}
 	var merges []merge
 	for rt, rte := range q.RangeTable {
@@ -303,7 +307,7 @@ func unnestAll(q *algebra.Query) bool {
 	for _, r := range q.RangeTable {
 		seen[r.Alias] = true
 	}
-	base := make([]int, len(q.RangeTable)) // of a merged entry: where its child's entries start
+	merged := make([]int, len(q.RangeTable)) // of a merged entry: 1 + its index in merges
 	for i := range merges {
 		m := &merges[i]
 		own := q.RangeTable[m.rt]
@@ -314,27 +318,31 @@ func unnestAll(q *algebra.Query) bool {
 			q.RangeTable = append(q.RangeTable, r)
 		}
 		seen[own.Alias] = true
-		base[m.rt] = m.base
+		merged[m.rt] = i + 1
+		shiftVars(own.Subquery, m.base)
 	}
-	q.MapOwnExprs(func(x algebra.Expr) algebra.Expr {
-		if v, ok := x.(*algebra.Var); ok && v.RT >= 0 && v.RT < len(base) && base[v.RT] > 0 {
-			return shiftVars(q.RangeTable[v.RT].Subquery.TargetList[v.Col].Expr, base[v.RT])
+	q.EditOwnExprs(func(x algebra.Expr) algebra.Expr {
+		v, ok := x.(*algebra.Var)
+		if !ok || v.RT < 0 || v.RT >= len(merged) || merged[v.RT] == 0 {
+			return x
 		}
-		return x
+		m := &merges[merged[v.RT]-1]
+		te := q.RangeTable[v.RT].Subquery.TargetList[v.Col].Expr
+		if m.moved.Has(v.Col) {
+			return algebra.CopyExpr(te)
+		}
+		m.moved.Add(v.Col)
+		return te
 	})
 
 	for _, m := range merges {
 		child := q.RangeTable[m.rt].Subquery
-		shifted := make([]algebra.FromItem, len(child.From))
-		for i, fi := range child.From {
-			shifted[i] = shiftFromItem(fi, m.base)
-		}
 		spliced := false
 		for i, fi := range q.From {
 			// A direct member of the implicit join list splices in as more
 			// list members, keeping the planner free to greedy-order them.
 			if r, ok := fi.(*algebra.FromRef); ok && r.RT == m.rt {
-				q.From = append(q.From[:i], append(shifted, q.From[i+1:]...)...)
+				q.From = append(q.From[:i], append(child.From, q.From[i+1:]...)...)
 				spliced = true
 				break
 			}
@@ -342,18 +350,17 @@ func unnestAll(q *algebra.Query) bool {
 		if !spliced {
 			// Inside a join tree the child must stay a single unit; fold its
 			// items into a cross-join chain at the reference's position.
-			childFrom := shifted[0]
-			for _, sh := range shifted[1:] {
+			childFrom := child.From[0]
+			for _, sh := range child.From[1:] {
 				childFrom = &algebra.FromJoin{Kind: algebra.JoinCross, Left: childFrom, Right: sh}
 			}
 			algebra.ReplaceFromRef(q.From, m.rt, childFrom)
 		}
 		if child.Where != nil {
-			where := shiftVars(child.Where, m.base)
 			if m.site.crossings == 1 {
-				m.site.gate.Cond = algebra.AndAll([]algebra.Expr{m.site.gate.Cond, where})
+				m.site.gate.Cond = algebra.AndAll([]algebra.Expr{m.site.gate.Cond, child.Where})
 			} else {
-				q.Where = algebra.AndAll([]algebra.Expr{q.Where, where})
+				q.Where = algebra.AndAll([]algebra.Expr{q.Where, child.Where})
 			}
 		}
 	}
@@ -361,33 +368,29 @@ func unnestAll(q *algebra.Query) bool {
 	return true
 }
 
-// shiftVars copies the expression with every range-table reference moved
-// up by base: a merged child's expression in its parent's numbering.
-func shiftVars(e algebra.Expr, base int) algebra.Expr {
-	return algebra.MapExpr(e, func(x algebra.Expr) algebra.Expr {
+// shiftVars moves every range-table reference of the block, its own
+// expressions' and its FROM clause's, up by base, in place: a merged child
+// in its parent's numbering.
+func shiftVars(q *algebra.Query, base int) {
+	q.EditOwnExprs(func(x algebra.Expr) algebra.Expr {
 		if v, ok := x.(*algebra.Var); ok && v.RT >= 0 {
 			v.RT += base
 		}
 		return x
 	})
+	for _, fi := range q.From {
+		shiftFromRefs(fi, base)
+	}
 }
 
-func shiftFromItem(fi algebra.FromItem, base int) algebra.FromItem {
+// shiftFromRefs moves the from-item tree's references up by base, in place.
+func shiftFromRefs(fi algebra.FromItem, base int) {
 	switch n := fi.(type) {
 	case *algebra.FromRef:
-		return &algebra.FromRef{RT: n.RT + base}
+		n.RT += base
 	case *algebra.FromJoin:
-		out := &algebra.FromJoin{
-			Kind:  n.Kind,
-			Left:  shiftFromItem(n.Left, base),
-			Right: shiftFromItem(n.Right, base),
-		}
-		if n.Cond != nil {
-			out.Cond = shiftVars(n.Cond, base)
-		}
-		return out
-	default:
-		return fi
+		shiftFromRefs(n.Left, base)
+		shiftFromRefs(n.Right, base)
 	}
 }
 
@@ -414,27 +417,27 @@ func (o *optimizer) pushDownPredicates(q *algebra.Query) bool {
 	}
 	changed := false
 	var kept []algebra.Expr
-	for _, c := range algebra.Conjuncts(q.Where) {
+	algebra.EachConjunct(q.Where, func(c algebra.Expr) {
 		rt, ok := soleRT(c)
 		if !ok || rt >= len(q.RangeTable) {
 			kept = append(kept, c)
-			continue
+			return
 		}
 		// A shared join-back's sides must keep reading one block: neither
 		// takes a conjunct the other does not.
 		rte := q.RangeTable[rt]
 		if rte.Kind != algebra.RTESubquery || q.JoinBack.Shared() {
 			kept = append(kept, c)
-			continue
+			return
 		}
 		site := locateRef(q.From, rt)
 		if site == nil || site.crossings != 0 || !o.pushInto(rte.Subquery, c, rt, true) {
 			kept = append(kept, c)
-			continue
+			return
 		}
 		o.pushInto(rte.Subquery, c, rt, false)
 		changed = true
-	}
+	})
 	if changed {
 		q.Where = algebra.AndAll(kept)
 	}
@@ -574,7 +577,7 @@ func (o *optimizer) pruneNode(q *algebra.Query) bool {
 		q.RangeTable = kept
 		algebra.RenumberFrom(q.From, newRT)
 	}
-	q.MapOwnExprs(func(x algebra.Expr) algebra.Expr {
+	q.EditOwnExprs(func(x algebra.Expr) algebra.Expr {
 		if v, ok := x.(*algebra.Var); ok && v.RT >= 0 {
 			v.RT = newRT[v.RT]
 			if remap := newCol[v.RT]; remap != nil {
@@ -618,9 +621,7 @@ func pruneColumns(rte *algebra.RTE, used algebra.Bits) []int {
 	child.TargetList = newTL
 	for i := range child.OrderBy {
 		if v, ok := child.OrderBy[i].Expr.(*algebra.Var); ok && v.RT == outputRT {
-			nv := *v
-			nv.Col = remap[v.Col]
-			child.OrderBy[i].Expr = &nv
+			v.Col = remap[v.Col]
 		}
 	}
 	child.ProvCols = remapProvCols(child.ProvCols, remap)

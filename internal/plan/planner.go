@@ -836,20 +836,26 @@ type conjunct struct {
 	lrts, rrts     algebra.Bits
 }
 
-// analyseConjuncts splits a condition into its conjunct records.
+// analyseConjuncts splits a condition into its conjunct records, which
+// share one backing array.
 func analyseConjuncts(cond algebra.Expr) []*conjunct {
-	exprs := algebra.Conjuncts(cond)
-	out := make([]*conjunct, len(exprs))
-	for i, e := range exprs {
-		c := &conjunct{expr: e, sublink: algebra.ContainsSubLink(e)}
+	n := 0
+	algebra.EachConjunct(cond, func(algebra.Expr) { n++ })
+	if n == 0 {
+		return nil
+	}
+	recs, out := make([]conjunct, n), make([]*conjunct, 0, n)
+	algebra.EachConjunct(cond, func(e algebra.Expr) {
+		c := &recs[len(out)]
+		c.expr, c.sublink = e, algebra.ContainsSubLink(e)
 		if c.l, c.r, c.nullSafe, c.equi = equiSides(e); c.equi {
 			c.lrts, c.rrts = algebra.VarsUsed(c.l), algebra.VarsUsed(c.r)
 			c.rts = c.lrts.Union(c.rrts)
 		} else {
 			c.rts = algebra.VarsUsed(e)
 		}
-		out[i] = c
-	}
+		out = append(out, c)
+	})
 	return out
 }
 
@@ -1088,9 +1094,7 @@ func (p *Planner) colStatsFor(pl *planned, e algebra.Expr) *catalog.ColStats {
 // magic constants.
 func (p *Planner) selectivity(e algebra.Expr, pl *planned) float64 {
 	s := 1.0
-	for _, c := range algebra.Conjuncts(e) {
-		s *= p.selOne(c, pl)
-	}
+	algebra.EachConjunct(e, func(c algebra.Expr) { s *= p.selOne(c, pl) })
 	return clampSel(s)
 }
 

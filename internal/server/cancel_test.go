@@ -182,6 +182,11 @@ func TestSlowLogQueryCorrelation(t *testing.T) {
 		t.Fatalf("want 3 slow-log entries (query, prepare, execute), got %d:\n%s", len(entries), buf.String())
 	}
 	e, prep, exec := entries[0], entries[1], entries[2]
+	for _, entry := range []struct{ got, want string }{{e.Op, "SELECT"}, {prep.Op, "PREPARE"}, {exec.Op, "EXECUTE"}} {
+		if entry.got != entry.want {
+			t.Errorf("slow-log op %q, want the statement's kind %q", entry.got, entry.want)
+		}
+	}
 	if !strings.HasPrefix(e.QueryID, "q") || e.Fingerprint != qcache.Fingerprint(q) {
 		t.Fatalf("query entry: query_id %q fingerprint %q, want an engine query ID and %q", e.QueryID, e.Fingerprint, qcache.Fingerprint(q))
 	}

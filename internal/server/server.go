@@ -488,13 +488,15 @@ type slowEntry struct {
 // statement, so concurrent sessions don't bleed into each other. The
 // query ID, spans and fingerprint are the engine's for the statement the
 // request ran (an EXECUTE carries no SQL of its own), and absent when it
-// ran none (a PREPARE or SET), rather than the previous statement's.
+// ran none (a PREPARE or SET), rather than the previous statement's. The
+// op is the statement's kind (SELECT, PREPARE, EXECUTE, ...), or the
+// wire op of a request that carries none (PING, CANCEL).
 func (s *Server) logSlow(sl *slowLog, sess *session.Session, req *wire.Request, resp *wire.Response, dur time.Duration, pre queryPrecondition) {
 	db := sess.DB()
 	post := db.SessionQueryStats()
 	e := slowEntry{
 		Time:         time.Now().UTC().Format(time.RFC3339Nano),
-		Op:           req.Op,
+		Op:           session.Kind(req.SQL),
 		DurationMS:   float64(dur.Microseconds()) / 1000,
 		Rows:         len(resp.Rows),
 		CacheHit:     pre.cacheHit,
@@ -502,6 +504,9 @@ func (s *Server) logSlow(sl *slowLog, sess *session.Session, req *wire.Request, 
 		SpillEvents:  post.SpillEvents - pre.stats.SpillEvents,
 		Parallelism:  db.Workers(),
 		Err:          resp.Err,
+	}
+	if e.Op == "" {
+		e.Op = req.Op
 	}
 	if info := db.LastQueryInfo(); info.ID != pre.lastID {
 		e.QueryID, e.Fingerprint, e.Spans = info.ID, info.Fingerprint, info.Spans

@@ -197,12 +197,8 @@ func (s *Session) Run(text string) (*Outcome, error) {
 	if stmt == "" {
 		return &Outcome{Tag: "OK"}, nil
 	}
-	// On a lex error first is the zero token, and Exec reports the error.
-	first, _ := sql.NewLexer(stmt).Next()
-	rest := stmt[first.End:]
-	// PREPARE, EXECUTE and DEALLOCATE are no SQL keywords: they lex as
-	// (lower-cased) identifiers.
-	switch first.Text {
+	first, rest := firstToken(stmt)
+	switch first {
 	case "prepare":
 		name, rest := splitWord(rest)
 		as, body := splitWord(rest)
@@ -262,6 +258,26 @@ func (s *Session) Run(text string) (*Outcome, error) {
 		}
 		return &Outcome{Affected: n, Tag: "OK"}, nil
 	}
+}
+
+// Kind names the kind of statement text is by the token Run routes it on:
+// SELECT, INSERT, PREPARE, EXECUTE, SET, EXPLAIN and so on, SELECT for a
+// parenthesized query, "" for an empty statement or a lex error.
+func Kind(text string) string {
+	first, _ := firstToken(statement(text))
+	if first == "(" {
+		return "SELECT"
+	}
+	return strings.ToUpper(first)
+}
+
+// firstToken splits the statement at the end of its first token, whose
+// text it returns: a keyword upper-cased, an identifier lower-cased
+// (PREPARE, EXECUTE and DEALLOCATE are no SQL keywords), "" on a lex
+// error, which Exec then reports.
+func firstToken(stmt string) (first, rest string) {
+	tok, _ := sql.NewLexer(stmt).Next()
+	return tok.Text, stmt[tok.End:]
 }
 
 // Cached reports whether Run would find text's compiled tree in the

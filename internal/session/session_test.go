@@ -253,3 +253,24 @@ func TestRunDialect(t *testing.T) {
 		t.Errorf("malformed SET: usage = %v, want one that admits valued options", err)
 	}
 }
+
+// TestKind: a statement's kind is the token Run routes it on.
+func TestKind(t *testing.T) {
+	for text, want := range map[string]string{
+		`SELECT 1`:                         "SELECT",
+		`  /* hint */ select name FROM t;`: "SELECT",
+		`(SELECT 1) UNION SELECT 2`:        "SELECT",
+		`prepare p AS SELECT 1`:            "PREPARE",
+		`EXECUTE p`:                        "EXECUTE",
+		`Deallocate p`:                     "DEALLOCATE",
+		`SET memory_limit = off`:           "SET",
+		`INSERT INTO t VALUES (1)`:         "INSERT",
+		`EXPLAIN ANALYZE SELECT 1`:         "EXPLAIN",
+		`CANCEL q7`:                        "CANCEL",
+		` ; `:                              "",
+	} {
+		if got := Kind(text); got != want {
+			t.Errorf("Kind(%q) = %q, want %q", text, got, want)
+		}
+	}
+}

@@ -92,7 +92,7 @@ type groupOrder struct {
 // NewAggAttach returns the join-back operator over the shared block's
 // rows, storing the T+ columns prov computes.
 func NewAggAttach(input Node, prov []*Expr, left bool) *AggAttach {
-	a := &AggAttach{Input: input, Prov: prov, Left: left, ids: make([]int32, vector.BatchSize)}
+	a := &AggAttach{Input: input, Prov: prov, Left: left}
 	a.feed.a = a
 	return a
 }
@@ -179,7 +179,7 @@ func (a *AggAttach) keep(b *vector.Batch) error {
 		}
 		a.gids.add(a.Agg.gidBuf[:len(lanes)])
 		if a.Snap != nil {
-			ids, rows := b.Cols[a.RowID].I, a.ids[:len(lanes)]
+			ids, rows := b.Cols[a.RowID].I, scratch(&a.ids, len(lanes))
 			for k, lane := range lanes {
 				rows[k] = int32(ids[lane])
 			}
@@ -298,7 +298,7 @@ func (a *AggAttach) orderByGroup() (*groupOrder, error) {
 	g := &groupOrder{}
 	at := make([]int32, n) // by group id: its output row, or -1
 	for lo := 0; lo < n; lo += vector.BatchSize {
-		ids := a.ids[:min(n-lo, vector.BatchSize)]
+		ids := scratch(&a.ids, min(n-lo, vector.BatchSize))
 		for i := range ids {
 			ids[i], at[lo+i] = int32(lo+i), -1
 		}
@@ -436,7 +436,7 @@ func (a *AggAttach) Next() (*vector.Batch, error) {
 		}
 		// Every lane gathers a group — those outside the selection group 0 —
 		// so HAVING and the projection run over the batch as it is.
-		last, ids := len(b.Cols)-1, a.ids[:b.N]
+		last, ids := len(b.Cols)-1, scratch(&a.ids, b.N)
 		clear(ids)
 		for _, i := range resolveSel(b, b.Sel) {
 			ids[i] = int32(b.Cols[last].I[i])

@@ -148,6 +148,10 @@ var errUnsupported = fmt.Errorf("vexec: expression shape not vectorizable")
 // identitySel is the shared all-rows selection 0..BatchSize-1 (read-only).
 var identitySel = vector.Lanes(vector.BatchSize)
 
+// clearNulls is the shared null bitmap of a column that has none, covering
+// BatchSize rows (read-only): the row-id column of a scan.
+var clearNulls = vector.NewBitmap(vector.BatchSize)
+
 // resolveSel turns a nil selection into an explicit one. Batches never
 // exceed BatchSize rows, so the shared identity prefix always suffices.
 func resolveSel(b *vector.Batch, sel []int) []int {

@@ -67,10 +67,7 @@ type savedHash struct {
 // float keys that compare equal hash equal. The result is the hasher's
 // scratch, valid until its next call.
 func (kh *keyHasher) rows(cols []*vector.Vec, lanes []int) []uint64 {
-	if cap(kh.h) < len(lanes) {
-		kh.h = make([]uint64, len(lanes), max(len(lanes), vector.BatchSize))
-	}
-	h := kh.h[:len(lanes)]
+	h := scratch(&kh.h, len(lanes))
 	for k := range h {
 		h[k] = hashSeed
 	}

@@ -25,23 +25,23 @@ import (
 // instantiated for: int/date lanes, float lanes and string lanes.
 type ordered interface{ ~int64 | ~float64 | ~string }
 
-// selScratch returns buf emptied (never nil: a nil selection means "all
-// rows"), regrown when it cannot hold n lanes. Operators see batches of
-// one size class for their whole life (a 40-row table, or BatchSize
-// windows), so the scratch is allocated once.
-func selScratch(buf *[]int, n int) []int {
-	if *buf == nil || cap(*buf) < n {
-		c := 64
-		if n > c {
-			c = vector.BatchSize
-		}
-		if n > c {
-			c = n
-		}
-		*buf = make([]int, 0, c)
+// scratch returns the operator scratch buf resized to n elements,
+// reallocating it when it cannot hold them: the first input sizes it, and
+// every regrowth at least doubles it, up to BatchSize. A 40-row input
+// pays for 40 lanes, and a stream of batches growing to BatchSize
+// reallocates at most log2(BatchSize/first) times. An operator's
+// per-batch lane buffers go through it; their contents are not kept
+// across calls.
+func scratch[S ~[]E, E any](buf *S, n int) S {
+	if cap(*buf) < n {
+		*buf = make(S, n, max(n, min(2*cap(*buf), vector.BatchSize)))
 	}
-	return (*buf)[:0]
+	return (*buf)[:n]
 }
+
+// selScratch returns buf emptied with room for n lanes, never nil: a nil
+// selection means "all rows".
+func selScratch(buf *[]int, n int) []int { return scratch(buf, max(n, 1))[:0] }
 
 // selCmpVC keeps the lanes where v[i] op c. EQ and NE use the natural
 // operators: they are exact for int and string lanes; float lanes go

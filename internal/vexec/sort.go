@@ -548,9 +548,6 @@ func (d *VecDistinct) copies(g int) int64 {
 func (d *VecDistinct) appendResult(int, []*vector.Vec) {}
 
 func (d *VecDistinct) Open() error {
-	if d.selBuf == nil {
-		d.selBuf = make([]int, 0, vector.BatchSize)
-	}
 	d.tail = false
 	d.tab.open(d.Spill, d, groupOverheadBytes)
 	return d.Input.Open()
@@ -577,8 +574,8 @@ func (d *VecDistinct) Next() (*vector.Batch, error) {
 			}
 			continue
 		}
-		out := d.selBuf[:0]
 		lanes := resolveSel(b, b.Sel)
+		out := selScratch(&d.selBuf, len(lanes))
 		hs := d.tab.hasher.rows(b.Cols, lanes)
 		for idx, i := range lanes {
 			if d.tab.set.find(b.Cols, i, hs[idx]) >= 0 {
@@ -592,7 +589,6 @@ func (d *VecDistinct) Next() (*vector.Batch, error) {
 				d.tail = d.tab.spilled()
 			}
 		}
-		d.selBuf = out
 		if len(out) > 0 {
 			return &vector.Batch{N: b.N, Cols: b.Cols, Sel: out}, nil
 		}

@@ -139,7 +139,6 @@ func (s *ColScan) Open() error {
 		width := len(s.Cols)
 		if s.RowIDs {
 			width++
-			s.ids = make([]int64, vector.BatchSize)
 		}
 		s.winVecs = make([]vector.Vec, width)
 		s.winCols = make([]*vector.Vec, width)
@@ -147,7 +146,7 @@ func (s *ColScan) Open() error {
 			s.winCols[j] = &s.winVecs[j]
 		}
 		if s.RowIDs {
-			s.winVecs[width-1] = vector.Vec{Kind: types.KindInt, Nulls: vector.NewBitmap(vector.BatchSize)}
+			s.winVecs[width-1] = vector.Vec{Kind: types.KindInt, Nulls: clearNulls}
 		}
 	}
 	return nil
@@ -166,7 +165,7 @@ func (s *ColScan) Next() (*vector.Batch, error) {
 			c.WindowInto(s.pos, hi, s.winCols[j])
 		}
 		if s.RowIDs {
-			ids := s.ids[:hi-s.pos]
+			ids := scratch(&s.ids, hi-s.pos)
 			for i := range ids {
 				ids[i] = int64(s.pos + i)
 			}
@@ -857,10 +856,7 @@ func (h *HashAgg) Open() (err error) {
 		keys, args := vecs[:len(h.Groups)], vecs[len(h.Groups):]
 		lanes := resolveSel(b, b.Sel)
 		hs := h.tab.hasher.rows(keys, lanes)
-		if cap(h.gidBuf) < len(lanes) {
-			h.gidBuf = make([]int32, max(len(lanes), vector.BatchSize))
-		}
-		gids := h.gidBuf[:len(lanes)]
+		gids := scratch(&h.gidBuf, len(lanes))
 		folded := 0 // pairs before this position are already accumulated
 		for idx, i := range lanes {
 			hv := hs[idx]
