@@ -449,11 +449,6 @@ func sharedNode(root *algebra.Query) string {
 			from(fi, at+"/from")
 		}
 		for rt, rte := range q.RangeTable {
-			for r, row := range rte.Rows {
-				for c, e := range row {
-					expr(e, fmt.Sprintf("%s/rte[%d]/values[%d][%d]", at, rt, r, c))
-				}
-			}
 			if rte.Subquery != nil {
 				block(rte.Subquery, fmt.Sprintf("%s/rte[%d]", at, rt))
 			}
@@ -542,6 +537,7 @@ func TestRaceCompile(t *testing.T) {
 	var want string
 	for _, round := range []string{"cold", "warm"} {
 		const workers = 4
+		before := db.QueryCacheStats()
 		got := make([]string, workers)
 		errs := make([]error, workers)
 		var start, done sync.WaitGroup
@@ -571,8 +567,8 @@ func TestRaceCompile(t *testing.T) {
 				t.Errorf("%s run, goroutine %d: rows differ from the first run's", round, w)
 			}
 		}
-	}
-	if !db.QueryCached(text) {
-		t.Error("the statement's tree is not in the plan cache after the cold run")
+		if after := db.QueryCacheStats(); round == "warm" && after.Hits-before.Hits != workers {
+			t.Errorf("warm run: %d of %d goroutines hit the plan cache the cold run filled", after.Hits-before.Hits, workers)
+		}
 	}
 }

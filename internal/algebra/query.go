@@ -48,7 +48,6 @@ type RTEKind uint8
 const (
 	RTERelation RTEKind = iota // base table
 	RTESubquery                // derived table (subquery or unfolded view)
-	RTEValues                  // literal rows (used internally)
 )
 
 // RTE is a range-table entry: one FROM item of a query node.
@@ -60,8 +59,6 @@ type RTE struct {
 	RelName string
 	// RTESubquery:
 	Subquery *Query
-	// RTEValues:
-	Rows [][]Expr
 
 	// Cols is the visible schema of the entry.
 	Cols Schema
@@ -916,15 +913,6 @@ func CopyQuery(q *Query) *Query {
 		r.Subquery = CopyQuery(rte.Subquery)
 		r.Cols = append(Schema(nil), rte.Cols...)
 		r.ProvCols = append([]ProvCol(nil), rte.ProvCols...)
-		if rte.Rows != nil {
-			r.Rows = make([][]Expr, len(rte.Rows))
-			for j, row := range rte.Rows {
-				r.Rows[j] = make([]Expr, len(row))
-				for k, e := range row {
-					r.Rows[j][k] = copyExprDeep(e)
-				}
-			}
-		}
 		c.RangeTable[i] = &r
 	}
 	c.From = make([]FromItem, len(q.From))
@@ -968,9 +956,7 @@ func copyExprDeep(e Expr) Expr {
 	}
 	return MapExpr(e, func(x Expr) Expr {
 		if s, ok := x.(*SubLink); ok {
-			c := *s
-			c.Query = CopyQuery(s.Query)
-			return &c
+			s.Query = CopyQuery(s.Query) // s is already the mapper's copy
 		}
 		return x
 	})

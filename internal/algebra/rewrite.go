@@ -6,7 +6,7 @@ package algebra
 
 // EditOwnExprs applies an EditExpr transform, in place, to every
 // expression site of the query node itself: target list, WHERE, GROUP BY,
-// HAVING, ORDER BY, LIMIT/OFFSET, join conditions and VALUES rows. It
+// HAVING, ORDER BY, LIMIT/OFFSET and join conditions. It
 // does not descend into range-table subqueries or sublink subqueries.
 func (q *Query) EditOwnExprs(f func(Expr) Expr) {
 	for i := range q.TargetList {
@@ -24,13 +24,6 @@ func (q *Query) EditOwnExprs(f func(Expr) Expr) {
 	q.Offset = EditExpr(q.Offset, f)
 	for _, fi := range q.From {
 		editFromItemConds(fi, f)
-	}
-	for _, rte := range q.RangeTable {
-		for _, row := range rte.Rows {
-			for k := range row {
-				row[k] = EditExpr(row[k], f)
-			}
-		}
 	}
 }
 

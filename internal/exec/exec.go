@@ -50,8 +50,8 @@ func Collect(n Node) ([]types.Row, error) {
 type Scan struct {
 	obs.Card
 	Rows []types.Row
-	// Table names the relation this scan reads ("" for VALUES rows and
-	// other anonymous sources). It is not rendered in EXPLAIN; the plan
+	// Table names the relation this scan reads ("" for an anonymous
+	// source, such as the one empty row of a FROM-less SELECT). It is not rendered in EXPLAIN; the plan
 	// hash folds it in so plans differing only in which equally-sized
 	// relation sits where (e.g. a hash-join build-side swap) still hash
 	// differently.

@@ -1,16 +1,18 @@
 // Package mem implements the hierarchical memory accountant of the Perm
 // engine: a per-engine Governor at the root, per-session Budgets below
-// it, and per-operator Reservations at the leaves. Materializing
+// it, a per-statement Budget below its session's, and per-operator
+// Reservations at the leaves. Materializing
 // operators (sorts, hash-join builds, hash aggregation, DISTINCT, set
 // operations) ask their reservation for memory as they accumulate data;
 // a denied grant is the signal to spill to disk (package spill) rather
 // than to fail the query, so a budget is a performance knob, never a
 // correctness hazard.
 //
-// Every grant is accounted at both the session and the engine level
+// Every grant is accounted at every level above its reservation
 // atomically: concurrent sessions can exhaust their own budgets (and
 // start spilling) without ever pushing another session over the engine
-// limit unobserved. All counters are lock-free.
+// limit unobserved, and a statement's counters read its own peak and
+// spill. All counters are lock-free.
 package mem
 
 import (
@@ -36,9 +38,11 @@ type Stats struct {
 	SpillEvents int64
 }
 
-// counters is one accounting level (the Governor root or a session
-// Budget share the same arithmetic).
+// counters is one accounting level: the Governor root, a session Budget
+// or a statement's Budget below it. Every level charges the one above it
+// in turn.
 type counters struct {
+	up           *counters // the level above; nil at the engine root
 	limit        atomic.Int64
 	used         atomic.Int64
 	peak         atomic.Int64
@@ -46,11 +50,16 @@ type counters struct {
 	spillEvents  atomic.Int64
 }
 
-// tryGrow attempts to add n bytes at this level; over-limit attempts are
-// rolled back and denied. A limit of 0 means unlimited.
+// tryGrow adds n bytes at this level and every level above it, or at
+// none: a level whose limit (0 = unlimited) n would exceed denies the
+// grant, and the levels below it roll back. A level's peak moves only
+// when the whole grant is made.
 func (c *counters) tryGrow(n int64) bool {
+	if c == nil {
+		return true
+	}
 	nu := c.used.Add(n)
-	if lim := c.limit.Load(); lim > 0 && nu > lim {
+	if lim := c.limit.Load(); lim > 0 && nu > lim || !c.up.tryGrow(n) {
 		c.used.Add(-n)
 		return false
 	}
@@ -58,10 +67,12 @@ func (c *counters) tryGrow(n int64) bool {
 	return true
 }
 
-// grow adds n bytes unconditionally (forced accounting after a spill
-// could not free enough, so Release stays symmetric).
+// grow adds n bytes at every level unconditionally (forced accounting
+// after a spill could not free enough, so Release stays symmetric).
 func (c *counters) grow(n int64) {
-	c.bumpPeak(c.used.Add(n))
+	for l := c; l != nil; l = l.up {
+		l.bumpPeak(l.used.Add(n))
+	}
 }
 
 func (c *counters) bumpPeak(nu int64) {
@@ -73,11 +84,27 @@ func (c *counters) bumpPeak(nu int64) {
 	}
 }
 
-func (c *counters) release(n int64) { c.used.Add(-n) }
+func (c *counters) release(n int64) {
+	for l := c; l != nil; l = l.up {
+		l.used.Add(-n)
+	}
+}
 
 func (c *counters) noteSpill(bytes int64) {
-	c.bytesSpilled.Add(bytes)
-	c.spillEvents.Add(1)
+	for l := c; l != nil; l = l.up {
+		l.bytesSpilled.Add(bytes)
+		l.spillEvents.Add(1)
+	}
+}
+
+// limited reports whether this level or one above it has a limit.
+func (c *counters) limited() bool {
+	for l := c; l != nil; l = l.up {
+		if l.limit.Load() > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 func (c *counters) stats() Stats {
@@ -132,17 +159,24 @@ func (g *Governor) Stats() Stats {
 // Session creates a session-level budget below the governor with the
 // given limit in bytes (0 = unlimited; the engine limit still applies).
 func (g *Governor) Session(limit int64) *Budget {
-	b := &Budget{gov: g}
+	b := &Budget{}
+	b.c.up = &g.c
 	b.c.limit.Store(limit)
 	return b
 }
 
-// Budget is a session-level accounting node. Reservations drawn from it
-// charge both the session and the engine.
+// Budget is a session-level accounting node, or a statement's below it.
+// Reservations drawn from it charge it and every level above it.
 type Budget struct {
-	gov *Governor
-	c   counters
+	c counters
 }
+
+// Statement makes s, a zero Budget a statement holds in its own record,
+// that statement's accountant below the session budget b. It has no limit
+// of its own: its operators are bounded by the session's and the
+// engine's, while its counters, which start at zero, read the statement's
+// own peak and spill.
+func (b *Budget) Statement(s *Budget) { s.c.up = &b.c }
 
 // Limit returns the session limit (0 = unlimited).
 func (b *Budget) Limit() int64 {
@@ -166,10 +200,10 @@ func (b *Budget) Limited() bool {
 	if b == nil {
 		return false
 	}
-	return b.c.limit.Load() > 0 || b.gov.Limit() > 0
+	return b.c.limited()
 }
 
-// Stats returns the session counters.
+// Stats returns the budget's counters.
 func (b *Budget) Stats() Stats {
 	if b == nil {
 		return Stats{}
@@ -186,7 +220,7 @@ func (b *Budget) Reserve(op string) *Reservation {
 	return &Reservation{b: b, op: op}
 }
 
-// Reservation is one operator's claim on a session budget. All methods
+// Reservation is one operator's claim on a budget. All methods
 // are safe on a nil reservation (no budget: every grant succeeds and
 // nothing is tracked), so operators can hold one unconditionally.
 type Reservation struct {
@@ -231,11 +265,6 @@ func (r *Reservation) Grow(n int64) bool {
 		obs.MemDenials.Inc()
 		return false
 	}
-	if !r.b.gov.c.tryGrow(n) {
-		r.b.c.release(n)
-		obs.MemDenials.Inc()
-		return false
-	}
 	obs.MemGrants.Inc()
 	r.bumpPeak(r.used.Add(n))
 	return true
@@ -260,7 +289,6 @@ func (r *Reservation) Force(n int64) {
 		return
 	}
 	r.b.c.grow(n)
-	r.b.gov.c.grow(n)
 	obs.MemGrants.Inc()
 	r.bumpPeak(r.used.Add(n))
 }
@@ -272,7 +300,6 @@ func (r *Reservation) Release(n int64) {
 	}
 	r.used.Add(-n)
 	r.b.c.release(n)
-	r.b.gov.c.release(n)
 }
 
 // ReleaseAll returns everything the reservation holds (operator Close).
@@ -284,7 +311,6 @@ func (r *Reservation) ReleaseAll() {
 	n := r.used.Swap(0)
 	if n != 0 {
 		r.b.c.release(n)
-		r.b.gov.c.release(n)
 	}
 }
 
@@ -297,7 +323,7 @@ func (r *Reservation) Used() int64 {
 }
 
 // NoteSpill records bytes written to a spill file under this
-// reservation; the counters propagate to the session and engine levels.
+// reservation; the counters propagate to every level above it.
 func (r *Reservation) NoteSpill(bytes int64) {
 	if r == nil {
 		return
@@ -309,7 +335,6 @@ func (r *Reservation) NoteSpill(bytes int64) {
 		obs.Events.Record(obs.EventSpill, "", "", r.op+" began spilling")
 	}
 	r.b.c.noteSpill(bytes)
-	r.b.gov.c.noteSpill(bytes)
 }
 
 // Peak returns the reservation's own high-water mark in bytes.

@@ -185,3 +185,36 @@ func TestParseSize(t *testing.T) {
 		}
 	}
 }
+
+// TestStatementCountsItsOwn: a statement's budget starts at zero and
+// counts only its own operators' peak and spill, while every grant, spill
+// and release also moves the session and engine above it; the session's
+// limit bounds the statement.
+func TestStatementCountsItsOwn(t *testing.T) {
+	g := NewGovernor(0)
+	b := g.Session(100)
+	earlier := b.Reserve("sort")
+	if !earlier.Grow(90) {
+		t.Fatal("grant within the limit must succeed")
+	}
+	earlier.NoteSpill(7)
+	earlier.ReleaseAll()
+
+	var s Budget
+	b.Statement(&s)
+	r := s.Reserve("hashjoin")
+	if !r.Grow(40) || r.Grow(61) {
+		t.Fatal("the statement must be bounded by its session's limit, and only by it")
+	}
+	r.NoteSpill(5)
+	if got := s.Stats(); got != (Stats{InUse: 40, Peak: 40, BytesSpilled: 5, SpillEvents: 1}) {
+		t.Fatalf("statement stats = %+v, want its own 40B peak and one 5B spill", got)
+	}
+	if got := b.Stats(); got != (Stats{InUse: 40, Peak: 90, BytesSpilled: 12, SpillEvents: 2}) {
+		t.Fatalf("session stats = %+v", got)
+	}
+	r.ReleaseAll()
+	if s.Stats().InUse != 0 || b.Stats().InUse != 0 || g.Stats().InUse != 0 {
+		t.Fatalf("in-use after ReleaseAll: statement %d session %d engine %d", s.Stats().InUse, b.Stats().InUse, g.Stats().InUse)
+	}
+}

@@ -1596,34 +1596,6 @@ func (p *Planner) planRTE(rt int, rte *algebra.RTE) (*planned, error) {
 			rts:    algebra.BitsOf(rt),
 			est:    sub.est,
 		}, nil
-	case algebra.RTEValues:
-		var rows []types.Row
-		binder := &rowBinder{p: p, layout: map[int]int{}}
-		var ctx eval.Ctx
-		for _, exprRow := range rte.Rows {
-			fns, err := eval.CompileAll(exprRow, binder)
-			if err != nil {
-				return nil, err
-			}
-			row := make(types.Row, len(fns))
-			for i, f := range fns {
-				v, err := f(&ctx)
-				if err != nil {
-					return nil, err
-				}
-				row[i] = v
-			}
-			rows = append(rows, row)
-		}
-		pl := &planned{
-			node:   exec.NewScan(rows),
-			layout: map[int]int{rt: 0},
-			kinds:  rte.Cols.Kinds(),
-			rts:    algebra.BitsOf(rt),
-			est:    float64(len(rows)) + 1,
-		}
-		setEstNode(pl.node, pl.est)
-		return pl, nil
 	default:
 		return nil, fmt.Errorf("plan: unknown RTE kind %d", rte.Kind)
 	}

@@ -124,20 +124,3 @@ func TestFingerprint(t *testing.T) {
 		}
 	}
 }
-
-func TestContainsDoesNotCount(t *testing.T) {
-	c := New(8)
-	c.Put("k", 1, 7)
-	if !c.Contains("k", 7) {
-		t.Fatal("Contains missed a live entry")
-	}
-	if c.Contains("k", 8) {
-		t.Fatal("Contains matched a stale version")
-	}
-	if c.Contains("other", 7) {
-		t.Fatal("Contains matched a missing key")
-	}
-	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("Contains moved the counters: %+v", st)
-	}
-}

@@ -124,18 +124,6 @@ func (c *Cache) Get(key string, version uint64) (any, bool) {
 	return v, true
 }
 
-// Contains reports whether key is cached under the given catalog
-// version without touching the LRU order or the hit/miss counters. The
-// slow-query log uses it to label a statement's cache outcome without
-// distorting the stats the statement itself is about to move.
-func (c *Cache) Contains(key string, version uint64) bool {
-	s := c.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[key]
-	return ok && el.Value.(*node).entry.Version == version
-}
-
 // Put stores an artifact compiled under the given catalog version,
 // evicting the least recently used entry of the shard if it is full. A
 // concurrent Put for the same key wins by recency (last writer stays).

@@ -339,9 +339,9 @@ func (s *Server) handleConn(conn net.Conn) {
 			s.sem <- struct{}{} // acquire a worker slot
 		}
 		slow := s.slow.Load()
-		var pre queryPrecondition
+		var lastID string // the session's last query ID: a request that runs no statement leaves it
 		if slow != nil {
-			pre = s.precondition(sess, req)
+			lastID = sess.DB().LastQueryInfo().ID
 		}
 		start := time.Now()
 		resp := s.safeDispatch(sess, req)
@@ -357,7 +357,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		if slow != nil && dur >= slow.threshold {
 			s.slowTotal.Inc()
-			s.logSlow(slow, sess, req, resp, dur, pre)
+			s.logSlow(slow, sess, req, resp, dur, lastID)
 		}
 		err = s.writeResponse(conn, resp)
 		s.reqWg.Done()
@@ -449,24 +449,6 @@ func (s *Server) dispatch(sess *session.Session, req *wire.Request) *wire.Respon
 	}
 }
 
-// queryPrecondition is state captured before a request executes, so the
-// slow-query log can report per-statement deltas. Only taken when the
-// slow-query log is armed.
-type queryPrecondition struct {
-	cacheHit bool
-	stats    perm.QueryStats // session budget counters before execution
-	lastID   string          // the session's last query ID: a request that runs no statement leaves it
-}
-
-func (s *Server) precondition(sess *session.Session, req *wire.Request) queryPrecondition {
-	db := sess.DB()
-	return queryPrecondition{
-		cacheHit: req.SQL != "" && sess.Cached(req.SQL),
-		stats:    db.SessionQueryStats(),
-		lastID:   db.LastQueryInfo().ID,
-	}
-}
-
 // slowEntry is one slow-query log line.
 type slowEntry struct {
 	Time         string  `json:"ts"`
@@ -475,8 +457,8 @@ type slowEntry struct {
 	Fingerprint  string  `json:"fingerprint,omitempty"`
 	DurationMS   float64 `json:"duration_ms"`
 	Rows         int     `json:"rows"`
-	CacheHit     bool    `json:"cache_hit"`
-	SpilledBytes int64   `json:"spilled_bytes"`
+	CacheHit     bool    `json:"cache_hit"`     // the statement ran a tree it did not compile
+	SpilledBytes int64   `json:"spilled_bytes"` // the statement's own spill
 	SpillEvents  uint64  `json:"spill_events"`
 	Parallelism  int     `json:"parallelism"`     // the worker count the session plans with
 	Spans        string  `json:"spans,omitempty"` // phase breakdown, when the query was trace-sampled
@@ -484,32 +466,29 @@ type slowEntry struct {
 }
 
 // logSlow emits one JSON line for a request that crossed the slow-query
-// threshold. Spill counters are the session budget's delta across the
-// statement, so concurrent sessions don't bleed into each other. The
-// query ID, spans and fingerprint are the engine's for the statement the
-// request ran (an EXECUTE carries no SQL of its own), and absent when it
-// ran none (a PREPARE or SET), rather than the previous statement's. The
-// op is the statement's kind (SELECT, PREPARE, EXECUTE, ...), or the
-// wire op of a request that carries none (PING, CANCEL).
-func (s *Server) logSlow(sl *slowLog, sess *session.Session, req *wire.Request, resp *wire.Response, dur time.Duration, pre queryPrecondition) {
+// threshold. The query ID, fingerprint, spans, cache outcome and spill
+// are what the statement the request ran recorded about itself (an
+// EXECUTE carries no SQL of its own), and absent when it ran none (a
+// PREPARE or SET), rather than the previous statement's; lastID is the
+// session's last query ID before the request. The op is the statement's
+// kind (SELECT, PREPARE, EXECUTE, ...), or the wire op of a request that
+// carries none (PING, CANCEL).
+func (s *Server) logSlow(sl *slowLog, sess *session.Session, req *wire.Request, resp *wire.Response, dur time.Duration, lastID string) {
 	db := sess.DB()
-	post := db.SessionQueryStats()
 	e := slowEntry{
-		Time:         time.Now().UTC().Format(time.RFC3339Nano),
-		Op:           session.Kind(req.SQL),
-		DurationMS:   float64(dur.Microseconds()) / 1000,
-		Rows:         len(resp.Rows),
-		CacheHit:     pre.cacheHit,
-		SpilledBytes: post.BytesSpilled - pre.stats.BytesSpilled,
-		SpillEvents:  post.SpillEvents - pre.stats.SpillEvents,
-		Parallelism:  db.Workers(),
-		Err:          resp.Err,
+		Time:        time.Now().UTC().Format(time.RFC3339Nano),
+		Op:          session.Kind(req.SQL),
+		DurationMS:  float64(dur.Microseconds()) / 1000,
+		Rows:        len(resp.Rows),
+		Parallelism: db.Workers(),
+		Err:         resp.Err,
 	}
 	if e.Op == "" {
 		e.Op = req.Op
 	}
-	if info := db.LastQueryInfo(); info.ID != pre.lastID {
+	if info := db.LastQueryInfo(); info.ID != lastID {
 		e.QueryID, e.Fingerprint, e.Spans = info.ID, info.Fingerprint, info.Spans
+		e.CacheHit, e.SpilledBytes, e.SpillEvents = info.CacheHit, info.SpilledBytes, info.SpillEvents
 	}
 	if resp.Rows == nil {
 		e.Rows = resp.Affected

@@ -13,9 +13,10 @@ import (
 	"perm/internal/qcache"
 )
 
-// TestExplainAnalyzeOverWire pins the EXPLAIN_ANALYZE op: the annotated
-// report comes back as plan text, and the query result itself stays
-// byte-identical when run normally afterwards.
+// TestExplainAnalyzeOverWire: permclient.ExplainAnalyze sends EXPLAIN
+// ANALYZE as statement text, like any other statement, and joins the
+// annotated report's rows into plan text; Exec of the same statement
+// returns the rows themselves.
 func TestExplainAnalyzeOverWire(t *testing.T) {
 	db := paperDB(t)
 	c := dial(t, startServer(t, db, 2))
@@ -30,7 +31,7 @@ func TestExplainAnalyzeOverWire(t *testing.T) {
 			t.Fatalf("wire report lacks %q:\n%s", want, report)
 		}
 	}
-	// The dialect form over OpExec returns the same annotations as rows.
+	// Exec of the same statement returns the annotations as rows.
 	res, _, err := c.Exec("EXPLAIN ANALYZE " + q)
 	if err != nil {
 		t.Fatal(err)

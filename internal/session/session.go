@@ -280,12 +280,6 @@ func firstToken(stmt string) (first, rest string) {
 	return tok.Text, stmt[tok.End:]
 }
 
-// Cached reports whether Run would find text's compiled tree in the
-// query cache (perm.Database.QueryCached of the text Run compiles).
-func (s *Session) Cached(text string) bool {
-	return s.DB().QueryCached(statement(text))
-}
-
 // statement is the text Run routes and compiles: text without the
 // surrounding space and a trailing semicolon.
 func statement(text string) string {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"perm/internal/catalog"
+	"perm/internal/mem"
 	"perm/internal/obs"
 	"perm/internal/qcache"
 	"perm/internal/sql"
@@ -63,18 +64,24 @@ func (db *Database) Cancel(queryID string) error {
 	return err
 }
 
-// QueryInfo identifies the last statement this handle ran, for
-// correlating external telemetry (the slow-query log) with the tracing
-// subsystem.
+// QueryInfo is what the last statement this handle ran recorded about
+// itself, for correlating external telemetry (the slow-query log) with the
+// tracing subsystem.
 type QueryInfo struct {
 	ID          string // engine-unique query ID
 	Fingerprint string // the statement's fingerprint, as perm_stat_statements keys it
 	Spans       string // one-line phase timing breakdown; "" unless the query was sampled
+	// CacheHit says the statement ran a compiled tree it did not compile:
+	// one from the query cache, or one a prepared statement held.
+	CacheHit bool
+	// SpilledBytes and SpillEvents are what the statement's own operators
+	// wrote to spill files.
+	SpilledBytes int64
+	SpillEvents  uint64
 }
 
-// LastQueryInfo returns the ID and fingerprint (and, when the query was
-// sampled, the phase span breakdown) of the most recent statement this
-// handle finished.
+// LastQueryInfo returns what the most recent statement this handle
+// finished recorded about itself.
 func (db *Database) LastQueryInfo() QueryInfo {
 	if p := db.lastQ.Load(); p != nil {
 		return *p
@@ -85,10 +92,11 @@ func (db *Database) LastQueryInfo() QueryInfo {
 // ---------------------------------------------------------------------------
 // Per-statement lifecycle bookkeeping
 
-// queryRun carries one statement's introspection state through the
-// pipeline: its active-query registration, its (possibly nil) trace,
-// and the currently open phase span. All methods are nil-receiver safe
-// so untracked internal executions pass nil and cost nothing.
+// queryRun is one statement's own record, carried through the pipeline:
+// its active-query registration, its (possibly nil) trace, the currently
+// open phase span, where its tree came from, and the memory accountant
+// its operators reserve from. Its methods are nil-receiver safe, so
+// compiling outside a statement (Prepare, EXPLAIN) passes nil.
 type queryRun struct {
 	db    *Database
 	aq    *obs.ActiveQuery
@@ -96,11 +104,17 @@ type queryRun struct {
 	norm  string
 	start time.Time
 	span  int
-	// fresh marks that this statement's compiled artifact was built this
-	// run (a cache miss): the execution that follows hashes its physical
-	// plan into the statement store. Cache hits replay a tree the store
-	// has already seen, so hashing them would only re-render plans.
+	// hit marks a statement that ran a tree it did not compile.
+	hit bool
+	// fresh marks a tree whose physical plan the statement store has not
+	// seen: one this statement compiled (a cache miss), or one compiled
+	// outside any statement. The execution that follows hashes its plan
+	// into the store; other cache hits replay a tree the store has
+	// already seen, so hashing them would only re-render plans.
 	fresh bool
+	// mem is the statement's accountant below the session budget; its
+	// counters start at zero.
+	mem mem.Budget
 }
 
 // beginQuery registers a statement with the engine: allocates its query
@@ -128,7 +142,17 @@ func (db *Database) beginQuery(text string) *queryRun {
 	}
 	trace := eng.tracer.Sample(db.opts.TraceSample, id, fp, text, start)
 	eng.activity.Register(aq)
-	return &queryRun{db: db, aq: aq, trace: trace, norm: norm, start: start, span: -1}
+	qr := &queryRun{db: db, aq: aq, trace: trace, norm: norm, start: start, span: -1}
+	db.budget.Statement(&qr.mem)
+	return qr
+}
+
+// served records where the statement's tree came from: hit when the
+// statement did not compile it, fresh when its plan is to be hashed.
+func (qr *queryRun) served(hit, fresh bool) {
+	if qr != nil {
+		qr.hit, qr.fresh = hit, fresh
+	}
 }
 
 // phase publishes the statement's pipeline phase and, when tracing,
@@ -144,19 +168,10 @@ func (qr *queryRun) phase(p obs.Phase) {
 	}
 }
 
-// activeQuery returns the registration record (nil for an untracked
-// run), for executors that poll cancellation and count progress.
-func (qr *queryRun) activeQuery() *obs.ActiveQuery {
-	if qr == nil {
-		return nil
-	}
-	return qr.aq
-}
-
 // finish completes the statement: deregisters it, accounts it in the
 // per-fingerprint store (one lock, which also feeds the plan-flip
-// latency baselines), stores the completed trace, and records the
-// handle's last-query info for log correlation.
+// latency baselines), stores the completed trace, and records what the
+// statement knows of itself as the handle's last-query info.
 func (qr *queryRun) finish(err error) {
 	if qr == nil {
 		return
@@ -168,7 +183,11 @@ func (qr *queryRun) finish(err error) {
 	if qr.trace != nil {
 		eng.tracer.Store.Put(qr.trace)
 	}
-	info := QueryInfo{ID: qr.aq.ID, Fingerprint: qr.aq.Fingerprint, Spans: qr.trace.PhaseBreakdown()}
+	st := qr.mem.Stats()
+	info := QueryInfo{
+		ID: qr.aq.ID, Fingerprint: qr.aq.Fingerprint, Spans: qr.trace.PhaseBreakdown(),
+		CacheHit: qr.hit, SpilledBytes: st.BytesSpilled, SpillEvents: uint64(st.SpillEvents),
+	}
 	qr.db.lastQ.Store(&info)
 }
 

@@ -43,28 +43,22 @@ func (db *Database) ExplainAnalyzeSQL(text string) (string, error) {
 }
 
 // analyzeSelect compiles (through the cache) and runs a SELECT probed,
-// returning the result and the annotated plan. text is the SELECT's own
-// text, the cache key and the fingerprint in the report footer: plan
-// health is keyed on the bare statement, not the session's
-// EXPLAIN ANALYZE-prefixed text, so estimates and flips join against
+// returning the result and the annotated plan, whose footer reads the
+// statement's own peak memory and spill. text is the SELECT's own text,
+// the cache key and the fingerprint in the report footer: plan health is
+// keyed on the bare statement, not the session's EXPLAIN
+// ANALYZE-prefixed text, so estimates and flips join against
 // perm_stat_statements rows for the plain statement.
 func (db *Database) analyzeSelect(sel *sql.SelectStmt, text string, qr *queryRun) (*Result, string, error) {
-	q, ok := db.cacheGet(text)
-	if !ok {
-		var err error
-		q, err = db.compileSelect(sel, text, qr)
-		if err != nil {
-			return nil, "", err
-		}
+	q, _, err := db.compiled(text, sel, qr)
+	if err != nil {
+		return nil, "", err
 	}
-	key := &stmtKey{}
-	if qr != nil && text == qr.aq.SQL {
-		key.fp, key.norm = qr.aq.Fingerprint, qr.norm
-	} else {
+	key := &stmtKey{fp: qr.aq.Fingerprint, norm: qr.norm}
+	if text != qr.aq.SQL {
 		key.norm = sql.Normalize(text)
 		key.fp = qcache.FingerprintNormalized(key.norm)
 	}
-	pre := db.budget.Stats()
 	r, err := db.openSelect(q, qr, key)
 	if err != nil {
 		return nil, "", err
@@ -74,11 +68,9 @@ func (db *Database) analyzeSelect(sel *sql.SelectStmt, text string, qr *queryRun
 		return nil, "", err
 	}
 	total := time.Since(r.start)
-	if qr != nil {
-		db.eng.stmts.ObserveEstimates(key.fp, key.norm, plan.OperatorEstimates(r.root))
-	}
-	post := db.budget.Stats()
-	report := plan.ExplainAnalyzed(r.root, total, post.Peak, post.BytesSpilled-pre.BytesSpilled) +
+	db.eng.stmts.ObserveEstimates(key.fp, key.norm, plan.OperatorEstimates(r.root))
+	st := qr.mem.Stats()
+	report := plan.ExplainAnalyzed(r.root, total, st.Peak, st.BytesSpilled) +
 		"Fingerprint: " + key.fp + "\n"
 	return res, report, nil
 }
@@ -97,15 +89,15 @@ func (db *Database) TopMisestimates(n int) []obs.StmtRecord {
 }
 
 // notePlanHash feeds one freshly compiled statement's physical plan hash
-// into the plan-flip store. Only executions following a cache miss are
-// hashed (qr.fresh): a cache hit replays an artifact whose plan the
-// store already saw, so the hot path never renders a plan. A flip —
+// into the plan-flip store. Only executions of a tree the store has not
+// seen are hashed (qr.fresh): a cache hit replays an artifact whose plan
+// the store already saw, so the hot path never renders a plan. A flip —
 // the same fingerprint compiling to a structurally different plan —
 // bumps perm_plan_flips_total and lands in the engine event log. An
 // analyzed statement records under the bare statement's identity even
 // when the session ran it as EXPLAIN ANALYZE.
 func (db *Database) notePlanHash(qr *queryRun, analyzed *stmtKey, node exec.Node) {
-	if qr == nil || !qr.fresh {
+	if !qr.fresh {
 		return
 	}
 	qr.fresh = false
@@ -120,17 +112,6 @@ func (db *Database) notePlanHash(qr *queryRun, analyzed *stmtKey, node exec.Node
 		obs.Events.Record(obs.EventPlanFlip, qr.aq.ID, fp,
 			fmt.Sprintf("plan %016x -> %016x", old, h))
 	}
-}
-
-// QueryCached reports whether a compiled artifact for the statement text
-// is currently cached (under this handle's options and the current
-// catalog version) without touching the cache counters or LRU order. The
-// slow-query log uses it to label a statement's cache outcome.
-func (db *Database) QueryCached(text string) bool {
-	if db.opts.DisableQueryCache {
-		return false
-	}
-	return db.cache.Contains(db.optsKey+"\x00"+text, db.cat.Version())
 }
 
 // EngineVersion identifies the engine build in perm_build_info and the

@@ -2,11 +2,14 @@ package perm_test
 
 import (
 	"fmt"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"perm"
+	"perm/internal/fault"
 	"perm/internal/obs"
 	"perm/internal/qcache"
 	"perm/internal/session"
@@ -311,37 +314,6 @@ func TestMetricsConcurrentSessions(t *testing.T) {
 	}
 }
 
-// TestQueryCached pins the non-counting cache probe the slow-query log
-// relies on.
-func TestQueryCached(t *testing.T) {
-	db := perm.NewDatabase()
-	db.MustExec(`CREATE TABLE t (a int)`)
-	db.MustExec(`INSERT INTO t VALUES (1), (2)`)
-	const q = `SELECT a FROM t ORDER BY a`
-	if db.QueryCached(q) {
-		t.Fatal("query cached before first compile")
-	}
-	before := db.QueryCacheStats()
-	if _, err := db.Query(q); err != nil {
-		t.Fatal(err)
-	}
-	if !db.QueryCached(q) {
-		t.Fatal("query not cached after compile")
-	}
-	after := db.QueryCacheStats()
-	if after.Hits != before.Hits || after.Misses != before.Misses+1 {
-		t.Fatalf("unexpected counter movement: before=%+v after=%+v", before, after)
-	}
-	// The probe itself must not move the counters.
-	if got := db.QueryCacheStats(); got != after {
-		t.Fatalf("QueryCached moved the counters: %+v -> %+v", after, got)
-	}
-	db.MustExec(`INSERT INTO t VALUES (3)`) // version bump invalidates
-	if db.QueryCached(q) {
-		t.Fatal("stale artifact still reported as cached after DML")
-	}
-}
-
 // TestExplainAnalyzeSharesBareIdentity: EXPLAIN ANALYZE <select> caches
 // and fingerprints as the bare <select> does, whatever surrounds its
 // keywords — comments between them, a trailing comment or semicolon, a
@@ -370,9 +342,6 @@ func TestExplainAnalyzeSharesBareIdentity(t *testing.T) {
 			for _, row := range res.Rows {
 				report.WriteString(row[0].String() + "\n")
 			}
-		}
-		if !db.QueryCached(q) {
-			t.Errorf("%q did not fill the bare statement's cache slot", text)
 		}
 		if report.Len() > 0 && !strings.Contains(report.String(), "Fingerprint: "+qcache.Fingerprint(q)+"\n") {
 			t.Errorf("%q reports another fingerprint than the bare statement:\n%s", text, report.String())
@@ -469,5 +438,121 @@ func TestOneDrainEveryEntryPoint(t *testing.T) {
 			}
 			check("Cursor", fetched, cur.Close())
 		}
+	}
+}
+
+// analyzedFooter runs text under EXPLAIN ANALYZE and returns the peak
+// memory and spilled bytes its report footer reads.
+func analyzedFooter(t *testing.T, db *perm.Database, text string) (peak, spilled int64) {
+	t.Helper()
+	report, err := db.ExplainAnalyzeSQL(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`\(peak memory (\d+)B, spilled (\d+)B\)`).FindStringSubmatch(report)
+	if m == nil {
+		t.Fatalf("report lacks the footer:\n%s", report)
+	}
+	peak, _ = strconv.ParseInt(m[1], 10, 64)
+	spilled, _ = strconv.ParseInt(m[2], 10, 64)
+	return peak, spilled
+}
+
+// TestExplainAnalyzePeakIsTheStatements: the EXPLAIN ANALYZE footer reads
+// the statement's own peak and spill, not its session's high-water mark:
+// a one-row sort reads the same small peak, and nothing spilled, before
+// and after a sort that spills on the same handle.
+func TestExplainAnalyzePeakIsTheStatements(t *testing.T) {
+	db := perm.NewDatabaseWithOptions(perm.Options{MemoryLimit: 1 << 20, SpillDir: t.TempDir(), Parallelism: -1})
+	bigTable(db)
+	db.MustExec(`CREATE TABLE one (a int)`)
+	db.MustExec(`INSERT INTO one VALUES (1)`)
+	const small = `SELECT a FROM one ORDER BY a`
+	peak0, spilled0 := analyzedFooter(t, db, small)
+	db.MustQuery(`SELECT a, s FROM big ORDER BY s, a`)
+	if st := db.SessionQueryStats(); st.BytesSpilled == 0 || st.PeakMemory < 1<<19 {
+		t.Fatalf("the big sort did not fill the session budget and spill: %+v", st)
+	}
+	peak1, spilled1 := analyzedFooter(t, db, small)
+	if fault.Enabled() {
+		return // injected denials spill the one-row sort at random
+	}
+	if peak0 != peak1 || peak1 >= 1<<10 || spilled0 != 0 || spilled1 != 0 {
+		t.Fatalf("one-row sort footer: peak %dB spilled %dB before the big sort, %dB and %dB after; want the same small peak and no spill",
+			peak0, spilled0, peak1, spilled1)
+	}
+}
+
+// TestStatementFacts: each statement records its own cache outcome and
+// spill in LastQueryInfo, whichever entry point runs it. A statement hits
+// when it runs a tree it did not compile: from the query cache, or the
+// one a prepared statement holds; one that compiled, or ran no tree,
+// does not.
+func TestStatementFacts(t *testing.T) {
+	db := perm.NewDatabaseWithOptions(perm.Options{MemoryLimit: 1 << 20, SpillDir: t.TempDir()})
+	bigTable(db)
+	hit := func(how string, want bool) {
+		t.Helper()
+		if got := db.LastQueryInfo().CacheHit; got != want {
+			t.Errorf("%s: cache_hit %v, want %v", how, got, want)
+		}
+	}
+	const q = `SELECT a FROM big WHERE a < 3 ORDER BY a`
+	db.MustQuery(q)
+	hit("first Query", false)
+	db.MustQuery(q)
+	hit("second Query", true)
+	db.MustQuery("EXPLAIN ANALYZE " + q)
+	hit("EXPLAIN ANALYZE of the cached SELECT", true)
+	db.MustQuery("EXPLAIN " + q)
+	hit("EXPLAIN", false)
+	db.MustExec(`SELECT b FROM big WHERE a = 1`)
+	hit("first Exec of a SELECT", false)
+	db.MustExec(`SELECT b FROM big WHERE a = 1`)
+	hit("second Exec of a SELECT", true)
+
+	p, err := db.Prepare(`SELECT count(*) FROM big WHERE b = 2`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+	hit("first Run after Prepare", true)
+	db.MustExec(`INSERT INTO big VALUES (-1, 2, 'x')`)
+	hit("INSERT", false)
+	if _, err := p.Run(); err != nil {
+		t.Fatal(err)
+	}
+	hit("first Run after DML", false)
+	c, err := p.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Fetch(0); err != nil {
+		t.Fatal(err)
+	}
+	hit("Cursor over the recompiled tree", true)
+
+	const spilling = `SELECT a, s FROM big ORDER BY s, a`
+	var runs []perm.QueryInfo
+	for i := 0; i < 2; i++ {
+		before := db.SessionQueryStats()
+		db.MustQuery(spilling)
+		info := db.LastQueryInfo()
+		if after := db.SessionQueryStats(); info.SpilledBytes != after.BytesSpilled-before.BytesSpilled ||
+			info.SpillEvents != after.SpillEvents-before.SpillEvents || info.SpilledBytes == 0 {
+			t.Fatalf("spilling sort recorded %d bytes in %d events; its session wrote %d in %d",
+				info.SpilledBytes, info.SpillEvents, after.BytesSpilled-before.BytesSpilled, after.SpillEvents-before.SpillEvents)
+		}
+		runs = append(runs, info)
+	}
+	if !fault.Enabled() && (runs[0].SpilledBytes != runs[1].SpilledBytes || runs[0].SpillEvents != runs[1].SpillEvents) {
+		t.Errorf("the same sort recorded %d/%d, then %d/%d spilled bytes/events", runs[0].SpilledBytes, runs[0].SpillEvents,
+			runs[1].SpilledBytes, runs[1].SpillEvents)
+	}
+	db.MustQuery(q)
+	if info := db.LastQueryInfo(); !fault.Enabled() && (info.SpilledBytes != 0 || info.SpillEvents != 0) {
+		t.Errorf("a statement after the spilling one recorded its spill: %+v", info)
 	}
 }

@@ -184,11 +184,12 @@ func (db *Database) WithOptions(opts Options) *Database {
 
 // WithOptionsSameSession is WithOptions for an options change within an
 // existing session (SET): the derived handle keeps this handle's session
-// identity, so perm_stat_activity and the statement log stay continuous
-// across the change.
+// identity and last statement, so perm_stat_activity and the statement
+// log stay continuous across the change.
 func (db *Database) WithOptionsSameSession(opts Options) *Database {
 	d := db.withOptions(opts)
 	d.sessionID = db.sessionID
+	d.lastQ.Store(db.lastQ.Load())
 	return d
 }
 
@@ -414,7 +415,9 @@ func (db *Database) MustExec(text string) {
 // analyzed, provenance-rewritten and optimized tree is reused verbatim
 // across calls (and across sessions) until a DDL or DML statement moves
 // the catalog version; physical planning and execution always run fresh
-// against the current data. SELECT ... INTO and EXPLAIN bypass the cache.
+// against the current data. EXPLAIN ANALYZE shares its SELECT's cache
+// slot; SELECT ... INTO, EXPLAIN and EXPLAIN REWRITE compile without the
+// cache, as does the SELECT of an INSERT ... SELECT run by Exec.
 func (db *Database) Query(text string) (*Result, error) {
 	qr := db.beginQuery(text)
 	res, err := db.query(text, qr)
@@ -423,19 +426,11 @@ func (db *Database) Query(text string) (*Result, error) {
 }
 
 func (db *Database) query(text string, qr *queryRun) (*Result, error) {
-	if q, ok := db.cacheGet(text); ok {
-		return db.execute(q, qr)
-	}
-	qr.phase(obs.PhaseParse)
-	stmt, err := sql.Parse(text)
+	q, stmt, err := db.compiled(text, nil, qr)
 	if err != nil {
 		return nil, err
 	}
-	if sel, ok := stmt.(*sql.SelectStmt); ok && sel.Into == "" {
-		q, err := db.compileSelect(sel, text, qr)
-		if err != nil {
-			return nil, err
-		}
+	if q != nil {
 		return db.execute(q, qr)
 	}
 	_, res, err := db.run(stmt, qr)
@@ -448,38 +443,48 @@ func (db *Database) query(text string, qr *queryRun) (*Result, error) {
 	return res, nil
 }
 
-// cacheGet looks up the compiled artifact for a statement text, honouring
-// the DisableQueryCache escape hatch and the current catalog version.
-func (db *Database) cacheGet(text string) (*algebra.Query, bool) {
-	if db.opts.DisableQueryCache {
-		return nil, false
+// compiled is the one compile entry of a statement's SELECT: it returns
+// the tree cached under text at the current catalog version, or compiles
+// sel (parsing text first when sel is nil) and publishes the tree under
+// text. It marks the statement with the outcome — a tree the statement did
+// not compile is a cache hit, one it compiled has its plan hashed when it
+// runs — so no caller looks the cache up itself. An empty text and
+// DisableQueryCache bypass the cache. A parsed statement that is not a
+// plain SELECT comes back uncompiled, for the caller to run.
+//
+// The catalog version is read before compilation: if concurrent DDL/DML
+// lands while we compile, the stored artifact is tagged with the older
+// version and the next lookup discards it, so a cached tree can never be
+// newer than the version it claims.
+func (db *Database) compiled(text string, sel *sql.SelectStmt, qr *queryRun) (*algebra.Query, sql.Statement, error) {
+	key := ""
+	if !db.opts.DisableQueryCache && text != "" {
+		key = db.optsKey + "\x00" + text
+		if v, ok := db.cache.Get(key, db.cat.Version()); ok {
+			qr.served(true, false)
+			return v.(*algebra.Query), nil, nil
+		}
 	}
-	v, ok := db.cache.Get(db.optsKey+"\x00"+text, db.cat.Version())
-	if !ok {
-		return nil, false
+	if sel == nil {
+		qr.phase(obs.PhaseParse)
+		stmt, err := sql.Parse(text)
+		if err != nil {
+			return nil, nil, err
+		}
+		if sel, _ = stmt.(*sql.SelectStmt); sel == nil || sel.Into != "" {
+			return nil, stmt, nil
+		}
 	}
-	return v.(*algebra.Query), true
-}
-
-// compileSelect runs the compile pipeline for a parsed plain SELECT and,
-// when caching is enabled, publishes the artifact for reuse. The catalog
-// version is read before compilation: if concurrent DDL/DML lands while
-// we compile, the stored artifact is tagged with the older version and
-// the next lookup discards it, so a cached tree can never be newer than
-// the version it claims.
-func (db *Database) compileSelect(sel *sql.SelectStmt, text string, qr *queryRun) (*algebra.Query, error) {
 	ver := db.cat.Version()
 	q, err := db.compile(sel, qr)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if qr != nil {
-		qr.fresh = true
+	qr.served(false, true)
+	if key != "" {
+		db.cache.Put(key, q, ver)
 	}
-	if !db.opts.DisableQueryCache && text != "" {
-		db.cache.Put(db.optsKey+"\x00"+text, q, ver)
-	}
-	return q, nil
+	return q, nil, nil
 }
 
 // selectRun is an open SELECT: the one path a compiled statement takes
@@ -510,22 +515,20 @@ type stmtKey struct{ fp, norm string }
 // identity EXPLAIN ANALYZE reports plan health under), and opens it.
 func (db *Database) openSelect(q *algebra.Query, qr *queryRun, analyzed *stmtKey) (*selectRun, error) {
 	qr.phase(obs.PhasePlan)
-	root, err := db.planner().SetActivity(qr.activeQuery()).Plan(q)
+	root, err := db.planner(&qr.mem).SetActivity(qr.aq).Plan(q)
 	if err != nil {
 		return nil, err
 	}
 	db.notePlanHash(qr, analyzed, root)
 	schema := q.Schema()
 	r := &selectRun{
-		qr:   qr,
-		res:  &Result{Columns: schema.Names(), ProvColumns: make([]bool, len(schema))},
-		root: root,
+		qr:    qr,
+		res:   &Result{Columns: schema.Names(), ProvColumns: make([]bool, len(schema))},
+		root:  root,
+		trace: qr.trace,
 	}
 	for _, pc := range q.ProvCols {
 		r.res.ProvColumns[pc.Col] = true
-	}
-	if qr != nil {
-		r.trace = qr.trace
 	}
 	rs, vectorized := root.(*vexec.RowSource)
 	if analyzed != nil || r.trace != nil {
@@ -558,7 +561,7 @@ const rowStride = 1024
 // emitted-row progress and a cancellation check to the active-query
 // record (one atomic add and one atomic load).
 func (r *selectRun) step() (_ block, more bool, err error) {
-	aq := r.qr.activeQuery()
+	aq := r.qr.aq
 	if r.batches != nil {
 		b, err := r.batches.Next()
 		if err != nil || b == nil {
@@ -687,18 +690,19 @@ func (db *Database) planText(sel *sql.SelectStmt) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	node, err := db.planner().Plan(q)
+	node, err := db.planner(db.budget).Plan(q)
 	if err != nil {
 		return "", err
 	}
 	return plan.Explain(node), nil
 }
 
-// planner returns a planner configured from the database options.
-func (db *Database) planner() *plan.Planner {
+// planner returns a planner configured from the database options, whose
+// operators reserve from budget: a statement's own, or the session's.
+func (db *Database) planner(budget *mem.Budget) *plan.Planner {
 	return plan.New(db.cat).
 		SetVectorized(!db.opts.DisableVectorized).
-		SetResources(db.budget, db.opts.SpillDir).
+		SetResources(budget, db.opts.SpillDir).
 		SetParallelism(db.Workers())
 }
 
@@ -763,7 +767,8 @@ func (db *Database) compile(sel *sql.SelectStmt, qr *queryRun) (*algebra.Query, 
 func (db *Database) run(stmt sql.Statement, qr *queryRun) (int, *Result, error) {
 	switch s := stmt.(type) {
 	case *sql.SelectStmt:
-		res, err := db.runSelect(s, qr)
+		// The statement's own text: Exec runs each statement under it.
+		res, err := db.runSelect(s, qr.aq.SQL, qr)
 		return 0, res, err
 	case *sql.CancelStmt:
 		return 0, nil, db.Cancel(s.ID)
@@ -815,10 +820,14 @@ func (db *Database) run(stmt sql.Statement, qr *queryRun) (int, *Result, error) 
 	}
 }
 
-func (db *Database) runSelect(sel *sql.SelectStmt, qr *queryRun) (*Result, error) {
+// runSelect runs a parsed SELECT, cached under text unless it is a
+// SELECT ... INTO, whose tree compiles without the table it creates.
+func (db *Database) runSelect(sel *sql.SelectStmt, text string, qr *queryRun) (*Result, error) {
 	into := sel.Into
-	sel.Into = ""
-	q, err := db.compile(sel, qr)
+	if into != "" {
+		sel.Into, text = "", ""
+	}
+	q, _, err := db.compiled(text, sel, qr)
 	if err != nil {
 		return nil, err
 	}
@@ -904,7 +913,7 @@ func (db *Database) runInsert(s *sql.InsertStmt, qr *queryRun) (int, error) {
 
 	n := 0
 	if s.Query != nil {
-		res, err := db.runSelect(s.Query, qr)
+		res, err := db.runSelect(s.Query, "", qr)
 		if err != nil {
 			return 0, err
 		}
@@ -1049,7 +1058,7 @@ func (b *deleteBinder) BindVar(v *algebra.Var) (int, error) {
 }
 
 func (b *deleteBinder) BindSubLink(s *algebra.SubLink) (algebra.SubLinkValue, error) {
-	return plan.NewSubLinkValue(b.db.planner(), s)
+	return plan.NewSubLinkValue(b.db.planner(b.db.budget), s)
 }
 
 // InsertRows bulk-loads pre-built rows into a base table, bypassing SQL

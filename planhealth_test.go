@@ -14,6 +14,50 @@ import (
 // structural plan change the flip store must record with the catalog
 // trigger, and the event log must carry.
 func TestPlanFlipRecorded(t *testing.T) {
+	planFlipScenario(t, func(db *perm.Database, q string) func() error {
+		return func() error { _, err := db.Query(q); return err }
+	})
+}
+
+// TestPlanFlipRecordedThroughPreparedAndCursor: the same scenario run
+// through Prepared.Run and through a Cursor records the one catalog flip
+// Query does. Prepare compiles outside any statement, so the first
+// statement that runs its tree hashes the plan in its stead.
+func TestPlanFlipRecordedThroughPreparedAndCursor(t *testing.T) {
+	t.Run("Run", func(t *testing.T) {
+		planFlipScenario(t, func(db *perm.Database, q string) func() error {
+			p, err := db.Prepare(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func() error { _, err := p.Run(); return err }
+		})
+	})
+	t.Run("Cursor", func(t *testing.T) {
+		planFlipScenario(t, func(db *perm.Database, q string) func() error {
+			p, err := db.Prepare(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func() error {
+				c, err := p.Start()
+				if err != nil {
+					return err
+				}
+				if _, err := c.Fetch(0); err != nil {
+					return err
+				}
+				return c.Close()
+			}
+		})
+	})
+}
+
+// planFlipScenario runs the join through the runner entry returns for it,
+// bulk-inserts 2000 rows into its tiny side, runs it again, and requires
+// exactly one recorded flip, with the catalog trigger.
+func planFlipScenario(t *testing.T, entry func(db *perm.Database, q string) func() error) {
+	t.Helper()
 	db := perm.NewDatabase()
 	db.MustExec("CREATE TABLE r (a INT, b INT)")
 	db.MustExec("INSERT INTO r VALUES (1,2),(3,4),(5,6)")
@@ -21,14 +65,14 @@ func TestPlanFlipRecorded(t *testing.T) {
 	db.MustExec("INSERT INTO s VALUES (1)")
 	flipsBefore := obs.PlanFlips.Load()
 
-	q := "SELECT r.a FROM r, s WHERE r.a = s.a"
-	if _, err := db.Query(q); err != nil {
+	run := entry(db, "SELECT r.a FROM r, s WHERE r.a = s.a")
+	if err := run(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2000; i++ {
 		db.MustExec("INSERT INTO s VALUES (7)")
 	}
-	if _, err := db.Query(q); err != nil {
+	if err := run(); err != nil {
 		t.Fatal(err)
 	}
 

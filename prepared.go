@@ -25,6 +25,9 @@ type Prepared struct {
 	mu  sync.Mutex
 	q   *algebra.Query
 	ver uint64
+	// fresh marks a tree compiled outside any statement (by Prepare or
+	// Columns): the first statement to run it hashes its plan.
+	fresh bool
 }
 
 // Prepare parses and compiles a single plain SELECT statement (no
@@ -38,7 +41,7 @@ func (db *Database) Prepare(text string) (*Prepared, error) {
 		return nil, fmt.Errorf("cannot prepare SELECT ... INTO")
 	}
 	p := &Prepared{db: db, text: text, sel: sel}
-	if _, err := p.compiled(); err != nil {
+	if _, err := p.compiled(nil); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -49,44 +52,44 @@ func (p *Prepared) Text() string { return p.text }
 
 // Columns returns the output column names of the statement.
 func (p *Prepared) Columns() ([]string, error) {
-	q, err := p.compiled()
+	q, err := p.compiled(nil)
 	if err != nil {
 		return nil, err
 	}
 	return q.Schema().Names(), nil
 }
 
-// compiled returns the compiled tree, recompiling if the catalog version
-// has moved since the last compilation. The first compile also consults
-// the shared query cache, so preparing an already-hot statement is free.
-func (p *Prepared) compiled() (*algebra.Query, error) {
+// compiled returns the compiled tree for the statement qr (nil outside
+// one), recompiling through the database's compile entry if the catalog
+// version has moved since the last compilation; the first compile also
+// consults the shared query cache, so preparing an already-hot statement
+// is free. A statement served the held tree ran one it did not compile.
+func (p *Prepared) compiled(qr *queryRun) (*algebra.Query, error) {
 	cur := p.db.cat.Version()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.q != nil && p.ver == cur {
+		qr.served(true, p.fresh)
+		p.fresh = p.fresh && qr == nil
 		return p.q, nil
 	}
-	if q, ok := p.db.cacheGet(p.text); ok {
-		p.q, p.ver = q, cur
-		return q, nil
-	}
-	q, err := p.db.compileSelect(p.sel, p.text, nil)
+	q, _, err := p.db.compiled(p.text, p.sel, qr)
 	if err != nil {
 		p.q = nil
 		return nil, err
 	}
-	p.q, p.ver = q, cur
+	p.q, p.ver, p.fresh = q, cur, qr == nil
 	return q, nil
 }
 
 // Run plans and executes the prepared statement against the current data.
 func (p *Prepared) Run() (*Result, error) {
-	q, err := p.compiled()
-	if err != nil {
-		return nil, err
-	}
 	qr := p.db.beginQuery(p.text)
-	res, err := p.db.execute(q, qr)
+	q, err := p.compiled(qr)
+	var res *Result
+	if err == nil {
+		res, err = p.db.execute(q, qr)
+	}
 	qr.finish(err)
 	return res, err
 }
@@ -96,12 +99,12 @@ func (p *Prepared) Run() (*Result, error) {
 // incrementally with Fetch. The cursor reads the data snapshot taken at
 // open time; concurrent DML does not affect an open cursor.
 func (p *Prepared) Start() (*Cursor, error) {
-	q, err := p.compiled()
-	if err != nil {
-		return nil, err
-	}
 	qr := p.db.beginQuery(p.text)
-	run, err := p.db.openSelect(q, qr, nil)
+	q, err := p.compiled(qr)
+	var run *selectRun
+	if err == nil {
+		run, err = p.db.openSelect(q, qr, nil)
+	}
 	if err != nil {
 		qr.finish(err)
 		return nil, err
