@@ -2,9 +2,9 @@
 // took over every timing series: the paper's Perm-vs-Trio comparison
 // (Fig. 15, section V-C), which bench/ has no workload for, and the
 // allocation guards CI's bench smoke runs (BenchmarkAllocBudget: batch
-// recycling serial and behind an exchange, the join-back's row-id store,
-// compile + plan of a Fig. 12/14 q+, and the bytes of one small statement
-// from text to rows).
+// recycling serial and behind an exchange, the join-back's row-id store
+// and its deferred columns boxed at the root, compile + plan of a Fig.
+// 12/14 q+, and the bytes of one small statement from text to rows).
 package perm_test
 
 import (
@@ -198,6 +198,13 @@ func joinBackPipeline(b *testing.B, n int) vexec.Node {
 	return att
 }
 
+// joinBackBoxedAllocsPerBatch bounds the allocations of a cached Q1 q+
+// at SF 0.005 (29 result batches of 26 columns; its join-back defers 28)
+// per result batch, from text to rows: measured 21 (planning, the batch
+// and slab of each step, the result's row headers) plus half again. A
+// deferred column's header allocated per batch adds 28.
+const joinBackBoxedAllocsPerBatch = 32
+
 // allocBudgetPerCompile bounds the allocations of compiling and planning
 // one q+ of the two shapes that are most of synth_compile's time: what was
 // measured (setop10 6,039, agg10 5,348) plus 20 %. With the optimizer
@@ -288,6 +295,26 @@ func BenchmarkAllocBudget(b *testing.B) {
 		}
 		for i := 0; i < b.N; i++ {
 			drain()
+		}
+	})
+
+	b.Run("join-back-boxed", func(b *testing.B) {
+		db := perm.NewDatabaseWithOptions(perm.Options{Parallelism: -1, MemoryLimit: -1})
+		tpch.MustLoad(db, 0.005, 42)
+		q := tpch.MustQGen(1, tpch.NewRand(7)).Provenance().Text
+		run := func() {
+			if _, err := db.Query(q); err != nil {
+				b.Fatal(err)
+			}
+		}
+		batches := float64(len(db.MustQuery(q).Rows)+vector.BatchSize-1) / vector.BatchSize
+		perBatch := testing.AllocsPerRun(5, run) / batches
+		b.ReportMetric(perBatch, "allocs/batch")
+		if perBatch > joinBackBoxedAllocsPerBatch {
+			b.Fatalf("Q1's q+ allocated %.1f times per result batch (budget %d): deferred columns get a header per batch", perBatch, joinBackBoxedAllocsPerBatch)
+		}
+		for i := 0; i < b.N; i++ {
+			run()
 		}
 	})
 

@@ -119,6 +119,9 @@ func describeV(n vexec.Node) op {
 				if x.Agg.Spill.Res.SpillEvents() > 0 { // the group table: attached by key
 					parts = append(parts, fmt.Sprintf("groups_spilled=%dB", x.Agg.Spill.Res.SpillBytes()))
 				}
+				if x.Deferred > 0 { // columns the result root boxed from their source
+					parts = append(parts, fmt.Sprintf("deferred=%d", x.Deferred))
+				}
 				return parts
 			}, vkids: [2]*vexec.Node{&x.Input}}
 	case *vexec.VecSort:

@@ -91,17 +91,17 @@ func (c *Cache) shard(key string) *shard {
 }
 
 // Get returns the artifact cached under key, if it was compiled under
-// the given catalog version. An entry compiled under a different
-// version is removed and reported as a miss (counted as an
-// invalidation), so callers always recompile against the current
-// catalog.
+// the given catalog version. An entry compiled under a different version
+// is removed and reported absent (counted as an invalidation), so callers
+// always recompile against the current catalog. Get does not count the
+// lookup as a hit or a miss: the caller learns only afterwards whether the
+// key names a cacheable statement at all, and then calls Count.
 func (c *Cache) Get(key string, version uint64) (any, bool) {
 	s := c.shard(key)
 	s.mu.Lock()
 	el, ok := s.items[key]
 	if !ok {
 		s.mu.Unlock()
-		c.misses.Add(1)
 		return nil, false
 	}
 	n := el.Value.(*node)
@@ -111,7 +111,6 @@ func (c *Cache) Get(key string, version uint64) (any, bool) {
 		delete(s.items, key)
 		s.mu.Unlock()
 		c.invalidations.Add(1)
-		c.misses.Add(1)
 		obs.Events.Record(obs.EventCacheInvalidation, "", "",
 			"compiled artifact from catalog version "+strconv.FormatUint(stale, 10)+
 				" dropped at version "+strconv.FormatUint(version, 10))
@@ -120,8 +119,16 @@ func (c *Cache) Get(key string, version uint64) (any, bool) {
 	s.order.MoveToFront(el)
 	v := n.entry.Value
 	s.mu.Unlock()
-	c.hits.Add(1)
 	return v, true
+}
+
+// Count counts one lookup of a cacheable statement, a hit or a miss.
+func (c *Cache) Count(hit bool) {
+	if hit {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
 }
 
 // Put stores an artifact compiled under the given catalog version,

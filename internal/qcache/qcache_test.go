@@ -6,6 +6,8 @@ import (
 	"testing"
 )
 
+// TestHitMiss: Get finds what Put stored; only Count moves the hit and
+// miss counters.
 func TestHitMiss(t *testing.T) {
 	c := New(8)
 	if _, ok := c.Get("q1", 1); ok {
@@ -16,8 +18,12 @@ func TestHitMiss(t *testing.T) {
 	if !ok || v.(string) != "artifact-1" {
 		t.Fatalf("expected hit with artifact-1, got %v %v", v, ok)
 	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 {
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("stats = %+v after two uncounted lookups", st)
+	}
+	c.Count(false)
+	c.Count(true)
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
 	}
 }

@@ -13,8 +13,10 @@
 // out (Table.GatherCol assembles an output batch by row id). The
 // join-back (vexec.AggAttach) copies the columns a scan's snapshot holds
 // once: it keeps their row id and gathers them from the snapshot on the
-// way out (Vec.GatherRows). The result boundary boxes column at a time
-// (Vec.BoxStrided) into one slab of values per batch.
+// way out (Vec.GatherRows), or, when nothing between it and the result
+// root reads them, hands the ids up as deferred columns (Vec.Defer). The
+// result boundary boxes column at a time (Vec.BoxStrided) into one slab of
+// values per batch, a deferred column straight from its source.
 package vector
 
 import (
@@ -128,10 +130,30 @@ type Vec struct {
 	B     []bool
 	S     []string
 
+	// Dict, when set, makes the vector a deferred column: its row r is row
+	// Ids[r] of Dict (NULL where the id is negative), and it holds no
+	// payload of its own. See Defer.
+	Dict *Vec
+	Ids  []int32
+
 	// pooled marks a batch-sized vector obtained from the shared buffer
 	// pool (NewBatchVec); Free returns such vectors for reuse and is a
 	// no-op on everything else.
 	pooled bool
+	// dictNulls says whether Dict may hold NULLs.
+	dictNulls bool
+}
+
+// Defer makes v a deferred column of kind k over src: row r of v is row
+// ids[r] of src, NULL where the id is negative; nulls says whether src may
+// hold NULLs, so its bitmap is not scanned per batch. A join-back hands
+// columns it would gather from a snapshot or its group output to the
+// result root this way (late materialization): the root boxes them from
+// src in one pass (BoxStrided), and no other reader may see one.
+// v is a reusable header: the caller keeps it, and ids, valid for as long
+// as the batch it emits is.
+func (v *Vec) Defer(k types.Kind, src *Vec, ids []int32, nulls bool) {
+	*v = Vec{Kind: k, Dict: src, Ids: ids, dictNulls: nulls}
 }
 
 // NewVec returns a vector of kind k with capacity for n rows, all
@@ -340,7 +362,13 @@ func (v *Vec) Value(i int) types.Value {
 // once per value. The slab must be freshly allocated: only the kind and
 // the one payload field of each value are stored, the rest is taken to be
 // zero already (storing every word again costs 7 % of a wide result).
+// A deferred column (Defer) is boxed straight from its source, each row
+// read at its id.
 func (v *Vec) BoxStrided(dst []types.Value, stride int, sel []int, n int) {
+	if v.Dict != nil {
+		v.boxDeferred(dst, stride, sel, n)
+		return
+	}
 	nulls := v.Nulls.AnySet(v.Len())
 	null := types.NewNull(v.Kind)
 	o := 0
@@ -391,6 +419,69 @@ func (v *Vec) BoxStrided(dst []types.Value, stride int, sel []int, n int) {
 				dst[o] = null
 			} else {
 				dst[o].SetString(v.S[i])
+			}
+		}
+	default:
+		for r := 0; r < n; r, o = r+1, o+stride {
+			dst[o] = null
+		}
+	}
+}
+
+// boxDeferred is BoxStrided of a deferred column: row r is row
+// Ids[sel[r]] of Dict, the batch's selection and the ids composed as the
+// values are stored.
+func (v *Vec) boxDeferred(dst []types.Value, stride int, sel []int, n int) {
+	src, ids, nulls := v.Dict, v.Ids, v.dictNulls
+	null := types.NewNull(v.Kind)
+	o := 0
+	switch v.Kind {
+	case types.KindBool:
+		for r := 0; r < n; r, o = r+1, o+stride {
+			i := r
+			if sel != nil {
+				i = sel[r]
+			}
+			if id := ids[i]; id < 0 || nulls && src.Nulls.Get(int(id)) {
+				dst[o] = null
+			} else {
+				dst[o].K, dst[o].B = types.KindBool, src.B[id]
+			}
+		}
+	case types.KindInt, types.KindDate:
+		for r := 0; r < n; r, o = r+1, o+stride {
+			i := r
+			if sel != nil {
+				i = sel[r]
+			}
+			if id := ids[i]; id < 0 || nulls && src.Nulls.Get(int(id)) {
+				dst[o] = null
+			} else {
+				dst[o].K, dst[o].I = v.Kind, src.I[id]
+			}
+		}
+	case types.KindFloat:
+		for r := 0; r < n; r, o = r+1, o+stride {
+			i := r
+			if sel != nil {
+				i = sel[r]
+			}
+			if id := ids[i]; id < 0 || nulls && src.Nulls.Get(int(id)) {
+				dst[o] = null
+			} else {
+				dst[o].K, dst[o].I = types.KindFloat, int64(math.Float64bits(src.F[id]))
+			}
+		}
+	case types.KindString:
+		for r := 0; r < n; r, o = r+1, o+stride {
+			i := r
+			if sel != nil {
+				i = sel[r]
+			}
+			if id := ids[i]; id < 0 || nulls && src.Nulls.Get(int(id)) {
+				dst[o] = null
+			} else {
+				dst[o].SetString(src.S[id])
 			}
 		}
 	default:

@@ -214,3 +214,53 @@ func TestAppendFromAndCopyLanes(t *testing.T) {
 		t.Fatal("CopyLanes result wrong")
 	}
 }
+
+// TestBoxDeferredMatchesGather: a deferred column boxes, under a batch's
+// selection, exactly what boxing a gather of its source by the same ids
+// does, for every kind, NULLs in the source and negative ids alike.
+func TestBoxDeferredMatchesGather(t *testing.T) {
+	const srcLen, n = 300, 100
+	for _, k := range []types.Kind{types.KindBool, types.KindInt, types.KindDate, types.KindFloat, types.KindString} {
+		src := NewVec(k, srcLen)
+		for i := 0; i < srcLen; i++ {
+			switch {
+			case i%7 == 0:
+				src.SetNull(i)
+			case k == types.KindBool:
+				src.Set(i, types.NewBool(i%3 == 0))
+			case k == types.KindFloat:
+				src.Set(i, types.NewFloat(float64(i)/3))
+			case k == types.KindString:
+				src.Set(i, types.NewString(fmt.Sprint("s", i)))
+			default:
+				src.Set(i, types.Value{K: k, I: int64(i * 11)})
+			}
+		}
+		ids := make([]int32, n)
+		for i := range ids {
+			ids[i] = int32((i * 37) % srcLen)
+			if i%13 == 12 {
+				ids[i] = -1
+			}
+		}
+		for _, sel := range [][]int{nil, {0, 3, 4, 50, 98, 99}} {
+			live := n
+			if sel != nil {
+				live = len(sel)
+			}
+			gathered := NewVec(k, n)
+			gathered.GatherRows(src, ids, true)
+			want := make([]types.Value, 2*live)
+			gathered.BoxStrided(want, 2, sel, live)
+			var d Vec
+			d.Defer(k, src, ids, true)
+			got := make([]types.Value, 2*live)
+			d.BoxStrided(got, 2, sel, live)
+			for r := range got {
+				if !types.Identical(got[r], want[r]) {
+					t.Fatalf("%v sel=%v: value %d = %v, want %v", k, sel, r, got[r], want[r])
+				}
+			}
+		}
+	}
+}

@@ -29,6 +29,18 @@ import (
 // and the store and the group table stayed in memory, in the order that
 // sort would put them in (see orderByGroup), which it then passes through.
 //
+// When the plan opens, DeferToRoot marks the join-back if every operator
+// between it and the result root only forwards its columns (a projection
+// of column references, the sort passing its rows through, a limit, a
+// probe). Then, as long as the rows are stored and go out in
+// input order or in Order, the columns read from Snap go out deferred
+// (vector.Vec.Defer): the snapshot column with the rows' ids in it, which
+// the root boxes from, instead of a gathered copy. So do the group
+// output's columns in Order when it fits one table chunk, with the ids of
+// the rows' groups in it. Deferred counts the columns the last Open
+// defers. Every other consumer, and a replayed or keyed attach, gets
+// gathered vectors.
+//
 // Under a budget a denied store is dropped and the input evaluated again,
 // its group ids looked up in the table. A denied group table spills as any
 // aggregation's does (float sums merging partial sums, which may move
@@ -58,6 +70,8 @@ type AggAttach struct {
 	// Order is the sort above, its keys positions in the aggregate's
 	// output; nil asks for input order. The sort sets it before Open.
 	Order []algebra.SortKey
+	// Deferred is how many columns the last Open defers (EXPLAIN ANALYZE).
+	Deferred int
 
 	having  *Expr   // HAVING over the aggregation's rows, or nil
 	out     []*Expr // Groups' projection
@@ -78,6 +92,12 @@ type AggAttach struct {
 	ids     []int32
 	snapIDs []int32
 	owned   []*vector.Vec
+	// toRoot marks a join-back whose columns only ever reach the result
+	// root (DeferToRoot); deferSnap and deferGroups say which columns the
+	// last Open defers, and refs are their headers (T+'s, then the group
+	// output's), reused by every batch.
+	toRoot, deferSnap, deferGroups bool
+	refs                           []vector.Vec
 }
 
 // groupOrder is the emission in Order: the output row of every group
@@ -87,6 +107,7 @@ type groupOrder struct {
 	groups       vector.Table
 	rows, attach []int32
 	next         int
+	nulls        []bool // per groups column: whether it holds NULLs
 }
 
 // NewAggAttach returns the join-back operator over the shared block's
@@ -205,6 +226,7 @@ func (a *AggAttach) snap(c int) *vector.Vec {
 func (a *AggAttach) Open() (err error) {
 	a.Close() //nolint:errcheck — resets what a previous run left
 	a.Stored, a.replay, a.stored = 0, false, a.stored[:0]
+	a.Deferred, a.deferSnap, a.deferGroups = 0, false, false
 	for c := range a.Prov {
 		if a.snap(c) == nil {
 			a.stored = append(a.stored, c)
@@ -259,9 +281,14 @@ func (a *AggAttach) Open() (err error) {
 		}
 	}
 	if a.Order != nil && !a.replay {
-		if a.sorted, err = a.orderByGroup(); a.sorted != nil || err != nil {
+		if a.sorted, err = a.orderByGroup(); err != nil {
 			return err
+		} else if a.sorted != nil {
+			a.deferTo(a.sorted)
+			return nil
 		}
+	} else if !a.replay {
+		a.deferTo(nil)
 	}
 	src := Node(&storedRows{a: a, gids: true})
 	if a.replay {
@@ -271,6 +298,27 @@ func (a *AggAttach) Open() (err error) {
 		a.src = src
 	}
 	return err
+}
+
+// deferTo decides which columns go out deferred for the stored rows'
+// emission, in Order by g or, g nil, in input order.
+func (a *AggAttach) deferTo(g *groupOrder) {
+	if !a.toRoot || a.Snap == nil {
+		return
+	}
+	a.deferSnap = true
+	a.deferGroups = g != nil && len(g.groups.Chunks()) == 1
+	for c := range a.Prov {
+		if a.snap(c) != nil {
+			a.Deferred++
+		}
+	}
+	if a.deferGroups {
+		a.Deferred += len(a.out)
+	}
+	if a.refs == nil {
+		a.refs = make([]vector.Vec, len(a.Prov)+len(a.out))
+	}
 }
 
 // orderByGroup sorts the stored rows on Order without comparing them:
@@ -318,6 +366,12 @@ func (a *AggAttach) orderByGroup() (*groupOrder, error) {
 	}
 	if g.groups.Len() == 0 {
 		return g, nil
+	}
+	if chunks := g.groups.Chunks(); len(chunks) == 1 {
+		g.nulls = make([]bool, len(chunks[0]))
+		for c, v := range chunks[0] {
+			g.nulls[c] = v.Nulls.AnySet(v.Len())
+		}
 	}
 
 	keys, kinds := a.Order, g.groups.Kinds()
@@ -425,9 +479,20 @@ func (a *AggAttach) Next() (*vector.Batch, error) {
 		hi := min(g.next+vector.BatchSize, len(g.rows))
 		rows, attach := g.rows[g.next:hi], g.attach[g.next:hi]
 		g.next = hi
-		a.owned = a.gatherRows(rows, a.owned)
-		a.owned = gatherBatch(&g.groups, attach, a.owned)
-		return &vector.Batch{N: len(rows), Cols: a.owned}, nil
+		cols := a.gatherRows(rows, a.cols[:0])
+		if a.deferGroups {
+			for c, v := range g.groups.Chunks()[0] {
+				ref := &a.refs[len(a.Prov)+c]
+				ref.Defer(v.Kind, v, attach, g.nulls[c])
+				cols = append(cols, ref)
+			}
+		} else {
+			at := len(a.owned)
+			a.owned = gatherBatch(&g.groups, attach, a.owned)
+			cols = append(cols, a.owned[at:]...)
+		}
+		a.cols = cols
+		return &vector.Batch{N: len(rows), Cols: cols}, nil
 	}
 	for {
 		b, err := a.src.Next()
@@ -455,7 +520,8 @@ func (a *AggAttach) Next() (*vector.Batch, error) {
 
 // gatherRows appends the T+ columns of the stored rows with the given ids
 // to cols: those read from Snap gathered there by the rows' snapshot ids,
-// the others from the store.
+// or deferred to them, the others gathered from the store. The gathered
+// vectors are owned.
 func (a *AggAttach) gatherRows(ids []int32, cols []*vector.Vec) []*vector.Vec {
 	if a.Snap != nil {
 		a.snapIDs = a.snapIDs[:0]
@@ -465,13 +531,20 @@ func (a *AggAttach) gatherRows(ids []int32, cols []*vector.Vec) []*vector.Vec {
 	}
 	st := 0
 	for c, e := range a.Prov {
+		snap := a.snap(c)
+		if snap != nil && a.deferSnap {
+			a.refs[c].Defer(e.Kind(), snap, a.snapIDs, a.nulls[c])
+			cols = append(cols, &a.refs[c])
+			continue
+		}
 		v := vector.NewBatchVec(e.Kind(), len(ids))
-		if snap := a.snap(c); snap != nil {
+		if snap != nil {
 			v.GatherRows(snap, a.snapIDs, a.nulls[c])
 		} else {
 			a.store.GatherCol(st, ids, v)
 			st++
 		}
+		a.owned = append(a.owned, v)
 		cols = append(cols, v)
 	}
 	return cols
@@ -511,8 +584,9 @@ func (a *AggAttach) Close() error {
 
 // storedRows streams the stored rows in input order, in batch-sized
 // windows of their T+ columns — the stored ones windowed in the store,
-// whose chunks it drops once passed, the others gathered from Snap — and,
-// with gids, their group ids as a last column.
+// whose chunks it drops once passed, the others gathered from Snap or,
+// for the emission, deferred to it — and, with gids, their group ids as a
+// last column.
 type storedRows struct {
 	a     *AggAttach
 	gids  bool
@@ -556,16 +630,20 @@ func (s *storedRows) Next() (*vector.Batch, error) {
 	}
 	cols, st := s.cols[:0], 0
 	for c, e := range a.Prov {
-		if snap := a.snap(c); snap != nil {
+		switch snap := a.snap(c); {
+		case snap != nil && a.deferSnap:
+			a.refs[c].Defer(e.Kind(), snap, a.rows.window(lo, hi), a.nulls[c])
+			cols = append(cols, &a.refs[c])
+		case snap != nil:
 			v := vector.NewBatchVec(e.Kind(), hi-lo)
 			v.GatherRows(snap, a.rows.window(lo, hi), a.nulls[c])
 			s.owned = append(s.owned, v)
 			cols = append(cols, v)
-			continue
+		default:
+			chunk[st].WindowInto(lane, lane+hi-lo, &s.win[st])
+			cols = append(cols, &s.win[st])
+			st++
 		}
-		chunk[st].WindowInto(lane, lane+hi-lo, &s.win[st])
-		cols = append(cols, &s.win[st])
-		st++
 	}
 	if s.gids {
 		v := vector.NewBatchVec(types.KindInt, hi-lo)
@@ -642,6 +720,40 @@ func (k groupIDs) eval(b *vector.Batch, sel []int) (*vector.Vec, error) {
 		out.I[lanes[idx]] = int64(k.h.tab.set.find(keys, lanes[idx], hv))
 	}
 	return out, nil
+}
+
+// DeferToRoot lets the join-back under root defer its columns (see
+// AggAttach) if every operator between them only forwards columns: a
+// projection of column references, a sort over the join-back that may
+// pass its rows through (it takes gathered columns whenever it does not),
+// a limit, a probe. root is a batch plan whose every batch the caller
+// boxes with vector.Vec.BoxStrided; call it once, before the plan opens.
+func DeferToRoot(root Node) {
+	for n := root; ; {
+		switch x := n.(type) {
+		case *Probe:
+			n = x.Input
+		case *VecLimit:
+			n = x.Input
+		case *Project:
+			for _, e := range x.Exprs {
+				if _, ok := e.val.(*varKernel); !ok {
+					return
+				}
+			}
+			n = x.Input
+		case *VecSort:
+			if a, _ := x.joinBack(); a == nil {
+				return
+			}
+			n = x.Input
+		case *AggAttach:
+			x.toRoot = true
+			return
+		default:
+			return
+		}
+	}
 }
 
 // openedNode is a node its consumer must neither open nor close.

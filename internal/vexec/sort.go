@@ -104,16 +104,16 @@ func (s *VecSort) Spilled() bool { return len(s.runs) > 0 }
 func (s *VecSort) ByGroup() bool { return s.byGroup }
 
 // joinBack returns the join-back operator the sort reads, through a
-// projection, when every key is a column of its aggregate's output, having
-// asked it for the sort's order.
-func (s *VecSort) joinBack() *AggAttach {
+// projection, when every key is a column of its aggregate's output, and
+// the sort's order as positions in that output.
+func (s *VecSort) joinBack() (*AggAttach, []algebra.SortKey) {
 	n, cols := unprobe(s.Input), []*Expr(nil)
 	if p, ok := n.(*Project); ok {
 		n, cols = unprobe(p.Input), p.Exprs
 	}
 	a, ok := n.(*AggAttach)
 	if !ok {
-		return nil
+		return nil, nil
 	}
 	order := make([]algebra.SortKey, len(s.Keys))
 	for i, k := range s.Keys {
@@ -121,17 +121,16 @@ func (s *VecSort) joinBack() *AggAttach {
 		if cols != nil {
 			v, ok := cols[pos].val.(*varKernel)
 			if !ok {
-				return nil
+				return nil, nil
 			}
 			pos = v.pos
 		}
 		if pos < len(a.Prov) {
-			return nil
+			return nil, nil
 		}
 		order[i] = algebra.SortKey{Pos: pos - len(a.Prov), Desc: k.Desc}
 	}
-	a.Order = order
-	return a
+	return a, order
 }
 
 // unprobe looks through EXPLAIN ANALYZE probes.
@@ -182,7 +181,10 @@ func (s *VecSort) Open() (err error) {
 	closeRuns(s.runs)
 	s.runs = nil
 	s.byGroup = false
-	attach := s.joinBack()
+	attach, order := s.joinBack()
+	if attach != nil {
+		attach.Order = order // asks it for the sort's order
+	}
 	// A failed Open never sees a matching Close from the parent, so the
 	// sort must unwind its own spill state: release reserved bytes and
 	// close any runs written before the error.

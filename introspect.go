@@ -127,23 +127,22 @@ func (db *Database) beginQuery(text string) *queryRun {
 	id := "q" + strconv.FormatUint(eng.qid.Add(1), 10)
 	norm := sql.Normalize(text)
 	fp := qcache.FingerprintNormalized(norm)
-	budget := db.budget
-	aq := &obs.ActiveQuery{
+	qr := &queryRun{db: db, norm: norm, start: start, span: -1}
+	db.budget.Statement(&qr.mem)
+	qr.aq = &obs.ActiveQuery{
 		ID:          id,
 		Session:     db.sessionID,
 		SQL:         text,
 		Fingerprint: fp,
 		Start:       start,
 		Timeout:     max(db.opts.StatementTimeout, 0),
-		MemStats: func() (int64, int64) {
-			s := budget.Stats()
+		MemStats: func() (int64, int64) { // the statement's own, not its handle's
+			s := qr.mem.Stats()
 			return s.InUse, s.BytesSpilled
 		},
 	}
-	trace := eng.tracer.Sample(db.opts.TraceSample, id, fp, text, start)
-	eng.activity.Register(aq)
-	qr := &queryRun{db: db, aq: aq, trace: trace, norm: norm, start: start, span: -1}
-	db.budget.Statement(&qr.mem)
+	qr.trace = eng.tracer.Sample(db.opts.TraceSample, id, fp, text, start)
+	eng.activity.Register(qr.aq)
 	return qr
 }
 

@@ -12,6 +12,7 @@ import (
 	"perm/internal/obs"
 	"perm/internal/synth"
 	"perm/internal/tpch"
+	"perm/internal/types"
 )
 
 // joinBackFixture has NULL grouping keys (alone and in multi-key groups),
@@ -422,5 +423,146 @@ func TestJoinBackSnapshot(t *testing.T) {
 	}
 	if db.MustQuery(q).String() == want.String() {
 		t.Error("the writes did not change the table")
+	}
+}
+
+// joinBackDeferredQueries are the statements TestJoinBackDeferred runs:
+// Fig. 10's Q1 and Q6 q+ (by group and in input order), the R5 shapes, a
+// q+ whose groups outnumber a table chunk, and q+ read by a filter or a
+// sort on a witness column, which take gathered columns (gathered true).
+func joinBackDeferredQueries() (stmts []string, gathered map[string]bool) {
+	rng := tpch.NewRand(7)
+	stmts = append(stmts, tpch.MustQGen(1, rng).Provenance().Text)
+	rng = tpch.NewRand(7)
+	stmts = append(stmts, tpch.MustQGen(6, rng).Provenance().Text)
+	for _, s := range joinBackShapes {
+		stmts = append(stmts, injectProv(s.q))
+	}
+	stmts = append(stmts, `SELECT PROVENANCE l_orderkey, l_linenumber, sum(l_quantity) AS s FROM lineitem
+		GROUP BY l_orderkey, l_linenumber ORDER BY l_orderkey DESC, l_linenumber`)
+	gathered = make(map[string]bool)
+	for _, q := range []string{
+		`SELECT * FROM (SELECT PROVENANCE l_returnflag, count(*) AS c FROM lineitem GROUP BY l_returnflag) x
+			WHERE prov_lineitem_l_quantity > 10`,
+		`SELECT * FROM (SELECT PROVENANCE l_returnflag, count(*) AS c FROM lineitem GROUP BY l_returnflag) x
+			ORDER BY prov_lineitem_l_orderkey DESC, prov_lineitem_l_linenumber`,
+	} {
+		stmts, gathered[q] = append(stmts, q), true
+	}
+	return stmts, gathered
+}
+
+// TestJoinBackDeferred: a join-back that hands its witness and group
+// columns to the result root as row ids yields results identical, value
+// for value and in order, to the row engine's, serial and with 2 and 4
+// workers, unbudgeted, at 4 MiB and at 48 KiB (its store denied, or its
+// group table spilled), drained by Query, by EXPLAIN ANALYZE and by a
+// Cursor fetching 7 rows at a time. EXPLAIN ANALYZE shows deferred=N on
+// the Fig. 10 Q1 q+ when its sort passes its rows through, and on no
+// join-back read by a filter or a sort on a witness column.
+func TestJoinBackDeferred(t *testing.T) {
+	setup := func(db *perm.Database) *perm.Database {
+		db.MustExec(joinBackFixture + `
+			CREATE TABLE r (a int, b text);
+			INSERT INTO r VALUES (1, 'x'), (2, 'y'), (2, 'y'), (3, NULL);`)
+		tpch.MustLoad(db, 0.001, 42)
+		return db
+	}
+	ref := setup(perm.NewDatabaseWithOptions(perm.Options{DisableVectorized: true, Parallelism: -1, MemoryLimit: -1}))
+	base := setup(perm.NewDatabaseWithOptions(perm.Options{Parallelism: -1, MemoryLimit: -1, SpillDir: t.TempDir()}))
+	stmts, gathered := joinBackDeferredQueries()
+	want := make(map[string]*perm.Result, len(stmts))
+	for _, q := range stmts {
+		want[q] = ref.MustQuery(q)
+	}
+	q1, q6 := stmts[0], stmts[1]
+	deferred := 0
+	for _, limit := range []int64{-1, 4 << 20, 48 << 10} {
+		for _, workers := range []int{-1, 2, 4} {
+			o := base.Opts()
+			o.MemoryLimit, o.Parallelism = limit, workers
+			db := base.WithOptions(o)
+			cfg := fmt.Sprintf("limit=%d workers=%d", limit, workers)
+			for _, q := range stmts {
+				assertRowsIdentical(t, cfg+" Query", q, db.MustQuery(q), want[q])
+				res, report, err := db.QueryAnalyzed(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertRowsIdentical(t, cfg+" EXPLAIN ANALYZE", q, res, want[q])
+				if strings.Contains(report, "deferred=") {
+					deferred++
+				}
+				if gathered[q] && (!strings.Contains(report, "VecAggAttach") || strings.Contains(report, "deferred=")) {
+					t.Errorf("%s: a witness column is read above the join-back, which must gather:\n%s", cfg, report)
+				}
+				// Q1's input is not empty: materialized=0 is a denied store. A
+				// held one whose sort does not pass its rows through (at 48
+				// KiB the ordering's room is denied) gathers for the sort.
+				byGroup := !strings.Contains(report, "materialized=0") && strings.Contains(report, "by_group")
+				if q == q1 && !fault.Enabled() && strings.Contains(report, "deferred=28") != byGroup {
+					t.Errorf("%s: Q1 q+, rows passed through the sort = %v, defers its 28 columns only then:\n%s", cfg, byGroup, report)
+				}
+				if q == q1 || q == q6 || gathered[q] {
+					assertRowsIdentical(t, cfg+" Cursor", q, cursorRows(t, db, q, 7), want[q])
+				}
+			}
+		}
+	}
+	if deferred == 0 && !fault.Enabled() {
+		t.Error("no join-back deferred a column")
+	}
+}
+
+// assertRowsIdentical checks that got has want's rows, in order, value for
+// value (types.Identical: kind, payload bits, string bytes), a NULL
+// matching any NULL: the row engine leaves NULL % 2 untyped where the
+// batch engine types it.
+func assertRowsIdentical(t *testing.T, how, q string, got, want *perm.Result) {
+	t.Helper()
+	g, w := got.RawRows(), want.RawRows()
+	if len(g) != len(w) {
+		t.Errorf("%s: %s\nreturned %d rows, want %d", how, q, len(g), len(w))
+		return
+	}
+	for i := range g {
+		if len(g[i]) != len(w[i]) {
+			t.Errorf("%s: %s\nrow %d has %d values, want %d", how, q, i, len(g[i]), len(w[i]))
+			return
+		}
+		for j := range g[i] {
+			if !types.Identical(g[i][j], w[i][j]) && !(g[i][j].Null && w[i][j].Null) {
+				t.Errorf("%s: %s\nrow %d = %v, want %v", how, q, i, got.Rows[i], want.Rows[i])
+				return
+			}
+		}
+	}
+}
+
+// cursorRows fetches q through a Cursor, n rows at a time.
+func cursorRows(t *testing.T, db *perm.Database, q string, n int) *perm.Result {
+	t.Helper()
+	p, err := db.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur, err := p.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	res := &perm.Result{}
+	for {
+		rows, err := cur.Fetch(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) == 0 {
+			return res
+		}
+		if len(rows) > n {
+			t.Fatalf("Fetch(%d) returned %d rows", n, len(rows))
+		}
+		res.Rows = append(res.Rows, rows...)
 	}
 }

@@ -483,6 +483,55 @@ func TestExplainAnalyzePeakIsTheStatements(t *testing.T) {
 	}
 }
 
+// TestStatActivityIsTheStatements: perm_stat_activity's memory columns
+// read the statement's own accountant, not its handle's: after a sort
+// that spills under a 1 MiB budget, an observer query on the same handle
+// reads nothing spilled.
+func TestStatActivityIsTheStatements(t *testing.T) {
+	db := perm.NewDatabaseWithOptions(perm.Options{MemoryLimit: 1 << 20, SpillDir: t.TempDir(), Parallelism: -1})
+	bigTable(db)
+	db.MustQuery(`SELECT a, s FROM big ORDER BY s, a`)
+	if st := db.SessionQueryStats(); st.BytesSpilled == 0 {
+		t.Fatalf("the big sort did not spill: %+v", st)
+	}
+	res := db.MustQuery(`SELECT spilled_bytes FROM perm_stat_activity`)
+	if len(res.Rows) != 1 {
+		t.Fatalf("perm_stat_activity rows = %d, want the observer alone", len(res.Rows))
+	}
+	if got := res.Rows[0][0].String(); got != "0" {
+		t.Errorf("observer reads %s spilled bytes, the earlier sort's; want 0", got)
+	}
+}
+
+// TestCacheCountsOneLookupPerSelect: a statement counts one plan-cache
+// lookup for its SELECT and none for its own text when that is not a
+// plain SELECT: EXPLAIN ANALYZE of a cached SELECT is one hit, EXPLAIN and
+// SELECT ... INTO are none.
+func TestCacheCountsOneLookupPerSelect(t *testing.T) {
+	db := perm.NewDatabaseWithOptions(perm.Options{Parallelism: -1})
+	db.MustExec(`CREATE TABLE t (a int); INSERT INTO t VALUES (1), (2)`)
+	const q = `SELECT a FROM t WHERE a > 1`
+	db.MustQuery(q)
+	for _, c := range []struct {
+		text         string
+		hits, misses uint64
+	}{
+		{q, 1, 0},
+		{"EXPLAIN ANALYZE " + q, 1, 0},
+		{"EXPLAIN " + q, 0, 0},
+		{"SELECT a INTO u FROM t", 0, 0},
+	} {
+		before := db.QueryCacheStats()
+		if _, err := db.Query(c.text); err != nil {
+			t.Fatal(err)
+		}
+		after := db.QueryCacheStats()
+		if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != c.hits || misses != c.misses {
+			t.Errorf("%s: %d hits and %d misses, want %d and %d", c.text, hits, misses, c.hits, c.misses)
+		}
+	}
+}
+
 // TestStatementFacts: each statement records its own cache outcome and
 // spill in LastQueryInfo, whichever entry point runs it. A statement hits
 // when it runs a tree it did not compile: from the query cache, or the

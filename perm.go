@@ -450,7 +450,8 @@ func (db *Database) query(text string, qr *queryRun) (*Result, error) {
 // not compile is a cache hit, one it compiled has its plan hashed when it
 // runs — so no caller looks the cache up itself. An empty text and
 // DisableQueryCache bypass the cache. A parsed statement that is not a
-// plain SELECT comes back uncompiled, for the caller to run.
+// plain SELECT comes back uncompiled, for the caller to run, and its text
+// is not counted as a cache lookup: only a SELECT's is, once.
 //
 // The catalog version is read before compilation: if concurrent DDL/DML
 // lands while we compile, the stored artifact is tagged with the older
@@ -461,6 +462,7 @@ func (db *Database) compiled(text string, sel *sql.SelectStmt, qr *queryRun) (*a
 	if !db.opts.DisableQueryCache && text != "" {
 		key = db.optsKey + "\x00" + text
 		if v, ok := db.cache.Get(key, db.cat.Version()); ok {
+			db.cache.Count(true) // only a plain SELECT is ever stored
 			qr.served(true, false)
 			return v.(*algebra.Query), nil, nil
 		}
@@ -474,6 +476,9 @@ func (db *Database) compiled(text string, sel *sql.SelectStmt, qr *queryRun) (*a
 		if sel, _ = stmt.(*sql.SelectStmt); sel == nil || sel.Into != "" {
 			return nil, stmt, nil
 		}
+	}
+	if key != "" {
+		db.cache.Count(false)
 	}
 	ver := db.cat.Version()
 	q, err := db.compile(sel, qr)
@@ -544,6 +549,7 @@ func (db *Database) openSelect(q *algebra.Query, qr *queryRun, analyzed *stmtKey
 	}
 	if vectorized {
 		r.batches = rs.Input
+		vexec.DeferToRoot(r.batches) // step boxes every batch
 	}
 	qr.phase(obs.PhaseExecute)
 	r.start = time.Now()

@@ -91,7 +91,10 @@ func boxRows(rows []types.Row) block {
 }
 
 // boxBatch boxes the live rows of a batch column at a time (the kind is
-// examined once per column) into one slab.
+// examined once per column) into one slab. It is the one reader of the
+// deferred columns a join-back hands to the root (vexec.DeferToRoot):
+// those box straight from their source, the batch's selection composed
+// with their row ids.
 func boxBatch(b *vector.Batch) block {
 	n, width := b.Live(), len(b.Cols)
 	slab := make([]Value, n*width)
